@@ -313,6 +313,8 @@ def _field_to_json(field: FieldSpec):
 
 
 def _field_from_json(doc) -> FieldSpec:
+    if not isinstance(doc, dict):
+        raise AlgebraFileSyntaxError(f"field must be a JSON object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "rational":
         return RATIONAL
@@ -366,8 +368,11 @@ def algebra_from_json(doc, synthesize_antipode: bool = True) -> HopfAlgebra:
         unit = doc["unit"]
     except KeyError as exc:
         raise AlgebraFileSyntaxError(f"missing field {exc.args[0]!r}") from None
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise AlgebraFileSyntaxError(f"bad dimension {dim!r}")
+    for key in ("basis", "mul", "comul", "counit", "unit", "antipode"):
+        if key in doc and not isinstance(doc[key], list):
+            raise AlgebraFileSyntaxError(f"{key} must be a JSON list")
     if len(basis) != dim:
         raise AlgebraFileSemanticError(f"basis has {len(basis)} names for dim {dim}")
     if len(counit) != dim or len(unit) != dim:
@@ -376,7 +381,7 @@ def algebra_from_json(doc, synthesize_antipode: bool = True) -> HopfAlgebra:
     def parse_scalar(text, where):
         try:
             return field.parse(text)
-        except (ScalarSyntaxError, TypeError) as exc:
+        except ScalarSyntaxError as exc:
             raise AlgebraFileSyntaxError(f"{where}: {exc}") from None
 
     def check_index(i, where):
@@ -384,13 +389,21 @@ def algebra_from_json(doc, synthesize_antipode: bool = True) -> HopfAlgebra:
             raise AlgebraFileSemanticError(f"{where}: index {i!r} out of range for dim {dim}")
         return i
 
+    def check_new(key, seen, label, pos):
+        if key in seen:
+            raise AlgebraFileSemanticError(
+                f"{label}[{pos}]: duplicate entry {list(key)}, first given at {label}[{seen[key]}]")
+        seen[key] = pos
+
     def tensor_from(triples, label):
         out = {}
+        seen = {}
         for pos, item in enumerate(triples):
             where = f"{label}[{pos}]"
-            if len(item) != 4:
+            if not isinstance(item, list) or len(item) != 4:
                 raise AlgebraFileSyntaxError(f"{where}: expected [i, j, k, scalar]")
             i, j, k = (check_index(item[t], where) for t in range(3))
+            check_new((i, j, k), seen, label, pos)
             out[(i, j, k)] = parse_scalar(item[3], where)
         return Tensor3.from_dict(field, dim, out)
 
@@ -403,12 +416,14 @@ def algebra_from_json(doc, synthesize_antipode: bool = True) -> HopfAlgebra:
     if "antipode" in doc:
         zero = field.zero()
         rows = [[zero] * dim for _ in range(dim)]
+        seen = {}
         for pos, item in enumerate(doc["antipode"]):
             where = f"antipode[{pos}]"
-            if len(item) != 3:
+            if not isinstance(item, list) or len(item) != 3:
                 raise AlgebraFileSyntaxError(f"{where}: expected [i, j, scalar]")
             i = check_index(item[0], where)
             j = check_index(item[1], where)
+            check_new((i, j), seen, "antipode", pos)
             rows[i][j] = parse_scalar(item[2], where)
         antipode = Matrix(field, rows)
 

@@ -3,15 +3,23 @@
 Every scalar is an immutable, normalized value tied to a FieldSpec, so
 equality is structural and all downstream checks can demand exact equality
 (no tolerances anywhere).  A cyclotomic scalar is a residue modulo the N-th
-cyclotomic polynomial, which is irreducible over Q; the quotient is a field
-and every nonzero element is invertible.
+cyclotomic polynomial Phi_N, which is irreducible over Q; the quotient is a
+field and every nonzero element is invertible.
+
+A scalar stores integer numerators over one positive common denominator,
+num / den with gcd(den, *num) == 1; zero is (0, ..., 0) / 1.  Phi_N is monic
+with integer coefficients, so every reduction modulo Phi_N runs on integer
+tables built once per field.  Q is the degree-1 case Q(zeta_1) of the same
+code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd, lcm
+from operator import add, neg, sub
 import re
 
 
@@ -28,90 +36,102 @@ class ScalarSyntaxError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Q, ascending coefficient tuples
+# cyclotomic polynomials and the integer reduction tables
 # ---------------------------------------------------------------------------
 
-def _poly_trim(cs):
-    n = len(cs)
-    while n > 0 and cs[n - 1] == 0:
-        n -= 1
-    return tuple(cs[:n])
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y == 0:
-                continue
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(num, den):
-    """Exact division of polynomials over Q; den need not be monic."""
+def _divide_monic(num, den):
+    """Exact quotient of integer polynomials (ascending coefficients) by a
+    monic divisor; a nonzero remainder is an error."""
     num = list(num)
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] / lead
-        if c != 0:
-            q[k] = c
+    quot = [0] * (len(num) - len(den) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        c = num[k + len(den) - 1]
+        if c:
+            quot[k] = c
             for j, d in enumerate(den):
                 num[k + j] -= c * d
-    return _poly_trim(q), _poly_trim(num)
-
-
-def _poly_xgcd(a, b):
-    """Extended gcd over Q[x]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = tuple(a), tuple(b)
-    s0, s1 = (Fraction(1),), ()
-    t0, t1 = (), (Fraction(1),)
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-    return r0, s0, t0
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _poly_trim(out)
+    if any(num):
+        raise AssertionError("cyclotomic division left a remainder")
+    return tuple(quot)
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int):
-    """Coefficients (ascending) of the n-th cyclotomic polynomial.
+    """Integer coefficients (ascending) of the n-th cyclotomic polynomial.
 
     Computed by dividing x^n - 1 by the cyclotomic polynomials of the
     proper divisors of n; results are cached.
     """
     if n < 1:
         raise ValueError(f"cyclotomic order must be >= 1, got {n}")
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    num = tuple(num)
+    poly = (-1,) + (0,) * (n - 1) + (1,)
     for d in range(1, n):
         if n % d == 0:
-            q, r = _poly_divmod(num, cyclotomic_polynomial(d))
-            if r:
-                raise AssertionError("cyclotomic division left a remainder")
-            num = q
-    return num
+            poly = _divide_monic(poly, cyclotomic_polynomial(d))
+    return poly
 
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
+
+
+@lru_cache(maxsize=None)
+def _field_tables(n: int):
+    """Integer tables of Q(zeta_n) = Q[z]/Phi_n, of degree d:
+
+    powers[m]  the coordinates of z^m, for 0 <= m < n;
+    rows[k]    the coordinates of z^(d+k), for k < d - 1: the reduction
+               of a product, whose degree is at most 2d - 2;
+    galois     for each k coprime to n with 1 < k < n, the images
+               sigma_k(z^i) = z^(i*k) of the basis, i < d.
+    """
+    mod = cyclotomic_polynomial(n)
+    d = len(mod) - 1
+    cur = [1] + [0] * (d - 1)
+    powers = [tuple(cur)]
+    for _ in range(1, n):
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            for j in range(d):
+                cur[j] -= top * mod[j]
+        powers.append(tuple(cur))
+    rows = tuple(powers[m % n] for m in range(d, 2 * d - 1))
+    galois = tuple(tuple(powers[i * k % n] for i in range(d))
+                   for k in range(2, n) if gcd(k, n) == 1)
+    return tuple(powers), rows, galois
+
+
+def _mul_num(rows, a, b):
+    """Product of two integer coordinate tuples, reduced through rows."""
+    d = len(a)
+    if d == 1:
+        return (a[0] * b[0],)
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    out = prod[:d]
+    for k in range(d - 1):
+        c = prod[d + k]
+        if c:
+            row = rows[k]
+            for j in range(d):
+                out[j] += c * row[j]
+    return tuple(out)
+
+
+def _combine(images, num):
+    """sum num[i] * images[i] over integer coordinate tuples."""
+    out = [0] * len(num)
+    for c, row in zip(num, images):
+        if c:
+            for j, r in enumerate(row):
+                out[j] += c * r
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +151,22 @@ class FieldSpec:
         if self.kind == "cyclotomic" and self.order < 1:
             raise ValueError("cyclotomic order must be >= 1")
 
-    @property
+    @cached_property
+    def _tables(self):
+        # Q is Q(zeta_1): one coordinate, nothing to reduce, no conjugates.
+        return _field_tables(self.order if self.kind == "cyclotomic" else 1)
+
+    @cached_property
+    def _zero(self) -> "Scalar":
+        return _scalar(self, (0,) * self.degree, 1)
+
+    @cached_property
+    def _one(self) -> "Scalar":
+        return _scalar(self, (1,) + (0,) * (self.degree - 1), 1)
+
+    @cached_property
     def degree(self) -> int:
-        if self.kind == "rational":
-            return 1
-        return euler_phi(self.order)
+        return len(self._tables[0][0])
 
     @property
     def modulus(self):
@@ -145,32 +176,26 @@ class FieldSpec:
 
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction, or Scalar of this field into a Scalar."""
-        if isinstance(value, Scalar):
-            if value.field != self:
+        if type(value) is Scalar:
+            if value.field is not self and value.field != self:
                 raise FieldMismatchError(f"scalar of {value.field} used in {self}")
             return value
-        value = Fraction(value)
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[0] = value
-        return Scalar(self, tuple(coeffs))
+        if type(value) is not int and type(value) is not Fraction:
+            value = Fraction(value)
+        return _scalar(self, (value.numerator,) + (0,) * (self.degree - 1), value.denominator)
 
     def zero(self) -> "Scalar":
-        return self.scalar(0)
+        return self._zero
 
     def one(self) -> "Scalar":
-        return self.scalar(1)
+        return self._one
 
     def generator(self) -> "Scalar":
         """The residue class of x, i.e. a primitive order-th root of unity."""
         if self.kind == "rational":
             raise ValueError("the rational field has no cyclotomic generator")
-        coeffs = [Fraction(0)] * self.degree
-        if self.degree == 1:
-            # Phi_1 = x - 1 or Phi_2 = x + 1: x reduces to a constant.
-            coeffs[0] = Fraction(1) if self.order == 1 else Fraction(-1)
-        else:
-            coeffs[1] = Fraction(1)
-        return Scalar(self, tuple(coeffs))
+        # Phi_1 = x - 1 and Phi_2 = x + 1 reduce x to the constant 1 or -1.
+        return _scalar(self, self._tables[0][1 % self.order], 1)
 
     def root_of_unity(self, n: int) -> "Scalar":
         """A primitive n-th root of unity, when the field contains one."""
@@ -196,6 +221,7 @@ class FieldSpec:
 RATIONAL = FieldSpec("rational")
 
 
+@lru_cache(maxsize=None)
 def cyclotomic_field(n: int) -> FieldSpec:
     return FieldSpec("cyclotomic", n)
 
@@ -203,50 +229,55 @@ def cyclotomic_field(n: int) -> FieldSpec:
 class Scalar:
     """An exact element of a FieldSpec, normalized and immutable.
 
-    The coefficient tuple has length equal to the field degree and is the
-    residue after reduction modulo the cyclotomic polynomial (rationals are
-    the degenerate degree-1 case).
+    ``num`` holds one integer numerator per power of z below the field
+    degree, ``den`` the positive common denominator, in lowest terms.
+    ``coeffs`` gives the same residue as a tuple of Fractions.
     """
 
-    __slots__ = ("field", "coeffs", "_hash", "_zero")
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field: FieldSpec, coeffs):
         if len(coeffs) != field.degree:
             raise ValueError(
                 f"expected {field.degree} coefficients for {field}, got {len(coeffs)}"
             )
+        if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+            raise TypeError(f"scalar coordinates must be int or Fraction, got {coeffs!r}")
+        # lcm of reduced denominators: the numerators share no factor with it
+        den = lcm(*(c.denominator for c in coeffs))
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_zero", None)
+        object.__setattr__(self, "num", tuple(c.numerator * (den // c.denominator)
+                                              for c in coeffs))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
 
+    @property
+    def coeffs(self):
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
+
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        z = self._zero
-        if z is None:
-            z = all(c == 0 for c in self.coeffs)
-            object.__setattr__(self, "_zero", z)
-        return z
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.num == self.field._one.num
 
     def as_rational(self) -> Fraction:
         """The value as a Fraction; only for elements that lie in Q
         (constant residues, or anything in the degree-1 fields)."""
-        if any(c != 0 for c in self.coeffs[1:]):
+        if any(self.num[1:]):
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError(
                     f"cannot combine scalars over {self.field} and {other.field}"
                 )
@@ -256,18 +287,28 @@ class Scalar:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if type(other) is not Scalar or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        da, db = self.den, other.den
+        if da == db:
+            return _normalized(self.field, tuple(map(add, self.num, other.num)), da)
+        return _normalized(self.field,
+                           tuple([x * db + y * da for x, y in zip(self.num, other.num)]), da * db)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        if type(other) is not Scalar or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        da, db = self.den, other.den
+        if da == db:
+            return _normalized(self.field, tuple(map(sub, self.num, other.num)), da)
+        return _normalized(self.field,
+                           tuple([x * db - y * da for x, y in zip(self.num, other.num)]), da * db)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -276,38 +317,33 @@ class Scalar:
         return other - self
 
     def __neg__(self):
-        return Scalar(self.field, tuple(-a for a in self.coeffs))
+        return _scalar(self.field, tuple(map(neg, self.num)), self.den)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = self.field.degree
-        if d == 1:
-            return Scalar(self.field, (self.coeffs[0] * other.coeffs[0],))
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(self.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(other.coeffs):
-                if y == 0:
-                    continue
-                prod[i + j] += x * y
-        return Scalar(self.field, _reduce_mod(self.field, prod))
+        if type(other) is not Scalar or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _normalized(self.field, _mul_num(self.field._tables[1], self.num, other.num),
+                           self.den * other.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "Scalar":
+        """1/a = (product of the nontrivial Galois conjugates of a) / N(a),
+        where the norm N(a) = a * product is rational."""
         if self.is_zero():
             raise ZeroInversionError(f"cannot invert zero in {self.field}")
-        if self.field.degree == 1:
-            return Scalar(self.field, (1 / self.coeffs[0],))
-        g, s, _ = _poly_xgcd(_poly_trim(self.coeffs), self.field.modulus)
-        if len(g) != 1:
-            # cannot happen for a true cyclotomic modulus; guards bad input
-            raise ScalarSyntaxError(f"non-invertible residue in {self.field}")
-        inv = _poly_mul(s, (1 / g[0],))
-        return Scalar(self.field, _reduce_mod(self.field, list(inv)))
+        field, num = self.field, self.num
+        _, rows, galois = field._tables
+        conj = field._one.num
+        for images in galois:
+            conj = _mul_num(rows, conj, _combine(images, num))
+        norm = _mul_num(rows, num, conj)
+        if any(norm[1:]):
+            raise ArithmeticError(f"norm of {self} in {field} is not rational")
+        # a = num/den, so 1/a = den * conj / (num * conj) = den * conj / norm[0]
+        return _normalized(field, tuple([self.den * c for c in conj]), norm[0])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -338,18 +374,15 @@ class Scalar:
     # -- equality ----------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.field.scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return ((self.field is other.field or self.field == other.field)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.field, self.coeffs))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.num, self.den))
 
     def __str__(self):
         return format_scalar(self)
@@ -358,22 +391,32 @@ class Scalar:
         return f"Scalar({self.field}, {format_scalar(self)!r})"
 
 
-def _reduce_mod(field: FieldSpec, coeffs):
-    """Reduce an ascending coefficient list modulo the field's cyclotomic
-    polynomial and pad to the field degree."""
-    mod = field.modulus
-    d = field.degree
-    coeffs = list(coeffs)
-    for k in range(len(coeffs) - 1, d - 1, -1):
-        c = coeffs[k]
-        if c != 0:
-            coeffs[k] = Fraction(0)
-            for j in range(len(mod) - 1):
-                coeffs[k - len(mod) + 1 + j] -= c * mod[j]
-    coeffs = coeffs[:d]
-    while len(coeffs) < d:
-        coeffs.append(Fraction(0))
-    return tuple(coeffs)
+_new_object = object.__new__
+_set_field = Scalar.field.__set__
+_set_num = Scalar.num.__set__
+_set_den = Scalar.den.__set__
+
+
+def _scalar(field: FieldSpec, num: tuple, den: int) -> Scalar:
+    """A Scalar from integer numerators already in lowest terms over den > 0."""
+    s = _new_object(Scalar)
+    _set_field(s, field)
+    _set_num(s, num)
+    _set_den(s, den)
+    return s
+
+
+def _normalized(field: FieldSpec, num: tuple, den: int) -> Scalar:
+    """num / den in lowest terms with a positive denominator; den != 0."""
+    if den < 0:
+        den = -den
+        num = tuple(map(neg, num))
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = tuple([x // g for x in num])
+    return _scalar(field, num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +426,10 @@ def _reduce_mod(field: FieldSpec, coeffs):
 def format_scalar(s: Scalar) -> str:
     """Canonical text form, e.g. "-2/3" or "1/2*z^2 - z + 3"."""
     terms = []
-    for power in range(len(s.coeffs) - 1, -1, -1):
-        c = s.coeffs[power]
-        if c == 0:
+    for power in range(len(s.num) - 1, -1, -1):
+        if not s.num[power]:
             continue
+        c = Fraction(s.num[power], s.den)
         sign = "-" if c < 0 else "+"
         mag = abs(c)
         if power == 0:
@@ -414,6 +457,8 @@ _TERM_RE = re.compile(
 
 
 def _parse_scalar(field: FieldSpec, text: str) -> Scalar:
+    if not isinstance(text, str):
+        raise ScalarSyntaxError(f"scalar literal must be a string, got {text!r}")
     src = text.strip()
     if not src:
         raise ScalarSyntaxError("empty scalar literal")
@@ -439,26 +484,25 @@ def _parse_scalar(field: FieldSpec, text: str) -> Scalar:
         raise ScalarSyntaxError(f"dangling operator in {text!r}")
     chunks.append((sign, buf.strip()))
 
-    coeffs = [Fraction(0)] * max(field.degree, 1)
-    accum = {}
+    powers, _, _ = field._tables
+    coeffs = [Fraction(0)] * field.degree
     for sgn, term in chunks:
         m = _TERM_RE.match(term.replace(" ", ""))
         if not m or (m.group("coeff") is None and m.group("z") is None):
             raise ScalarSyntaxError(f"bad scalar term {term!r} in {text!r}")
         if m.group("star") and (m.group("coeff") is None or m.group("z") is None):
             raise ScalarSyntaxError(f"misplaced '*' in {term!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        try:
+            coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        except ZeroDivisionError:
+            raise ScalarSyntaxError(f"zero denominator in {text!r}") from None
         if m.group("z"):
             power = int(m.group("power")) if m.group("power") else 1
             if field.kind != "cyclotomic":
                 raise ScalarSyntaxError(f"{text!r} uses z but the field is {field}")
         else:
             power = 0
-        accum[power] = accum.get(power, Fraction(0)) + sgn * coeff
-    top = max(accum) if accum else 0
-    raw = [Fraction(0)] * (top + 1)
-    for power, c in accum.items():
-        raw[power] = c
-    if field.kind == "rational":
-        return Scalar(field, (raw[0],))
-    return Scalar(field, _reduce_mod(field, raw))
+        # z^N = 1, so z^power is the tabulated residue of z^(power mod N)
+        for j, r in enumerate(powers[power % len(powers)]):
+            coeffs[j] += sgn * coeff * r
+    return Scalar(field, tuple(coeffs))

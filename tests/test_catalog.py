@@ -165,3 +165,26 @@ def test_group_table_file(tmp_path):
 def test_taft_needs_n_at_least_two():
     with pytest.raises(ValueError):
         build_taft(1)
+
+
+@pytest.mark.parametrize("section,dup_of", [("mul", 0), ("comul", 0), ("antipode", 0)])
+def test_duplicate_entry_is_semantic_error(tmp_path, section, dup_of):
+    doc = algebra_to_json(build_sweedler())
+    entries = doc[section]
+    entries.append(list(entries[dup_of][:-1]) + ["7"])
+    path = tmp_path / "dup.alg"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(AlgebraFileSemanticError) as err:
+        read_algebra(path)
+    assert f"{section}[{len(entries) - 1}]" in str(err.value)
+    assert f"{section}[{dup_of}]" in str(err.value)
+
+
+def test_boolean_dim_is_rejected(tmp_path):
+    doc = algebra_to_json(build_group_algebra(cyclic_group(1), "trivial"))
+    doc["dim"] = True
+    path = tmp_path / "booldim.alg"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(AlgebraFileSyntaxError) as err:
+        read_algebra(path)
+    assert "dimension" in str(err.value)

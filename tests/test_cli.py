@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hopfcheck.cli import run
 from hopfcheck.catalog import read_algebra
 
@@ -130,3 +132,56 @@ def test_example_writes_to_stdout():
     assert code == 0
     doc = json.loads(text)
     assert doc["name"] == "sweedler" and doc["dim"] == 4
+
+
+def test_malformed_scalar_literals_exit_2(tmp_path):
+    src = tmp_path / "h4.alg"
+    run(["example", "sweedler", "-o", str(src)])
+    for bad in ("1/0", 1, None):
+        doc = json.loads(src.read_text())
+        doc["mul"][0][3] = bad
+        path = tmp_path / "bad.alg"
+        path.write_text(json.dumps(doc))
+        code, text = run(["full-report", str(path)])
+        assert code == 2, bad
+        assert text.startswith("error: mul[0]: "), text
+
+
+def test_duplicate_triple_exits_2(tmp_path):
+    src = tmp_path / "h4.alg"
+    run(["example", "sweedler", "-o", str(src)])
+    doc = json.loads(src.read_text())
+    doc["mul"].append(doc["mul"][0][:3] + ["2"])
+    path = tmp_path / "dup.alg"
+    path.write_text(json.dumps(doc))
+    code, text = run(["verify-axioms", str(path)])
+    assert code == 2 and "duplicate entry" in text and "mul[0]" in text
+
+
+@pytest.mark.parametrize("key,value,where", [
+    ("mul", 5, "mul must be"),
+    ("basis", 4, "basis must be"),
+    ("counit", "1", "counit must be"),
+    ("field", "Q", "field must be"),
+])
+def test_wrongly_shaped_sections_exit_2(tmp_path, key, value, where):
+    src = tmp_path / "h4.alg"
+    run(["example", "sweedler", "-o", str(src)])
+    doc = json.loads(src.read_text())
+    doc[key] = value
+    path = tmp_path / "shape.alg"
+    path.write_text(json.dumps(doc))
+    code, text = run(["verify-axioms", str(path)])
+    assert code == 2 and where in text, text
+
+
+@pytest.mark.parametrize("section,item", [("mul", 5), ("comul", "0 0 0 1"), ("antipode", {"i": 0})])
+def test_non_list_items_exit_2(tmp_path, section, item):
+    src = tmp_path / "h4.alg"
+    run(["example", "sweedler", "-o", str(src)])
+    doc = json.loads(src.read_text())
+    doc[section][0] = item
+    path = tmp_path / "item.alg"
+    path.write_text(json.dumps(doc))
+    code, text = run(["verify-axioms", str(path)])
+    assert code == 2 and f"{section}[0]: expected" in text, text

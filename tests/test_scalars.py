@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -87,7 +88,8 @@ def test_textual_forms():
     assert C5.parse("z^4") == -(C5.generator() ** 3) - C5.generator() ** 2 - C5.generator() - 1
 
 
-@pytest.mark.parametrize("bad", ["", "1//2", "z", "* 3", "2 +", "1 + + 2", "--3", "- -3"])
+@pytest.mark.parametrize("bad", ["", "1//2", "z", "* 3", "2 +", "1 + + 2", "--3", "- -3",
+                                 "1/0", "3 + 2/0", 1, None])
 def test_scalar_syntax_errors(bad):
     with pytest.raises(ScalarSyntaxError):
         RATIONAL.parse(bad)
@@ -134,3 +136,29 @@ def test_cyclotomic_field_axioms(x, y, z):
 @given(c5_scalars)
 def test_format_parse_roundtrip(x):
     assert C5.parse(str(x)) == x
+
+
+def _assert_normalized(s):
+    assert s.den > 0 and math.gcd(s.den, *s.num) == 1
+    assert len(s.num) == s.field.degree
+    assert s.coeffs == tuple(Fraction(c, s.den) for c in s.num)
+
+
+@settings(max_examples=40)
+@given(c5_scalars, c5_scalars)
+def test_results_are_normalized(x, y):
+    results = [x + y, x - y, x * y, -x, x - x, x * 0, 3 - x]
+    if not y.is_zero():
+        results += [y.inv(), x / y]
+    for r in results:
+        _assert_normalized(r)
+    assert (x - x).num == (0,) * 4 and (x - x).den == 1
+
+
+def test_integer_and_fraction_coordinates():
+    s = Scalar(C4, (2, Fraction(-3, 4)))
+    assert s.num == (8, -3) and s.den == 4
+    assert s.coeffs == (Fraction(2), Fraction(-3, 4))
+    assert Scalar(C4, (Fraction(4, 2), 0)) == C4.scalar(2)
+    with pytest.raises(TypeError):
+        Scalar(C4, (0.5, 0))
