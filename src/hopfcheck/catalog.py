@@ -43,10 +43,15 @@ class GroupPresentation:
         rows = tuple(tuple(row) for row in table)
         if any(len(r) != n for r in rows):
             raise GroupTableError("table must be square")
-        for r in rows:
-            for x in r:
-                if not isinstance(x, int) or not 0 <= x < n:
-                    raise GroupTableError(f"table entry {x!r} out of range")
+        for i, r in enumerate(rows):
+            for j, x in enumerate(r):
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise GroupTableError(f"table[{i}][{j}]: entry {x!r} is not an integer")
+                if not 0 <= x < n:
+                    raise GroupTableError(f"table[{i}][{j}]: entry {x!r} out of range")
+        if identity is not None and (isinstance(identity, bool) or not isinstance(identity, int)
+                                     or not 0 <= identity < n):
+            raise GroupTableError(f"identity {identity!r} is not an element index below {n}")
         if identity is None:
             identity = next(
                 (e for e in range(n)
@@ -385,7 +390,9 @@ def algebra_from_json(doc, synthesize_antipode: bool = True) -> HopfAlgebra:
             raise AlgebraFileSyntaxError(f"{where}: {exc}") from None
 
     def check_index(i, where):
-        if not isinstance(i, int) or not 0 <= i < dim:
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise AlgebraFileSemanticError(f"{where}: index {i!r} is not an integer")
+        if not 0 <= i < dim:
             raise AlgebraFileSemanticError(f"{where}: index {i!r} out of range for dim {dim}")
         return i
 

@@ -27,8 +27,8 @@ from .catalog import (AlgebraFileSemanticError, AlgebraFileSyntaxError, GroupTab
                       symmetric_group, write_algebra)
 from .duality import build_dual, pair_system
 from .hopf import HopfAlgebra, InvalidHopfAlgebraError, NotRegularError, galois_maps
-from .identities import (DslLegError, DslSortError, DslSyntaxError, evaluate_corpus,
-                         load_corpus, parse_corpus)
+from .identities import (DslLegError, DslLinearityError, DslSortError, DslSyntaxError,
+                         evaluate_corpus, load_corpus, parse_corpus)
 from .linalg import Matrix
 from .modular import modular_data
 from .verify import run_all_checks
@@ -268,7 +268,8 @@ def run(argv) -> tuple[int, str]:
     except InvalidHopfAlgebraError as exc:
         return 1, f"FAIL {exc}\n"
     except (AlgebraFileSyntaxError, AlgebraFileSemanticError, GroupTableError,
-            DslSyntaxError, DslSortError, DslLegError, OSError, ValueError) as exc:
+            DslSyntaxError, DslSortError, DslLegError, DslLinearityError, OSError,
+            ValueError) as exc:
         return 2, f"error: {exc}\n"
 
 

@@ -10,14 +10,18 @@ sort A, of its dual for sort Ahat) and comparing both sides exactly.
 
 Variables carry optional coproduct legs: a(1), a(2), ... expand through the
 iterated coproduct, and the implicit Sweedler summation is performed per
-side.  Quantifying over basis elements suffices because every corpus
-identity is linear in each variable; a variable used twice without legs
-denotes the same basis element on both occurrences, so such an identity is
-only asserted on the basis (the bundled corpus uses this solely where the
-general statement follows by linearity).  In finite dimension the leg
-notation is unconditional: every iterated coproduct is a finite sum of
-basis tensors, so no bracketing or coverage side conditions ever arise and
-none are modeled.
+side.  Quantifying over basis elements is sound only because every side is
+linear in each variable, so the parser enforces it: a side may read each
+(variable, leg) slot at most once, and "a * a" or "a(1) * a(1)" is rejected
+with DslLinearityError.  The same slot may appear on both sides.  In finite
+dimension the leg notation is unconditional: every iterated coproduct is a
+finite sum of basis tensors, so no bracketing or coverage side conditions
+ever arise and none are modeled.
+
+Evaluation still visits every basis assignment, but a subterm is computed
+once per distinct basis value of its footprint, the slots it reads: in
+"<sigma(a), y * z> = <S2(a(1)), y> * <sigma(a(2)), z>" over a 16-dimensional
+algebra, sigma(a) is computed 16 times and y * z 256 times, not 4096.
 
 Grammar (informally):
     identity := name ":" "forall" decl ("," decl)* "." expr "=" expr
@@ -42,6 +46,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian
+from operator import itemgetter, mul
 
 from .duality import PairedSystem, pairing_value
 from .linalg import invert
@@ -57,6 +62,10 @@ class DslSortError(ValueError):
 
 class DslLegError(ValueError):
     """Sweedler legs that are non-contiguous or mixed with bare uses."""
+
+
+class DslLinearityError(ValueError):
+    """A side that reads one (variable, leg) slot more than once."""
 
 
 UNARY_FNS = ("S", "Sinv", "S2", "Sinv2", "sigma", "sigmainv", "sigmap", "sigmapinv")
@@ -344,39 +353,40 @@ def _infer_sort(node, env) -> str:
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def _free_vars(node, out):
-    if isinstance(node, Var):
-        out.add(node.name)
-    elif isinstance(node, Apply):
-        for a in node.args:
-            _free_vars(a, out)
-    elif isinstance(node, Product):
-        for f in node.factors:
-            _free_vars(f, out)
-    elif isinstance(node, Pairing):
-        _free_vars(node.left, out)
-        _free_vars(node.right, out)
-    return out
+def _children(node):
+    if isinstance(node, Apply):
+        return node.args
+    if isinstance(node, Product):
+        return node.factors
+    if isinstance(node, Pairing):
+        return (node.left, node.right)
+    return ()
 
 
-def _leg_usage(node, out):
-    """out[var] = set of legs used, with None recording a bare use."""
+def _slots(node, out):
+    """Append the (variable, leg) slots node reads, in reading order; a bare
+    use has leg None."""
     if isinstance(node, Var):
-        out.setdefault(node.name, set()).add(node.leg)
-    elif isinstance(node, Apply):
-        for a in node.args:
-            _leg_usage(a, out)
-    elif isinstance(node, Product):
-        for f in node.factors:
-            _leg_usage(f, out)
-    elif isinstance(node, Pairing):
-        _leg_usage(node.left, out)
-        _leg_usage(node.right, out)
+        out.append((node.name, node.leg))
+    for child in _children(node):
+        _slots(child, out)
     return out
 
 
 def _check_legs(name, side_label, node):
-    usage = _leg_usage(node, {})
+    """Leg count of every legged variable on one side, after checking that
+    the side reads each slot at most once and that legs run 1..k."""
+    slots = _slots(node, [])
+    seen = set()
+    for slot in slots:
+        if slot in seen:
+            raise DslLinearityError(
+                f"{name}: {pretty(Var(*slot))} occurs more than once on the {side_label}; "
+                f"basis-only checking needs each side linear in every variable and leg")
+        seen.add(slot)
+    usage = {}
+    for var, leg in slots:
+        usage.setdefault(var, set()).add(leg)
     legs = {}
     for var, used in usage.items():
         if None in used and len(used) > 1:
@@ -397,8 +407,8 @@ def _sort_check(b: IdentityProgramBuilder) -> IdentityProgram:
     rhs_sort = _infer_sort(b.rhs, env)
     if lhs_sort != rhs_sort:
         raise DslSortError(f"{b.name}: sides have sorts {lhs_sort} and {rhs_sort}")
-    lhs_vars = _free_vars(b.lhs, set())
-    rhs_vars = _free_vars(b.rhs, set())
+    lhs_vars = {var for var, _ in _slots(b.lhs, [])}
+    rhs_vars = {var for var, _ in _slots(b.rhs, [])}
     declared = set(env)
     if (lhs_vars | rhs_vars) - declared:
         raise DslSortError(f"{b.name}: undeclared variables {sorted((lhs_vars | rhs_vars) - declared)}")
@@ -439,19 +449,33 @@ def load_corpus(path):
 
 
 # -- evaluation ---------------------------------------------------------------
+#
+# Each side is compiled once into nested closures, one per AST node.  A
+# compiled node is called as fn(cols, key): cols[p] is the coordinate column
+# filling slot p of the side (one slot per variable and leg the side reads)
+# and key[p] the basis index behind it.  It returns a Scalar for a scalar
+# subterm and a coordinate column for an A or Ahat subterm.
 
 class _EvalContext:
-    """Per-system caches: operator matrices, integrals, named constants."""
+    """Per-system caches: operator matrices, basis columns."""
 
     def __init__(self, sys: PairedSystem):
         self.sys = sys
         self._ops = {}
+        self._basis = {}
 
     def algebra(self, sort):
         return self.sys.primal if sort == "A" else self.sys.dual
 
     def modular(self, sort):
         return self.sys.primal_modular if sort == "A" else self.sys.dual_modular
+
+    def basis(self, sort):
+        cols = self._basis.get(sort)
+        if cols is None:
+            alg = self.algebra(sort)
+            cols = self._basis[sort] = tuple(alg.basis_column(i) for i in range(alg.dim))
+        return cols
 
     def op_matrix(self, fn, sort):
         key = (fn, sort)
@@ -483,160 +507,233 @@ class _EvalContext:
     def constant(self, kind):
         sys = self.sys
         if kind == "one":
-            return ("A", sys.primal.unit_column())
+            return sys.primal.unit_column()
         if kind == "delta":
-            return ("A", list(sys.primal_modular.delta))
+            return list(sys.primal_modular.delta)
         if kind == "deltainv":
-            return ("A", list(sys.primal_modular.delta_inv))
+            return list(sys.primal_modular.delta_inv)
         if kind == "dhat":
-            return ("Ahat", list(sys.dual_modular.delta))
+            return list(sys.dual_modular.delta)
         if kind == "dhatinv":
-            return ("Ahat", list(sys.dual_modular.delta_inv))
+            return list(sys.dual_modular.delta_inv)
         if kind == "tau":
-            return ("scalar", sys.primal_modular.tau)
+            return sys.primal_modular.tau
         raise AssertionError(kind)
 
 
-def _eval_expr(ctx: _EvalContext, node, env, assignment, legs):
-    """assignment: var -> (sort, column); legs: var -> tuple of basis indices."""
+def _compile_expr(ctx: _EvalContext, env, node, positions, memoize):
+    """The operator dispatch: returns (fn, footprint), where fn computes
+    node's value and footprint is the frozenset of slots it reads.
+    positions maps each slot of the side to its index in cols and key."""
     if isinstance(node, Var):
-        sort = env[node.name]
-        if node.leg is None:
-            return (sort, assignment[node.name])
-        return (sort, ctx.algebra(sort).basis_column(legs[node.name][node.leg - 1]))
+        slot = (node.name, node.leg)
+        p = positions[slot]
+        return (lambda cols, key: cols[p]), frozenset((slot,))
     if isinstance(node, ScalarLit):
-        return ("scalar", ctx.sys.primal.field.scalar(node.value))
+        literal = ctx.sys.primal.field.scalar(node.value)
+        return (lambda cols, key: literal), frozenset()
     if isinstance(node, Const):
-        return ctx.constant(node.kind)
-    if isinstance(node, Pairing):
-        _, a = _eval_expr(ctx, node.left, env, assignment, legs)
-        _, y = _eval_expr(ctx, node.right, env, assignment, legs)
-        return ("scalar", pairing_value(a, y))
-    if isinstance(node, Apply):
-        vals = [_eval_expr(ctx, a, env, assignment, legs) for a in node.args]
-        if node.fn in UNARY_FNS:
-            sort, col = vals[0]
-            return (sort, ctx.op_matrix(node.fn, sort).apply(col))
-        if node.fn == "eps":
-            sort, col = vals[0]
-            return ("scalar", ctx.algebra(sort).counit_of(col))
-        if node.fn in ("phi", "psi"):
-            sort, col = vals[0]
-            md = ctx.modular(sort)
-            functional = md.phi if node.fn == "phi" else md.psi
-            return ("scalar", functional(col))
-        sys = ctx.sys
-        if node.fn == "lact":
-            return ("Ahat", sys.primal_acts_left(vals[0][1], vals[1][1]))
-        if node.fn == "ract":
-            return ("Ahat", sys.primal_acts_right(vals[0][1], vals[1][1]))
-        if node.fn == "lacthat":
-            return ("A", sys.dual_acts_left(vals[0][1], vals[1][1]))
-        if node.fn == "racthat":
-            return ("A", sys.dual_acts_right(vals[0][1], vals[1][1]))
-        raise AssertionError(node.fn)
+        constant = ctx.constant(node.kind)
+        return (lambda cols, key: constant), frozenset()
+    children = _children(node)
+    compiled = [_compile_expr(ctx, env, c, positions, memoize) for c in children]
+    footprint = frozenset().union(*(fp for _, fp in compiled))
+    fns = [_reuse(c, fn, fp, footprint, positions, memoize)
+           for c, (fn, fp) in zip(children, compiled)]
+    sorts = [_infer_sort(c, env) for c in children]
     if isinstance(node, Product):
-        acc = None
-        for f in node.factors:
-            val = _eval_expr(ctx, f, env, assignment, legs)
-            acc = val if acc is None else _combine(ctx, acc, val)
-        return acc
-    raise TypeError(f"not an AST node: {node!r}")
+        return _compile_product(ctx, fns, sorts), footprint
+    if isinstance(node, Pairing):
+        op = pairing_value
+    elif node.fn in UNARY_FNS:
+        op = ctx.op_matrix(node.fn, sorts[0]).apply
+    elif node.fn == "eps":
+        op = ctx.algebra(sorts[0]).counit_of
+    elif node.fn in ("phi", "psi"):
+        md = ctx.modular(sorts[0])
+        op = md.phi if node.fn == "phi" else md.psi
+    else:
+        sys = ctx.sys
+        op = {"lact": sys.primal_acts_left, "ract": sys.primal_acts_right,
+              "lacthat": sys.dual_acts_left, "racthat": sys.dual_acts_right}[node.fn]
+    if len(fns) == 1:
+        (arg,) = fns
+        return (lambda cols, key: op(arg(cols, key))), footprint
+    left, right = fns
+    return (lambda cols, key: op(left(cols, key), right(cols, key))), footprint
 
 
-def _combine(ctx, v1, v2):
-    s1, p1 = v1
-    s2, p2 = v2
-    if s1 == "scalar" and s2 == "scalar":
-        return ("scalar", p1 * p2)
-    if s1 == "scalar":
-        return (s2, [p1 * c for c in p2])
-    if s2 == "scalar":
-        return (s1, [c * p2 for c in p1])
-    if s1 != s2:
-        raise AssertionError("ill-sorted product survived sort checking")
-    return (s1, ctx.algebra(s1).multiply(p1, p2))
+def _reuse(node, fn, footprint, parent_footprint, positions, memoize):
+    """fn for node as its parent calls it.
 
-
-def _value_add(v1, v2):
-    if v1 is None:
-        return v2
-    s1, p1 = v1
-    _, p2 = v2
-    if s1 == "scalar":
-        return (s1, p1 + p2)
-    return (s1, [a + b for a, b in zip(p1, p2)])
-
-
-def _value_scale(v, c):
-    s, p = v
-    if s == "scalar":
-        return (s, c * p)
-    return (s, [c * x for x in p])
-
-
-def evaluate_side(ctx: _EvalContext, prog: IdentityProgram, node, assignment,
-                  leg_counts=None):
-    """Evaluate one side under an assignment of coordinate columns.
-
-    Performs the implicit Sweedler summation: every legged variable is
-    expanded through the iterated coproduct of its assigned element, and the
-    results are summed with the expansion coefficients.
+    A subterm that reads no slot is computed here, once.  With memoize
+    set, a subterm whose footprint is a strict subset of its parent's is
+    computed once per distinct basis value of its footprint slots and
+    stored for the rest of the evaluation; the root and every subterm that
+    reads all of its parent's slots are computed on each call.
     """
-    env = dict(prog.decls)
-    if leg_counts is None:
-        leg_counts = _check_legs(prog.name, "side", node)
-    if not leg_counts:
-        return _eval_expr(ctx, node, env, assignment, {})
-    expansions = []
-    for var, k in leg_counts.items():
-        alg = ctx.algebra(env[var])
-        column = assignment[var]
-        terms = []
-        for i, coeff in enumerate(column):
-            if coeff.is_zero():
-                continue
-            for c, idxs in alg.iterated_coproduct(i, k):
-                terms.append((coeff * c, idxs))
-        expansions.append((var, terms))
-    total = None
-    for combo in cartesian(*[terms for _, terms in expansions]):
-        coeff = None
-        legs = {}
-        for (var, _), (c, idxs) in zip(expansions, combo):
-            coeff = c if coeff is None else coeff * c
-            legs[var] = idxs
-        val = _eval_expr(ctx, node, env, assignment, legs)
-        total = _value_add(total, _value_scale(val, coeff))
-    if total is None:
-        # every coproduct expansion vanished; the side is zero
-        zero_sort = prog.sort
-        if zero_sort == "scalar":
-            return ("scalar", ctx.sys.primal.field.zero())
-        return (zero_sort, ctx.algebra(zero_sort).zero_column())
-    return total
+    if isinstance(node, (Var, ScalarLit, Const)):
+        return fn
+    if not footprint:
+        value = fn(None, None)
+        return lambda cols, key: value
+    if not memoize or footprint == parent_footprint:
+        return fn
+    slot_key = itemgetter(*sorted(positions[slot] for slot in footprint))
+    stored = {}
+
+    def reused(cols, key):
+        k = slot_key(key)
+        value = stored.get(k)
+        if value is None:
+            value = stored[k] = fn(cols, key)
+        return value
+    return reused
 
 
-def _format_value(ctx, value):
-    sort, payload = value
+def _scale_column(c, column):
+    return [c * x for x in column]
+
+
+def _column_times(column, c):
+    return [x * c for x in column]
+
+
+def _compile_product(ctx, fns, sorts):
+    """Left-to-right product: scalars multiply, a scalar scales a column,
+    two columns multiply in their algebra."""
+    first, acc_sort = fns[0], sorts[0]
+    steps = []
+    for fn, sort in zip(fns[1:], sorts[1:]):
+        if acc_sort == "scalar" and sort == "scalar":
+            step = mul
+        elif acc_sort == "scalar":
+            step = _scale_column
+            acc_sort = sort
+        elif sort == "scalar":
+            step = _column_times
+        else:
+            step = ctx.algebra(sort).multiply
+        steps.append((step, fn))
+
+    def product(cols, key):
+        acc = first(cols, key)
+        for step, fn in steps:
+            acc = step(acc, fn(cols, key))
+        return acc
+    return product
+
+
+class _Side:
+    """One side of an identity, compiled over the slots it reads.
+
+    The implicit Sweedler summation runs here: every legged variable is
+    expanded through the iterated coproduct of its assigned element, and
+    the values of the root are summed with the expansion coefficients.
+    """
+
+    def __init__(self, ctx, prog, node, side_label, memoize):
+        env = dict(prog.decls)
+        leg_counts = _check_legs(prog.name, side_label, node)
+        slots = _slots(node, [])  # each slot once, by the linearity check
+        positions = {slot: p for p, slot in enumerate(slots)}
+        fn, footprint = _compile_expr(ctx, env, node, positions, memoize)
+        self.root = _reuse(node, fn, footprint, footprint, positions, memoize)
+        self.cols = [None] * len(slots)
+        self.key = [None] * len(slots)
+        decl = {var: d for d, (var, _) in enumerate(prog.decls)}
+        # (slot position, declaration index, variable, basis columns)
+        self.bare = [(positions[(var, None)], decl[var], var, ctx.basis(env[var]))
+                     for var, leg in slots if leg is None]
+        # (declaration index, variable, leg count, algebra)
+        self.legged = [(decl[var], var, k, ctx.algebra(env[var]))
+                       for var, k in leg_counts.items()]
+        # (slot positions of legs 1..k, basis columns), in the same order
+        self.leg_slots = [(tuple(positions[(var, j)] for j in range(1, k + 1)),
+                           ctx.basis(env[var]))
+                          for var, k in leg_counts.items()]
+        self.scalar = prog.sort == "scalar"
+        self.zero = (ctx.sys.primal.field.zero() if self.scalar
+                     else ctx.algebra(prog.sort).zero_column())
+
+    def at_basis(self, combo):
+        """Value when the d-th declared variable is basis element combo[d]."""
+        cols, key = self.cols, self.key
+        for p, d, _, basis in self.bare:
+            i = combo[d]
+            cols[p] = basis[i]
+            key[p] = i
+        return self._sweedler_sum([alg.iterated_coproduct(combo[d], k)
+                                   for d, _, k, alg in self.legged])
+
+    def at_columns(self, assignment):
+        """Value when each variable is the coordinate column assignment[var]."""
+        for p, _, var, _ in self.bare:
+            self.cols[p] = assignment[var]
+        expansions = []
+        for _, var, k, alg in self.legged:
+            expansions.append([
+                (coeff * c, idxs)
+                for i, coeff in enumerate(assignment[var]) if not coeff.is_zero()
+                for c, idxs in alg.iterated_coproduct(i, k)
+            ])
+        return self._sweedler_sum(expansions)
+
+    def _sweedler_sum(self, expansions):
+        """expansions: per legged variable, its (coefficient, leg indices) terms."""
+        cols, key, root = self.cols, self.key, self.root
+        if not expansions:
+            return root(cols, key)
+        scalar = self.scalar
+        total = None
+        for terms in cartesian(*expansions):
+            coeff = None
+            for (slot_positions, basis), (c, idxs) in zip(self.leg_slots, terms):
+                coeff = c if coeff is None else coeff * c
+                for p, i in zip(slot_positions, idxs):
+                    cols[p] = basis[i]
+                    key[p] = i
+            value = root(cols, key)
+            if not coeff.is_one():
+                value = coeff * value if scalar else [coeff * x for x in value]
+            if total is None:
+                total = value
+            elif scalar:
+                total = total + value
+            else:
+                total = [x + y for x, y in zip(total, value)]
+        # every coproduct expansion vanished: the side is zero
+        return self.zero if total is None else total
+
+
+def evaluate_side(ctx: _EvalContext, prog: IdentityProgram, node, assignment):
+    """Evaluate one side of prog on arbitrary coordinate columns, with the
+    implicit Sweedler summation and without reuse of subterms; returns
+    (sort, value)."""
+    side = _Side(ctx, prog, node, "side", memoize=False)
+    return (prog.sort, side.at_columns(assignment))
+
+
+def _format_value(ctx, sort, value):
     if sort == "scalar":
-        return str(payload)
-    return ctx.algebra(sort).format_element(payload)
+        return str(value)
+    return ctx.algebra(sort).format_element(value)
 
 
 def evaluate(prog: IdentityProgram, sys: PairedSystem) -> IdentityOutcome:
-    """Check the identity for every basis assignment of its free variables."""
+    """Check the identity for every basis assignment of its free variables,
+    in cartesian order, reporting the first that fails.
+
+    Subterms are computed once per basis value of their footprint (see
+    _reuse); the stored values live until this call returns.
+    """
     ctx = _EvalContext(sys)
+    lhs_side = _Side(ctx, prog, prog.lhs, "left side", memoize=True)
+    rhs_side = _Side(ctx, prog, prog.rhs, "right side", memoize=True)
     dims = [ctx.algebra(sort).dim for _, sort in prog.decls]
-    lhs_legs = _check_legs(prog.name, "left side", prog.lhs)
-    rhs_legs = _check_legs(prog.name, "right side", prog.rhs)
     for combo in cartesian(*[range(d) for d in dims]):
-        assignment = {
-            var: ctx.algebra(sort).basis_column(idx)
-            for (var, sort), idx in zip(prog.decls, combo)
-        }
-        lhs = evaluate_side(ctx, prog, prog.lhs, assignment, lhs_legs)
-        rhs = evaluate_side(ctx, prog, prog.rhs, assignment, rhs_legs)
+        lhs = lhs_side.at_basis(combo)
+        rhs = rhs_side.at_basis(combo)
         if lhs != rhs:
             names = ", ".join(
                 f"{var}={ctx.algebra(sort).basis_names[idx]}"
@@ -644,7 +741,8 @@ def evaluate(prog: IdentityProgram, sys: PairedSystem) -> IdentityOutcome:
             )
             return IdentityOutcome(
                 prog.name, sys.primal.name, False,
-                f"at {names}: lhs={_format_value(ctx, lhs)} rhs={_format_value(ctx, rhs)}")
+                f"at {names}: lhs={_format_value(ctx, prog.sort, lhs)} "
+                f"rhs={_format_value(ctx, prog.sort, rhs)}")
     return IdentityOutcome(prog.name, sys.primal.name, True)
 
 

@@ -188,3 +188,30 @@ def test_boolean_dim_is_rejected(tmp_path):
     with pytest.raises(AlgebraFileSyntaxError) as err:
         read_algebra(path)
     assert "dimension" in str(err.value)
+
+
+@pytest.mark.parametrize("section,item,slot", [
+    ("mul", [0, True, 1, "1"], "mul[0]"),
+    ("comul", [False, 0, 0, "1"], "comul[0]"),
+    ("antipode", [0, True, "1"], "antipode[0]"),
+])
+def test_boolean_index_is_rejected(tmp_path, section, item, slot):
+    doc = algebra_to_json(build_sweedler())
+    doc[section][0] = item
+    path = tmp_path / "boolindex.alg"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(AlgebraFileSemanticError) as err:
+        read_algebra(path)
+    assert f"{slot}: index" in str(err.value) and "not an integer" in str(err.value)
+
+
+@pytest.mark.parametrize("table,identity,where", [
+    ([[False, True], [True, False]], 0, "table[0][0]"),
+    ([[0, 1], [1, 0.0]], None, "table[1][1]"),
+    ([[0, 1], [1, 0]], False, "identity False"),
+    ([[0, 1], [1, 0]], 2, "identity 2"),
+])
+def test_group_table_bad_entry_or_identity(table, identity, where):
+    with pytest.raises(GroupTableError) as err:
+        GroupPresentation.from_table(table, identity)
+    assert where in str(err.value)

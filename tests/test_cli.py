@@ -185,3 +185,32 @@ def test_non_list_items_exit_2(tmp_path, section, item):
     path.write_text(json.dumps(doc))
     code, text = run(["verify-axioms", str(path)])
     assert code == 2 and f"{section}[0]: expected" in text, text
+
+
+def test_boolean_index_exits_2(tmp_path):
+    src = tmp_path / "h4.alg"
+    run(["example", "sweedler", "-o", str(src)])
+    doc = json.loads(src.read_text())
+    doc["mul"][0][2] = True
+    path = tmp_path / "bool.alg"
+    path.write_text(json.dumps(doc))
+    code, text = run(["verify-axioms", str(path)])
+    assert code == 2 and text.startswith("error: mul[0]: index True"), text
+
+
+def test_boolean_group_table_entry_exits_2(tmp_path):
+    table = tmp_path / "z2.group"
+    table.write_text(json.dumps({"order": 2, "identity": 0,
+                                 "table": [[0, 1], [1, False]]}))
+    code, text = run(["example", "group-algebra", "--table", str(table),
+                      "-o", str(tmp_path / "z2.alg")])
+    assert code == 2 and text.startswith("error: table[1][1]: entry False"), text
+
+
+def test_nonlinear_identity_exits_2(tmp_path):
+    src = tmp_path / "h4.alg"
+    run(["example", "sweedler", "-o", str(src)])
+    ids = tmp_path / "square.ids"
+    ids.write_text("square: forall a in A, y in Ahat . <a(1) * a(1), y> = <a(2), y>\n")
+    code, text = run(["check", str(src), "--corpus", str(ids)])
+    assert code == 2 and text.startswith("error: square: a(1) occurs more than once"), text

@@ -1,10 +1,12 @@
 from fractions import Fraction
 from importlib import resources
+from itertools import product as cartesian
 
 import pytest
 
-from hopfcheck.identities import (Apply, DslLegError, DslSortError, DslSyntaxError,
-                                  Pairing, Product, ScalarLit, Var, evaluate,
+from hopfcheck.hopf import HopfAlgebra
+from hopfcheck.identities import (Apply, DslLegError, DslLinearityError, DslSortError,
+                                  DslSyntaxError, Pairing, Product, ScalarLit, Var, evaluate,
                                   evaluate_corpus, evaluate_side, evaluation_context,
                                   parse_corpus, parse_identity, pretty)
 
@@ -173,3 +175,62 @@ def test_outcome_lines_are_machine_readable(paired):
     prog = parse_identity("counit_left: forall a in A . eps(a(1)) * a(2) = a")
     outcome = evaluate(prog, paired("group-z2"))
     assert outcome.line() == "counit_left group-z2 PASS"
+
+
+@pytest.mark.parametrize("src,slot", [
+    ("sq: forall a in A . a * a = a", "a occurs"),
+    ("sq: forall a in A . phi(a) * phi(a) = phi(a)", "a occurs"),
+    ("leg: forall a in A . a(1) * a(1) * a(2) = a", "a(1) occurs"),
+    ("rhs: forall a in A, y in Ahat . <a, y> = <a, y * y>", "y occurs"),
+])
+def test_repeated_slot_is_rejected(src, slot):
+    with pytest.raises(DslLinearityError) as err:
+        parse_identity(src)
+    assert str(err.value).startswith(src.split(":")[0] + ": " + slot)
+
+
+def _slow_evaluate(prog, sys):
+    """Reference loop: every basis assignment through evaluate_side, which
+    computes each side from scratch on coordinate columns."""
+    ctx = evaluation_context(sys)
+    algebras = {"A": sys.primal, "Ahat": sys.dual}
+    ranges = [range(algebras[sort].dim) for _, sort in prog.decls]
+
+    def text(value):
+        sort, payload = value
+        return str(payload) if sort == "scalar" else algebras[sort].format_element(payload)
+
+    for combo in cartesian(*ranges):
+        assignment = {var: algebras[sort].basis_column(i)
+                      for (var, sort), i in zip(prog.decls, combo)}
+        lhs = evaluate_side(ctx, prog, prog.lhs, assignment)
+        rhs = evaluate_side(ctx, prog, prog.rhs, assignment)
+        if lhs != rhs:
+            names = ", ".join(f"{var}={algebras[sort].basis_names[i]}"
+                              for (var, sort), i in zip(prog.decls, combo))
+            return False, f"at {names}: lhs={text(lhs)} rhs={text(rhs)}"
+    return True, ""
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_evaluate_agrees_with_per_assignment_loop(paired, name):
+    sys = paired(name)
+    for prog in corpus() + corpus("convention_traps.ids"):
+        outcome = evaluate(prog, sys)
+        assert (outcome.passed, outcome.counterexample) == _slow_evaluate(prog, sys), prog.name
+
+
+def test_subterms_are_computed_once_per_footprint_value(paired, monkeypatch):
+    sys = paired("taft-4")
+    prog = next(p for p in corpus() if p.name == "twist_sigma")
+    calls = {"primal": 0, "dual": 0}
+    original = HopfAlgebra.multiply
+
+    def counted(self, a, b):
+        calls["dual" if self is sys.dual else "primal"] += 1
+        return original(self, a, b)
+
+    monkeypatch.setattr(HopfAlgebra, "multiply", counted)
+    assert evaluate(prog, sys).passed
+    # y * z has 16 x 16 distinct values; the assignments number 16^3
+    assert calls == {"primal": 0, "dual": 256}
