@@ -437,8 +437,8 @@ def algebra_from_json(doc, synthesize_antipode: bool = True) -> HopfAlgebra:
     h = HopfAlgebra(field, basis, mul, unit_col, comul, counit_row, antipode,
                     name=doc.get("name", "unnamed"))
     if antipode is None and synthesize_antipode:
-        bialgebra_checks = [c for c in h.validate().checks if not c.name.startswith("antipode")]
-        bad = [c.name for c in bialgebra_checks if not c.passed]
+        bialgebra_checks = [c for c in h.validate().checks if not c.check.startswith("antipode")]
+        bad = [c.check for c in bialgebra_checks if not c.passed]
         if bad:
             raise AlgebraFileSemanticError(
                 f"{h.name}: cannot synthesize an antipode, bialgebra axioms fail: {', '.join(bad)}")

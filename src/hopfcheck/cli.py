@@ -34,7 +34,10 @@ from .modular import modular_data
 from .verify import run_all_checks
 
 
-def matrix_order(m: Matrix, cap: int = 1000):
+ORDER_CAP = 1000
+
+
+def matrix_order(m: Matrix, cap: int = ORDER_CAP):
     """Smallest k >= 1 with m^k = 1, or None if not found within cap."""
     acc = m
     for k in range(1, cap + 1):
@@ -42,6 +45,13 @@ def matrix_order(m: Matrix, cap: int = 1000):
             return k
         acc = acc * m
     return None
+
+
+def order_text(m: Matrix) -> str:
+    """The order of m as printed in reports: the number, or "> cap" when
+    no power up to the cap is the identity."""
+    k = matrix_order(m)
+    return f"> {ORDER_CAP}" if k is None else str(k)
 
 
 def _print_matrix(out, label: str, m: Matrix):
@@ -85,9 +95,9 @@ def modular_text(h: HopfAlgebra, md=None) -> str:
     _print_matrix(out, "sigma", md.sigma)
     _print_matrix(out, "sigma_prime", md.sigma_prime)
     out.write(f"tau = {md.tau}\n")
-    out.write(f"antipode order = {matrix_order(h.antipode)}\n")
-    out.write(f"sigma order = {matrix_order(md.sigma)}\n")
-    out.write(f"sigma_prime order = {matrix_order(md.sigma_prime)}\n")
+    out.write(f"antipode order = {order_text(h.antipode)}\n")
+    out.write(f"sigma order = {order_text(md.sigma)}\n")
+    out.write(f"sigma_prime order = {order_text(md.sigma_prime)}\n")
     return out.getvalue()
 
 

@@ -17,12 +17,12 @@ right, and the only self-consistent choice here):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .hopf import CorruptedDataError, HopfAlgebra, LinearFunctional
 from .linalg import Matrix, Tensor3, invert
 from .modular import (ModularData, gram_matrix, left_integral, modular_automorphism,
-                      modular_element, right_integral, scaling_constant)
+                      modular_element, proportionality, right_integral, scaling_constant)
 from .scalars import Scalar
 
 
@@ -34,7 +34,6 @@ def build_dual(h: HopfAlgebra) -> HopfAlgebra:
     """
     h.require_valid()
     n = h.dim
-    zero = h.field.zero()
     mul_hat = [[[h.comul.entries[k][i][j] for k in range(n)] for j in range(n)] for i in range(n)]
     comul_hat = [[[h.mul.entries[j][k][i] for k in range(n)] for j in range(n)] for i in range(n)]
     unit_hat = list(h.counit)
@@ -52,7 +51,7 @@ def build_dual(h: HopfAlgebra) -> HopfAlgebra:
     )
     report = dual.validate()
     if not report.ok:
-        bad = ", ".join(c.name for c in report.failures())
+        bad = ", ".join(c.check for c in report.failures())
         raise CorruptedDataError(f"{dual.name}: dual fails validation ({bad})")
     return dual
 
@@ -70,30 +69,64 @@ def pairing_value(a, y) -> Scalar:
     return acc
 
 
-def _proportional(reference, candidate):
-    """candidate == c * reference for a nonzero scalar c; returns c or None."""
-    c = None
-    for r, x in zip(reference, candidate):
-        if not r.is_zero():
-            c = x / r
-            break
-    if c is None or c.is_zero():
-        return None
-    for r, x in zip(reference, candidate):
-        if x != c * r:
-            return None
-    return c
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairedSystem:
-    """An algebra, its dual, the identity pairing, and both modular tuples."""
+    """An algebra, its dual, and both modular tuples, under the identity
+    pairing of the canonical dual basis.
+
+    The system owns what is derived from the pair: operator() computes each
+    map at most once per algebra, and swapped() builds the bidual once.
+    Every value is exact and deterministic, so sharing one is the same as
+    recomputing it.
+    """
 
     primal: HopfAlgebra
     dual: HopfAlgebra
-    pairing: Matrix
     primal_modular: ModularData
     dual_modular: ModularData
+    # (operator name, algebra) -> Matrix.  Shared only along swapped(), where
+    # each algebra keeps its modular tuple; any other new system starts empty.
+    _operators: dict = field(default_factory=dict, init=False, repr=False)
+    _swapped: "PairedSystem | None" = field(default=None, init=False, repr=False)
+
+    def algebra(self, sort: str) -> HopfAlgebra:
+        """The primal for sort "A", the dual for "Ahat"."""
+        return self.primal if sort == "A" else self.dual
+
+    def modular(self, sort: str) -> ModularData:
+        return self.primal_modular if sort == "A" else self.dual_modular
+
+    def operator(self, name: str, sort: str = "A") -> Matrix:
+        """The matrix of S, Sinv, S2, Sinv2, S4, sigma, sigmainv, sigmap or
+        sigmapinv on the algebra of the given sort, memoized."""
+        alg = self.algebra(sort)
+        key = (name, alg)
+        m = self._operators.get(key)
+        if m is not None:
+            return m
+        md = self.modular(sort)
+        if name == "S":
+            m = alg.antipode
+        elif name == "Sinv":
+            m = invert(alg.antipode)
+        elif name == "S2":
+            m = self.operator("S", sort).pow(2)
+        elif name == "Sinv2":
+            m = self.operator("Sinv", sort).pow(2)
+        elif name == "S4":
+            m = self.operator("S2", sort).pow(2)
+        elif name == "sigma":
+            m = md.sigma
+        elif name == "sigmainv":
+            m = invert(md.sigma)
+        elif name == "sigmap":
+            m = md.sigma_prime
+        elif name == "sigmapinv":
+            m = invert(md.sigma_prime)
+        else:
+            raise KeyError(f"unknown operator {name!r}")
+        self._operators[key] = m
+        return m
 
     # -- the four actions ---------------------------------------------------
 
@@ -151,38 +184,17 @@ class PairedSystem:
                         out[q] = out[q] + x * c * yj
         return out
 
-    def dual_left_action_matrix(self, y) -> Matrix:
-        cols = [self.dual_acts_left(y, self.primal.basis_column(i))
-                for i in range(self.primal.dim)]
-        return Matrix.from_columns(self.primal.field, cols)
-
-    def dual_right_action_matrix(self, y) -> Matrix:
-        cols = [self.dual_acts_right(self.primal.basis_column(i), y)
-                for i in range(self.primal.dim)]
-        return Matrix.from_columns(self.primal.field, cols)
-
-    def primal_left_action_matrix(self, a) -> Matrix:
-        cols = [self.primal_acts_left(a, self.dual.basis_column(i))
-                for i in range(self.dual.dim)]
-        return Matrix.from_columns(self.dual.field, cols)
-
-    def primal_right_action_matrix(self, a) -> Matrix:
-        cols = [self.primal_acts_right(self.dual.basis_column(i), a)
-                for i in range(self.dual.dim)]
-        return Matrix.from_columns(self.dual.field, cols)
-
     def swapped(self) -> "PairedSystem":
         """The system seen from the dual side: the dual becomes the primal
-        and the bidual (canonically the original) becomes its dual."""
-        bidual = build_dual(self.dual)
-        bidual_modular = dual_integrals(self.dual, bidual, self.dual_modular)
-        return PairedSystem(
-            primal=self.dual,
-            dual=bidual,
-            pairing=Matrix.identity(self.dual.field, self.dual.dim),
-            primal_modular=self.dual_modular,
-            dual_modular=bidual_modular,
-        )
+        and the bidual (canonically the original) becomes its dual.  Built
+        once; the two systems share their operators."""
+        if self._swapped is None:
+            bidual = build_dual(self.dual)
+            bidual_modular = dual_integrals(self.dual, bidual, self.dual_modular)
+            swapped = PairedSystem(self.dual, bidual, self.dual_modular, bidual_modular)
+            object.__setattr__(swapped, "_operators", self._operators)
+            object.__setattr__(self, "_swapped", swapped)
+        return self._swapped
 
 
 def dual_integrals(h: HopfAlgebra, dual: HopfAlgebra, md: ModularData) -> ModularData:
@@ -214,11 +226,11 @@ def dual_integrals(h: HopfAlgebra, dual: HopfAlgebra, md: ModularData) -> Modula
             f"{dual.name}: psi_hat does not equal phi_hat o S; conventions are broken")
 
     independent_right = right_integral(dual)
-    if _proportional(independent_right.coords, psi_hat.coords) is None:
+    if proportionality(independent_right.coords, psi_hat.coords) is None:
         raise CorruptedDataError(
             f"{dual.name}: formula right integral disagrees with the invariance solve")
     independent_left = left_integral(dual)
-    if _proportional(independent_left.coords, phi_hat.coords) is None:
+    if proportionality(independent_left.coords, phi_hat.coords) is None:
         raise CorruptedDataError(
             f"{dual.name}: formula left integral disagrees with the invariance solve")
 
@@ -243,10 +255,4 @@ def pair_system(h: HopfAlgebra) -> PairedSystem:
     dual = build_dual(h)
     md = modular_data(h)
     dual_md = dual_integrals(h, dual, md)
-    return PairedSystem(
-        primal=h,
-        dual=dual,
-        pairing=Matrix.identity(h.field, h.dim),
-        primal_modular=md,
-        dual_modular=dual_md,
-    )
+    return PairedSystem(h, dual, md, dual_md)

@@ -37,20 +37,28 @@ class NotRegularError(ValueError):
 
 
 @dataclass(frozen=True)
-class AxiomCheck:
-    name: str
+class CheckResult:
+    """The outcome of one check on one algebra, the unit of every report.
+
+    check names the axiom or identity, algebra the algebra it ran on, and
+    witness says where a failed check first fails (empty when it passed).
+    """
+
+    check: str
+    algebra: str
     passed: bool
-    detail: str = ""
+    witness: str = ""
 
     def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        suffix = f" {self.detail}" if (self.detail and not self.passed) else ""
-        return f"{self.name} {status}{suffix}"
+        """The report line: check, algebra, PASS or FAIL, and a failure's witness."""
+        if self.passed:
+            return f"{self.check} {self.algebra} PASS"
+        tail = f" {self.witness}" if self.witness else ""
+        return f"{self.check} {self.algebra} FAIL{tail}"
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    algebra: str
     checks: tuple
 
     @property
@@ -58,8 +66,7 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
     def lines(self):
-        return [f"axiom {c.name} {self.algebra} " + ("PASS" if c.passed else f"FAIL {c.detail}")
-                for c in self.checks]
+        return ["axiom " + c.line() for c in self.checks]
 
     def failures(self):
         return [c for c in self.checks if not c.passed]
@@ -297,18 +304,18 @@ class HopfAlgebra:
         checks.append(self._check_coproduct_homomorphism())
         checks.append(self._check_counit_homomorphism())
         checks.extend(self._check_antipode())
-        report = ValidationReport(self.name, tuple(checks))
+        report = ValidationReport(tuple(checks))
         object.__setattr__(self, "_validation", report)
         return report
 
     def require_valid(self):
         report = self.validate()
         if not report.ok:
-            bad = ", ".join(c.name for c in report.failures())
+            bad = ", ".join(c.check for c in report.failures())
             raise InvalidHopfAlgebraError(f"{self.name}: axiom failures: {bad}")
         return self
 
-    def _check_associativity(self) -> AxiomCheck:
+    def _check_associativity(self) -> CheckResult:
         n = self.dim
         for i in range(n):
             for j in range(n):
@@ -318,20 +325,20 @@ class HopfAlgebra:
                     jl = self.multiply(self.basis_column(j), self.basis_column(l))
                     rhs = self.multiply(self.basis_column(i), jl)
                     if lhs != rhs:
-                        return AxiomCheck(
-                            "associativity", False,
+                        return CheckResult(
+                            "associativity", self.name, False,
                             f"(e{i}*e{j})*e{l} != e{i}*(e{j}*e{l})")
-        return AxiomCheck("associativity", True)
+        return CheckResult("associativity", self.name, True)
 
-    def _check_unit(self) -> AxiomCheck:
+    def _check_unit(self) -> CheckResult:
         one = self.unit_column()
         for i in range(self.dim):
             e = self.basis_column(i)
             if self.multiply(one, e) != e or self.multiply(e, one) != e:
-                return AxiomCheck("unit", False, f"unit law fails on e{i}")
-        return AxiomCheck("unit", True)
+                return CheckResult("unit", self.name, False, f"unit law fails on e{i}")
+        return CheckResult("unit", self.name, True)
 
-    def _check_coassociativity(self) -> AxiomCheck:
+    def _check_coassociativity(self) -> CheckResult:
         n = self.dim
         for i in range(n):
             left = {}
@@ -346,10 +353,10 @@ class HopfAlgebra:
             left = {k: v for k, v in left.items() if not v.is_zero()}
             right = {k: v for k, v in right.items() if not v.is_zero()}
             if left != right:
-                return AxiomCheck("coassociativity", False, f"fails on e{i}")
-        return AxiomCheck("coassociativity", True)
+                return CheckResult("coassociativity", self.name, False, f"fails on e{i}")
+        return CheckResult("coassociativity", self.name, True)
 
-    def _check_counit(self) -> AxiomCheck:
+    def _check_counit(self) -> CheckResult:
         for i in range(self.dim):
             left = self.zero_column()
             right = self.zero_column()
@@ -359,14 +366,15 @@ class HopfAlgebra:
                 if not self.counit[k].is_zero():
                     right[j] = right[j] + c * self.counit[k]
             if left != self.basis_column(i) or right != self.basis_column(i):
-                return AxiomCheck("counit", False, f"counit law fails on e{i}")
-        return AxiomCheck("counit", True)
+                return CheckResult("counit", self.name, False, f"counit law fails on e{i}")
+        return CheckResult("counit", self.name, True)
 
-    def _check_coproduct_homomorphism(self) -> AxiomCheck:
+    def _check_coproduct_homomorphism(self) -> CheckResult:
         n = self.dim
         one_tensor = self.tensor_product_columns(self.unit_column(), self.unit_column())
         if self.coproduct(self.unit_column()) != one_tensor:
-            return AxiomCheck("coproduct-homomorphism", False, "coproduct of 1 is not 1 (x) 1")
+            return CheckResult("coproduct-homomorphism", self.name, False,
+                               "coproduct of 1 is not 1 (x) 1")
         for i in range(n):
             di = self.coproduct(self.basis_column(i))
             for j in range(n):
@@ -374,29 +382,29 @@ class HopfAlgebra:
                 rhs = self.tensor_square_product(di, dj)
                 lhs = self.coproduct(self.multiply(self.basis_column(i), self.basis_column(j)))
                 if lhs != rhs:
-                    return AxiomCheck(
-                        "coproduct-homomorphism", False,
+                    return CheckResult(
+                        "coproduct-homomorphism", self.name, False,
                         f"coproduct(e{i}*e{j}) != coproduct(e{i})*coproduct(e{j})")
-        return AxiomCheck("coproduct-homomorphism", True)
+        return CheckResult("coproduct-homomorphism", self.name, True)
 
-    def _check_counit_homomorphism(self) -> AxiomCheck:
+    def _check_counit_homomorphism(self) -> CheckResult:
         if not self.counit_of(self.unit_column()).is_one():
-            return AxiomCheck("counit-homomorphism", False, "counit(1) != 1")
+            return CheckResult("counit-homomorphism", self.name, False, "counit(1) != 1")
         n = self.dim
         for i in range(n):
             for j in range(n):
                 prod = self.multiply(self.basis_column(i), self.basis_column(j))
                 if self.counit_of(prod) != self.counit[i] * self.counit[j]:
-                    return AxiomCheck(
-                        "counit-homomorphism", False,
+                    return CheckResult(
+                        "counit-homomorphism", self.name, False,
                         f"counit(e{i}*e{j}) != counit(e{i})*counit(e{j})")
-        return AxiomCheck("counit-homomorphism", True)
+        return CheckResult("counit-homomorphism", self.name, True)
 
     def _check_antipode(self):
         if self.antipode is None:
-            return [AxiomCheck("antipode-left", False, "no antipode stored"),
-                    AxiomCheck("antipode-right", False, "no antipode stored"),
-                    AxiomCheck("antipode-invertible", False, "no antipode stored")]
+            return [CheckResult("antipode-left", self.name, False, "no antipode stored"),
+                    CheckResult("antipode-right", self.name, False, "no antipode stored"),
+                    CheckResult("antipode-invertible", self.name, False, "no antipode stored")]
         checks = []
         s_cols = [self.antipode.column(j) for j in range(self.dim)]
         for side in ("left", "right"):
@@ -417,16 +425,14 @@ class HopfAlgebra:
                     ok = False
                     detail = f"antipode {side} law fails on e{i}"
                     break
-            checks.append(AxiomCheck(f"antipode-{side}", ok, detail))
+            checks.append(CheckResult(f"antipode-{side}", self.name, ok, detail))
         try:
             invert(self.antipode)
-            checks.append(AxiomCheck("antipode-invertible", True))
+            checks.append(CheckResult("antipode-invertible", self.name, True))
         except SingularMatrixError:
-            checks.append(AxiomCheck("antipode-invertible", False, "antipode matrix is singular"))
+            checks.append(CheckResult("antipode-invertible", self.name, False,
+                                      "antipode matrix is singular"))
         return checks
-
-    def antipode_inverse(self) -> Matrix:
-        return invert(self.antipode)
 
 
 def is_commutative(h: HopfAlgebra) -> bool:

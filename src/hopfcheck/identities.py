@@ -49,7 +49,7 @@ from itertools import product as cartesian
 from operator import itemgetter, mul
 
 from .duality import PairedSystem, pairing_value
-from .linalg import invert
+from .hopf import CheckResult
 
 
 class DslSyntaxError(ValueError):
@@ -122,19 +122,6 @@ class IdentityProgram:
     def pretty(self) -> str:
         decls = ", ".join(f"{v} in {s}" for v, s in self.decls)
         return f"{self.name}: forall {decls} . {pretty(self.lhs)} = {pretty(self.rhs)}"
-
-
-@dataclass(frozen=True)
-class IdentityOutcome:
-    identity: str
-    algebra: str
-    passed: bool
-    counterexample: str = ""
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        tail = f" {self.counterexample}" if (self.counterexample and not self.passed) else ""
-        return f"{self.identity} {self.algebra} {status}{tail}"
 
 
 def pretty(node) -> str:
@@ -456,72 +443,27 @@ def load_corpus(path):
 # and key[p] the basis index behind it.  It returns a Scalar for a scalar
 # subterm and a coordinate column for an A or Ahat subterm.
 
-class _EvalContext:
-    """Per-system caches: operator matrices, basis columns."""
-
-    def __init__(self, sys: PairedSystem):
-        self.sys = sys
-        self._ops = {}
-        self._basis = {}
-
-    def algebra(self, sort):
-        return self.sys.primal if sort == "A" else self.sys.dual
-
-    def modular(self, sort):
-        return self.sys.primal_modular if sort == "A" else self.sys.dual_modular
-
-    def basis(self, sort):
-        cols = self._basis.get(sort)
-        if cols is None:
-            alg = self.algebra(sort)
-            cols = self._basis[sort] = tuple(alg.basis_column(i) for i in range(alg.dim))
-        return cols
-
-    def op_matrix(self, fn, sort):
-        key = (fn, sort)
-        m = self._ops.get(key)
-        if m is None:
-            alg = self.algebra(sort)
-            md = self.modular(sort)
-            if fn == "S":
-                m = alg.antipode
-            elif fn == "Sinv":
-                m = invert(alg.antipode)
-            elif fn == "S2":
-                m = alg.antipode.pow(2)
-            elif fn == "Sinv2":
-                m = invert(alg.antipode).pow(2)
-            elif fn == "sigma":
-                m = md.sigma
-            elif fn == "sigmainv":
-                m = invert(md.sigma)
-            elif fn == "sigmap":
-                m = md.sigma_prime
-            elif fn == "sigmapinv":
-                m = invert(md.sigma_prime)
-            else:
-                raise AssertionError(fn)
-            self._ops[key] = m
-        return m
-
-    def constant(self, kind):
-        sys = self.sys
-        if kind == "one":
-            return sys.primal.unit_column()
-        if kind == "delta":
-            return list(sys.primal_modular.delta)
-        if kind == "deltainv":
-            return list(sys.primal_modular.delta_inv)
-        if kind == "dhat":
-            return list(sys.dual_modular.delta)
-        if kind == "dhatinv":
-            return list(sys.dual_modular.delta_inv)
-        if kind == "tau":
-            return sys.primal_modular.tau
-        raise AssertionError(kind)
+def _constant(sys: PairedSystem, kind):
+    if kind == "one":
+        return sys.primal.unit_column()
+    if kind == "delta":
+        return list(sys.primal_modular.delta)
+    if kind == "deltainv":
+        return list(sys.primal_modular.delta_inv)
+    if kind == "dhat":
+        return list(sys.dual_modular.delta)
+    if kind == "dhatinv":
+        return list(sys.dual_modular.delta_inv)
+    if kind == "tau":
+        return sys.primal_modular.tau
+    raise AssertionError(kind)
 
 
-def _compile_expr(ctx: _EvalContext, env, node, positions, memoize):
+def _basis(alg):
+    return tuple(alg.basis_column(i) for i in range(alg.dim))
+
+
+def _compile_expr(sys: PairedSystem, env, node, positions, memoize):
     """The operator dispatch: returns (fn, footprint), where fn computes
     node's value and footprint is the frozenset of slots it reads.
     positions maps each slot of the side to its index in cols and key."""
@@ -530,30 +472,29 @@ def _compile_expr(ctx: _EvalContext, env, node, positions, memoize):
         p = positions[slot]
         return (lambda cols, key: cols[p]), frozenset((slot,))
     if isinstance(node, ScalarLit):
-        literal = ctx.sys.primal.field.scalar(node.value)
+        literal = sys.primal.field.scalar(node.value)
         return (lambda cols, key: literal), frozenset()
     if isinstance(node, Const):
-        constant = ctx.constant(node.kind)
+        constant = _constant(sys, node.kind)
         return (lambda cols, key: constant), frozenset()
     children = _children(node)
-    compiled = [_compile_expr(ctx, env, c, positions, memoize) for c in children]
+    compiled = [_compile_expr(sys, env, c, positions, memoize) for c in children]
     footprint = frozenset().union(*(fp for _, fp in compiled))
     fns = [_reuse(c, fn, fp, footprint, positions, memoize)
            for c, (fn, fp) in zip(children, compiled)]
     sorts = [_infer_sort(c, env) for c in children]
     if isinstance(node, Product):
-        return _compile_product(ctx, fns, sorts), footprint
+        return _compile_product(sys, fns, sorts), footprint
     if isinstance(node, Pairing):
         op = pairing_value
     elif node.fn in UNARY_FNS:
-        op = ctx.op_matrix(node.fn, sorts[0]).apply
+        op = sys.operator(node.fn, sorts[0]).apply
     elif node.fn == "eps":
-        op = ctx.algebra(sorts[0]).counit_of
+        op = sys.algebra(sorts[0]).counit_of
     elif node.fn in ("phi", "psi"):
-        md = ctx.modular(sorts[0])
+        md = sys.modular(sorts[0])
         op = md.phi if node.fn == "phi" else md.psi
     else:
-        sys = ctx.sys
         op = {"lact": sys.primal_acts_left, "ract": sys.primal_acts_right,
               "lacthat": sys.dual_acts_left, "racthat": sys.dual_acts_right}[node.fn]
     if len(fns) == 1:
@@ -599,7 +540,7 @@ def _column_times(column, c):
     return [x * c for x in column]
 
 
-def _compile_product(ctx, fns, sorts):
+def _compile_product(sys, fns, sorts):
     """Left-to-right product: scalars multiply, a scalar scales a column,
     two columns multiply in their algebra."""
     first, acc_sort = fns[0], sorts[0]
@@ -613,7 +554,7 @@ def _compile_product(ctx, fns, sorts):
         elif sort == "scalar":
             step = _column_times
         else:
-            step = ctx.algebra(sort).multiply
+            step = sys.algebra(sort).multiply
         steps.append((step, fn))
 
     def product(cols, key):
@@ -632,29 +573,29 @@ class _Side:
     the values of the root are summed with the expansion coefficients.
     """
 
-    def __init__(self, ctx, prog, node, side_label, memoize):
+    def __init__(self, sys, prog, node, side_label, memoize):
         env = dict(prog.decls)
         leg_counts = _check_legs(prog.name, side_label, node)
         slots = _slots(node, [])  # each slot once, by the linearity check
         positions = {slot: p for p, slot in enumerate(slots)}
-        fn, footprint = _compile_expr(ctx, env, node, positions, memoize)
+        fn, footprint = _compile_expr(sys, env, node, positions, memoize)
         self.root = _reuse(node, fn, footprint, footprint, positions, memoize)
         self.cols = [None] * len(slots)
         self.key = [None] * len(slots)
         decl = {var: d for d, (var, _) in enumerate(prog.decls)}
         # (slot position, declaration index, variable, basis columns)
-        self.bare = [(positions[(var, None)], decl[var], var, ctx.basis(env[var]))
+        self.bare = [(positions[(var, None)], decl[var], var, _basis(sys.algebra(env[var])))
                      for var, leg in slots if leg is None]
         # (declaration index, variable, leg count, algebra)
-        self.legged = [(decl[var], var, k, ctx.algebra(env[var]))
+        self.legged = [(decl[var], var, k, sys.algebra(env[var]))
                        for var, k in leg_counts.items()]
         # (slot positions of legs 1..k, basis columns), in the same order
         self.leg_slots = [(tuple(positions[(var, j)] for j in range(1, k + 1)),
-                           ctx.basis(env[var]))
+                           _basis(sys.algebra(env[var])))
                           for var, k in leg_counts.items()]
         self.scalar = prog.sort == "scalar"
-        self.zero = (ctx.sys.primal.field.zero() if self.scalar
-                     else ctx.algebra(prog.sort).zero_column())
+        self.zero = (sys.primal.field.zero() if self.scalar
+                     else sys.algebra(prog.sort).zero_column())
 
     def at_basis(self, combo):
         """Value when the d-th declared variable is basis element combo[d]."""
@@ -706,50 +647,43 @@ class _Side:
         return self.zero if total is None else total
 
 
-def evaluate_side(ctx: _EvalContext, prog: IdentityProgram, node, assignment):
+def evaluate_side(sys: PairedSystem, prog: IdentityProgram, node, assignment):
     """Evaluate one side of prog on arbitrary coordinate columns, with the
     implicit Sweedler summation and without reuse of subterms; returns
     (sort, value)."""
-    side = _Side(ctx, prog, node, "side", memoize=False)
+    side = _Side(sys, prog, node, "side", memoize=False)
     return (prog.sort, side.at_columns(assignment))
 
 
-def _format_value(ctx, sort, value):
+def _format_value(sys, sort, value):
     if sort == "scalar":
         return str(value)
-    return ctx.algebra(sort).format_element(value)
+    return sys.algebra(sort).format_element(value)
 
 
-def evaluate(prog: IdentityProgram, sys: PairedSystem) -> IdentityOutcome:
+def evaluate(prog: IdentityProgram, sys: PairedSystem) -> CheckResult:
     """Check the identity for every basis assignment of its free variables,
     in cartesian order, reporting the first that fails.
 
     Subterms are computed once per basis value of their footprint (see
     _reuse); the stored values live until this call returns.
     """
-    ctx = _EvalContext(sys)
-    lhs_side = _Side(ctx, prog, prog.lhs, "left side", memoize=True)
-    rhs_side = _Side(ctx, prog, prog.rhs, "right side", memoize=True)
-    dims = [ctx.algebra(sort).dim for _, sort in prog.decls]
+    lhs_side = _Side(sys, prog, prog.lhs, "left side", memoize=True)
+    rhs_side = _Side(sys, prog, prog.rhs, "right side", memoize=True)
+    dims = [sys.algebra(sort).dim for _, sort in prog.decls]
     for combo in cartesian(*[range(d) for d in dims]):
         lhs = lhs_side.at_basis(combo)
         rhs = rhs_side.at_basis(combo)
         if lhs != rhs:
             names = ", ".join(
-                f"{var}={ctx.algebra(sort).basis_names[idx]}"
+                f"{var}={sys.algebra(sort).basis_names[idx]}"
                 for (var, sort), idx in zip(prog.decls, combo)
             )
-            return IdentityOutcome(
+            return CheckResult(
                 prog.name, sys.primal.name, False,
-                f"at {names}: lhs={_format_value(ctx, prog.sort, lhs)} "
-                f"rhs={_format_value(ctx, prog.sort, rhs)}")
-    return IdentityOutcome(prog.name, sys.primal.name, True)
-
-
-def evaluation_context(sys: PairedSystem) -> _EvalContext:
-    """Context for evaluate_side: lets callers evaluate one side of an
-    identity on arbitrary coordinate assignments (not just basis elements)."""
-    return _EvalContext(sys)
+                f"at {names}: lhs={_format_value(sys, prog.sort, lhs)} "
+                f"rhs={_format_value(sys, prog.sort, rhs)}")
+    return CheckResult(prog.name, sys.primal.name, True)
 
 
 def evaluate_corpus(programs, sys: PairedSystem):

@@ -77,24 +77,6 @@ class Matrix:
             return NotImplemented
         return self.field == other.field and self.data == other.data
 
-    def __hash__(self):
-        return hash((self.field, self.data))
-
-    def __add__(self, other):
-        return Matrix(
-            self.field,
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)],
-        )
-
-    def __sub__(self, other):
-        return Matrix(
-            self.field,
-            [[a - b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)],
-        )
-
-    def __neg__(self):
-        return Matrix(self.field, [[-a for a in r] for r in self.data])
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented

@@ -157,6 +157,15 @@ def modular_automorphism(h: HopfAlgebra, functional: LinearFunctional,
     return rho
 
 
+def proportionality(reference, candidate):
+    """The nonzero scalar c with candidate == c * reference coordinate by
+    coordinate, or None when there is none."""
+    c = next((x / r for r, x in zip(reference, candidate) if not r.is_zero()), None)
+    if c is None or c.is_zero() or any(x != c * r for r, x in zip(reference, candidate)):
+        return None
+    return c
+
+
 def scaling_constant(h: HopfAlgebra, phi: LinearFunctional) -> Scalar:
     """The scalar tau with phi(S^2(a)) = tau * phi(a) for every a.
 
@@ -164,15 +173,8 @@ def scaling_constant(h: HopfAlgebra, phi: LinearFunctional) -> Scalar:
     proportionality is asserted coordinate by coordinate.
     """
     h.require_valid()
-    composed = phi.after(h.antipode.pow(2))
-    tau = None
-    for a, b in zip(phi.coords, composed.coords):
-        if not a.is_zero():
-            tau = b / a
-            break
+    tau = proportionality(phi.coords, phi.after(h.antipode.pow(2)).coords)
     if tau is None:
-        raise CorruptedDataError(f"{h.name}: integral is zero")
-    if composed != phi.scale(tau):
         raise CorruptedDataError(
             f"{h.name}: phi o S^2 is not proportional to phi; integral data corrupt")
     return tau

@@ -2,7 +2,7 @@
 
 Each check quantifies an identity over every basis element (or basis pair),
 demands exact scalar equality, and reports one machine-readable line per
-identity: "<identity-id> <algebra-name> PASS|FAIL [counterexample]".  The
+identity: "<identity-id> <algebra-name> PASS|FAIL [witness]".  The
 headline suite culminates in the fourth-power antipode formula
 
     S^4(a) = delta^-1 (delta_hat -> a <- delta_hat^-1) delta
@@ -15,23 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .duality import PairedSystem, build_dual, pair_system
-from .hopf import HopfAlgebra
+from .duality import PairedSystem, pair_system
+from .hopf import CheckResult, HopfAlgebra
 from .linalg import Matrix, invert
 from .modular import gram_matrix
-
-
-@dataclass(frozen=True)
-class IdentityResult:
-    identity: str
-    algebra: str
-    passed: bool
-    counterexample: str = ""
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        tail = f" {self.counterexample}" if (self.counterexample and not self.passed) else ""
-        return f"{self.identity} {self.algebra} {status}{tail}"
 
 
 @dataclass(frozen=True)
@@ -45,16 +32,12 @@ class VerificationReport:
     def lines(self):
         return [r.line() for r in self.results]
 
-    def merged_with(self, other: "VerificationReport") -> "VerificationReport":
-        return VerificationReport(self.results + other.results)
 
-
-def _per_basis_result(identity, algebra, names, mismatches) -> IdentityResult:
+def _per_basis_result(check, algebra, mismatches) -> CheckResult:
     if not mismatches:
-        return IdentityResult(identity, algebra, True)
+        return CheckResult(check, algebra, True)
     witness, lhs, rhs = mismatches[0]
-    return IdentityResult(identity, algebra, False,
-                          f"at {witness}: lhs={lhs} rhs={rhs}")
+    return CheckResult(check, algebra, False, f"at {witness}: lhs={lhs} rhs={rhs}")
 
 
 def check_dual_modular_pairing(sys: PairedSystem) -> VerificationReport:
@@ -66,8 +49,8 @@ def check_dual_modular_pairing(sys: PairedSystem) -> VerificationReport:
     dhat_inv = list(sys.dual_modular.delta_inv)
     counit = list(h.counit)
     rows = {
-        "pair-dhat-sigma-inv": (dhat, invert(md.sigma).apply_row(counit)),
-        "pair-dhat-sigmap-inv": (dhat, invert(md.sigma_prime).apply_row(counit)),
+        "pair-dhat-sigma-inv": (dhat, sys.operator("sigmainv").apply_row(counit)),
+        "pair-dhat-sigmap-inv": (dhat, sys.operator("sigmapinv").apply_row(counit)),
         "pair-dhatinv-sigma": (dhat_inv, md.sigma.apply_row(counit)),
         "pair-dhatinv-sigmap": (dhat_inv, md.sigma_prime.apply_row(counit)),
     }
@@ -78,7 +61,7 @@ def check_dual_modular_pairing(sys: PairedSystem) -> VerificationReport:
             for i in range(h.dim)
             if pair_side[i] != counit_side[i]
         ]
-        results.append(_per_basis_result(identity, h.name, h.basis_names, mismatches))
+        results.append(_per_basis_result(identity, h.name, mismatches))
     return VerificationReport(tuple(results))
 
 
@@ -97,19 +80,17 @@ def check_modular_adjoints(sys: PairedSystem) -> VerificationReport:
     md = sys.primal_modular
     dhat = list(sys.dual_modular.delta)
     dhat_inv = list(sys.dual_modular.delta_inv)
-    s2 = dual.antipode.pow(2)
-    s2_inv = invert(dual.antipode).pow(2)
-    sigma_inv = invert(md.sigma)
-    sigma_prime_inv = invert(md.sigma_prime)
+    s2 = sys.operator("S2", "Ahat")
+    s2_inv = sys.operator("Sinv2", "Ahat")
 
     cases = (
         ("sigma-adjoint", md.sigma,
          lambda b: dual.multiply(s2.apply(b), dhat_inv)),
-        ("sigma-inv-adjoint", sigma_inv,
+        ("sigma-inv-adjoint", sys.operator("sigmainv"),
          lambda b: dual.multiply(s2_inv.apply(b), dhat)),
         ("sigmap-adjoint", md.sigma_prime,
          lambda b: dual.multiply(dhat_inv, s2_inv.apply(b))),
-        ("sigmap-inv-adjoint", sigma_prime_inv,
+        ("sigmap-inv-adjoint", sys.operator("sigmapinv"),
          lambda b: dual.multiply(dhat, s2.apply(b))),
     )
     results = []
@@ -123,7 +104,7 @@ def check_modular_adjoints(sys: PairedSystem) -> VerificationReport:
                 if lhs != rhs:
                     mismatches.append(
                         (f"a={h.basis_names[i]}, b={dual.basis_names[j]}", lhs, rhs))
-        results.append(_per_basis_result(identity, h.name, h.basis_names, mismatches))
+        results.append(_per_basis_result(identity, h.name, mismatches))
 
     # substituting the dual's unit recovers the plain pairing formulas
     unit_hat = dual.unit_column()
@@ -134,8 +115,7 @@ def check_modular_adjoints(sys: PairedSystem) -> VerificationReport:
         for i in range(h.dim)
         if counit_sigma[i] != reduced[i]
     ]
-    results.append(_per_basis_result("adjoint-unit-reduction", h.name,
-                                     h.basis_names, mismatches))
+    results.append(_per_basis_result("adjoint-unit-reduction", h.name, mismatches))
     return VerificationReport(tuple(results))
 
 
@@ -173,30 +153,25 @@ def check_radford(sys: PairedSystem) -> VerificationReport:
     md = sys.primal_modular
     dhat = list(sys.dual_modular.delta)
     dhat_inv = list(sys.dual_modular.delta_inv)
-    s2 = h.antipode.pow(2)
-    s2_inv = invert(h.antipode).pow(2)
-    results = []
-
-    s4 = h.antipode.pow(4)
-    results.append(_per_basis_result(
-        "s4-sandwich", h.name, h.basis_names,
-        _matrix_mismatches(h, s4, sandwich_matrix(sys))))
+    s2 = sys.operator("S2")
+    s2_inv = sys.operator("Sinv2")
+    s4 = sys.operator("S4")
+    results = [_per_basis_result("s4-sandwich", h.name,
+                                 _matrix_mismatches(h, s4, sandwich_matrix(sys)))]
 
     # sigma(a) = dhat^-1 -> S^2(a)
     sigma_action = Matrix.from_columns(
         h.field,
         [sys.dual_acts_left(dhat_inv, s2.column(i)) for i in range(h.dim)])
     results.append(_per_basis_result(
-        "sigma-from-action", h.name, h.basis_names,
-        _matrix_mismatches(h, md.sigma, sigma_action)))
+        "sigma-from-action", h.name, _matrix_mismatches(h, md.sigma, sigma_action)))
 
     # sigma'(a) = S^-2(a) <- dhat^-1
     sigmap_action = Matrix.from_columns(
         h.field,
         [sys.dual_acts_right(s2_inv.column(i), dhat_inv) for i in range(h.dim)])
     results.append(_per_basis_result(
-        "sigmap-from-action", h.name, h.basis_names,
-        _matrix_mismatches(h, md.sigma_prime, sigmap_action)))
+        "sigmap-from-action", h.name, _matrix_mismatches(h, md.sigma_prime, sigmap_action)))
 
     # dhat -> (delta * a) = tau * delta * (dhat -> a)
     delta = list(md.delta)
@@ -208,8 +183,7 @@ def check_radford(sys: PairedSystem) -> VerificationReport:
         if lhs != rhs:
             mismatches.append((f"a={h.basis_names[i]}",
                                h.format_element(lhs), h.format_element(rhs)))
-    results.append(_per_basis_result("delta-action-scaling", h.name,
-                                     h.basis_names, mismatches))
+    results.append(_per_basis_result("delta-action-scaling", h.name, mismatches))
 
     # classical statement with distinguished group-likes g and alpha:
     # S^4(a) = g (alpha -> a <- alpha^-1) g^-1 under g = delta^-1, alpha = dhat
@@ -220,8 +194,7 @@ def check_radford(sys: PairedSystem) -> VerificationReport:
         cols.append(h.multiply(h.multiply(g_el, mid), g_inv))
     intro_form = Matrix.from_columns(h.field, cols)
     results.append(_per_basis_result(
-        "s4-intro-dictionary", h.name, h.basis_names,
-        _matrix_mismatches(h, s4, intro_form)))
+        "s4-intro-dictionary", h.name, _matrix_mismatches(h, s4, intro_form)))
 
     return VerificationReport(tuple(results))
 
@@ -238,18 +211,16 @@ def check_dual_radford(sys: PairedSystem) -> VerificationReport:
     delta_inv = list(sys.primal_modular.delta_inv)
     dhat = list(dm.delta)
     dhat_inv = list(dm.delta_inv)
-    s4 = dual.antipode.pow(4)
+    s4 = sys.operator("S4", "Ahat")
     cols = []
     for j in range(dual.dim):
         mid = sys.primal_acts_right(
             sys.primal_acts_left(delta, dual.basis_column(j)), delta_inv)
         cols.append(dual.multiply(dual.multiply(dhat_inv, mid), dhat))
     transported = Matrix.from_columns(dual.field, cols)
-    results = [_per_basis_result(
-        "s4-dual-transported", dual.name, dual.basis_names,
-        _matrix_mismatches(dual, s4, transported))]
-    swapped_report = check_radford(sys.swapped())
-    return VerificationReport(tuple(results) + swapped_report.results)
+    result = _per_basis_result("s4-dual-transported", dual.name,
+                               _matrix_mismatches(dual, s4, transported))
+    return VerificationReport((result,) + check_radford(sys.swapped()).results)
 
 
 def biduality_check(sys: PairedSystem) -> VerificationReport:
@@ -266,7 +237,7 @@ def biduality_check(sys: PairedSystem) -> VerificationReport:
     b_phi = gram_matrix(h, sys.primal_modular.phi)
     b_phi_inv = invert(b_phi)
     psi_hat = sys.dual_modular.psi
-    s_inv = invert(h.antipode)
+    s_inv = sys.operator("Sinv")
     mismatches = []
     for i in range(dual.dim):
         a_i = b_phi_inv.column(i)      # phi(. a_i) is the i-th dual basis vector
@@ -277,10 +248,9 @@ def biduality_check(sys: PairedSystem) -> VerificationReport:
             if lhs != rhs:
                 mismatches.append(
                     (f"w={dual.basis_names[i]}, w'={dual.basis_names[j]}", lhs, rhs))
-    results.append(_per_basis_result("bidual-pairing-formula", h.name,
-                                     h.basis_names, mismatches))
+    results.append(_per_basis_result("bidual-pairing-formula", h.name, mismatches))
 
-    bidual = build_dual(dual)
+    bidual = sys.swapped().dual
     iso_ok = (
         bidual.mul == h.mul
         and bidual.comul == h.comul
@@ -288,20 +258,17 @@ def biduality_check(sys: PairedSystem) -> VerificationReport:
         and bidual.counit == h.counit
         and bidual.antipode == h.antipode
     )
-    results.append(IdentityResult(
+    results.append(CheckResult(
         "bidual-structure-iso", h.name, iso_ok,
         "" if iso_ok else "bidual structure constants differ from the primal"))
     return VerificationReport(tuple(results))
 
 
 def run_all_checks(sys: PairedSystem) -> VerificationReport:
-    """Every hard-coded suite, merged in a fixed order."""
-    report = check_dual_modular_pairing(sys)
-    report = report.merged_with(check_modular_adjoints(sys))
-    report = report.merged_with(check_radford(sys))
-    report = report.merged_with(check_dual_radford(sys))
-    report = report.merged_with(biduality_check(sys))
-    return report
+    """Every hard-coded suite, in a fixed order."""
+    suites = (check_dual_modular_pairing, check_modular_adjoints, check_radford,
+              check_dual_radford, biduality_check)
+    return VerificationReport(tuple(r for suite in suites for r in suite(sys).results))
 
 
 def verify_algebra(h: HopfAlgebra) -> VerificationReport:

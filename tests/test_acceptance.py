@@ -103,7 +103,7 @@ def _twist(h, column, left, right):
 
 
 def _suite_passed(report, identity, algebra):
-    return any(r.identity == identity and r.algebra == algebra and r.passed
+    return any(r.check == identity and r.algebra == algebra and r.passed
                for r in report.results)
 
 
@@ -227,14 +227,14 @@ def test_criterion_10_dsl_equivalence(paired, suite_reports):
     ok = True
     programs = _corpus()
     for name in BUILTIN_NAMES:
-        outcomes = {o.identity: o for o in evaluate_corpus(programs, paired(name))}
+        outcomes = {o.check: o for o in evaluate_corpus(programs, paired(name))}
         ok = ok and all(o.passed for o in outcomes.values())
         report = suite_reports(name)
         for corpus_name, suite_id in CORPUS_TO_SUITE.items():
             ok = ok and outcomes[corpus_name].passed == _suite_passed(report, suite_id, name)
     trap = next(p for p in _corpus("convention_traps.ids") if p.name == "radford_swapped")
     outcome = evaluate(trap, paired("taft-3"))
-    ok = ok and not outcome.passed and "a=x" in outcome.counterexample
+    ok = ok and not outcome.passed and "a=x" in outcome.witness
     _report(10, "corpus outcomes match the hard-coded suites; the "
                 "swapped-convention entry fails with a counterexample", ok)
 

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from hopfcheck.cli import run
+from hopfcheck.cli import matrix_order, order_text, run
 from hopfcheck.catalog import read_algebra
+from hopfcheck.linalg import Matrix
+from hopfcheck.scalars import RATIONAL
 
 
 def test_example_then_verify_axioms(tmp_path):
@@ -214,3 +216,10 @@ def test_nonlinear_identity_exits_2(tmp_path):
     ids.write_text("square: forall a in A, y in Ahat . <a(1) * a(1), y> = <a(2), y>\n")
     code, text = run(["check", str(src), "--corpus", str(ids)])
     assert code == 2 and text.startswith("error: square: a(1) occurs more than once"), text
+
+
+def test_order_past_the_cap_prints_the_bound():
+    two = Matrix(RATIONAL, [[2]])
+    assert matrix_order(two) is None
+    assert order_text(two) == "> 1000"
+    assert order_text(Matrix(RATIONAL, [[-1]])) == "2"

@@ -1,9 +1,13 @@
+import dataclasses
+
 import pytest
 
-from hopfcheck.catalog import (build_function_algebra, build_group_algebra, builtin,
-                               cyclic_group, symmetric_group)
-from hopfcheck.duality import build_dual, pair_system, pairing_value
-from hopfcheck.modular import gram_matrix, integral_space_dimensions
+from hopfcheck import duality
+from hopfcheck.catalog import (build_function_algebra, build_group_algebra, build_sweedler,
+                               builtin, cyclic_group, symmetric_group)
+from hopfcheck.duality import build_dual, dual_integrals, pair_system, pairing_value
+from hopfcheck.hopf import CorruptedDataError, LinearFunctional
+from hopfcheck.modular import gram_matrix, integral_space_dimensions, modular_data
 from hopfcheck.linalg import invert
 
 from conftest import BUILTIN_NAMES
@@ -188,11 +192,10 @@ def test_dual_modular_element_matches_pairing_route(paired):
 
 def test_pairing_dualities(paired):
     # <ab, y> = sum <a, y_(1)><b, y_(2)>, <a, yz> = sum <a_(1), y><a_(2), z>,
-    # and <S(a), y> = <a, S(y)>; the pairing matrix itself is the identity
+    # and <S(a), y> = <a, S(y)>
     for name in ("group-s3", "sweedler", "taft-3"):
         sys = paired(name)
         h, dual = sys.primal, sys.dual
-        assert sys.pairing.is_identity()
         for i in range(h.dim):
             for j in range(h.dim):
                 prod = h.multiply(h.basis_column(i), h.basis_column(j))
@@ -236,3 +239,54 @@ def test_swapped_system_round_trip(paired):
     # the swapped dual is canonically the original algebra
     assert swapped.dual.mul == sys.primal.mul
     assert swapped.dual.antipode == sys.primal.antipode
+
+
+def test_swapped_system_is_built_once(paired):
+    sys = paired("taft-3")
+    assert sys.swapped() is sys.swapped()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_operator_lookup_is_memoized_and_exact(paired, name):
+    sys = paired(name)
+    for sort, alg, md in (("A", sys.primal, sys.primal_modular),
+                          ("Ahat", sys.dual, sys.dual_modular)):
+        s, sigma, sigmap = alg.antipode, md.sigma, md.sigma_prime
+        direct = {
+            "S": s, "Sinv": invert(s), "S2": s.pow(2), "Sinv2": invert(s).pow(2),
+            "S4": s.pow(4), "sigma": sigma, "sigmainv": invert(sigma),
+            "sigmap": sigmap, "sigmapinv": invert(sigmap),
+        }
+        for op, expected in direct.items():
+            first = sys.operator(op, sort)
+            assert first == expected, (op, sort)
+            assert sys.operator(op, sort) is first, (op, sort)
+
+
+def test_swapped_system_shares_the_dual_side_operators(paired):
+    sys = paired("taft-3")
+    swapped = sys.swapped()
+    for op in ("S", "Sinv", "S2", "Sinv2", "S4", "sigma", "sigmainv", "sigmap", "sigmapinv"):
+        assert swapped.operator(op, "A") is sys.operator(op, "Ahat"), op
+
+
+def test_replaced_system_recomputes_its_operators(paired):
+    # a system built any other way than swapped() may carry other modular
+    # data for the same algebra, so it starts with no stored operators
+    sys = paired("sweedler")
+    other = dataclasses.replace(sys)
+    assert other.operator("sigmainv") == sys.operator("sigmainv")
+    assert other.operator("sigmainv") is not sys.operator("sigmainv")
+
+
+@pytest.mark.parametrize("solve,side", [("right_integral", "right"),
+                                        ("left_integral", "left")])
+def test_dual_integral_disagreeing_with_the_solve_is_rejected(monkeypatch, solve, side):
+    h = build_sweedler()
+    md = modular_data(h)
+    dual = build_dual(h)
+    # a nonzero functional proportional to neither formula integral
+    monkeypatch.setattr(duality, solve,
+                        lambda alg: LinearFunctional(alg.field, [1] * alg.dim))
+    with pytest.raises(CorruptedDataError, match=f"formula {side} integral disagrees"):
+        dual_integrals(h, dual, md)

@@ -21,7 +21,7 @@ def test_z2_group_algebra_all_axioms_pass():
     h = build_group_algebra(cyclic_group(2), "z2")
     report = h.validate()
     assert report.ok
-    assert {c.name for c in report.checks} == {
+    assert {c.check for c in report.checks} == {
         "associativity", "unit", "coassociativity", "counit",
         "coproduct-homomorphism", "counit-homomorphism",
         "antipode-left", "antipode-right", "antipode-invertible",
@@ -33,7 +33,7 @@ def test_zeroed_antipode_fails_only_antipode_laws():
     broken = HopfAlgebra(h.field, h.basis_names, h.mul, h.unit, h.comul, h.counit,
                          Matrix.zero(F, 2, 2), name="z2-broken")
     report = broken.validate()
-    failed = {c.name for c in report.failures()}
+    failed = {c.check for c in report.failures()}
     assert failed == {"antipode-left", "antipode-right", "antipode-invertible"}
 
 
@@ -107,7 +107,7 @@ def test_compute_antipode_sweedler_closed_form():
 
 def test_compute_antipode_rejects_nongroup_monoid():
     m = build_nongroup_monoid_bialgebra()
-    bialgebra = [c for c in m.validate().checks if not c.name.startswith("antipode")]
+    bialgebra = [c for c in m.validate().checks if not c.check.startswith("antipode")]
     assert all(c.passed for c in bialgebra)
     with pytest.raises(NoAntipodeError):
         compute_antipode(m)

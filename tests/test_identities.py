@@ -7,7 +7,7 @@ import pytest
 from hopfcheck.hopf import HopfAlgebra
 from hopfcheck.identities import (Apply, DslLegError, DslLinearityError, DslSortError,
                                   DslSyntaxError, Pairing, Product, ScalarLit, Var, evaluate,
-                                  evaluate_corpus, evaluate_side, evaluation_context,
+                                  evaluate_corpus, evaluate_side,
                                   parse_corpus, parse_identity, pretty)
 
 from conftest import BUILTIN_NAMES
@@ -145,8 +145,8 @@ def test_swapped_radford_fails_on_taft3_with_counterexample(paired):
     trap = next(p for p in corpus("convention_traps.ids") if p.name == "radford_swapped")
     outcome = evaluate(trap, paired("taft-3"))
     assert not outcome.passed
-    assert "a=x" in outcome.counterexample
-    assert "lhs=" in outcome.counterexample and "rhs=" in outcome.counterexample
+    assert "a=x" in outcome.witness
+    assert "lhs=" in outcome.witness and "rhs=" in outcome.witness
     # the same trap is invisible on sweedler, where dhat has order two
     assert evaluate(trap, paired("sweedler")).passed
 
@@ -159,14 +159,13 @@ def test_scalar_identity_with_literals(paired):
 def test_evaluation_is_multilinear(paired):
     sys = paired("sweedler")
     h = sys.primal
-    ctx = evaluation_context(sys)
     prog = parse_identity("lin: forall a in A . eps(a(1)) * a(2) = a")
     two, five = h.field.scalar(2), h.field.scalar(5)
     e1, e3 = h.basis_column(1), h.basis_column(3)
     combo = [two * x + five * y for x, y in zip(e1, e3)]
-    sort1, v1 = evaluate_side(ctx, prog, prog.lhs, {"a": e1})
-    sort3, v3 = evaluate_side(ctx, prog, prog.lhs, {"a": e3})
-    sortc, vc = evaluate_side(ctx, prog, prog.lhs, {"a": combo})
+    sort1, v1 = evaluate_side(sys, prog, prog.lhs, {"a": e1})
+    sort3, v3 = evaluate_side(sys, prog, prog.lhs, {"a": e3})
+    sortc, vc = evaluate_side(sys, prog, prog.lhs, {"a": combo})
     assert sort1 == sort3 == sortc == "A"
     assert vc == [two * x + five * y for x, y in zip(v1, v3)]
 
@@ -192,7 +191,6 @@ def test_repeated_slot_is_rejected(src, slot):
 def _slow_evaluate(prog, sys):
     """Reference loop: every basis assignment through evaluate_side, which
     computes each side from scratch on coordinate columns."""
-    ctx = evaluation_context(sys)
     algebras = {"A": sys.primal, "Ahat": sys.dual}
     ranges = [range(algebras[sort].dim) for _, sort in prog.decls]
 
@@ -203,8 +201,8 @@ def _slow_evaluate(prog, sys):
     for combo in cartesian(*ranges):
         assignment = {var: algebras[sort].basis_column(i)
                       for (var, sort), i in zip(prog.decls, combo)}
-        lhs = evaluate_side(ctx, prog, prog.lhs, assignment)
-        rhs = evaluate_side(ctx, prog, prog.rhs, assignment)
+        lhs = evaluate_side(sys, prog, prog.lhs, assignment)
+        rhs = evaluate_side(sys, prog, prog.rhs, assignment)
         if lhs != rhs:
             names = ", ".join(f"{var}={algebras[sort].basis_names[i]}"
                               for (var, sort), i in zip(prog.decls, combo))
@@ -217,7 +215,7 @@ def test_evaluate_agrees_with_per_assignment_loop(paired, name):
     sys = paired(name)
     for prog in corpus() + corpus("convention_traps.ids"):
         outcome = evaluate(prog, sys)
-        assert (outcome.passed, outcome.counterexample) == _slow_evaluate(prog, sys), prog.name
+        assert (outcome.passed, outcome.witness) == _slow_evaluate(prog, sys), prog.name
 
 
 def test_subterms_are_computed_once_per_footprint_value(paired, monkeypatch):

@@ -5,7 +5,7 @@ from hopfcheck.hopf import CorruptedDataError, LinearFunctional
 from hopfcheck.linalg import Matrix, invert
 from hopfcheck.modular import (gram_matrix, integral_space_dimensions, left_integral,
                                modular_automorphism, modular_data, modular_element,
-                               right_integral, scaling_constant)
+                               proportionality, right_integral, scaling_constant)
 from hopfcheck.scalars import RATIONAL, cyclotomic_field
 
 from conftest import BUILTIN_NAMES
@@ -248,3 +248,18 @@ def test_requires_validated_algebra():
     from hopfcheck.hopf import InvalidHopfAlgebraError
     with pytest.raises(InvalidHopfAlgebraError):
         left_integral(build_nongroup_monoid_bialgebra())
+
+
+def test_proportionality():
+    ref = [F.scalar(x) for x in (0, 2, -1)]
+    assert proportionality(ref, [F.scalar(x) for x in (0, -6, 3)]) == F.scalar(-3)
+    assert proportionality(ref, [F.scalar(x) for x in (1, -6, 3)]) is None
+    assert proportionality(ref, [F.zero()] * 3) is None
+    assert proportionality([F.zero()] * 3, ref) is None
+
+
+def test_scaling_constant_rejects_a_non_proportional_functional():
+    # on sweedler S^2 fixes 1 and negates x, so phi o S^2 = [1, -1, 0, 0]
+    h = build_sweedler()
+    with pytest.raises(CorruptedDataError, match="not proportional"):
+        scaling_constant(h, LinearFunctional(F, [1, 1, 0, 0]))

@@ -1,0 +1,61 @@
+"""The benchmark's tracer reaches into the package by name; these tests
+fail when a refactor moves or reshapes one of the names it rebinds, so
+`hopfbench/run.py --trace 1` cannot break unnoticed."""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from hopfcheck.catalog import build_sweedler
+from hopfcheck.duality import PairedSystem
+from hopfcheck.hopf import HopfAlgebra
+
+SPANS = Path(__file__).resolve().parents[1] / "hopfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    name = "hopfbench_spans_under_test"
+    spec = importlib.util.spec_from_file_location(name, SPANS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look the module up while it loads
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
+    return module
+
+
+def _resolve(owner, attr):
+    module_name, _, cls_name = owner.partition(":")
+    module = importlib.import_module(module_name)
+    if cls_name:
+        return getattr(module, cls_name).__dict__[attr]
+    return getattr(module, attr)
+
+
+def test_every_traced_target_resolves(spans):
+    assert spans.TRACED
+    for target in spans.TRACED:
+        assert inspect.isfunction(_resolve(target.owner, target.attr)), target
+
+
+def test_every_counted_target_resolves(spans):
+    assert spans.COUNTED
+    for owner, attr, op in spans.COUNTED:
+        assert inspect.isfunction(_resolve(owner, attr)), (owner, attr)
+        assert op in spans.COUNTED_OPS
+
+
+def test_names_the_tracer_relies_on():
+    assert inspect.isfunction(PairedSystem.__dict__["swapped"])
+    assert build_sweedler()._validation is None
+    assert "_validation" in HopfAlgebra.__slots__
+    for attr in ("build_dual", "dual_integrals", "pair_system"):
+        assert inspect.isfunction(_resolve("hopfcheck.duality", attr)), attr
+    for attr in ("evaluate", "evaluate_side"):
+        assert inspect.isfunction(_resolve("hopfcheck.identities", attr)), attr

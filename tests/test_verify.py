@@ -1,6 +1,10 @@
 import dataclasses
 import re
 
+from hopfcheck import duality, hopf, modular, verify
+from hopfcheck.catalog import builtin
+from hopfcheck.cli import full_report_text
+from hopfcheck.hopf import HopfAlgebra
 from hopfcheck.verify import (biduality_check, check_dual_modular_pairing,
                               check_dual_radford, check_modular_adjoints, check_radford,
                               run_all_checks, verify_algebra)
@@ -26,7 +30,7 @@ def test_every_builtin_passes_every_suite(paired, suite_reports):
     for name in BUILTIN_NAMES:
         report = suite_reports(name)
         assert report.ok, "\n".join(r.line() for r in report.results if not r.passed)
-        assert [r.identity for r in report.results] == EXPECTED_IDS
+        assert [r.check for r in report.results] == EXPECTED_IDS
 
 
 def test_report_lines_are_machine_readable(suite_reports):
@@ -55,7 +59,7 @@ def test_tampered_modular_element_is_caught(paired):
     radford = check_radford(swapped)
     assert not radford.ok
     failing = [r for r in radford.results if not r.passed]
-    assert any("at a=" in r.counterexample for r in failing)
+    assert any("at a=" in r.witness for r in failing)
     pairing = check_dual_modular_pairing(swapped)
     assert not pairing.ok
 
@@ -88,3 +92,33 @@ def test_fourth_power_transports_to_the_bidual(paired):
     double = sys.swapped().swapped()
     assert double.primal.mul == sys.primal.mul
     assert check_radford(double).ok == check_radford(sys).ok is True
+
+
+def test_full_report_builds_each_algebra_once(monkeypatch):
+    calls = {"build_dual": 0, "validations": 0, "invert": 0}
+    build_dual, validate = duality.build_dual, HopfAlgebra.validate
+    invert = verify.invert
+
+    def counted_build_dual(h):
+        calls["build_dual"] += 1
+        return build_dual(h)
+
+    def counted_validate(self):
+        calls["validations"] += self._validation is None
+        return validate(self)
+
+    def counted_invert(m):
+        calls["invert"] += 1
+        return invert(m)
+
+    monkeypatch.setattr(duality, "build_dual", counted_build_dual)
+    monkeypatch.setattr(HopfAlgebra, "validate", counted_validate)
+    for module in (duality, hopf, modular, verify):
+        monkeypatch.setattr(module, "invert", counted_invert)
+    text, ok = full_report_text(builtin("taft-3"))
+    assert ok
+    # the dual in pair_system and the bidual in swapped(); primal, dual and
+    # bidual validated once each.  invert: one per validation, 7 for the
+    # modular data of both sides, 5 for the bidual's, 4 operator inverses
+    # (S on both sides, sigma, sigma'), 1 Gram matrix in biduality_check
+    assert calls == {"build_dual": 2, "validations": 3, "invert": 20}
