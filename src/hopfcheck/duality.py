@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .hopf import CorruptedDataError, HopfAlgebra, LinearFunctional
 from .linalg import Matrix, Tensor3, invert
-from .modular import (ModularData, gram_matrix, left_integral, modular_automorphism,
+from .modular import (ModularData, gram_inverse, left_integral, modular_automorphism,
                       modular_element, proportionality, right_integral, scaling_constant)
 from .scalars import Scalar
 
@@ -213,13 +213,10 @@ def dual_integrals(h: HopfAlgebra, dual: HopfAlgebra, md: ModularData) -> Modula
     field = h.field
     counit_row = list(h.counit)
 
-    b_phi = gram_matrix(h, md.phi)  # column a -> row coords of phi(. a)
-    psi_hat_coords = invert(b_phi).apply_row(counit_row)
-    psi_hat = LinearFunctional(field, psi_hat_coords)
-
-    b_psi_t = gram_matrix(h, md.psi).transpose()  # column a -> coords of psi(a .)
-    phi_hat_coords = invert(b_psi_t).apply_row(counit_row)
-    phi_hat = LinearFunctional(field, phi_hat_coords)
+    # the Gram matrix of phi sends column a to the row coords of phi(. a),
+    # its transpose for psi sends a to the coords of psi(a .)
+    psi_hat = LinearFunctional(field, md.phi_gram_inv.apply_row(counit_row))
+    phi_hat = LinearFunctional(field, md.psi_gram_inv.apply(counit_row))
 
     if phi_hat.after(dual.antipode) != psi_hat:
         raise CorruptedDataError(
@@ -241,11 +238,13 @@ def dual_integrals(h: HopfAlgebra, dual: HopfAlgebra, md: ModularData) -> Modula
             f"{dual.name}: modular element of the dual disagrees with the "
             "counit-of-sigma-inverse pairing formula")
 
-    sigma_hat = modular_automorphism(dual, phi_hat, "left")
-    sigma_hat_prime = modular_automorphism(dual, psi_hat, "right")
+    phi_hat_gram_inv = gram_inverse(dual, phi_hat, "left")
+    sigma_hat = modular_automorphism(dual, phi_hat, phi_hat_gram_inv)
+    psi_hat_gram_inv = gram_inverse(dual, psi_hat, "right")
+    sigma_hat_prime = modular_automorphism(dual, psi_hat, psi_hat_gram_inv)
     tau_hat = scaling_constant(dual, phi_hat)
     return ModularData(phi_hat, psi_hat, delta_hat, delta_hat_inv,
-                       sigma_hat, sigma_hat_prime, tau_hat)
+                       sigma_hat, sigma_hat_prime, tau_hat, phi_hat_gram_inv, psi_hat_gram_inv)
 
 
 def pair_system(h: HopfAlgebra) -> PairedSystem:

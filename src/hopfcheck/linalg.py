@@ -1,8 +1,9 @@
 """Exact dense linear algebra over a FieldSpec.
 
-Everything here is pure and deterministic: fraction-free (Bareiss-style)
-forward elimination with first-nonzero pivoting in column order, so
-nullspace bases, solutions, and inverses are reproducible run to run.
+Everything here is pure and deterministic: one Gauss-Jordan reduction,
+with first-nonzero pivoting in column order, brings a matrix to its
+reduced row echelon form, which is unique, so nullspace bases, solutions,
+inverses, ranks and determinants are read off it reproducibly.
 Matrices are immutable after construction; sizes stay small (dimension of
 an algebra squared at worst), so storage is dense.
 """
@@ -100,14 +101,20 @@ class Matrix:
     def pow(self, n: int) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("matrix power needs a square matrix")
-        result = Matrix.identity(self.field, self.rows)
-        base = self
-        while n:
+        if n < 0:
+            raise ValueError("matrix power needs a nonnegative exponent")
+        if n == 0:
+            return Matrix.identity(self.field, self.rows)
+        # square-and-multiply from the base: no product with the identity,
+        # no squaring past the top bit
+        result, base = None, self
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def _columns_nonzero(self):
         cols = self._sparse_cols
@@ -213,87 +220,59 @@ class Tensor3:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination
+# Gauss-Jordan reduction
 # ---------------------------------------------------------------------------
 
-def _forward_eliminate(field: FieldSpec, rows, limit_cols=None):
-    """Bareiss fraction-free forward elimination in place.
+def _row_reduce(field: FieldSpec, rows, limit_cols=None):
+    """Bring rows (lists of Scalars) to reduced row echelon form in place.
 
     Pivots are the first nonzero entry scanning columns left to right and
     rows top to bottom; only the first limit_cols columns are eligible as
-    pivots (rows may carry augmented right-hand-side columns).  Returns
-    (pivot_cols, swap_sign) where pivot_cols[r] is the pivot column of
-    echelon row r.
+    pivots (rows may carry augmented right-hand-side columns).  Each pivot
+    row is scaled to a leading 1 and its column cleared in every other row
+    whose entry there is nonzero, visiting only the nonzero entries of the
+    pivot row.  Returns (pivot_cols, det): pivot_cols[r] is the pivot column
+    of row r, det the signed product of the pivots (the determinant when
+    rows is square and every column has a pivot).
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     if limit_cols is None:
         limit_cols = ncols
-    one = field.one()
-    prev = one
+    one, zero = field.one(), field.zero()
+    det = one
     pivot_cols = []
-    sign = 1
-    r = 0
     for c in range(limit_cols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
+        r = len(pivot_cols)
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            sign = -sign
-        pivot = rows[r][c]
-        inv_prev = one if prev.is_one() else prev.inv()
-        scale = pivot * inv_prev
-        for i in range(r + 1, nrows):
-            head = rows[i][c]
-            if head.is_zero():
-                if not scale.is_one():
-                    rows[i] = [x if x.is_zero() else scale * x for x in rows[i]]
+            det = -det
+        top = rows[r]
+        pivot = top[c]
+        det = det * pivot
+        inv = None if pivot.is_one() else pivot.inv()
+        support = []
+        for j in range(c + 1, ncols):
+            x = top[j]
+            if not x.is_zero():
+                if inv is not None:
+                    x = top[j] = inv * x
+                support.append((j, x))
+        top[c] = one
+        for i, row in enumerate(rows):
+            head = row[c]
+            if i == r or head.is_zero():
                 continue
-            top = rows[r]
-            new_row = []
-            for j in range(ncols):
-                a, b = rows[i][j], top[j]
-                if a.is_zero():
-                    val = field.zero() if (b.is_zero() or head.is_zero()) else -(head * b) * inv_prev
-                elif b.is_zero():
-                    val = scale * a
-                else:
-                    val = (pivot * a - head * b) * inv_prev
-                new_row.append(val)
-            new_row[c] = field.zero()
-            rows[i] = new_row
+            for j, x in support:
+                row[j] = row[j] - head * x
+            row[c] = zero
         pivot_cols.append(c)
-        prev = pivot
-        r += 1
-        if r == nrows:
-            break
-    return pivot_cols, sign
-
-
-def _back_substitute(field: FieldSpec, rows, pivot_cols, ncols, free_values):
-    """Solve an echelon system for one assignment of the free columns.
-
-    free_values maps column index -> Scalar for every non-pivot column.
-    rows carry an optional extra rhs column at index ncols.
-    """
-    x = [field.zero()] * ncols
-    for c, v in free_values.items():
-        x[c] = v
-    has_rhs = len(rows[0]) > ncols if rows else False
-    for r in range(len(pivot_cols) - 1, -1, -1):
-        pc = pivot_cols[r]
-        acc = rows[r][ncols] if has_rhs else field.zero()
-        for j in range(pc + 1, ncols):
-            coeff = rows[r][j]
-            if not (coeff.is_zero() or x[j].is_zero()):
-                acc = acc - coeff * x[j]
-        x[pc] = acc / rows[r][pc]
-    return x
+    return pivot_cols, det
 
 
 def normalize_vector(field: FieldSpec, vec):
@@ -308,22 +287,27 @@ def normalize_vector(field: FieldSpec, vec):
 def nullspace(m: Matrix):
     """Exact basis of ker(m) as a list of coordinate columns.
 
-    One basis column per free column of the echelon form, in column order,
-    each normalized to leading coefficient 1.  Empty list iff m is injective.
+    One basis column per free column of the reduced echelon form, in column
+    order, each normalized to leading coefficient 1.  Empty list iff m is
+    injective.
     """
     field = m.field
     rows = [list(r) for r in m.data]
     if not rows:
         return []
-    ncols = m.cols
-    pivot_cols, _ = _forward_eliminate(field, rows)
+    pivot_cols, _ = _row_reduce(field, rows)
     pivots = set(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    rows = rows[: len(pivot_cols)]
+    one, zero = field.one(), field.zero()
     basis = []
-    for f in free_cols:
-        free_values = {c: field.one() if c == f else field.zero() for c in free_cols}
-        basis.append(normalize_vector(field, _back_substitute(field, rows, pivot_cols, ncols, free_values)))
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        x = [zero] * m.cols
+        x[f] = one
+        for r, pc in enumerate(pivot_cols):
+            if not rows[r][f].is_zero():
+                x[pc] = -rows[r][f]
+        basis.append(normalize_vector(field, x))
     return basis
 
 
@@ -344,8 +328,8 @@ def solve(m: Matrix, rhs):
         if ncols:
             raise NonUniqueSolutionError(f"solution space has dimension {ncols}")
         return []
-    pivot_cols, _ = _forward_eliminate(field, rows, ncols)
-    # consistency: eliminated rows below the rank must have zero rhs
+    pivot_cols, _ = _row_reduce(field, rows, ncols)
+    # consistency: reduced rows below the rank must have zero rhs
     for r in range(len(pivot_cols), len(rows)):
         if not rows[r][ncols].is_zero():
             raise InconsistentSystemError("system has no solution")
@@ -355,49 +339,37 @@ def solve(m: Matrix, rhs):
         raise NonUniqueSolutionError(
             f"solution space has dimension {ncols - len(pivot_cols)}"
         )
-    rows = rows[: len(pivot_cols)]
-    return _back_substitute(field, rows, pivot_cols, ncols, {})
+    return [row[ncols] for row in rows[:ncols]]
 
 
 def invert(m: Matrix) -> Matrix:
-    """Exact inverse; raises SingularMatrixError on singular input."""
+    """Exact inverse, the right half of [m | I] reduced; raises
+    SingularMatrixError on singular input."""
     if m.rows != m.cols:
         raise SingularMatrixError("only square matrices can be inverted")
     field = m.field
     n = m.rows
     one, zero = field.one(), field.zero()
     rows = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(m.data)]
-    pivot_cols, _ = _forward_eliminate(field, rows, n)
-    if len(pivot_cols) < n or pivot_cols != list(range(n)):
+    pivot_cols, _ = _row_reduce(field, rows, n)
+    if len(pivot_cols) < n:
         raise SingularMatrixError("matrix is singular")
-    cols = []
-    for j in range(n):
-        sub = [r[:n] + [r[n + j]] for r in rows]
-        cols.append(_back_substitute(field, sub, pivot_cols, n, {}))
-    return Matrix.from_columns(field, cols)
+    return Matrix(field, [row[n:] for row in rows])
 
 
 def determinant(m: Matrix) -> Scalar:
-    """Exact determinant via fraction-free elimination."""
+    """Exact determinant: the signed product of the pivots."""
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
     field = m.field
     if m.rows == 0:
         return field.one()
-    rows = [list(r) for r in m.data]
-    pivot_cols, sign = _forward_eliminate(field, rows)
-    if len(pivot_cols) < m.rows:
-        return field.zero()
-    det = rows[m.rows - 1][pivot_cols[-1]]
-    return det if sign == 1 else -det
+    pivot_cols, det = _row_reduce(field, [list(r) for r in m.data])
+    return det if len(pivot_cols) == m.rows else field.zero()
 
 
 def rank(m: Matrix) -> int:
-    rows = [list(r) for r in m.data]
-    if not rows:
-        return 0
-    pivot_cols, _ = _forward_eliminate(m.field, rows)
-    return len(pivot_cols)
+    return len(_row_reduce(m.field, [list(r) for r in m.data])[0])
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

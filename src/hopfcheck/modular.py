@@ -22,7 +22,8 @@ from .scalars import Scalar
 @dataclass(frozen=True)
 class ModularData:
     """The tuple attached to a left integral: (phi, psi, delta, sigma,
-    sigma', tau), with delta's inverse carried alongside."""
+    sigma', tau), with delta's inverse and the inverse Gram matrices of phi
+    and psi carried alongside, so each Gram matrix is inverted once."""
 
     phi: LinearFunctional
     psi: LinearFunctional
@@ -31,6 +32,8 @@ class ModularData:
     sigma: Matrix
     sigma_prime: Matrix
     tau: Scalar
+    phi_gram_inv: Matrix
+    psi_gram_inv: Matrix
 
 
 def _invariance_nullspace(h: HopfAlgebra, side: str):
@@ -100,6 +103,17 @@ def gram_matrix(h: HopfAlgebra, functional: LinearFunctional) -> Matrix:
     return Matrix(h.field, rows)
 
 
+def gram_inverse(h: HopfAlgebra, functional: LinearFunctional, side: str) -> Matrix:
+    """The inverse of the Gram matrix of a faithful functional; a singular
+    Gram matrix means the (side) functional is not faithful, which is
+    corrupted data."""
+    try:
+        return invert(gram_matrix(h, functional))
+    except SingularMatrixError as exc:
+        raise CorruptedDataError(
+            f"{h.name}: {side} functional is not faithful (singular Gram matrix)") from exc
+
+
 def modular_element(h: HopfAlgebra, phi: LinearFunctional):
     """The group-like delta with phi(S(a)) = phi(a * delta), plus its inverse.
 
@@ -131,19 +145,15 @@ def modular_element(h: HopfAlgebra, phi: LinearFunctional):
 
 
 def modular_automorphism(h: HopfAlgebra, functional: LinearFunctional,
-                         side: str = "left") -> Matrix:
+                         gram_inv: Matrix) -> Matrix:
     """The automorphism rho with functional(a*b) = functional(b * rho(a)).
 
-    Computed in closed form from the Gram matrix B as B^-1 B^T, then
-    re-verified to be a unital algebra automorphism.
+    Computed in closed form from the Gram matrix B as B^-1 B^T, with
+    gram_inv = B^-1 from gram_inverse, then re-verified to be a unital
+    algebra automorphism.
     """
     h.require_valid()
-    b = gram_matrix(h, functional)
-    try:
-        rho = invert(b) * b.transpose()
-    except SingularMatrixError as exc:
-        raise CorruptedDataError(
-            f"{h.name}: {side} functional is not faithful (singular Gram matrix)") from exc
+    rho = gram_inv * gram_matrix(h, functional).transpose()
     if rho.apply(h.unit_column()) != h.unit_column():
         raise CorruptedDataError(f"{h.name}: modular automorphism does not fix 1")
     for i in range(h.dim):
@@ -186,7 +196,10 @@ def modular_data(h: HopfAlgebra) -> ModularData:
     phi = left_integral(h)
     psi = phi.after(h.antipode)
     delta, delta_inv = modular_element(h, phi)
-    sigma = modular_automorphism(h, phi, "left")
-    sigma_prime = modular_automorphism(h, psi, "right")
+    phi_gram_inv = gram_inverse(h, phi, "left")
+    sigma = modular_automorphism(h, phi, phi_gram_inv)
+    psi_gram_inv = gram_inverse(h, psi, "right")
+    sigma_prime = modular_automorphism(h, psi, psi_gram_inv)
     tau = scaling_constant(h, phi)
-    return ModularData(phi, psi, delta, delta_inv, sigma, sigma_prime, tau)
+    return ModularData(phi, psi, delta, delta_inv, sigma, sigma_prime, tau,
+                       phi_gram_inv, psi_gram_inv)

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 from .duality import PairedSystem, pair_system
 from .hopf import CheckResult, HopfAlgebra
-from .linalg import Matrix, invert
-from .modular import gram_matrix
+from .linalg import Matrix
 
 
 @dataclass(frozen=True)
@@ -234,8 +233,7 @@ def biduality_check(sys: PairedSystem) -> VerificationReport:
     dual = sys.dual
     results = []
 
-    b_phi = gram_matrix(h, sys.primal_modular.phi)
-    b_phi_inv = invert(b_phi)
+    b_phi_inv = sys.primal_modular.phi_gram_inv
     psi_hat = sys.dual_modular.psi
     s_inv = sys.operator("Sinv")
     mismatches = []

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hopfcheck.linalg import (InconsistentSystemError, Matrix, NonUniqueSolutionError,
                               SingularMatrixError, Tensor3, determinant, invert, kron,
                               nullspace, rank, solve)
-from hopfcheck.scalars import RATIONAL, cyclotomic_field
+from hopfcheck.scalars import RATIONAL, Scalar, cyclotomic_field
 
 F = RATIONAL
 C4 = cyclotomic_field(4)
@@ -109,6 +109,44 @@ def test_matrix_power_and_apply():
     assert m.pow(4).is_identity()
     assert not m.pow(2).is_identity()
     assert m.apply([F.one(), F.zero()]) == [F.zero(), F.one()]
+
+
+def _counting_calls(monkeypatch, owner, attr):
+    """Wrap owner.attr so every call bumps the returned counter."""
+    calls = [0]
+    original = getattr(owner, attr)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def test_matrix_power_makes_only_the_needed_products(monkeypatch):
+    m = Matrix(C4, [[0, -1, 2], [1, C4.generator(), 0], [3, 0, 1]])
+    expected = {2: m * m, 4: m * m * m * m, 5: m * m * m * m * m}
+    products = _counting_calls(monkeypatch, Matrix, "__mul__")
+    assert m.pow(0) == Matrix.identity(C4, 3)
+    assert m.pow(1) == m
+    assert products[0] == 0
+    for n, product_count in ((2, 1), (4, 2), (5, 3)):
+        products[0] = 0
+        assert m.pow(n) == expected[n]
+        assert products[0] == product_count, n
+    with pytest.raises(ValueError):
+        m.pow(-1)
+
+
+def test_diagonal_solve_touches_only_nonzero_entries(monkeypatch):
+    n = 40
+    m = mat([[i + 1 if i == j else 0 for j in range(n)] for i in range(n)])
+    rhs = [Fraction(1, 3) - i for i in range(n)]
+    products = _counting_calls(monkeypatch, Scalar, "__mul__")
+    x = solve(m, rhs)
+    assert products[0] <= 3 * n
+    assert x == [F.scalar(Fraction(v, i + 1)) for i, v in enumerate(rhs)]
 
 
 def test_determinant_values():

@@ -3,9 +3,10 @@ import pytest
 from hopfcheck.catalog import build_sweedler, build_taft, builtin
 from hopfcheck.hopf import CorruptedDataError, LinearFunctional
 from hopfcheck.linalg import Matrix, invert
-from hopfcheck.modular import (gram_matrix, integral_space_dimensions, left_integral,
-                               modular_automorphism, modular_data, modular_element,
-                               proportionality, right_integral, scaling_constant)
+from hopfcheck.modular import (gram_inverse, gram_matrix, integral_space_dimensions,
+                               left_integral, modular_automorphism, modular_data,
+                               modular_element, proportionality, right_integral,
+                               scaling_constant)
 from hopfcheck.scalars import RATIONAL, cyclotomic_field
 
 from conftest import BUILTIN_NAMES
@@ -109,7 +110,8 @@ def test_group_algebra_automorphism_is_identity(algebras):
     # the integral is a trace there, so the automorphism must be trivial
     for name in ("group-z2", "group-z6", "group-s3"):
         h = algebras[name]
-        sigma = modular_automorphism(h, left_integral(h))
+        phi = left_integral(h)
+        sigma = modular_automorphism(h, phi, gram_inverse(h, phi, "left"))
         assert sigma.is_identity()
         b = gram_matrix(h, left_integral(h))
         assert b == b.transpose()
@@ -239,8 +241,8 @@ def test_counit_agrees_on_both_automorphisms(algebras):
 def test_non_faithful_functional_rejected():
     h = build_sweedler()
     bogus = LinearFunctional(F, [1, 0, 0, 0])  # vanishes on the ideal generated by x
-    with pytest.raises(CorruptedDataError):
-        modular_automorphism(h, bogus)
+    with pytest.raises(CorruptedDataError, match="not faithful"):
+        gram_inverse(h, bogus, "left")
 
 
 def test_requires_validated_algebra():

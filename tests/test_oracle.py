@@ -2,8 +2,12 @@
 
 Scalars: seeded random elements of Q(zeta_N) as polynomials in x, with
 products and sums reduced by sympy.rem and inverses from sympy.invert
-modulo cyclotomic_poly(N).  Linear algebra: solve, nullspace and
-determinant on seeded random exact matrices against sympy.Matrix.
+modulo cyclotomic_poly(N).  Linear algebra: solve, nullspace, invert,
+rank and determinant on seeded random exact matrices over Q against
+sympy.Matrix, and solve, nullspace and invert over Q(zeta_3) and
+Q(zeta_4) against sympy's DomainMatrix over the algebraic field
+Q(exp(2 pi i / N)), whose elements are coordinates in the same power
+basis of the primitive root.
 """
 
 import random
@@ -11,8 +15,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
-from hopfcheck.linalg import Matrix, determinant, nullspace, solve
+from hopfcheck.linalg import (Matrix, SingularMatrixError, determinant, invert, nullspace,
+                              rank, solve)
 from hopfcheck.scalars import RATIONAL, Scalar, cyclotomic_field, cyclotomic_polynomial
 
 X = sympy.Symbol("x")
@@ -130,3 +136,90 @@ def test_determinant_matches_sympy_over_cyclotomic(n):
         expected = sympy.Matrix([[_to_sympy(s) for s in row] for row in entries]).det()
         reduced = sympy.rem(sympy.expand(expected), phi, X)
         assert determinant(Matrix(field, entries)).coeffs == _from_sympy(reduced, field)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_invert_and_rank_match_sympy_over_q(seed):
+    rng = random.Random(f"oracle-invert:{seed}")
+    n = rng.randint(2, 6)
+    rows = _random_matrix(rng, n, n, _sparse_rational)
+    expected = _sympy_matrix(rows)
+    m = Matrix(RATIONAL, rows)
+    assert rank(m) == expected.rank() == n
+    inverse = expected.inv()
+    assert [[x.as_rational() for x in row] for row in invert(m).data] == \
+        [[_fraction(inverse[i, j]) for j in range(n)] for i in range(n)]
+    # a product through an r-dimensional space has rank at most r
+    r, rows_n, cols_n = rng.randint(0, 3), rng.randint(1, 5), rng.randint(1, 5)
+    left = _sympy_matrix(_random_matrix(rng, rows_n, r, _rational))
+    right = _sympy_matrix(_random_matrix(rng, r, cols_n, _sparse_rational))
+    product = left * right if r else sympy.zeros(rows_n, cols_n)
+    low = [[_fraction(v) for v in product.row(i)] for i in range(rows_n)]
+    assert rank(Matrix(RATIONAL, low)) == product.rank()
+    k = min(rows_n, cols_n)
+    if r < k:
+        with pytest.raises(SingularMatrixError):
+            invert(Matrix(RATIONAL, [row[:k] for row in low[:k]]))
+
+
+def _cyclotomic_domain(n):
+    return sympy.QQ.algebraic_field(sympy.exp(2 * sympy.pi * sympy.I / n))
+
+
+def _to_anp(s: Scalar, domain):
+    return domain([sympy.QQ(c.numerator, c.denominator) for c in reversed(s.coeffs)])
+
+
+def _from_anp(a, field):
+    """Coordinates of an element of the sympy algebraic field."""
+    coeffs = [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(a.to_list())]
+    return tuple(coeffs + [Fraction(0)] * (field.degree - len(coeffs)))
+
+
+def _domain_matrix(entries, domain):
+    rows = [[_to_anp(s, domain) for s in row] for row in entries]
+    return DomainMatrix(rows, (len(entries), len(entries[0])), domain)
+
+
+def _matrix_from_domain(dm, field):
+    return [[Scalar(field, _from_anp(a, field)) for a in row] for row in dm.to_list()]
+
+
+def _normalized_anp(vec, field):
+    """Coordinates of a sympy vector scaled so its first nonzero entry is 1."""
+    lead = next(a for a in vec if a)
+    return [_from_anp(a / lead, field) for a in vec]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_solve_nullspace_invert_match_sympy_over_cyclotomic(n, seed):
+    field = cyclotomic_field(n)
+    domain = _cyclotomic_domain(n)
+    assert [int(c) for c in domain.mod.to_list()[::-1]] == list(cyclotomic_polynomial(n))
+    rng = random.Random(f"oracle-cyclotomic-linalg:{n}:{seed}")
+    size = rng.randint(2, 4)
+    entries = [[_element(rng, field) for _ in range(size)] for _ in range(size)]
+    rhs = [_element(rng, field) for _ in range(size)]
+    expected = _domain_matrix(entries, domain)
+    m = Matrix(field, entries)
+    assert expected.det()
+    inverse = expected.inv()
+    assert [[x.coeffs for x in row] for row in invert(m).data] == \
+        [[_from_anp(a, field) for a in row] for row in inverse.to_list()]
+    solution = inverse.matmul(_domain_matrix([[v] for v in rhs], domain))
+    assert [x.coeffs for x in solve(m, rhs)] == \
+        [_from_anp(row[0], field) for row in solution.to_list()]
+    # a product through an r-dimensional space has rank at most r
+    r, rows_n, cols_n = rng.randint(1, 2), rng.randint(3, 4), rng.randint(3, 5)
+    left = _domain_matrix([[_element(rng, field) for _ in range(r)] for _ in range(rows_n)], domain)
+    right = _domain_matrix([[_element(rng, field) for _ in range(cols_n)] for _ in range(r)],
+                           domain)
+    product = left.matmul(right)
+    low = _matrix_from_domain(product, field)
+    got = nullspace(Matrix(field, low))
+    kernel = product.nullspace().to_list()
+    assert len(got) == len(kernel) == cols_n - product.rank()
+    assert [[x.coeffs for x in v] for v in got] == [_normalized_anp(v, field) for v in kernel]
+    with pytest.raises(SingularMatrixError):
+        invert(Matrix(field, [row[:3] for row in low[:3]]))

@@ -13,14 +13,13 @@ import pytest
 from hopfcheck.catalog import build_sweedler
 from hopfcheck.duality import PairedSystem
 from hopfcheck.hopf import HopfAlgebra
+from hopfcheck.linalg import solve
 
-SPANS = Path(__file__).resolve().parents[1] / "hopfbench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "hopfbench"
 
 
-@pytest.fixture(scope="module")
-def spans():
-    name = "hopfbench_spans_under_test"
-    spec = importlib.util.spec_from_file_location(name, SPANS)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module  # dataclasses look the module up while it loads
     try:
@@ -28,6 +27,27 @@ def spans():
     finally:
         del sys.modules[name]
     return module
+
+
+@pytest.fixture(scope="module")
+def spans():
+    return _load("hopfbench_spans_under_test", BENCH / "spans.py")
+
+
+@pytest.fixture
+def micro(monkeypatch):
+    """micro.py imports its siblings inputs and spans by bare name; they
+    resolve from the benchmark directory and leave sys.modules afterwards."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    saved = {name: sys.modules.pop(name, None) for name in ("inputs", "spans")}
+    try:
+        yield _load("hopfbench_micro_under_test", BENCH / "micro.py")
+    finally:
+        for name, module in saved.items():
+            if module is None:
+                sys.modules.pop(name, None)
+            else:
+                sys.modules[name] = module
 
 
 def _resolve(owner, attr):
@@ -59,3 +79,11 @@ def test_names_the_tracer_relies_on():
         assert inspect.isfunction(_resolve("hopfcheck.duality", attr)), attr
     for attr in ("evaluate", "evaluate_side"):
         assert inspect.isfunction(_resolve("hopfcheck.identities", attr)), attr
+
+
+def test_micro_captures_the_sweedler_antipode_system(micro):
+    # `--trace 1` times solve on these captures (linalg.solve_ms.*)
+    matrix, rhs = micro.antipode_system(1, "sweedler")
+    assert (matrix.rows, matrix.cols) == (16, 16)
+    assert len(rhs) == 16
+    assert len(solve(matrix, rhs)) == 16

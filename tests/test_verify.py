@@ -1,7 +1,7 @@
 import dataclasses
 import re
 
-from hopfcheck import duality, hopf, modular, verify
+from hopfcheck import duality, hopf, linalg, modular
 from hopfcheck.catalog import builtin
 from hopfcheck.cli import full_report_text
 from hopfcheck.hopf import HopfAlgebra
@@ -97,7 +97,7 @@ def test_fourth_power_transports_to_the_bidual(paired):
 def test_full_report_builds_each_algebra_once(monkeypatch):
     calls = {"build_dual": 0, "validations": 0, "invert": 0}
     build_dual, validate = duality.build_dual, HopfAlgebra.validate
-    invert = verify.invert
+    invert = linalg.invert
 
     def counted_build_dual(h):
         calls["build_dual"] += 1
@@ -113,12 +113,13 @@ def test_full_report_builds_each_algebra_once(monkeypatch):
 
     monkeypatch.setattr(duality, "build_dual", counted_build_dual)
     monkeypatch.setattr(HopfAlgebra, "validate", counted_validate)
-    for module in (duality, hopf, modular, verify):
+    for module in (duality, hopf, modular):
         monkeypatch.setattr(module, "invert", counted_invert)
     text, ok = full_report_text(builtin("taft-3"))
     assert ok
     # the dual in pair_system and the bidual in swapped(); primal, dual and
-    # bidual validated once each.  invert: one per validation, 7 for the
-    # modular data of both sides, 5 for the bidual's, 4 operator inverses
-    # (S on both sides, sigma, sigma'), 1 Gram matrix in biduality_check
-    assert calls == {"build_dual": 2, "validations": 3, "invert": 20}
+    # bidual validated once each.  invert: one per validation, the two Gram
+    # matrices (of phi and psi) of each of the three algebras, sigma in each
+    # of the two dual_integrals calls, 4 operator inverses (S on both sides,
+    # sigma, sigma')
+    assert calls == {"build_dual": 2, "validations": 3, "invert": 15}
