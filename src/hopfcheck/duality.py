@@ -34,17 +34,18 @@ def build_dual(h: HopfAlgebra) -> HopfAlgebra:
     """
     h.require_valid()
     n = h.dim
-    mul_hat = [[[h.comul.entries[k][i][j] for k in range(n)] for j in range(n)] for i in range(n)]
-    comul_hat = [[[h.mul.entries[j][k][i] for k in range(n)] for j in range(n)] for i in range(n)]
+    # mul_hat[i][j][k] = comul[k][i][j] and comul_hat[i][j][k] = mul[j][k][i]
+    mul_hat = {(i, j, k): x for (k, i, j), x in h.comul.terms.items()}
+    comul_hat = {(i, j, k): x for (j, k, i), x in h.mul.terms.items()}
     unit_hat = list(h.counit)
     counit_hat = list(h.unit)
     antipode_hat = h.antipode.transpose()
     dual = HopfAlgebra(
         h.field,
         [f"{b}*" for b in h.basis_names],
-        Tensor3(h.field, mul_hat),
+        Tensor3(h.field, n, mul_hat),
         unit_hat,
-        Tensor3(h.field, comul_hat),
+        Tensor3(h.field, n, comul_hat),
         counit_hat,
         antipode_hat,
         name=f"dual({h.name})",
@@ -108,7 +109,7 @@ class PairedSystem:
         if name == "S":
             m = alg.antipode
         elif name == "Sinv":
-            m = invert(alg.antipode)
+            m = alg.antipode_inverse()
         elif name == "S2":
             m = self.operator("S", sort).pow(2)
         elif name == "Sinv2":

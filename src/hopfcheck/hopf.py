@@ -1,14 +1,20 @@
 """Finite-dimensional Hopf algebras presented by structure constants.
 
-A HopfAlgebra fixes a basis e_0..e_{n-1} and stores the product tensor
-(mul[i][j][k] = coefficient of e_k in e_i * e_j), the unit coordinates, the
-coproduct tensor (comul[i][j][k] = coefficient of e_j (x) e_k in the
-coproduct of e_i), the counit row, and the antipode matrix.  The unit is an
-arbitrary coordinate column: dual algebras have the counit as their unit,
-which is rarely a basis vector.
+A HopfAlgebra fixes a basis e_0..e_{n-1} and stores the nonzero structure
+constants of the product (mul, triples (i, j, k) for the coefficient of e_k
+in e_i * e_j) and of the coproduct (comul, triples (i, j, k) for the
+coefficient of e_j (x) e_k in the coproduct of e_i), the unit coordinates,
+the counit row, and the antipode matrix.  The unit is an arbitrary
+coordinate column: dual algebras have the counit as their unit, which is
+rarely a basis vector.
 
-All axioms are checked by exact contraction over every basis index, and the
-structure is frozen after construction, so instances can be shared freely.
+All axioms are checked by exact contraction over the stored nonzero terms,
+scanning basis indices in order, so a failure names the first failing
+index.  Regularity is checked through the antipode where there is one: the
+Galois maps are composed with their candidate inverses on every basis
+tensor (Larson-Sweedler: the Galois maps are invertible exactly when an
+antipode exists).  The structure is frozen after construction, so instances
+can be shared freely.
 """
 
 from __future__ import annotations
@@ -18,6 +24,10 @@ from dataclasses import dataclass
 from .linalg import Matrix, Tensor3, invert, rank, solve, SingularMatrixError, \
     InconsistentSystemError, NonUniqueSolutionError
 from .scalars import FieldSpec, Scalar
+
+# Largest dimension for which compute_antipode builds its dense system of
+# dim^2 equations in dim^2 unknowns (dim^4 entries); taft-6 has dim 36.
+ANTIPODE_DIM_LIMIT = 64
 
 
 class InvalidHopfAlgebraError(ValueError):
@@ -34,6 +44,19 @@ class NoAntipodeError(ValueError):
 
 class NotRegularError(ValueError):
     """A Galois map is singular: not a regular structure."""
+
+
+class AntipodeTooLargeError(ValueError):
+    """The algebra is too large for the dense antipode system."""
+
+
+def _summed(pairs):
+    """Sum (key, scalar) pairs by key; keys whose sum is zero are dropped."""
+    out = {}
+    for key, x in pairs:
+        prev = out.get(key)
+        out[key] = x if prev is None else prev + x
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 @dataclass(frozen=True)
@@ -114,7 +137,7 @@ class HopfAlgebra:
     __slots__ = (
         "name", "field", "dim", "basis_names", "mul", "unit", "comul",
         "counit", "antipode", "mul_terms", "comul_terms",
-        "_validation", "_coproduct_cache",
+        "_validation", "_antipode_inverse", "_coproduct_cache",
     )
 
     def __init__(self, field: FieldSpec, basis_names, mul: Tensor3, unit,
@@ -138,26 +161,22 @@ class HopfAlgebra:
         object.__setattr__(self, "comul", comul)
         object.__setattr__(self, "counit", tuple(field.scalar(c) for c in counit))
         object.__setattr__(self, "antipode", antipode)
-        # sparse views of the structure tensors, used by every contraction
-        mul_terms = tuple(
-            tuple(
-                tuple((k, x) for k, x in enumerate(mul.entries[i][j]) if not x.is_zero())
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        comul_terms = tuple(
-            tuple(
-                (j, k, x)
-                for j in range(n)
-                for k, x in enumerate(comul.entries[i][j])
-                if not x.is_zero()
-            )
-            for i in range(n)
-        )
-        object.__setattr__(self, "mul_terms", mul_terms)
-        object.__setattr__(self, "comul_terms", comul_terms)
+        # the stored terms grouped by input, read by every contraction:
+        # mul_terms[i][j] lists (k, x), comul_terms[i] lists (j, k, x)
+        # (rows without terms share one tuple, so a sparse load stays small)
+        mul_rows = {}
+        for (i, j, k), x in mul.terms.items():
+            mul_rows.setdefault(i, {}).setdefault(j, []).append((k, x))
+        empty_row = ((),) * n
+        comul_rows = [[] for _ in range(n)]
+        for (i, j, k), x in comul.terms.items():
+            comul_rows[i].append((j, k, x))
+        object.__setattr__(self, "mul_terms", tuple(
+            tuple(tuple(mul_rows[i].get(j, ())) for j in range(n)) if i in mul_rows
+            else empty_row for i in range(n)))
+        object.__setattr__(self, "comul_terms", tuple(map(tuple, comul_rows)))
         object.__setattr__(self, "_validation", None)
+        object.__setattr__(self, "_antipode_inverse", None)
         object.__setattr__(self, "_coproduct_cache", {})
 
     def __setattr__(self, *a):
@@ -203,16 +222,8 @@ class HopfAlgebra:
     def coproduct(self, a):
         """The coproduct of a coordinate column as a sparse tensor-square
         dict {(j, k): Scalar}."""
-        out = {}
-        for i, x in enumerate(a):
-            if x.is_zero():
-                continue
-            for j, k, c in self.comul_terms[i]:
-                key = (j, k)
-                prev = out.get(key)
-                val = x * c if prev is None else prev + x * c
-                out[key] = val
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        return _summed(((j, k), x * c) for i, x in enumerate(a) if not x.is_zero()
+                       for j, k, c in self.comul_terms[i])
 
     def iterated_coproduct(self, i: int, legs: int):
         """Terms of the (legs-1)-fold coproduct of basis element i.
@@ -227,16 +238,11 @@ class HopfAlgebra:
         if legs == 1:
             result = ((self.field.one(), (i,)),)
         else:
-            result = []
-            for coeff, idxs in self.iterated_coproduct(i, legs - 1):
-                # expand the last leg
-                for j, k, c in self.comul_terms[idxs[-1]]:
-                    result.append((coeff * c, idxs[:-1] + (j, k)))
-            merged = {}
-            for coeff, idxs in result:
-                prev = merged.get(idxs)
-                merged[idxs] = coeff if prev is None else prev + coeff
-            result = tuple((v, k) for k, v in merged.items() if not v.is_zero())
+            # expand the last leg
+            merged = _summed((idxs[:-1] + (j, k), coeff * c)
+                             for coeff, idxs in self.iterated_coproduct(i, legs - 1)
+                             for j, k, c in self.comul_terms[idxs[-1]])
+            result = tuple((coeff, idxs) for idxs, coeff in merged.items())
         self._coproduct_cache[key] = result
         return result
 
@@ -276,19 +282,10 @@ class HopfAlgebra:
 
     def tensor_square_product(self, x, y):
         """Product of two sparse tensor-square elements in A (x) A."""
-        out = {}
-        for (p, q), c in x.items():
-            mt_p = self.mul_terms[p]
-            mt_q = self.mul_terms[q]
-            for (r, s), d in y.items():
-                cd = c * d
-                for k1, c1 in mt_p[r]:
-                    for k2, c2 in mt_q[s]:
-                        key = (k1, k2)
-                        add = cd * c1 * c2
-                        prev = out.get(key)
-                        out[key] = add if prev is None else prev + add
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        mt = self.mul_terms
+        return _summed(((k1, k2), c * d * c1 * c2)
+                       for (p, q), c in x.items() for (r, s), d in y.items()
+                       for k1, c1 in mt[p][r] for k2, c2 in mt[q][s])
 
     # -- validation ----------------------------------------------------------
 
@@ -316,71 +313,67 @@ class HopfAlgebra:
         return self
 
     def _check_associativity(self) -> CheckResult:
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                ij = self.multiply(self.basis_column(i), self.basis_column(j))
-                for l in range(n):
-                    lhs = self.multiply(ij, self.basis_column(l))
-                    jl = self.multiply(self.basis_column(j), self.basis_column(l))
-                    rhs = self.multiply(self.basis_column(i), jl)
-                    if lhs != rhs:
-                        return CheckResult(
-                            "associativity", self.name, False,
-                            f"(e{i}*e{j})*e{l} != e{i}*(e{j}*e{l})")
+        mt = self.mul_terms
+        # row k as (l, t, d): e_k * e_l has coefficient d at e_t
+        rows = [tuple((l, t, d) for l, cell in enumerate(row) for t, d in cell) for row in mt]
+        for i, mt_i in enumerate(mt):
+            for j, ij in enumerate(mt_i):
+                if not (ij or rows[j]):
+                    continue  # both sides vanish for every l
+                # (e_i*e_j)*e_l and e_i*(e_j*e_l) for every l at once, keyed (l, t)
+                lhs = _summed(((l, t), c * d) for k, c in ij for l, t, d in rows[k])
+                rhs = _summed(((l, t), c * d) for l, m, c in rows[j] for t, d in mt_i[m])
+                if lhs != rhs:
+                    l = min(key[0] for key in lhs.keys() | rhs.keys()
+                            if lhs.get(key) != rhs.get(key))
+                    return CheckResult(
+                        "associativity", self.name, False,
+                        f"(e{i}*e{j})*e{l} != e{i}*(e{j}*e{l})")
         return CheckResult("associativity", self.name, True)
 
     def _check_unit(self) -> CheckResult:
-        one = self.unit_column()
+        mt = self.mul_terms
+        unit = [(u, x) for u, x in enumerate(self.unit) if not x.is_zero()]
+        one = self.field.one()
         for i in range(self.dim):
-            e = self.basis_column(i)
-            if self.multiply(one, e) != e or self.multiply(e, one) != e:
+            e = {i: one}
+            if (_summed((t, x * d) for u, x in unit for t, d in mt[u][i]) != e
+                    or _summed((t, x * d) for u, x in unit for t, d in mt[i][u]) != e):
                 return CheckResult("unit", self.name, False, f"unit law fails on e{i}")
         return CheckResult("unit", self.name, True)
 
     def _check_coassociativity(self) -> CheckResult:
-        n = self.dim
-        for i in range(n):
-            left = {}
-            right = {}
-            for j, k, c in self.comul_terms[i]:
-                for p, q, d in self.comul_terms[j]:
-                    key = (p, q, k)
-                    left[key] = left.get(key, self.field.zero()) + c * d
-                for p, q, d in self.comul_terms[k]:
-                    key = (j, p, q)
-                    right[key] = right.get(key, self.field.zero()) + c * d
-            left = {k: v for k, v in left.items() if not v.is_zero()}
-            right = {k: v for k, v in right.items() if not v.is_zero()}
+        ct = self.comul_terms
+        for i, terms in enumerate(ct):
+            left = _summed(((p, q, k), c * d) for j, k, c in terms for p, q, d in ct[j])
+            right = _summed(((j, p, q), c * d) for j, k, c in terms for p, q, d in ct[k])
             if left != right:
                 return CheckResult("coassociativity", self.name, False, f"fails on e{i}")
         return CheckResult("coassociativity", self.name, True)
 
     def _check_counit(self) -> CheckResult:
-        for i in range(self.dim):
-            left = self.zero_column()
-            right = self.zero_column()
-            for j, k, c in self.comul_terms[i]:
-                if not self.counit[j].is_zero():
-                    left[k] = left[k] + c * self.counit[j]
-                if not self.counit[k].is_zero():
-                    right[j] = right[j] + c * self.counit[k]
-            if left != self.basis_column(i) or right != self.basis_column(i):
+        counit = self.counit
+        one = self.field.one()
+        for i, terms in enumerate(self.comul_terms):
+            e = {i: one}
+            if (_summed((k, c * counit[j]) for j, k, c in terms) != e
+                    or _summed((j, c * counit[k]) for j, k, c in terms) != e):
                 return CheckResult("counit", self.name, False, f"counit law fails on e{i}")
         return CheckResult("counit", self.name, True)
 
     def _check_coproduct_homomorphism(self) -> CheckResult:
-        n = self.dim
         one_tensor = self.tensor_product_columns(self.unit_column(), self.unit_column())
         if self.coproduct(self.unit_column()) != one_tensor:
             return CheckResult("coproduct-homomorphism", self.name, False,
                                "coproduct of 1 is not 1 (x) 1")
-        for i in range(n):
-            di = self.coproduct(self.basis_column(i))
-            for j in range(n):
-                dj = self.coproduct(self.basis_column(j))
-                rhs = self.tensor_square_product(di, dj)
-                lhs = self.coproduct(self.multiply(self.basis_column(i), self.basis_column(j)))
+        ct = self.comul_terms
+        deltas = [{(p, q): c for p, q, c in terms} for terms in ct]
+        for i, mt_i in enumerate(self.mul_terms):
+            for j, ij in enumerate(mt_i):
+                if not (ij or (deltas[i] and deltas[j])):
+                    continue  # both sides vanish
+                rhs = self.tensor_square_product(deltas[i], deltas[j])
+                lhs = _summed(((p, q), c * d) for k, c in ij for p, q, d in ct[k])
                 if lhs != rhs:
                     return CheckResult(
                         "coproduct-homomorphism", self.name, False,
@@ -390,11 +383,13 @@ class HopfAlgebra:
     def _check_counit_homomorphism(self) -> CheckResult:
         if not self.counit_of(self.unit_column()).is_one():
             return CheckResult("counit-homomorphism", self.name, False, "counit(1) != 1")
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                prod = self.multiply(self.basis_column(i), self.basis_column(j))
-                if self.counit_of(prod) != self.counit[i] * self.counit[j]:
+        counit = self.counit
+        for i, mt_i in enumerate(self.mul_terms):
+            for j, ij in enumerate(mt_i):
+                value = self.field.zero()
+                for k, c in ij:
+                    value = value + c * counit[k]
+                if value != counit[i] * counit[j]:
                     return CheckResult(
                         "counit-homomorphism", self.name, False,
                         f"counit(e{i}*e{j}) != counit(e{i})*counit(e{j})")
@@ -406,38 +401,36 @@ class HopfAlgebra:
                     CheckResult("antipode-right", self.name, False, "no antipode stored"),
                     CheckResult("antipode-invertible", self.name, False, "no antipode stored")]
         checks = []
-        s_cols = [self.antipode.column(j) for j in range(self.dim)]
-        for side in ("left", "right"):
-            ok = True
+        s_cols = self.antipode.nonzero_columns()
+        id_cols = Matrix.identity(self.field, self.dim).nonzero_columns()
+        unit = [(t, u) for t, u in enumerate(self.unit) if not u.is_zero()]
+        for side, f_cols, g_cols in (("left", s_cols, id_cols), ("right", id_cols, s_cols)):
             detail = ""
             for i in range(self.dim):
-                acc = self.zero_column()
-                for j, k, c in self.comul_terms[i]:
-                    if side == "left":
-                        term = self.multiply(s_cols[j], self.basis_column(k))
-                    else:
-                        term = self.multiply(self.basis_column(j), s_cols[k])
-                    for t in range(self.dim):
-                        if not term[t].is_zero():
-                            acc[t] = acc[t] + c * term[t]
-                expected = [self.counit[i] * u for u in self.unit]
-                if acc != expected:
-                    ok = False
+                expected = _summed((t, self.counit[i] * u) for t, u in unit)
+                if _convolution_column(self, f_cols, g_cols, i) != expected:
                     detail = f"antipode {side} law fails on e{i}"
                     break
-            checks.append(CheckResult(f"antipode-{side}", self.name, ok, detail))
+            checks.append(CheckResult(f"antipode-{side}", self.name, not detail, detail))
         try:
-            invert(self.antipode)
+            object.__setattr__(self, "_antipode_inverse", invert(self.antipode))
             checks.append(CheckResult("antipode-invertible", self.name, True))
         except SingularMatrixError:
             checks.append(CheckResult("antipode-invertible", self.name, False,
                                       "antipode matrix is singular"))
         return checks
 
+    def antipode_inverse(self) -> Matrix:
+        """The inverse of the antipode, as found while validating it."""
+        self.validate()
+        if self._antipode_inverse is None:
+            raise InvalidHopfAlgebraError(f"{self.name}: antipode is missing or singular")
+        return self._antipode_inverse
+
 
 def is_commutative(h: HopfAlgebra) -> bool:
-    t = h.mul.entries
-    return all(t[i][j] == t[j][i] for i in range(h.dim) for j in range(i))
+    mt = h.mul_terms
+    return all(mt[i][j] == mt[j][i] for i in range(h.dim) for j in range(i))
 
 
 def is_cocommutative(h: HopfAlgebra) -> bool:
@@ -460,17 +453,28 @@ def unit_counit_map(h: HopfAlgebra) -> Matrix:
     return Matrix.from_columns(h.field, cols)
 
 
+def _convolution_column(h: HopfAlgebra, f_cols, g_cols, i: int):
+    """(f * g)(e_i) = sum f(e_i(1)) g(e_i(2)) as a sparse column, where
+    f_cols and g_cols are the nonzero entries of each column of f and g."""
+    mt = h.mul_terms
+    return _summed(
+        (t, c * x * y * d)
+        for j, k, c in h.comul_terms[i]
+        for m, x in f_cols[j]
+        for r, y in g_cols[k]
+        for t, d in mt[m][r]
+    )
+
+
 def convolve(f: Matrix, g: Matrix, h: HopfAlgebra) -> Matrix:
     """Convolution product of two endomorphisms: mul o (f (x) g) o coproduct."""
+    f_cols, g_cols = f.nonzero_columns(), g.nonzero_columns()
     cols = []
     for i in range(h.dim):
-        acc = h.zero_column()
-        for j, k, c in h.comul_terms[i]:
-            term = h.multiply(f.column(j), g.column(k))
-            for t in range(h.dim):
-                if not term[t].is_zero():
-                    acc[t] = acc[t] + c * term[t]
-        cols.append(acc)
+        col = h.zero_column()
+        for t, x in _convolution_column(h, f_cols, g_cols, i).items():
+            col[t] = x
+        cols.append(col)
     return Matrix.from_columns(h.field, cols)
 
 
@@ -482,9 +486,15 @@ def compute_antipode(h: HopfAlgebra) -> Matrix:
     two-sided convolution inverse of the identity, and the right law is
     re-checked afterwards.  Raises NoAntipodeError when the system is
     inconsistent; an underdetermined system cannot happen for honest
-    bialgebra data and raises CorruptedDataError.
+    bialgebra data and raises CorruptedDataError.  Raises
+    AntipodeTooLargeError, before building anything, when the dimension
+    exceeds ANTIPODE_DIM_LIMIT.
     """
     n = h.dim
+    if n > ANTIPODE_DIM_LIMIT:
+        raise AntipodeTooLargeError(
+            f"{h.name}: dim {n} exceeds the antipode synthesis limit of "
+            f"{ANTIPODE_DIM_LIMIT} (the system has dim^2 unknowns)")
     field = h.field
     zero = field.zero()
     rows = [[zero] * (n * n) for _ in range(n * n)]
@@ -517,92 +527,53 @@ def compute_antipode(h: HopfAlgebra) -> Matrix:
 # Galois (regularity) maps on the tensor square
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GaloisMaps:
-    t1: Matrix
-    t2: Matrix
-    t1_inv: Matrix
-    t2_inv: Matrix
+def _image_of(images, x):
+    """The image of the sparse tensor x under the linear map whose basis
+    images are images[(i, j)]."""
+    return _summed((k, c * d) for key, c in x.items() for k, d in images[key].items())
 
 
-def _tensor_map_matrix(h: HopfAlgebra, image):
-    """Assemble the matrix of a map on A (x) A given by image(i, j) -> dict."""
-    n = h.dim
-    zero = h.field.zero()
-    rows = [[zero] * (n * n) for _ in range(n * n)]
-    for i in range(n):
-        for j in range(n):
-            col = i * n + j
-            for (p, q), c in image(i, j).items():
-                rows[p * n + q][col] = c
-    return Matrix(h.field, rows)
+def galois_maps(h: HopfAlgebra) -> None:
+    """Check regularity: the maps T1(a (x) b) = coproduct(a)(1 (x) b) and
+    T2(a (x) b) = (a (x) 1)coproduct(b) are invertible, else NotRegularError.
 
-
-def galois_maps(h: HopfAlgebra) -> GaloisMaps:
-    """The canonical maps T1(a (x) b) = coproduct(a)(1 (x) b) and
-    T2(a (x) b) = (a (x) 1)coproduct(b), with their exact inverses.
-
-    Their invertibility is the regularity condition; when the antipode is
-    available the inverses are assembled from it and verified by exact
-    composition, otherwise invertibility is decided by elimination.
-    Raises NotRegularError when either map is singular.
+    With an antipode, T1 and T2 are composed both ways with the candidate
+    inverses R1(a (x) b) = a_(1) (x) S(a_(2)) b and
+    R2(a (x) b) = a S(b_(1)) (x) b_(2) on every basis tensor, exactly;
+    without one, the rank of each map decides.
     """
     n = h.dim
-
-    def t1_image(i, j):
-        out = {}
-        for p, q, c in h.comul_terms[i]:
-            for k, d in h.mul_terms[q][j]:
-                key = (p, k)
-                out[key] = out.get(key, h.field.zero()) + c * d
-        return out
-
-    def t2_image(i, j):
-        out = {}
-        for p, q, c in h.comul_terms[j]:
-            for k, d in h.mul_terms[i][p]:
-                key = (k, q)
-                out[key] = out.get(key, h.field.zero()) + c * d
-        return out
-
-    t1 = _tensor_map_matrix(h, t1_image)
-    t2 = _tensor_map_matrix(h, t2_image)
+    mt, ct = h.mul_terms, h.comul_terms
+    basis = [(i, j) for i in range(n) for j in range(n)]
+    t1 = {(i, j): _summed(((p, k), c * d) for p, q, c in ct[i] for k, d in mt[q][j])
+          for i, j in basis}
+    t2 = {(i, j): _summed(((k, q), c * d) for p, q, c in ct[j] for k, d in mt[i][p])
+          for i, j in basis}
 
     if h.antipode is None:
-        for name, m in (("T1", t1), ("T2", t2)):
-            if rank(m) < n * n:
+        zero = h.field.zero()
+        for name, t in (("T1", t1), ("T2", t2)):
+            rows = []  # one row per basis image: the transpose, of the same rank
+            for image in t.values():
+                row = [zero] * (n * n)
+                for (p, q), c in image.items():
+                    row[p * n + q] = c
+                rows.append(row)
+            if rank(Matrix(h.field, rows)) < n * n:
                 raise NotRegularError(f"{h.name}: {name} is singular")
-        return GaloisMaps(t1, t2, invert(t1), invert(t2))
+        return
 
-    s_cols = [h.antipode.column(j) for j in range(n)]
-
-    def r1_image(i, j):
-        # a (x) b -> sum a_(1) (x) S(a_(2)) b
-        out = {}
-        for p, q, c in h.comul_terms[i]:
-            term = h.multiply(s_cols[q], h.basis_column(j))
-            for k, x in enumerate(term):
-                if not x.is_zero():
-                    key = (p, k)
-                    out[key] = out.get(key, h.field.zero()) + c * x
-        return out
-
-    def r2_image(i, j):
-        # a (x) b -> sum a S(b_(1)) (x) b_(2)
-        out = {}
-        for p, q, c in h.comul_terms[j]:
-            term = h.multiply(h.basis_column(i), s_cols[p])
-            for k, x in enumerate(term):
-                if not x.is_zero():
-                    key = (k, q)
-                    out[key] = out.get(key, h.field.zero()) + c * x
-        return out
-
-    r1 = _tensor_map_matrix(h, r1_image)
-    r2 = _tensor_map_matrix(h, r2_image)
-    ident = Matrix.identity(h.field, n * n)
-    if t1 * r1 != ident or r1 * t1 != ident:
-        raise NotRegularError(f"{h.name}: T1 candidate inverse failed; map is not invertible")
-    if t2 * r2 != ident or r2 * t2 != ident:
-        raise NotRegularError(f"{h.name}: T2 candidate inverse failed; map is not invertible")
-    return GaloisMaps(t1, t2, r1, r2)
+    s_cols = h.antipode.nonzero_columns()
+    r1 = {(i, j): _summed(((p, k), c * x * d)
+                          for p, q, c in ct[i] for m, x in s_cols[q] for k, d in mt[m][j])
+          for i, j in basis}
+    r2 = {(i, j): _summed(((k, q), c * x * d)
+                          for p, q, c in ct[j] for m, x in s_cols[p] for k, d in mt[i][m])
+          for i, j in basis}
+    one = h.field.one()
+    for name, t, r in (("T1", t1, r1), ("T2", t2, r2)):
+        for key in basis:
+            e = {key: one}
+            if _image_of(t, r[key]) != e or _image_of(r, t[key]) != e:
+                raise NotRegularError(
+                    f"{h.name}: {name} candidate inverse failed; map is not invertible")

@@ -1,11 +1,12 @@
-"""Exact dense linear algebra over a FieldSpec.
+"""Exact linear algebra over a FieldSpec.
 
 Everything here is pure and deterministic: one Gauss-Jordan reduction,
 with first-nonzero pivoting in column order, brings a matrix to its
 reduced row echelon form, which is unique, so nullspace bases, solutions,
 inverses, ranks and determinants are read off it reproducibly.
-Matrices are immutable after construction; sizes stay small (dimension of
-an algebra squared at worst), so storage is dense.
+Matrices are immutable after construction and stored dense; their sizes
+stay small (dimension of an algebra squared at worst).  Structure tensors
+are stored sparse, as their nonzero triples.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ class Matrix:
                 return result
             base = base * base
 
-    def _columns_nonzero(self):
+    def nonzero_columns(self):
+        """Per column, the (row, value) pairs of its nonzero entries; cached."""
         cols = self._sparse_cols
         if cols is None:
             cols = tuple(
@@ -130,7 +132,7 @@ class Matrix:
         """Matrix times coordinate column (list of Scalars)."""
         zero = self.field.zero()
         out = [zero] * self.rows
-        cols = self._columns_nonzero()
+        cols = self.nonzero_columns()
         for j, c in enumerate(column):
             if c.is_zero():
                 continue
@@ -170,53 +172,47 @@ class Matrix:
 
 
 class Tensor3:
-    """Cubic array of scalars: structure constants of a bilinear map.
+    """Structure constants of a bilinear map, stored sparse.
 
-    entries[i][j][k] is the coefficient of basis element k in the product
-    of basis elements i and j (or the coefficient of e_j (x) e_k in a
-    coproduct, with the first index the input).
+    terms maps each index triple (i, j, k) with a nonzero coefficient to that
+    coefficient: of basis element k in the product of basis elements i and j
+    (or of e_j (x) e_k in a coproduct, with the first index the input).
+    Absent triples are zero, so storage grows with the nonzero count, never
+    with dim^3.  Triples are kept in index order.
     """
 
-    __slots__ = ("field", "dim", "entries")
+    __slots__ = ("field", "dim", "terms")
 
-    def __init__(self, field: FieldSpec, entries):
-        n = len(entries)
-        data = tuple(
-            tuple(tuple(field.scalar(x) for x in row) for row in plane) for plane in entries
-        )
-        for plane in data:
-            if len(plane) != n or any(len(row) != n for row in plane):
-                raise ValueError("tensor must be cubic")
+    def __init__(self, field: FieldSpec, dim: int, triples):
+        terms = {}
+        for key in sorted(triples):
+            if len(key) != 3 or not all(0 <= t < dim for t in key):
+                raise ValueError(f"index triple {key!r} out of range for dim {dim}")
+            x = field.scalar(triples[key])
+            if not x.is_zero():
+                terms[key] = x
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "entries", data)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, *a):
         raise AttributeError("Tensor3 is immutable")
 
     @classmethod
     def from_dict(cls, field: FieldSpec, dim: int, triples) -> "Tensor3":
-        z = field.zero()
-        entries = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j, k), value in triples.items():
-            entries[i][j][k] = field.scalar(value)
-        return cls(field, entries)
-
-    def __getitem__(self, idx):
-        return self.entries[idx]
+        """The tensor with the given {(i, j, k): value} entries, zero elsewhere."""
+        return cls(field, dim, triples)
 
     def __eq__(self, other):
         if not isinstance(other, Tensor3):
             return NotImplemented
-        return self.field == other.field and self.entries == other.entries
+        return (self.field == other.field and self.dim == other.dim
+                and self.terms == other.terms)
 
     def nonzero(self):
         """Yield (i, j, k, value) over nonzero entries in index order."""
-        for i, plane in enumerate(self.entries):
-            for j, row in enumerate(plane):
-                for k, x in enumerate(row):
-                    if not x.is_zero():
-                        yield i, j, k, x
+        for (i, j, k), x in self.terms.items():
+            yield i, j, k, x
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -52,11 +53,9 @@ def test_taft2_matches_sweedler_over_q():
     sw = build_sweedler()
     assert taft.basis_names == sw.basis_names
     n = sw.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                assert taft.mul.entries[i][j][k].as_rational() == sw.mul.entries[i][j][k].as_rational()
-                assert taft.comul.entries[i][j][k].as_rational() == sw.comul.entries[i][j][k].as_rational()
+    for t_taft, t_sw in ((taft.mul, sw.mul), (taft.comul, sw.comul)):
+        assert {key: x.as_rational() for key, x in t_taft.terms.items()} == \
+            {key: x.as_rational() for key, x in t_sw.terms.items()}
     for i in range(n):
         assert taft.counit[i].as_rational() == sw.counit[i].as_rational()
         assert taft.unit[i].as_rational() == sw.unit[i].as_rational()
@@ -112,6 +111,29 @@ def test_missing_antipode_is_synthesized(tmp_path):
     path.write_text(json.dumps(doc))
     back = read_algebra(path)
     assert back.antipode == h.antipode
+
+
+def test_large_dim_loads_without_cubic_allocation(tmp_path):
+    # dim comes from the file; a handful of triples must cost memory for the
+    # triples, not dim^3 stored entries
+    dim = 2000
+    doc = {"name": "wide", "field": {"kind": "rational"}, "dim": dim,
+           "basis": [f"b{i}" for i in range(dim)],
+           "mul": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]],
+           "comul": [[0, 0, 0, "1"], [1, 1, 0, "1"]],
+           "unit": ["1"] + ["0"] * (dim - 1), "counit": ["1"] * dim}
+    path = tmp_path / "wide.alg"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        h = read_algebra(path, synthesize_antipode=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.dim == dim and len(h.mul.terms) == 3 and len(h.comul.terms) == 2
+    assert peak < 8 * dim ** 2  # under one pointer per dim^2 entry, let alone dim^3
+    with pytest.raises(AlgebraFileSemanticError, match="bialgebra axioms fail: unit"):
+        read_algebra(path)
 
 
 def test_dangling_index_is_semantic_error(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 
 from hopfcheck.cli import matrix_order, order_text, run
 from hopfcheck.catalog import read_algebra
+from hopfcheck.hopf import ANTIPODE_DIM_LIMIT
 from hopfcheck.linalg import Matrix
 from hopfcheck.scalars import RATIONAL
 
@@ -216,6 +217,19 @@ def test_nonlinear_identity_exits_2(tmp_path):
     ids.write_text("square: forall a in A, y in Ahat . <a(1) * a(1), y> = <a(2), y>\n")
     code, text = run(["check", str(src), "--corpus", str(ids)])
     assert code == 2 and text.startswith("error: square: a(1) occurs more than once"), text
+
+
+def test_antipode_synthesis_past_the_dimension_limit_exits_2(tmp_path):
+    n = ANTIPODE_DIM_LIMIT + 1
+    path = tmp_path / "big.alg"
+    assert run(["example", "group-algebra", "--cyclic", str(n), "-o", str(path)])[0] == 0
+    doc = json.loads(path.read_text())
+    del doc["antipode"]
+    path.write_text(json.dumps(doc))
+    code, text = run(["verify-axioms", str(path)])
+    assert code == 2
+    assert text == (f"error: group-z{n}: dim {n} exceeds the antipode synthesis limit of "
+                    f"{ANTIPODE_DIM_LIMIT} (the system has dim^2 unknowns)\n")
 
 
 def test_order_past_the_cap_prints_the_bound():

@@ -196,12 +196,14 @@ def test_pairing_dualities(paired):
     for name in ("group-s3", "sweedler", "taft-3"):
         sys = paired(name)
         h, dual = sys.primal, sys.dual
+        zero = h.field.zero()
         for i in range(h.dim):
             for j in range(h.dim):
                 prod = h.multiply(h.basis_column(i), h.basis_column(j))
                 for k in range(dual.dim):
-                    assert prod[k] == dual.comul.entries[k][i][j]
-                    assert dual.mul.entries[i][j][k] == h.comul.entries[k][i][j]
+                    assert prod[k] == dual.comul.terms.get((k, i, j), zero)
+                    assert dual.mul.terms.get((i, j, k), zero) == \
+                        h.comul.terms.get((k, i, j), zero)
         for i in range(h.dim):
             a = h.basis_column(i)
             sa = h.antipode.apply(a)

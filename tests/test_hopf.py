@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
-from hopfcheck.catalog import (build_function_algebra, build_group_algebra,
-                               build_nongroup_monoid_bialgebra, build_sweedler,
-                               cyclic_group, symmetric_group)
-from hopfcheck.hopf import (HopfAlgebra, NoAntipodeError, NotRegularError, convolve,
+from hopfcheck.catalog import (BUILTIN_BUILDERS, build_function_algebra,
+                               build_group_algebra, build_nongroup_monoid_bialgebra,
+                               build_sweedler, build_taft, builtin, cyclic_group,
+                               symmetric_group)
+from hopfcheck.hopf import (ANTIPODE_DIM_LIMIT, AntipodeTooLargeError, CheckResult,
+                            HopfAlgebra, NoAntipodeError, NotRegularError, convolve,
                             compute_antipode, galois_maps, is_cocommutative,
                             is_commutative, unit_counit_map)
 from hopfcheck.linalg import Matrix, Tensor3, determinant, invert
@@ -114,18 +118,26 @@ def test_compute_antipode_rejects_nongroup_monoid():
 
 
 def test_galois_maps_invertible_and_inverse_exact():
+    # T o R and R o T fix every basis tensor, for both Galois maps
     for h in (build_group_algebra(cyclic_group(2), "z2"), build_sweedler()):
-        gm = galois_maps(h)
+        galois_maps(h)
+        t1, t2, r1, r2 = _dense_galois_matrices(h)
         n2 = h.dim * h.dim
-        ident = Matrix.identity(h.field, n2)
-        assert gm.t1 * gm.t1_inv == ident and gm.t1_inv * gm.t1 == ident
-        assert gm.t2 * gm.t2_inv == ident and gm.t2_inv * gm.t2 == ident
+        for t, r in ((t1, r1), (t2, r2)):
+            for col in range(n2):
+                e = [F.one() if row == col else F.zero() for row in range(n2)]
+                assert t.apply(r.apply(e)) == e and r.apply(t.apply(e)) == e
 
 
 def test_galois_determinant_nonzero_on_sweedler():
-    gm = galois_maps(build_sweedler())
-    assert not determinant(gm.t1).is_zero()
-    assert not determinant(gm.t2).is_zero()
+    # both routes pass: composition with the inverses built from the
+    # antipode, and the rank test when no antipode is stored
+    h = build_sweedler()
+    galois_maps(h)
+    galois_maps(without_antipode(h))
+    t1, t2, _, _ = _dense_galois_matrices(h)
+    assert not determinant(t1).is_zero()
+    assert not determinant(t2).is_zero()
 
 
 def test_galois_singular_without_antipode():
@@ -209,3 +221,228 @@ def test_shape_mismatch_is_construction_error():
     with pytest.raises(ValueError):
         HopfAlgebra(h.field, h.basis_names, h.mul, h.unit, h.comul, h.counit,
                     Matrix.identity(F, 3))
+
+
+def test_compute_antipode_refuses_large_dimension_before_building():
+    n = ANTIPODE_DIM_LIMIT + 1
+    h = without_antipode(build_group_algebra(cyclic_group(n), "big"))
+    with pytest.raises(AntipodeTooLargeError) as err:
+        compute_antipode(h)
+    assert f"dim {n}" in str(err.value) and str(ANTIPODE_DIM_LIMIT) in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# dense reference: the checks as they were written before the structure
+# constants were stored sparse, on dense basis columns and dense n^2 x n^2
+# Galois matrices.  The sparse checks must agree with it on pass/fail, on
+# every witness and on every NotRegularError message.
+# ---------------------------------------------------------------------------
+
+def _dense_associativity(h):
+    n = h.dim
+    for i in range(n):
+        for j in range(n):
+            ij = h.multiply(h.basis_column(i), h.basis_column(j))
+            for l in range(n):
+                lhs = h.multiply(ij, h.basis_column(l))
+                jl = h.multiply(h.basis_column(j), h.basis_column(l))
+                rhs = h.multiply(h.basis_column(i), jl)
+                if lhs != rhs:
+                    return CheckResult("associativity", h.name, False,
+                                       f"(e{i}*e{j})*e{l} != e{i}*(e{j}*e{l})")
+    return CheckResult("associativity", h.name, True)
+
+
+def _dense_unit(h):
+    one = h.unit_column()
+    for i in range(h.dim):
+        e = h.basis_column(i)
+        if h.multiply(one, e) != e or h.multiply(e, one) != e:
+            return CheckResult("unit", h.name, False, f"unit law fails on e{i}")
+    return CheckResult("unit", h.name, True)
+
+
+def _dense_coproduct_homomorphism(h):
+    n = h.dim
+    one_tensor = h.tensor_product_columns(h.unit_column(), h.unit_column())
+    if h.coproduct(h.unit_column()) != one_tensor:
+        return CheckResult("coproduct-homomorphism", h.name, False,
+                           "coproduct of 1 is not 1 (x) 1")
+    for i in range(n):
+        di = h.coproduct(h.basis_column(i))
+        for j in range(n):
+            dj = h.coproduct(h.basis_column(j))
+            rhs = h.tensor_square_product(di, dj)
+            lhs = h.coproduct(h.multiply(h.basis_column(i), h.basis_column(j)))
+            if lhs != rhs:
+                return CheckResult(
+                    "coproduct-homomorphism", h.name, False,
+                    f"coproduct(e{i}*e{j}) != coproduct(e{i})*coproduct(e{j})")
+    return CheckResult("coproduct-homomorphism", h.name, True)
+
+
+def _dense_counit_homomorphism(h):
+    if not h.counit_of(h.unit_column()).is_one():
+        return CheckResult("counit-homomorphism", h.name, False, "counit(1) != 1")
+    for i in range(h.dim):
+        for j in range(h.dim):
+            prod = h.multiply(h.basis_column(i), h.basis_column(j))
+            if h.counit_of(prod) != h.counit[i] * h.counit[j]:
+                return CheckResult(
+                    "counit-homomorphism", h.name, False,
+                    f"counit(e{i}*e{j}) != counit(e{i})*counit(e{j})")
+    return CheckResult("counit-homomorphism", h.name, True)
+
+
+def _dense_antipode_laws(h):
+    checks = []
+    s_cols = [h.antipode.column(j) for j in range(h.dim)]
+    for side in ("left", "right"):
+        ok, detail = True, ""
+        for i in range(h.dim):
+            acc = h.zero_column()
+            for j, k, c in h.comul_terms[i]:
+                if side == "left":
+                    term = h.multiply(s_cols[j], h.basis_column(k))
+                else:
+                    term = h.multiply(h.basis_column(j), s_cols[k])
+                for t in range(h.dim):
+                    if not term[t].is_zero():
+                        acc[t] = acc[t] + c * term[t]
+            if acc != [h.counit[i] * u for u in h.unit]:
+                ok, detail = False, f"antipode {side} law fails on e{i}"
+                break
+        checks.append(CheckResult(f"antipode-{side}", h.name, ok, detail))
+    return checks
+
+
+def _dense_convolve(f, g, h):
+    cols = []
+    for i in range(h.dim):
+        acc = h.zero_column()
+        for j, k, c in h.comul_terms[i]:
+            term = h.multiply(f.column(j), g.column(k))
+            for t in range(h.dim):
+                if not term[t].is_zero():
+                    acc[t] = acc[t] + c * term[t]
+        cols.append(acc)
+    return Matrix.from_columns(h.field, cols)
+
+
+def _tensor_map_matrix(h, image):
+    n = h.dim
+    zero = h.field.zero()
+    rows = [[zero] * (n * n) for _ in range(n * n)]
+    for i in range(n):
+        for j in range(n):
+            for (p, q), c in image(i, j).items():
+                rows[p * n + q][i * n + j] = c
+    return Matrix(h.field, rows)
+
+
+def _dense_galois_matrices(h):
+    """T1, T2 and, from the antipode, their candidate inverses R1, R2."""
+    zero = h.field.zero()
+    s_cols = [h.antipode.column(j) for j in range(h.dim)]
+
+    def t1_image(i, j):
+        out = {}
+        for p, q, c in h.comul_terms[i]:
+            for k, d in h.mul_terms[q][j]:
+                out[(p, k)] = out.get((p, k), zero) + c * d
+        return out
+
+    def t2_image(i, j):
+        out = {}
+        for p, q, c in h.comul_terms[j]:
+            for k, d in h.mul_terms[i][p]:
+                out[(k, q)] = out.get((k, q), zero) + c * d
+        return out
+
+    def r1_image(i, j):
+        out = {}
+        for p, q, c in h.comul_terms[i]:
+            for k, x in enumerate(h.multiply(s_cols[q], h.basis_column(j))):
+                if not x.is_zero():
+                    out[(p, k)] = out.get((p, k), zero) + c * x
+        return out
+
+    def r2_image(i, j):
+        out = {}
+        for p, q, c in h.comul_terms[j]:
+            for k, x in enumerate(h.multiply(h.basis_column(i), s_cols[p])):
+                if not x.is_zero():
+                    out[(k, q)] = out.get((k, q), zero) + c * x
+        return out
+
+    return tuple(_tensor_map_matrix(h, image)
+                 for image in (t1_image, t2_image, r1_image, r2_image))
+
+
+def _dense_galois(h):
+    """The message of the NotRegularError the dense check raised, or None."""
+    t1, t2, r1, r2 = _dense_galois_matrices(h)
+    ident = Matrix.identity(h.field, h.dim * h.dim)
+    if t1 * r1 != ident or r1 * t1 != ident:
+        return f"{h.name}: T1 candidate inverse failed; map is not invertible"
+    if t2 * r2 != ident or r2 * t2 != ident:
+        return f"{h.name}: T2 candidate inverse failed; map is not invertible"
+    return None
+
+
+def _sparse_galois(h):
+    try:
+        galois_maps(h)
+    except NotRegularError as exc:
+        return str(exc)
+    return None
+
+
+def _assert_sparse_matches_dense(h):
+    sparse = {c.check: c for c in h.validate().checks}
+    dense = [_dense_associativity(h), _dense_unit(h), _dense_coproduct_homomorphism(h),
+             _dense_counit_homomorphism(h), *_dense_antipode_laws(h)]
+    for reference in dense:
+        assert sparse[reference.check] == reference, (h.name, reference.check)
+    assert _sparse_galois(h) == _dense_galois(h), h.name
+    s = h.antipode
+    ident = Matrix.identity(h.field, h.dim)
+    for f, g in ((s, ident), (ident, s), (s, s)):
+        assert convolve(f, g, h) == _dense_convolve(f, g, h), h.name
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_BUILDERS) + ["taft-5"])
+def test_sparse_checks_match_dense_reference(name):
+    h = build_taft(5) if name == "taft-5" else builtin(name)
+    assert h.validate().ok
+    _assert_sparse_matches_dense(h)
+
+
+def _corrupted(h, rng):
+    """h with exactly one structure constant of mul or comul changed: a
+    stored one shifted or zeroed, or an absent one made nonzero."""
+    n = h.dim
+    target = rng.choice(("mul", "comul"))
+    terms = dict(getattr(h, target).terms)
+    if rng.random() < 0.5:
+        key = rng.choice(sorted(terms))
+        terms[key] = terms[key] + rng.choice((-1, 1)) if rng.random() < 0.7 else 0
+    else:
+        key = (rng.randrange(n), rng.randrange(n), rng.randrange(n))
+        terms[key] = terms.get(key, h.field.zero()) + rng.choice((-2, -1, 1, 2))
+    tensors = {"mul": h.mul, "comul": h.comul}
+    tensors[target] = Tensor3.from_dict(h.field, n, terms)
+    return HopfAlgebra(h.field, h.basis_names, tensors["mul"], h.unit, tensors["comul"],
+                       h.counit, h.antipode, name=f"{h.name}-{target}{key}")
+
+
+@pytest.mark.parametrize("name", ["group-s3", "functions-s3", "sweedler", "taft-3"])
+def test_sparse_checks_match_dense_reference_on_corrupted_constants(name):
+    rng = random.Random(f"corrupt:{name}")
+    source = builtin(name)
+    failed = 0
+    for _ in range(12):
+        h = _corrupted(source, rng)
+        _assert_sparse_matches_dense(h)
+        failed += not h.validate().ok
+    assert failed == 12  # one changed constant always breaks some axiom

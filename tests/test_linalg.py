@@ -158,10 +158,12 @@ def test_determinant_values():
 
 def test_tensor3_shape_checks():
     with pytest.raises(ValueError):
-        Tensor3(F, [[[0, 0], [0, 0]]])  # not cubic
-    t = Tensor3.from_dict(F, 2, {(0, 1, 1): 5})
-    assert t[0][1][1] == F.scalar(5)
-    assert list(t.nonzero()) == [(0, 1, 1, F.scalar(5))]
+        Tensor3.from_dict(F, 2, {(0, 2, 1): 1})  # index out of range
+    with pytest.raises(ValueError):
+        Tensor3.from_dict(F, 2, {(0, 1): 1})  # not a triple
+    t = Tensor3.from_dict(F, 2, {(1, 0, 0): 3, (0, 1, 1): 5, (1, 1, 1): 0})
+    assert t.terms == {(0, 1, 1): F.scalar(5), (1, 0, 0): F.scalar(3)}  # zeros dropped
+    assert list(t.nonzero()) == [(0, 1, 1, F.scalar(5)), (1, 0, 0, F.scalar(3))]
 
 
 def test_ragged_rows_rejected():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfcheck.catalog import build_sweedler
+from hopfcheck.catalog import build_sweedler, builtin
 from hopfcheck.duality import PairedSystem
 from hopfcheck.hopf import HopfAlgebra
 from hopfcheck.linalg import solve
@@ -79,6 +79,17 @@ def test_names_the_tracer_relies_on():
         assert inspect.isfunction(_resolve("hopfcheck.duality", attr)), attr
     for attr in ("evaluate", "evaluate_side"):
         assert inspect.isfunction(_resolve("hopfcheck.identities", attr)), attr
+
+
+def test_inputs_relabel_keeps_a_valid_algebra():
+    # the benchmark writes its inputs through Tensor3.from_dict and nonzero()
+    inputs = _load("hopfbench_inputs_under_test", BENCH / "inputs.py")
+    source = builtin("taft-3")
+    h = inputs.relabel(source, inputs.choose_relabelling(1, "taft-3", source.dim))
+    assert h.validate().ok
+    assert len(h.mul.terms) == len(source.mul.terms)
+    assert len(h.comul.terms) == len(source.comul.terms)
+    assert h.mul != source.mul  # the seed-1 relabelling moves the constants
 
 
 def test_micro_captures_the_sweedler_antipode_system(micro):
