@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from importlib import resources
 
@@ -107,18 +108,29 @@ def _default_corpus():
 
 
 def _load_corpus_arg(corpus_path):
+    """The identities of one file, or of every .ids file of a directory in
+    name order.  A file without identities, a directory without .ids files
+    and one identity name in two files are input errors."""
     if corpus_path is None:
         return _default_corpus()
-    import os
+    paths = [corpus_path]
     if os.path.isdir(corpus_path):
-        programs = []
-        for name in sorted(os.listdir(corpus_path)):
-            if name.endswith(".ids"):
-                programs.extend(load_corpus(os.path.join(corpus_path, name)))
-        if not programs:
-            raise AlgebraFileSyntaxError(f"{corpus_path}: no .ids files found")
-        return programs
-    return load_corpus(corpus_path)
+        paths = [os.path.join(corpus_path, name) for name in sorted(os.listdir(corpus_path))
+                 if name.endswith(".ids")]
+        if not paths:
+            raise DslSyntaxError(f"{corpus_path}: no .ids files found")
+    programs, origin = [], {}
+    for path in paths:
+        loaded = load_corpus(path)
+        if not loaded:
+            raise DslSyntaxError(f"{path}: no identities found")
+        for prog in loaded:
+            if prog.name in origin:
+                raise DslSyntaxError(
+                    f"identity {prog.name!r} is defined in both {origin[prog.name]} and {path}")
+            origin[prog.name] = path
+        programs.extend(loaded)
+    return programs
 
 
 def check_text(h: HopfAlgebra, programs, system=None) -> tuple[str, bool]:

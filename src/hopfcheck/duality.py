@@ -89,6 +89,9 @@ class PairedSystem:
     # each algebra keeps its modular tuple; any other new system starts empty.
     _operators: dict = field(default_factory=dict, init=False, repr=False)
     _swapped: "PairedSystem | None" = field(default=None, init=False, repr=False)
+    # action method name -> its table on basis elements; never shared, since
+    # swapped() exchanges the roles of the two algebras
+    _actions: dict = field(default_factory=dict, init=False, repr=False)
 
     def algebra(self, sort: str) -> HopfAlgebra:
         """The primal for sort "A", the dual for "Ahat"."""
@@ -130,6 +133,22 @@ class PairedSystem:
         return m
 
     # -- the four actions ---------------------------------------------------
+
+    def action_table(self, name: str):
+        """The action with method name name (dual_acts_left, ...) on basis
+        elements, memoized: table[i][j] lists the nonzero (k, value) of the
+        action on basis elements i and j, in argument order, laid out like
+        HopfAlgebra.mul_terms."""
+        table = self._actions.get(name)
+        if table is None:
+            act, n = getattr(self, name), self.primal.dim
+            basis = [self.primal.basis_column(i) for i in range(n)]  # the dual's too
+            table = tuple(
+                tuple(tuple((k, x) for k, x in enumerate(act(basis[i], basis[j]))
+                            if not x.is_zero()) for j in range(n))
+                for i in range(n))
+            self._actions[name] = table
+        return table
 
     def dual_acts_left(self, y, a):
         """y -> a = sum a_(1) <a_(2), y> (element of the primal)."""
@@ -232,9 +251,10 @@ def dual_integrals(h: HopfAlgebra, dual: HopfAlgebra, md: ModularData) -> Modula
         raise CorruptedDataError(
             f"{dual.name}: formula left integral disagrees with the invariance solve")
 
+    # <a, delta_hat> = counit(sigma^-1(a)) for all a, checked without the
+    # inverse as <sigma(a), delta_hat> = counit(a)
     delta_hat, delta_hat_inv = modular_element(dual, phi_hat)
-    pairing_route = invert(md.sigma).apply_row(counit_row)
-    if list(delta_hat) != pairing_route:
+    if md.sigma.apply_row(list(delta_hat)) != counit_row:
         raise CorruptedDataError(
             f"{dual.name}: modular element of the dual disagrees with the "
             "counit-of-sigma-inverse pairing formula")

@@ -4,9 +4,9 @@ An identity file entry such as
 
     radford: forall a in A . S(S(S(S(a)))) = deltainv * lacthat(dhat, racthat(a, dhatinv)) * delta
 
-compiles to a small AST and is checked against a PairedSystem by exhausting
-all assignments of the free variables to basis elements (of the algebra for
-sort A, of its dual for sort Ahat) and comparing both sides exactly.
+compiles to a small AST and is checked against a PairedSystem on all
+assignments of the free variables to basis elements (of the algebra for
+sort A, of its dual for sort Ahat), comparing both sides exactly.
 
 Variables carry optional coproduct legs: a(1), a(2), ... expand through the
 iterated coproduct, and the implicit Sweedler summation is performed per
@@ -18,10 +18,15 @@ dimension the leg notation is unconditional: every iterated coproduct is a
 finite sum of basis tensors, so no bracketing or coverage side conditions
 ever arise and none are modeled.
 
-Evaluation still visits every basis assignment, but a subterm is computed
-once per distinct basis value of its footprint, the slots it reads: in
-"<sigma(a), y * z> = <S2(a(1)), y> * <sigma(a(2)), z>" over a 16-dimensional
-algebra, sigma(a) is computed 16 times and y * z 256 times, not 4096.
+Evaluation is one exact contraction per side, not a loop over assignments.
+Linearity makes each side a multilinear map, fixed by a sparse tensor: its
+nonzero output coordinates for every basis value of its slots.  The tensor
+is built bottom up from the stored nonzero structure constants and operator
+entries, then its legs are contracted with the iterated coproduct.  The two
+tensors are compared entry by entry, and a failure names the least
+differing assignment, the first in cartesian order.  In "<sigma(a), y * z>"
+on the 16-dimensional taft-4, y * z has 40 entries, one per nonzero
+structure constant of the dual product, against 4096 assignments.
 
 Grammar (informally):
     identity := name ":" "forall" decl ("," decl)* "." expr "=" expr
@@ -45,11 +50,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as cartesian
-from operator import itemgetter, mul
+from functools import reduce
+from operator import mul
 
-from .duality import PairedSystem, pairing_value
-from .hopf import CheckResult
+from .duality import PairedSystem
+from .hopf import CheckResult, _summed
 
 
 class DslSyntaxError(ValueError):
@@ -437,11 +442,20 @@ def load_corpus(path):
 
 # -- evaluation ---------------------------------------------------------------
 #
-# Each side is compiled once into nested closures, one per AST node.  A
-# compiled node is called as fn(cols, key): cols[p] is the coordinate column
-# filling slot p of the side (one slot per variable and leg the side reads)
-# and key[p] the basis index behind it.  It returns a Scalar for a scalar
-# subterm and a coordinate column for an A or Ahat subterm.
+# A side is evaluated once, as a sparse tensor over the slots it reads (one
+# slot per variable and leg).  A tensor is a pair (slots, terms): terms maps
+# (one basis index per slot, in the order of slots, then an output index) to
+# the nonzero output coordinate the subterm takes when each slot holds that
+# basis element; a scalar subterm has the single output index 0.  Every node
+# contracts the stored entries of its operands only: a map through its
+# nonzero matrix columns, a product or an action through its table of
+# structure constants, the pairing by matching output indices (it is the
+# identity on the canonical basis).  Last, the legs of each variable contract
+# with its iterated coproduct, the implicit Sweedler summation.
+
+_ACTIONS = {"lact": "primal_acts_left", "ract": "primal_acts_right",
+            "lacthat": "dual_acts_left", "racthat": "dual_acts_right"}
+
 
 def _constant(sys: PairedSystem, kind):
     if kind == "one":
@@ -455,204 +469,138 @@ def _constant(sys: PairedSystem, kind):
     if kind == "dhatinv":
         return list(sys.dual_modular.delta_inv)
     if kind == "tau":
-        return sys.primal_modular.tau
+        return [sys.primal_modular.tau]
     raise AssertionError(kind)
 
 
-def _basis(alg):
-    return tuple(alg.basis_column(i) for i in range(alg.dim))
+def _column_tensor(column):
+    """The tensor without slots whose value is column."""
+    return (), {(k,): x for k, x in enumerate(column) if not x.is_zero()}
 
 
-def _compile_expr(sys: PairedSystem, env, node, positions, memoize):
-    """The operator dispatch: returns (fn, footprint), where fn computes
-    node's value and footprint is the frozenset of slots it reads.
-    positions maps each slot of the side to its index in cols and key."""
+def _by_output(terms):
+    """{output index: [(slot indices, value), ...]}."""
+    groups = {}
+    for key, x in terms.items():
+        groups.setdefault(key[-1], []).append((key[:-1], x))
+    return groups
+
+
+def _apply(tensor, columns):
+    """A linear map applied to the output; columns[j] lists the nonzero
+    (row, value) entries of the map's column j."""
+    slots, terms = tensor
+    return slots, _summed((key[:-1] + (i,), v * x)
+                          for key, x in terms.items() for i, v in columns[key[-1]])
+
+
+def _outer(left, right):
+    """The product with a scalar factor, whose output index is 0, so the
+    other factor's output index is the sum of the two."""
+    return left[0] + right[0], {ka[:-1] + kb[:-1] + (ka[-1] + kb[-1],): a * b
+                                for ka, a in left[1].items() for kb, b in right[1].items()}
+
+
+def _join(left, right, table):
+    """A bilinear map applied to both outputs; table[i][j] lists the nonzero
+    (k, c) of the map on basis elements i and j, like mul_terms."""
+    rights = _by_output(right[1])
+    return left[0] + right[0], _summed(
+        (ka + kb + (k,), a * b * c)
+        for i, lefts in _by_output(left[1]).items() for j, rs in rights.items()
+        for k, c in table[i][j] for ka, a in lefts for kb, b in rs)
+
+
+def _pair(left, right):
+    """The pairing of both outputs: the identity on the canonical basis."""
+    rights = _by_output(right[1])
+    return left[0] + right[0], _summed(
+        (ka + kb + (0,), a * b)
+        for i, lefts in _by_output(left[1]).items() for ka, a in lefts
+        for kb, b in rights.get(i, ()))
+
+
+def _tensor(sys: PairedSystem, env, node):
+    """The operator dispatch: node's tensor over the slots it reads."""
     if isinstance(node, Var):
-        slot = (node.name, node.leg)
-        p = positions[slot]
-        return (lambda cols, key: cols[p]), frozenset((slot,))
+        one = sys.primal.field.one()
+        dim = sys.algebra(env[node.name]).dim
+        return ((node.name, node.leg),), {(i, i): one for i in range(dim)}
     if isinstance(node, ScalarLit):
-        literal = sys.primal.field.scalar(node.value)
-        return (lambda cols, key: literal), frozenset()
+        return _column_tensor([sys.primal.field.scalar(node.value)])
     if isinstance(node, Const):
-        constant = _constant(sys, node.kind)
-        return (lambda cols, key: constant), frozenset()
+        return _column_tensor(_constant(sys, node.kind))
     children = _children(node)
-    compiled = [_compile_expr(sys, env, c, positions, memoize) for c in children]
-    footprint = frozenset().union(*(fp for _, fp in compiled))
-    fns = [_reuse(c, fn, fp, footprint, positions, memoize)
-           for c, (fn, fp) in zip(children, compiled)]
+    args = [_tensor(sys, env, c) for c in children]
     sorts = [_infer_sort(c, env) for c in children]
     if isinstance(node, Product):
-        return _compile_product(sys, fns, sorts), footprint
-    if isinstance(node, Pairing):
-        op = pairing_value
-    elif node.fn in UNARY_FNS:
-        op = sys.operator(node.fn, sorts[0]).apply
-    elif node.fn == "eps":
-        op = sys.algebra(sorts[0]).counit_of
-    elif node.fn in ("phi", "psi"):
-        md = sys.modular(sorts[0])
-        op = md.phi if node.fn == "phi" else md.psi
-    else:
-        op = {"lact": sys.primal_acts_left, "ract": sys.primal_acts_right,
-              "lacthat": sys.dual_acts_left, "racthat": sys.dual_acts_right}[node.fn]
-    if len(fns) == 1:
-        (arg,) = fns
-        return (lambda cols, key: op(arg(cols, key))), footprint
-    left, right = fns
-    return (lambda cols, key: op(left(cols, key), right(cols, key))), footprint
-
-
-def _reuse(node, fn, footprint, parent_footprint, positions, memoize):
-    """fn for node as its parent calls it.
-
-    A subterm that reads no slot is computed here, once.  With memoize
-    set, a subterm whose footprint is a strict subset of its parent's is
-    computed once per distinct basis value of its footprint slots and
-    stored for the rest of the evaluation; the root and every subterm that
-    reads all of its parent's slots are computed on each call.
-    """
-    if isinstance(node, (Var, ScalarLit, Const)):
-        return fn
-    if not footprint:
-        value = fn(None, None)
-        return lambda cols, key: value
-    if not memoize or footprint == parent_footprint:
-        return fn
-    slot_key = itemgetter(*sorted(positions[slot] for slot in footprint))
-    stored = {}
-
-    def reused(cols, key):
-        k = slot_key(key)
-        value = stored.get(k)
-        if value is None:
-            value = stored[k] = fn(cols, key)
-        return value
-    return reused
-
-
-def _scale_column(c, column):
-    return [c * x for x in column]
-
-
-def _column_times(column, c):
-    return [x * c for x in column]
-
-
-def _compile_product(sys, fns, sorts):
-    """Left-to-right product: scalars multiply, a scalar scales a column,
-    two columns multiply in their algebra."""
-    first, acc_sort = fns[0], sorts[0]
-    steps = []
-    for fn, sort in zip(fns[1:], sorts[1:]):
-        if acc_sort == "scalar" and sort == "scalar":
-            step = mul
-        elif acc_sort == "scalar":
-            step = _scale_column
-            acc_sort = sort
-        elif sort == "scalar":
-            step = _column_times
-        else:
-            step = sys.algebra(sort).multiply
-        steps.append((step, fn))
-
-    def product(cols, key):
-        acc = first(cols, key)
-        for step, fn in steps:
-            acc = step(acc, fn(cols, key))
-        return acc
-    return product
-
-
-class _Side:
-    """One side of an identity, compiled over the slots it reads.
-
-    The implicit Sweedler summation runs here: every legged variable is
-    expanded through the iterated coproduct of its assigned element, and
-    the values of the root are summed with the expansion coefficients.
-    """
-
-    def __init__(self, sys, prog, node, side_label, memoize):
-        env = dict(prog.decls)
-        leg_counts = _check_legs(prog.name, side_label, node)
-        slots = _slots(node, [])  # each slot once, by the linearity check
-        positions = {slot: p for p, slot in enumerate(slots)}
-        fn, footprint = _compile_expr(sys, env, node, positions, memoize)
-        self.root = _reuse(node, fn, footprint, footprint, positions, memoize)
-        self.cols = [None] * len(slots)
-        self.key = [None] * len(slots)
-        decl = {var: d for d, (var, _) in enumerate(prog.decls)}
-        # (slot position, declaration index, variable, basis columns)
-        self.bare = [(positions[(var, None)], decl[var], var, _basis(sys.algebra(env[var])))
-                     for var, leg in slots if leg is None]
-        # (declaration index, variable, leg count, algebra)
-        self.legged = [(decl[var], var, k, sys.algebra(env[var]))
-                       for var, k in leg_counts.items()]
-        # (slot positions of legs 1..k, basis columns), in the same order
-        self.leg_slots = [(tuple(positions[(var, j)] for j in range(1, k + 1)),
-                           _basis(sys.algebra(env[var])))
-                          for var, k in leg_counts.items()]
-        self.scalar = prog.sort == "scalar"
-        self.zero = (sys.primal.field.zero() if self.scalar
-                     else sys.algebra(prog.sort).zero_column())
-
-    def at_basis(self, combo):
-        """Value when the d-th declared variable is basis element combo[d]."""
-        cols, key = self.cols, self.key
-        for p, d, _, basis in self.bare:
-            i = combo[d]
-            cols[p] = basis[i]
-            key[p] = i
-        return self._sweedler_sum([alg.iterated_coproduct(combo[d], k)
-                                   for d, _, k, alg in self.legged])
-
-    def at_columns(self, assignment):
-        """Value when each variable is the coordinate column assignment[var]."""
-        for p, _, var, _ in self.bare:
-            self.cols[p] = assignment[var]
-        expansions = []
-        for _, var, k, alg in self.legged:
-            expansions.append([
-                (coeff * c, idxs)
-                for i, coeff in enumerate(assignment[var]) if not coeff.is_zero()
-                for c, idxs in alg.iterated_coproduct(i, k)
-            ])
-        return self._sweedler_sum(expansions)
-
-    def _sweedler_sum(self, expansions):
-        """expansions: per legged variable, its (coefficient, leg indices) terms."""
-        cols, key, root = self.cols, self.key, self.root
-        if not expansions:
-            return root(cols, key)
-        scalar = self.scalar
-        total = None
-        for terms in cartesian(*expansions):
-            coeff = None
-            for (slot_positions, basis), (c, idxs) in zip(self.leg_slots, terms):
-                coeff = c if coeff is None else coeff * c
-                for p, i in zip(slot_positions, idxs):
-                    cols[p] = basis[i]
-                    key[p] = i
-            value = root(cols, key)
-            if not coeff.is_one():
-                value = coeff * value if scalar else [coeff * x for x in value]
-            if total is None:
-                total = value
-            elif scalar:
-                total = total + value
+        acc, acc_sort = args[0], sorts[0]
+        for arg, sort in zip(args[1:], sorts[1:]):
+            if acc_sort == "scalar" or sort == "scalar":
+                acc = _outer(acc, arg)
+                acc_sort = sort if acc_sort == "scalar" else acc_sort
             else:
-                total = [x + y for x, y in zip(total, value)]
-        # every coproduct expansion vanished: the side is zero
-        return self.zero if total is None else total
+                acc = _join(acc, arg, sys.algebra(sort).mul_terms)
+        return acc
+    if isinstance(node, Pairing):
+        return _pair(*args)
+    if node.fn in ACTION_FNS:
+        return _join(*args, sys.action_table(_ACTIONS[node.fn]))
+    (arg,), (sort,) = args, sorts
+    if node.fn in UNARY_FNS:
+        return _apply(arg, sys.operator(node.fn, sort).nonzero_columns())
+    row = (sys.algebra(sort).counit if node.fn == "eps"
+           else getattr(sys.modular(sort), node.fn).coords)
+    return _apply(arg, [((0, x),) if not x.is_zero() else () for x in row])
+
+
+def _contract_legs(tensor, var, legs, alg):
+    """Replace the slots of var's legs 1..legs by one slot for var, first,
+    summing over the iterated coproduct of each basis element."""
+    slots, terms = tensor
+    leg_pos = [slots.index((var, j)) for j in range(1, legs + 1)]
+    rest = [p for p in range(len(slots)) if p not in leg_pos]
+    groups = {}
+    for key, x in terms.items():
+        groups.setdefault(tuple(key[p] for p in leg_pos), []).append(
+            (tuple(key[p] for p in rest) + key[-1:], x))
+    return ((var, None),) + tuple(slots[p] for p in rest), _summed(
+        ((i,) + key, c * x)
+        for i in range(alg.dim) for c, idxs in alg.iterated_coproduct(i, legs)
+        for key, x in groups.get(idxs, ()))
+
+
+def _side(sys: PairedSystem, prog: IdentityProgram, node):
+    """The tensor of one side keyed by (one basis index per declared
+    variable, output index); a variable the side does not read has index 0."""
+    env = dict(prog.decls)
+    tensor = _tensor(sys, env, node)
+    for var, legs in _check_legs(prog.name, "side", node).items():
+        tensor = _contract_legs(tensor, var, legs, sys.algebra(env[var]))
+    slots, terms = tensor
+    where = [slots.index((var, None)) if (var, None) in slots else None
+             for var, _ in prog.decls]
+    return {tuple(0 if p is None else key[p] for p in where) + key[-1:]: x
+            for key, x in terms.items()}
+
+
+def _value_at(sys: PairedSystem, sort, terms, combo):
+    """The value a side tensor takes at the basis indices combo."""
+    zero = sys.primal.field.zero()
+    if sort == "scalar":
+        return terms.get(combo + (0,), zero)
+    return [terms.get(combo + (k,), zero) for k in range(sys.algebra(sort).dim)]
 
 
 def evaluate_side(sys: PairedSystem, prog: IdentityProgram, node, assignment):
-    """Evaluate one side of prog on arbitrary coordinate columns, with the
-    implicit Sweedler summation and without reuse of subterms; returns
-    (sort, value)."""
-    side = _Side(sys, prog, node, "side", memoize=False)
-    return (prog.sort, side.at_columns(assignment))
+    """Evaluate one side of prog on arbitrary coordinate columns, the
+    assignment of each variable it reads, by contracting its tensor with
+    them; returns (sort, value)."""
+    read = {var for var, _ in _slots(node, [])}
+    columns = [(d, assignment[var]) for d, (var, _) in enumerate(prog.decls) if var in read]
+    values = _summed((key[-1:], reduce(mul, (column[key[d]] for d, column in columns), x))
+                     for key, x in _side(sys, prog, node).items())
+    return prog.sort, _value_at(sys, prog.sort, values, ())
 
 
 def _format_value(sys, sort, value):
@@ -662,28 +610,22 @@ def _format_value(sys, sort, value):
 
 
 def evaluate(prog: IdentityProgram, sys: PairedSystem) -> CheckResult:
-    """Check the identity for every basis assignment of its free variables,
-    in cartesian order, reporting the first that fails.
-
-    Subterms are computed once per basis value of their footprint (see
-    _reuse); the stored values live until this call returns.
-    """
-    lhs_side = _Side(sys, prog, prog.lhs, "left side", memoize=True)
-    rhs_side = _Side(sys, prog, prog.rhs, "right side", memoize=True)
-    dims = [sys.algebra(sort).dim for _, sort in prog.decls]
-    for combo in cartesian(*[range(d) for d in dims]):
-        lhs = lhs_side.at_basis(combo)
-        rhs = rhs_side.at_basis(combo)
-        if lhs != rhs:
-            names = ", ".join(
-                f"{var}={sys.algebra(sort).basis_names[idx]}"
-                for (var, sort), idx in zip(prog.decls, combo)
-            )
-            return CheckResult(
-                prog.name, sys.primal.name, False,
-                f"at {names}: lhs={_format_value(sys, prog.sort, lhs)} "
-                f"rhs={_format_value(sys, prog.sort, rhs)}")
-    return CheckResult(prog.name, sys.primal.name, True)
+    """Check the identity for every basis assignment of its free variables
+    by comparing the tensors of both sides, reporting the first failing
+    assignment in cartesian order: the least key where the sides differ."""
+    lhs = _side(sys, prog, prog.lhs)
+    rhs = _side(sys, prog, prog.rhs)
+    if lhs == rhs:
+        return CheckResult(prog.name, sys.primal.name, True)
+    zero = sys.primal.field.zero()
+    combo = min(key for key in lhs.keys() | rhs.keys()
+                if lhs.get(key, zero) != rhs.get(key, zero))[:-1]
+    names = ", ".join(f"{var}={sys.algebra(sort).basis_names[idx]}"
+                      for (var, sort), idx in zip(prog.decls, combo))
+    values = [_format_value(sys, prog.sort, _value_at(sys, prog.sort, side, combo))
+              for side in (lhs, rhs)]
+    return CheckResult(prog.name, sys.primal.name, False,
+                       f"at {names}: lhs={values[0]} rhs={values[1]}")
 
 
 def evaluate_corpus(programs, sys: PairedSystem):

@@ -98,6 +98,28 @@ def test_check_command_with_corpus_directory(tmp_path):
     assert code == 0 and "idy sweedler PASS" in text
 
 
+def test_identity_name_repeated_across_corpus_files_exits_2(tmp_path):
+    path = str(tmp_path / "h4.alg")
+    run(["example", "sweedler", "-o", path])
+    corpus_dir = tmp_path / "ids"
+    corpus_dir.mkdir()
+    for name in ("a.ids", "b.ids"):
+        (corpus_dir / name).write_text("idy: forall a in A . eps(a(1)) * a(2) = a\n")
+    code, text = run(["check", path, "--corpus", str(corpus_dir)])
+    assert code == 2
+    assert text == (f"error: identity 'idy' is defined in both {corpus_dir / 'a.ids'} "
+                    f"and {corpus_dir / 'b.ids'}\n")
+
+
+def test_corpus_file_without_identities_exits_2(tmp_path):
+    path = str(tmp_path / "h4.alg")
+    run(["example", "sweedler", "-o", path])
+    empty = tmp_path / "empty.ids"
+    empty.write_text("# only a comment\n")
+    code, text = run(["check", path, "--corpus", str(empty)])
+    assert (code, text) == (2, f"error: {empty}: no identities found\n")
+
+
 def test_full_report_deterministic(tmp_path):
     path = str(tmp_path / "h4.alg")
     run(["example", "sweedler", "-o", path])
