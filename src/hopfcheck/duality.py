@@ -26,6 +26,17 @@ from .modular import (ModularData, gram_inverse, left_integral, modular_automorp
 from .scalars import Scalar
 
 
+def dual_structure(h: HopfAlgebra):
+    """(mul, unit, comul, counit, antipode) of the dual on the canonical dual
+    basis; an involution, so applied to the dual it gives back h's own."""
+    n = h.dim
+    # mul_hat[i][j][k] = comul[k][i][j] and comul_hat[i][j][k] = mul[j][k][i]
+    mul_hat = {(i, j, k): x for (k, i, j), x in h.comul.terms.items()}
+    comul_hat = {(i, j, k): x for (j, k, i), x in h.mul.terms.items()}
+    return (Tensor3(h.field, n, mul_hat), h.counit, Tensor3(h.field, n, comul_hat),
+            h.unit, h.antipode.transpose())
+
+
 def build_dual(h: HopfAlgebra) -> HopfAlgebra:
     """The dual Hopf algebra on the canonical dual basis.
 
@@ -33,23 +44,8 @@ def build_dual(h: HopfAlgebra) -> HopfAlgebra:
     a convention error, never for honest input.
     """
     h.require_valid()
-    n = h.dim
-    # mul_hat[i][j][k] = comul[k][i][j] and comul_hat[i][j][k] = mul[j][k][i]
-    mul_hat = {(i, j, k): x for (k, i, j), x in h.comul.terms.items()}
-    comul_hat = {(i, j, k): x for (j, k, i), x in h.mul.terms.items()}
-    unit_hat = list(h.counit)
-    counit_hat = list(h.unit)
-    antipode_hat = h.antipode.transpose()
-    dual = HopfAlgebra(
-        h.field,
-        [f"{b}*" for b in h.basis_names],
-        Tensor3(h.field, n, mul_hat),
-        unit_hat,
-        Tensor3(h.field, n, comul_hat),
-        counit_hat,
-        antipode_hat,
-        name=f"dual({h.name})",
-    )
+    dual = HopfAlgebra(h.field, [f"{b}*" for b in h.basis_names], *dual_structure(h),
+                       name=f"dual({h.name})")
     report = dual.validate()
     if not report.ok:
         bad = ", ".join(c.check for c in report.failures())
@@ -76,9 +72,9 @@ class PairedSystem:
     pairing of the canonical dual basis.
 
     The system owns what is derived from the pair: operator() computes each
-    map at most once per algebra, and swapped() builds the bidual once.
-    Every value is exact and deterministic, so sharing one is the same as
-    recomputing it.
+    map at most once per algebra, and swapped() pairs the dual with the
+    primal itself, once.  Every value is exact and deterministic, so sharing
+    one is the same as recomputing it.
     """
 
     primal: HopfAlgebra
@@ -86,7 +82,9 @@ class PairedSystem:
     primal_modular: ModularData
     dual_modular: ModularData
     # (operator name, algebra) -> Matrix.  Shared only along swapped(), where
-    # each algebra keeps its modular tuple; any other new system starts empty.
+    # the primal is also the swapped dual, with bidual integrals that are
+    # multiples of its own: B^-1 B^T ignores the scale, so one sigma entry
+    # serves both (tested per builtin); any other new system starts empty.
     _operators: dict = field(default_factory=dict, init=False, repr=False)
     _swapped: "PairedSystem | None" = field(default=None, init=False, repr=False)
     # action method name -> its table on basis elements; never shared, since
@@ -206,12 +204,11 @@ class PairedSystem:
 
     def swapped(self) -> "PairedSystem":
         """The system seen from the dual side: the dual becomes the primal
-        and the bidual (canonically the original) becomes its dual.  Built
-        once; the two systems share their operators."""
+        and the primal itself (canonically the bidual) becomes its dual.
+        Built once; the two systems share their operators."""
         if self._swapped is None:
-            bidual = build_dual(self.dual)
-            bidual_modular = dual_integrals(self.dual, bidual, self.dual_modular)
-            swapped = PairedSystem(self.dual, bidual, self.dual_modular, bidual_modular)
+            swapped = PairedSystem(self.dual, self.primal, self.dual_modular,
+                                   dual_integrals(self.dual, self.primal, self.dual_modular))
             object.__setattr__(swapped, "_operators", self._operators)
             object.__setattr__(self, "_swapped", swapped)
         return self._swapped

@@ -251,11 +251,6 @@ class HopfAlgebra:
         cols = [self.multiply(a, self.basis_column(j)) for j in range(self.dim)]
         return Matrix.from_columns(self.field, cols)
 
-    def right_mult_matrix(self, a) -> Matrix:
-        """Matrix of x -> x * a."""
-        cols = [self.multiply(self.basis_column(j), a) for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols)
-
     def format_element(self, column) -> str:
         """Human-readable combination of basis names, exact coefficients."""
         parts = []

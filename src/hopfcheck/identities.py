@@ -212,7 +212,7 @@ class _Parser:
             if v in seen:
                 raise DslSyntaxError(f"variable {v!r} declared twice")
             seen.add(v)
-        return _sort_check(IdentityProgramBuilder(name, tuple(decls), lhs, rhs))
+        return _sort_check(name, tuple(decls), lhs, rhs)
 
     def parse_decl(self):
         tok = self.expect("name")
@@ -286,14 +286,6 @@ class _Parser:
                 self.i = save
             return Var(value)
         raise DslSyntaxError(f"position {pos}: unexpected {value!r}")
-
-
-@dataclass(frozen=True)
-class IdentityProgramBuilder:
-    name: str
-    decls: tuple
-    lhs: object
-    rhs: object
 
 
 # -- sort checking ------------------------------------------------------------
@@ -393,23 +385,23 @@ def _check_legs(name, side_label, node):
     return legs
 
 
-def _sort_check(b: IdentityProgramBuilder) -> IdentityProgram:
-    env = dict(b.decls)
-    lhs_sort = _infer_sort(b.lhs, env)
-    rhs_sort = _infer_sort(b.rhs, env)
+def _sort_check(name, decls, lhs, rhs) -> IdentityProgram:
+    env = dict(decls)
+    lhs_sort = _infer_sort(lhs, env)
+    rhs_sort = _infer_sort(rhs, env)
     if lhs_sort != rhs_sort:
-        raise DslSortError(f"{b.name}: sides have sorts {lhs_sort} and {rhs_sort}")
-    lhs_vars = {var for var, _ in _slots(b.lhs, [])}
-    rhs_vars = {var for var, _ in _slots(b.rhs, [])}
+        raise DslSortError(f"{name}: sides have sorts {lhs_sort} and {rhs_sort}")
+    lhs_vars = {var for var, _ in _slots(lhs, [])}
+    rhs_vars = {var for var, _ in _slots(rhs, [])}
     declared = set(env)
     if (lhs_vars | rhs_vars) - declared:
-        raise DslSortError(f"{b.name}: undeclared variables {sorted((lhs_vars | rhs_vars) - declared)}")
+        raise DslSortError(f"{name}: undeclared variables {sorted((lhs_vars | rhs_vars) - declared)}")
     if lhs_vars != rhs_vars:
         raise DslSortError(
-            f"{b.name}: sides use different free variables {sorted(lhs_vars)} vs {sorted(rhs_vars)}")
-    _check_legs(b.name, "left side", b.lhs)
-    _check_legs(b.name, "right side", b.rhs)
-    return IdentityProgram(b.name, b.decls, b.lhs, b.rhs, lhs_sort)
+            f"{name}: sides use different free variables {sorted(lhs_vars)} vs {sorted(rhs_vars)}")
+    _check_legs(name, "left side", lhs)
+    _check_legs(name, "right side", rhs)
+    return IdentityProgram(name, decls, lhs, rhs, lhs_sort)
 
 
 def parse_identity(source: str) -> IdentityProgram:

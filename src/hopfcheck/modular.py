@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hopf import CorruptedDataError, HopfAlgebra, LinearFunctional
+from .hopf import CorruptedDataError, HopfAlgebra, LinearFunctional, _summed
 from .linalg import (Matrix, NonUniqueSolutionError, InconsistentSystemError,
                      SingularMatrixError, invert, nullspace, solve)
 from .scalars import Scalar
@@ -156,11 +156,13 @@ def modular_automorphism(h: HopfAlgebra, functional: LinearFunctional,
     rho = gram_inv * gram_matrix(h, functional).transpose()
     if rho.apply(h.unit_column()) != h.unit_column():
         raise CorruptedDataError(f"{h.name}: modular automorphism does not fix 1")
-    for i in range(h.dim):
-        rho_i = rho.column(i)
-        for j in range(h.dim):
-            lhs = rho.apply(h.multiply(h.basis_column(i), h.basis_column(j)))
-            rhs = h.multiply(rho_i, rho.column(j))
+    mt, rho_cols = h.mul_terms, rho.nonzero_columns()
+    for i, mt_i in enumerate(mt):
+        for j, ij in enumerate(mt_i):
+            # rho(e_i * e_j) against rho(e_i) * rho(e_j), both contracted
+            lhs = _summed((t, c * x) for k, c in ij for t, x in rho_cols[k])
+            rhs = _summed((t, x * y * d) for p, x in rho_cols[i] for q, y in rho_cols[j]
+                          for t, d in mt[p][q])
             if lhs != rhs:
                 raise CorruptedDataError(
                     f"{h.name}: modular automorphism is not multiplicative at ({i},{j})")

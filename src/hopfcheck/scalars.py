@@ -168,12 +168,6 @@ class FieldSpec:
     def degree(self) -> int:
         return len(self._tables[0][0])
 
-    @property
-    def modulus(self):
-        if self.kind == "rational":
-            return None
-        return cyclotomic_polynomial(self.order)
-
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction, or Scalar of this field into a Scalar."""
         if type(value) is Scalar:

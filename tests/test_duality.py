@@ -238,9 +238,8 @@ def test_swapped_system_round_trip(paired):
     swapped = sys.swapped()
     assert swapped.primal is sys.dual
     assert swapped.primal_modular is sys.dual_modular
-    # the swapped dual is canonically the original algebra
-    assert swapped.dual.mul == sys.primal.mul
-    assert swapped.dual.antipode == sys.primal.antipode
+    # the swapped dual is the original algebra itself, canonically the bidual
+    assert swapped.dual is sys.primal
 
 
 def test_swapped_system_is_built_once(paired):
@@ -250,9 +249,14 @@ def test_swapped_system_is_built_once(paired):
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_operator_lookup_is_memoized_and_exact(paired, name):
+    # the swapped system's dual is the primal under other integrals, and
+    # shares the primal's operators: each must match its own modular tuple
     sys = paired(name)
-    for sort, alg, md in (("A", sys.primal, sys.primal_modular),
-                          ("Ahat", sys.dual, sys.dual_modular)):
+    swapped = sys.swapped()
+    for system, sort, alg, md in ((sys, "A", sys.primal, sys.primal_modular),
+                                  (sys, "Ahat", sys.dual, sys.dual_modular),
+                                  (swapped, "A", swapped.primal, swapped.primal_modular),
+                                  (swapped, "Ahat", swapped.dual, swapped.dual_modular)):
         s, sigma, sigmap = alg.antipode, md.sigma, md.sigma_prime
         direct = {
             "S": s, "Sinv": invert(s), "S2": s.pow(2), "Sinv2": invert(s).pow(2),
@@ -260,9 +264,9 @@ def test_operator_lookup_is_memoized_and_exact(paired, name):
             "sigmap": sigmap, "sigmapinv": invert(sigmap),
         }
         for op, expected in direct.items():
-            first = sys.operator(op, sort)
+            first = system.operator(op, sort)
             assert first == expected, (op, sort)
-            assert sys.operator(op, sort) is first, (op, sort)
+            assert system.operator(op, sort) is first, (op, sort)
 
 
 def test_swapped_system_shares_the_dual_side_operators(paired):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from hopfcheck.catalog import build_sweedler, build_taft, builtin
@@ -265,3 +267,36 @@ def test_scaling_constant_rejects_a_non_proportional_functional():
     h = build_sweedler()
     with pytest.raises(CorruptedDataError, match="not proportional"):
         scaling_constant(h, LinearFunctional(F, [1, 1, 0, 0]))
+
+
+def _tampered_gram_inverse(h, phi, rows):
+    """The Gram inverse of phi premultiplied by the matrix with the given
+    rows, so the closed form returns that matrix times sigma."""
+    return Matrix(h.field, rows) * gram_inverse(h, phi, "left")
+
+
+def test_automorphism_that_moves_the_unit_is_rejected():
+    h = build_taft(3)
+    phi = left_integral(h)
+    doubled = [[2 if r == c else 0 for c in range(h.dim)] for r in range(h.dim)]
+    with pytest.raises(CorruptedDataError, match="modular automorphism does not fix 1"):
+        modular_automorphism(h, phi, _tampered_gram_inverse(h, phi, doubled))
+
+
+def test_non_multiplicative_automorphism_names_the_first_failing_pair():
+    h = build_taft(3)
+    phi = left_integral(h)
+    assert list(h.unit) == h.basis_column(0)
+    # sends x to x + x^2 and fixes every other basis element, so still fixes 1
+    rows = [[1 if r == c else 0 for c in range(h.dim)] for r in range(h.dim)]
+    rows[2][1] = 1
+    gram_inv = _tampered_gram_inverse(h, phi, rows)
+    # the first failing pair of a dense scan, i outer and j inner
+    rho = gram_inv * gram_matrix(h, phi).transpose()
+    expected = next(
+        (i, j) for i in range(h.dim) for j in range(h.dim)
+        if rho.apply(h.multiply(h.basis_column(i), h.basis_column(j)))
+        != h.multiply(rho.column(i), rho.column(j)))
+    with pytest.raises(CorruptedDataError,
+                       match=re.escape(f"not multiplicative at ({expected[0]},{expected[1]})")):
+        modular_automorphism(h, phi, gram_inv)

@@ -1,10 +1,11 @@
 import dataclasses
 import re
 
-from hopfcheck import duality, hopf, linalg, modular
+from hopfcheck import duality, hopf, linalg, modular, verify
 from hopfcheck.catalog import builtin
 from hopfcheck.cli import full_report_text
 from hopfcheck.hopf import HopfAlgebra
+from hopfcheck.linalg import Tensor3
 from hopfcheck.verify import (biduality_check, check_dual_modular_pairing,
                               check_dual_radford, check_modular_adjoints, check_radford,
                               run_all_checks, verify_algebra)
@@ -117,9 +118,30 @@ def test_full_report_builds_each_algebra_once(monkeypatch):
         monkeypatch.setattr(module, "invert", counted_invert)
     text, ok = full_report_text(builtin("taft-3"))
     assert ok
-    # the dual in pair_system and the bidual in swapped(); primal, dual and
-    # bidual validated once each.  invert: one per validation (the operator
-    # S^-1 on both sides reads it), the two Gram matrices (of phi and psi) of
-    # each of the three algebras, 2 operator inverses (sigma, sigma');
-    # dual_integrals checks its pairing formula through sigma, not its inverse
-    assert calls == {"build_dual": 2, "validations": 3, "invert": 11}
+    # the dual in pair_system only: swapped() pairs the dual with the primal
+    # itself, so primal and dual are validated once each.  invert: one per
+    # validation (the operator S^-1 on both sides reads it), the two Gram
+    # matrices (of phi and psi) of the primal, the dual and the bidual side
+    # (the primal again, under the dual's integrals), and 2 operator inverses
+    # (sigma, sigma'); dual_integrals checks its pairing formula through
+    # sigma, not its inverse
+    assert calls == {"build_dual": 1, "validations": 2, "invert": 10}
+
+
+def test_broken_transposition_fails_only_the_structure_iso(monkeypatch, paired, suite_reports):
+    sys = paired("taft-3")
+    sys.swapped()  # built before the transposition breaks
+
+    def perturbed(h):
+        mul, unit, comul, counit, antipode = duality.dual_structure(h)
+        terms = dict(mul.terms)
+        key = next(iter(terms))
+        terms[key] = terms[key] + h.field.one()
+        return Tensor3(h.field, h.dim, terms), unit, comul, counit, antipode
+
+    monkeypatch.setattr(verify, "dual_structure", perturbed)
+    lines = run_all_checks(sys).lines()
+    expected = suite_reports("taft-3").lines()
+    assert expected[-1] == "bidual-structure-iso taft-3 PASS"
+    assert lines == expected[:-1] + [
+        "bidual-structure-iso taft-3 FAIL bidual structure constants differ from the primal"]
