@@ -383,11 +383,18 @@ def algebra_from_json(doc, synthesize_antipode: bool = True) -> HopfAlgebra:
     if len(counit) != dim or len(unit) != dim:
         raise AlgebraFileSemanticError("counit/unit must list one scalar per basis element")
 
+    # a file repeats a handful of literals (1, -1, z, ...): parse each once;
+    # a bad literal is never stored, so each occurrence reports its own place
+    parsed = {}
+
     def parse_scalar(text, where):
-        try:
-            return field.parse(text)
-        except ScalarSyntaxError as exc:
-            raise AlgebraFileSyntaxError(f"{where}: {exc}") from None
+        x = parsed.get(text) if type(text) is str else None
+        if x is None:
+            try:
+                x = parsed[text] = field.parse(text)
+            except ScalarSyntaxError as exc:
+                raise AlgebraFileSyntaxError(f"{where}: {exc}") from None
+        return x
 
     def check_index(i, where):
         if isinstance(i, bool) or not isinstance(i, int):
@@ -437,13 +444,11 @@ def algebra_from_json(doc, synthesize_antipode: bool = True) -> HopfAlgebra:
     h = HopfAlgebra(field, basis, mul, unit_col, comul, counit_row, antipode,
                     name=doc.get("name", "unnamed"))
     if antipode is None and synthesize_antipode:
-        bialgebra_checks = [c for c in h.validate().checks if not c.check.startswith("antipode")]
-        bad = [c.check for c in bialgebra_checks if not c.passed]
+        bad = [c.check for c in h.bialgebra_checks() if not c.passed]
         if bad:
             raise AlgebraFileSemanticError(
                 f"{h.name}: cannot synthesize an antipode, bialgebra axioms fail: {', '.join(bad)}")
-        s = compute_antipode(h)
-        h = HopfAlgebra(field, basis, mul, unit_col, comul, counit_row, s, name=h.name)
+        h = h.with_antipode(compute_antipode(h))
     return h
 
 

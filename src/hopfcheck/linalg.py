@@ -41,6 +41,17 @@ class Matrix:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "_sparse_cols", None)
 
+    @classmethod
+    def _of(cls, field: FieldSpec, rows) -> "Matrix":
+        """A matrix of rows that are already equal-length sequences of
+        Scalars of field, as the kernel builds them: no per-entry coercion,
+        no ragged check.  File and user data go through Matrix(field, rows)."""
+        m = _new_object(cls)
+        _set_field(m, field)
+        _set_data(m, tuple(map(tuple, rows)))
+        _set_sparse_cols(m, None)
+        return m
+
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
 
@@ -55,12 +66,12 @@ class Matrix:
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
         one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._of(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
         z = field.zero()
-        return cls(field, [[z] * cols for _ in range(rows)])
+        return cls._of(field, [[z] * cols for _ in range(rows)])
 
     @classmethod
     def from_columns(cls, field: FieldSpec, columns) -> "Matrix":
@@ -72,7 +83,7 @@ class Matrix:
         return [row[j] for row in self.data]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.data)) if self.data else [])
+        return Matrix._of(self.field, zip(*self.data))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -97,7 +108,7 @@ class Matrix:
                     if not y.is_zero():
                         acc[j] = acc[j] + x * y
             out.append(acc)
-        return Matrix(self.field, out)
+        return Matrix._of(self.field, out)
 
     def pow(self, n: int) -> "Matrix":
         if self.rows != self.cols:
@@ -169,6 +180,12 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.rows}x{self.cols})"
+
+
+_new_object = object.__new__
+_set_field = Matrix.field.__set__
+_set_data = Matrix.data.__set__
+_set_sparse_cols = Matrix._sparse_cols.__set__
 
 
 class Tensor3:
@@ -350,7 +367,7 @@ def invert(m: Matrix) -> Matrix:
     pivot_cols, _ = _row_reduce(field, rows, n)
     if len(pivot_cols) < n:
         raise SingularMatrixError("matrix is singular")
-    return Matrix(field, [row[n:] for row in rows])
+    return Matrix._of(field, [row[n:] for row in rows])
 
 
 def determinant(m: Matrix) -> Scalar:
@@ -387,4 +404,4 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                 for q, y in enumerate(brow):
                     if not y.is_zero():
                         out[i * b.rows + p][j * b.cols + q] = x * y
-    return Matrix(field, out)
+    return Matrix._of(field, out)

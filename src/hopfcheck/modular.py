@@ -53,10 +53,14 @@ def _invariance_nullspace(h: HopfAlgebra, side: str):
         for j in range(n):
             block[j][i] = block[j][i] - h.unit[j]
         rows.extend(block)
-    return nullspace(Matrix(h.field, rows))
+    return nullspace(Matrix._of(h.field, rows))
 
 
 def _integral(h: HopfAlgebra, side: str) -> LinearFunctional:
+    """The (side) integral of h, solved once per algebra."""
+    cached = h._integrals.get(side)
+    if cached is not None:
+        return cached
     h.require_valid()
     basis = _invariance_nullspace(h, side)
     if len(basis) == 0:
@@ -66,7 +70,8 @@ def _integral(h: HopfAlgebra, side: str) -> LinearFunctional:
     if len(basis) > 1:
         raise CorruptedDataError(
             f"{h.name}: {side} integrals form a {len(basis)}-dimensional space")
-    return LinearFunctional(h.field, basis[0])
+    h._integrals[side] = integral = LinearFunctional(h.field, basis[0])
+    return integral
 
 
 def left_integral(h: HopfAlgebra) -> LinearFunctional:
@@ -100,7 +105,7 @@ def gram_matrix(h: HopfAlgebra, functional: LinearFunctional) -> Matrix:
                     acc = acc + c * f
             row.append(acc)
         rows.append(row)
-    return Matrix(h.field, rows)
+    return Matrix._of(h.field, rows)
 
 
 def gram_inverse(h: HopfAlgebra, functional: LinearFunctional, side: str) -> Matrix:

@@ -165,6 +165,10 @@ class FieldSpec:
         return _scalar(self, (1,) + (0,) * (self.degree - 1), 1)
 
     @cached_property
+    def _minus_one(self) -> "Scalar":
+        return -self._one
+
+    @cached_property
     def degree(self) -> int:
         return len(self._tables[0][0])
 
@@ -286,6 +290,11 @@ class Scalar:
             if other is NotImplemented:
                 return NotImplemented
         da, db = self.den, other.den
+        # zero is 0/1: a zero summand returns the other one as it is
+        if db == 1 and not any(other.num):
+            return self
+        if da == 1 and not any(self.num):
+            return other
         if da == db:
             return _normalized(self.field, tuple(map(add, self.num, other.num)), da)
         return _normalized(self.field,
@@ -299,6 +308,10 @@ class Scalar:
             if other is NotImplemented:
                 return NotImplemented
         da, db = self.den, other.den
+        if db == 1 and not any(other.num):
+            return self
+        if da == 1 and not any(self.num):
+            return _scalar(self.field, tuple(map(neg, other.num)), db)
         if da == db:
             return _normalized(self.field, tuple(map(sub, self.num, other.num)), da)
         return _normalized(self.field,
@@ -318,7 +331,23 @@ class Scalar:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return _normalized(self.field, _mul_num(self.field._tables[1], self.num, other.num),
+        # Structure constants are mostly 1 and -1.  A factor 1 returns the
+        # other factor and -1 its negation, with no product and no gcd; a
+        # general product pays one compare per factor (den == 1) to get here.
+        field = self.field
+        if self.den == 1:
+            num = self.num
+            if num == field._one.num:
+                return other
+            if num == field._minus_one.num:
+                return _scalar(field, tuple(map(neg, other.num)), other.den)
+        if other.den == 1:
+            num = other.num
+            if num == field._one.num:
+                return self
+            if num == field._minus_one.num:
+                return _scalar(field, tuple(map(neg, self.num)), self.den)
+        return _normalized(field, _mul_num(field._tables[1], self.num, other.num),
                            self.den * other.den)
 
     __rmul__ = __mul__

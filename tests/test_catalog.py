@@ -4,12 +4,14 @@ import tracemalloc
 import pytest
 
 from hopfcheck.catalog import (AlgebraFileSemanticError, AlgebraFileSyntaxError,
-                               GroupPresentation, GroupTableError, algebra_to_json,
+                               GroupPresentation, GroupTableError, algebra_from_json,
+                               algebra_to_json,
                                build_function_algebra, build_group_algebra, build_sweedler,
                                build_taft, builtin, cyclic_group, read_algebra,
                                read_group_table, symmetric_group, write_algebra)
 from hopfcheck.cli import matrix_order
-from hopfcheck.hopf import is_cocommutative
+from hopfcheck.hopf import HopfAlgebra, is_cocommutative
+from hopfcheck.scalars import FieldSpec
 
 from conftest import BUILTIN_NAMES
 
@@ -111,6 +113,48 @@ def test_missing_antipode_is_synthesized(tmp_path):
     path.write_text(json.dumps(doc))
     back = read_algebra(path)
     assert back.antipode == h.antipode
+
+
+def test_synthesized_antipode_reuses_the_bialgebra_checks(monkeypatch):
+    # the file's bialgebra axioms are checked once; the algebra that gets
+    # the synthesized antipode checks only the antipode laws
+    calls = []
+    check = HopfAlgebra._check_associativity
+    monkeypatch.setattr(HopfAlgebra, "_check_associativity",
+                        lambda self: calls.append(self.name) or check(self))
+    doc = algebra_to_json(build_taft(3))
+    del doc["antipode"]
+    h = algebra_from_json(doc)
+    assert calls == ["taft-3"] and h._validation is None
+    assert h.antipode == build_taft(3).antipode
+    assert h.validate().ok and calls == ["taft-3"]
+    assert [c.check for c in h.validate().checks][-3:] == [
+        "antipode-left", "antipode-right", "antipode-invertible"]
+
+
+def test_each_distinct_literal_is_parsed_once(monkeypatch):
+    doc = algebra_to_json(build_taft(3))
+    literals = [t[3] for t in doc["mul"] + doc["comul"]] + doc["unit"] + doc["counit"] \
+        + [t[2] for t in doc["antipode"]]
+    parsed = []
+    parse = FieldSpec.parse
+    monkeypatch.setattr(FieldSpec, "parse", lambda self, text: parsed.append(text)
+                        or parse(self, text))
+    assert algebra_from_json(doc).validate().ok
+    assert sorted(parsed) == sorted(set(literals)) and len(parsed) < len(literals) // 10
+
+
+def test_bad_literal_names_its_own_position():
+    # good literals are remembered, bad ones never: each report names the
+    # entry it came from
+    doc = algebra_to_json(build_taft(3))
+    doc["mul"][7][3] = "z^"
+    with pytest.raises(AlgebraFileSyntaxError, match=r"^mul\[7\]: "):
+        algebra_from_json(doc)
+    doc["mul"][7][3] = "1"
+    doc["comul"][2][3] = "z^"
+    with pytest.raises(AlgebraFileSyntaxError, match=r"^comul\[2\]: "):
+        algebra_from_json(doc)
 
 
 def test_large_dim_loads_without_cubic_allocation(tmp_path):

@@ -398,6 +398,31 @@ def _sparse_galois(h):
     return None
 
 
+def _corrupted_antipode(h, rng):
+    """h with one antipode entry shifted by +-1."""
+    n = h.dim
+    i, j = rng.randrange(n), rng.randrange(n)
+    rows = [list(row) for row in h.antipode.data]
+    rows[i][j] = rows[i][j] + rng.choice((-1, 1))
+    return HopfAlgebra(h.field, h.basis_names, h.mul, h.unit, h.comul, h.counit,
+                       Matrix(h.field, rows), name=f"{h.name}-S{(i, j)}")
+
+
+@pytest.mark.parametrize("name", ["group-s3", "functions-s3", "sweedler", "taft-3"])
+def test_galois_one_order_matches_two_orders_on_corrupted_constants(name):
+    # galois_maps composes T o R only: T and R are square, so T o R = id forces
+    # R o T = id.  The dense reference composes both orders; on the seeded
+    # corruptions of the test below (same seeds) and on one-entry antipode
+    # corruptions, both must fail, with the same message
+    rng = random.Random(f"corrupt:{name}")
+    source = builtin(name)
+    assert _sparse_galois(source) is None and _dense_galois(source) is None
+    for make in [_corrupted] * 12 + [_corrupted_antipode] * 6:
+        h = make(source, rng)
+        expected = _dense_galois(h)
+        assert expected is not None and _sparse_galois(h) == expected, h.name
+
+
 def _assert_sparse_matches_dense(h):
     sparse = {c.check: c for c in h.validate().checks}
     dense = [_dense_associativity(h), _dense_unit(h), _dense_coproduct_homomorphism(h),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hopfcheck.linalg import (InconsistentSystemError, Matrix, NonUniqueSolutionError,
                               SingularMatrixError, Tensor3, determinant, invert, kron,
                               nullspace, rank, solve)
-from hopfcheck.scalars import RATIONAL, Scalar, cyclotomic_field
+from hopfcheck.scalars import RATIONAL, FieldMismatchError, Scalar, cyclotomic_field
 
 F = RATIONAL
 C4 = cyclotomic_field(4)
@@ -169,3 +169,32 @@ def test_tensor3_shape_checks():
 def test_ragged_rows_rejected():
     with pytest.raises(ValueError):
         mat([[1, 2], [3]])
+
+
+def test_public_constructor_coerces_and_rejects_foreign_scalars():
+    # Matrix(field, rows) is the path for file and user data: it still coerces
+    # int and Fraction entries and rejects ragged rows and other fields' scalars
+    m = Matrix(C4, [[1, Fraction(-2, 3)], [0, C4.generator()]])
+    assert all(type(x) is Scalar and x.field is C4 for row in m.data for x in row)
+    assert m.data[0] == (C4.one(), C4.scalar(Fraction(-2, 3)))
+    with pytest.raises(ValueError, match="ragged"):
+        Matrix(C4, [[1, 2], [3]])
+    with pytest.raises(FieldMismatchError):
+        Matrix(C4, [[1, cyclotomic_field(3).generator()]])
+    with pytest.raises(FieldMismatchError):
+        Matrix(F, [[C4.one()]])
+
+
+def test_kernel_built_matrices_equal_coerced_ones():
+    # products, transposes, inverses and Kronecker products skip the
+    # per-entry coercion; their entries are still scalars of the field
+    rng = random.Random("trusted-matrices")
+    i = C4.generator()
+    pool = [0, 0, 1, -1, Fraction(1, 2), i, -i, i + Fraction(2, 3)]
+    a = Matrix(C4, [[1, i, 0], [0, 1, -1], [Fraction(1, 2), 0, -i]])
+    b = Matrix(C4, [[rng.choice(pool) for _ in range(3)] for _ in range(3)])
+    for m in (a * b, a.transpose(), invert(a), kron(a, b)):
+        assert all(type(x) is Scalar and x.field is C4 for row in m.data for x in row)
+        assert Matrix(C4, [list(row) for row in m.data]) == m
+    assert (a * invert(a)).is_identity()
+    assert a.transpose().transpose() == a

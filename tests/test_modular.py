@@ -2,7 +2,9 @@ import re
 
 import pytest
 
+from hopfcheck import modular
 from hopfcheck.catalog import build_sweedler, build_taft, builtin
+from hopfcheck.cli import full_report_text
 from hopfcheck.hopf import CorruptedDataError, LinearFunctional
 from hopfcheck.linalg import Matrix, invert
 from hopfcheck.modular import (gram_inverse, gram_matrix, integral_space_dimensions,
@@ -300,3 +302,22 @@ def test_non_multiplicative_automorphism_names_the_first_failing_pair():
     with pytest.raises(CorruptedDataError,
                        match=re.escape(f"not multiplicative at ({expected[0]},{expected[1]})")):
         modular_automorphism(h, phi, gram_inv)
+
+
+def test_full_report_solves_each_integral_once(monkeypatch):
+    # the bidual side's cross-check reuses the primal's left integral
+    calls = []
+    solve_space = modular._invariance_nullspace
+
+    def counted(h, side):
+        calls.append((h.name, side))
+        return solve_space(h, side)
+
+    monkeypatch.setattr(modular, "_invariance_nullspace", counted)
+    h = build_taft(4)
+    _, ok = full_report_text(h)
+    assert ok
+    assert calls.count(("taft-4", "left")) == 1
+    assert sorted(set(calls)) == [("dual(taft-4)", "left"), ("dual(taft-4)", "right"),
+                                  ("taft-4", "left"), ("taft-4", "right")]
+    assert len(calls) == 4

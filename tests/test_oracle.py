@@ -10,6 +10,7 @@ Q(exp(2 pi i / N)), whose elements are coordinates in the same power
 basis of the primitive root.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,9 @@ from sympy.polys.matrices import DomainMatrix
 
 from hopfcheck.linalg import (Matrix, SingularMatrixError, determinant, invert, nullspace,
                               rank, solve)
-from hopfcheck.scalars import RATIONAL, Scalar, cyclotomic_field, cyclotomic_polynomial
+from hopfcheck.scalars import (RATIONAL, Scalar, _mul_num, cyclotomic_field,
+                               cyclotomic_polynomial)
+from hopfcheck.scalars import _normalized as _normalized_scalar
 
 X = sympy.Symbol("x")
 ORDERS = [3, 4, 5, 7, 8, 12]
@@ -71,6 +74,56 @@ def test_field_operations_match_sympy(n):
         assert (a - b).coeffs == _from_sympy(sympy.expand(pa - pb), field)
         if not a.is_zero():
             assert a.inv().coeffs == _from_sympy(sympy.invert(pa, phi, X), field)
+
+
+def _generic_product(a, b):
+    """a * b by the general path: integer product, reduction, gcd."""
+    field = a.field
+    return _normalized_scalar(field, _mul_num(field._tables[1], a.num, b.num), a.den * b.den)
+
+
+def _generic_sum(a, b, sign):
+    """a + sign * b by the general path over the common denominator."""
+    da, db = a.den, b.den
+    return _normalized_scalar(a.field, tuple(x * db + sign * y * da for x, y in zip(a.num, b.num)),
+                              da * db)
+
+
+def _assert_same(got, want, sympy_value, field):
+    assert (got.field, got.num, got.den) == (want.field, want.num, want.den)
+    assert got.coeffs == _from_sympy(sympy_value, field)
+    assert got.den > 0 and math.gcd(got.den, *got.num) == 1
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 12])
+def test_unit_and_zero_fast_paths_match_the_general_path_and_sympy(n):
+    """Products with 1, -1 and 0 and sums with 0, each side, against the
+    general normalized product and sum and against sympy (n = 1 is Q)."""
+    field = RATIONAL if n == 1 else cyclotomic_field(n)
+    phi = _phi(n)
+    one, zero = field.one(), field.zero()
+    minus_one = -one
+    rng = random.Random(f"oracle-fast-paths:{n}")
+    values = [_element(rng, field) for _ in range(40)] + [one, minus_one, zero]
+    assert sum(a.den != 1 for a in values) >= 20
+    for a in values:
+        pa = _to_sympy(a)
+        for u in (one, minus_one, zero):
+            pu = _to_sympy(u)
+            product = sympy.rem(sympy.expand(pa * pu), phi, X)
+            _assert_same(a * u, _generic_product(a, u), product, field)
+            _assert_same(u * a, _generic_product(u, a), product, field)
+        _assert_same(a + zero, _generic_sum(a, zero, 1), pa, field)
+        _assert_same(zero + a, _generic_sum(zero, a, 1), pa, field)
+        _assert_same(a - zero, _generic_sum(a, zero, -1), pa, field)
+        _assert_same(zero - a, _generic_sum(zero, a, -1), sympy.expand(-pa), field)
+        # the plain int forms take the same paths
+        assert a * 1 == 1 * a == a and a * -1 == -1 * a == -a
+        assert a + 0 == 0 + a == a - 0 == a and 0 - a == -a
+        if a not in (one, minus_one, zero):
+            # scalars are immutable, so the fast paths hand back the operand
+            assert a * one is a and one * a is a
+            assert a + zero is a and zero + a is a and a - zero is a
 
 
 def _random_matrix(rng, rows, cols, entry):
