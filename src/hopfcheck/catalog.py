@@ -428,8 +428,7 @@ def algebra_from_json(doc, synthesize_antipode: bool = True) -> HopfAlgebra:
 
     antipode = None
     if "antipode" in doc:
-        zero = field.zero()
-        rows = [[zero] * dim for _ in range(dim)]
+        entries = {}
         seen = {}
         for pos, item in enumerate(doc["antipode"]):
             where = f"antipode[{pos}]"
@@ -438,8 +437,10 @@ def algebra_from_json(doc, synthesize_antipode: bool = True) -> HopfAlgebra:
             i = check_index(item[0], where)
             j = check_index(item[1], where)
             check_new((i, j), seen, "antipode", pos)
-            rows[i][j] = parse_scalar(item[2], where)
-        antipode = Matrix(field, rows)
+            x = parse_scalar(item[2], where)
+            if not x.is_zero():
+                entries[(i, j)] = x
+        antipode = Matrix._from_entries(field, dim, dim, entries)
 
     h = HopfAlgebra(field, basis, mul, unit_col, comul, counit_row, antipode,
                     name=doc.get("name", "unnamed"))

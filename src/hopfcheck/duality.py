@@ -208,13 +208,15 @@ class PairedSystem:
         Built once; the two systems share their operators."""
         if self._swapped is None:
             swapped = PairedSystem(self.dual, self.primal, self.dual_modular,
-                                   dual_integrals(self.dual, self.primal, self.dual_modular))
+                                   dual_integrals(self.dual, self.primal, self.dual_modular,
+                                                  self.primal_modular))
             object.__setattr__(swapped, "_operators", self._operators)
             object.__setattr__(self, "_swapped", swapped)
         return self._swapped
 
 
-def dual_integrals(h: HopfAlgebra, dual: HopfAlgebra, md: ModularData) -> ModularData:
+def dual_integrals(h: HopfAlgebra, dual: HopfAlgebra, md: ModularData,
+                   dual_md: ModularData | None = None) -> ModularData:
     """Integrals and modular data of the dual, built from the defining
     normalizations and cross-checked against independent solves.
 
@@ -226,6 +228,12 @@ def dual_integrals(h: HopfAlgebra, dual: HopfAlgebra, md: ModularData) -> Modula
     modular element of the dual must agree with the pairing formula
     <a, delta_hat> = counit(sigma^-1(a)).  Any mismatch is a convention bug
     and fails hard.
+
+    dual_md, when given, is modular data already computed for dual (on the
+    bidual side, dual is the primal).  Its phi is a left integral of dual
+    and its psi is phi o S, so phi_hat = lam * phi for a scalar lam and
+    psi_hat = phi_hat o S = lam * psi: the Gram inverses are its own scaled
+    by lam^-1 instead of being inverted again.
     """
     field = h.field
     counit_row = list(h.counit)
@@ -256,9 +264,18 @@ def dual_integrals(h: HopfAlgebra, dual: HopfAlgebra, md: ModularData) -> Modula
             f"{dual.name}: modular element of the dual disagrees with the "
             "counit-of-sigma-inverse pairing formula")
 
-    phi_hat_gram_inv = gram_inverse(dual, phi_hat, "left")
+    if dual_md is None:
+        phi_hat_gram_inv = gram_inverse(dual, phi_hat, "left")
+        psi_hat_gram_inv = gram_inverse(dual, psi_hat, "right")
+    else:
+        lam = proportionality(dual_md.phi.coords, phi_hat.coords)
+        if lam is None:
+            raise CorruptedDataError(
+                f"{dual.name}: formula left integral disagrees with its modular data")
+        lam_inv = lam.inv()
+        phi_hat_gram_inv = dual_md.phi_gram_inv.scaled(lam_inv)
+        psi_hat_gram_inv = dual_md.psi_gram_inv.scaled(lam_inv)
     sigma_hat = modular_automorphism(dual, phi_hat, phi_hat_gram_inv)
-    psi_hat_gram_inv = gram_inverse(dual, psi_hat, "right")
     sigma_hat_prime = modular_automorphism(dual, psi_hat, psi_hat_gram_inv)
     tau_hat = scaling_constant(dual, phi_hat)
     return ModularData(phi_hat, psi_hat, delta_hat, delta_hat_inv,

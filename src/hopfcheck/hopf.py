@@ -25,8 +25,10 @@ from .linalg import Matrix, Tensor3, invert, rank, solve, SingularMatrixError, \
     InconsistentSystemError, NonUniqueSolutionError
 from .scalars import FieldSpec, Scalar
 
-# Largest dimension for which compute_antipode builds its dense system of
-# dim^2 equations in dim^2 unknowns (dim^4 entries); taft-6 has dim 36.
+# Largest dimension for which compute_antipode builds its system of dim^2
+# equations in dim^2 unknowns.  The system is assembled and reduced as
+# sparse rows, but the Matrix handed to solve keeps a dense copy of dim^4
+# entries, so the limit and its message stay; taft-6 has dim 36.
 ANTIPODE_DIM_LIMIT = 64
 
 
@@ -209,16 +211,17 @@ class HopfAlgebra:
 
     def multiply(self, a, b):
         out = self.zero_column()
+        b_support = [(j, y) for j, y in enumerate(b) if not y.is_zero()]
         for i, x in enumerate(a):
             if x.is_zero():
                 continue
             terms_i = self.mul_terms[i]
-            for j, y in enumerate(b):
-                if y.is_zero():
-                    continue
-                xy = x * y
-                for k, c in terms_i[j]:
-                    out[k] = out[k] + xy * c
+            for j, y in b_support:
+                cell = terms_i[j]
+                if cell:
+                    xy = x * y
+                    for k, c in cell:
+                        out[k] = out[k] + xy * c
         return out
 
     def unit_column(self):
@@ -415,7 +418,8 @@ class HopfAlgebra:
                     CheckResult("antipode-invertible", self.name, False, "no antipode stored")]
         checks = []
         s_cols = self.antipode.nonzero_columns()
-        id_cols = Matrix.identity(self.field, self.dim).nonzero_columns()
+        one = self.field.one()
+        id_cols = tuple(((i, one),) for i in range(self.dim))
         unit = [(t, u) for t, u in enumerate(self.unit) if not u.is_zero()]
         for side, f_cols, g_cols in (("left", s_cols, id_cols), ("right", id_cols, s_cols)):
             detail = ""
@@ -509,20 +513,15 @@ def compute_antipode(h: HopfAlgebra) -> Matrix:
             f"{h.name}: dim {n} exceeds the antipode synthesis limit of "
             f"{ANTIPODE_DIM_LIMIT} (the system has dim^2 unknowns)")
     field = h.field
-    zero = field.zero()
-    rows = [[zero] * (n * n) for _ in range(n * n)]
-    rhs = [zero] * (n * n)
-    for i in range(n):
-        for j, k, c in h.comul_terms[i]:
-            for l in range(n):
-                for p, d in h.mul_terms[l][k]:
-                    row = rows[i * n + p]
-                    col = l * n + j
-                    row[col] = row[col] + c * d
-        for p in range(n):
-            rhs[i * n + p] = h.counit[i] * h.unit[p]
+    mt = h.mul_terms
+    # equation (i, p), unknown S[l][j]: sum over the coproduct terms
+    # e_j (x) e_k of e_i and the products e_l * e_k with an e_p component
+    entries = _summed(((i * n + p, l * n + j), c * d)
+                      for i, terms in enumerate(h.comul_terms) for j, k, c in terms
+                      for l in range(n) for p, d in mt[l][k])
+    rhs = [e * u for e in h.counit for u in h.unit]
     try:
-        flat = solve(Matrix._of(field, rows), rhs)
+        flat = solve(Matrix._from_entries(field, n * n, n * n, entries), rhs)
     except InconsistentSystemError as exc:
         raise NoAntipodeError(f"{h.name}: no antipode exists") from exc
     except NonUniqueSolutionError as exc:
@@ -565,15 +564,11 @@ def galois_maps(h: HopfAlgebra) -> None:
           for i, j in basis}
 
     if h.antipode is None:
-        zero = h.field.zero()
         for name, t in (("T1", t1), ("T2", t2)):
-            rows = []  # one row per basis image: the transpose, of the same rank
-            for image in t.values():
-                row = [zero] * (n * n)
-                for (p, q), c in image.items():
-                    row[p * n + q] = c
-                rows.append(row)
-            if rank(Matrix._of(h.field, rows)) < n * n:
+            # one row per basis image: the transpose, of the same rank
+            entries = {(r, p * n + q): c for r, image in enumerate(t.values())
+                       for (p, q), c in image.items()}
+            if rank(Matrix._from_entries(h.field, n * n, n * n, entries)) < n * n:
                 raise NotRegularError(f"{h.name}: {name} is singular")
         return
 

@@ -1,12 +1,13 @@
 """Exact linear algebra over a FieldSpec.
 
-Everything here is pure and deterministic: one Gauss-Jordan reduction,
-with first-nonzero pivoting in column order, brings a matrix to its
-reduced row echelon form, which is unique, so nullspace bases, solutions,
-inverses, ranks and determinants are read off it reproducibly.
-Matrices are immutable after construction and stored dense; their sizes
-stay small (dimension of an algebra squared at worst).  Structure tensors
-are stored sparse, as their nonzero triples.
+Everything here is pure and deterministic: one Gauss-Jordan reduction
+over sparse rows, taking pivot columns left to right, brings a matrix to
+its reduced row echelon form, which is unique, so nullspace bases,
+solutions, inverses, ranks and determinants are read off it reproducibly
+whichever row each pivot is taken from.  Matrices are immutable after
+construction; they keep their dense entries and, on demand, their nonzero
+rows and columns.  Their sizes stay small (dimension of an algebra squared
+at worst).  Structure tensors are stored sparse, as their nonzero triples.
 """
 
 from __future__ import annotations
@@ -27,9 +28,12 @@ class SingularMatrixError(ValueError):
 
 
 class Matrix:
-    """Immutable dense matrix; rows is a tuple of tuples of Scalar."""
+    """Immutable matrix: data is the tuple of dense rows (tuples of Scalar),
+    which printing and equality read; nonzero_rows() and nonzero_columns()
+    give the nonzero entries the kernel computes with.  Both are cached,
+    and a matrix built from its nonzero entries starts with its rows known."""
 
-    __slots__ = ("field", "data", "_sparse_cols")
+    __slots__ = ("field", "data", "_sparse_cols", "_sparse_rows")
 
     def __init__(self, field: FieldSpec, rows):
         data = tuple(tuple(field.scalar(x) for x in row) for row in rows)
@@ -40,6 +44,7 @@ class Matrix:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "_sparse_cols", None)
+        object.__setattr__(self, "_sparse_rows", None)
 
     @classmethod
     def _of(cls, field: FieldSpec, rows) -> "Matrix":
@@ -50,6 +55,22 @@ class Matrix:
         _set_field(m, field)
         _set_data(m, tuple(map(tuple, rows)))
         _set_sparse_cols(m, None)
+        _set_sparse_rows(m, None)
+        return m
+
+    @classmethod
+    def _from_entries(cls, field: FieldSpec, nrows: int, ncols: int, entries) -> "Matrix":
+        """The nrows x ncols matrix with the given {(row, col): Scalar}
+        entries, nonzero Scalars of field, and zero elsewhere.  Systems are
+        assembled this way, so their nonzero entries are known, not scanned."""
+        zero = field.zero()
+        data = [[zero] * ncols for _ in range(nrows)]
+        rows = [[] for _ in range(nrows)]
+        for (i, j), x in sorted(entries.items()):
+            data[i][j] = x
+            rows[i].append((j, x))
+        m = cls._of(field, data)
+        _set_sparse_rows(m, tuple(map(tuple, rows)))
         return m
 
     def __setattr__(self, *a):
@@ -65,8 +86,8 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        one, zero = field.one(), field.zero()
-        return cls._of(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        one = field.one()
+        return cls._from_entries(field, n, n, {(i, i): one for i in range(n)})
 
     @classmethod
     def zero(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
@@ -83,7 +104,15 @@ class Matrix:
         return [row[j] for row in self.data]
 
     def transpose(self) -> "Matrix":
-        return Matrix._of(self.field, zip(*self.data))
+        t = Matrix._of(self.field, zip(*self.data))
+        _set_sparse_rows(t, self._sparse_cols)
+        _set_sparse_cols(t, self._sparse_rows)
+        return t
+
+    def scaled(self, c: Scalar) -> "Matrix":
+        """c times this matrix, for a nonzero scalar c."""
+        return Matrix._from_entries(self.field, self.rows, self.cols, {
+            (i, j): c * x for i, row in enumerate(self.nonzero_rows()) for j, x in row})
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -96,17 +125,13 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         zero = self.field.zero()
-        # sparse-aware: iterate only nonzero entries of self's rows
+        right = other.nonzero_rows()
         out = []
-        odata = other.data
-        for row in self.data:
+        for row in self.nonzero_rows():
             acc = [zero] * other.cols
-            for k, x in enumerate(row):
-                if x.is_zero():
-                    continue
-                for j, y in enumerate(odata[k]):
-                    if not y.is_zero():
-                        acc[j] = acc[j] + x * y
+            for k, x in row:
+                for j, y in right[k]:
+                    acc[j] = acc[j] + x * y
             out.append(acc)
         return Matrix._of(self.field, out)
 
@@ -128,14 +153,30 @@ class Matrix:
                 return result
             base = base * base
 
+    def nonzero_rows(self):
+        """Per row, the (column, value) pairs of its nonzero entries; cached."""
+        rows = self._sparse_rows
+        if rows is None:
+            rows = tuple(tuple((j, x) for j, x in enumerate(row) if not x.is_zero())
+                         for row in self.data)
+            object.__setattr__(self, "_sparse_rows", rows)
+        return rows
+
     def nonzero_columns(self):
-        """Per column, the (row, value) pairs of its nonzero entries; cached."""
+        """Per column, the (row, value) pairs of its nonzero entries; cached,
+        and read off the nonzero rows when those are known."""
         cols = self._sparse_cols
         if cols is None:
-            cols = tuple(
-                tuple((i, row[j]) for i, row in enumerate(self.data) if not row[j].is_zero())
-                for j in range(self.cols)
-            )
+            if self._sparse_rows is None:
+                cols = tuple(
+                    tuple((i, row[j]) for i, row in enumerate(self.data) if not row[j].is_zero())
+                    for j in range(self.cols))
+            else:
+                lists = [[] for _ in range(self.cols)]
+                for i, row in enumerate(self._sparse_rows):
+                    for j, x in row:
+                        lists[j].append((i, x))
+                cols = tuple(map(tuple, lists))
             object.__setattr__(self, "_sparse_cols", cols)
         return cols
 
@@ -155,12 +196,12 @@ class Matrix:
         """Row vector times matrix (functional composed with a map)."""
         zero = self.field.zero()
         out = [zero] * self.cols
+        rows = self.nonzero_rows()
         for i, c in enumerate(row_vec):
             if c.is_zero():
                 continue
-            for j, x in enumerate(self.data[i]):
-                if not x.is_zero():
-                    out[j] = out[j] + c * x
+            for j, x in rows[i]:
+                out[j] = out[j] + c * x
         return out
 
     def is_identity(self) -> bool:
@@ -186,6 +227,7 @@ _new_object = object.__new__
 _set_field = Matrix.field.__set__
 _set_data = Matrix.data.__set__
 _set_sparse_cols = Matrix._sparse_cols.__set__
+_set_sparse_rows = Matrix._sparse_rows.__set__
 
 
 class Tensor3:
@@ -233,59 +275,82 @@ class Tensor3:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Jordan reduction
+# Gauss-Jordan reduction over sparse rows
 # ---------------------------------------------------------------------------
 
-def _row_reduce(field: FieldSpec, rows, limit_cols=None):
-    """Bring rows (lists of Scalars) to reduced row echelon form in place.
+def _row_reduce(rows, limit_cols: int):
+    """Bring rows, dicts from column to nonzero Scalar, to reduced row
+    echelon form in place.
 
-    Pivots are the first nonzero entry scanning columns left to right and
-    rows top to bottom; only the first limit_cols columns are eligible as
-    pivots (rows may carry augmented right-hand-side columns).  Each pivot
-    row is scaled to a leading 1 and its column cleared in every other row
-    whose entry there is nonzero, visiting only the nonzero entries of the
-    pivot row.  Returns (pivot_cols, det): pivot_cols[r] is the pivot column
-    of row r, det the signed product of the pivots (the determinant when
-    rows is square and every column has a pivot).
+    Only the first limit_cols columns are eligible as pivots (rows may carry
+    augmented right-hand-side columns).  Pivot columns are taken left to
+    right.  An index from each such column to the rows holding it means the
+    pivot search and the elimination touch only those rows.  Among the rows
+    not yet pivots that hold the column, the one with the fewest entries is
+    the pivot row (Markowitz's rule; ties go to the lower index).  Any
+    choice gives the same result, since the reduced row echelon form is
+    unique.  The pivot row is scaled to a leading 1 and subtracted from
+    every other row holding its column.
+
+    On return rows[r] is the pivot row of pivot_cols[r], and the rows
+    without a pivot follow in their old order.  Returns (pivot_cols,
+    pivots, pivot_rows): per pivot, its column, its value before scaling
+    and the old index of its row.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if limit_cols is None:
-        limit_cols = ncols
-    one, zero = field.one(), field.zero()
-    det = one
-    pivot_cols = []
-    for c in range(limit_cols):
-        r = len(pivot_cols)
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
-        if pivot_row is None:
+    holders = [set() for _ in range(limit_cols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            if j < limit_cols:
+                holders[j].add(i)
+    free = [True] * len(rows)
+    pivot_cols, pivots, pivot_rows = [], [], []
+    for c, held in enumerate(holders):
+        p, size = -1, 0
+        for i in held:
+            if free[i] and (p < 0 or len(rows[i]) < size or (len(rows[i]) == size and i < p)):
+                p, size = i, len(rows[i])
+        if p < 0:
             continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            det = -det
-        top = rows[r]
-        pivot = top[c]
-        det = det * pivot
-        inv = None if pivot.is_one() else pivot.inv()
-        support = []
-        for j in range(c + 1, ncols):
-            x = top[j]
-            if not x.is_zero():
-                if inv is not None:
-                    x = top[j] = inv * x
-                support.append((j, x))
-        top[c] = one
-        for i, row in enumerate(rows):
-            head = row[c]
-            if i == r or head.is_zero():
+        free[p] = False
+        top = rows[p]
+        pivot = top.pop(c)
+        if not pivot.is_one():
+            inv = pivot.inv()
+            for j, x in top.items():
+                top[j] = inv * x
+        support = list(top.items())
+        top[c] = pivot.field.one()
+        for i in held:
+            if i == p:
                 continue
+            row = rows[i]
+            minus_head = -row.pop(c)
             for j, x in support:
-                row[j] = row[j] - head * x
-            row[c] = zero
+                y = row.get(j)
+                if y is None:
+                    row[j] = minus_head * x
+                    if j < limit_cols:
+                        holders[j].add(i)
+                else:
+                    y = y + minus_head * x
+                    if y.is_zero():
+                        del row[j]
+                        if j < limit_cols:
+                            holders[j].discard(i)
+                    else:
+                        row[j] = y
         pivot_cols.append(c)
-    return pivot_cols, det
+        pivots.append(pivot)
+        pivot_rows.append(p)
+        if len(pivot_rows) == len(rows):
+            break
+    rows[:] = [rows[i] for i in pivot_rows] + [row for i, row in enumerate(rows) if free[i]]
+    return pivot_cols, pivots, pivot_rows
+
+
+def _sparse_rows(m: Matrix):
+    """Fresh dict copies of m's nonzero rows, for _row_reduce to consume."""
+    return [dict(row) for row in m.nonzero_rows()]
 
 
 def normalize_vector(field: FieldSpec, vec):
@@ -305,10 +370,16 @@ def nullspace(m: Matrix):
     injective.
     """
     field = m.field
-    rows = [list(r) for r in m.data]
-    if not rows:
+    if not m.rows:
         return []
-    pivot_cols, _ = _row_reduce(field, rows)
+    rows = _sparse_rows(m)
+    pivot_cols, _, _ = _row_reduce(rows, m.cols)
+    # free column f -> the (pivot column, -entry) pairs of its basis column
+    coords = {}
+    for pc, row in zip(pivot_cols, rows):
+        for f, x in row.items():
+            if f != pc:
+                coords.setdefault(f, []).append((pc, -x))
     pivots = set(pivot_cols)
     one, zero = field.one(), field.zero()
     basis = []
@@ -317,9 +388,8 @@ def nullspace(m: Matrix):
             continue
         x = [zero] * m.cols
         x[f] = one
-        for r, pc in enumerate(pivot_cols):
-            if not rows[r][f].is_zero():
-                x[pc] = -rows[r][f]
+        for pc, v in coords.get(f, ()):
+            x[pc] = v
         basis.append(normalize_vector(field, x))
     return basis
 
@@ -335,24 +405,28 @@ def solve(m: Matrix, rhs):
     rhs = [field.scalar(v) for v in rhs]
     if len(rhs) != m.rows:
         raise ValueError("rhs length does not match row count")
-    rows = [list(r) + [v] for r, v in zip(m.data, rhs)]
     ncols = m.cols
-    if not rows:
+    if not rhs:
         if ncols:
             raise NonUniqueSolutionError(f"solution space has dimension {ncols}")
         return []
-    pivot_cols, _ = _row_reduce(field, rows, ncols)
+    rows = _sparse_rows(m)
+    for row, v in zip(rows, rhs):
+        if not v.is_zero():
+            row[ncols] = v
+    pivot_cols, _, _ = _row_reduce(rows, ncols)
     # consistency: reduced rows below the rank must have zero rhs
-    for r in range(len(pivot_cols), len(rows)):
-        if not rows[r][ncols].is_zero():
+    for row in rows[len(pivot_cols):]:
+        if ncols in row:
             raise InconsistentSystemError("system has no solution")
-        if any(not x.is_zero() for x in rows[r][:ncols]):
+        if row:
             raise AssertionError("elimination left a stray row")
     if len(pivot_cols) < ncols:
         raise NonUniqueSolutionError(
             f"solution space has dimension {ncols - len(pivot_cols)}"
         )
-    return [row[ncols] for row in rows[:ncols]]
+    zero = field.zero()
+    return [row.get(ncols, zero) for row in rows[:ncols]]
 
 
 def invert(m: Matrix) -> Matrix:
@@ -362,27 +436,42 @@ def invert(m: Matrix) -> Matrix:
         raise SingularMatrixError("only square matrices can be inverted")
     field = m.field
     n = m.rows
-    one, zero = field.one(), field.zero()
-    rows = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(m.data)]
-    pivot_cols, _ = _row_reduce(field, rows, n)
+    one = field.one()
+    rows = _sparse_rows(m)
+    for i, row in enumerate(rows):
+        row[n + i] = one
+    pivot_cols, _, _ = _row_reduce(rows, n)
     if len(pivot_cols) < n:
         raise SingularMatrixError("matrix is singular")
-    return Matrix._of(field, [row[n:] for row in rows])
+    return Matrix._from_entries(field, n, n, {
+        (i, j - n): x for i, row in enumerate(rows) for j, x in row.items() if j >= n})
 
 
 def determinant(m: Matrix) -> Scalar:
     """Exact determinant: the signed product of the pivots."""
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
-    field = m.field
-    if m.rows == 0:
-        return field.one()
-    pivot_cols, det = _row_reduce(field, [list(r) for r in m.data])
-    return det if len(pivot_cols) == m.rows else field.zero()
+    n = m.rows
+    pivot_cols, pivots, pivot_rows = _row_reduce(_sparse_rows(m), n)
+    if len(pivot_cols) < n:
+        return m.field.zero()
+    det = m.field.one()
+    for x in pivots:
+        det = det * x
+    # row pivot_rows[k] ended as unit row k; that permutation has sign
+    # (-1)^(n - number of its cycles)
+    seen = [False] * n
+    for k in range(n):
+        if not seen[k]:
+            det = -det
+            while not seen[k]:
+                seen[k] = True
+                k = pivot_rows[k]
+    return -det if n % 2 else det
 
 
 def rank(m: Matrix) -> int:
-    return len(_row_reduce(m.field, [list(r) for r in m.data])[0])
+    return len(_row_reduce(_sparse_rows(m), m.cols)[0])
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -12,6 +12,7 @@ defining relations before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .hopf import CorruptedDataError, HopfAlgebra, LinearFunctional, _summed
 from .linalg import (Matrix, NonUniqueSolutionError, InconsistentSystemError,
@@ -39,21 +40,16 @@ class ModularData:
 def _invariance_nullspace(h: HopfAlgebra, side: str):
     """Solution space of the left (right) invariance conditions."""
     n = h.dim
-    zero = h.field.zero()
-    rows = []
-    for i in range(n):
-        block = [[zero] * n for _ in range(n)]
-        for j, k, c in h.comul_terms[i]:
-            if side == "left":
-                # sum_k comul[i][j][k] f(e_k) = f(e_i) * unit_j
-                block[j][k] = block[j][k] + c
-            else:
-                # sum_j comul[i][j][k] f(e_j) = f(e_i) * unit_k
-                block[k][j] = block[k][j] + c
-        for j in range(n):
-            block[j][i] = block[j][i] - h.unit[j]
-        rows.extend(block)
-    return nullspace(Matrix._of(h.field, rows))
+    unit = [(j, -u) for j, u in enumerate(h.unit) if not u.is_zero()]
+    # equation (i, j) reads row i * n + j
+    if side == "left":
+        # sum_k comul[i][j][k] f(e_k) = f(e_i) * unit_j
+        terms = (((i * n + j, k), c) for i, ts in enumerate(h.comul_terms) for j, k, c in ts)
+    else:
+        # sum_j comul[i][j][k] f(e_j) = f(e_i) * unit_k
+        terms = (((i * n + k, j), c) for i, ts in enumerate(h.comul_terms) for j, k, c in ts)
+    entries = _summed(chain(terms, (((i * n + j, i), u) for i in range(n) for j, u in unit)))
+    return nullspace(Matrix._from_entries(h.field, n * n, n, entries))
 
 
 def _integral(h: HopfAlgebra, side: str) -> LinearFunctional:
@@ -92,20 +88,10 @@ def integral_space_dimensions(h: HopfAlgebra):
 def gram_matrix(h: HopfAlgebra, functional: LinearFunctional) -> Matrix:
     """B[i][j] = functional(e_i * e_j); invertible iff the functional is
     faithful."""
-    n = h.dim
-    zero = h.field.zero()
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = zero
-            for k, c in h.mul_terms[i][j]:
-                f = functional.coords[k]
-                if not f.is_zero():
-                    acc = acc + c * f
-            row.append(acc)
-        rows.append(row)
-    return Matrix._of(h.field, rows)
+    f = {k: x for k, x in enumerate(functional.coords) if not x.is_zero()}
+    entries = _summed(((i, j), c * f[k]) for i, mt_i in enumerate(h.mul_terms)
+                      for j, cell in enumerate(mt_i) for k, c in cell if k in f)
+    return Matrix._from_entries(h.field, h.dim, h.dim, entries)
 
 
 def gram_inverse(h: HopfAlgebra, functional: LinearFunctional, side: str) -> Matrix:

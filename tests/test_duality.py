@@ -269,6 +269,26 @@ def test_operator_lookup_is_memoized_and_exact(paired, name):
             assert system.operator(op, sort) is first, (op, sort)
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_bidual_gram_inverses_are_the_primal_ones_rescaled(paired, name):
+    # the bidual side scales the primal's Gram inverses instead of inverting
+    # again; each must equal the fresh inverse of its own Gram matrix, on
+    # this pairing and on the pairing swapped twice
+    sys = paired(name)
+    for system in (sys.swapped(), sys.swapped().swapped()):
+        h, md = system.dual, system.dual_modular
+        assert md.phi_gram_inv == invert(gram_matrix(h, md.phi)), name
+        assert md.psi_gram_inv == invert(gram_matrix(h, md.psi)), name
+
+
+def test_bidual_gram_inverse_needs_proportional_modular_data(paired):
+    sys = paired("sweedler")
+    wrong = dataclasses.replace(sys.primal_modular,
+                                phi=LinearFunctional(sys.primal.field, [1] * sys.primal.dim))
+    with pytest.raises(CorruptedDataError, match="disagrees with its modular data"):
+        dual_integrals(sys.dual, sys.primal, sys.dual_modular, wrong)
+
+
 def test_swapped_system_shares_the_dual_side_operators(paired):
     sys = paired("taft-3")
     swapped = sys.swapped()

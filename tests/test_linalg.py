@@ -198,3 +198,44 @@ def test_kernel_built_matrices_equal_coerced_ones():
         assert Matrix(C4, [list(row) for row in m.data]) == m
     assert (a * invert(a)).is_identity()
     assert a.transpose().transpose() == a
+
+
+def test_sparse_rows_are_cached_and_never_mutated():
+    # the kernel reduces copies: the cached rows of its argument stay as
+    # they were, and agree with a scan of the dense entries
+    i = C4.generator()
+    m = Matrix(C4, [[0, 1, i], [2, 0, 0], [0, 0, -1]])
+    rows = m.nonzero_rows()
+    assert rows == (((1, C4.one()), (2, i)), ((0, C4.scalar(2)),), ((2, C4.scalar(-1)),))
+    snapshot = [list(r) for r in rows]
+    for _ in range(2):
+        solve(m, [1, 2, 3])
+        invert(m)
+        nullspace(m)
+        rank(m)
+        determinant(m)
+    assert m.nonzero_rows() is rows and [list(r) for r in rows] == snapshot
+
+
+def test_kernel_built_matrices_know_their_nonzero_entries():
+    i = C4.generator()
+    built = Matrix._from_entries(C4, 2, 3, {(1, 2): i, (0, 1): C4.one(), (1, 0): -i})
+    scanned = Matrix(C4, [[0, 1, 0], [-i, 0, i]])
+    assert built == scanned
+    assert built.nonzero_rows() == scanned.nonzero_rows()
+    assert built.nonzero_columns() == scanned.nonzero_columns()
+    t = built.transpose()
+    assert t.nonzero_rows() == scanned.transpose().nonzero_rows()
+    assert t.nonzero_columns() == scanned.transpose().nonzero_columns()
+    ident = Matrix.identity(C4, 3)
+    assert ident == Matrix(C4, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) and ident.is_identity()
+    assert built.scaled(i) == Matrix(C4, [[0, i, 0], [1, 0, -1]])
+
+
+def test_product_reads_only_nonzero_entries(monkeypatch):
+    n = 30
+    a = mat([[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)])
+    a.nonzero_rows()
+    products = _counting_calls(monkeypatch, Scalar, "__mul__")
+    assert (a * a) == mat([[1 if j == (i + 2) % n else 0 for j in range(n)] for i in range(n)])
+    assert products[0] == n

@@ -98,3 +98,27 @@ def test_micro_captures_the_sweedler_antipode_system(micro):
     assert (matrix.rows, matrix.cols) == (16, 16)
     assert len(rhs) == 16
     assert len(solve(matrix, rhs)) == 16
+
+
+def test_taft4_antipode_solve_stays_sparse(micro, monkeypatch):
+    # a count, not a timing: the dense kernel made 111,914 Scalar.is_zero
+    # plus Scalar.__mul__ calls (111,445 + 469) for this solve; the sparse
+    # kernel must stay under a quarter of that
+    from hopfcheck.scalars import Scalar
+    matrix, rhs = micro.antipode_system(1, "taft-4")
+    assert (matrix.rows, matrix.cols) == (256, 256)
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Scalar, "is_zero", counted(Scalar.is_zero))
+    monkeypatch.setattr(Scalar, "__mul__", counted(Scalar.__mul__))
+    monkeypatch.setattr(Scalar, "__rmul__", counted(Scalar.__rmul__))
+    flat = solve(matrix, rhs)
+    monkeypatch.undo()
+    assert calls[0] <= 111_914 // 4
+    assert len(flat) == 256

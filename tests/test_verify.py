@@ -121,11 +121,11 @@ def test_full_report_builds_each_algebra_once(monkeypatch):
     # the dual in pair_system only: swapped() pairs the dual with the primal
     # itself, so primal and dual are validated once each.  invert: one per
     # validation (the operator S^-1 on both sides reads it), the two Gram
-    # matrices (of phi and psi) of the primal, the dual and the bidual side
-    # (the primal again, under the dual's integrals), and 2 operator inverses
-    # (sigma, sigma'); dual_integrals checks its pairing formula through
-    # sigma, not its inverse
-    assert calls == {"build_dual": 1, "validations": 2, "invert": 10}
+    # matrices (of phi and psi) of the primal and of the dual, and 2 operator
+    # inverses (sigma, sigma'); the bidual side scales the primal's Gram
+    # inverses by its integral's scalar, and dual_integrals checks its
+    # pairing formula through sigma, not its inverse
+    assert calls == {"build_dual": 1, "validations": 2, "invert": 8}
 
 
 def test_broken_transposition_fails_only_the_structure_iso(monkeypatch, paired, suite_reports):
