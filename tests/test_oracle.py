@@ -7,7 +7,10 @@ rank and determinant on seeded random exact matrices over Q against
 sympy.Matrix, and solve, nullspace and invert over Q(zeta_3) and
 Q(zeta_4) against sympy's DomainMatrix over the algebraic field
 Q(exp(2 pi i / N)), whose elements are coordinates in the same power
-basis of the primitive root.
+basis of the primitive root.  Matrix products, transposes, Kronecker
+products, powers, columns, dense entries, equality and the identity test
+over Q and Q(zeta_4) against sympy.Matrix of polynomials in x reduced
+modulo cyclotomic_poly(N).
 """
 
 import math
@@ -18,8 +21,8 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from hopfcheck.linalg import (Matrix, SingularMatrixError, determinant, invert, nullspace,
-                              rank, solve)
+from hopfcheck.linalg import (Matrix, SingularMatrixError, determinant, invert, kron,
+                              nullspace, rank, solve)
 from hopfcheck.scalars import (RATIONAL, Scalar, _mul_num, cyclotomic_field,
                                cyclotomic_polynomial)
 from hopfcheck.scalars import _normalized as _normalized_scalar
@@ -276,3 +279,98 @@ def test_solve_nullspace_invert_match_sympy_over_cyclotomic(n, seed):
     assert [[x.coeffs for x in v] for v in got] == [_normalized_anp(v, field) for v in kernel]
     with pytest.raises(SingularMatrixError):
         invert(Matrix(field, [row[:3] for row in low[:3]]))
+
+
+
+def _matrix_entry(rng, field):
+    return _element(rng, field) if rng.random() < 0.6 else field.zero()
+
+
+def _random_field_matrix(rng, field, rows, cols):
+    """Seeded random entries of field, some rows and columns wholly zero."""
+    entries = [[_matrix_entry(rng, field) for _ in range(cols)] for _ in range(rows)]
+    if rng.random() < 0.5:
+        entries[rng.randrange(rows)] = [field.zero()] * cols
+    if rng.random() < 0.5:
+        j = rng.randrange(cols)
+        for row in entries:
+            row[j] = field.zero()
+    return entries
+
+
+def _poly_matrix(rows):
+    """Dense rows of Scalars as a sympy.Matrix of polynomials in x."""
+    return sympy.Matrix(len(rows), len(rows[0]), [_to_sympy(x) for row in rows for x in row])
+
+
+def _reduced(expr_matrix, field):
+    """expr_matrix with every entry reduced mod the field's cyclotomic polynomial."""
+    if field.degree == 1:
+        return expr_matrix
+    return expr_matrix.applyfunc(lambda e: sympy.rem(sympy.expand(e), _phi(field.order), X))
+
+
+def _coords(expr_matrix, field):
+    """Entry coordinates of a sympy.Matrix of polynomials, reduced."""
+    reduced = _reduced(expr_matrix, field)
+    return [[_from_sympy(reduced[i, j], field) for j in range(reduced.cols)]
+            for i in range(reduced.rows)]
+
+
+def _our_coords(m: Matrix):
+    return [[x.coeffs for x in row] for row in m.data]
+
+
+@pytest.mark.parametrize("field", [RATIONAL, cyclotomic_field(4)], ids=["q", "zeta4"])
+@pytest.mark.parametrize("seed", range(4))
+def test_matrix_operations_match_sympy(field, seed):
+    """Products, transposes, Kronecker products, powers, columns and dense
+    entries of seeded random rectangular matrices, with wholly zero rows
+    and columns, against sympy.Matrix over polynomials in x."""
+    rng = random.Random(f"oracle-matrix:{field.order}:{seed}")
+    for _ in range(3):
+        r, k, c = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a_rows = _random_field_matrix(rng, field, r, k)
+        b_rows = _random_field_matrix(rng, field, k, c)
+        a, b = Matrix(field, a_rows), Matrix(field, b_rows)
+        pa, pb = _poly_matrix(a_rows), _poly_matrix(b_rows)
+        assert (a.rows, a.cols) == pa.shape
+        assert _our_coords(a) == _coords(pa, field)
+        assert _our_coords(a * b) == _coords(pa * pb, field)
+        assert _our_coords(a.transpose()) == _coords(pa.T, field)
+        assert [[x.coeffs for x in a.column(j)] for j in range(k)] == \
+            [[row[0] for row in _coords(pa[:, j], field)] for j in range(k)]
+        small_rows = _random_field_matrix(rng, field, rng.randint(1, 2), rng.randint(1, 3))
+        assert _our_coords(kron(a, Matrix(field, small_rows))) == \
+            _coords(sympy.kronecker_product(pa, _poly_matrix(small_rows)), field)
+        square_rows = _random_field_matrix(rng, field, r, r)
+        square, ps = Matrix(field, square_rows), _poly_matrix(square_rows)
+        power = sympy.eye(r)
+        for e in range(5):
+            assert _our_coords(square.pow(e)) == _coords(power, field)
+            power = _reduced(power * ps, field)
+
+
+@pytest.mark.parametrize("field", [RATIONAL, cyclotomic_field(4)], ids=["q", "zeta4"])
+def test_matrix_equality_and_identity_match_sympy(field):
+    """== and is_identity against sympy's equality, on equal pairs, pairs
+    one entry apart, differently shaped pairs and near-identities."""
+    rng = random.Random(f"oracle-matrix-eq:{field.order}")
+    one, zero = field.one(), field.zero()
+    for _ in range(12):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        entries = _random_field_matrix(rng, field, r, c)
+        other = [list(row) for row in entries]
+        other[rng.randrange(r)][rng.randrange(c)] = rng.choice([zero, one, _element(rng, field)])
+        wide = [row + [zero] for row in entries]
+        for left, right in ((entries, entries), (entries, other), (entries, wide)):
+            assert (Matrix(field, left) == Matrix(field, right)) == \
+                (_poly_matrix(left) == _poly_matrix(right))
+        n = rng.randint(1, 4)
+        near = [[one if p == q else zero for q in range(n)] for p in range(n)]
+        bent = [list(row) for row in near]
+        bent[rng.randrange(n)][rng.randrange(n)] = rng.choice([zero, _element(rng, field), -one])
+        for rows in (near, [row + [zero] for row in near], bent, entries):
+            pm = _poly_matrix(rows)
+            assert Matrix(field, rows).is_identity() == \
+                (pm.rows == pm.cols and pm == sympy.eye(pm.rows))
