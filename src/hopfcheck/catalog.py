@@ -242,7 +242,7 @@ def _build_skew_primitive(field: FieldSpec, q: Scalar, n: int, name: str) -> Hop
     sg = {idx(n - 1, 0): one}
     sx = col_mul({idx(n - 1, 0): one}, {idx(0, 1): one})
     sx = {k: -v for k, v in sx.items()}
-    s_cols = []
+    s_entries = {}
     for a in range(n):
         for b in range(n):
             col = {idx(0, 0): one}
@@ -250,11 +250,9 @@ def _build_skew_primitive(field: FieldSpec, q: Scalar, n: int, name: str) -> Hop
                 col = col_mul(col, sx)
             for _ in range(a):
                 col = col_mul(col, sg)
-            dense = [zero] * dim
             for k, v in col.items():
-                dense[k] = v
-            s_cols.append(dense)
-    antipode = Matrix.from_columns(field, s_cols)
+                s_entries[(k, idx(a, b))] = v
+    antipode = Matrix._from_entries(field, dim, dim, s_entries)
 
     names = [_monomial_name(a, b) for a in range(n) for b in range(n)]
     return HopfAlgebra(field, names, mul, unit, comul, counit, antipode, name=name)
@@ -347,9 +345,8 @@ def algebra_to_json(h: HopfAlgebra) -> dict:
     if h.antipode is not None:
         doc["antipode"] = [
             [i, j, str(x)]
-            for i, row in enumerate(h.antipode.data)
-            for j, x in enumerate(row)
-            if not x.is_zero()
+            for i, row in enumerate(h.antipode.nonzero_rows())
+            for j, x in row
         ]
     return doc
 

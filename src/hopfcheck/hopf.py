@@ -26,9 +26,9 @@ from .linalg import Matrix, Tensor3, invert, rank, solve, SingularMatrixError, \
 from .scalars import FieldSpec, Scalar
 
 # Largest dimension for which compute_antipode builds its system of dim^2
-# equations in dim^2 unknowns.  The system is assembled and reduced as
-# sparse rows, but the Matrix handed to solve keeps a dense copy of dim^4
-# entries, so the limit and its message stay; taft-6 has dim 36.
+# equations in dim^2 unknowns.  The system is stored and reduced as sparse
+# rows; the limit bounds the time a file without an antipode can cost
+# (taft-8, dim 64, takes about a second).
 ANTIPODE_DIM_LIMIT = 64
 
 
@@ -49,7 +49,7 @@ class NotRegularError(ValueError):
 
 
 class AntipodeTooLargeError(ValueError):
-    """The algebra is too large for the dense antipode system."""
+    """The algebra is too large to synthesize its antipode."""
 
 
 def _summed(pairs):
@@ -263,8 +263,10 @@ class HopfAlgebra:
 
     def left_mult_matrix(self, a) -> Matrix:
         """Matrix of x -> a * x."""
-        cols = [self.multiply(a, self.basis_column(j)) for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols)
+        n, mt = self.dim, self.mul_terms
+        return Matrix._from_entries(self.field, n, n, _summed(
+            ((k, j), x * c) for i, x in enumerate(a) if not x.is_zero()
+            for j in range(n) for k, c in mt[i][j]))
 
     def format_element(self, column) -> str:
         """Human-readable combination of basis names, exact coefficients."""
@@ -418,16 +420,9 @@ class HopfAlgebra:
                     CheckResult("antipode-invertible", self.name, False, "no antipode stored")]
         checks = []
         s_cols = self.antipode.nonzero_columns()
-        one = self.field.one()
-        id_cols = tuple(((i, one),) for i in range(self.dim))
-        unit = [(t, u) for t, u in enumerate(self.unit) if not u.is_zero()]
-        for side, f_cols, g_cols in (("left", s_cols, id_cols), ("right", id_cols, s_cols)):
-            detail = ""
-            for i in range(self.dim):
-                expected = _summed((t, self.counit[i] * u) for t, u in unit)
-                if _convolution_column(self, f_cols, g_cols, i) != expected:
-                    detail = f"antipode {side} law fails on e{i}"
-                    break
+        for side in ("left", "right"):
+            i = _antipode_law_failure(self, s_cols, side)
+            detail = "" if i is None else f"antipode {side} law fails on e{i}"
             checks.append(CheckResult(f"antipode-{side}", self.name, not detail, detail))
         try:
             object.__setattr__(self, "_antipode_inverse", invert(self.antipode))
@@ -466,8 +461,9 @@ def is_cocommutative(h: HopfAlgebra) -> bool:
 
 def unit_counit_map(h: HopfAlgebra) -> Matrix:
     """The convolution identity: x -> counit(x) * 1."""
-    cols = [[h.counit[i] * u for u in h.unit] for i in range(h.dim)]
-    return Matrix.from_columns(h.field, cols)
+    return Matrix._from_entries(h.field, h.dim, h.dim, {
+        (t, i): e * u for i, e in enumerate(h.counit) if not e.is_zero()
+        for t, u in enumerate(h.unit) if not u.is_zero()})
 
 
 def _convolution_column(h: HopfAlgebra, f_cols, g_cols, i: int):
@@ -486,13 +482,23 @@ def _convolution_column(h: HopfAlgebra, f_cols, g_cols, i: int):
 def convolve(f: Matrix, g: Matrix, h: HopfAlgebra) -> Matrix:
     """Convolution product of two endomorphisms: mul o (f (x) g) o coproduct."""
     f_cols, g_cols = f.nonzero_columns(), g.nonzero_columns()
-    cols = []
+    return Matrix._from_entries(h.field, h.dim, h.dim, {
+        (t, i): x for i in range(h.dim)
+        for t, x in _convolution_column(h, f_cols, g_cols, i).items()})
+
+
+def _antipode_law_failure(h: HopfAlgebra, s_cols, side: str):
+    """The first i on which the left law (S * id)(e_i) = counit(e_i) 1, or
+    the right law (id * S)(e_i) = counit(e_i) 1, fails for the map S whose
+    columns have the nonzero entries s_cols; None when the law holds."""
+    id_cols = Matrix.identity(h.field, h.dim).nonzero_columns()
+    f_cols, g_cols = (s_cols, id_cols) if side == "left" else (id_cols, s_cols)
+    unit = [(t, u) for t, u in enumerate(h.unit) if not u.is_zero()]
     for i in range(h.dim):
-        col = h.zero_column()
-        for t, x in _convolution_column(h, f_cols, g_cols, i).items():
-            col[t] = x
-        cols.append(col)
-    return Matrix.from_columns(h.field, cols)
+        expected = _summed((t, h.counit[i] * u) for t, u in unit)
+        if _convolution_column(h, f_cols, g_cols, i) != expected:
+            return i
+    return None
 
 
 def compute_antipode(h: HopfAlgebra) -> Matrix:
@@ -528,9 +534,9 @@ def compute_antipode(h: HopfAlgebra) -> Matrix:
         raise CorruptedDataError(
             f"{h.name}: antipode system is underdetermined; input is not a bialgebra"
         ) from exc
-    s = Matrix._of(field, [flat[l * n:(l + 1) * n] for l in range(n)])
-    ident = Matrix.identity(field, n)
-    if convolve(ident, s, h) != unit_counit_map(h):
+    s = Matrix._from_entries(field, n, n, {
+        divmod(u, n): x for u, x in enumerate(flat) if not x.is_zero()})
+    if _antipode_law_failure(h, s.nonzero_columns(), "right") is not None:
         raise CorruptedDataError(f"{h.name}: left antipode is not a right antipode")
     return s
 

@@ -5,9 +5,9 @@ over sparse rows, taking pivot columns left to right, brings a matrix to
 its reduced row echelon form, which is unique, so nullspace bases,
 solutions, inverses, ranks and determinants are read off it reproducibly
 whichever row each pivot is taken from.  Matrices are immutable after
-construction; they keep their dense entries and, on demand, their nonzero
-rows and columns.  Their sizes stay small (dimension of an algebra squared
-at worst).  Structure tensors are stored sparse, as their nonzero triples.
+construction and store only their shape and their nonzero entries, so a
+system of dim^2 equations costs memory in its nonzero count, never in
+dim^4.  Structure tensors are stored sparse, as their nonzero triples.
 """
 
 from __future__ import annotations
@@ -28,112 +28,103 @@ class SingularMatrixError(ValueError):
 
 
 class Matrix:
-    """Immutable matrix: data is the tuple of dense rows (tuples of Scalar),
-    which printing and equality read; nonzero_rows() and nonzero_columns()
-    give the nonzero entries the kernel computes with.  Both are cached,
-    and a matrix built from its nonzero entries starts with its rows known."""
+    """Immutable rows x cols matrix stored as its nonzero entries.
 
-    __slots__ = ("field", "data", "_sparse_cols", "_sparse_rows")
+    nonzero_rows() gives, per row, the (column, value) pairs of its nonzero
+    entries in column order; it is the storage every operation reads.
+    nonzero_columns() is the same per column, derived and cached.  data,
+    the dense rows, is derived on each read, for printing and export.
+    """
+
+    __slots__ = ("field", "rows", "cols", "_sparse_rows", "_sparse_cols")
 
     def __init__(self, field: FieldSpec, rows):
-        data = tuple(tuple(field.scalar(x) for x in row) for row in rows)
-        if data:
-            w = len(data[0])
-            if any(len(r) != w for r in data):
-                raise ValueError("ragged matrix rows")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "_sparse_cols", None)
-        object.__setattr__(self, "_sparse_rows", None)
+        data = [tuple(field.scalar(x) for x in row) for row in rows]
+        width = len(data[0]) if data else 0
+        if any(len(r) != width for r in data):
+            raise ValueError("ragged matrix rows")
+        _store(self, field, len(data), width, _scanned(data))
 
     @classmethod
     def _of(cls, field: FieldSpec, rows) -> "Matrix":
-        """A matrix of rows that are already equal-length sequences of
-        Scalars of field, as the kernel builds them: no per-entry coercion,
-        no ragged check.  File and user data go through Matrix(field, rows)."""
-        m = _new_object(cls)
-        _set_field(m, field)
-        _set_data(m, tuple(map(tuple, rows)))
-        _set_sparse_cols(m, None)
-        _set_sparse_rows(m, None)
-        return m
+        """A matrix of dense rows that are already equal-length sequences of
+        Scalars of field: no per-entry coercion, no ragged check.  File and
+        user data go through Matrix(field, rows)."""
+        data = list(rows)
+        return _store(_new_object(cls), field, len(data), len(data[0]) if data else 0,
+                      _scanned(data))
 
     @classmethod
     def _from_entries(cls, field: FieldSpec, nrows: int, ncols: int, entries) -> "Matrix":
         """The nrows x ncols matrix with the given {(row, col): Scalar}
-        entries, nonzero Scalars of field, and zero elsewhere.  Systems are
-        assembled this way, so their nonzero entries are known, not scanned."""
-        zero = field.zero()
-        data = [[zero] * ncols for _ in range(nrows)]
+        entries, nonzero Scalars of field, and zero elsewhere: the kernel
+        builds every matrix this way, from the entries it knows are nonzero."""
         rows = [[] for _ in range(nrows)]
         for (i, j), x in sorted(entries.items()):
-            data[i][j] = x
             rows[i].append((j, x))
-        m = cls._of(field, data)
-        _set_sparse_rows(m, tuple(map(tuple, rows)))
-        return m
+        return _store(_new_object(cls), field, nrows, ncols, tuple(map(tuple, rows)))
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
 
-    @property
-    def rows(self) -> int:
-        return len(self.data)
-
-    @property
-    def cols(self) -> int:
-        return len(self.data[0]) if self.data else 0
-
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
         one = field.one()
-        return cls._from_entries(field, n, n, {(i, i): one for i in range(n)})
+        return _store(_new_object(cls), field, n, n, tuple(((i, one),) for i in range(n)))
 
     @classmethod
     def zero(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        z = field.zero()
-        return cls._of(field, [[z] * cols for _ in range(rows)])
+        return _store(_new_object(cls), field, rows, cols, ((),) * rows)
 
-    @classmethod
-    def from_columns(cls, field: FieldSpec, columns) -> "Matrix":
-        cols = [list(c) for c in columns]
-        n = len(cols[0])
-        return cls(field, [[cols[j][i] for j in range(len(cols))] for i in range(n)])
+    @property
+    def data(self):
+        """The dense rows, tuples of Scalars, rebuilt on each read."""
+        zero = self.field.zero()
+        out = []
+        for row in self._sparse_rows:
+            dense = [zero] * self.cols
+            for j, x in row:
+                dense[j] = x
+            out.append(tuple(dense))
+        return tuple(out)
 
     def column(self, j: int):
-        return [row[j] for row in self.data]
+        out = [self.field.zero()] * self.rows
+        for i, x in self.nonzero_columns()[j]:
+            out[i] = x
+        return out
 
     def transpose(self) -> "Matrix":
-        t = Matrix._of(self.field, zip(*self.data))
-        _set_sparse_rows(t, self._sparse_cols)
+        t = _store(_new_object(Matrix), self.field, self.cols, self.rows, self.nonzero_columns())
         _set_sparse_cols(t, self._sparse_rows)
         return t
 
     def scaled(self, c: Scalar) -> "Matrix":
         """c times this matrix, for a nonzero scalar c."""
-        return Matrix._from_entries(self.field, self.rows, self.cols, {
-            (i, j): c * x for i, row in enumerate(self.nonzero_rows()) for j, x in row})
+        return _store(_new_object(Matrix), self.field, self.rows, self.cols, tuple(
+            tuple((j, c * x) for j, x in row) for row in self._sparse_rows))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.field == other.field and self.data == other.data
+        return (self.field == other.field and self.rows == other.rows
+                and self.cols == other.cols and self._sparse_rows == other._sparse_rows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        zero = self.field.zero()
-        right = other.nonzero_rows()
+        right = other._sparse_rows
         out = []
-        for row in self.nonzero_rows():
-            acc = [zero] * other.cols
+        for row in self._sparse_rows:
+            acc = {}
             for k, x in row:
                 for j, y in right[k]:
-                    acc[j] = acc[j] + x * y
-            out.append(acc)
-        return Matrix._of(self.field, out)
+                    prev = acc.get(j)
+                    acc[j] = x * y if prev is None else prev + x * y
+            out.append(tuple((j, acc[j]) for j in sorted(acc) if not acc[j].is_zero()))
+        return _store(_new_object(Matrix), self.field, self.rows, other.cols, tuple(out))
 
     def pow(self, n: int) -> "Matrix":
         if self.rows != self.cols:
@@ -154,30 +145,19 @@ class Matrix:
             base = base * base
 
     def nonzero_rows(self):
-        """Per row, the (column, value) pairs of its nonzero entries; cached."""
-        rows = self._sparse_rows
-        if rows is None:
-            rows = tuple(tuple((j, x) for j, x in enumerate(row) if not x.is_zero())
-                         for row in self.data)
-            object.__setattr__(self, "_sparse_rows", rows)
-        return rows
+        """Per row, the (column, value) pairs of its nonzero entries."""
+        return self._sparse_rows
 
     def nonzero_columns(self):
-        """Per column, the (row, value) pairs of its nonzero entries; cached,
-        and read off the nonzero rows when those are known."""
+        """Per column, the (row, value) pairs of its nonzero entries; cached."""
         cols = self._sparse_cols
         if cols is None:
-            if self._sparse_rows is None:
-                cols = tuple(
-                    tuple((i, row[j]) for i, row in enumerate(self.data) if not row[j].is_zero())
-                    for j in range(self.cols))
-            else:
-                lists = [[] for _ in range(self.cols)]
-                for i, row in enumerate(self._sparse_rows):
-                    for j, x in row:
-                        lists[j].append((i, x))
-                cols = tuple(map(tuple, lists))
-            object.__setattr__(self, "_sparse_cols", cols)
+            lists = [[] for _ in range(self.cols)]
+            for i, row in enumerate(self._sparse_rows):
+                for j, x in row:
+                    lists[j].append((i, x))
+            cols = tuple(map(tuple, lists))
+            _set_sparse_cols(self, cols)
         return cols
 
     def apply(self, column):
@@ -196,7 +176,7 @@ class Matrix:
         """Row vector times matrix (functional composed with a map)."""
         zero = self.field.zero()
         out = [zero] * self.cols
-        rows = self.nonzero_rows()
+        rows = self._sparse_rows
         for i, c in enumerate(row_vec):
             if c.is_zero():
                 continue
@@ -205,16 +185,9 @@ class Matrix:
         return out
 
     def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        for i, row in enumerate(self.data):
-            for j, x in enumerate(row):
-                if i == j:
-                    if not x.is_one():
-                        return False
-                elif not x.is_zero():
-                    return False
-        return True
+        return self.rows == self.cols and all(
+            len(row) == 1 and row[0][0] == i and row[0][1].is_one()
+            for i, row in enumerate(self._sparse_rows))
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.data)
@@ -225,9 +198,25 @@ class Matrix:
 
 _new_object = object.__new__
 _set_field = Matrix.field.__set__
-_set_data = Matrix.data.__set__
-_set_sparse_cols = Matrix._sparse_cols.__set__
+_set_rows = Matrix.rows.__set__
+_set_cols = Matrix.cols.__set__
 _set_sparse_rows = Matrix._sparse_rows.__set__
+_set_sparse_cols = Matrix._sparse_cols.__set__
+
+
+def _store(m: Matrix, field: FieldSpec, nrows: int, ncols: int, sparse_rows) -> Matrix:
+    """Fill a new matrix's slots: its shape and its nonzero rows."""
+    _set_field(m, field)
+    _set_rows(m, nrows)
+    _set_cols(m, ncols)
+    _set_sparse_rows(m, sparse_rows)
+    _set_sparse_cols(m, None)
+    return m
+
+
+def _scanned(data):
+    """The nonzero rows of dense rows of Scalars."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if not x.is_zero()) for row in data)
 
 
 class Tensor3:
@@ -370,8 +359,6 @@ def nullspace(m: Matrix):
     injective.
     """
     field = m.field
-    if not m.rows:
-        return []
     rows = _sparse_rows(m)
     pivot_cols, _, _ = _row_reduce(rows, m.cols)
     # free column f -> the (pivot column, -entry) pairs of its basis column
@@ -406,10 +393,6 @@ def solve(m: Matrix, rhs):
     if len(rhs) != m.rows:
         raise ValueError("rhs length does not match row count")
     ncols = m.cols
-    if not rhs:
-        if ncols:
-            raise NonUniqueSolutionError(f"solution space has dimension {ncols}")
-        return []
     rows = _sparse_rows(m)
     for row, v in zip(rows, rhs):
         if not v.is_zero():
@@ -482,15 +465,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """
     if a.field != b.field:
         raise ValueError("kron requires a shared field")
-    field = a.field
-    zero = field.zero()
-    out = [[zero] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
-    for i, arow in enumerate(a.data):
-        for j, x in enumerate(arow):
-            if x.is_zero():
-                continue
-            for p, brow in enumerate(b.data):
-                for q, y in enumerate(brow):
-                    if not y.is_zero():
-                        out[i * b.rows + p][j * b.cols + q] = x * y
-    return Matrix._of(field, out)
+    w = b.cols
+    rows = tuple(tuple((j * w + q, x * y) for j, x in arow for q, y in brow)
+                 for arow in a.nonzero_rows() for brow in b.nonzero_rows())
+    return _store(_new_object(Matrix), a.field, a.rows * b.rows, a.cols * w, rows)

@@ -92,13 +92,15 @@ def check_modular_adjoints(sys: PairedSystem) -> VerificationReport:
         ("sigmap-inv-adjoint", sys.operator("sigmapinv"),
          lambda b: dual.multiply(dhat, s2.apply(b))),
     )
+    zero = h.field.zero()
     results = []
     for identity, auto, rhs_map in cases:
         mismatches = []
-        for j in range(dual.dim):
+        for j, auto_row in enumerate(auto.nonzero_rows()):
             rhs_col = rhs_map(dual.basis_column(j))
+            lhs_row = dict(auto_row)
             for i in range(h.dim):
-                lhs = auto.data[j][i]  # <auto(e_i), f_j> = auto[j][i]
+                lhs = lhs_row.get(i, zero)  # <auto(e_i), f_j> = auto[j][i]
                 rhs = rhs_col[i]
                 if lhs != rhs:
                     mismatches.append(
@@ -128,6 +130,13 @@ def _matrix_mismatches(h: HopfAlgebra, lhs: Matrix, rhs: Matrix):
     return out
 
 
+def _from_columns(h: HopfAlgebra, columns) -> Matrix:
+    """The dim x dim matrix whose i-th column is the dense coordinate
+    column columns[i]."""
+    return Matrix._from_entries(h.field, h.dim, h.dim, {
+        (t, i): x for i, col in enumerate(columns) for t, x in enumerate(col) if not x.is_zero()})
+
+
 def sandwich_matrix(sys: PairedSystem) -> Matrix:
     """The map a -> delta^-1 (delta_hat -> a <- delta_hat^-1) delta."""
     h = sys.primal
@@ -139,7 +148,7 @@ def sandwich_matrix(sys: PairedSystem) -> Matrix:
     for i in range(h.dim):
         mid = sys.dual_acts_right(sys.dual_acts_left(dhat, h.basis_column(i)), dhat_inv)
         cols.append(h.multiply(h.multiply(delta_inv, mid), delta))
-    return Matrix.from_columns(h.field, cols)
+    return _from_columns(h, cols)
 
 
 def check_radford(sys: PairedSystem) -> VerificationReport:
@@ -161,16 +170,14 @@ def check_radford(sys: PairedSystem) -> VerificationReport:
     results = [_per_basis_result("s4-sandwich", h.name, s4_mismatches)]
 
     # sigma(a) = dhat^-1 -> S^2(a)
-    sigma_action = Matrix.from_columns(
-        h.field,
-        [sys.dual_acts_left(dhat_inv, s2.column(i)) for i in range(h.dim)])
+    sigma_action = _from_columns(
+        h, [sys.dual_acts_left(dhat_inv, s2.column(i)) for i in range(h.dim)])
     results.append(_per_basis_result(
         "sigma-from-action", h.name, _matrix_mismatches(h, md.sigma, sigma_action)))
 
     # sigma'(a) = S^-2(a) <- dhat^-1
-    sigmap_action = Matrix.from_columns(
-        h.field,
-        [sys.dual_acts_right(s2_inv.column(i), dhat_inv) for i in range(h.dim)])
+    sigmap_action = _from_columns(
+        h, [sys.dual_acts_right(s2_inv.column(i), dhat_inv) for i in range(h.dim)])
     results.append(_per_basis_result(
         "sigmap-from-action", h.name, _matrix_mismatches(h, md.sigma_prime, sigmap_action)))
 
@@ -208,7 +215,7 @@ def check_dual_radford(sys: PairedSystem) -> VerificationReport:
         mid = sys.primal_acts_right(
             sys.primal_acts_left(delta, dual.basis_column(j)), delta_inv)
         cols.append(dual.multiply(dual.multiply(dhat_inv, mid), dhat))
-    transported = Matrix.from_columns(dual.field, cols)
+    transported = _from_columns(dual, cols)
     result = _per_basis_result("s4-dual-transported", dual.name,
                                _matrix_mismatches(dual, s4, transported))
     return VerificationReport((result,) + check_radford(sys.swapped()).results)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -231,6 +232,21 @@ def test_compute_antipode_refuses_large_dimension_before_building():
     assert f"dim {n}" in str(err.value) and str(ANTIPODE_DIM_LIMIT) in str(err.value)
 
 
+def test_antipode_synthesis_at_the_limit_stays_small():
+    # taft-8 has dim 64 = ANTIPODE_DIM_LIMIT: a 4096 x 4096 system with
+    # 13,056 nonzero entries, which a dense copy would hold in 16.7 M slots
+    taft = build_taft(8)
+    bare = without_antipode(taft)
+    tracemalloc.start()
+    try:
+        s = compute_antipode(bare)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s == taft.antipode
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 # ---------------------------------------------------------------------------
 # dense reference: the checks as they were written before the structure
 # constants were stored sparse, on dense basis columns and dense n^2 x n^2
@@ -326,7 +342,7 @@ def _dense_convolve(f, g, h):
                 if not term[t].is_zero():
                     acc[t] = acc[t] + c * term[t]
         cols.append(acc)
-    return Matrix.from_columns(h.field, cols)
+    return Matrix(h.field, cols).transpose()
 
 
 def _tensor_map_matrix(h, image):

@@ -28,6 +28,22 @@ def test_nullspace_examples():
     assert v[0] == F.one() and v[1] == F.scalar(-1)
 
 
+def test_shapes_without_rows_or_columns_keep_their_other_side():
+    # a matrix with no rows still has its columns: its kernel is all of F^3
+    m = Matrix.zero(F, 0, 3)
+    assert (m.rows, m.cols) == (0, 3) and m.data == ()
+    assert m == Matrix.zero(F, 0, 3) and m != Matrix.zero(F, 0, 5)
+    assert m.transpose() == Matrix.zero(F, 3, 0)
+    assert Matrix.zero(F, 3, 0).data == ((), (), ())
+    assert nullspace(m) == [[F.one() if i == j else F.zero() for i in range(3)] for j in range(3)]
+    assert rank(m) == 0
+    with pytest.raises(NonUniqueSolutionError):
+        solve(m, [])
+    assert solve(Matrix.zero(F, 0, 0), []) == []
+    assert Matrix.zero(F, 2, 0) * Matrix.zero(F, 0, 3) == Matrix.zero(F, 2, 3)
+    assert kron(m, Matrix.identity(F, 2)) == Matrix.zero(F, 0, 6)
+
+
 def test_solve_examples():
     assert solve(Matrix.identity(F, 2), [5, 7]) == [F.scalar(5), F.scalar(7)]
     assert solve(mat([[2]]), [1]) == [F.scalar(Fraction(1, 2))]
