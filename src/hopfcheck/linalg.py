@@ -337,7 +337,7 @@ def _row_reduce(rows, limit_cols: int):
     return pivot_cols, pivots, pivot_rows
 
 
-def _sparse_rows(m: Matrix):
+def _row_dicts(m: Matrix):
     """Fresh dict copies of m's nonzero rows, for _row_reduce to consume."""
     return [dict(row) for row in m.nonzero_rows()]
 
@@ -359,7 +359,7 @@ def nullspace(m: Matrix):
     injective.
     """
     field = m.field
-    rows = _sparse_rows(m)
+    rows = _row_dicts(m)
     pivot_cols, _, _ = _row_reduce(rows, m.cols)
     # free column f -> the (pivot column, -entry) pairs of its basis column
     coords = {}
@@ -393,7 +393,7 @@ def solve(m: Matrix, rhs):
     if len(rhs) != m.rows:
         raise ValueError("rhs length does not match row count")
     ncols = m.cols
-    rows = _sparse_rows(m)
+    rows = _row_dicts(m)
     for row, v in zip(rows, rhs):
         if not v.is_zero():
             row[ncols] = v
@@ -420,7 +420,7 @@ def invert(m: Matrix) -> Matrix:
     field = m.field
     n = m.rows
     one = field.one()
-    rows = _sparse_rows(m)
+    rows = _row_dicts(m)
     for i, row in enumerate(rows):
         row[n + i] = one
     pivot_cols, _, _ = _row_reduce(rows, n)
@@ -435,7 +435,7 @@ def determinant(m: Matrix) -> Scalar:
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
     n = m.rows
-    pivot_cols, pivots, pivot_rows = _row_reduce(_sparse_rows(m), n)
+    pivot_cols, pivots, pivot_rows = _row_reduce(_row_dicts(m), n)
     if len(pivot_cols) < n:
         return m.field.zero()
     det = m.field.one()
@@ -454,7 +454,7 @@ def determinant(m: Matrix) -> Scalar:
 
 
 def rank(m: Matrix) -> int:
-    return len(_row_reduce(_sparse_rows(m), m.cols)[0])
+    return len(_row_reduce(_row_dicts(m), m.cols)[0])
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -120,25 +120,21 @@ def check_modular_adjoints(sys: PairedSystem) -> VerificationReport:
     return VerificationReport(tuple(results))
 
 
-def _matrix_mismatches(h: HopfAlgebra, lhs: Matrix, rhs: Matrix):
+def _matrix_mismatches(h: HopfAlgebra, lhs: Matrix, rhs_columns):
+    """Where the columns of lhs differ from the dense coordinate columns
+    rhs_columns, in basis order."""
     out = []
-    for i in range(h.dim):
-        li, ri = lhs.column(i), rhs.column(i)
+    for i, ri in enumerate(rhs_columns):
+        li = lhs.column(i)
         if li != ri:
             out.append((f"a={h.basis_names[i]}",
                         h.format_element(li), h.format_element(ri)))
     return out
 
 
-def _from_columns(h: HopfAlgebra, columns) -> Matrix:
-    """The dim x dim matrix whose i-th column is the dense coordinate
-    column columns[i]."""
-    return Matrix._from_entries(h.field, h.dim, h.dim, {
-        (t, i): x for i, col in enumerate(columns) for t, x in enumerate(col) if not x.is_zero()})
-
-
-def sandwich_matrix(sys: PairedSystem) -> Matrix:
-    """The map a -> delta^-1 (delta_hat -> a <- delta_hat^-1) delta."""
+def sandwich_columns(sys: PairedSystem):
+    """The images of the basis under a -> delta^-1 (delta_hat -> a <-
+    delta_hat^-1) delta, as dense coordinate columns."""
     h = sys.primal
     delta = list(sys.primal_modular.delta)
     delta_inv = list(sys.primal_modular.delta_inv)
@@ -148,7 +144,7 @@ def sandwich_matrix(sys: PairedSystem) -> Matrix:
     for i in range(h.dim):
         mid = sys.dual_acts_right(sys.dual_acts_left(dhat, h.basis_column(i)), dhat_inv)
         cols.append(h.multiply(h.multiply(delta_inv, mid), delta))
-    return _from_columns(h, cols)
+    return cols
 
 
 def check_radford(sys: PairedSystem) -> VerificationReport:
@@ -166,18 +162,16 @@ def check_radford(sys: PairedSystem) -> VerificationReport:
     # the classical statement S^4(a) = g (alpha -> a <- alpha^-1) g^-1 with
     # distinguished group-likes g and alpha is the same matrix under the
     # dictionary g = delta^-1, alpha = dhat; it is reported as its own line
-    s4_mismatches = _matrix_mismatches(h, sys.operator("S4"), sandwich_matrix(sys))
+    s4_mismatches = _matrix_mismatches(h, sys.operator("S4"), sandwich_columns(sys))
     results = [_per_basis_result("s4-sandwich", h.name, s4_mismatches)]
 
     # sigma(a) = dhat^-1 -> S^2(a)
-    sigma_action = _from_columns(
-        h, [sys.dual_acts_left(dhat_inv, s2.column(i)) for i in range(h.dim)])
+    sigma_action = [sys.dual_acts_left(dhat_inv, s2.column(i)) for i in range(h.dim)]
     results.append(_per_basis_result(
         "sigma-from-action", h.name, _matrix_mismatches(h, md.sigma, sigma_action)))
 
     # sigma'(a) = S^-2(a) <- dhat^-1
-    sigmap_action = _from_columns(
-        h, [sys.dual_acts_right(s2_inv.column(i), dhat_inv) for i in range(h.dim)])
+    sigmap_action = [sys.dual_acts_right(s2_inv.column(i), dhat_inv) for i in range(h.dim)]
     results.append(_per_basis_result(
         "sigmap-from-action", h.name, _matrix_mismatches(h, md.sigma_prime, sigmap_action)))
 
@@ -215,9 +209,8 @@ def check_dual_radford(sys: PairedSystem) -> VerificationReport:
         mid = sys.primal_acts_right(
             sys.primal_acts_left(delta, dual.basis_column(j)), delta_inv)
         cols.append(dual.multiply(dual.multiply(dhat_inv, mid), dhat))
-    transported = _from_columns(dual, cols)
     result = _per_basis_result("s4-dual-transported", dual.name,
-                               _matrix_mismatches(dual, s4, transported))
+                               _matrix_mismatches(dual, s4, cols))
     return VerificationReport((result,) + check_radford(sys.swapped()).results)
 
 
