@@ -38,3 +38,37 @@ def suite_reports(paired):
         return cache[name]
 
     return get
+
+
+def reference_action(sys, fn, left, right):
+    """The action fn (lact, ract, lacthat or racthat) of the paired system sys
+    on coordinate columns, in argument order, by dense loops over the
+    primal's structure constants: independent of PairedSystem.action_table.
+
+      lacthat(y, a) = sum a_(1) <a_(2), y>    racthat(a, y) = sum <a_(1), y> a_(2)
+      lact(a, y)    = z -> y(z * a)           ract(y, a)    = z -> y(a * z)
+    """
+    h = sys.primal
+    out = [h.field.zero()] * h.dim
+    if fn in ("lacthat", "racthat"):
+        y, a = (left, right) if fn == "lacthat" else (right, left)
+        for i, x in enumerate(a):
+            if x.is_zero():
+                continue
+            for p, q, c in h.comul_terms[i]:
+                # lacthat pairs y with the second leg, racthat with the first
+                src, dst = (q, p) if fn == "lacthat" else (p, q)
+                if not y[src].is_zero():
+                    out[dst] = out[dst] + x * c * y[src]
+        return out
+    a, y = (left, right) if fn == "lact" else (right, left)
+    for r, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for s in range(h.dim):
+            # lact multiplies a on the right of z, ract on the left
+            p, q = (s, r) if fn == "lact" else (r, s)
+            for j, c in h.mul_terms[p][q]:
+                if not y[j].is_zero():
+                    out[s] = out[s] + x * c * y[j]
+    return out

@@ -4,13 +4,13 @@ import pytest
 
 from hopfcheck import duality
 from hopfcheck.catalog import (build_function_algebra, build_group_algebra, build_sweedler,
-                               builtin, cyclic_group, symmetric_group)
+                               build_taft, builtin, cyclic_group, symmetric_group)
 from hopfcheck.duality import build_dual, dual_integrals, pair_system, pairing_value
 from hopfcheck.hopf import CorruptedDataError, LinearFunctional
 from hopfcheck.modular import gram_matrix, integral_space_dimensions, modular_data
 from hopfcheck.linalg import invert
 
-from conftest import BUILTIN_NAMES
+from conftest import BUILTIN_NAMES, reference_action
 
 
 @pytest.mark.parametrize("make_group", [lambda: cyclic_group(2), lambda: cyclic_group(6),
@@ -287,6 +287,26 @@ def test_bidual_gram_inverse_needs_proportional_modular_data(paired):
                                 phi=LinearFunctional(sys.primal.field, [1] * sys.primal.dim))
     with pytest.raises(CorruptedDataError, match="disagrees with its modular data"):
         dual_integrals(sys.dual, sys.primal, sys.dual_modular, wrong)
+
+
+_METHODS = {"lact": "primal_acts_left", "ract": "primal_acts_right",
+            "lacthat": "dual_acts_left", "racthat": "dual_acts_right"}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ["taft-5"])
+def test_action_tables_match_the_dense_reference(paired, name):
+    base = pair_system(build_taft(5)) if name == "taft-5" else paired(name)
+    for sys in (base, base.swapped()):
+        n = sys.primal.dim
+        basis = [sys.primal.basis_column(i) for i in range(n)]  # the dual's too
+        for fn, method in _METHODS.items():
+            table = sys.action_table(method)
+            for i in range(n):
+                for j in range(n):
+                    expected = [(k, x) for k, x in
+                                enumerate(reference_action(sys, fn, basis[i], basis[j]))
+                                if not x.is_zero()]
+                    assert list(table[i][j]) == expected, (fn, i, j)
 
 
 def test_swapped_system_shares_the_dual_side_operators(paired):

@@ -12,7 +12,7 @@ from hopfcheck.identities import (Apply, Const, DslLegError, DslLinearityError, 
                                   parse_corpus, parse_identity, pretty)
 from hopfcheck.scalars import Scalar
 
-from conftest import BUILTIN_NAMES
+from conftest import BUILTIN_NAMES, reference_action
 
 
 def corpus(name="standard.ids"):
@@ -200,7 +200,8 @@ def _walk(node):
 
 def _naive_value(sys, env, node, cols):
     """node's value when each slot (var, leg) holds the column cols[slot],
-    computed from the algebra's own maps; a Scalar or a coordinate column."""
+    computed from the algebra's own maps and the dense action reference; a
+    Scalar or a coordinate column."""
     if isinstance(node, Var):
         return cols[(node.name, node.leg)]
     if isinstance(node, ScalarLit):
@@ -238,9 +239,7 @@ def _naive_value(sys, env, node, cols):
     if node.fn in ("phi", "psi"):
         return getattr(sys.modular(sort), node.fn)(args[0])
     if node.fn in ("lact", "ract", "lacthat", "racthat"):
-        act = {"lact": sys.primal_acts_left, "ract": sys.primal_acts_right,
-               "lacthat": sys.dual_acts_left, "racthat": sys.dual_acts_right}[node.fn]
-        return act(*args)
+        return reference_action(sys, node.fn, *args)
     return sys.operator(node.fn, sort).apply(args[0])
 
 
