@@ -13,13 +13,18 @@ right, and the only self-consistent choice here):
                                       a <- y = sum <a_(1), y> a_(2)
   algebra acts on the dual:           a -> y = sum y_(1) <a, y_(2)>
                                       y <- a = sum <a, y_(1)> y_(2)
+
+On basis elements the actions are the coproduct re-indexed: a term
+(p, q, c) of the coproduct of e_i gives e_q* -> e_i = c e_p and
+e_i <- e_p* = c e_q.  The algebra acts on the dual by the same two formulas
+read off the dual's coproduct, which is the transposed product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .hopf import CorruptedDataError, HopfAlgebra, LinearFunctional
+from .hopf import CorruptedDataError, HopfAlgebra, LinearFunctional, bilinear
 from .linalg import Matrix, Tensor3, invert
 from .modular import (ModularData, gram_inverse, left_integral, modular_automorphism,
                       modular_element, proportionality, right_integral, scaling_constant)
@@ -72,8 +77,8 @@ class PairedSystem:
     pairing of the canonical dual basis.
 
     The system owns what is derived from the pair: operator() computes each
-    map at most once per algebra, and swapped() pairs the dual with the
-    primal itself, once.  Every value is exact and deterministic, so sharing
+    map and action_table() each action at most once per algebra, and
+    swapped() pairs the dual with the primal itself, once.  Every value is exact and deterministic, so sharing
     one is the same as recomputing it.
     """
 
@@ -81,15 +86,13 @@ class PairedSystem:
     dual: HopfAlgebra
     primal_modular: ModularData
     dual_modular: ModularData
-    # (operator name, algebra) -> Matrix.  Shared only along swapped(), where
-    # the primal is also the swapped dual, with bidual integrals that are
-    # multiples of its own: B^-1 B^T ignores the scale, so one sigma entry
-    # serves both (tested per builtin); any other new system starts empty.
-    _operators: dict = field(default_factory=dict, init=False, repr=False)
+    # (operator name, algebra) -> Matrix and (action side, algebra acted on)
+    # -> table.  Shared only along swapped(), where the primal is also the
+    # swapped dual, with bidual integrals that are multiples of its own:
+    # B^-1 B^T ignores the scale, so one sigma entry serves both (tested per
+    # builtin); any other new system starts empty.
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
     _swapped: "PairedSystem | None" = field(default=None, init=False, repr=False)
-    # action method name -> its table on basis elements; never shared, since
-    # swapped() exchanges the roles of the two algebras
-    _actions: dict = field(default_factory=dict, init=False, repr=False)
 
     def algebra(self, sort: str) -> HopfAlgebra:
         """The primal for sort "A", the dual for "Ahat"."""
@@ -103,7 +106,7 @@ class PairedSystem:
         sigmapinv on the algebra of the given sort, memoized."""
         alg = self.algebra(sort)
         key = (name, alg)
-        m = self._operators.get(key)
+        m = self._memo.get(key)
         if m is not None:
             return m
         md = self.modular(sort)
@@ -127,90 +130,58 @@ class PairedSystem:
             m = invert(md.sigma_prime)
         else:
             raise KeyError(f"unknown operator {name!r}")
-        self._operators[key] = m
+        self._memo[key] = m
         return m
 
     # -- the four actions ---------------------------------------------------
 
     def action_table(self, name: str):
-        """The action with method name name (dual_acts_left, ...) on basis
-        elements, memoized: table[i][j] lists the nonzero (k, value) of the
+        """The table of the action lact, ract, lacthat or racthat on basis
+        elements, memoized: table[i][j] lists the nonzero (k, c) of the
         action on basis elements i and j, in argument order, laid out like
-        HopfAlgebra.mul_terms."""
-        table = self._actions.get(name)
+        HopfAlgebra.mul_terms.  It re-indexes the coproduct of the algebra
+        acted on (see the module docstring), so lact and ract here are
+        lacthat and racthat of swapped()."""
+        alg = self.primal if name.endswith("hat") else self.dual
+        side = "left" if name.startswith("l") else "right"
+        table = self._memo.get((side, alg))
         if table is None:
-            act, n = getattr(self, name), self.primal.dim
-            basis = [self.primal.basis_column(i) for i in range(n)]  # the dual's too
-            table = tuple(
-                tuple(tuple((k, x) for k, x in enumerate(act(basis[i], basis[j]))
-                            if not x.is_zero()) for j in range(n))
-                for i in range(n))
-            self._actions[name] = table
+            cells = [[[] for _ in range(alg.dim)] for _ in range(alg.dim)]
+            for i, terms in enumerate(alg.comul_terms):
+                for p, q, c in terms:
+                    if side == "left":
+                        cells[q][i].append((p, c))
+                    else:
+                        cells[i][p].append((q, c))
+            table = tuple(tuple(tuple(sorted(cell)) for cell in row) for row in cells)
+            self._memo[(side, alg)] = table
         return table
 
     def dual_acts_left(self, y, a):
         """y -> a = sum a_(1) <a_(2), y> (element of the primal)."""
-        h = self.primal
-        out = h.zero_column()
-        for i, x in enumerate(a):
-            if x.is_zero():
-                continue
-            for p, q, c in h.comul_terms[i]:
-                yq = y[q]
-                if not yq.is_zero():
-                    out[p] = out[p] + x * c * yq
-        return out
+        return bilinear(self.action_table("lacthat"), y, a)
 
     def dual_acts_right(self, a, y):
         """a <- y = sum <a_(1), y> a_(2) (element of the primal)."""
-        h = self.primal
-        out = h.zero_column()
-        for i, x in enumerate(a):
-            if x.is_zero():
-                continue
-            for p, q, c in h.comul_terms[i]:
-                yp = y[p]
-                if not yp.is_zero():
-                    out[q] = out[q] + x * c * yp
-        return out
+        return bilinear(self.action_table("racthat"), a, y)
 
     def primal_acts_left(self, a, y):
         """a -> y, the functional z -> y(z * a) (element of the dual)."""
-        h = self.primal
-        out = [h.field.zero()] * h.dim
-        for q, x in enumerate(a):
-            if x.is_zero():
-                continue
-            for p in range(h.dim):
-                for j, c in h.mul_terms[p][q]:
-                    yj = y[j]
-                    if not yj.is_zero():
-                        out[p] = out[p] + x * c * yj
-        return out
+        return bilinear(self.action_table("lact"), a, y)
 
     def primal_acts_right(self, y, a):
         """y <- a, the functional z -> y(a * z) (element of the dual)."""
-        h = self.primal
-        out = [h.field.zero()] * h.dim
-        for p, x in enumerate(a):
-            if x.is_zero():
-                continue
-            for q in range(h.dim):
-                for j, c in h.mul_terms[p][q]:
-                    yj = y[j]
-                    if not yj.is_zero():
-                        out[q] = out[q] + x * c * yj
-        return out
+        return bilinear(self.action_table("ract"), y, a)
 
     def swapped(self) -> "PairedSystem":
         """The system seen from the dual side: the dual becomes the primal
         and the primal itself (canonically the bidual) becomes its dual.
-        Built once; the two systems share their operators."""
+        Built once; the two systems share their operators and action tables."""
         if self._swapped is None:
             swapped = PairedSystem(self.dual, self.primal, self.dual_modular,
                                    dual_integrals(self.dual, self.primal, self.dual_modular,
                                                   self.primal_modular))
-            object.__setattr__(swapped, "_operators", self._operators)
+            object.__setattr__(swapped, "_memo", self._memo)
             object.__setattr__(self, "_swapped", swapped)
         return self._swapped
 

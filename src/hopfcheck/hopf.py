@@ -61,6 +61,25 @@ def _summed(pairs):
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
+def bilinear(table, a, b):
+    """The bilinear map with structure constants table on the coordinate
+    columns a and b: table[i][j] lists the nonzero (k, c) of the map on basis
+    elements i and j, laid out like HopfAlgebra.mul_terms."""
+    out = [a[0].field.zero()] * len(table)
+    b_support = [(j, y) for j, y in enumerate(b) if not y.is_zero()]
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        table_i = table[i]
+        for j, y in b_support:
+            cell = table_i[j]
+            if cell:
+                xy = x * y
+                for k, c in cell:
+                    out[k] = out[k] + xy * c
+    return out
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """The outcome of one check on one algebra, the unit of every report.
@@ -210,19 +229,7 @@ class HopfAlgebra:
         return col
 
     def multiply(self, a, b):
-        out = self.zero_column()
-        b_support = [(j, y) for j, y in enumerate(b) if not y.is_zero()]
-        for i, x in enumerate(a):
-            if x.is_zero():
-                continue
-            terms_i = self.mul_terms[i]
-            for j, y in b_support:
-                cell = terms_i[j]
-                if cell:
-                    xy = x * y
-                    for k, c in cell:
-                        out[k] = out[k] + xy * c
-        return out
+        return bilinear(self.mul_terms, a, b)
 
     def unit_column(self):
         return list(self.unit)

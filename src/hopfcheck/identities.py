@@ -445,10 +445,6 @@ def load_corpus(path):
 # identity on the canonical basis).  Last, the legs of each variable contract
 # with its iterated coproduct, the implicit Sweedler summation.
 
-_ACTIONS = {"lact": "primal_acts_left", "ract": "primal_acts_right",
-            "lacthat": "dual_acts_left", "racthat": "dual_acts_right"}
-
-
 def _constant(sys: PairedSystem, kind):
     if kind == "one":
         return sys.primal.unit_column()
@@ -537,7 +533,7 @@ def _tensor(sys: PairedSystem, env, node):
     if isinstance(node, Pairing):
         return _pair(*args)
     if node.fn in ACTION_FNS:
-        return _join(*args, sys.action_table(_ACTIONS[node.fn]))
+        return _join(*args, sys.action_table(node.fn))
     (arg,), (sort,) = args, sorts
     if node.fn in UNARY_FNS:
         return _apply(arg, sys.operator(node.fn, sort).nonzero_columns())

@@ -1,14 +1,17 @@
+import collections
 import dataclasses
 
 import pytest
 
 from hopfcheck import duality
+from hopfcheck.cli import full_report_text
 from hopfcheck.catalog import (build_function_algebra, build_group_algebra, build_sweedler,
                                build_taft, builtin, cyclic_group, symmetric_group)
 from hopfcheck.duality import build_dual, dual_integrals, pair_system, pairing_value
 from hopfcheck.hopf import CorruptedDataError, LinearFunctional
 from hopfcheck.modular import gram_matrix, integral_space_dimensions, modular_data
 from hopfcheck.linalg import invert
+from hopfcheck.scalars import Scalar
 
 from conftest import BUILTIN_NAMES, reference_action
 
@@ -289,24 +292,60 @@ def test_bidual_gram_inverse_needs_proportional_modular_data(paired):
         dual_integrals(sys.dual, sys.primal, sys.dual_modular, wrong)
 
 
-_METHODS = {"lact": "primal_acts_left", "ract": "primal_acts_right",
-            "lacthat": "dual_acts_left", "racthat": "dual_acts_right"}
-
-
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ["taft-5"])
 def test_action_tables_match_the_dense_reference(paired, name):
     base = pair_system(build_taft(5)) if name == "taft-5" else paired(name)
     for sys in (base, base.swapped()):
         n = sys.primal.dim
         basis = [sys.primal.basis_column(i) for i in range(n)]  # the dual's too
-        for fn, method in _METHODS.items():
-            table = sys.action_table(method)
+        for fn in ("lact", "ract", "lacthat", "racthat"):
+            table = sys.action_table(fn)
             for i in range(n):
                 for j in range(n):
                     expected = [(k, x) for k, x in
                                 enumerate(reference_action(sys, fn, basis[i], basis[j]))
                                 if not x.is_zero()]
                     assert list(table[i][j]) == expected, (fn, i, j)
+
+
+def test_action_tables_are_built_once_without_scalar_arithmetic(monkeypatch):
+    sys = pair_system(builtin("taft-4"))
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(Scalar, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "is_zero"):
+        monkeypatch.setattr(Scalar, name, counted(name))
+    for fn in ("lact", "ract", "lacthat", "racthat"):
+        sys.action_table(fn)
+    monkeypatch.undo()
+    assert not calls, calls
+    assert sys.action_table("lact") is sys.swapped().action_table("lacthat")
+    assert sys.action_table("ract") is sys.swapped().action_table("racthat")
+
+    # a full report asks for the tables many times, on both sides; each
+    # (side, algebra acted on) gets one table
+    tables = {}
+    action_table = duality.PairedSystem.action_table
+
+    def recorded(self, name):
+        table = action_table(self, name)
+        acted_on = self.primal if name.endswith("hat") else self.dual
+        tables.setdefault((name[0], acted_on.name), []).append(table)
+        return table
+
+    monkeypatch.setattr(duality.PairedSystem, "action_table", recorded)
+    assert full_report_text(builtin("taft-3"))[1]
+    assert sorted(tables) == [("l", "dual(taft-3)"), ("l", "taft-3"),
+                              ("r", "dual(taft-3)"), ("r", "taft-3")]
+    for key, seen in tables.items():
+        assert all(t is seen[0] for t in seen), key
 
 
 def test_swapped_system_shares_the_dual_side_operators(paired):
