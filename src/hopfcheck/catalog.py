@@ -309,6 +309,11 @@ def builtin(name: str) -> HopfAlgebra:
 # algebra files
 # ---------------------------------------------------------------------------
 
+# Largest cyclotomic order a file may name.  Q(zeta_n) builds n power tables
+# of length phi(n), so the cost of loading grows about quadratically in n
+# (order 3001 takes 2 s and 154 MiB).  The builtins use orders up to 4.
+CYCLOTOMIC_ORDER_LIMIT = 256
+
 def _field_to_json(field: FieldSpec):
     if field.kind == "rational":
         return {"kind": "rational"}
@@ -323,8 +328,11 @@ def _field_from_json(doc) -> FieldSpec:
         return RATIONAL
     if kind == "cyclotomic":
         order = doc.get("order")
-        if not isinstance(order, int) or order < 1:
-            raise AlgebraFileSyntaxError(f"bad cyclotomic order {order!r}")
+        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
+            raise AlgebraFileSyntaxError(f"field: bad cyclotomic order {order!r}")
+        if order > CYCLOTOMIC_ORDER_LIMIT:
+            raise AlgebraFileSemanticError(
+                f"field: cyclotomic order {order} exceeds the limit of {CYCLOTOMIC_ORDER_LIMIT}")
         return cyclotomic_field(order)
     raise AlgebraFileSyntaxError(f"unknown field kind {kind!r}")
 
@@ -357,6 +365,15 @@ def write_algebra(h: HopfAlgebra, path) -> None:
         fh.write("\n")
 
 
+def _checked_name(text, where):
+    """text, if it is a name: report lines and witnesses print names as
+    single words, so a name is non-empty printable text without whitespace."""
+    if not (isinstance(text, str) and text.isprintable() and text.split() == [text]):
+        raise AlgebraFileSemanticError(
+            f"{where}: bad name {text!r}: need printable text without whitespace")
+    return text
+
+
 def algebra_from_json(doc, synthesize_antipode: bool = True) -> HopfAlgebra:
     if not isinstance(doc, dict):
         raise AlgebraFileSyntaxError("algebra file must be a JSON object")
@@ -377,6 +394,13 @@ def algebra_from_json(doc, synthesize_antipode: bool = True) -> HopfAlgebra:
             raise AlgebraFileSyntaxError(f"{key} must be a JSON list")
     if len(basis) != dim:
         raise AlgebraFileSemanticError(f"basis has {len(basis)} names for dim {dim}")
+    name = _checked_name(doc.get("name", "unnamed"), "name")
+    first = {}
+    for pos, b in enumerate(basis):
+        _checked_name(b, f"basis[{pos}]")
+        if first.setdefault(b, pos) != pos:
+            raise AlgebraFileSemanticError(
+                f"basis[{pos}]: duplicate name {b!r}, first given at basis[{first[b]}]")
     if len(counit) != dim or len(unit) != dim:
         raise AlgebraFileSemanticError("counit/unit must list one scalar per basis element")
 
@@ -439,8 +463,7 @@ def algebra_from_json(doc, synthesize_antipode: bool = True) -> HopfAlgebra:
                 entries[(i, j)] = x
         antipode = Matrix._from_entries(field, dim, dim, entries)
 
-    h = HopfAlgebra(field, basis, mul, unit_col, comul, counit_row, antipode,
-                    name=doc.get("name", "unnamed"))
+    h = HopfAlgebra(field, basis, mul, unit_col, comul, counit_row, antipode, name=name)
     if antipode is None and synthesize_antipode:
         bad = [c.check for c in h.bialgebra_checks() if not c.passed]
         if bad:
