@@ -314,6 +314,7 @@ def builtin(name: str) -> HopfAlgebra:
 # (order 3001 takes 2 s and 154 MiB).  The builtins use orders up to 4.
 CYCLOTOMIC_ORDER_LIMIT = 256
 
+
 def _field_to_json(field: FieldSpec):
     if field.kind == "rational":
         return {"kind": "rational"}

@@ -78,8 +78,8 @@ class PairedSystem:
 
     The system owns what is derived from the pair: operator() computes each
     map and action_table() each action at most once per algebra, and
-    swapped() pairs the dual with the primal itself, once.  Every value is exact and deterministic, so sharing
-    one is the same as recomputing it.
+    swapped() pairs the dual with the primal itself, once.  Every value is
+    exact and deterministic, so sharing one is the same as recomputing it.
     """
 
     primal: HopfAlgebra

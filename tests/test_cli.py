@@ -188,6 +188,17 @@ def test_duplicate_triple_exits_2(tmp_path):
     ("basis", 4, "basis must be"),
     ("counit", "1", "counit must be"),
     ("field", "Q", "field must be"),
+    ("field", {"kind": "cyclotomic", "order": True}, "field: bad cyclotomic order True"),
+    ("field", {"kind": "cyclotomic", "order": CYCLOTOMIC_ORDER_LIMIT + 1},
+     f"field: cyclotomic order {CYCLOTOMIC_ORDER_LIMIT + 1} exceeds the limit"),
+    ("field", {"kind": "cyclotomic", "order": 3001}, "field: cyclotomic order 3001 exceeds"),
+    ("name", "a\nb", "name: bad name 'a\\nb'"),
+    ("name", "my alg", "name: bad name"),
+    ("name", "", "name: bad name"),
+    ("name", 7, "name: bad name"),
+    ("basis", ["1", "x", "g", "g x"], "basis[3]: bad name"),
+    ("basis", ["1", "x\u0007", "g", "g*x"], "basis[1]: bad name"),
+    ("basis", ["1", "x", "g", "x"], "basis[3]: duplicate name 'x', first given at basis[1]"),
 ])
 def test_wrongly_shaped_sections_exit_2(tmp_path, key, value, where):
     src = tmp_path / "h4.alg"
@@ -223,47 +234,13 @@ def test_boolean_index_exits_2(tmp_path):
     assert code == 2 and text.startswith("error: mul[0]: index True"), text
 
 
-def _edited_sweedler(tmp_path, key, value):
+def test_cyclotomic_order_at_the_limit_loads(tmp_path):
     src = tmp_path / "h4.alg"
     run(["example", "sweedler", "-o", str(src)])
     doc = json.loads(src.read_text())
-    doc[key] = value
-    path = tmp_path / "edited.alg"
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
-@pytest.mark.parametrize("order,message", [
-    (True, "field: bad cyclotomic order True"),
-    (CYCLOTOMIC_ORDER_LIMIT + 1,
-     f"field: cyclotomic order {CYCLOTOMIC_ORDER_LIMIT + 1} exceeds the limit"),
-    (3001, "field: cyclotomic order 3001 exceeds the limit"),
-])
-def test_bad_cyclotomic_order_exits_2(tmp_path, order, message):
-    path = _edited_sweedler(tmp_path, "field", {"kind": "cyclotomic", "order": order})
-    code, text = run(["verify-axioms", path])
-    assert code == 2 and text.startswith(f"error: {message}"), text
-
-
-def test_cyclotomic_order_at_the_limit_loads(tmp_path):
-    path = _edited_sweedler(tmp_path, "field",
-                            {"kind": "cyclotomic", "order": CYCLOTOMIC_ORDER_LIMIT})
-    assert run(["verify-axioms", path])[0] == 0
-
-
-@pytest.mark.parametrize("key,value,where", [
-    ("name", "a\nb", "name: bad name"),
-    ("name", "my alg", "name: bad name"),
-    ("name", "", "name: bad name"),
-    ("name", 7, "name: bad name"),
-    ("basis", ["1", "x", "g", "g x"], "basis[3]: bad name"),
-    ("basis", ["1", "x\u0007", "g", "g*x"], "basis[1]: bad name"),
-    ("basis", ["1", "x", "g", "x"], "basis[3]: duplicate name 'x', first given at basis[1]"),
-])
-def test_bad_names_exit_2(tmp_path, key, value, where):
-    code, text = run(["full-report", _edited_sweedler(tmp_path, key, value)])
-    assert code == 2 and text.startswith(f"error: {where}"), text
-    assert text.count("\n") == 1
+    doc["field"] = {"kind": "cyclotomic", "order": CYCLOTOMIC_ORDER_LIMIT}
+    src.write_text(json.dumps(doc))
+    assert run(["verify-axioms", str(src)])[0] == 0
 
 
 def test_boolean_group_table_entry_exits_2(tmp_path):
