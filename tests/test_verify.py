@@ -1,8 +1,11 @@
 import dataclasses
 import re
 
+import pytest
+
 from hopfcheck import duality, hopf, linalg, modular, verify
-from hopfcheck.catalog import builtin
+from hopfcheck.catalog import build_taft, builtin
+from hopfcheck.duality import pair_system
 from hopfcheck.cli import full_report_text
 from hopfcheck.hopf import HopfAlgebra
 from hopfcheck.linalg import Tensor3
@@ -10,7 +13,7 @@ from hopfcheck.verify import (biduality_check, check_dual_modular_pairing,
                               check_dual_radford, check_modular_adjoints, check_radford,
                               run_all_checks, verify_algebra)
 
-from conftest import BUILTIN_NAMES
+from conftest import BUILTIN_NAMES, reference_action
 
 LINE = re.compile(r"^[a-z0-9-]+ [a-zA-Z0-9()*\-]+ (PASS|FAIL)( .*)?$")
 
@@ -145,3 +148,176 @@ def test_broken_transposition_fails_only_the_structure_iso(monkeypatch, paired, 
     assert expected[-1] == "bidual-structure-iso taft-3 PASS"
     assert lines == expected[:-1] + [
         "bidual-structure-iso taft-3 FAIL bidual structure constants differ from the primal"]
+
+
+# -- the per-basis loops the suites once ran, kept as a reference -------------
+
+def _mismatch(where, lhs, rhs):
+    return f"at {where}: lhs={lhs} rhs={rhs}"
+
+
+def _columns_mismatches(h, lhs_columns, rhs_columns):
+    """Where two lists of dense coordinate columns differ, in basis order."""
+    return [_mismatch(f"a={h.basis_names[i]}", h.format_element(li), h.format_element(ri))
+            for i, (li, ri) in enumerate(zip(lhs_columns, rhs_columns)) if li != ri]
+
+
+def _reference_pairing(sys):
+    h = sys.primal
+    md = sys.primal_modular
+    dhat = list(sys.dual_modular.delta)
+    dhat_inv = list(sys.dual_modular.delta_inv)
+    counit = list(h.counit)
+    rows = (
+        ("pair-dhat-sigma-inv", dhat, sys.operator("sigmainv").apply_row(counit)),
+        ("pair-dhat-sigmap-inv", dhat, sys.operator("sigmapinv").apply_row(counit)),
+        ("pair-dhatinv-sigma", dhat_inv, md.sigma.apply_row(counit)),
+        ("pair-dhatinv-sigmap", dhat_inv, md.sigma_prime.apply_row(counit)),
+    )
+    return [(identity, h.name,
+             [_mismatch(f"a={h.basis_names[i]}", pair_side[i], counit_side[i])
+              for i in range(h.dim) if pair_side[i] != counit_side[i]])
+            for identity, pair_side, counit_side in rows]
+
+
+def _reference_adjoints(sys):
+    """The four adjoints list their mismatches as (a index, b index,
+    witness) in the order of the loop, b first; the unit reduction lists its
+    witnesses in basis order."""
+    h, dual, md = sys.primal, sys.dual, sys.primal_modular
+    dhat = list(sys.dual_modular.delta)
+    dhat_inv = list(sys.dual_modular.delta_inv)
+    s2 = sys.operator("S2", "Ahat")
+    s2_inv = sys.operator("Sinv2", "Ahat")
+    cases = (
+        ("sigma-adjoint", md.sigma, lambda b: dual.multiply(s2.apply(b), dhat_inv)),
+        ("sigma-inv-adjoint", sys.operator("sigmainv"),
+         lambda b: dual.multiply(s2_inv.apply(b), dhat)),
+        ("sigmap-adjoint", md.sigma_prime,
+         lambda b: dual.multiply(dhat_inv, s2_inv.apply(b))),
+        ("sigmap-inv-adjoint", sys.operator("sigmapinv"),
+         lambda b: dual.multiply(dhat, s2.apply(b))),
+    )
+    out = []
+    for identity, auto, rhs_map in cases:
+        mismatches = []
+        for j in range(dual.dim):
+            rhs_col = rhs_map(dual.basis_column(j))
+            for i in range(h.dim):
+                lhs = auto.column(i)[j]  # <auto(e_i), f_j>
+                if lhs != rhs_col[i]:
+                    mismatches.append((i, j, _mismatch(
+                        f"a={h.basis_names[i]}, b={dual.basis_names[j]}", lhs, rhs_col[i])))
+        out.append((identity, h.name, mismatches))
+    reduced = dual.multiply(s2.apply(dual.unit_column()), dhat_inv)
+    counit_sigma = md.sigma.apply_row(list(h.counit))
+    out.append(("adjoint-unit-reduction", h.name,
+                [_mismatch(f"a={h.basis_names[i]}", counit_sigma[i], reduced[i])
+                 for i in range(h.dim) if counit_sigma[i] != reduced[i]]))
+    return out
+
+
+def _reference_radford(sys):
+    h, md = sys.primal, sys.primal_modular
+    delta, delta_inv = list(md.delta), list(md.delta_inv)
+    dhat = list(sys.dual_modular.delta)
+    dhat_inv = list(sys.dual_modular.delta_inv)
+    basis = [h.basis_column(i) for i in range(h.dim)]
+    s2, s2_inv = sys.operator("S2"), sys.operator("Sinv2")
+    sandwich = [h.multiply(h.multiply(delta_inv, reference_action(
+                    sys, "racthat", reference_action(sys, "lacthat", dhat, a), dhat_inv)), delta)
+                for a in basis]
+    s4 = _columns_mismatches(h, [sys.operator("S4").column(i) for i in range(h.dim)], sandwich)
+    sigma = _columns_mismatches(
+        h, [md.sigma.column(i) for i in range(h.dim)],
+        [reference_action(sys, "lacthat", dhat_inv, s2.column(i)) for i in range(h.dim)])
+    sigmap = _columns_mismatches(
+        h, [md.sigma_prime.column(i) for i in range(h.dim)],
+        [reference_action(sys, "racthat", s2_inv.column(i), dhat_inv) for i in range(h.dim)])
+    scaling = _columns_mismatches(
+        h, [reference_action(sys, "lacthat", dhat, h.multiply(delta, a)) for a in basis],
+        [[md.tau * c for c in h.multiply(delta, reference_action(sys, "lacthat", dhat, a))]
+         for a in basis])
+    return [("s4-sandwich", h.name, s4), ("sigma-from-action", h.name, sigma),
+            ("sigmap-from-action", h.name, sigmap), ("delta-action-scaling", h.name, scaling),
+            ("s4-intro-dictionary", h.name, s4)]
+
+
+def _reference_dual_radford(sys):
+    dual = sys.dual
+    delta = list(sys.primal_modular.delta)
+    delta_inv = list(sys.primal_modular.delta_inv)
+    dhat = list(sys.dual_modular.delta)
+    dhat_inv = list(sys.dual_modular.delta_inv)
+    sandwich = [dual.multiply(dual.multiply(dhat_inv, reference_action(
+                    sys, "ract", reference_action(sys, "lact", delta, dual.basis_column(j)),
+                    delta_inv)), dhat)
+                for j in range(dual.dim)]
+    s4 = sys.operator("S4", "Ahat")
+    transported = _columns_mismatches(dual, [s4.column(j) for j in range(dual.dim)], sandwich)
+    return [("s4-dual-transported", dual.name, transported)] + _reference_radford(sys.swapped())
+
+
+def _reference_lines(sys):
+    """(id, algebra, witnesses of every failing basis element or pair) for
+    each line of the four suites before biduality, in report order."""
+    return (_reference_pairing(sys) + _reference_adjoints(sys) + _reference_radford(sys)
+            + _reference_dual_radford(sys))
+
+
+ADJOINT_IDS = ("sigma-adjoint", "sigma-inv-adjoint", "sigmap-adjoint", "sigmap-inv-adjoint")
+
+
+def _assert_suites_match_reference(sys):
+    """Each suite line against the reference loop: the same verdict, and the
+    same witness, except that for the two-variable adjoints the witness is
+    one of the reference's failures."""
+    results = run_all_checks(sys).results
+    reference = _reference_lines(sys)
+    assert [r.check for r in results[:len(reference)]] == [ref[0] for ref in reference]
+    failed = set()
+    for result, (identity, algebra, mismatches) in zip(results, reference):
+        where = (sys.primal.name, identity)
+        assert (result.check, result.algebra) == (identity, algebra), where
+        assert result.passed == (not mismatches), where
+        if result.passed:
+            assert result.witness == "", where
+            continue
+        failed.add(identity)
+        if identity in ADJOINT_IDS:
+            assert result.witness in [text for _, _, text in mismatches], where
+        else:
+            assert result.witness == mismatches[0], where
+    return failed
+
+
+def _tampered(sys):
+    pm, dm = sys.primal_modular, sys.dual_modular
+    return {
+        "dhat-swapped": dataclasses.replace(sys, dual_modular=dataclasses.replace(
+            dm, delta=dm.delta_inv, delta_inv=dm.delta)),
+        "sigma-swapped": dataclasses.replace(sys, primal_modular=dataclasses.replace(
+            pm, sigma=pm.sigma_prime, sigma_prime=pm.sigma)),
+        "tau-negated": dataclasses.replace(sys, primal_modular=dataclasses.replace(
+            pm, tau=-pm.tau)),
+    }
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ["taft-5"])
+def test_suites_match_the_per_basis_reference(paired, name):
+    base = pair_system(build_taft(5)) if name == "taft-5" else paired(name)
+    for sys in (base, base.swapped()):
+        assert _assert_suites_match_reference(sys) == set(), sys.primal.name
+
+
+def test_tampered_systems_match_the_per_basis_reference(paired):
+    failed = set()
+    for name in ("sweedler", "taft-3", "taft-4"):
+        for label, sys in _tampered(paired(name)).items():
+            failed |= _assert_suites_match_reference(sys)
+    # the tampering reaches a pairing line, an adjoint and a Radford line
+    assert failed & {"pair-dhat-sigma-inv", "pair-dhatinv-sigma", "pair-dhatinv-sigmap",
+                     "pair-dhat-sigmap-inv"}
+    assert failed & set(ADJOINT_IDS)
+    assert failed & {"s4-sandwich", "sigma-from-action", "sigmap-from-action",
+                     "delta-action-scaling"}
