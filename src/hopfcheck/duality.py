@@ -77,7 +77,8 @@ class PairedSystem:
     pairing of the canonical dual basis.
 
     The system owns what is derived from the pair: operator() computes each
-    map and action_table() each action at most once per algebra, and
+    map and action_table() each action at most once per algebra,
+    identities.evaluate decides each statement once per system, and
     swapped() pairs the dual with the primal itself, once.  Every value is
     exact and deterministic, so sharing one is the same as recomputing it.
     """
@@ -92,6 +93,9 @@ class PairedSystem:
     # B^-1 B^T ignores the scale, so one sigma entry serves both (tested per
     # builtin); any other new system starts empty.
     _memo: dict = field(default_factory=dict, init=False, repr=False)
+    # (decls, lhs, rhs) of an identity -> (passed, witness), never shared:
+    # swapped().swapped() has this primal, but its integrals are scaled
+    _decided: dict = field(default_factory=dict, init=False, repr=False)
     _swapped: "PairedSystem | None" = field(default=None, init=False, repr=False)
 
     def algebra(self, sort: str) -> HopfAlgebra:

@@ -36,13 +36,19 @@ Grammar (informally):
               | "<" expr "," expr ">" | "(" expr ")" | const
     fn       := S | Sinv | S2 | Sinv2 | sigma | sigmainv | sigmap
               | sigmapinv | eps | phi | psi | lact | ract | lacthat | racthat
-    const    := one | delta | deltainv | dhat | dhatinv | tau
+    const    := one | delta | deltainv | onehat | dhat | dhatinv | tau
 
 The unary operators and the integrals act on either sort (on Ahat they mean
 the dual's antipode, modular automorphisms, and integrals).  The pairing
 takes an A term on the left and an Ahat term on the right.  lact/ract are
 the algebra acting on its dual, lacthat/racthat the dual acting on the
-algebra, arguments in reading order of the harpoon expression.
+algebra, arguments in reading order of the harpoon expression.  onehat is
+the unit of the dual.
+
+evaluate decides each statement once per PairedSystem: the verdict and the
+witness are stored on the system under the statement's variables and
+sides, not its name, so the identity suites of verify.py and a corpus
+entry with the same text share one decision.
 """
 
 from __future__ import annotations
@@ -77,7 +83,7 @@ UNARY_FNS = ("S", "Sinv", "S2", "Sinv2", "sigma", "sigmainv", "sigmap", "sigmapi
 SCALAR_FNS = ("eps", "phi", "psi")
 ACTION_FNS = ("lact", "ract", "lacthat", "racthat")
 FN_NAMES = UNARY_FNS + SCALAR_FNS + ACTION_FNS
-CONST_NAMES = ("one", "delta", "deltainv", "dhat", "dhatinv", "tau")
+CONST_NAMES = ("one", "delta", "deltainv", "onehat", "dhat", "dhatinv", "tau")
 KEYWORDS = ("forall", "in", "A", "Ahat") + FN_NAMES + CONST_NAMES
 
 
@@ -298,7 +304,7 @@ def _infer_sort(node, env) -> str:
     if isinstance(node, ScalarLit):
         return "scalar"
     if isinstance(node, Const):
-        return {"one": "A", "delta": "A", "deltainv": "A",
+        return {"one": "A", "delta": "A", "deltainv": "A", "onehat": "Ahat",
                 "dhat": "Ahat", "dhatinv": "Ahat", "tau": "scalar"}[node.kind]
     if isinstance(node, Pairing):
         ls = _infer_sort(node.left, env)
@@ -452,6 +458,8 @@ def _constant(sys: PairedSystem, kind):
         return list(sys.primal_modular.delta)
     if kind == "deltainv":
         return list(sys.primal_modular.delta_inv)
+    if kind == "onehat":
+        return sys.dual.unit_column()
     if kind == "dhat":
         return list(sys.dual_modular.delta)
     if kind == "dhatinv":
@@ -598,13 +606,23 @@ def _format_value(sys, sort, value):
 
 
 def evaluate(prog: IdentityProgram, sys: PairedSystem) -> CheckResult:
-    """Check the identity for every basis assignment of its free variables
-    by comparing the tensors of both sides, reporting the first failing
-    assignment in cartesian order: the least key where the sides differ."""
+    """Check the identity for every basis assignment of its free variables,
+    reporting the first failing assignment in cartesian order; decided once
+    per system and reported under prog's name."""
+    key = (prog.decls, prog.lhs, prog.rhs)
+    decided = sys._decided.get(key)
+    if decided is None:
+        decided = sys._decided[key] = _decide(prog, sys)
+    return CheckResult(prog.name, sys.primal.name, *decided)
+
+
+def _decide(prog: IdentityProgram, sys: PairedSystem):
+    """(passed, witness) from the tensors of both sides: the witness names
+    the least key where they differ."""
     lhs = _side(sys, prog, prog.lhs)
     rhs = _side(sys, prog, prog.rhs)
     if lhs == rhs:
-        return CheckResult(prog.name, sys.primal.name, True)
+        return True, ""
     zero = sys.primal.field.zero()
     combo = min(key for key in lhs.keys() | rhs.keys()
                 if lhs.get(key, zero) != rhs.get(key, zero))[:-1]
@@ -612,8 +630,7 @@ def evaluate(prog: IdentityProgram, sys: PairedSystem) -> CheckResult:
                       for (var, sort), idx in zip(prog.decls, combo))
     values = [_format_value(sys, prog.sort, _value_at(sys, prog.sort, side, combo))
               for side in (lhs, rhs)]
-    return CheckResult(prog.name, sys.primal.name, False,
-                       f"at {names}: lhs={values[0]} rhs={values[1]}")
+    return False, f"at {names}: lhs={values[0]} rhs={values[1]}"
 
 
 def evaluate_corpus(programs, sys: PairedSystem):

@@ -1,23 +1,28 @@
-"""Hard-coded verification suites for the modular-duality identities.
+"""The identity suites for the modular-duality identities.
 
-Each check quantifies an identity over every basis element (or basis pair),
-demands exact scalar equality, and reports one machine-readable line per
-identity: "<identity-id> <algebra-name> PASS|FAIL [witness]".  The
-headline suite culminates in the fourth-power antipode formula
+Each suite is a table of (id, statement) pairs in the identity language of
+identities.py, parsed once and decided by identities.evaluate on every
+basis assignment, with one machine-readable line per identity:
+"<identity-id> <algebra-name> PASS|FAIL [witness]".  Where the bundled
+corpus states the same identity, the statement is its exact text, and
+evaluate decides it once per system for both.  The headline suite
+culminates in the fourth-power antipode formula
 
     S^4(a) = delta^-1 (delta_hat -> a <- delta_hat^-1) delta
 
-checked as an exact matrix identity, together with the formulas feeding its
-proof and the transported (dual-side) form.
+together with the formulas feeding its proof and the transported
+(dual-side) form.  Only biduality_check is written out by hand: the
+language cannot name the columns of a Gram inverse or compare structure
+constants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .duality import PairedSystem, dual_structure, pair_system
 from .hopf import CheckResult, HopfAlgebra
-from .linalg import Matrix
+from .identities import evaluate, parse_identity
 
 
 @dataclass(frozen=True)
@@ -32,186 +37,80 @@ class VerificationReport:
         return [r.line() for r in self.results]
 
 
-def _per_basis_result(check, algebra, mismatches) -> CheckResult:
-    if not mismatches:
-        return CheckResult(check, algebra, True)
-    witness, lhs, rhs = mismatches[0]
-    return CheckResult(check, algebra, False, f"at {witness}: lhs={lhs} rhs={rhs}")
+def _suite(*entries):
+    """(id, program) pairs from (id, statement) pairs."""
+    return tuple((check, parse_identity(f"{check.replace('-', '_')}: {statement}"))
+                 for check, statement in entries)
+
+
+# <a, delta_hat> = counit(sigma^-1(a)) = counit(sigma'^-1(a)) and the
+# inverse-side companions
+PAIRING = _suite(
+    ("pair-dhat-sigma-inv", "forall a in A . <a, dhat> = eps(sigmainv(a))"),
+    ("pair-dhat-sigmap-inv", "forall a in A . <a, dhat> = eps(sigmapinv(a))"),
+    ("pair-dhatinv-sigma", "forall a in A . <a, dhatinv> = eps(sigma(a))"),
+    ("pair-dhatinv-sigmap", "forall a in A . <a, dhatinv> = eps(sigmap(a))"),
+)
+
+# the pairing transposes of the modular automorphisms, and the unit of the
+# dual substituted for b, which gives back a pairing formula above
+ADJOINTS = _suite(
+    ("sigma-adjoint", "forall a in A, b in Ahat . <sigma(a), b> = <a, S2(b) * dhatinv>"),
+    ("sigma-inv-adjoint", "forall a in A, b in Ahat . <sigmainv(a), b> = <a, Sinv2(b) * dhat>"),
+    ("sigmap-adjoint", "forall a in A, b in Ahat . <sigmap(a), b> = <a, dhatinv * Sinv2(b)>"),
+    ("sigmap-inv-adjoint", "forall a in A, b in Ahat . <sigmapinv(a), b> = <a, dhat * S2(b)>"),
+    ("adjoint-unit-reduction", "forall a in A . eps(sigma(a)) = <a, S2(onehat) * dhatinv>"),
+)
+
+# the fourth-power formula, the two action formulas for the modular
+# automorphisms that drive its proof, and the tau-scaled commutation of the
+# delta_hat action with multiplication by delta (the action picks up
+# exactly one factor tau)
+RADFORD = _suite(
+    ("s4-sandwich", "forall a in A . "
+     "S(S(S(S(a)))) = deltainv * lacthat(dhat, racthat(a, dhatinv)) * delta"),
+    ("sigma-from-action", "forall a in A . sigma(a) = lacthat(dhatinv, S2(a))"),
+    ("sigmap-from-action", "forall a in A . sigmap(a) = racthat(Sinv2(a), dhatinv)"),
+    ("delta-action-scaling", "forall a in A . "
+     "lacthat(dhat, delta * a) = tau * delta * lacthat(dhat, a)"),
+)
+
+# S^4(b) = dhat^-1 (delta -> b <- delta^-1) dhat for b in the dual
+DUAL_RADFORD = _suite(
+    ("s4-dual-transported", "forall a in Ahat . "
+     "S(S(S(S(a)))) = dhatinv * lact(delta, ract(a, deltainv)) * dhat"),
+)
+
+
+def _decide(sys: PairedSystem, suite, algebra=None):
+    """One result per (id, program) of suite, reported under id and
+    algebra, the primal's name by default."""
+    return tuple(replace(evaluate(prog, sys), check=check,
+                         algebra=algebra or sys.primal.name)
+                 for check, prog in suite)
 
 
 def check_dual_modular_pairing(sys: PairedSystem) -> VerificationReport:
-    """<a, delta_hat> = counit(sigma^-1(a)) = counit(sigma'^-1(a)) and the
-    inverse-side companions, over every basis element."""
-    h = sys.primal
-    md = sys.primal_modular
-    dhat = list(sys.dual_modular.delta)
-    dhat_inv = list(sys.dual_modular.delta_inv)
-    counit = list(h.counit)
-    rows = {
-        "pair-dhat-sigma-inv": (dhat, sys.operator("sigmainv").apply_row(counit)),
-        "pair-dhat-sigmap-inv": (dhat, sys.operator("sigmapinv").apply_row(counit)),
-        "pair-dhatinv-sigma": (dhat_inv, md.sigma.apply_row(counit)),
-        "pair-dhatinv-sigmap": (dhat_inv, md.sigma_prime.apply_row(counit)),
-    }
-    results = []
-    for identity, (pair_side, counit_side) in rows.items():
-        mismatches = [
-            (f"a={h.basis_names[i]}", pair_side[i], counit_side[i])
-            for i in range(h.dim)
-            if pair_side[i] != counit_side[i]
-        ]
-        results.append(_per_basis_result(identity, h.name, mismatches))
-    return VerificationReport(tuple(results))
+    return VerificationReport(_decide(sys, PAIRING))
 
 
 def check_modular_adjoints(sys: PairedSystem) -> VerificationReport:
-    """The pairing transposes of the modular automorphisms:
-
-        <sigma(a), b>      = <a, S^2(b) * dhat^-1>
-        <sigma^-1(a), b>   = <a, S^-2(b) * dhat>
-        <sigma'(a), b>     = <a, dhat^-1 * S^-2(b)>
-        <sigma'^-1(a), b>  = <a, dhat * S^2(b)>
-
-    for all basis pairs, plus the consistency check that substituting the
-    unit of the dual for b reproduces the pairing formulas above."""
-    h = sys.primal
-    dual = sys.dual
-    md = sys.primal_modular
-    dhat = list(sys.dual_modular.delta)
-    dhat_inv = list(sys.dual_modular.delta_inv)
-    s2 = sys.operator("S2", "Ahat")
-    s2_inv = sys.operator("Sinv2", "Ahat")
-
-    cases = (
-        ("sigma-adjoint", md.sigma,
-         lambda b: dual.multiply(s2.apply(b), dhat_inv)),
-        ("sigma-inv-adjoint", sys.operator("sigmainv"),
-         lambda b: dual.multiply(s2_inv.apply(b), dhat)),
-        ("sigmap-adjoint", md.sigma_prime,
-         lambda b: dual.multiply(dhat_inv, s2_inv.apply(b))),
-        ("sigmap-inv-adjoint", sys.operator("sigmapinv"),
-         lambda b: dual.multiply(dhat, s2.apply(b))),
-    )
-    zero = h.field.zero()
-    results = []
-    for identity, auto, rhs_map in cases:
-        mismatches = []
-        for j, auto_row in enumerate(auto.nonzero_rows()):
-            rhs_col = rhs_map(dual.basis_column(j))
-            lhs_row = dict(auto_row)
-            for i in range(h.dim):
-                lhs = lhs_row.get(i, zero)  # <auto(e_i), f_j> = auto[j][i]
-                rhs = rhs_col[i]
-                if lhs != rhs:
-                    mismatches.append(
-                        (f"a={h.basis_names[i]}, b={dual.basis_names[j]}", lhs, rhs))
-        results.append(_per_basis_result(identity, h.name, mismatches))
-
-    # substituting the dual's unit recovers the plain pairing formulas
-    unit_hat = dual.unit_column()
-    reduced = dual.multiply(s2.apply(unit_hat), dhat_inv)
-    counit_sigma = md.sigma.apply_row(list(h.counit))
-    mismatches = [
-        (f"a={h.basis_names[i]}", counit_sigma[i], reduced[i])
-        for i in range(h.dim)
-        if counit_sigma[i] != reduced[i]
-    ]
-    results.append(_per_basis_result("adjoint-unit-reduction", h.name, mismatches))
-    return VerificationReport(tuple(results))
-
-
-def _matrix_mismatches(h: HopfAlgebra, lhs: Matrix, rhs_columns):
-    """Where the columns of lhs differ from the dense coordinate columns
-    rhs_columns, in basis order."""
-    out = []
-    for i, ri in enumerate(rhs_columns):
-        li = lhs.column(i)
-        if li != ri:
-            out.append((f"a={h.basis_names[i]}",
-                        h.format_element(li), h.format_element(ri)))
-    return out
-
-
-def sandwich_columns(sys: PairedSystem):
-    """The images of the basis under a -> delta^-1 (delta_hat -> a <-
-    delta_hat^-1) delta, as dense coordinate columns."""
-    h = sys.primal
-    delta = list(sys.primal_modular.delta)
-    delta_inv = list(sys.primal_modular.delta_inv)
-    dhat = list(sys.dual_modular.delta)
-    dhat_inv = list(sys.dual_modular.delta_inv)
-    cols = []
-    for i in range(h.dim):
-        mid = sys.dual_acts_right(sys.dual_acts_left(dhat, h.basis_column(i)), dhat_inv)
-        cols.append(h.multiply(h.multiply(delta_inv, mid), delta))
-    return cols
+    return VerificationReport(_decide(sys, ADJOINTS))
 
 
 def check_radford(sys: PairedSystem) -> VerificationReport:
-    """The fourth-power formula as exact matrix equality, the two action
-    formulas for the modular automorphisms that drive its proof, and the
-    tau-scaled commutation of the delta_hat action with multiplication by
-    delta (the scaling resolved by computation: the action picks up exactly
-    one factor tau)."""
-    h = sys.primal
-    md = sys.primal_modular
-    dhat = list(sys.dual_modular.delta)
-    dhat_inv = list(sys.dual_modular.delta_inv)
-    s2 = sys.operator("S2")
-    s2_inv = sys.operator("Sinv2")
+    results = _decide(sys, RADFORD)
     # the classical statement S^4(a) = g (alpha -> a <- alpha^-1) g^-1 with
-    # distinguished group-likes g and alpha is the same matrix under the
+    # distinguished group-likes g and alpha is the same identity under the
     # dictionary g = delta^-1, alpha = dhat; it is reported as its own line
-    s4_mismatches = _matrix_mismatches(h, sys.operator("S4"), sandwich_columns(sys))
-    results = [_per_basis_result("s4-sandwich", h.name, s4_mismatches)]
-
-    # sigma(a) = dhat^-1 -> S^2(a)
-    sigma_action = [sys.dual_acts_left(dhat_inv, s2.column(i)) for i in range(h.dim)]
-    results.append(_per_basis_result(
-        "sigma-from-action", h.name, _matrix_mismatches(h, md.sigma, sigma_action)))
-
-    # sigma'(a) = S^-2(a) <- dhat^-1
-    sigmap_action = [sys.dual_acts_right(s2_inv.column(i), dhat_inv) for i in range(h.dim)]
-    results.append(_per_basis_result(
-        "sigmap-from-action", h.name, _matrix_mismatches(h, md.sigma_prime, sigmap_action)))
-
-    # dhat -> (delta * a) = tau * delta * (dhat -> a)
-    delta = list(md.delta)
-    mismatches = []
-    for i in range(h.dim):
-        a = h.basis_column(i)
-        lhs = sys.dual_acts_left(dhat, h.multiply(delta, a))
-        rhs = [md.tau * c for c in h.multiply(delta, sys.dual_acts_left(dhat, a))]
-        if lhs != rhs:
-            mismatches.append((f"a={h.basis_names[i]}",
-                               h.format_element(lhs), h.format_element(rhs)))
-    results.append(_per_basis_result("delta-action-scaling", h.name, mismatches))
-
-    results.append(_per_basis_result("s4-intro-dictionary", h.name, s4_mismatches))
-    return VerificationReport(tuple(results))
+    return VerificationReport(results + (replace(results[0], check="s4-intro-dictionary"),))
 
 
 def check_dual_radford(sys: PairedSystem) -> VerificationReport:
-    """Self-duality: the transported form
-
-        S^4(b) = dhat^-1 (delta -> b <- delta^-1) dhat    for b in the dual
-
-    plus the full fourth-power suite re-run on the swapped system."""
-    dual = sys.dual
-    dm = sys.dual_modular
-    delta = list(sys.primal_modular.delta)
-    delta_inv = list(sys.primal_modular.delta_inv)
-    dhat = list(dm.delta)
-    dhat_inv = list(dm.delta_inv)
-    s4 = sys.operator("S4", "Ahat")
-    cols = []
-    for j in range(dual.dim):
-        mid = sys.primal_acts_right(
-            sys.primal_acts_left(delta, dual.basis_column(j)), delta_inv)
-        cols.append(dual.multiply(dual.multiply(dhat_inv, mid), dhat))
-    result = _per_basis_result("s4-dual-transported", dual.name,
-                               _matrix_mismatches(dual, s4, cols))
-    return VerificationReport((result,) + check_radford(sys.swapped()).results)
+    """Self-duality: the transported form on the dual, plus the full
+    fourth-power suite re-run on the swapped system."""
+    return VerificationReport(_decide(sys, DUAL_RADFORD, sys.dual.name)
+                              + check_radford(sys.swapped()).results)
 
 
 def biduality_check(sys: PairedSystem) -> VerificationReport:
@@ -223,32 +122,29 @@ def biduality_check(sys: PairedSystem) -> VerificationReport:
     which is the evaluation map in coordinates."""
     h = sys.primal
     dual = sys.dual
-    results = []
-
     b_phi_inv = sys.primal_modular.phi_gram_inv
     psi_hat = sys.dual_modular.psi
     s_inv = sys.operator("Sinv")
-    mismatches = []
-    for i in range(dual.dim):
-        a_i = b_phi_inv.column(i)      # phi(. a_i) is the i-th dual basis vector
-        s_inv_a = s_inv.apply(a_i)
-        for j in range(dual.dim):
-            lhs = psi_hat(dual.multiply(dual.basis_column(j), dual.basis_column(i)))
-            rhs = s_inv_a[j]
-            if lhs != rhs:
-                mismatches.append(
-                    (f"w={dual.basis_names[i]}, w'={dual.basis_names[j]}", lhs, rhs))
-    results.append(_per_basis_result("bidual-pairing-formula", h.name, mismatches))
 
+    def mismatches():
+        for i in range(dual.dim):
+            s_inv_a = s_inv.apply(b_phi_inv.column(i))  # phi(. a_i) is the i-th dual basis vector
+            for j in range(dual.dim):
+                lhs = psi_hat(dual.multiply(dual.basis_column(j), dual.basis_column(i)))
+                if lhs != s_inv_a[j]:
+                    yield (f"at w={dual.basis_names[i]}, w'={dual.basis_names[j]}: "
+                           f"lhs={lhs} rhs={s_inv_a[j]}")
+
+    witness = next(mismatches(), "")
     iso_ok = dual_structure(dual) == (h.mul, h.unit, h.comul, h.counit, h.antipode)
-    results.append(CheckResult(
-        "bidual-structure-iso", h.name, iso_ok,
-        "" if iso_ok else "bidual structure constants differ from the primal"))
-    return VerificationReport(tuple(results))
+    return VerificationReport((
+        CheckResult("bidual-pairing-formula", h.name, not witness, witness),
+        CheckResult("bidual-structure-iso", h.name, iso_ok,
+                    "" if iso_ok else "bidual structure constants differ from the primal")))
 
 
 def run_all_checks(sys: PairedSystem) -> VerificationReport:
-    """Every hard-coded suite, in a fixed order."""
+    """Every suite, in a fixed order."""
     suites = (check_dual_modular_pairing, check_modular_adjoints, check_radford,
               check_dual_radford, biduality_check)
     return VerificationReport(tuple(r for suite in suites for r in suite(sys).results))

@@ -153,6 +153,19 @@ def test_swapped_radford_fails_on_taft3_with_counterexample(paired):
     assert evaluate(trap, paired("sweedler")).passed
 
 
+def test_onehat_is_the_unit_of_the_dual(paired):
+    units = [parse_identity("pair_unit: forall a in A . <a, onehat> = eps(a)"),
+             parse_identity("unit_right: forall y in Ahat . y * onehat = y"),
+             parse_identity("unit_left: forall y in Ahat . onehat * y = y")]
+    for name in BUILTIN_NAMES:
+        for prog in units:
+            assert evaluate(prog, paired(name)).passed, (name, prog.name)
+    with pytest.raises(DslSortError):
+        parse_identity("bad: forall a in A . a * onehat = a")
+    with pytest.raises(DslSyntaxError):
+        parse_identity("bad: forall onehat in Ahat . onehat = onehat")
+
+
 def test_scalar_identity_with_literals(paired):
     prog = parse_identity("two: forall a in A . 2 * phi(a) = phi(2 * a)")
     assert evaluate(prog, paired("group-z2")).passed
@@ -209,7 +222,8 @@ def _naive_value(sys, env, node, cols):
     if isinstance(node, Const):
         pm, dm = sys.primal_modular, sys.dual_modular
         return {"one": sys.primal.unit_column(), "delta": list(pm.delta),
-                "deltainv": list(pm.delta_inv), "dhat": list(dm.delta),
+                "deltainv": list(pm.delta_inv), "onehat": sys.dual.unit_column(),
+                "dhat": list(dm.delta),
                 "dhatinv": list(dm.delta_inv), "tau": pm.tau}[node.kind]
     if isinstance(node, Pairing):
         return pairing_value(_naive_value(sys, env, node.left, cols),
@@ -249,8 +263,8 @@ def _naive_sort(env, node):
     if isinstance(node, (ScalarLit, Pairing)):
         return "scalar"
     if isinstance(node, Const):
-        return {"one": "A", "delta": "A", "deltainv": "A", "dhat": "Ahat",
-                "dhatinv": "Ahat", "tau": "scalar"}[node.kind]
+        return {"one": "A", "delta": "A", "deltainv": "A", "onehat": "Ahat",
+                "dhat": "Ahat", "dhatinv": "Ahat", "tau": "scalar"}[node.kind]
     if isinstance(node, Product):
         sorts = {_naive_sort(env, f) for f in node.factors} - {"scalar"}
         return sorts.pop() if sorts else "scalar"
@@ -329,6 +343,7 @@ WRONG = [
     "w_legs: forall y in Ahat . psi(y(1)) * phi(y(2)) = tau * phi(y)",
     "w_half: forall a in A . 1/2 * a(1) * S(a(2)) = eps(a) * one",
     "w_three: forall a in A, b in A, c in A . a * b * c = c * b * a",
+    "w_onehat: forall y in Ahat . y * onehat = onehat * S(y)",
 ]
 
 

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from hopfcheck import duality, hopf, linalg, modular, verify
+from hopfcheck import cli, duality, hopf, identities, linalg, modular, verify
 from hopfcheck.catalog import build_taft, builtin
 from hopfcheck.duality import pair_system
 from hopfcheck.cli import full_report_text
@@ -271,7 +271,8 @@ ADJOINT_IDS = ("sigma-adjoint", "sigma-inv-adjoint", "sigmap-adjoint", "sigmap-i
 def _assert_suites_match_reference(sys):
     """Each suite line against the reference loop: the same verdict, and the
     same witness, except that for the two-variable adjoints the witness is
-    one of the reference's failures."""
+    the reference's failure least in (a, b) order, where the loop reported
+    its first in (b, a) order."""
     results = run_all_checks(sys).results
     reference = _reference_lines(sys)
     assert [r.check for r in results[:len(reference)]] == [ref[0] for ref in reference]
@@ -286,6 +287,7 @@ def _assert_suites_match_reference(sys):
         failed.add(identity)
         if identity in ADJOINT_IDS:
             assert result.witness in [text for _, _, text in mismatches], where
+            assert result.witness == min(mismatches)[2], where
         else:
             assert result.witness == mismatches[0], where
     return failed
@@ -321,3 +323,65 @@ def test_tampered_systems_match_the_per_basis_reference(paired):
     assert failed & set(ADJOINT_IDS)
     assert failed & {"s4-sandwich", "sigma-from-action", "sigmap-from-action",
                      "delta-action-scaling"}
+
+
+CORPUS_TO_SUITE = {
+    "dhat_pairing_sigmainv": "pair-dhat-sigma-inv",
+    "dhat_pairing_sigmapinv": "pair-dhat-sigmap-inv",
+    "dhatinv_pairing_sigma": "pair-dhatinv-sigma",
+    "dhatinv_pairing_sigmap": "pair-dhatinv-sigmap",
+    "sigma_adjoint": "sigma-adjoint",
+    "sigmainv_adjoint": "sigma-inv-adjoint",
+    "sigmap_adjoint": "sigmap-adjoint",
+    "sigmapinv_adjoint": "sigmap-inv-adjoint",
+    "sigma_action": "sigma-from-action",
+    "sigmap_action": "sigmap-from-action",
+    "delta_action_scaling": "delta-action-scaling",
+    "radford": "s4-sandwich",
+}
+
+
+def test_suite_statements_are_the_corpus_text():
+    corpus = {p.name: p for p in cli._default_corpus()}
+    suites = dict(verify.PAIRING + verify.ADJOINTS + verify.RADFORD)
+    for corpus_name, suite_id in CORPUS_TO_SUITE.items():
+        prog, stated = corpus[corpus_name], suites[suite_id]
+        assert (stated.decls, stated.lhs, stated.rhs) == (prog.decls, prog.lhs, prog.rhs)
+
+
+def test_full_report_decides_each_statement_once(monkeypatch):
+    calls = {"evaluate": 0, "decided": 0}
+    evaluate, decide = identities.evaluate, identities._decide
+
+    def counted_evaluate(prog, sys):
+        calls["evaluate"] += 1
+        return evaluate(prog, sys)
+
+    def counted_decide(prog, sys):
+        calls["decided"] += 1
+        return decide(prog, sys)
+
+    monkeypatch.setattr(identities, "evaluate", counted_evaluate)
+    monkeypatch.setattr(verify, "evaluate", counted_evaluate)
+    monkeypatch.setattr(identities, "_decide", counted_decide)
+    text, ok = full_report_text(builtin("taft-3"))
+    assert ok
+    # 18 suite statements (the intro dictionary reuses the sandwich) and 29
+    # corpus entries, of which 12 repeat a suite statement on the same system
+    assert calls == {"evaluate": 47, "decided": 35}
+
+
+def test_decisions_are_kept_per_system(paired):
+    # the double dual has the same primal with scaled integrals: its
+    # decisions are its own, not the primal system's
+    sys = paired("sweedler")
+    double = sys.swapped().swapped()
+    assert double is not sys and double.primal is sys.primal
+    check_radford(sys)
+    check_radford(double)
+    assert sys._decided is not double._decided
+    assert sys._decided.keys() >= double._decided.keys()
+    tampered = dataclasses.replace(sys, primal_modular=dataclasses.replace(
+        sys.primal_modular, tau=-sys.primal_modular.tau))
+    assert tampered._decided == {}
+    assert not check_radford(tampered).ok
