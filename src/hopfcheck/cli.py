@@ -4,7 +4,7 @@ Subcommands:
     verify-axioms  print the axiom validation report and the regularity check
     modular        print the integrals, modular element, automorphisms, tau
     dual           write the dual algebra to a file
-    radford        run the hard-coded identity suites up to the S^4 formula
+    radford        run the identity suites up to the S^4 formula
     check          evaluate an identity corpus against the algebra
     example        write a builtin algebra file
     full-report    everything above in one deterministic report
@@ -17,13 +17,14 @@ decimals), so reports are stable regression fixtures.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import os
 import sys
 from importlib import resources
 
-from .catalog import (AlgebraFileSemanticError, AlgebraFileSyntaxError, GroupTableError,
-                      build_function_algebra, build_group_algebra, build_sweedler,
+from .catalog import (CYCLOTOMIC_ORDER_LIMIT, AlgebraFileSemanticError,
+                      AlgebraFileSyntaxError, GroupTableError, build_function_algebra, build_group_algebra, build_sweedler,
                       build_taft, cyclic_group, read_algebra, read_group_table,
                       symmetric_group, write_algebra)
 from .duality import build_dual, pair_system
@@ -102,9 +103,11 @@ def modular_text(h: HopfAlgebra, md=None) -> str:
     return out.getvalue()
 
 
+@functools.cache
 def _default_corpus():
+    """The bundled corpus, read and parsed once per process."""
     text = resources.files("hopfcheck").joinpath("corpus/standard.ids").read_text("utf-8")
-    return parse_corpus(text)
+    return tuple(parse_corpus(text))
 
 
 def _load_corpus_arg(corpus_path):
@@ -186,6 +189,10 @@ def _example_algebra(args) -> HopfAlgebra:
     if kind == "taft":
         if args.n is None:
             raise GroupTableError("taft needs --n")
+        if args.n > CYCLOTOMIC_ORDER_LIMIT:
+            # no command reads a file over Q(zeta_n) past the limit
+            raise GroupTableError(
+                f"--n {args.n} exceeds the cyclotomic order limit of {CYCLOTOMIC_ORDER_LIMIT}")
         return build_taft(args.n)
     if kind in ("group-algebra", "function-algebra"):
         given = [x for x in (args.table, args.cyclic, args.symmetric) if x is not None]
@@ -198,6 +205,8 @@ def _example_algebra(args) -> HopfAlgebra:
             group = cyclic_group(args.cyclic)
             label = f"z{args.cyclic}"
         else:
+            if args.symmetric < 1:
+                raise GroupTableError(f"--symmetric must be at least 1, got {args.symmetric}")
             group = symmetric_group(args.symmetric)
             label = f"s{args.symmetric}"
         builder = build_group_algebra if kind == "group-algebra" else build_function_algebra
@@ -220,7 +229,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     with_input(sub.add_parser("modular", help="print integrals and modular data"))
     p = with_input(sub.add_parser("dual", help="write the dual algebra"))
     p.add_argument("-o", "--output", required=True, help="output algebra file")
-    with_input(sub.add_parser("radford", help="run the hard-coded identity suites"))
+    with_input(sub.add_parser("radford", help="run the identity suites"))
     p = with_input(sub.add_parser("check", help="evaluate an identity corpus"))
     p.add_argument("--corpus", help="identity file or directory of .ids files")
     p = sub.add_parser("example", help="write a builtin algebra file")

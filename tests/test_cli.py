@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from hopfcheck import cli
 from hopfcheck.cli import matrix_order, order_text, run
-from hopfcheck.catalog import CYCLOTOMIC_ORDER_LIMIT, read_algebra
+from hopfcheck.catalog import CYCLOTOMIC_ORDER_LIMIT, build_taft, builtin, read_algebra
+from hopfcheck.identities import parse_corpus
 from hopfcheck.hopf import ANTIPODE_DIM_LIMIT
 from hopfcheck.linalg import Matrix
 from hopfcheck.scalars import RATIONAL
@@ -150,6 +152,49 @@ def test_example_usage_errors(tmp_path):
     assert run(["example", "group-algebra", "-o", str(tmp_path / "x.alg")])[0] == 2
     assert run(["example", "group-algebra", "--cyclic", "2", "--symmetric", "3",
                 "-o", str(tmp_path / "x.alg")])[0] == 2
+
+
+def test_example_taft_order_past_the_limit_exits_2_before_building(tmp_path, monkeypatch):
+    built = []
+
+    def recorded(n):
+        built.append(n)
+        return build_taft(2)
+
+    monkeypatch.setattr(cli, "build_taft", recorded)
+    path = tmp_path / "t.alg"
+    code, text = run(["example", "taft", "--n", str(CYCLOTOMIC_ORDER_LIMIT + 1), "-o", str(path)])
+    assert (code, built) == (2, [])
+    assert text == (f"error: --n {CYCLOTOMIC_ORDER_LIMIT + 1} exceeds the cyclotomic "
+                    f"order limit of {CYCLOTOMIC_ORDER_LIMIT}\n")
+    assert not path.exists()
+    assert run(["example", "taft", "--n", str(CYCLOTOMIC_ORDER_LIMIT), "-o", str(path)])[0] == 0
+    assert built == [CYCLOTOMIC_ORDER_LIMIT]
+
+
+@pytest.mark.parametrize("kind", ["group-algebra", "function-algebra"])
+@pytest.mark.parametrize("n", [0, -3])
+def test_example_symmetric_below_one_exits_2(tmp_path, kind, n):
+    path = tmp_path / "s.alg"
+    code, text = run(["example", kind, "--symmetric", str(n), "-o", str(path)])
+    assert (code, text) == (2, f"error: --symmetric must be at least 1, got {n}\n")
+    assert not path.exists()
+    assert run(["example", kind, "--symmetric", "1", "-o", str(path)])[0] == 0
+    assert read_algebra(str(path)).dim == 1
+
+
+def test_full_reports_parse_the_bundled_corpus_once(monkeypatch):
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_corpus(text)
+
+    monkeypatch.setattr(cli, "parse_corpus", counted)
+    cli._default_corpus.cache_clear()
+    for _ in range(2):
+        assert cli.full_report_text(builtin("sweedler"))[1]
+    assert len(calls) == 1
 
 
 def test_example_writes_to_stdout():
