@@ -2,8 +2,9 @@
 
 Structure-constant presentations over Q or a cyclotomic field, axiom
 validation, integrals and modular data, the dual with its canonical pairing
-and actions, hard-coded identity suites up to the fourth-power antipode
-formula, and a small identity language for checking further formulas.
+and actions, fixed identity suites up to the fourth-power antipode
+formula, and a small identity language that states and checks them and
+further formulas.
 """
 
 from .scalars import FieldSpec, RATIONAL, Scalar, cyclotomic_field

@@ -82,7 +82,7 @@ DUAL_RADFORD = _suite(
 )
 
 
-def _decide(sys: PairedSystem, suite, algebra=None):
+def _run(sys: PairedSystem, suite, algebra=None):
     """One result per (id, program) of suite, reported under id and
     algebra, the primal's name by default."""
     return tuple(replace(evaluate(prog, sys), check=check,
@@ -91,15 +91,15 @@ def _decide(sys: PairedSystem, suite, algebra=None):
 
 
 def check_dual_modular_pairing(sys: PairedSystem) -> VerificationReport:
-    return VerificationReport(_decide(sys, PAIRING))
+    return VerificationReport(_run(sys, PAIRING))
 
 
 def check_modular_adjoints(sys: PairedSystem) -> VerificationReport:
-    return VerificationReport(_decide(sys, ADJOINTS))
+    return VerificationReport(_run(sys, ADJOINTS))
 
 
 def check_radford(sys: PairedSystem) -> VerificationReport:
-    results = _decide(sys, RADFORD)
+    results = _run(sys, RADFORD)
     # the classical statement S^4(a) = g (alpha -> a <- alpha^-1) g^-1 with
     # distinguished group-likes g and alpha is the same identity under the
     # dictionary g = delta^-1, alpha = dhat; it is reported as its own line
@@ -109,7 +109,7 @@ def check_radford(sys: PairedSystem) -> VerificationReport:
 def check_dual_radford(sys: PairedSystem) -> VerificationReport:
     """Self-duality: the transported form on the dual, plus the full
     fourth-power suite re-run on the swapped system."""
-    return VerificationReport(_decide(sys, DUAL_RADFORD, sys.dual.name)
+    return VerificationReport(_run(sys, DUAL_RADFORD, sys.dual.name)
                               + check_radford(sys.swapped()).results)
 
 
