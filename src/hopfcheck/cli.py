@@ -24,9 +24,9 @@ import sys
 from importlib import resources
 
 from .catalog import (CYCLOTOMIC_ORDER_LIMIT, AlgebraFileSemanticError,
-                      AlgebraFileSyntaxError, GroupTableError, build_function_algebra, build_group_algebra, build_sweedler,
-                      build_taft, cyclic_group, read_algebra, read_group_table,
-                      symmetric_group, write_algebra)
+                      AlgebraFileSyntaxError, GroupTableError, build_function_algebra,
+                      build_group_algebra, build_sweedler, build_taft, cyclic_group,
+                      read_algebra, read_group_table, symmetric_group, write_algebra)
 from .duality import build_dual, pair_system
 from .hopf import HopfAlgebra, InvalidHopfAlgebraError, NotRegularError, galois_maps
 from .identities import (DslLegError, DslLinearityError, DslSortError, DslSyntaxError,

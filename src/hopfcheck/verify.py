@@ -43,8 +43,6 @@ def _suite(*entries):
                  for check, statement in entries)
 
 
-# <a, delta_hat> = counit(sigma^-1(a)) = counit(sigma'^-1(a)) and the
-# inverse-side companions
 PAIRING = _suite(
     ("pair-dhat-sigma-inv", "forall a in A . <a, dhat> = eps(sigmainv(a))"),
     ("pair-dhat-sigmap-inv", "forall a in A . <a, dhat> = eps(sigmapinv(a))"),
@@ -52,8 +50,6 @@ PAIRING = _suite(
     ("pair-dhatinv-sigmap", "forall a in A . <a, dhatinv> = eps(sigmap(a))"),
 )
 
-# the pairing transposes of the modular automorphisms, and the unit of the
-# dual substituted for b, which gives back a pairing formula above
 ADJOINTS = _suite(
     ("sigma-adjoint", "forall a in A, b in Ahat . <sigma(a), b> = <a, S2(b) * dhatinv>"),
     ("sigma-inv-adjoint", "forall a in A, b in Ahat . <sigmainv(a), b> = <a, Sinv2(b) * dhat>"),
@@ -62,10 +58,6 @@ ADJOINTS = _suite(
     ("adjoint-unit-reduction", "forall a in A . eps(sigma(a)) = <a, S2(onehat) * dhatinv>"),
 )
 
-# the fourth-power formula, the two action formulas for the modular
-# automorphisms that drive its proof, and the tau-scaled commutation of the
-# delta_hat action with multiplication by delta (the action picks up
-# exactly one factor tau)
 RADFORD = _suite(
     ("s4-sandwich", "forall a in A . "
      "S(S(S(S(a)))) = deltainv * lacthat(dhat, racthat(a, dhatinv)) * delta"),
@@ -75,7 +67,6 @@ RADFORD = _suite(
      "lacthat(dhat, delta * a) = tau * delta * lacthat(dhat, a)"),
 )
 
-# S^4(b) = dhat^-1 (delta -> b <- delta^-1) dhat for b in the dual
 DUAL_RADFORD = _suite(
     ("s4-dual-transported", "forall a in Ahat . "
      "S(S(S(S(a)))) = dhatinv * lact(delta, ract(a, deltainv)) * dhat"),
@@ -91,14 +82,22 @@ def _run(sys: PairedSystem, suite, algebra=None):
 
 
 def check_dual_modular_pairing(sys: PairedSystem) -> VerificationReport:
+    """<a, delta_hat> = counit(sigma^-1(a)) = counit(sigma'^-1(a)) and the
+    inverse-side companions."""
     return VerificationReport(_run(sys, PAIRING))
 
 
 def check_modular_adjoints(sys: PairedSystem) -> VerificationReport:
+    """The pairing transposes of the modular automorphisms, and the unit of
+    the dual substituted for b, which gives back a pairing formula."""
     return VerificationReport(_run(sys, ADJOINTS))
 
 
 def check_radford(sys: PairedSystem) -> VerificationReport:
+    """The fourth-power formula, the two action formulas for the modular
+    automorphisms that drive its proof, and the tau-scaled commutation of
+    the delta_hat action with multiplication by delta (the action picks up
+    exactly one factor tau)."""
     results = _run(sys, RADFORD)
     # the classical statement S^4(a) = g (alpha -> a <- alpha^-1) g^-1 with
     # distinguished group-likes g and alpha is the same identity under the
@@ -107,8 +106,11 @@ def check_radford(sys: PairedSystem) -> VerificationReport:
 
 
 def check_dual_radford(sys: PairedSystem) -> VerificationReport:
-    """Self-duality: the transported form on the dual, plus the full
-    fourth-power suite re-run on the swapped system."""
+    """Self-duality: the transported form
+
+        S^4(b) = dhat^-1 (delta -> b <- delta^-1) dhat    for b in the dual
+
+    plus the full fourth-power suite re-run on the swapped system."""
     return VerificationReport(_run(sys, DUAL_RADFORD, sys.dual.name)
                               + check_radford(sys.swapped()).results)
 

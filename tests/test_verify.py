@@ -315,7 +315,7 @@ def test_suites_match_the_per_basis_reference(paired, name):
 def test_tampered_systems_match_the_per_basis_reference(paired):
     failed = set()
     for name in ("sweedler", "taft-3", "taft-4"):
-        for label, sys in _tampered(paired(name)).items():
+        for sys in _tampered(paired(name)).values():
             failed |= _assert_suites_match_reference(sys)
     # the tampering reaches a pairing line, an adjoint and a Radford line
     assert failed & {"pair-dhat-sigma-inv", "pair-dhatinv-sigma", "pair-dhatinv-sigmap",
@@ -371,17 +371,25 @@ def test_full_report_decides_each_statement_once(monkeypatch):
     assert calls == {"evaluate": 47, "decided": 35}
 
 
-def test_decisions_are_kept_per_system(paired):
-    # the double dual has the same primal with scaled integrals: its
-    # decisions are its own, not the primal system's
-    sys = paired("sweedler")
+def test_decisions_are_kept_per_system(monkeypatch):
+    # the double dual has the primal of sys but integrals scaled by a
+    # scalar: it decides its statements itself
+    sys = pair_system(builtin("sweedler"))
     double = sys.swapped().swapped()
     assert double is not sys and double.primal is sys.primal
     check_radford(sys)
+    decided = []
+    decide = identities._decide
+
+    def recorded(prog, on):
+        decided.append(on)
+        return decide(prog, on)
+
+    monkeypatch.setattr(identities, "_decide", recorded)
+    check_radford(sys)
+    assert decided == []
     check_radford(double)
-    assert sys._decided is not double._decided
-    assert sys._decided.keys() >= double._decided.keys()
+    assert decided == [double] * len(verify.RADFORD)
     tampered = dataclasses.replace(sys, primal_modular=dataclasses.replace(
         sys.primal_modular, tau=-sys.primal_modular.tau))
-    assert tampered._decided == {}
     assert not check_radford(tampered).ok
