@@ -94,6 +94,8 @@ def cyclic_group(n: int) -> GroupPresentation:
 def symmetric_group(n: int) -> GroupPresentation:
     """S_n on n symbols; element order is lexicographic on the permutation
     tuples, so the identity is element 0."""
+    if n < 1:
+        raise GroupTableError(f"symmetric group degree must be >= 1, got {n}")
     perms = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     table = [

@@ -205,8 +205,6 @@ def _example_algebra(args) -> HopfAlgebra:
             group = cyclic_group(args.cyclic)
             label = f"z{args.cyclic}"
         else:
-            if args.symmetric < 1:
-                raise GroupTableError(f"--symmetric must be at least 1, got {args.symmetric}")
             group = symmetric_group(args.symmetric)
             label = f"s{args.symmetric}"
         builder = build_group_algebra if kind == "group-algebra" else build_function_algebra

@@ -78,7 +78,7 @@ class PairedSystem:
 
     The system owns what is derived from the pair: operator() computes each
     map and action_table() each action at most once per algebra,
-    identities.evaluate decides each statement once per system, and
+    identities.decision decides each statement once per system, and
     swapped() pairs the dual with the primal itself, once.  Every value is
     exact and deterministic, so sharing one is the same as recomputing it.
     """

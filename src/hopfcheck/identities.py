@@ -45,10 +45,11 @@ the algebra acting on its dual, lacthat/racthat the dual acting on the
 algebra, arguments in reading order of the harpoon expression.  onehat is
 the unit of the dual.
 
-evaluate decides each statement once per PairedSystem: the verdict and the
+decision decides each statement once per PairedSystem: the verdict and the
 witness are stored on the system under the statement's variables and
 sides, not its name, so the identity suites of verify.py and a corpus
-entry with the same text share one decision.
+entry with the same text share one decision; evaluate reports it under
+the identity's name.
 """
 
 from __future__ import annotations
@@ -607,13 +608,19 @@ def _format_value(sys, sort, value):
 
 def evaluate(prog: IdentityProgram, sys: PairedSystem) -> CheckResult:
     """Check the identity for every basis assignment of its free variables,
-    reporting the first failing assignment in cartesian order; decided once
-    per system and reported under prog's name."""
+    reporting the first failing assignment in cartesian order under prog's
+    name."""
+    return CheckResult(prog.name, sys.primal.name, *decision(prog, sys))
+
+
+def decision(prog: IdentityProgram, sys: PairedSystem):
+    """(passed, witness) of prog's statement on sys, decided once per system
+    whatever the statement is called."""
     key = (prog.decls, prog.lhs, prog.rhs)
     decided = sys._decided.get(key)
     if decided is None:
         decided = sys._decided[key] = _decide(prog, sys)
-    return CheckResult(prog.name, sys.primal.name, *decided)
+    return decided
 
 
 def _decide(prog: IdentityProgram, sys: PairedSystem):

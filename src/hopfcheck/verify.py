@@ -1,11 +1,11 @@
 """The identity suites for the modular-duality identities.
 
 Each suite is a table of (id, statement) pairs in the identity language of
-identities.py, parsed once and decided by identities.evaluate on every
+identities.py, parsed once and decided by identities.decision on every
 basis assignment, with one machine-readable line per identity:
 "<identity-id> <algebra-name> PASS|FAIL [witness]".  Where the bundled
 corpus states the same identity, the statement is its exact text, and
-evaluate decides it once per system for both.  The headline suite
+decision decides it once per system for both.  The headline suite
 culminates in the fourth-power antipode formula
 
     S^4(a) = delta^-1 (delta_hat -> a <- delta_hat^-1) delta
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 from .duality import PairedSystem, dual_structure, pair_system
 from .hopf import CheckResult, HopfAlgebra
-from .identities import evaluate, parse_identity
+from .identities import decision, parse_identity
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,9 @@ class VerificationReport:
 
 
 def _suite(*entries):
-    """(id, program) pairs from (id, statement) pairs."""
-    return tuple((check, parse_identity(f"{check.replace('-', '_')}: {statement}"))
+    """(id, program) pairs from (id, statement) pairs; the id names the
+    line, so every program has the same placeholder name."""
+    return tuple((check, parse_identity(f"statement: {statement}"))
                  for check, statement in entries)
 
 
@@ -76,8 +77,7 @@ DUAL_RADFORD = _suite(
 def _run(sys: PairedSystem, suite, algebra=None):
     """One result per (id, program) of suite, reported under id and
     algebra, the primal's name by default."""
-    return tuple(replace(evaluate(prog, sys), check=check,
-                         algebra=algebra or sys.primal.name)
+    return tuple(CheckResult(check, algebra or sys.primal.name, *decision(prog, sys))
                  for check, prog in suite)
 
 

@@ -33,6 +33,13 @@ def test_symmetric_group_s3():
     assert any(g.mul(i, j) != g.mul(j, i) for i in range(6) for j in range(6))
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_symmetric_group_needs_a_symbol(n):
+    with pytest.raises(GroupTableError, match=f"symmetric group degree must be >= 1, got {n}"):
+        symmetric_group(n)
+    assert symmetric_group(1).order == 1
+
+
 def test_trivial_group_algebra_is_base_field():
     h = build_group_algebra(cyclic_group(1), "trivial")
     assert h.dim == 1

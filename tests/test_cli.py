@@ -177,7 +177,7 @@ def test_example_taft_order_past_the_limit_exits_2_before_building(tmp_path, mon
 def test_example_symmetric_below_one_exits_2(tmp_path, kind, n):
     path = tmp_path / "s.alg"
     code, text = run(["example", kind, "--symmetric", str(n), "-o", str(path)])
-    assert (code, text) == (2, f"error: --symmetric must be at least 1, got {n}\n")
+    assert (code, text) == (2, f"error: symmetric group degree must be >= 1, got {n}\n")
     assert not path.exists()
     assert run(["example", kind, "--symmetric", "1", "-o", str(path)])[0] == 0
     assert read_algebra(str(path)).dim == 1

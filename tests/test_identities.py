@@ -5,6 +5,7 @@ from itertools import product as cartesian
 
 import pytest
 
+from hopfcheck import identities
 from hopfcheck.duality import pairing_value
 from hopfcheck.identities import (Apply, Const, DslLegError, DslLinearityError, DslSortError,
                                   DslSyntaxError, Pairing, Product, ScalarLit, Var, evaluate,
@@ -382,6 +383,7 @@ def test_contraction_needs_a_tenth_of_the_per_assignment_products(paired, monkey
         return original(self, other)
 
     monkeypatch.setattr(Scalar, "__mul__", counted)
-    assert evaluate(prog, sys).passed
+    # _decide bypasses the verdict stored on sys by the warm-up
+    assert identities._decide(prog, sys) == (True, "")
     # visiting all 16^3 basis assignments took 13,728 scalar products
-    assert calls[0] <= 13728 // 10
+    assert 0 < calls[0] <= 13728 // 10

@@ -350,25 +350,25 @@ def test_suite_statements_are_the_corpus_text():
 
 
 def test_full_report_decides_each_statement_once(monkeypatch):
-    calls = {"evaluate": 0, "decided": 0}
-    evaluate, decide = identities.evaluate, identities._decide
+    calls = {"asked": 0, "decided": 0}
+    decision, decide = identities.decision, identities._decide
 
-    def counted_evaluate(prog, sys):
-        calls["evaluate"] += 1
-        return evaluate(prog, sys)
+    def counted_decision(prog, sys):
+        calls["asked"] += 1
+        return decision(prog, sys)
 
     def counted_decide(prog, sys):
         calls["decided"] += 1
         return decide(prog, sys)
 
-    monkeypatch.setattr(identities, "evaluate", counted_evaluate)
-    monkeypatch.setattr(verify, "evaluate", counted_evaluate)
+    monkeypatch.setattr(identities, "decision", counted_decision)
+    monkeypatch.setattr(verify, "decision", counted_decision)
     monkeypatch.setattr(identities, "_decide", counted_decide)
     text, ok = full_report_text(builtin("taft-3"))
     assert ok
     # 18 suite statements (the intro dictionary reuses the sandwich) and 29
     # corpus entries, of which 12 repeat a suite statement on the same system
-    assert calls == {"evaluate": 47, "decided": 35}
+    assert calls == {"asked": 47, "decided": 35}
 
 
 def test_decisions_are_kept_per_system(monkeypatch):
