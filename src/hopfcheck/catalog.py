@@ -85,9 +85,18 @@ class GroupPresentation:
         return self.table[i].index(self.identity)
 
 
+# Largest group order cyclic_group and symmetric_group build.  The table has
+# order^2 entries and its validation order^3 steps (order 256 takes about a
+# second), and the group algebra's full report grows about as order^2.7.
+GROUP_ORDER_LIMIT = 256
+
+
 def cyclic_group(n: int) -> GroupPresentation:
     if n < 1:
         raise GroupTableError("cyclic group order must be >= 1")
+    if n > GROUP_ORDER_LIMIT:
+        raise GroupTableError(
+            f"cyclic group order {n} exceeds the group order limit of {GROUP_ORDER_LIMIT}")
     return GroupPresentation.from_table([[(i + j) % n for j in range(n)] for i in range(n)], 0)
 
 
@@ -96,6 +105,12 @@ def symmetric_group(n: int) -> GroupPresentation:
     tuples, so the identity is element 0."""
     if n < 1:
         raise GroupTableError(f"symmetric group degree must be >= 1, got {n}")
+    order = 1
+    for k in range(2, n + 1):
+        order *= k
+        if order > GROUP_ORDER_LIMIT:
+            raise GroupTableError(f"symmetric group degree {n} exceeds the group order "
+                                  f"limit of {GROUP_ORDER_LIMIT} ({n}! elements)")
     perms = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     table = [

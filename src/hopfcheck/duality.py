@@ -43,18 +43,27 @@ def dual_structure(h: HopfAlgebra):
 
 
 def build_dual(h: HopfAlgebra) -> HopfAlgebra:
-    """The dual Hopf algebra on the canonical dual basis.
+    """The dual Hopf algebra on the canonical dual basis, for a valid h.
 
-    Fails hard if the dual does not validate: that can only happen through
-    a convention error, never for honest input.
+    The dual is not validated again: under the transposition of
+    dual_structure each of its axioms is one of h's, with the indices
+    renamed, and h has just been validated (hats mark the dual's maps):
+      associativity            <-> coassociativity
+      unit                     <-> counit
+      coproduct-homomorphism   <-> itself, where coproduct_hat(1_hat) =
+                                   1_hat (x) 1_hat <-> counit(ab) =
+                                   counit(a) counit(b)
+      counit-homomorphism      <-> coproduct(1) = 1 (x) 1 and counit(1) = 1
+      antipode-left, -right    <-> each itself
+      antipode-invertible      <-> itself: S_hat^-1 = (S^-1)^T
+    So the dual takes h's report under its own name, and the transpose of
+    h's antipode inverse.  A dual read back from a file is validated from
+    scratch.
     """
     h.require_valid()
     dual = HopfAlgebra(h.field, [f"{b}*" for b in h.basis_names], *dual_structure(h),
                        name=f"dual({h.name})")
-    report = dual.validate()
-    if not report.ok:
-        bad = ", ".join(c.check for c in report.failures())
-        raise CorruptedDataError(f"{dual.name}: dual fails validation ({bad})")
+    dual._take_validation(h, h.antipode_inverse().transpose())
     return dual
 
 

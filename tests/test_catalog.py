@@ -1,9 +1,11 @@
 import json
+import math
 import tracemalloc
 
 import pytest
 
-from hopfcheck.catalog import (AlgebraFileSemanticError, AlgebraFileSyntaxError,
+from hopfcheck import catalog
+from hopfcheck.catalog import (GROUP_ORDER_LIMIT, AlgebraFileSemanticError, AlgebraFileSyntaxError,
                                GroupPresentation, GroupTableError, algebra_from_json,
                                algebra_to_json,
                                build_function_algebra, build_group_algebra, build_sweedler,
@@ -38,6 +40,28 @@ def test_symmetric_group_needs_a_symbol(n):
     with pytest.raises(GroupTableError, match=f"symmetric group degree must be >= 1, got {n}"):
         symmetric_group(n)
     assert symmetric_group(1).order == 1
+
+
+def test_group_builders_refuse_orders_past_the_limit_before_building(monkeypatch):
+    built = []
+    monkeypatch.setattr(catalog, "permutations", lambda xs: built.append(xs) or [])
+    monkeypatch.setattr(GroupPresentation, "from_table",
+                        classmethod(lambda cls, table, identity=None: built.append(table)))
+    n = GROUP_ORDER_LIMIT + 1
+    with pytest.raises(GroupTableError, match=f"cyclic group order {n} exceeds the group "
+                                              f"order limit of {GROUP_ORDER_LIMIT}$"):
+        cyclic_group(n)
+    for degree in (6, 10**9):  # 6! = 720 is the first factorial past the limit
+        with pytest.raises(GroupTableError, match=rf"symmetric group degree {degree} exceeds "
+                           rf"the group order limit of {GROUP_ORDER_LIMIT} \({degree}! elements\)"):
+            symmetric_group(degree)
+    assert built == []
+
+
+def test_group_builders_reach_the_order_limit():
+    assert math.factorial(5) <= GROUP_ORDER_LIMIT < math.factorial(6)
+    assert symmetric_group(5).order == 120
+    assert cyclic_group(GROUP_ORDER_LIMIT).order == GROUP_ORDER_LIMIT
 
 
 def test_trivial_group_algebra_is_base_field():

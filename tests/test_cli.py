@@ -4,7 +4,8 @@ import pytest
 
 from hopfcheck import cli
 from hopfcheck.cli import matrix_order, order_text, run
-from hopfcheck.catalog import CYCLOTOMIC_ORDER_LIMIT, build_taft, builtin, read_algebra
+from hopfcheck.catalog import (CYCLOTOMIC_ORDER_LIMIT, GROUP_ORDER_LIMIT, build_taft, builtin,
+                               read_algebra)
 from hopfcheck.identities import parse_corpus
 from hopfcheck.hopf import ANTIPODE_DIM_LIMIT
 from hopfcheck.linalg import Matrix
@@ -295,6 +296,41 @@ def test_boolean_group_table_entry_exits_2(tmp_path):
     code, text = run(["example", "group-algebra", "--table", str(table),
                       "-o", str(tmp_path / "z2.alg")])
     assert code == 2 and text.startswith("error: table[1][1]: entry False"), text
+
+
+def test_example_group_order_past_the_limit_exits_2(tmp_path):
+    path = tmp_path / "g.alg"
+    n = GROUP_ORDER_LIMIT + 1
+    code, text = run(["example", "group-algebra", "--cyclic", str(n), "-o", str(path)])
+    assert (code, text) == (2, f"error: cyclic group order {n} exceeds the group order "
+                               f"limit of {GROUP_ORDER_LIMIT}\n")
+    # 6! = 720 is the first factorial past the limit, 5! = 120 the last below it
+    code, text = run(["example", "function-algebra", "--symmetric", "6", "-o", str(path)])
+    assert (code, text) == (2, f"error: symmetric group degree 6 exceeds the group order "
+                               f"limit of {GROUP_ORDER_LIMIT} (6! elements)\n")
+    assert not path.exists()
+    assert run(["example", "function-algebra", "--symmetric", "5", "-o", str(path)])[0] == 0
+    assert json.loads(path.read_text())["dim"] == 120
+    n = GROUP_ORDER_LIMIT
+    assert run(["example", "group-algebra", "--cyclic", str(n), "-o", str(path)])[0] == 0
+    assert json.loads(path.read_text())["dim"] == n
+
+
+def test_verify_axioms_decides_a_changed_dual_file_from_scratch(tmp_path):
+    # a dual built in memory takes the primal's validation; a dual read from a
+    # file is checked like any other file
+    src, dual = tmp_path / "t3.alg", tmp_path / "dual.alg"
+    assert run(["example", "taft", "--n", "3", "-o", str(src)])[0] == 0
+    assert run(["dual", str(src), "-o", str(dual)]) == (0, f"wrote dual(taft-3) to {dual}\n")
+    assert run(["verify-axioms", str(dual)])[0] == 0
+    doc = json.loads(dual.read_text())
+    assert doc["mul"][1] == [0, 5, 5, "1"]
+    doc["mul"][1][3] = "2"
+    dual.write_text(json.dumps(doc))
+    code, text = run(["verify-axioms", str(dual)])
+    assert code == 1
+    assert "axiom associativity dual(taft-3) FAIL (e0*e0)*e5 != e0*(e0*e5)\n" in text
+    assert text.endswith("galois-regularity dual(taft-3) SKIPPED (axioms failed)\n")
 
 
 def test_nonlinear_identity_exits_2(tmp_path):

@@ -8,7 +8,7 @@ from hopfcheck.cli import full_report_text
 from hopfcheck.catalog import (build_function_algebra, build_group_algebra, build_sweedler,
                                build_taft, builtin, cyclic_group, symmetric_group)
 from hopfcheck.duality import build_dual, dual_integrals, pair_system, pairing_value
-from hopfcheck.hopf import CorruptedDataError, LinearFunctional
+from hopfcheck.hopf import CorruptedDataError, HopfAlgebra, LinearFunctional
 from hopfcheck.modular import gram_matrix, integral_space_dimensions, modular_data
 from hopfcheck.linalg import invert
 from hopfcheck.scalars import Scalar
@@ -33,6 +33,24 @@ def test_dual_of_sweedler_passes_the_pipeline(paired):
     dual = paired("sweedler").dual
     assert dual.validate().ok
     assert integral_space_dimensions(dual) == (1, 1)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ["taft-5"])
+def test_derived_dual_validation_equals_one_from_scratch(name):
+    # build_dual hands the dual the primal's report, renamed, instead of
+    # deciding the dual's axioms again.  A fresh algebra with the same
+    # constants decides them itself and must reach the same report, witnesses
+    # included, and the same antipode inverse: this guards dual_structure
+    # against a convention error.
+    h = build_taft(5) if name == "taft-5" else builtin(name)
+    dual = build_dual(h)
+    assert dual._validation is not None  # handed over, not computed on demand
+    fresh = HopfAlgebra(dual.field, dual.basis_names, dual.mul, dual.unit, dual.comul,
+                        dual.counit, dual.antipode, name=dual.name)
+    assert fresh.validate() == dual.validate()
+    assert [c.check for c in dual.validate().checks] == [c.check for c in h.validate().checks]
+    assert fresh.bialgebra_checks() == dual.bialgebra_checks()
+    assert invert(dual.antipode) == dual.antipode_inverse() == fresh.antipode_inverse()
 
 
 def test_bidual_reproduces_structure_constants(algebras):

@@ -3,10 +3,12 @@ import tracemalloc
 
 import pytest
 
+from hopfcheck import hopf
 from hopfcheck.catalog import (BUILTIN_BUILDERS, build_function_algebra,
                                build_group_algebra, build_nongroup_monoid_bialgebra,
                                build_sweedler, build_taft, builtin, cyclic_group,
                                symmetric_group)
+from hopfcheck.duality import build_dual
 from hopfcheck.hopf import (ANTIPODE_DIM_LIMIT, AntipodeTooLargeError, CheckResult,
                             HopfAlgebra, NoAntipodeError, NotRegularError, convolve,
                             compute_antipode, galois_maps, is_cocommutative,
@@ -144,6 +146,64 @@ def test_galois_determinant_nonzero_on_sweedler():
 def test_galois_singular_without_antipode():
     with pytest.raises(NotRegularError):
         galois_maps(build_nongroup_monoid_bialgebra())
+
+
+def _reported_nonassociative(h):
+    """A copy of h whose cached bialgebra checks report associativity as
+    failed, so that galois_maps cannot use the reduction to a (x) 1."""
+    copy = HopfAlgebra(h.field, h.basis_names, h.mul, h.unit, h.comul, h.counit,
+                       h.antipode, name=h.name)
+    failed = CheckResult("associativity", h.name, False, "reported")
+    object.__setattr__(copy, "_bialgebra", (failed,) + h.bialgebra_checks()[1:])
+    return copy
+
+
+@pytest.mark.parametrize("name", ["functions-s3", "taft-3", "taft-5", "dual(taft-4)"])
+def test_galois_composes_n_probes_per_map_on_a_valid_algebra(monkeypatch, name):
+    # with associativity and the unit law, T1 o R1 is checked on each e_i (x) 1
+    # and T2 o R2 on each 1 (x) e_j: n compositions per map, two _image_of
+    # calls each.  The same algebra reported nonassociative is scanned on all
+    # n^2 basis tensors per map and forms more images.  The unit of
+    # functions-s3 and of the dual is not a basis vector.
+    if name == "taft-5":
+        h = build_taft(5)
+    elif name == "dual(taft-4)":
+        h = build_dual(builtin("taft-4"))
+    else:
+        h = builtin(name)
+    assert h.validate().ok
+    counts = {"image_of": 0, "summed": 0}
+    image_of, summed = hopf._image_of, hopf._summed
+
+    def counted_image_of(image, x):
+        counts["image_of"] += 1
+        return image_of(image, x)
+
+    def counted_summed(pairs):
+        counts["summed"] += 1
+        return summed(pairs)
+
+    monkeypatch.setattr(hopf, "_image_of", counted_image_of)
+    monkeypatch.setattr(hopf, "_summed", counted_summed)
+    galois_maps(h)
+    reduced = dict(counts)
+    counts.update(image_of=0, summed=0)
+    galois_maps(_reported_nonassociative(h))
+    # two maps, two _image_of calls per composition
+    assert reduced["image_of"] == 2 * 2 * h.dim
+    assert counts["image_of"] == 2 * 2 * h.dim ** 2
+    assert reduced["summed"] < counts["summed"]
+
+
+def test_identity_antipode_on_taft3_still_fails_t1():
+    h = builtin("taft-3")
+    wrong = HopfAlgebra(h.field, h.basis_names, h.mul, h.unit, h.comul, h.counit,
+                        Matrix.identity(h.field, h.dim), name=h.name)
+    assert all(c.passed for c in wrong.bialgebra_checks())  # the reduced path
+    message = "taft-3: T1 candidate inverse failed; map is not invertible"
+    with pytest.raises(NotRegularError) as exc:
+        galois_maps(wrong)
+    assert str(exc.value) == message == _dense_galois(wrong)
 
 
 def test_antipode_is_algebra_antihomomorphism(algebras):
