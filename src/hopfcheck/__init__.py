@@ -9,8 +9,8 @@ further formulas.
 
 from .scalars import FieldSpec, RATIONAL, Scalar, cyclotomic_field
 from .linalg import Matrix, Tensor3, invert, kron, nullspace, solve
-from .hopf import (CheckResult, HopfAlgebra, LinearFunctional, ValidationReport,
-                   compute_antipode, convolve, galois_maps, unit_counit_map)
+from .hopf import (CheckResult, HopfAlgebra, ValidationReport, compute_antipode, convolve,
+                   galois_maps, unit_counit_map)
 from .modular import ModularData, gram_inverse, left_integral, modular_automorphism, \
     modular_data, modular_element, right_integral, scaling_constant
 from .duality import PairedSystem, build_dual, dual_integrals, pair_system, pairing_value

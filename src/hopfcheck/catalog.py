@@ -40,6 +40,9 @@ class GroupPresentation:
     @classmethod
     def from_table(cls, table, identity=None) -> "GroupPresentation":
         n = len(table)
+        if n > GROUP_ORDER_LIMIT:
+            raise GroupTableError(
+                f"group table order {n} exceeds the group order limit of {GROUP_ORDER_LIMIT}")
         rows = tuple(tuple(row) for row in table)
         if any(len(r) != n for r in rows):
             raise GroupTableError("table must be square")
@@ -85,9 +88,11 @@ class GroupPresentation:
         return self.table[i].index(self.identity)
 
 
-# Largest group order cyclic_group and symmetric_group build.  The table has
-# order^2 entries and its validation order^3 steps (order 256 takes about a
-# second), and the group algebra's full report grows about as order^2.7.
+# Largest group order a GroupPresentation takes: from_table refuses a larger
+# table before validating it, cyclic_group and symmetric_group before
+# building one.  The table has order^2 entries and its validation order^3
+# steps (order 256 takes about a second), and the group algebra's full
+# report grows about as order^2.7.
 GROUP_ORDER_LIMIT = 256
 
 
@@ -120,13 +125,22 @@ def symmetric_group(n: int) -> GroupPresentation:
     return GroupPresentation.from_table(table, 0)
 
 
-def read_group_table(path) -> GroupPresentation:
-    """Group table file: {"order": n, "identity": e, "table": [[...]]}"""
+def _load_json(path):
+    """The JSON document in path.  A syntax error, or nesting deeper than
+    the decoder recurses, is an AlgebraFileSyntaxError naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise AlgebraFileSyntaxError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+        raise AlgebraFileSyntaxError(
+            f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise AlgebraFileSyntaxError(f"{path}: JSON nested too deeply to read") from exc
+
+
+def read_group_table(path) -> GroupPresentation:
+    """Group table file: {"order": n, "identity": e, "table": [[...]]}"""
+    doc = _load_json(path)
     try:
         return GroupPresentation.from_table(doc["table"], doc.get("identity"))
     except (KeyError, TypeError) as exc:
@@ -492,10 +506,4 @@ def algebra_from_json(doc, synthesize_antipode: bool = True) -> HopfAlgebra:
 
 
 def read_algebra(path, synthesize_antipode: bool = True) -> HopfAlgebra:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise AlgebraFileSyntaxError(
-            f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
-    return algebra_from_json(doc, synthesize_antipode=synthesize_antipode)
+    return algebra_from_json(_load_json(path), synthesize_antipode=synthesize_antipode)

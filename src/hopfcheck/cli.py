@@ -90,8 +90,8 @@ def modular_text(h: HopfAlgebra, md=None) -> str:
         md = modular_data(h)
     out.write(f"algebra {h.name} dim {h.dim} field {h.field}\n")
     out.write(f"basis = [{', '.join(h.basis_names)}]\n")
-    out.write(f"phi = {_functional_str(md.phi.coords)}\n")
-    out.write(f"psi = {_functional_str(md.psi.coords)}\n")
+    out.write(f"phi = {_functional_str(md.phi)}\n")
+    out.write(f"psi = {_functional_str(md.psi)}\n")
     out.write(f"delta = {h.format_element(list(md.delta))}\n")
     out.write(f"delta_inv = {h.format_element(list(md.delta_inv))}\n")
     _print_matrix(out, "sigma", md.sigma)

@@ -22,12 +22,12 @@ read off the dual's coproduct, which is the transposed product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .hopf import CorruptedDataError, HopfAlgebra, LinearFunctional, bilinear
+from .hopf import CorruptedDataError, HopfAlgebra, bilinear
 from .linalg import Matrix, Tensor3, invert
-from .modular import (ModularData, gram_inverse, left_integral, modular_automorphism,
-                      modular_element, proportionality, right_integral, scaling_constant)
+from .modular import (ModularData, _modular_tuple, left_integral, proportionality,
+                      right_integral)
 from .scalars import Scalar
 
 
@@ -98,9 +98,9 @@ class PairedSystem:
     dual_modular: ModularData
     # (operator name, algebra) -> Matrix and (action side, algebra acted on)
     # -> table.  Shared only along swapped(), where the primal is also the
-    # swapped dual, with bidual integrals that are multiples of its own:
-    # B^-1 B^T ignores the scale, so one sigma entry serves both (tested per
-    # builtin); any other new system starts empty.
+    # swapped dual and its bidual modular tuple is the primal's own with
+    # rescaled integrals, so sigma on both sides is one object; any other
+    # new system starts empty.
     _memo: dict = field(default_factory=dict, init=False, repr=False)
     # (decls, lhs, rhs) of an identity -> (passed, witness), never shared:
     # swapped().swapped() has this primal, but its integrals are scaled
@@ -211,59 +211,54 @@ def dual_integrals(h: HopfAlgebra, dual: HopfAlgebra, md: ModularData,
     dual (up to a scalar), psi_hat must equal phi_hat o S exactly, and the
     modular element of the dual must agree with the pairing formula
     <a, delta_hat> = counit(sigma^-1(a)).  Any mismatch is a convention bug
-    and fails hard.
+    and fails hard.  The rest of the tuple comes from phi_hat by the same
+    routine that modular_data runs on h.
 
     dual_md, when given, is modular data already computed for dual (on the
     bidual side, dual is the primal).  Its phi is a left integral of dual
     and its psi is phi o S, so phi_hat = lam * phi for a scalar lam and
-    psi_hat = phi_hat o S = lam * psi: the Gram inverses are its own scaled
-    by lam^-1 instead of being inverted again.
+    psi_hat = phi_hat o S = lam * psi.  Scaling a functional by lam scales
+    its Gram matrix B by lam, which leaves the solved delta, B^-1 B^T and
+    tau unchanged: the tuple is dual_md's own, with the integrals replaced
+    and the Gram inverses scaled by lam^-1, and nothing is solved again.
     """
-    field = h.field
     counit_row = list(h.counit)
 
     # the Gram matrix of phi sends column a to the row coords of phi(. a),
     # its transpose for psi sends a to the coords of psi(a .)
-    psi_hat = LinearFunctional(field, md.phi_gram_inv.apply_row(counit_row))
-    phi_hat = LinearFunctional(field, md.psi_gram_inv.apply(counit_row))
+    psi_hat = tuple(md.phi_gram_inv.apply_row(counit_row))
+    phi_hat = tuple(md.psi_gram_inv.apply(counit_row))
 
-    if phi_hat.after(dual.antipode) != psi_hat:
+    if tuple(dual.antipode.apply_row(phi_hat)) != psi_hat:
         raise CorruptedDataError(
             f"{dual.name}: psi_hat does not equal phi_hat o S; conventions are broken")
 
-    independent_right = right_integral(dual)
-    if proportionality(independent_right.coords, psi_hat.coords) is None:
+    if proportionality(right_integral(dual), psi_hat) is None:
         raise CorruptedDataError(
             f"{dual.name}: formula right integral disagrees with the invariance solve")
-    independent_left = left_integral(dual)
-    if proportionality(independent_left.coords, phi_hat.coords) is None:
+    if proportionality(left_integral(dual), phi_hat) is None:
         raise CorruptedDataError(
             f"{dual.name}: formula left integral disagrees with the invariance solve")
 
-    # <a, delta_hat> = counit(sigma^-1(a)) for all a, checked without the
-    # inverse as <sigma(a), delta_hat> = counit(a)
-    delta_hat, delta_hat_inv = modular_element(dual, phi_hat)
-    if md.sigma.apply_row(list(delta_hat)) != counit_row:
-        raise CorruptedDataError(
-            f"{dual.name}: modular element of the dual disagrees with the "
-            "counit-of-sigma-inverse pairing formula")
-
     if dual_md is None:
-        phi_hat_gram_inv = gram_inverse(dual, phi_hat, "left")
-        psi_hat_gram_inv = gram_inverse(dual, psi_hat, "right")
+        out = _modular_tuple(dual, phi_hat)
     else:
-        lam = proportionality(dual_md.phi.coords, phi_hat.coords)
+        lam = proportionality(dual_md.phi, phi_hat)
         if lam is None:
             raise CorruptedDataError(
                 f"{dual.name}: formula left integral disagrees with its modular data")
         lam_inv = lam.inv()
-        phi_hat_gram_inv = dual_md.phi_gram_inv.scaled(lam_inv)
-        psi_hat_gram_inv = dual_md.psi_gram_inv.scaled(lam_inv)
-    sigma_hat = modular_automorphism(dual, phi_hat, phi_hat_gram_inv)
-    sigma_hat_prime = modular_automorphism(dual, psi_hat, psi_hat_gram_inv)
-    tau_hat = scaling_constant(dual, phi_hat)
-    return ModularData(phi_hat, psi_hat, delta_hat, delta_hat_inv,
-                       sigma_hat, sigma_hat_prime, tau_hat, phi_hat_gram_inv, psi_hat_gram_inv)
+        out = replace(dual_md, phi=phi_hat, psi=psi_hat,
+                      phi_gram_inv=dual_md.phi_gram_inv.scaled(lam_inv),
+                      psi_gram_inv=dual_md.psi_gram_inv.scaled(lam_inv))
+
+    # <a, delta_hat> = counit(sigma^-1(a)) for all a, checked without the
+    # inverse as <sigma(a), delta_hat> = counit(a)
+    if md.sigma.apply_row(out.delta) != counit_row:
+        raise CorruptedDataError(
+            f"{dual.name}: modular element of the dual disagrees with the "
+            "counit-of-sigma-inverse pairing formula")
+    return out
 
 
 def pair_system(h: HopfAlgebra) -> PairedSystem:

@@ -120,42 +120,6 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
-class LinearFunctional:
-    """A functional on the algebra, stored as its row of basis values."""
-
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field: FieldSpec, coords):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coords", tuple(field.scalar(c) for c in coords))
-
-    def __setattr__(self, *a):
-        raise AttributeError("LinearFunctional is immutable")
-
-    def __call__(self, column) -> Scalar:
-        acc = self.field.zero()
-        for c, x in zip(self.coords, column):
-            if not (c.is_zero() or x.is_zero()):
-                acc = acc + c * x
-        return acc
-
-    def after(self, m: Matrix) -> "LinearFunctional":
-        """The composite functional (self o m)."""
-        return LinearFunctional(self.field, m.apply_row(list(self.coords)))
-
-    def scale(self, c) -> "LinearFunctional":
-        c = self.field.scalar(c)
-        return LinearFunctional(self.field, [c * x for x in self.coords])
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearFunctional):
-            return NotImplemented
-        return self.field == other.field and self.coords == other.coords
-
-    def __str__(self):
-        return "[" + ", ".join(str(c) for c in self.coords) + "]"
-
-
 class HopfAlgebra:
     """Structure-constant presentation of a Hopf algebra on a fixed basis."""
 

@@ -180,11 +180,18 @@ def _tokenize(src: str):
     return tokens
 
 
+# Deepest nesting of brackets (parentheses, pairings, function arguments)
+# an identity may use.  Parsing, sort checking and evaluation each recurse
+# once per level; the bundled corpora nest about 6 deep.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = -1  # brackets open around the expression being parsed
 
     def peek(self):
         return self.tokens[self.i]
@@ -233,6 +240,10 @@ class _Parser:
         return (var, sort_tok[1])
 
     def parse_expr(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise DslSyntaxError(f"position {self.peek()[2]}: brackets nested deeper "
+                                 f"than {MAX_NESTING} levels")
         factors = [self.parse_factor()]
         while True:
             kind, value, _ = self.peek()
@@ -243,6 +254,7 @@ class _Parser:
                 factors.append(self.parse_factor())
             else:
                 break
+        self.depth -= 1
         return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
     def parse_factor(self):
@@ -546,8 +558,7 @@ def _tensor(sys: PairedSystem, env, node):
     (arg,), (sort,) = args, sorts
     if node.fn in UNARY_FNS:
         return _apply(arg, sys.operator(node.fn, sort).nonzero_columns())
-    row = (sys.algebra(sort).counit if node.fn == "eps"
-           else getattr(sys.modular(sort), node.fn).coords)
+    row = sys.algebra(sort).counit if node.fn == "eps" else getattr(sys.modular(sort), node.fn)
     return _apply(arg, [((0, x),) if not x.is_zero() else () for x in row])
 
 

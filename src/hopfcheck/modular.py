@@ -1,12 +1,17 @@
 """Integrals and the modular apparatus of a validated algebra.
 
-For a finite-dimensional Hopf algebra the space of left-invariant
-functionals is exactly one-dimensional; the left integral here is the
-basis vector of that nullspace normalized so its first nonzero coordinate
-is 1, and the right integral is its composite with the antipode.  The
-modular element, the two modular automorphisms, and the scaling constant
-are all produced by exact linear solves and re-verified against their
-defining relations before being returned.
+A functional on the algebra is an element of the dual, so an integral is
+stored the way every dual element is: its coordinate tuple on the
+canonical dual basis, evaluated by duality.pairing_value and composed with
+a map M as M.apply_row.  For a finite-dimensional Hopf algebra the space of
+left-invariant functionals is exactly one-dimensional; the left integral
+here is the basis vector of that nullspace normalized so its first nonzero
+coordinate is 1, and the right integral is its composite with the
+antipode.  The modular element, the two modular automorphisms, and the
+scaling constant are all produced by exact linear solves and re-verified
+against their defining relations before being returned.  One routine,
+_modular_tuple, builds them from a left integral, for an algebra and for
+its dual alike.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .hopf import CorruptedDataError, HopfAlgebra, LinearFunctional, _summed
+from .hopf import CorruptedDataError, HopfAlgebra, _summed
 from .linalg import (Matrix, NonUniqueSolutionError, InconsistentSystemError,
                      SingularMatrixError, invert, nullspace, solve)
 from .scalars import Scalar
@@ -24,10 +29,11 @@ from .scalars import Scalar
 class ModularData:
     """The tuple attached to a left integral: (phi, psi, delta, sigma,
     sigma', tau), with delta's inverse and the inverse Gram matrices of phi
-    and psi carried alongside, so each Gram matrix is inverted once."""
+    and psi carried alongside, so each Gram matrix is inverted once.  phi,
+    psi, delta and delta_inv are coordinate tuples of Scalars."""
 
-    phi: LinearFunctional
-    psi: LinearFunctional
+    phi: tuple
+    psi: tuple
     delta: tuple
     delta_inv: tuple
     sigma: Matrix
@@ -52,7 +58,7 @@ def _invariance_nullspace(h: HopfAlgebra, side: str):
     return nullspace(Matrix._from_entries(h.field, n * n, n, entries))
 
 
-def _integral(h: HopfAlgebra, side: str) -> LinearFunctional:
+def _integral(h: HopfAlgebra, side: str) -> tuple:
     """The (side) integral of h, solved once per algebra."""
     cached = h._integrals.get(side)
     if cached is not None:
@@ -66,16 +72,16 @@ def _integral(h: HopfAlgebra, side: str) -> LinearFunctional:
     if len(basis) > 1:
         raise CorruptedDataError(
             f"{h.name}: {side} integrals form a {len(basis)}-dimensional space")
-    h._integrals[side] = integral = LinearFunctional(h.field, basis[0])
+    h._integrals[side] = integral = tuple(basis[0])
     return integral
 
 
-def left_integral(h: HopfAlgebra) -> LinearFunctional:
+def left_integral(h: HopfAlgebra) -> tuple:
     """The left integral, normalized to first nonzero coordinate 1."""
     return _integral(h, "left")
 
 
-def right_integral(h: HopfAlgebra) -> LinearFunctional:
+def right_integral(h: HopfAlgebra) -> tuple:
     """The right integral by the mirrored solve (independent of phi o S)."""
     return _integral(h, "right")
 
@@ -85,16 +91,16 @@ def integral_space_dimensions(h: HopfAlgebra):
     return len(_invariance_nullspace(h, "left")), len(_invariance_nullspace(h, "right"))
 
 
-def gram_matrix(h: HopfAlgebra, functional: LinearFunctional) -> Matrix:
+def gram_matrix(h: HopfAlgebra, functional: tuple) -> Matrix:
     """B[i][j] = functional(e_i * e_j); invertible iff the functional is
     faithful."""
-    f = {k: x for k, x in enumerate(functional.coords) if not x.is_zero()}
+    f = {k: x for k, x in enumerate(functional) if not x.is_zero()}
     entries = _summed(((i, j), c * f[k]) for i, mt_i in enumerate(h.mul_terms)
                       for j, cell in enumerate(mt_i) for k, c in cell if k in f)
     return Matrix._from_entries(h.field, h.dim, h.dim, entries)
 
 
-def gram_inverse(h: HopfAlgebra, functional: LinearFunctional, side: str) -> Matrix:
+def gram_inverse(h: HopfAlgebra, functional: tuple, side: str) -> Matrix:
     """The inverse of the Gram matrix of a faithful functional; a singular
     Gram matrix means the (side) functional is not faithful, which is
     corrupted data."""
@@ -105,7 +111,7 @@ def gram_inverse(h: HopfAlgebra, functional: LinearFunctional, side: str) -> Mat
             f"{h.name}: {side} functional is not faithful (singular Gram matrix)") from exc
 
 
-def modular_element(h: HopfAlgebra, phi: LinearFunctional):
+def modular_element(h: HopfAlgebra, phi: tuple):
     """The group-like delta with phi(S(a)) = phi(a * delta), plus its inverse.
 
     delta comes from an n x n solve against the Gram matrix of phi
@@ -114,9 +120,8 @@ def modular_element(h: HopfAlgebra, phi: LinearFunctional):
     """
     h.require_valid()
     b = gram_matrix(h, phi)
-    phi_s = phi.after(h.antipode)
     try:
-        delta = solve(b, list(phi_s.coords))
+        delta = solve(b, h.antipode.apply_row(phi))
     except NonUniqueSolutionError as exc:
         raise CorruptedDataError(f"{h.name}: integral is not faithful") from exc
     except InconsistentSystemError as exc:
@@ -135,8 +140,7 @@ def modular_element(h: HopfAlgebra, phi: LinearFunctional):
     return tuple(delta), tuple(delta_inv)
 
 
-def modular_automorphism(h: HopfAlgebra, functional: LinearFunctional,
-                         gram_inv: Matrix) -> Matrix:
+def modular_automorphism(h: HopfAlgebra, functional: tuple, gram_inv: Matrix) -> Matrix:
     """The automorphism rho with functional(a*b) = functional(b * rho(a)).
 
     Computed in closed form from the Gram matrix B as B^-1 B^T, with
@@ -169,25 +173,25 @@ def proportionality(reference, candidate):
     return c
 
 
-def scaling_constant(h: HopfAlgebra, phi: LinearFunctional) -> Scalar:
+def scaling_constant(h: HopfAlgebra, phi: tuple) -> Scalar:
     """The scalar tau with phi(S^2(a)) = tau * phi(a) for every a.
 
     phi o S^2 is again left invariant, hence a multiple of phi; the
     proportionality is asserted coordinate by coordinate.
     """
     h.require_valid()
-    tau = proportionality(phi.coords, phi.after(h.antipode.pow(2)).coords)
+    tau = proportionality(phi, h.antipode.pow(2).apply_row(phi))
     if tau is None:
         raise CorruptedDataError(
             f"{h.name}: phi o S^2 is not proportional to phi; integral data corrupt")
     return tau
 
 
-def modular_data(h: HopfAlgebra) -> ModularData:
-    """Compute the full integral apparatus of a validated algebra."""
-    h.require_valid()
-    phi = left_integral(h)
-    psi = phi.after(h.antipode)
+def _modular_tuple(h: HopfAlgebra, phi: tuple) -> ModularData:
+    """The modular tuple of h built from its left integral phi, with
+    psi = phi o S: the same sequence of solves on an algebra and on its
+    dual."""
+    psi = tuple(h.antipode.apply_row(phi))
     delta, delta_inv = modular_element(h, phi)
     phi_gram_inv = gram_inverse(h, phi, "left")
     sigma = modular_automorphism(h, phi, phi_gram_inv)
@@ -196,3 +200,9 @@ def modular_data(h: HopfAlgebra) -> ModularData:
     tau = scaling_constant(h, phi)
     return ModularData(phi, psi, delta, delta_inv, sigma, sigma_prime, tau,
                        phi_gram_inv, psi_gram_inv)
+
+
+def modular_data(h: HopfAlgebra) -> ModularData:
+    """Compute the full integral apparatus of a validated algebra."""
+    h.require_valid()
+    return _modular_tuple(h, left_integral(h))

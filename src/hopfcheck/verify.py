@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 from .duality import PairedSystem, dual_structure, pair_system
 from .hopf import CheckResult, HopfAlgebra
 from .identities import decision, parse_identity
+from .modular import gram_matrix
 
 
 @dataclass(frozen=True)
@@ -119,23 +120,24 @@ def biduality_check(sys: PairedSystem) -> VerificationReport:
     """The defining biduality formula and the canonical isomorphism.
 
     For w = phi(. a) the dual right integral satisfies
-    psi_hat(w' w) = w'(S^-1(a)); and transposing the dual's structure
-    constants gives exactly the primal's under the canonical basis matching,
-    which is the evaluation map in coordinates."""
+    psi_hat(w' w) = w'(S^-1(a)).  phi(. a_i) is the i-th column of the
+    inverse Gram matrix of phi, so on dual basis vectors w_i and w_j the
+    left side is entry (j, i) of the Gram matrix of psi_hat and the right
+    side entry (j, i) of S^-1 times that inverse: the formula is an
+    equality of two matrices, compared column by column.  Transposing the
+    dual's structure constants gives exactly the primal's under the
+    canonical basis matching, which is the evaluation map in coordinates."""
     h = sys.primal
     dual = sys.dual
-    b_phi_inv = sys.primal_modular.phi_gram_inv
-    psi_hat = sys.dual_modular.psi
-    s_inv = sys.operator("Sinv")
+    lhs = gram_matrix(dual, sys.dual_modular.psi)
+    rhs = sys.operator("Sinv") * sys.primal_modular.phi_gram_inv
 
     def mismatches():
         for i in range(dual.dim):
-            s_inv_a = s_inv.apply(b_phi_inv.column(i))  # phi(. a_i) is the i-th dual basis vector
-            for j in range(dual.dim):
-                lhs = psi_hat(dual.multiply(dual.basis_column(j), dual.basis_column(i)))
-                if lhs != s_inv_a[j]:
+            for j, (x, y) in enumerate(zip(lhs.column(i), rhs.column(i))):
+                if x != y:
                     yield (f"at w={dual.basis_names[i]}, w'={dual.basis_names[j]}: "
-                           f"lhs={lhs} rhs={s_inv_a[j]}")
+                           f"lhs={x} rhs={y}")
 
     witness = next(mismatches(), "")
     iso_ok = dual_structure(dual) == (h.mul, h.unit, h.comul, h.counit, h.antipode)

@@ -4,9 +4,9 @@ import pytest
 
 from hopfcheck import cli
 from hopfcheck.cli import matrix_order, order_text, run
-from hopfcheck.catalog import (CYCLOTOMIC_ORDER_LIMIT, GROUP_ORDER_LIMIT, build_taft, builtin,
-                               read_algebra)
-from hopfcheck.identities import parse_corpus
+from hopfcheck.catalog import (CYCLOTOMIC_ORDER_LIMIT, GROUP_ORDER_LIMIT, GroupPresentation,
+                               build_taft, builtin, read_algebra)
+from hopfcheck.identities import MAX_NESTING, parse_corpus
 from hopfcheck.hopf import ANTIPODE_DIM_LIMIT
 from hopfcheck.linalg import Matrix
 from hopfcheck.scalars import RATIONAL
@@ -314,6 +314,38 @@ def test_example_group_order_past_the_limit_exits_2(tmp_path):
     n = GROUP_ORDER_LIMIT
     assert run(["example", "group-algebra", "--cyclic", str(n), "-o", str(path)])[0] == 0
     assert json.loads(path.read_text())["dim"] == n
+
+
+def test_group_table_file_past_the_limit_exits_2_before_validating(tmp_path, monkeypatch):
+    n = GROUP_ORDER_LIMIT + 1
+    table = tmp_path / "z257.group"
+    table.write_text(json.dumps({"table": [[(i + j) % n for j in range(n)] for i in range(n)]}))
+    validated = []
+    monkeypatch.setattr(GroupPresentation, "_validate", lambda g: validated.append(g.order))
+    path = tmp_path / "g.alg"
+    code, text = run(["example", "group-algebra", "--table", str(table), "-o", str(path)])
+    assert (code, text) == (2, f"error: group table order {n} exceeds the group order "
+                               f"limit of {GROUP_ORDER_LIMIT}\n")
+    assert validated == [] and not path.exists()
+
+
+@pytest.mark.parametrize("command", [["verify-axioms"], ["example", "group-algebra", "--table"]])
+def test_json_nested_past_the_decoder_exits_2(tmp_path, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    assert run(command + [str(deep)]) == (2, f"error: {deep}: JSON nested too deeply to read\n")
+
+
+@pytest.mark.parametrize("opening", ["(", "S("])
+def test_deeply_nested_identity_exits_2(tmp_path, opening):
+    src = tmp_path / "h4.alg"
+    run(["example", "sweedler", "-o", str(src)])
+    depth = 3000 if opening == "(" else 2000
+    ids = tmp_path / "deep.ids"
+    ids.write_text(f"deep: forall a in A . {opening * depth}a{')' * depth} = a\n")
+    code, text = run(["check", str(src), "--corpus", str(ids)])
+    assert code == 2 and text.startswith("error: position "), text
+    assert text.endswith(f": brackets nested deeper than {MAX_NESTING} levels\n"), text
 
 
 def test_verify_axioms_decides_a_changed_dual_file_from_scratch(tmp_path):

@@ -8,8 +8,9 @@ from hopfcheck.cli import full_report_text
 from hopfcheck.catalog import (build_function_algebra, build_group_algebra, build_sweedler,
                                build_taft, builtin, cyclic_group, symmetric_group)
 from hopfcheck.duality import build_dual, dual_integrals, pair_system, pairing_value
-from hopfcheck.hopf import CorruptedDataError, HopfAlgebra, LinearFunctional
-from hopfcheck.modular import gram_matrix, integral_space_dimensions, modular_data
+from hopfcheck.hopf import CorruptedDataError, HopfAlgebra
+from hopfcheck.modular import (gram_matrix, integral_space_dimensions, modular_automorphism,
+                               modular_data, modular_element, scaling_constant)
 from hopfcheck.linalg import invert
 from hopfcheck.scalars import Scalar
 
@@ -166,7 +167,7 @@ def test_dual_right_integral_defining_formula(paired):
         psi_hat = sys.dual_modular.psi
         for i in range(h.dim):
             omega = b.column(i)
-            assert psi_hat(omega) == h.counit[i]
+            assert pairing_value(omega, psi_hat) == h.counit[i]
 
 
 def test_dual_left_integral_defining_formula(paired):
@@ -178,21 +179,21 @@ def test_dual_left_integral_defining_formula(paired):
         phi_hat = sys.dual_modular.phi
         for i in range(h.dim):
             omega = bt.column(i)
-            assert phi_hat(omega) == h.counit[i]
+            assert pairing_value(omega, phi_hat) == h.counit[i]
 
 
 def test_dual_normalizations_cohere(paired):
     for name in BUILTIN_NAMES:
         sys = paired(name)
         dm = sys.dual_modular
-        assert dm.phi.after(sys.dual.antipode) == dm.psi
+        assert tuple(sys.dual.antipode.apply_row(dm.phi)) == dm.psi
 
 
 def test_sweedler_dual_frozen_values(paired):
     sys = paired("sweedler")
     dm = sys.dual_modular
-    assert [str(c) for c in dm.psi.coords] == ["0", "-1", "0", "1"]
-    assert [str(c) for c in dm.phi.coords] == ["0", "-1", "0", "-1"]
+    assert [str(c) for c in dm.psi] == ["0", "-1", "0", "1"]
+    assert [str(c) for c in dm.phi] == ["0", "-1", "0", "-1"]
     assert [str(c) for c in dm.delta] == ["1", "0", "-1", "0"]
     assert str(dm.tau) == "-1"
 
@@ -242,16 +243,17 @@ def test_dual_modular_data_satisfies_primal_invariants(paired):
         assert dual.coproduct(delta) == dual.tensor_product_columns(delta, delta)
         assert dual.counit_of(delta).is_one()
         assert dual.antipode.apply(delta) == list(dm.delta_inv)
-        assert dm.phi.after(dual.antipode.pow(2)) == dm.phi.scale(dm.tau)
+        assert dual.antipode.pow(2).apply_row(dm.phi) == [dm.tau * x for x in dm.phi]
         for i in range(dual.dim):
             ei = dual.basis_column(i)
             si = dm.sigma.column(i)
             assert dual.multiply(delta, si) == dual.multiply(dm.sigma_prime.column(i), delta)
             for j in range(dual.dim):
                 ej = dual.basis_column(j)
-                assert dm.phi(dual.multiply(ei, ej)) == dm.phi(dual.multiply(ej, si))
-                assert dm.psi(dual.multiply(ei, ej)) == \
-                    dm.psi(dual.multiply(ej, dm.sigma_prime.column(i)))
+                assert pairing_value(dual.multiply(ei, ej), dm.phi) == \
+                    pairing_value(dual.multiply(ej, si), dm.phi)
+                assert pairing_value(dual.multiply(ei, ej), dm.psi) == \
+                    pairing_value(dual.multiply(ej, dm.sigma_prime.column(i)), dm.psi)
 
 
 def test_swapped_system_round_trip(paired):
@@ -302,10 +304,27 @@ def test_bidual_gram_inverses_are_the_primal_ones_rescaled(paired, name):
         assert md.psi_gram_inv == invert(gram_matrix(h, md.psi)), name
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ["taft-5"])
+def test_bidual_tuple_matches_a_fresh_derivation(paired, name):
+    # the bidual side takes the primal's modular tuple with the integrals
+    # replaced; every entry must be what the solves give on those integrals
+    base = pair_system(build_taft(5)) if name == "taft-5" else paired(name)
+    for system in (base.swapped(), base.swapped().swapped()):
+        h, md = system.dual, system.dual_modular
+        assert md.psi == tuple(h.antipode.apply_row(md.phi)), name
+        phi_gram_inv = invert(gram_matrix(h, md.phi))
+        psi_gram_inv = invert(gram_matrix(h, md.psi))
+        assert (md.phi_gram_inv, md.psi_gram_inv) == (phi_gram_inv, psi_gram_inv), name
+        assert (md.delta, md.delta_inv) == modular_element(h, md.phi), name
+        assert md.sigma == modular_automorphism(h, md.phi, phi_gram_inv), name
+        assert md.sigma_prime == modular_automorphism(h, md.psi, psi_gram_inv), name
+        assert md.tau == scaling_constant(h, md.phi), name
+
+
 def test_bidual_gram_inverse_needs_proportional_modular_data(paired):
     sys = paired("sweedler")
     wrong = dataclasses.replace(sys.primal_modular,
-                                phi=LinearFunctional(sys.primal.field, [1] * sys.primal.dim))
+                                phi=(sys.primal.field.one(),) * sys.primal.dim)
     with pytest.raises(CorruptedDataError, match="disagrees with its modular data"):
         dual_integrals(sys.dual, sys.primal, sys.dual_modular, wrong)
 
@@ -390,6 +409,6 @@ def test_dual_integral_disagreeing_with_the_solve_is_rejected(monkeypatch, solve
     dual = build_dual(h)
     # a nonzero functional proportional to neither formula integral
     monkeypatch.setattr(duality, solve,
-                        lambda alg: LinearFunctional(alg.field, [1] * alg.dim))
+                        lambda alg: (alg.field.one(),) * alg.dim)
     with pytest.raises(CorruptedDataError, match=f"formula {side} integral disagrees"):
         dual_integrals(h, dual, md)

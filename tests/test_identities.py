@@ -116,6 +116,31 @@ def test_syntax_errors_carry_position():
         parse_identity("res: forall sigma in A . sigma = sigma")
 
 
+def _nested(template, depth):
+    """An identity whose left side nests depth brackets around a."""
+    open_, close = template
+    return f"deep: forall a in A . {open_ * depth}a{close * depth} = a"
+
+
+NESTINGS = {"parentheses": ("(", ")"), "antipodes": ("S(", ")")}
+
+
+@pytest.mark.parametrize("kind", list(NESTINGS))
+def test_nesting_at_the_bound_evaluates(paired, kind):
+    # on sweedler S has order 4, and the bound is a multiple of 4
+    assert identities.MAX_NESTING % 4 == 0
+    prog = parse_identity(_nested(NESTINGS[kind], identities.MAX_NESTING))
+    assert evaluate(prog, paired("sweedler")).passed
+
+
+@pytest.mark.parametrize("kind", list(NESTINGS))
+def test_nesting_past_the_bound_is_a_syntax_error(kind):
+    source = _nested(NESTINGS[kind], identities.MAX_NESTING + 1)
+    with pytest.raises(DslSyntaxError, match=rf"^position \d+: brackets nested deeper than "
+                                             rf"{identities.MAX_NESTING} levels$"):
+        parse_identity(source)
+
+
 def test_reserved_arity_checked():
     with pytest.raises(DslSyntaxError):
         parse_identity("bad: forall a in A . S(a, a) = a")
@@ -252,7 +277,7 @@ def _naive_value(sys, env, node, cols):
     if node.fn == "eps":
         return sys.algebra(sort).counit_of(args[0])
     if node.fn in ("phi", "psi"):
-        return getattr(sys.modular(sort), node.fn)(args[0])
+        return pairing_value(args[0], getattr(sys.modular(sort), node.fn))
     if node.fn in ("lact", "ract", "lacthat", "racthat"):
         return reference_action(sys, node.fn, *args)
     return sys.operator(node.fn, sort).apply(args[0])

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import re
 
@@ -5,10 +6,10 @@ import pytest
 
 from hopfcheck import cli, duality, hopf, identities, linalg, modular, verify
 from hopfcheck.catalog import build_taft, builtin
-from hopfcheck.duality import pair_system
+from hopfcheck.duality import pair_system, pairing_value
 from hopfcheck.cli import full_report_text
 from hopfcheck.hopf import HopfAlgebra
-from hopfcheck.linalg import Tensor3
+from hopfcheck.linalg import Matrix, Tensor3, invert
 from hopfcheck.verify import (biduality_check, check_dual_modular_pairing,
                               check_dual_radford, check_modular_adjoints, check_radford,
                               run_all_checks, verify_algebra)
@@ -130,6 +131,29 @@ def test_full_report_builds_each_algebra_once(monkeypatch):
     # inverses by its integral's scalar, and dual_integrals checks its
     # pairing formula through sigma, not its inverse
     assert calls == {"build_dual": 1, "validations": 1, "invert": 7}
+
+
+def test_full_report_derives_each_modular_tuple_once(monkeypatch):
+    # the primal's tuple and the dual's are solved, one modular_element,
+    # two modular_automorphism and one scaling_constant each; the bidual's
+    # is the primal's with rescaled integrals, so it solves nothing (the 7
+    # invert calls are pinned above)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name, fn in (("modular_element", modular.modular_element),
+                     ("modular_automorphism", modular.modular_automorphism),
+                     ("scaling_constant", modular.scaling_constant)):
+        for module in (duality, hopf, identities, modular, verify):
+            if vars(module).get(name) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    assert full_report_text(builtin("taft-3"))[1]
+    assert calls == {"modular_element": 2, "modular_automorphism": 4, "scaling_constant": 2}
 
 
 def test_broken_transposition_fails_only_the_structure_iso(monkeypatch, paired, suite_reports):
@@ -324,6 +348,49 @@ def test_tampered_systems_match_the_per_basis_reference(paired):
     assert failed & set(ADJOINT_IDS)
     assert failed & {"s4-sandwich", "sigma-from-action", "sigmap-from-action",
                      "delta-action-scaling"}
+
+
+def _reference_biduality_witness(sys):
+    """The first failure of psi_hat(w' w) = w'(S^-1(a)) for w = phi(. a),
+    by one product in the dual per basis pair, w outer and w' inner."""
+    dual = sys.dual
+    b_phi_inv = sys.primal_modular.phi_gram_inv
+    s_inv = invert(sys.primal.antipode)
+    for i in range(dual.dim):
+        s_inv_a = s_inv.apply(b_phi_inv.column(i))  # phi(. a_i) is the i-th dual basis vector
+        for j in range(dual.dim):
+            product = dual.multiply(dual.basis_column(j), dual.basis_column(i))
+            lhs = pairing_value(product, sys.dual_modular.psi)
+            if lhs != s_inv_a[j]:
+                return (f"at w={dual.basis_names[i]}, w'={dual.basis_names[j]}: "
+                        f"lhs={lhs} rhs={s_inv_a[j]}")
+    return ""
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ["taft-5"])
+def test_biduality_matches_the_dense_reference(paired, name):
+    base = pair_system(build_taft(5)) if name == "taft-5" else paired(name)
+    for sys in (base, base.swapped()):
+        result = biduality_check(sys).results[0]
+        assert result.passed and result.witness == "", sys.primal.name
+        assert _reference_biduality_witness(sys) == "", sys.primal.name
+
+
+@pytest.mark.parametrize("name", ["sweedler", "taft-3", "taft-4"])
+def test_tampered_biduality_matches_the_dense_reference(paired, name):
+    sys = paired(name)
+    field, pm, dm = sys.primal.field, sys.primal_modular, sys.dual_modular
+    tampered = {
+        "psi-hat-doubled": dataclasses.replace(sys, dual_modular=dataclasses.replace(
+            dm, psi=tuple(field.scalar(2) * x for x in dm.psi))),
+        "phi-gram-inverse-identity": dataclasses.replace(sys, primal_modular=dataclasses.replace(
+            pm, phi_gram_inv=Matrix.identity(field, sys.primal.dim))),
+    }
+    for label, system in tampered.items():
+        result = biduality_check(system).results[0]
+        witness = _reference_biduality_witness(system)
+        assert witness, (name, label)
+        assert not result.passed and result.witness == witness, (name, label)
 
 
 CORPUS_TO_SUITE = {
