@@ -213,7 +213,10 @@ def _example_algebra(args) -> HopfAlgebra:
     raise GroupTableError(f"unknown example kind {kind!r}")
 
 
+@functools.cache
 def _build_arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="hopfcheck",
         description="exact verification of Hopf-algebra integral and duality identities")

@@ -9,10 +9,36 @@ coordinate column: dual algebras have the counit as their unit, which is
 rarely a basis vector.
 
 All axioms are checked by exact contraction over the stored nonzero terms,
-scanning basis indices in order, so a failure names the first failing
-index.  Regularity is checked through the antipode where there is one: the
-Galois maps are composed with their candidate inverses on the tensors a (x) 1
-and 1 (x) b, which is enough by associativity and the unit law
+and a failure names the first failing index of the ordered scan over all
+basis indices.  Associativity and the coproduct-homomorphism, which would
+visit every pair (i, j), scan only the rows i of a generating set:
+_generators picks basis indices G whose right-nested words
+g1(g2(...(gk 1))) span the algebra.  The search gives up past half the
+basis, where it costs more than the rows it saves.
+
+  - The set of a with (a x) y = a (x y) for all x, y is a subspace, holds
+    1 once the unit law holds, and is closed under products:
+    ((a a') x) y = (a (a' x)) y = a ((a' x) y) = a (a' (x y)) = (a a')(x y).
+    So under the unit law the rows of G decide associativity.
+  - The set of a with coproduct(a x) = coproduct(a) coproduct(x) for all x
+    is likewise closed under products, by associativity in A and A (x) A,
+    and holds 1 when coproduct(1) = 1 (x) 1.  So once associativity and
+    the unit law hold, the rows of G decide the coproduct-homomorphism.
+  - Transposed, the same scalar equations are the dual's
+    coproduct-homomorphism, so the rows of a generating set P of the
+    dual's product (the transposed coproduct, with the counit as unit)
+    decide it too, once coassociativity, the counit law and the counit
+    homomorphism hold.  P is used only when it is smaller than G (or G
+    was given up); it is searched only when |G| > 2, since its search
+    costs about as much as a row or two, and the search gives up once it
+    reaches |G| - 1.
+
+When a precondition fails, or a reduced scan finds a failure, the full
+ordered scan runs, so the witness is always the full scan's.
+
+Regularity is checked through the antipode where there is one: the Galois
+maps are composed with their candidate inverses on the tensors a (x) 1 and
+1 (x) b, which is enough by associativity and the unit law
 (Larson-Sweedler: the Galois maps are invertible exactly when an antipode
 exists).  The axiom results can also be handed over from algebras that
 decided the same equations: with_antipode keeps the bialgebra checks, and
@@ -84,6 +110,153 @@ def bilinear(table, a, b):
     return out
 
 
+def _product_table(n, triples):
+    """The ((i, j, k), x) triples of a product grouped by input, laid out
+    like HopfAlgebra.mul_terms: table[i][j] lists (k, x).  Rows without
+    terms share one tuple, so a sparse load stays small."""
+    rows = {}
+    for (i, j, k), x in triples:
+        rows.setdefault(i, {}).setdefault(j, []).append((k, x))
+    empty_row = ((),) * n
+    return tuple(tuple(tuple(rows[i].get(j, ())) for j in range(n)) if i in rows
+                 else empty_row for i in range(n))
+
+
+def _coproduct_table(n, triples):
+    """The ((i, j, k), x) triples of a coproduct grouped by input, laid out
+    like HopfAlgebra.comul_terms: table[i] lists (j, k, x)."""
+    rows = [[] for _ in range(n)]
+    for (i, j, k), x in triples:
+        rows[i].append((j, k, x))
+    return tuple(map(tuple, rows))
+
+
+def _tensor_square_product(mt, x, y):
+    """Product of two sparse tensor-square elements {(p, q): Scalar} for the
+    product table mt."""
+    return _summed(((k1, k2), c * d * c1 * c2)
+                   for (p, q), c in x.items() for (r, s), d in y.items()
+                   for k1, c1 in mt[p][r] for k2, c2 in mt[q][s])
+
+
+class _Span:
+    """The span of sparse vectors {index: Scalar} in echelon form: rows maps
+    each pivot to a row that is 1 at the pivot, its smallest index."""
+
+    def __init__(self, rows=()):
+        self.rows = dict(rows)
+
+    def add(self, v) -> bool:
+        """Add v to the span; False when it was in it already."""
+        v, rows = dict(v), self.rows
+        while v:
+            p = min(v)
+            row = rows.get(p)
+            if row is None:
+                inv = v[p].inv()
+                rows[p] = v if inv.is_one() else {k: x * inv for k, x in v.items()}
+                return True
+            x = v.pop(p)
+            for k, c in row.items():
+                if k != p:
+                    y = v[k] - x * c if k in v else -(x * c)
+                    if y.is_zero():
+                        del v[k]
+                    else:
+                        v[k] = y
+        return False
+
+
+def _generators(table, unit, limit=None):
+    """Basis indices G whose right-nested words g1(g2(...(gk 1))) span the
+    whole space, for the product table (laid out like HopfAlgebra.mul_terms)
+    and the unit column unit; None when the words over every index do not
+    span it, or when more than limit indices would be needed.
+
+    Candidates are tried by the dimension of their power orbit
+    span{1, e 1, e(e 1), ...}, largest first, then by index.  A candidate
+    whose word e 1 is in the span of the words so far is skipped; any other
+    joins G, and the span is closed again under left multiplication by G.
+    The span is exact (sparse echelon form), so G is a generating set
+    whatever the table: no axiom is assumed."""
+    n = len(table)
+    one = {u: x for u, x in enumerate(unit) if not x.is_zero()}
+    span, words, gens = _Span(), [], []
+    if span.add(one):
+        words.append(one)
+
+    def times(g, w):
+        row = table[g]
+        return _summed((k, x * c) for j, x in w.items() for k, c in row[j])
+
+    def orbit(e):
+        powers, w = _Span(span.rows), times(e, one)
+        while powers.add(w):
+            w = times(e, w)
+        return len(powers.rows)
+
+    candidates = []
+    for e in range(n):
+        candidates.append((-orbit(e), e))
+        if candidates[-1][0] == -n:
+            break  # the first candidate, and its words span
+    for _, e in sorted(candidates):
+        if len(span.rows) == n:
+            break
+        v = times(e, one)
+        if not span.add(v):
+            continue  # e 1 is a word already
+        if len(gens) == limit:
+            return None
+        gens.append(e)
+        words.append(v)
+        # the products of a generator and a word not formed yet
+        pending = [(g, v) for g in gens] + [(e, w) for w in words[1:-1]]
+        while pending:
+            g, w = pending.pop()
+            v = times(g, w)
+            if span.add(v):
+                words.append(v)
+                pending.extend((h, v) for h in gens)
+    return tuple(gens) if len(span.rows) == n else None
+
+
+def _associativity_failure(mt, rows):
+    """The first (i, j, l), with i taken from rows in order, for which
+    (e_i e_j) e_l != e_i (e_j e_l) under the product table mt; None when
+    there is none."""
+    # row k as (l, t, d): e_k * e_l has coefficient d at e_t
+    right = [tuple((l, t, d) for l, cell in enumerate(row) for t, d in cell) for row in mt]
+    for i in rows:
+        mt_i = mt[i]
+        for j, ij in enumerate(mt_i):
+            if not (ij or right[j]):
+                continue  # both sides vanish for every l
+            # (e_i*e_j)*e_l and e_i*(e_j*e_l) for every l at once, keyed (l, t)
+            lhs = _summed(((l, t), c * d) for k, c in ij for l, t, d in right[k])
+            rhs = _summed(((l, t), c * d) for l, m, c in right[j] for t, d in mt_i[m])
+            if lhs != rhs:
+                return i, j, min(key[0] for key in lhs.keys() | rhs.keys()
+                                 if lhs.get(key) != rhs.get(key))
+    return None
+
+
+def _coproduct_homomorphism_failure(mt, ct, rows):
+    """The first (i, j), with i taken from rows in order, for which
+    coproduct(e_i e_j) != coproduct(e_i) coproduct(e_j) under the product
+    table mt and the coproduct table ct; None when there is none."""
+    deltas = [{(p, q): c for p, q, c in terms} for terms in ct]
+    for i in rows:
+        for j, ij in enumerate(mt[i]):
+            if not (ij or (deltas[i] and deltas[j])):
+                continue  # both sides vanish
+            rhs = _tensor_square_product(mt, deltas[i], deltas[j])
+            lhs = _summed(((p, q), c * d) for k, c in ij for p, q, d in ct[k])
+            if lhs != rhs:
+                return i, j
+    return None
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """The outcome of one check on one algebra, the unit of every report.
@@ -127,6 +300,7 @@ class HopfAlgebra:
         "name", "field", "dim", "basis_names", "mul", "unit", "comul",
         "counit", "antipode", "mul_terms", "comul_terms",
         "_bialgebra", "_validation", "_antipode_inverse", "_coproduct_cache", "_integrals",
+        "_generator_cache",
     )
 
     def __init__(self, field: FieldSpec, basis_names, mul: Tensor3, unit,
@@ -152,24 +326,16 @@ class HopfAlgebra:
         object.__setattr__(self, "antipode", antipode)
         # the stored terms grouped by input, read by every contraction:
         # mul_terms[i][j] lists (k, x), comul_terms[i] lists (j, k, x)
-        # (rows without terms share one tuple, so a sparse load stays small)
-        mul_rows = {}
-        for (i, j, k), x in mul.terms.items():
-            mul_rows.setdefault(i, {}).setdefault(j, []).append((k, x))
-        empty_row = ((),) * n
-        comul_rows = [[] for _ in range(n)]
-        for (i, j, k), x in comul.terms.items():
-            comul_rows[i].append((j, k, x))
-        object.__setattr__(self, "mul_terms", tuple(
-            tuple(tuple(mul_rows[i].get(j, ())) for j in range(n)) if i in mul_rows
-            else empty_row for i in range(n)))
-        object.__setattr__(self, "comul_terms", tuple(map(tuple, comul_rows)))
+        object.__setattr__(self, "mul_terms", _product_table(n, mul.terms.items()))
+        object.__setattr__(self, "comul_terms", _coproduct_table(n, comul.terms.items()))
         object.__setattr__(self, "_bialgebra", None)
         object.__setattr__(self, "_validation", None)
         object.__setattr__(self, "_antipode_inverse", None)
         object.__setattr__(self, "_coproduct_cache", {})
         # side -> the integral modular._integral solved for; filled there
         object.__setattr__(self, "_integrals", {})
+        # "product" -> _generators(mul_terms, unit), found once
+        object.__setattr__(self, "_generator_cache", {})
 
     def __setattr__(self, *a):
         raise AttributeError("HopfAlgebra is immutable")
@@ -280,25 +446,28 @@ class HopfAlgebra:
 
     def tensor_square_product(self, x, y):
         """Product of two sparse tensor-square elements in A (x) A."""
-        mt = self.mul_terms
-        return _summed(((k1, k2), c * d * c1 * c2)
-                       for (p, q), c in x.items() for (r, s), d in y.items()
-                       for k1, c1 in mt[p][r] for k2, c2 in mt[q][s])
+        return _tensor_square_product(self.mul_terms, x, y)
 
     # -- validation ----------------------------------------------------------
 
     def bialgebra_checks(self) -> tuple:
         """The six bialgebra axioms, the ones that do not involve the
-        antipode, checked by exact contraction; cached."""
+        antipode, checked by exact contraction; cached.  The
+        coproduct-homomorphism check is decided last, because the axioms
+        that hold tell it which generating set it may scan."""
         if self._bialgebra is None:
+            associativity = self._check_associativity()
+            unit = self._check_unit()
+            coassociativity = self._check_coassociativity()
+            counit = self._check_counit()
+            counit_homomorphism = self._check_counit_homomorphism()
+            coproduct_homomorphism = self._check_coproduct_homomorphism(
+                algebra_side=associativity.passed and unit.passed,
+                coalgebra_side=coassociativity.passed and counit.passed
+                and counit_homomorphism.passed)
             object.__setattr__(self, "_bialgebra", (
-                self._check_associativity(),
-                self._check_unit(),
-                self._check_coassociativity(),
-                self._check_counit(),
-                self._check_coproduct_homomorphism(),
-                self._check_counit_homomorphism(),
-            ))
+                associativity, unit, coassociativity, counit,
+                coproduct_homomorphism, counit_homomorphism))
         return self._bialgebra
 
     def validate(self) -> ValidationReport:
@@ -316,24 +485,26 @@ class HopfAlgebra:
             raise InvalidHopfAlgebraError(f"{self.name}: axiom failures: {bad}")
         return self
 
+    def _product_generators(self):
+        """_generators of the product and the unit, found once; None past
+        half the basis, where the search costs more than the rows it saves
+        (a function algebra needs all but one index)."""
+        cache = self._generator_cache
+        if "product" not in cache:
+            cache["product"] = _generators(self.mul_terms, self.unit, self.dim // 2)
+        return cache["product"]
+
     def _check_associativity(self) -> CheckResult:
-        mt = self.mul_terms
-        # row k as (l, t, d): e_k * e_l has coefficient d at e_t
-        rows = [tuple((l, t, d) for l, cell in enumerate(row) for t, d in cell) for row in mt]
-        for i, mt_i in enumerate(mt):
-            for j, ij in enumerate(mt_i):
-                if not (ij or rows[j]):
-                    continue  # both sides vanish for every l
-                # (e_i*e_j)*e_l and e_i*(e_j*e_l) for every l at once, keyed (l, t)
-                lhs = _summed(((l, t), c * d) for k, c in ij for l, t, d in rows[k])
-                rhs = _summed(((l, t), c * d) for l, m, c in rows[j] for t, d in mt_i[m])
-                if lhs != rhs:
-                    l = min(key[0] for key in lhs.keys() | rhs.keys()
-                            if lhs.get(key) != rhs.get(key))
-                    return CheckResult(
-                        "associativity", self.name, False,
-                        f"(e{i}*e{j})*e{l} != e{i}*(e{j}*e{l})")
-        return CheckResult("associativity", self.name, True)
+        # under the unit law, the rows of a generating set decide every row
+        gens = self._product_generators() if self._check_unit().passed else None
+        failure = None
+        if gens is None or _associativity_failure(self.mul_terms, gens) is not None:
+            failure = _associativity_failure(self.mul_terms, range(self.dim))
+        if failure is None:
+            return CheckResult("associativity", self.name, True)
+        i, j, l = failure
+        return CheckResult("associativity", self.name, False,
+                           f"(e{i}*e{j})*e{l} != e{i}*(e{j}*e{l})")
 
     def _check_unit(self) -> CheckResult:
         mt = self.mul_terms
@@ -365,24 +536,41 @@ class HopfAlgebra:
                 return CheckResult("counit", self.name, False, f"counit law fails on e{i}")
         return CheckResult("counit", self.name, True)
 
-    def _check_coproduct_homomorphism(self) -> CheckResult:
+    def _check_coproduct_homomorphism(self, algebra_side=False,
+                                      coalgebra_side=False) -> CheckResult:
+        """algebra_side says that associativity and the unit law hold,
+        coalgebra_side that coassociativity, the counit law and the counit
+        homomorphism hold; each lets the check scan a generating set's rows
+        (see the module docstring).  Without either it scans every row."""
         one_tensor = self.tensor_product_columns(self.unit_column(), self.unit_column())
         if self.coproduct(self.unit_column()) != one_tensor:
             return CheckResult("coproduct-homomorphism", self.name, False,
                                "coproduct of 1 is not 1 (x) 1")
-        ct = self.comul_terms
-        deltas = [{(p, q): c for p, q, c in terms} for terms in ct]
-        for i, mt_i in enumerate(self.mul_terms):
-            for j, ij in enumerate(mt_i):
-                if not (ij or (deltas[i] and deltas[j])):
-                    continue  # both sides vanish
-                rhs = self.tensor_square_product(deltas[i], deltas[j])
-                lhs = _summed(((p, q), c * d) for k, c in ij for p, q, d in ct[k])
-                if lhs != rhs:
-                    return CheckResult(
-                        "coproduct-homomorphism", self.name, False,
-                        f"coproduct(e{i}*e{j}) != coproduct(e{i})*coproduct(e{j})")
-        return CheckResult("coproduct-homomorphism", self.name, True)
+        n, mt, ct = self.dim, self.mul_terms, self.comul_terms
+        tables = rows = None
+        if algebra_side:
+            tables, rows = (mt, ct), self._product_generators()
+        # the search for P costs about as much as scanning a row or two, so
+        # it is made only where P may save more than one row
+        if coalgebra_side and (rows is None or len(rows) > 2):
+            # the same scalar equations for the dual: its product is the
+            # transposed coproduct, its coproduct the transposed product
+            dual_mt = _product_table(
+                n, (((j, k, i), x) for (i, j, k), x in self.comul.terms.items()))
+            dual_gens = _generators(dual_mt, self.counit,
+                                    None if rows is None else len(rows) - 1)
+            if dual_gens is not None:
+                dual_ct = _coproduct_table(
+                    n, (((k, i, j), x) for (i, j, k), x in self.mul.terms.items()))
+                tables, rows = (dual_mt, dual_ct), dual_gens
+        failure = None
+        if rows is None or _coproduct_homomorphism_failure(*tables, rows) is not None:
+            failure = _coproduct_homomorphism_failure(mt, ct, range(n))
+        if failure is None:
+            return CheckResult("coproduct-homomorphism", self.name, True)
+        i, j = failure
+        return CheckResult("coproduct-homomorphism", self.name, False,
+                           f"coproduct(e{i}*e{j}) != coproduct(e{i})*coproduct(e{j})")
 
     def _check_counit_homomorphism(self) -> CheckResult:
         if not self.counit_of(self.unit_column()).is_one():

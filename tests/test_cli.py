@@ -392,3 +392,20 @@ def test_order_past_the_cap_prints_the_bound():
     assert matrix_order(two) is None
     assert order_text(two) == "> 1000"
     assert order_text(Matrix(RATIONAL, [[-1]])) == "2"
+
+
+def test_consecutive_runs_share_no_parser_state(tmp_path):
+    # the parser is built once per process; each run parses afresh
+    assert cli._build_arg_parser() is cli._build_arg_parser()
+    path = str(tmp_path / "h4.alg")
+    assert run(["example", "sweedler", "-o", path])[0] == 0
+    default = run(["full-report", path])
+    corpus = tmp_path / "one.ids"
+    corpus.write_text("idy: forall a in A . eps(a(1)) * a(2) = a\n")
+    code, text = run(["full-report", path, "--corpus", str(corpus)])
+    assert code == 0 and "idy sweedler PASS" in text
+    assert run(["full-report", path]) == default
+    assert default[0] == 0 and "idy sweedler" not in default[1]
+    for usage_error in (["example"], ["full-report"], ["no-such-command"]):
+        assert run(usage_error) == (2, "")
+        assert run(["verify-axioms", path])[0] == 0

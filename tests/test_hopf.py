@@ -547,3 +547,204 @@ def test_sparse_checks_match_dense_reference_on_corrupted_constants(name):
         _assert_sparse_matches_dense(h)
         failed += not h.validate().ok
     assert failed == 12  # one changed constant always breaks some axiom
+
+
+# ---------------------------------------------------------------------------
+# generating sets: associativity and coproduct-homomorphism scan only the
+# rows of a generating set, and rerun the full ordered scan when a
+# precondition or the reduced scan fails.  Whatever path a check takes, its
+# result must be the full scan's, witness included.
+# ---------------------------------------------------------------------------
+
+def _assert_reduced_matches_full_scan(h):
+    checks = {c.check: c for c in h.bialgebra_checks()}
+    assert checks["associativity"] == _dense_associativity(h), h.name
+    assert checks["coproduct-homomorphism"] == _dense_coproduct_homomorphism(h), h.name
+
+
+def _transported(h, p, name):
+    """h written in the basis of the columns of the invertible matrix p:
+    m'(a, b) = p^-1 m(p a, p b), the coproduct, unit and counit likewise,
+    and S' = p^-1 S p."""
+    n, q = h.dim, invert(p)
+    cols = [p.column(a) for a in range(n)]
+    mul = {(a, b, k): x for a in range(n) for b in range(n)
+           for k, x in enumerate(q.apply(h.multiply(cols[a], cols[b])))}
+    q_cols = [q.column(j) for j in range(n)]
+    comul = {}
+    for a in range(n):
+        for (j, k), c in h.coproduct(cols[a]).items():
+            for r, x in enumerate(q_cols[j]):
+                for s, y in enumerate(q_cols[k]):
+                    comul[(a, r, s)] = comul.get((a, r, s), h.field.zero()) + c * x * y
+    return HopfAlgebra(h.field, h.basis_names, Tensor3.from_dict(h.field, n, mul),
+                       q.apply(h.unit_column()), Tensor3.from_dict(h.field, n, comul),
+                       [h.counit_of(col) for col in cols], q * h.antipode * p, name=name)
+
+
+def _signed_permutation(field, n, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Matrix(field, [[rng.choice((1, -1)) if perm[a] == i else 0 for a in range(n)]
+                          for i in range(n)])
+
+
+def _unitriangular(field, n, rng):
+    """An upper unitriangular integer matrix, entries above the diagonal in
+    [-2, 2].  Its first column is e_0, so a unit e_0 stays e_0."""
+    return Matrix(field, [[1 if i == j else rng.randint(-2, 2) if i < j else 0
+                           for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_BUILDERS) + ["taft-5"])
+def test_reduced_checks_match_full_scan_under_relabelling(name):
+    source = build_taft(5) if name == "taft-5" else builtin(name)
+    rng = random.Random(f"relabel:{name}")
+    for seed in range(2):
+        h = _transported(source, _signed_permutation(source.field, source.dim, rng),
+                         f"{name}-relabelled{seed}")
+        assert all(c.passed for c in h.bialgebra_checks()), h.name
+        _assert_reduced_matches_full_scan(h)
+
+
+def _with_constant(h, target, key, shift):
+    """h with the structure constant key of target ("mul" or "comul")
+    shifted by shift."""
+    terms = dict(getattr(h, target).terms)
+    terms[key] = terms.get(key, h.field.zero()) + shift
+    tensors = {"mul": h.mul, "comul": h.comul,
+               target: Tensor3.from_dict(h.field, h.dim, terms)}
+    return HopfAlgebra(h.field, h.basis_names, tensors["mul"], h.unit, tensors["comul"],
+                       h.counit, h.antipode, name=f"{h.name}-{target}{key}")
+
+
+def test_associativity_without_the_unit_law_takes_the_full_scan():
+    # unit e0 with e0*e1 = -e1: the words over G = {e1} span, and row e1 is
+    # associative, but 1 is not in the set the rows of G generate, so only
+    # the full scan finds (e0*e0)*e1 = -e1 != e1 = e0*(e0*e1)
+    mul = Tensor3.from_dict(F, 2, {(0, 0, 0): 1, (0, 1, 1): -1, (1, 0, 1): 1})
+    comul = Tensor3.from_dict(F, 2, {(0, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): 1})
+    h = HopfAlgebra(F, ["1", "x"], mul, [1, 0], comul, [1, 0], None, name="left-unit")
+    assert hopf._generators(h.mul_terms, h.unit) == (1,)
+    assert hopf._associativity_failure(h.mul_terms, (1,)) is None
+    checks = {c.check: c for c in h.bialgebra_checks()}
+    assert not checks["unit"].passed
+    assert checks["associativity"].witness == "(e0*e0)*e1 != e0*(e0*e1)"
+    _assert_reduced_matches_full_scan(h)
+
+
+def test_coproduct_homomorphism_without_associativity_takes_the_full_scan():
+    # a nonassociative product with the unit law, coproduct(1) = 1 (x) 1 and
+    # coproduct(e1) = coproduct(e2) = 0: row e1 of G = {e1} passes, but
+    # e2*e2 = e2 - e0 has a nonzero coproduct
+    mul = Tensor3.from_dict(F, 3, {
+        (0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1, (1, 0, 1): 1, (2, 0, 2): 1,
+        (1, 1, 2): -1, (1, 2, 2): -1, (2, 1, 1): -1, (2, 2, 0): -1, (2, 2, 2): 1})
+    comul = Tensor3.from_dict(F, 3, {(0, 0, 0): 1})
+    h = HopfAlgebra(F, ["1", "a", "b"], mul, [1, 0, 0], comul, [1, 0, 0], None,
+                    name="nonassociative")
+    gens = hopf._generators(h.mul_terms, h.unit)
+    assert gens == (1,)
+    assert hopf._coproduct_homomorphism_failure(h.mul_terms, h.comul_terms, gens) is None
+    checks = {c.check: c for c in h.bialgebra_checks()}
+    assert checks["unit"].passed and not checks["associativity"].passed
+    assert not checks["coproduct-homomorphism"].passed
+    _assert_reduced_matches_full_scan(h)
+
+
+def test_product_changed_between_two_non_generators_fails_with_the_full_scan_witness():
+    source = builtin("taft-3")
+    gens = source._product_generators()
+    unit_index = source.unit.index(source.field.one())
+    keys = [(i, j, k) for i, j, k, _ in source.mul.nonzero()
+            if not {i, j} & {*gens, unit_index}]
+    assert keys
+    for key in keys[:4]:
+        h = _with_constant(source, "mul", key, 1)
+        checks = {c.check: c for c in h.bialgebra_checks()}
+        assert not checks["associativity"].passed, h.name
+        _assert_reduced_matches_full_scan(h)
+
+
+def _dual_product_generators(h):
+    dual_mt = hopf._product_table(
+        h.dim, (((j, k, i), x) for (i, j, k), x in h.comul.terms.items()))
+    return hopf._generators(dual_mt, h.counit)
+
+
+def test_coproduct_changed_outside_the_coalgebra_generators_fails_with_the_full_scan_witness():
+    # coproduct-homomorphism scans the rows p of the dual's generators P: the
+    # constants of coproduct(e_i) at e_j (x) e_k with j, k outside P are read
+    # only through other rows' products
+    source = builtin("functions-s3")
+    dual_gens = _dual_product_generators(source)
+    keys = [(i, j, k) for i, j, k, _ in source.comul.nonzero() if not {j, k} & set(dual_gens)]
+    assert keys
+    for key in keys[:4]:
+        h = _with_constant(source, "comul", key, 1)
+        checks = {c.check: c for c in h.bialgebra_checks()}
+        assert not checks["coproduct-homomorphism"].passed, h.name
+        _assert_reduced_matches_full_scan(h)
+
+
+def test_failing_coalgebra_side_scan_falls_back_to_the_full_scan():
+    # functions-z6 with its product and unit written in another basis (p
+    # fixes the counit's point and the unit, so the counit stays
+    # multiplicative): every bialgebra axiom but coproduct-homomorphism
+    # holds, so the check scans the one row of the dual's generator, which
+    # fails, and reports the full scan's witness
+    source = builtin("functions-z6")
+    rows = [[int(i == j) for j in range(source.dim)] for i in range(source.dim)]
+    rows[1][2], rows[1][3] = 1, -1
+    moved = _transported(source, Matrix(F, rows), "moved")
+    h = HopfAlgebra(F, source.basis_names, moved.mul, moved.unit, source.comul,
+                    source.counit, None, name="twisted")
+    checks = h.bialgebra_checks()
+    assert [c.check for c in checks if not c.passed] == ["coproduct-homomorphism"]
+    assert h._product_generators() is None and len(_dual_product_generators(h)) == 1
+    _assert_reduced_matches_full_scan(h)
+
+
+@pytest.mark.parametrize("name", ["sweedler", "taft-2", "group-s3"])
+def test_dense_basis_bialgebra_checks_match_full_scan(name):
+    source = builtin(name)
+    rng = random.Random(f"dense:{name}")
+    h = _transported(source, _unitriangular(source.field, source.dim, rng), f"{name}-dense")
+    assert sum(1 for _ in h.mul.nonzero()) > sum(1 for _ in source.mul.nonzero())
+    assert all(c.passed for c in h.bialgebra_checks()), h.name
+    assert _dense_unit(h).passed and _dense_counit_homomorphism(h).passed
+    _assert_reduced_matches_full_scan(h)
+    # a product of two non-units: the unit law still holds, so associativity
+    # scans the generators' rows first
+    assert source.unit_column() == source.basis_column(0) == h.unit_column()
+    key = rng.choice([k for k in sorted(h.mul.terms) if 0 not in k[:2]])
+    bad = _with_constant(h, "mul", key, 1)
+    checks = {c.check: c for c in bad.bialgebra_checks()}
+    assert checks["unit"].passed and not checks["associativity"].passed
+    _assert_reduced_matches_full_scan(bad)
+
+
+def test_generating_sets_are_pinned(monkeypatch):
+    # the rows each reduced scan visits; a silent fallback to the full scan
+    # (rows of length dim) fails here
+    scans = []
+    for check in ("associativity", "coproduct_homomorphism"):
+        real = getattr(hopf, f"_{check}_failure")
+        monkeypatch.setattr(hopf, f"_{check}_failure",
+                            lambda *args, real=real, check=check:
+                            scans.append((check, args[0], tuple(args[-1]))) or real(*args))
+    for name in ("taft-3", "taft-4"):
+        scans.clear()
+        h = builtin(name)
+        assert h.validate().ok
+        assert [(check, table is h.mul_terms, len(rows)) for check, table, rows in scans] == [
+            ("associativity", True, 2), ("coproduct_homomorphism", True, 2)]
+    # functions-s3's product needs 5 of its 6 indices, past the search's
+    # half-basis cap, so associativity takes the full scan; the dual's
+    # product (the group algebra of S3) needs 2
+    scans.clear()
+    h = builtin("functions-s3")
+    assert h.validate().ok
+    (_, _, assoc_rows), (_, table, coproduct_rows) = scans
+    assert assoc_rows == tuple(range(h.dim))
+    assert table is not h.mul_terms and len(coproduct_rows) <= 2
