@@ -28,10 +28,8 @@ basis, where it costs more than the rows it saves.
     coproduct-homomorphism, so the rows of a generating set P of the
     dual's product (the transposed coproduct, with the counit as unit)
     decide it too, once coassociativity, the counit law and the counit
-    homomorphism hold.  P is used only when it is smaller than G (or G
-    was given up); it is searched only when |G| > 2, since its search
-    costs about as much as a row or two, and the search gives up once it
-    reaches |G| - 1.
+    homomorphism hold.  P is searched only when G was given up, as it is
+    for function algebras and for the duals of the taft algebras.
 
 When a precondition fails, or a reduced scan finds a failure, the full
 ordered scan runs, so the witness is always the full scan's.
@@ -300,7 +298,7 @@ class HopfAlgebra:
         "name", "field", "dim", "basis_names", "mul", "unit", "comul",
         "counit", "antipode", "mul_terms", "comul_terms",
         "_bialgebra", "_validation", "_antipode_inverse", "_coproduct_cache", "_integrals",
-        "_generator_cache",
+        "_axiom_cache",
     )
 
     def __init__(self, field: FieldSpec, basis_names, mul: Tensor3, unit,
@@ -334,8 +332,9 @@ class HopfAlgebra:
         object.__setattr__(self, "_coproduct_cache", {})
         # side -> the integral modular._integral solved for; filled there
         object.__setattr__(self, "_integrals", {})
-        # "product" -> _generators(mul_terms, unit), found once
-        object.__setattr__(self, "_generator_cache", {})
+        # "unit" -> the unit law's CheckResult, "product" ->
+        # _generators(mul_terms, unit); each found once
+        object.__setattr__(self, "_axiom_cache", {})
 
     def __setattr__(self, *a):
         raise AttributeError("HopfAlgebra is immutable")
@@ -489,7 +488,7 @@ class HopfAlgebra:
         """_generators of the product and the unit, found once; None past
         half the basis, where the search costs more than the rows it saves
         (a function algebra needs all but one index)."""
-        cache = self._generator_cache
+        cache = self._axiom_cache
         if "product" not in cache:
             cache["product"] = _generators(self.mul_terms, self.unit, self.dim // 2)
         return cache["product"]
@@ -507,6 +506,13 @@ class HopfAlgebra:
                            f"(e{i}*e{j})*e{l} != e{i}*(e{j}*e{l})")
 
     def _check_unit(self) -> CheckResult:
+        # cached: associativity asks for it before bialgebra_checks does
+        cache = self._axiom_cache
+        if "unit" not in cache:
+            cache["unit"] = self._unit_law()
+        return cache["unit"]
+
+    def _unit_law(self) -> CheckResult:
         mt = self.mul_terms
         unit = [(u, x) for u, x in enumerate(self.unit) if not x.is_zero()]
         one = self.field.one()
@@ -536,8 +542,8 @@ class HopfAlgebra:
                 return CheckResult("counit", self.name, False, f"counit law fails on e{i}")
         return CheckResult("counit", self.name, True)
 
-    def _check_coproduct_homomorphism(self, algebra_side=False,
-                                      coalgebra_side=False) -> CheckResult:
+    def _check_coproduct_homomorphism(self, *, algebra_side,
+                                      coalgebra_side) -> CheckResult:
         """algebra_side says that associativity and the unit law hold,
         coalgebra_side that coassociativity, the counit law and the counit
         homomorphism hold; each lets the check scan a generating set's rows
@@ -550,15 +556,12 @@ class HopfAlgebra:
         tables = rows = None
         if algebra_side:
             tables, rows = (mt, ct), self._product_generators()
-        # the search for P costs about as much as scanning a row or two, so
-        # it is made only where P may save more than one row
-        if coalgebra_side and (rows is None or len(rows) > 2):
+        if coalgebra_side and rows is None:
             # the same scalar equations for the dual: its product is the
             # transposed coproduct, its coproduct the transposed product
             dual_mt = _product_table(
                 n, (((j, k, i), x) for (i, j, k), x in self.comul.terms.items()))
-            dual_gens = _generators(dual_mt, self.counit,
-                                    None if rows is None else len(rows) - 1)
+            dual_gens = _generators(dual_mt, self.counit)
             if dual_gens is not None:
                 dual_ct = _coproduct_table(
                     n, (((k, i, j), x) for (i, j, k), x in self.mul.terms.items()))

@@ -741,10 +741,27 @@ def test_generating_sets_are_pinned(monkeypatch):
             ("associativity", True, 2), ("coproduct_homomorphism", True, 2)]
     # functions-s3's product needs 5 of its 6 indices, past the search's
     # half-basis cap, so associativity takes the full scan; the dual's
-    # product (the group algebra of S3) needs 2
-    scans.clear()
-    h = builtin("functions-s3")
-    assert h.validate().ok
-    (_, _, assoc_rows), (_, table, coproduct_rows) = scans
-    assert assoc_rows == tuple(range(h.dim))
-    assert table is not h.mul_terms and len(coproduct_rows) <= 2
+    # product (the group algebra of S3) needs 2.  The dual of taft-3, read
+    # afresh as a file would be, gives G up too, and its dual's product
+    # (taft-3's own) needs 2.
+    dual = build_dual(builtin("taft-3"))
+    fresh_dual = HopfAlgebra(dual.field, dual.basis_names, dual.mul, dual.unit, dual.comul,
+                             dual.counit, dual.antipode, name=dual.name)
+    for h in (builtin("functions-s3"), fresh_dual):
+        scans.clear()
+        assert h.validate().ok
+        (_, _, assoc_rows), (_, table, coproduct_rows) = scans
+        assert assoc_rows == tuple(range(h.dim)), h.name
+        assert table is not h.mul_terms and len(coproduct_rows) <= 2, h.name
+
+
+def test_unit_law_is_checked_once_per_validation(monkeypatch):
+    # associativity reads the unit law's result before bialgebra_checks
+    # reports it; both get the one cached result
+    calls = []
+    law = HopfAlgebra._unit_law
+    monkeypatch.setattr(HopfAlgebra, "_unit_law",
+                        lambda self: calls.append(self.name) or law(self))
+    h = build_taft(3)
+    assert h.validate().ok and calls == ["taft-3"]
+    assert h._check_unit() is h.bialgebra_checks()[1] and calls == ["taft-3"]
