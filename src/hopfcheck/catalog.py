@@ -8,11 +8,12 @@ round-trip bit-exactly and diff cleanly.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import accumulate, permutations
 
-from .hopf import HopfAlgebra, compute_antipode
+from .hopf import HopfAlgebra, _product_table, _summed, _tensor_square_product, compute_antipode
 from .linalg import Matrix, Tensor3
 from .scalars import RATIONAL, FieldSpec, Scalar, ScalarSyntaxError, cyclotomic_field
 
@@ -151,6 +152,13 @@ def read_group_table(path) -> GroupPresentation:
 # builders
 # ---------------------------------------------------------------------------
 
+def _inversion_matrix(group: GroupPresentation) -> Matrix:
+    """The permutation matrix of g -> g^-1 over Q, the antipode of the group
+    algebra and of the function algebra alike."""
+    return Matrix._from_entries(RATIONAL, group.order, group.order, {
+        (group.inverse(j), j): RATIONAL.one() for j in range(group.order)})
+
+
 def build_group_algebra(group: GroupPresentation, name: str = "group-algebra") -> HopfAlgebra:
     """The group algebra kG: basis e_g, product from the table, every basis
     element group-like, antipode from inversion."""
@@ -162,10 +170,8 @@ def build_group_algebra(group: GroupPresentation, name: str = "group-algebra") -
     comul = Tensor3.from_dict(field, n, {(i, i, i): one for i in range(n)})
     unit = [one if i == group.identity else field.zero() for i in range(n)]
     counit = [one] * n
-    z = field.zero()
-    s_rows = [[one if i == group.inverse(j) else z for j in range(n)] for i in range(n)]
     return HopfAlgebra(field, [f"e{i}" for i in range(n)], mul, unit, comul, counit,
-                       Matrix(field, s_rows), name=name)
+                       _inversion_matrix(group), name=name)
 
 
 def build_function_algebra(group: GroupPresentation, name: str = "function-algebra") -> HopfAlgebra:
@@ -183,9 +189,8 @@ def build_function_algebra(group: GroupPresentation, name: str = "function-algeb
     )
     unit = [one] * n
     counit = [one if i == group.identity else z for i in range(n)]
-    s_rows = [[one if i == group.inverse(j) else z for j in range(n)] for i in range(n)]
     return HopfAlgebra(field, [f"d{i}" for i in range(n)], mul, unit, comul, counit,
-                       Matrix(field, s_rows), name=name)
+                       _inversion_matrix(group), name=name)
 
 
 def _monomial_name(a: int, b: int) -> str:
@@ -220,69 +225,35 @@ def _build_skew_primitive(field: FieldSpec, q: Scalar, n: int, name: str) -> Hop
                     # x^b g^c = q^(b*c) g^c x^b
                     mul_triples[(idx(a, b), idx(c, d), idx((a + c) % n, b + d))] = q ** (b * c)
     mul = Tensor3.from_dict(field, dim, mul_triples)
+    mt = _product_table(dim, mul.terms.items())
 
-    def prod_pair(i, j):
-        a, b = divmod(i, n)
-        c, d = divmod(j, n)
-        if b + d >= n:
-            return None
-        return idx((a + c) % n, b + d), q ** (b * c)
+    def powers(product, base, first):
+        """first, first * base, ..., first * base^(n-1) under product."""
+        return accumulate([base] * (n - 1), product, initial=first)
 
-    def tsq_mul(xdict, ydict):
-        out = {}
-        for (p1, p2), cx in xdict.items():
-            for (r1, r2), cy in ydict.items():
-                t1 = prod_pair(p1, r1)
-                t2 = prod_pair(p2, r2)
-                if t1 is None or t2 is None:
-                    continue
-                key = (t1[0], t2[0])
-                val = cx * cy * t1[1] * t2[1]
-                out[key] = out.get(key, zero) + val
-        return {k: v for k, v in out.items() if not v.is_zero()}
+    def times(x, y):
+        return _summed((k, c * d * e) for i, c in x.items() for j, d in y.items()
+                       for k, e in mt[i][j])
 
+    # coproduct(g^a x^b) = coproduct(g)^a coproduct(x)^b in A (x) A
+    tensor_times = functools.partial(_tensor_square_product, mt)
     dg = {(idx(1, 0), idx(1, 0)): one}
     dx = {(idx(0, 1), idx(0, 0)): one, (idx(1, 0), idx(0, 1)): one}
     comul_triples = {}
-    for a in range(n):
-        for b in range(n):
-            term = {(idx(0, 0), idx(0, 0)): one}
-            for _ in range(a):
-                term = tsq_mul(term, dg)
-            for _ in range(b):
-                term = tsq_mul(term, dx)
-            for (j, k), c in term.items():
-                comul_triples[(idx(a, b), j, k)] = c
+    for a, dga in enumerate(powers(tensor_times, dg, {(idx(0, 0), idx(0, 0)): one})):
+        for b, term in enumerate(powers(tensor_times, dx, dga)):
+            comul_triples.update(((idx(a, b), j, k), c) for (j, k), c in term.items())
     comul = Tensor3.from_dict(field, dim, comul_triples)
 
     unit = [one if i == idx(0, 0) else zero for i in range(dim)]
     counit = [one if i % n == 0 else zero for i in range(dim)]
 
-    def col_mul(x, y):
-        out = {}
-        for i, cx in x.items():
-            for j, cy in y.items():
-                t = prod_pair(i, j)
-                if t is None:
-                    continue
-                out[t[0]] = out.get(t[0], zero) + cx * cy * t[1]
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
     # antipode on generators, extended anti-multiplicatively:
-    # S(g^a x^b) = S(x)^b * S(g)^a
-    sg = {idx(n - 1, 0): one}
-    sx = col_mul({idx(n - 1, 0): one}, {idx(0, 1): one})
-    sx = {k: -v for k, v in sx.items()}
+    # S(g^a x^b) = S(x)^b * S(g)^a, with S(g) = g^(n-1) and S(x) = -g^(n-1) x
     s_entries = {}
-    for a in range(n):
-        for b in range(n):
-            col = {idx(0, 0): one}
-            for _ in range(b):
-                col = col_mul(col, sx)
-            for _ in range(a):
-                col = col_mul(col, sg)
-            for k, v in col.items():
-                s_entries[(k, idx(a, b))] = v
+    for b, sxb in enumerate(powers(times, {idx(n - 1, 1): -one}, {idx(0, 0): one})):
+        for a, col in enumerate(powers(times, {idx(n - 1, 0): one}, sxb)):
+            s_entries.update(((k, idx(a, b)), v) for k, v in col.items())
     antipode = Matrix._from_entries(field, dim, dim, s_entries)
 
     names = [_monomial_name(a, b) for a in range(n) for b in range(n)]

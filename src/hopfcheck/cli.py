@@ -39,10 +39,10 @@ from .verify import run_all_checks
 ORDER_CAP = 1000
 
 
-def matrix_order(m: Matrix, cap: int = ORDER_CAP):
-    """Smallest k >= 1 with m^k = 1, or None if not found within cap."""
+def matrix_order(m: Matrix):
+    """Smallest k >= 1 with m^k = 1, or None if not found within ORDER_CAP."""
     acc = m
-    for k in range(1, cap + 1):
+    for k in range(1, ORDER_CAP + 1):
         if acc.is_identity():
             return k
         acc = acc * m
@@ -66,11 +66,15 @@ def _functional_str(coords) -> str:
     return "[" + ", ".join(str(c) for c in coords) + "]"
 
 
+def _axiom_lines(report) -> str:
+    """The text of h.validate()'s report: one "axiom " line per check."""
+    return "".join(f"axiom {line}\n" for line in report.lines())
+
+
 def axioms_text(h: HopfAlgebra) -> tuple[str, bool]:
     out = io.StringIO()
     report = h.validate()
-    for line in report.lines():
-        out.write(line + "\n")
+    out.write(_axiom_lines(report))
     regular = False
     if report.ok:
         try:
@@ -269,26 +273,20 @@ def run(argv) -> tuple[int, str]:
         if args.command == "verify-axioms":
             text, ok = axioms_text(h)
             return (0 if ok else 1), text
-        if args.command == "modular":
-            report = h.validate()
-            if not report.ok:
-                return 1, "\n".join(report.lines()) + "\n"
-            return 0, modular_text(h)
         if args.command == "dual":
-            h.require_valid()
-            dual = build_dual(h)
+            dual = build_dual(h)  # raises InvalidHopfAlgebraError for an invalid h
             write_algebra(dual, args.output)
             return 0, f"wrote {dual.name} to {args.output}\n"
-        if args.command == "radford":
+        if args.command in ("modular", "radford", "check"):
             report = h.validate()
             if not report.ok:
-                return 1, "\n".join(report.lines()) + "\n"
+                return 1, _axiom_lines(report)
+        if args.command == "modular":
+            return 0, modular_text(h)
+        if args.command == "radford":
             text, ok = radford_text(h)
             return (0 if ok else 1), text
         if args.command == "check":
-            report = h.validate()
-            if not report.ok:
-                return 1, "\n".join(report.lines()) + "\n"
             programs = _load_corpus_arg(args.corpus)
             text, ok = check_text(h, programs)
             return (0 if ok else 1), text

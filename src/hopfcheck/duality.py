@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .hopf import CorruptedDataError, HopfAlgebra, bilinear
+from .hopf import CorruptedDataError, HopfAlgebra, _dual_terms
 from .linalg import Matrix, Tensor3, invert
 from .modular import (ModularData, _modular_tuple, left_integral, proportionality,
                       right_integral)
@@ -34,11 +34,8 @@ from .scalars import Scalar
 def dual_structure(h: HopfAlgebra):
     """(mul, unit, comul, counit, antipode) of the dual on the canonical dual
     basis; an involution, so applied to the dual it gives back h's own."""
-    n = h.dim
-    # mul_hat[i][j][k] = comul[k][i][j] and comul_hat[i][j][k] = mul[j][k][i]
-    mul_hat = {(i, j, k): x for (k, i, j), x in h.comul.terms.items()}
-    comul_hat = {(i, j, k): x for (j, k, i), x in h.mul.terms.items()}
-    return (Tensor3(h.field, n, mul_hat), h.counit, Tensor3(h.field, n, comul_hat),
+    mul_hat, comul_hat = _dual_terms(h)
+    return (Tensor3(h.field, h.dim, mul_hat), h.counit, Tensor3(h.field, h.dim, comul_hat),
             h.unit, h.antipode.transpose())
 
 
@@ -169,22 +166,6 @@ class PairedSystem:
             table = tuple(tuple(tuple(sorted(cell)) for cell in row) for row in cells)
             self._memo[(side, alg)] = table
         return table
-
-    def dual_acts_left(self, y, a):
-        """y -> a = sum a_(1) <a_(2), y> (element of the primal)."""
-        return bilinear(self.action_table("lacthat"), y, a)
-
-    def dual_acts_right(self, a, y):
-        """a <- y = sum <a_(1), y> a_(2) (element of the primal)."""
-        return bilinear(self.action_table("racthat"), a, y)
-
-    def primal_acts_left(self, a, y):
-        """a -> y, the functional z -> y(z * a) (element of the dual)."""
-        return bilinear(self.action_table("lact"), a, y)
-
-    def primal_acts_right(self, y, a):
-        """y <- a, the functional z -> y(a * z) (element of the dual)."""
-        return bilinear(self.action_table("ract"), y, a)
 
     def swapped(self) -> "PairedSystem":
         """The system seen from the dual side: the dual becomes the primal

@@ -129,6 +129,15 @@ def _coproduct_table(n, triples):
     return tuple(map(tuple, rows))
 
 
+def _dual_terms(h):
+    """The nonzero structure constants (mul_hat, comul_hat) of the dual of h
+    on the canonical dual basis, as {(i, j, k): Scalar}: the dual product is
+    the transposed coproduct and the dual coproduct the transposed product,
+    mul_hat[i, j, k] = comul[k, i, j] and comul_hat[i, j, k] = mul[j, k, i]."""
+    return ({(i, j, k): x for (k, i, j), x in h.comul.terms.items()},
+            {(i, j, k): x for (j, k, i), x in h.mul.terms.items()})
+
+
 def _tensor_square_product(mt, x, y):
     """Product of two sparse tensor-square elements {(p, q): Scalar} for the
     product table mt."""
@@ -278,6 +287,9 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The results of one suite in report order: the axioms of
+    HopfAlgebra.validate, or one of the identity suites of verify."""
+
     checks: tuple
 
     @property
@@ -285,7 +297,7 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
     def lines(self):
-        return ["axiom " + c.line() for c in self.checks]
+        return [c.line() for c in self.checks]
 
     def failures(self):
         return [c for c in self.checks if not c.passed]
@@ -443,10 +455,6 @@ class HopfAlgebra:
                     out[(i, j)] = x * y
         return out
 
-    def tensor_square_product(self, x, y):
-        """Product of two sparse tensor-square elements in A (x) A."""
-        return _tensor_square_product(self.mul_terms, x, y)
-
     # -- validation ----------------------------------------------------------
 
     def bialgebra_checks(self) -> tuple:
@@ -557,15 +565,12 @@ class HopfAlgebra:
         if algebra_side:
             tables, rows = (mt, ct), self._product_generators()
         if coalgebra_side and rows is None:
-            # the same scalar equations for the dual: its product is the
-            # transposed coproduct, its coproduct the transposed product
-            dual_mt = _product_table(
-                n, (((j, k, i), x) for (i, j, k), x in self.comul.terms.items()))
+            # the same scalar equations, read as the dual's
+            mul_hat, comul_hat = _dual_terms(self)
+            dual_mt = _product_table(n, mul_hat.items())
             dual_gens = _generators(dual_mt, self.counit)
             if dual_gens is not None:
-                dual_ct = _coproduct_table(
-                    n, (((k, i, j), x) for (i, j, k), x in self.mul.terms.items()))
-                tables, rows = (dual_mt, dual_ct), dual_gens
+                tables, rows = (dual_mt, _coproduct_table(n, comul_hat.items())), dual_gens
         failure = None
         if rows is None or _coproduct_homomorphism_failure(*tables, rows) is not None:
             failure = _coproduct_homomorphism_failure(mt, ct, range(n))
@@ -615,21 +620,6 @@ class HopfAlgebra:
         if self._antipode_inverse is None:
             raise InvalidHopfAlgebraError(f"{self.name}: antipode is missing or singular")
         return self._antipode_inverse
-
-
-def is_commutative(h: HopfAlgebra) -> bool:
-    mt = h.mul_terms
-    return all(mt[i][j] == mt[j][i] for i in range(h.dim) for j in range(i))
-
-
-def is_cocommutative(h: HopfAlgebra) -> bool:
-    n = h.dim
-    for i in range(n):
-        flipped = {(k, j): c for j, k, c in h.comul_terms[i]}
-        straight = {(j, k): c for j, k, c in h.comul_terms[i]}
-        if flipped != straight:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -46,15 +46,6 @@ class Matrix:
         _store(self, field, len(data), width, _scanned(data))
 
     @classmethod
-    def _of(cls, field: FieldSpec, rows) -> "Matrix":
-        """A matrix of dense rows that are already equal-length sequences of
-        Scalars of field: no per-entry coercion, no ragged check.  File and
-        user data go through Matrix(field, rows)."""
-        data = list(rows)
-        return _store(_new_object(cls), field, len(data), len(data[0]) if data else 0,
-                      _scanned(data))
-
-    @classmethod
     def _from_entries(cls, field: FieldSpec, nrows: int, ncols: int, entries) -> "Matrix":
         """The nrows x ncols matrix with the given {(row, col): Scalar}
         entries, nonzero Scalars of field, and zero elsewhere: the kernel

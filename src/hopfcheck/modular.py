@@ -86,11 +86,6 @@ def right_integral(h: HopfAlgebra) -> tuple:
     return _integral(h, "right")
 
 
-def integral_space_dimensions(h: HopfAlgebra):
-    """Dimensions of the left and right invariant solution spaces."""
-    return len(_invariance_nullspace(h, "left")), len(_invariance_nullspace(h, "right"))
-
-
 def gram_matrix(h: HopfAlgebra, functional: tuple) -> Matrix:
     """B[i][j] = functional(e_i * e_j); invertible iff the functional is
     faithful."""

@@ -18,24 +18,12 @@ constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .duality import PairedSystem, dual_structure, pair_system
-from .hopf import CheckResult, HopfAlgebra
+from .hopf import CheckResult, HopfAlgebra, ValidationReport
 from .identities import decision, parse_identity
 from .modular import gram_matrix
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    results: tuple
-
-    @property
-    def ok(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def lines(self):
-        return [r.line() for r in self.results]
 
 
 def _suite(*entries):
@@ -82,19 +70,19 @@ def _run(sys: PairedSystem, suite, algebra=None):
                  for check, prog in suite)
 
 
-def check_dual_modular_pairing(sys: PairedSystem) -> VerificationReport:
+def check_dual_modular_pairing(sys: PairedSystem) -> ValidationReport:
     """<a, delta_hat> = counit(sigma^-1(a)) = counit(sigma'^-1(a)) and the
     inverse-side companions."""
-    return VerificationReport(_run(sys, PAIRING))
+    return ValidationReport(_run(sys, PAIRING))
 
 
-def check_modular_adjoints(sys: PairedSystem) -> VerificationReport:
+def check_modular_adjoints(sys: PairedSystem) -> ValidationReport:
     """The pairing transposes of the modular automorphisms, and the unit of
     the dual substituted for b, which gives back a pairing formula."""
-    return VerificationReport(_run(sys, ADJOINTS))
+    return ValidationReport(_run(sys, ADJOINTS))
 
 
-def check_radford(sys: PairedSystem) -> VerificationReport:
+def check_radford(sys: PairedSystem) -> ValidationReport:
     """The fourth-power formula, the two action formulas for the modular
     automorphisms that drive its proof, and the tau-scaled commutation of
     the delta_hat action with multiplication by delta (the action picks up
@@ -103,20 +91,20 @@ def check_radford(sys: PairedSystem) -> VerificationReport:
     # the classical statement S^4(a) = g (alpha -> a <- alpha^-1) g^-1 with
     # distinguished group-likes g and alpha is the same identity under the
     # dictionary g = delta^-1, alpha = dhat; it is reported as its own line
-    return VerificationReport(results + (replace(results[0], check="s4-intro-dictionary"),))
+    return ValidationReport(results + (replace(results[0], check="s4-intro-dictionary"),))
 
 
-def check_dual_radford(sys: PairedSystem) -> VerificationReport:
+def check_dual_radford(sys: PairedSystem) -> ValidationReport:
     """Self-duality: the transported form
 
         S^4(b) = dhat^-1 (delta -> b <- delta^-1) dhat    for b in the dual
 
     plus the full fourth-power suite re-run on the swapped system."""
-    return VerificationReport(_run(sys, DUAL_RADFORD, sys.dual.name)
-                              + check_radford(sys.swapped()).results)
+    return ValidationReport(_run(sys, DUAL_RADFORD, sys.dual.name)
+                            + check_radford(sys.swapped()).checks)
 
 
-def biduality_check(sys: PairedSystem) -> VerificationReport:
+def biduality_check(sys: PairedSystem) -> ValidationReport:
     """The defining biduality formula and the canonical isomorphism.
 
     For w = phi(. a) the dual right integral satisfies
@@ -141,18 +129,18 @@ def biduality_check(sys: PairedSystem) -> VerificationReport:
 
     witness = next(mismatches(), "")
     iso_ok = dual_structure(dual) == (h.mul, h.unit, h.comul, h.counit, h.antipode)
-    return VerificationReport((
+    return ValidationReport((
         CheckResult("bidual-pairing-formula", h.name, not witness, witness),
         CheckResult("bidual-structure-iso", h.name, iso_ok,
                     "" if iso_ok else "bidual structure constants differ from the primal")))
 
 
-def run_all_checks(sys: PairedSystem) -> VerificationReport:
+def run_all_checks(sys: PairedSystem) -> ValidationReport:
     """Every suite, in a fixed order."""
     suites = (check_dual_modular_pairing, check_modular_adjoints, check_radford,
               check_dual_radford, biduality_check)
-    return VerificationReport(tuple(r for suite in suites for r in suite(sys).results))
+    return ValidationReport(tuple(r for suite in suites for r in suite(sys).checks))
 
 
-def verify_algebra(h: HopfAlgebra) -> VerificationReport:
+def verify_algebra(h: HopfAlgebra) -> ValidationReport:
     return run_all_checks(pair_system(h))

@@ -2,6 +2,7 @@ import pytest
 
 from hopfcheck.catalog import BUILTIN_BUILDERS, builtin
 from hopfcheck.duality import pair_system
+from hopfcheck.modular import _invariance_nullspace
 
 BUILTIN_NAMES = list(BUILTIN_BUILDERS)
 
@@ -72,3 +73,23 @@ def reference_action(sys, fn, left, right):
                 if not y[j].is_zero():
                     out[s] = out[s] + x * c * y[j]
     return out
+
+
+def is_commutative(h):
+    mt = h.mul_terms
+    return all(mt[i][j] == mt[j][i] for i in range(h.dim) for j in range(i))
+
+
+def is_cocommutative(h):
+    n = h.dim
+    for i in range(n):
+        flipped = {(k, j): c for j, k, c in h.comul_terms[i]}
+        straight = {(j, k): c for j, k, c in h.comul_terms[i]}
+        if flipped != straight:
+            return False
+    return True
+
+
+def integral_space_dimensions(h):
+    """Dimensions of the left and right invariant solution spaces."""
+    return len(_invariance_nullspace(h, "left")), len(_invariance_nullspace(h, "right"))

@@ -12,10 +12,10 @@ from hopfcheck.catalog import (GROUP_ORDER_LIMIT, AlgebraFileSemanticError, Alge
                                build_taft, builtin, cyclic_group, read_algebra,
                                read_group_table, symmetric_group, write_algebra)
 from hopfcheck.cli import matrix_order
-from hopfcheck.hopf import HopfAlgebra, is_cocommutative
+from hopfcheck.hopf import HopfAlgebra
 from hopfcheck.scalars import FieldSpec
 
-from conftest import BUILTIN_NAMES
+from conftest import BUILTIN_NAMES, is_cocommutative
 
 
 def test_group_table_validation():

@@ -56,6 +56,39 @@ def test_radford_rejects_corrupted_antipode(tmp_path):
     assert "antipode-left corrupted FAIL" in text
 
 
+CORRUPTED_AXIOM_LINES = (
+    "axiom associativity corrupted PASS\n"
+    "axiom unit corrupted PASS\n"
+    "axiom coassociativity corrupted PASS\n"
+    "axiom counit corrupted PASS\n"
+    "axiom coproduct-homomorphism corrupted PASS\n"
+    "axiom counit-homomorphism corrupted PASS\n"
+    "axiom antipode-left corrupted FAIL antipode left law fails on e0\n"
+    "axiom antipode-right corrupted FAIL antipode right law fails on e0\n"
+    "axiom antipode-invertible corrupted FAIL antipode matrix is singular\n"
+)
+
+
+def test_commands_on_an_invalid_algebra_print_exactly_its_axiom_report(tmp_path):
+    # every command that needs a valid algebra stops at validation with
+    # exit code 1; dual reports the failing axioms by name and writes nothing
+    path = tmp_path / "h4.alg"
+    run(["example", "sweedler", "-o", str(path)])
+    doc = json.loads(path.read_text())
+    doc["antipode"] = []
+    doc["name"] = "corrupted"
+    bad = str(tmp_path / "corrupted.alg")
+    (tmp_path / "corrupted.alg").write_text(json.dumps(doc))
+    for command in ("modular", "radford", "check"):
+        assert run([command, bad]) == (1, CORRUPTED_AXIOM_LINES), command
+    assert run(["verify-axioms", bad]) == (
+        1, CORRUPTED_AXIOM_LINES + "galois-regularity corrupted SKIPPED (axioms failed)\n")
+    out = tmp_path / "dual.alg"
+    assert run(["dual", bad, "-o", str(out)]) == (
+        1, "FAIL corrupted: axiom failures: antipode-left, antipode-right, antipode-invertible\n")
+    assert not out.exists()
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "broken.alg"
     bad.write_text("{not json")

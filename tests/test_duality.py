@@ -8,13 +8,13 @@ from hopfcheck.cli import full_report_text
 from hopfcheck.catalog import (build_function_algebra, build_group_algebra, build_sweedler,
                                build_taft, builtin, cyclic_group, symmetric_group)
 from hopfcheck.duality import build_dual, dual_integrals, pair_system, pairing_value
-from hopfcheck.hopf import CorruptedDataError, HopfAlgebra
-from hopfcheck.modular import (gram_matrix, integral_space_dimensions, modular_automorphism,
-                               modular_data, modular_element, scaling_constant)
+from hopfcheck.hopf import CorruptedDataError, HopfAlgebra, bilinear
+from hopfcheck.modular import (gram_matrix, modular_automorphism, modular_data,
+                               modular_element, scaling_constant)
 from hopfcheck.linalg import invert
 from hopfcheck.scalars import Scalar
 
-from conftest import BUILTIN_NAMES, reference_action
+from conftest import BUILTIN_NAMES, integral_space_dimensions, reference_action
 
 
 @pytest.mark.parametrize("make_group", [lambda: cyclic_group(2), lambda: cyclic_group(6),
@@ -71,8 +71,9 @@ def test_counit_acts_as_identity(paired):
         h = sys.primal
         eps = list(h.counit)  # the dual's unit in dual coordinates
         for i in range(h.dim):
-            assert sys.dual_acts_left(eps, h.basis_column(i)) == h.basis_column(i)
-            assert sys.dual_acts_right(h.basis_column(i), eps) == h.basis_column(i)
+            e = h.basis_column(i)
+            assert bilinear(sys.action_table("lacthat"), eps, e) == e
+            assert bilinear(sys.action_table("racthat"), e, eps) == e
 
 
 def test_unit_acts_as_identity_on_dual(paired):
@@ -81,8 +82,8 @@ def test_unit_acts_as_identity_on_dual(paired):
         one = sys.primal.unit_column()
         for j in range(sys.dual.dim):
             fj = sys.dual.basis_column(j)
-            assert sys.primal_acts_left(one, fj) == fj
-            assert sys.primal_acts_right(fj, one) == fj
+            assert bilinear(sys.action_table("lact"), one, fj) == fj
+            assert bilinear(sys.action_table("ract"), fj, one) == fj
 
 
 def test_sweedler_character_action_witness(paired):
@@ -94,14 +95,16 @@ def test_sweedler_character_action_witness(paired):
     dhat = list(sys.dual_modular.delta)
     dhat_inv = list(sys.dual_modular.delta_inv)
     assert pairing_value(h.basis_column(2), dhat) == h.field.scalar(-1)
-    assert sys.dual_acts_left(dhat, x) == x
-    assert sys.dual_acts_right(x, dhat_inv) == [-c for c in x]
+    assert bilinear(sys.action_table("lacthat"), dhat, x) == x
+    assert bilinear(sys.action_table("racthat"), x, dhat_inv) == [-c for c in x]
 
 
 def test_action_module_laws(paired):
     for name in BUILTIN_NAMES:
         sys = paired(name)
         h, dual = sys.primal, sys.dual
+        lact, ract = sys.action_table("lact"), sys.action_table("ract")
+        lacthat, racthat = sys.action_table("lacthat"), sys.action_table("racthat")
         for i in range(h.dim):
             a = h.basis_column(i)
             for j in range(h.dim):
@@ -110,10 +113,8 @@ def test_action_module_laws(paired):
                 for k in range(dual.dim):
                     y = dual.basis_column(k)
                     # algebra acting on the dual
-                    assert sys.primal_acts_left(ab, y) == \
-                        sys.primal_acts_left(a, sys.primal_acts_left(b, y))
-                    assert sys.primal_acts_right(y, ab) == \
-                        sys.primal_acts_right(sys.primal_acts_right(y, a), b)
+                    assert bilinear(lact, ab, y) == bilinear(lact, a, bilinear(lact, b, y))
+                    assert bilinear(ract, y, ab) == bilinear(ract, bilinear(ract, y, a), b)
         for k in range(dual.dim):
             y = dual.basis_column(k)
             for l in range(dual.dim):
@@ -122,24 +123,25 @@ def test_action_module_laws(paired):
                 for i in range(h.dim):
                     a = h.basis_column(i)
                     # dual acting on the algebra
-                    assert sys.dual_acts_left(yz, a) == \
-                        sys.dual_acts_left(y, sys.dual_acts_left(z, a))
-                    assert sys.dual_acts_right(a, yz) == \
-                        sys.dual_acts_right(sys.dual_acts_right(a, y), z)
+                    assert bilinear(lacthat, yz, a) == \
+                        bilinear(lacthat, y, bilinear(lacthat, z, a))
+                    assert bilinear(racthat, a, yz) == \
+                        bilinear(racthat, bilinear(racthat, a, y), z)
 
 
 def test_left_and_right_actions_commute(paired):
     for name in ("group-s3", "sweedler", "taft-3"):
         sys = paired(name)
         h, dual = sys.primal, sys.dual
+        lacthat, racthat = sys.action_table("lacthat"), sys.action_table("racthat")
         for i in range(h.dim):
             a = h.basis_column(i)
             for k in range(dual.dim):
                 y = dual.basis_column(k)
                 for l in range(dual.dim):
                     z = dual.basis_column(l)
-                    lhs = sys.dual_acts_right(sys.dual_acts_left(y, a), z)
-                    rhs = sys.dual_acts_left(y, sys.dual_acts_right(a, z))
+                    lhs = bilinear(racthat, bilinear(lacthat, y, a), z)
+                    rhs = bilinear(lacthat, y, bilinear(racthat, a, z))
                     assert lhs == rhs
 
 
@@ -154,7 +156,7 @@ def test_extended_pairing_through_dual_modular_element(paired):
             for j in range(dual.dim):
                 b = dual.basis_column(j)
                 lhs = pairing_value(a, dual.multiply(dhat, b))
-                rhs = pairing_value(sys.dual_acts_left(b, a), dhat)
+                rhs = pairing_value(bilinear(sys.action_table("lacthat"), b, a), dhat)
                 assert lhs == rhs
 
 

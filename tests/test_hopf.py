@@ -11,10 +11,11 @@ from hopfcheck.catalog import (BUILTIN_BUILDERS, build_function_algebra,
 from hopfcheck.duality import build_dual
 from hopfcheck.hopf import (ANTIPODE_DIM_LIMIT, AntipodeTooLargeError, CheckResult,
                             HopfAlgebra, NoAntipodeError, NotRegularError, convolve,
-                            compute_antipode, galois_maps, is_cocommutative,
-                            is_commutative, unit_counit_map)
+                            compute_antipode, galois_maps, unit_counit_map)
 from hopfcheck.linalg import Matrix, Tensor3, determinant, invert
 from hopfcheck.scalars import RATIONAL
+
+from conftest import is_cocommutative, is_commutative
 
 F = RATIONAL
 
@@ -338,6 +339,33 @@ def _dense_unit(h):
     return CheckResult("unit", h.name, True)
 
 
+def _dense_coassociativity(h):
+    zero = h.field.zero()
+    for i in range(h.dim):
+        left, right = {}, {}
+        for (j, k), c in h.coproduct(h.basis_column(i)).items():
+            for (p, q), d in h.coproduct(h.basis_column(j)).items():
+                left[(p, q, k)] = left.get((p, q, k), zero) + c * d
+            for (p, q), d in h.coproduct(h.basis_column(k)).items():
+                right[(j, p, q)] = right.get((j, p, q), zero) + c * d
+        if ({key: x for key, x in left.items() if not x.is_zero()}
+                != {key: x for key, x in right.items() if not x.is_zero()}):
+            return CheckResult("coassociativity", h.name, False, f"fails on e{i}")
+    return CheckResult("coassociativity", h.name, True)
+
+
+def _dense_counit(h):
+    for i in range(h.dim):
+        e = h.basis_column(i)
+        left, right = h.zero_column(), h.zero_column()
+        for (j, k), c in h.coproduct(e).items():
+            left[k] = left[k] + h.counit[j] * c
+            right[j] = right[j] + c * h.counit[k]
+        if left != e or right != e:
+            return CheckResult("counit", h.name, False, f"counit law fails on e{i}")
+    return CheckResult("counit", h.name, True)
+
+
 def _dense_coproduct_homomorphism(h):
     n = h.dim
     one_tensor = h.tensor_product_columns(h.unit_column(), h.unit_column())
@@ -348,7 +376,7 @@ def _dense_coproduct_homomorphism(h):
         di = h.coproduct(h.basis_column(i))
         for j in range(n):
             dj = h.coproduct(h.basis_column(j))
-            rhs = h.tensor_square_product(di, dj)
+            rhs = hopf._tensor_square_product(h.mul_terms, di, dj)
             lhs = h.coproduct(h.multiply(h.basis_column(i), h.basis_column(j)))
             if lhs != rhs:
                 return CheckResult(
@@ -501,7 +529,8 @@ def test_galois_one_order_matches_two_orders_on_corrupted_constants(name):
 
 def _assert_sparse_matches_dense(h):
     sparse = {c.check: c for c in h.validate().checks}
-    dense = [_dense_associativity(h), _dense_unit(h), _dense_coproduct_homomorphism(h),
+    dense = [_dense_associativity(h), _dense_unit(h), _dense_coassociativity(h),
+             _dense_counit(h), _dense_coproduct_homomorphism(h),
              _dense_counit_homomorphism(h), *_dense_antipode_laws(h)]
     for reference in dense:
         assert sparse[reference.check] == reference, (h.name, reference.check)

@@ -8,13 +8,12 @@ from hopfcheck.cli import full_report_text
 from hopfcheck.duality import pairing_value
 from hopfcheck.hopf import CorruptedDataError
 from hopfcheck.linalg import Matrix, invert
-from hopfcheck.modular import (gram_inverse, gram_matrix, integral_space_dimensions,
-                               left_integral, modular_automorphism, modular_data,
-                               modular_element, proportionality, right_integral,
+from hopfcheck.modular import (gram_inverse, gram_matrix, left_integral, modular_automorphism,
+                               modular_data, modular_element, proportionality, right_integral,
                                scaling_constant)
 from hopfcheck.scalars import RATIONAL, cyclotomic_field
 
-from conftest import BUILTIN_NAMES
+from conftest import BUILTIN_NAMES, integral_space_dimensions
 
 F = RATIONAL
 

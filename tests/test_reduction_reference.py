@@ -120,7 +120,7 @@ def dense_invert(m):
     pivot_cols, _ = dense_row_reduce(field, rows, n)
     if len(pivot_cols) < n:
         raise SingularMatrixError("matrix is singular")
-    return Matrix._of(field, [row[n:] for row in rows])
+    return Matrix(field, [row[n:] for row in rows])
 
 
 def dense_determinant(m):
@@ -206,7 +206,7 @@ def _random(rng, field, rows, cols):
 
 
 def _product(field, a, b):
-    return Matrix._of(field, a) * Matrix._of(field, b)
+    return Matrix(field, a) * Matrix(field, b)
 
 
 def _shapes(rng, field):
@@ -219,14 +219,14 @@ def _shapes(rng, field):
     for row in holes:
         row[col] = zero
     low = rng.randint(1, n - 1)
-    yield "square", Matrix._of(field, _random(rng, field, n, n))
-    yield "wide", Matrix._of(field, _random(rng, field, n, n + 2))
-    yield "tall", Matrix._of(field, _random(rng, field, n + 2, n))
+    yield "square", Matrix(field, _random(rng, field, n, n))
+    yield "wide", Matrix(field, _random(rng, field, n, n + 2))
+    yield "tall", Matrix(field, _random(rng, field, n + 2, n))
     yield "rank-deficient", _product(field, _random(rng, field, n, low),
                                      _random(rng, field, low, n))
     yield "rank-deficient-wide", _product(field, _random(rng, field, n, low),
                                           _random(rng, field, low, n + 2))
-    yield "zero-row-and-column", Matrix._of(field, holes)
+    yield "zero-row-and-column", Matrix(field, holes)
     yield "zero", Matrix.zero(field, n, n - 1)
 
 
@@ -256,7 +256,7 @@ def test_determinant_sign_follows_the_pivot_rows():
                 rng.shuffle(perm)
                 rows = [[field.one() if j == perm[i] else _entry(rng, field) if j > perm[i]
                          else field.zero() for j in range(n)] for i in range(n)]
-                m = Matrix._of(field, rows)
+                m = Matrix(field, rows)
                 assert determinant(m) == dense_determinant(m)
 
 
@@ -299,7 +299,7 @@ def test_pipeline_systems_match_dense_reference(monkeypatch, name):
         m = args[0]
         # the kernel-built matrix carries its nonzero rows and columns: they
         # agree with a scan of its dense entries
-        scanned = Matrix._of(m.field, m.data)
+        scanned = Matrix(m.field, m.data)
         assert m.nonzero_rows() == scanned.nonzero_rows()
         assert m.nonzero_columns() == scanned.nonzero_columns()
         if m.rows == m.cols:

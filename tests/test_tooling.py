@@ -13,7 +13,7 @@ import pytest
 from hopfcheck.catalog import build_sweedler, builtin
 from hopfcheck.duality import PairedSystem
 from hopfcheck.hopf import HopfAlgebra
-from hopfcheck.linalg import solve
+from hopfcheck.linalg import Matrix, Tensor3, solve
 
 BENCH = Path(__file__).resolve().parents[1] / "hopfbench"
 
@@ -79,6 +79,12 @@ def test_names_the_tracer_relies_on():
         assert inspect.isfunction(_resolve("hopfcheck.duality", attr)), attr
     for attr in ("evaluate", "evaluate_side"):
         assert inspect.isfunction(_resolve("hopfcheck.identities", attr)), attr
+    # inputs.py writes the relabelled algebras through these
+    for attr in ("algebra_to_json", "build_nongroup_monoid_bialgebra"):
+        assert inspect.isfunction(_resolve("hopfcheck.catalog", attr)), attr
+    assert isinstance(Matrix.__dict__["data"], property)
+    assert isinstance(Tensor3.__dict__["from_dict"], classmethod)
+    assert inspect.isfunction(_resolve("hopfcheck.linalg:Tensor3", "nonzero"))
 
 
 def test_inputs_relabel_keeps_a_valid_algebra():

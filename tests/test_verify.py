@@ -34,8 +34,8 @@ EXPECTED_IDS = [
 def test_every_builtin_passes_every_suite(paired, suite_reports):
     for name in BUILTIN_NAMES:
         report = suite_reports(name)
-        assert report.ok, "\n".join(r.line() for r in report.results if not r.passed)
-        assert [r.check for r in report.results] == EXPECTED_IDS
+        assert report.ok, "\n".join(r.line() for r in report.checks if not r.passed)
+        assert [r.check for r in report.checks] == EXPECTED_IDS
 
 
 def test_report_lines_are_machine_readable(suite_reports):
@@ -63,7 +63,7 @@ def test_tampered_modular_element_is_caught(paired):
     )
     radford = check_radford(swapped)
     assert not radford.ok
-    failing = [r for r in radford.results if not r.passed]
+    failing = [r for r in radford.checks if not r.passed]
     assert any("at a=" in r.witness for r in failing)
     pairing = check_dual_modular_pairing(swapped)
     assert not pairing.ok
@@ -72,7 +72,7 @@ def test_tampered_modular_element_is_caught(paired):
 def test_dual_side_suite_runs_on_swapped_system(paired):
     report = check_dual_radford(paired("sweedler"))
     assert report.ok
-    algebras = {r.algebra for r in report.results}
+    algebras = {r.algebra for r in report.checks}
     assert algebras == {"dual(sweedler)"}
 
 
@@ -88,7 +88,7 @@ def test_adjoint_suite_alone(paired):
 def test_verify_algebra_entry_point():
     from hopfcheck.catalog import build_sweedler
     report = verify_algebra(build_sweedler())
-    assert report.ok and len(report.results) == len(EXPECTED_IDS)
+    assert report.ok and len(report.checks) == len(EXPECTED_IDS)
 
 
 def test_fourth_power_transports_to_the_bidual(paired):
@@ -298,7 +298,7 @@ def _assert_suites_match_reference(sys):
     same witness, except that for the two-variable adjoints the witness is
     the reference's failure least in (a, b) order, where the loop reported
     its first in (b, a) order."""
-    results = run_all_checks(sys).results
+    results = run_all_checks(sys).checks
     reference = _reference_lines(sys)
     assert [r.check for r in results[:len(reference)]] == [ref[0] for ref in reference]
     failed = set()
@@ -371,7 +371,7 @@ def _reference_biduality_witness(sys):
 def test_biduality_matches_the_dense_reference(paired, name):
     base = pair_system(build_taft(5)) if name == "taft-5" else paired(name)
     for sys in (base, base.swapped()):
-        result = biduality_check(sys).results[0]
+        result = biduality_check(sys).checks[0]
         assert result.passed and result.witness == "", sys.primal.name
         assert _reference_biduality_witness(sys) == "", sys.primal.name
 
@@ -387,7 +387,7 @@ def test_tampered_biduality_matches_the_dense_reference(paired, name):
             pm, phi_gram_inv=Matrix.identity(field, sys.primal.dim))),
     }
     for label, system in tampered.items():
-        result = biduality_check(system).results[0]
+        result = biduality_check(system).checks[0]
         witness = _reference_biduality_witness(system)
         assert witness, (name, label)
         assert not result.passed and result.witness == witness, (name, label)
