@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from itertools import accumulate, permutations
 
-from .hopf import HopfAlgebra, _product_table, _summed, _tensor_square_product, compute_antipode
+from .hopf import HopfAlgebra, _product, _product_table, _tensor_square_product, compute_antipode
 from .linalg import Matrix, Tensor3
 from .scalars import RATIONAL, FieldSpec, Scalar, ScalarSyntaxError, cyclotomic_field
 
@@ -231,10 +231,6 @@ def _build_skew_primitive(field: FieldSpec, q: Scalar, n: int, name: str) -> Hop
         """first, first * base, ..., first * base^(n-1) under product."""
         return accumulate([base] * (n - 1), product, initial=first)
 
-    def times(x, y):
-        return _summed((k, c * d * e) for i, c in x.items() for j, d in y.items()
-                       for k, e in mt[i][j])
-
     # coproduct(g^a x^b) = coproduct(g)^a coproduct(x)^b in A (x) A
     tensor_times = functools.partial(_tensor_square_product, mt)
     dg = {(idx(1, 0), idx(1, 0)): one}
@@ -251,6 +247,7 @@ def _build_skew_primitive(field: FieldSpec, q: Scalar, n: int, name: str) -> Hop
     # antipode on generators, extended anti-multiplicatively:
     # S(g^a x^b) = S(x)^b * S(g)^a, with S(g) = g^(n-1) and S(x) = -g^(n-1) x
     s_entries = {}
+    times = functools.partial(_product, mt)
     for b, sxb in enumerate(powers(times, {idx(n - 1, 1): -one}, {idx(0, 0): one})):
         for a, col in enumerate(powers(times, {idx(n - 1, 0): one}, sxb)):
             s_entries.update(((k, idx(a, b)), v) for k, v in col.items())
@@ -362,10 +359,14 @@ def algebra_to_json(h: HopfAlgebra) -> dict:
     return doc
 
 
+def algebra_text(h: HopfAlgebra) -> str:
+    """The algebra file text of h: algebra_to_json as indented JSON."""
+    return json.dumps(algebra_to_json(h), indent=1) + "\n"
+
+
 def write_algebra(h: HopfAlgebra, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(algebra_to_json(h), fh, indent=1)
-        fh.write("\n")
+        fh.write(algebra_text(h))
 
 
 def _checked_name(text, where):
@@ -377,7 +378,7 @@ def _checked_name(text, where):
     return text
 
 
-def algebra_from_json(doc, synthesize_antipode: bool = True) -> HopfAlgebra:
+def algebra_from_json(doc) -> HopfAlgebra:
     if not isinstance(doc, dict):
         raise AlgebraFileSyntaxError("algebra file must be a JSON object")
     try:
@@ -467,7 +468,7 @@ def algebra_from_json(doc, synthesize_antipode: bool = True) -> HopfAlgebra:
         antipode = Matrix._from_entries(field, dim, dim, entries)
 
     h = HopfAlgebra(field, basis, mul, unit_col, comul, counit_row, antipode, name=name)
-    if antipode is None and synthesize_antipode:
+    if antipode is None:
         bad = [c.check for c in h.bialgebra_checks() if not c.passed]
         if bad:
             raise AlgebraFileSemanticError(
@@ -476,5 +477,5 @@ def algebra_from_json(doc, synthesize_antipode: bool = True) -> HopfAlgebra:
     return h
 
 
-def read_algebra(path, synthesize_antipode: bool = True) -> HopfAlgebra:
-    return algebra_from_json(_load_json(path), synthesize_antipode=synthesize_antipode)
+def read_algebra(path) -> HopfAlgebra:
+    return algebra_from_json(_load_json(path))

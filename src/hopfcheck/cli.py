@@ -26,7 +26,8 @@ from importlib import resources
 from .catalog import (CYCLOTOMIC_ORDER_LIMIT, AlgebraFileSemanticError,
                       AlgebraFileSyntaxError, GroupTableError, build_function_algebra,
                       build_group_algebra, build_sweedler, build_taft, cyclic_group,
-                      read_algebra, read_group_table, symmetric_group, write_algebra)
+                      algebra_text, read_algebra, read_group_table, symmetric_group,
+                      write_algebra)
 from .duality import build_dual, pair_system
 from .hopf import HopfAlgebra, InvalidHopfAlgebraError, NotRegularError, galois_maps
 from .identities import (DslLegError, DslLinearityError, DslSortError, DslSyntaxError,
@@ -262,12 +263,7 @@ def run(argv) -> tuple[int, str]:
             if args.output:
                 write_algebra(h, args.output)
                 return 0, f"wrote {h.name} to {args.output}\n"
-            out = io.StringIO()
-            import json as _json
-            from .catalog import algebra_to_json
-            _json.dump(algebra_to_json(h), out, indent=1)
-            out.write("\n")
-            return 0, out.getvalue()
+            return 0, algebra_text(h)
 
         h = read_algebra(args.input)
         if args.command == "verify-axioms":

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .hopf import CorruptedDataError, HopfAlgebra, _dual_terms
+from .hopf import CorruptedDataError, HopfAlgebra, _dual_terms, _product_table
 from .linalg import Matrix, Tensor3, invert
 from .modular import (ModularData, _modular_tuple, left_integral, proportionality,
                       right_integral)
@@ -156,15 +156,12 @@ class PairedSystem:
         side = "left" if name.startswith("l") else "right"
         table = self._memo.get((side, alg))
         if table is None:
-            cells = [[[] for _ in range(alg.dim)] for _ in range(alg.dim)]
-            for i, terms in enumerate(alg.comul_terms):
-                for p, q, c in terms:
-                    if side == "left":
-                        cells[q][i].append((p, c))
-                    else:
-                        cells[i][p].append((q, c))
-            table = tuple(tuple(tuple(sorted(cell)) for cell in row) for row in cells)
-            self._memo[(side, alg)] = table
+            # the coproduct term (i, p, q) is the cell (q, i) -> p of the left
+            # action and (i, p) -> q of the right one; the stored coproduct
+            # is in index order, so each cell comes out in index order
+            triples = ((((q, i, p) if side == "left" else (i, p, q)), c)
+                       for i, terms in enumerate(alg.comul_terms) for p, q, c in terms)
+            table = self._memo[(side, alg)] = _product_table(alg.dim, triples)
         return table
 
     def swapped(self) -> "PairedSystem":

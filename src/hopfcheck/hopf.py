@@ -32,7 +32,9 @@ basis, where it costs more than the rows it saves.
     for function algebras and for the duals of the taft algebras.
 
 When a precondition fails, or a reduced scan finds a failure, the full
-ordered scan runs, so the witness is always the full scan's.
+ordered scan runs, so the witness is always the full scan's.  Whether a
+linear map respects products (the coproduct, the counit, and in modular
+the modular automorphisms) is decided by one scan, _algebra_map_failure.
 
 Regularity is checked through the antipode where there is one: the Galois
 maps are composed with their candidate inverses on the tensors a (x) 1 and
@@ -89,6 +91,11 @@ def _summed(pairs):
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
+def _sparse(column) -> dict:
+    """The nonzero coordinates of a column as {index: Scalar}."""
+    return {k: x for k, x in enumerate(column) if not x.is_zero()}
+
+
 def bilinear(table, a, b):
     """The bilinear map with structure constants table on the coordinate
     columns a and b: table[i][j] lists the nonzero (k, c) of the map on basis
@@ -136,6 +143,13 @@ def _dual_terms(h):
     mul_hat[i, j, k] = comul[k, i, j] and comul_hat[i, j, k] = mul[j, k, i]."""
     return ({(i, j, k): x for (k, i, j), x in h.comul.terms.items()},
             {(i, j, k): x for (j, k, i), x in h.mul.terms.items()})
+
+
+def _product(mt, x, y):
+    """Product of two sparse elements {index: Scalar} for the product table
+    mt, laid out like HopfAlgebra.mul_terms."""
+    return _summed((k, c * d * e) for i, c in x.items() for j, d in y.items()
+                   for k, e in mt[i][j])
 
 
 def _tensor_square_product(mt, x, y):
@@ -187,14 +201,14 @@ def _generators(table, unit, limit=None):
     The span is exact (sparse echelon form), so G is a generating set
     whatever the table: no axiom is assumed."""
     n = len(table)
-    one = {u: x for u, x in enumerate(unit) if not x.is_zero()}
+    one = _sparse(unit)
+    one_scalar = unit[0].field.one()
     span, words, gens = _Span(), [], []
     if span.add(one):
         words.append(one)
 
     def times(g, w):
-        row = table[g]
-        return _summed((k, x * c) for j, x in w.items() for k, c in row[j])
+        return _product(table, {g: one_scalar}, w)
 
     def orbit(e):
         powers, w = _Span(span.rows), times(e, one)
@@ -248,20 +262,26 @@ def _associativity_failure(mt, rows):
     return None
 
 
-def _coproduct_homomorphism_failure(mt, ct, rows):
+def _algebra_map_failure(mt, images, times, rows):
     """The first (i, j), with i taken from rows in order, for which
-    coproduct(e_i e_j) != coproduct(e_i) coproduct(e_j) under the product
-    table mt and the coproduct table ct; None when there is none."""
-    deltas = [{(p, q): c for p, q, c in terms} for terms in ct]
+    f(e_i e_j) != f(e_i) f(e_j), where mt is the product table of the
+    source, images[k] is f(e_k) as a sparse dict and times is the product
+    of the target; None when there is none."""
     for i in rows:
         for j, ij in enumerate(mt[i]):
-            if not (ij or (deltas[i] and deltas[j])):
+            if not (ij or (images[i] and images[j])):
                 continue  # both sides vanish
-            rhs = _tensor_square_product(mt, deltas[i], deltas[j])
-            lhs = _summed(((p, q), c * d) for k, c in ij for p, q, d in ct[k])
-            if lhs != rhs:
+            lhs = _summed((key, c * x) for k, c in ij for key, x in images[k].items())
+            if lhs != times(images[i], images[j]):
                 return i, j
     return None
+
+
+def _coproduct_homomorphism_failure(mt, ct, rows):
+    """_algebra_map_failure for the coproduct, A -> A (x) A, under the
+    product table mt and the coproduct table ct."""
+    deltas = [{(p, q): c for p, q, c in terms} for terms in ct]
+    return _algebra_map_failure(mt, deltas, functools.partial(_tensor_square_product, mt), rows)
 
 
 @dataclass(frozen=True)
@@ -424,13 +444,6 @@ class HopfAlgebra:
         self._coproduct_cache[key] = result
         return result
 
-    def left_mult_matrix(self, a) -> Matrix:
-        """Matrix of x -> a * x."""
-        n, mt = self.dim, self.mul_terms
-        return Matrix._from_entries(self.field, n, n, _summed(
-            ((k, j), x * c) for i, x in enumerate(a) if not x.is_zero()
-            for j in range(n) for k, c in mt[i][j]))
-
     def format_element(self, column) -> str:
         """Human-readable combination of basis names, exact coefficients."""
         parts = []
@@ -522,12 +535,11 @@ class HopfAlgebra:
 
     def _unit_law(self) -> CheckResult:
         mt = self.mul_terms
-        unit = [(u, x) for u, x in enumerate(self.unit) if not x.is_zero()]
+        unit = _sparse(self.unit)
         one = self.field.one()
         for i in range(self.dim):
             e = {i: one}
-            if (_summed((t, x * d) for u, x in unit for t, d in mt[u][i]) != e
-                    or _summed((t, x * d) for u, x in unit for t, d in mt[i][u]) != e):
+            if _product(mt, unit, e) != e or _product(mt, e, unit) != e:
                 return CheckResult("unit", self.name, False, f"unit law fails on e{i}")
         return CheckResult("unit", self.name, True)
 
@@ -583,17 +595,16 @@ class HopfAlgebra:
     def _check_counit_homomorphism(self) -> CheckResult:
         if not self.counit_of(self.unit_column()).is_one():
             return CheckResult("counit-homomorphism", self.name, False, "counit(1) != 1")
-        counit = self.counit
-        for i, mt_i in enumerate(self.mul_terms):
-            for j, ij in enumerate(mt_i):
-                value = self.field.zero()
-                for k, c in ij:
-                    value = value + c * counit[k]
-                if value != counit[i] * counit[j]:
-                    return CheckResult(
-                        "counit-homomorphism", self.name, False,
-                        f"counit(e{i}*e{j}) != counit(e{i})*counit(e{j})")
-        return CheckResult("counit-homomorphism", self.name, True)
+        # the target k, as the one-dimensional algebra with e_0 e_0 = e_0
+        k_table = ((((0, self.field.one()),),),)
+        images = [{} if e.is_zero() else {0: e} for e in self.counit]
+        failure = _algebra_map_failure(self.mul_terms, images,
+                                       functools.partial(_product, k_table), range(self.dim))
+        if failure is None:
+            return CheckResult("counit-homomorphism", self.name, True)
+        i, j = failure
+        return CheckResult("counit-homomorphism", self.name, False,
+                           f"counit(e{i}*e{j}) != counit(e{i})*counit(e{j})")
 
     def _check_antipode(self):
         if self.antipode is None:

@@ -9,17 +9,20 @@ here is the basis vector of that nullspace normalized so its first nonzero
 coordinate is 1, and the right integral is its composite with the
 antipode.  The modular element, the two modular automorphisms, and the
 scaling constant are all produced by exact linear solves and re-verified
-against their defining relations before being returned.  One routine,
+against their defining relations before being returned; the modular
+element's inverse is S(delta), checked by one product.  One routine,
 _modular_tuple, builds them from a left integral, for an algebra and for
 its dual alike.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import chain
 
-from .hopf import CorruptedDataError, HopfAlgebra, _summed
+from .hopf import (CorruptedDataError, HopfAlgebra, _algebra_map_failure, _product, _sparse,
+                   _summed)
 from .linalg import (Matrix, NonUniqueSolutionError, InconsistentSystemError,
                      SingularMatrixError, invert, nullspace, solve)
 from .scalars import Scalar
@@ -89,7 +92,7 @@ def right_integral(h: HopfAlgebra) -> tuple:
 def gram_matrix(h: HopfAlgebra, functional: tuple) -> Matrix:
     """B[i][j] = functional(e_i * e_j); invertible iff the functional is
     faithful."""
-    f = {k: x for k, x in enumerate(functional) if not x.is_zero()}
+    f = _sparse(functional)
     entries = _summed(((i, j), c * f[k]) for i, mt_i in enumerate(h.mul_terms)
                       for j, cell in enumerate(mt_i) for k, c in cell if k in f)
     return Matrix._from_entries(h.field, h.dim, h.dim, entries)
@@ -110,8 +113,9 @@ def modular_element(h: HopfAlgebra, phi: tuple):
     """The group-like delta with phi(S(a)) = phi(a * delta), plus its inverse.
 
     delta comes from an n x n solve against the Gram matrix of phi
-    (uniqueness is faithfulness of the integral); the inverse is solved from
-    delta * x = 1 and cross-checked against S(delta).
+    (uniqueness is faithfulness of the integral).  A group-like's inverse is
+    its antipode: S(delta) is checked by delta * S(delta) = 1, which in
+    finite dimension makes it the two-sided inverse.
     """
     h.require_valid()
     b = gram_matrix(h, phi)
@@ -126,12 +130,9 @@ def modular_element(h: HopfAlgebra, phi: tuple):
         raise CorruptedDataError(f"{h.name}: modular element is not group-like")
     if not h.counit_of(delta).is_one():
         raise CorruptedDataError(f"{h.name}: counit of the modular element is not 1")
-    try:
-        delta_inv = solve(h.left_mult_matrix(delta), h.unit_column())
-    except (NonUniqueSolutionError, InconsistentSystemError) as exc:
-        raise CorruptedDataError(f"{h.name}: modular element is not invertible") from exc
-    if h.antipode.apply(delta) != delta_inv:
-        raise CorruptedDataError(f"{h.name}: S(delta) disagrees with the solved inverse")
+    delta_inv = h.antipode.apply(delta)
+    if _product(h.mul_terms, _sparse(delta), _sparse(delta_inv)) != _sparse(h.unit):
+        raise CorruptedDataError(f"{h.name}: S(delta) is not the inverse of the modular element")
     return tuple(delta), tuple(delta_inv)
 
 
@@ -146,16 +147,12 @@ def modular_automorphism(h: HopfAlgebra, functional: tuple, gram_inv: Matrix) ->
     rho = gram_inv * gram_matrix(h, functional).transpose()
     if rho.apply(h.unit_column()) != h.unit_column():
         raise CorruptedDataError(f"{h.name}: modular automorphism does not fix 1")
-    mt, rho_cols = h.mul_terms, rho.nonzero_columns()
-    for i, mt_i in enumerate(mt):
-        for j, ij in enumerate(mt_i):
-            # rho(e_i * e_j) against rho(e_i) * rho(e_j), both contracted
-            lhs = _summed((t, c * x) for k, c in ij for t, x in rho_cols[k])
-            rhs = _summed((t, x * y * d) for p, x in rho_cols[i] for q, y in rho_cols[j]
-                          for t, d in mt[p][q])
-            if lhs != rhs:
-                raise CorruptedDataError(
-                    f"{h.name}: modular automorphism is not multiplicative at ({i},{j})")
+    mt = h.mul_terms
+    failure = _algebra_map_failure(mt, list(map(dict, rho.nonzero_columns())),
+                                   functools.partial(_product, mt), range(h.dim))
+    if failure is not None:
+        raise CorruptedDataError(
+            f"{h.name}: modular automorphism is not multiplicative at ({failure[0]},{failure[1]})")
     return rho
 
 

@@ -72,11 +72,6 @@ def cyclotomic_polynomial(n: int):
 
 
 @lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
-
-
-@lru_cache(maxsize=None)
 def _field_tables(n: int):
     """Integer tables of Q(zeta_n) = Q[z]/Phi_n, of degree d:
 
@@ -194,18 +189,6 @@ class FieldSpec:
             raise ValueError("the rational field has no cyclotomic generator")
         # Phi_1 = x - 1 and Phi_2 = x + 1 reduce x to the constant 1 or -1.
         return _scalar(self, self._tables[0][1 % self.order], 1)
-
-    def root_of_unity(self, n: int) -> "Scalar":
-        """A primitive n-th root of unity, when the field contains one."""
-        if n < 1:
-            raise ValueError("root order must be positive")
-        if n == 1:
-            return self.one()
-        if n == 2:
-            return self.scalar(-1)
-        if self.kind != "cyclotomic" or self.order % n != 0:
-            raise ValueError(f"{self} contains no primitive {n}-th root of unity")
-        return self.generator() ** (self.order // n)
 
     def parse(self, text: str) -> "Scalar":
         return _parse_scalar(self, text)
@@ -373,12 +356,6 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         return self * other.inv()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inv()
 
     def __pow__(self, n: int):
         if not isinstance(n, int):

@@ -199,9 +199,12 @@ def test_large_dim_loads_without_cubic_allocation(tmp_path):
            "unit": ["1"] + ["0"] * (dim - 1), "counit": ["1"] * dim}
     path = tmp_path / "wide.alg"
     path.write_text(json.dumps(doc))
+    # with an antipode section the read only loads: nothing is synthesized
+    with_antipode = tmp_path / "wide-s.alg"
+    with_antipode.write_text(json.dumps({**doc, "antipode": [[i, i, "1"] for i in range(dim)]}))
     tracemalloc.start()
     try:
-        h = read_algebra(path, synthesize_antipode=False)
+        h = read_algebra(with_antipode)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -794,3 +794,24 @@ def test_unit_law_is_checked_once_per_validation(monkeypatch):
     h = build_taft(3)
     assert h.validate().ok and calls == ["taft-3"]
     assert h._check_unit() is h.bialgebra_checks()[1] and calls == ["taft-3"]
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_BUILDERS))
+def test_sparse_product_matches_the_dense_reference(name):
+    # hopf._product, the kernel's product of sparse elements, against
+    # HopfAlgebra.multiply on seeded random columns with some zero entries
+    h = builtin(name)
+    rng = random.Random(7)
+    values = [h.field.scalar(x) for x in (0, 0, 1, -1, 2)]
+    if h.field.kind == "cyclotomic":
+        values.append(h.field.generator() + 3)
+
+    def column():
+        return [rng.choice(values) for _ in range(h.dim)]
+
+    def sparse(col):
+        return {k: x for k, x in enumerate(col) if not x.is_zero()}
+
+    for _ in range(12):
+        a, b = column(), column()
+        assert hopf._product(h.mul_terms, sparse(a), sparse(b)) == sparse(h.multiply(a, b))

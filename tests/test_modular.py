@@ -1,12 +1,15 @@
+import random
 import re
+from fractions import Fraction
 
 import pytest
+import sympy
 
 from hopfcheck import modular
 from hopfcheck.catalog import build_sweedler, build_taft, builtin
 from hopfcheck.cli import full_report_text
 from hopfcheck.duality import pairing_value
-from hopfcheck.hopf import CorruptedDataError
+from hopfcheck.hopf import CorruptedDataError, HopfAlgebra
 from hopfcheck.linalg import Matrix, invert
 from hopfcheck.modular import (gram_inverse, gram_matrix, left_integral, modular_automorphism,
                                modular_data, modular_element, proportionality, right_integral,
@@ -249,6 +252,72 @@ def test_non_faithful_functional_rejected():
     bogus = tuple(F.scalar(x) for x in (1, 0, 0, 0))  # vanishes on the ideal generated by x
     with pytest.raises(CorruptedDataError, match="not faithful"):
         gram_inverse(h, bogus, "left")
+
+
+def _expected_modular_failure(h, phi):
+    """The message modular_element must give for the functional phi over Q,
+    decided independently: the Gram system B delta = phi o S by sympy's
+    ranks and solve, group-likeness by dense loops over the stored terms."""
+    n = h.dim
+    gram = sympy.Matrix(n, n, lambda i, j: sum(
+        (sympy.Rational(str(c * phi[k])) for k, c in h.mul_terms[i][j]), sympy.Integer(0)))
+    rhs = sympy.Matrix(n, 1, lambda j, _: sum(
+        (sympy.Rational(str(phi[k] * h.antipode.data[k][j])) for k in range(n)),
+        sympy.Integer(0)))
+    if gram.rank() < gram.row_join(rhs).rank():
+        return "modular element system inconsistent"
+    if gram.rank() < n:
+        return "integral is not faithful"
+    delta = [h.field.scalar(Fraction(int(x.p), int(x.q))) for x in gram.solve(rhs)]
+    coproduct, square = {}, {}
+    for (i, p, q), c in h.comul.terms.items():
+        coproduct[(p, q)] = coproduct.get((p, q), h.field.zero()) + delta[i] * c
+    for p in range(n):
+        for q in range(n):
+            square[(p, q)] = delta[p] * delta[q]
+    if any(coproduct.get(key, h.field.zero()) != x for key, x in square.items()):
+        return "modular element is not group-like"
+    return None
+
+
+@pytest.mark.parametrize("name", ["sweedler", "group-s3"])
+def test_random_functionals_reach_the_modular_element_failures(name):
+    # seeded functionals with entries in {-1, 0, 1}: most are no integral,
+    # and each must fail where the independent classification says
+    h = builtin(name)
+    rng = random.Random(2)
+    seen = set()
+    for _ in range(40):
+        phi = tuple(h.field.scalar(rng.choice((-1, 0, 0, 1))) for _ in range(h.dim))
+        if all(x.is_zero() for x in phi):
+            continue
+        expected = _expected_modular_failure(h, phi)
+        if expected is None:
+            modular_element(h, phi)
+            continue
+        with pytest.raises(CorruptedDataError, match=re.escape(f"{name}: {expected}")):
+            modular_element(h, phi)
+        seen.add(expected)
+    assert seen == {"modular element system inconsistent", "integral is not faithful",
+                    "modular element is not group-like"}
+
+
+def test_antipode_that_does_not_invert_the_modular_element_is_rejected():
+    # group-s3 is unimodular, delta = 1.  S + E_{1,0} keeps the row of S
+    # that phi o S reads, so delta is still 1, but sends 1 to e0 + e1.  The
+    # validation is handed over from group-s3, as from an algebra whose
+    # axioms were decided elsewhere.
+    h = builtin("group-s3")
+    phi = left_integral(h)
+    entries = {(i, j): x for i, row in enumerate(h.antipode.nonzero_rows()) for j, x in row}
+    entries[(1, 0)] = F.one()
+    wrong = HopfAlgebra(h.field, h.basis_names, h.mul, h.unit, h.comul, h.counit,
+                        Matrix._from_entries(F, h.dim, h.dim, entries), name=h.name)
+    object.__setattr__(wrong, "_validation", h.validate())
+    assert modular_element(h, phi)[0] == tuple(h.unit)
+    with pytest.raises(CorruptedDataError,
+                       match=re.escape("group-s3: S(delta) is not the inverse of the modular element")):
+        modular_element(wrong, phi)
 
 
 def test_requires_validated_algebra():

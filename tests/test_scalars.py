@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hopfcheck.scalars import (RATIONAL, FieldMismatchError, Scalar, ScalarSyntaxError,
                                ZeroInversionError, cyclotomic_field,
-                               cyclotomic_polynomial, euler_phi)
+                               cyclotomic_polynomial)
 
 C3 = cyclotomic_field(3)
 C4 = cyclotomic_field(4)
@@ -46,21 +46,21 @@ def test_cyclotomic_polynomials_known_values():
     assert as_ints(4) == [1, 0, 1]
     assert as_ints(6) == [1, -1, 1]
     assert as_ints(12) == [1, 0, -1, 0, 1]
-    assert euler_phi(12) == 4
+    assert cyclotomic_field(12).degree == 4
 
 
 def test_root_of_unity():
-    assert C12.root_of_unity(1).is_one()
-    assert C12.root_of_unity(2) == C12.scalar(-1)
-    z3 = C3.root_of_unity(3)
+    # z^(N/n) is a primitive n-th root of unity in Q(zeta_N)
+    z12 = C12.generator()
+    assert (z12 ** 12).is_one()
+    assert (z12 ** 6) == C12.scalar(-1)
+    z3 = C3.generator()
     assert (z3 ** 3).is_one()
     assert not z3.is_one() and not (z3 ** 2).is_one()
-    z4 = C12.root_of_unity(4)
+    z4 = z12 ** 3
     assert (z4 ** 4).is_one() and not (z4 ** 2).is_one()
     with pytest.raises(ValueError):
-        C12.root_of_unity(5)
-    with pytest.raises(ValueError):
-        RATIONAL.root_of_unity(3)
+        RATIONAL.generator()
 
 
 def test_zero_inversion_rejected():

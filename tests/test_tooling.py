@@ -5,6 +5,7 @@ fail when a refactor moves or reshapes one of the names it rebinds, so
 import importlib
 import importlib.util
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
@@ -128,3 +129,11 @@ def test_taft4_antipode_solve_stays_sparse(micro, monkeypatch):
     monkeypatch.undo()
     assert calls[0] <= 111_914 // 4
     assert len(flat) == 256
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's own self-tests, run as a builder would from the repo
+    # root, so a kernel change that breaks the harness fails here too
+    result = subprocess.run([sys.executable, "hopfbench/selftest.py"], cwd=BENCH.parent,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
