@@ -10,31 +10,53 @@ rarely a basis vector.
 
 All axioms are checked by exact contraction over the stored nonzero terms,
 and a failure names the first failing index of the ordered scan over all
-basis indices.  Associativity and the coproduct-homomorphism, which would
-visit every pair (i, j), scan only the rows i of a generating set:
-_generators picks basis indices G whose right-nested words
-g1(g2(...(gk 1))) span the algebra.  The search gives up past half the
-basis, where it costs more than the rows it saves.
+basis indices.  Associativity, coassociativity and the
+coproduct-homomorphism, which would contract every row (and associativity
+and the coproduct-homomorphism every pair (i, j)), are decided on the rows
+of one generating set per algebra, taken from either side:
 
-  - The set of a with (a x) y = a (x y) for all x, y is a subspace, holds
-    1 once the unit law holds, and is closed under products:
+  - G, on the product side: _generators picks basis indices whose
+    right-nested words g1(g2(...(gk 1))) span the algebra.  Its chain is
+    associativity, then the coproduct-homomorphism, then coassociativity;
+    the counit-homomorphism takes G's rows once associativity holds.
+  - P, on the coproduct side: the same search on the dual's product (the
+    transposed coproduct, with the counit as unit).  The algebra's
+    associativity and coassociativity are, as scalar equations, the dual's
+    coassociativity and associativity, and its coproduct-homomorphism is
+    the dual's, so the same row scans run on the transposed tables.  Its
+    chain is coassociativity, the coproduct-homomorphism, associativity.
+
+The side whose unit has fewer nonzero coordinates is searched first (G
+when the unit is no denser than the counit: group and taft algebras take
+G, function algebras and the duals of group and taft algebras P), the
+other only when the first gives up.  Each search gives up past half the basis, where it costs more
+than the rows it saves.  Why the rows of G decide each check:
+
+  - {a : (a x) y = a (x y) for all x, y} is a subspace, holds 1 once the
+    unit law holds, and is closed under products:
     ((a a') x) y = (a (a' x)) y = a ((a' x) y) = a (a' (x y)) = (a a')(x y).
     So under the unit law the rows of G decide associativity.
-  - The set of a with coproduct(a x) = coproduct(a) coproduct(x) for all x
-    is likewise closed under products, by associativity in A and A (x) A,
-    and holds 1 when coproduct(1) = 1 (x) 1.  So once associativity and
-    the unit law hold, the rows of G decide the coproduct-homomorphism.
-  - Transposed, the same scalar equations are the dual's
-    coproduct-homomorphism, so the rows of a generating set P of the
-    dual's product (the transposed coproduct, with the counit as unit)
-    decide it too, once coassociativity, the counit law and the counit
-    homomorphism hold.  P is searched only when G was given up, as it is
-    for function algebras and for the duals of the taft algebras.
+  - {a : coproduct(a x) = coproduct(a) coproduct(x) for all x} is closed
+    under products likewise, by associativity in A and A (x) A, and holds
+    1 when coproduct(1) = 1 (x) 1; so does {a : counit(a x) =
+    counit(a) counit(x) for all x}, which holds 1 once counit(1) = 1.  So
+    once associativity and the unit law hold, the rows of G decide both.
+  - {a : (coproduct (x) id) coproduct(a) = (id (x) coproduct) coproduct(a)}
+    is a subspace closed under products once the coproduct is
+    multiplicative (coproduct (x) id and id (x) coproduct then are too),
+    and holds 1 once coproduct(1) = 1 (x) 1.  So once the
+    coproduct-homomorphism holds, the rows of G decide coassociativity.
 
-When a precondition fails, or a reduced scan finds a failure, the full
-ordered scan runs, so the witness is always the full scan's.  Whether a
-linear map respects products (the coproduct, the counit, and in modular
-the modular automorphisms) is decided by one scan, _algebra_map_failure.
+Transposed, the same arguments run on the dual, where the unit law is the
+counit law and coproduct(1) = 1 (x) 1 is the counit-homomorphism: the rows
+of P decide coassociativity once the counit law and the
+counit-homomorphism hold, then the coproduct-homomorphism, then
+associativity.  Each reduced scan runs only when every earlier check of
+its chain passed (_NEEDS); when one failed, or a reduced scan finds a
+failure, the full ordered scan runs, so the witness is always the full
+scan's.  Whether a linear map respects products (the coproduct, the
+counit, and in modular the modular automorphisms, which take G's rows
+too) is decided by one scan, _algebra_map_failure.
 
 Regularity is checked through the antipode where there is one: the Galois
 maps are composed with their candidate inverses on the tensors a (x) 1 and
@@ -262,6 +284,19 @@ def _associativity_failure(mt, rows):
     return None
 
 
+def _coassociativity_failure(ct, rows):
+    """The first i, taken from rows in order, for which
+    (coproduct (x) id) coproduct(e_i) != (id (x) coproduct) coproduct(e_i)
+    under the coproduct table ct; None when there is none."""
+    for i in rows:
+        terms = ct[i]
+        left = _summed(((p, q, k), c * d) for j, k, c in terms for p, q, d in ct[j])
+        right = _summed(((j, p, q), c * d) for j, k, c in terms for p, q, d in ct[k])
+        if left != right:
+            return i
+    return None
+
+
 def _algebra_map_failure(mt, images, times, rows):
     """The first (i, j), with i taken from rows in order, for which
     f(e_i e_j) != f(e_i) f(e_j), where mt is the product table of the
@@ -282,6 +317,29 @@ def _coproduct_homomorphism_failure(mt, ct, rows):
     product table mt and the coproduct table ct."""
     deltas = [{(p, q): c for p, q, c in terms} for terms in ct]
     return _algebra_map_failure(mt, deltas, functools.partial(_tensor_square_product, mt), rows)
+
+
+# The six bialgebra axioms in report order.
+_BIALGEBRA_CHECKS = ("associativity", "unit", "coassociativity", "counit",
+                     "coproduct-homomorphism", "counit-homomorphism")
+
+# For the generating set of each side, the axioms that must hold before a
+# check may scan its rows (see the module docstring); a check not listed
+# for a side takes the full scan there.
+_NEEDS = {
+    "product": {
+        "associativity": ("unit",),
+        "coproduct-homomorphism": ("unit", "associativity"),
+        "counit-homomorphism": ("unit", "associativity"),
+        "coassociativity": ("unit", "associativity", "coproduct-homomorphism"),
+    },
+    "coproduct": {
+        "coassociativity": ("counit", "counit-homomorphism"),
+        "coproduct-homomorphism": ("counit", "counit-homomorphism", "coassociativity"),
+        "associativity": ("counit", "counit-homomorphism", "coassociativity",
+                          "coproduct-homomorphism"),
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -364,8 +422,8 @@ class HopfAlgebra:
         object.__setattr__(self, "_coproduct_cache", {})
         # side -> the integral modular._integral solved for; filled there
         object.__setattr__(self, "_integrals", {})
-        # "unit" -> the unit law's CheckResult, "product" ->
-        # _generators(mul_terms, unit); each found once
+        # each bialgebra check's name -> its CheckResult, and "generators"
+        # -> _generating_set(); each found once
         object.__setattr__(self, "_axiom_cache", {})
 
     def __setattr__(self, *a):
@@ -377,10 +435,12 @@ class HopfAlgebra:
     def with_antipode(self, antipode: Matrix) -> "HopfAlgebra":
         """This bialgebra with the given antipode.  The bialgebra axioms do
         not involve the antipode, so the new algebra takes over their
-        results instead of checking them again."""
+        results, and the generating set they were decided on, instead of
+        checking them again."""
         h = HopfAlgebra(self.field, self.basis_names, self.mul, self.unit, self.comul,
                         self.counit, antipode, name=self.name)
         object.__setattr__(h, "_bialgebra", self.bialgebra_checks())
+        object.__setattr__(h, "_axiom_cache", self._axiom_cache)
         return h
 
     def _take_validation(self, valid: "HopfAlgebra", antipode_inverse: Matrix) -> None:
@@ -472,22 +532,11 @@ class HopfAlgebra:
 
     def bialgebra_checks(self) -> tuple:
         """The six bialgebra axioms, the ones that do not involve the
-        antipode, checked by exact contraction; cached.  The
-        coproduct-homomorphism check is decided last, because the axioms
-        that hold tell it which generating set it may scan."""
+        antipode, checked by exact contraction; cached.  Each is decided
+        once, by _axiom, in the order the reduced scans need them."""
         if self._bialgebra is None:
-            associativity = self._check_associativity()
-            unit = self._check_unit()
-            coassociativity = self._check_coassociativity()
-            counit = self._check_counit()
-            counit_homomorphism = self._check_counit_homomorphism()
-            coproduct_homomorphism = self._check_coproduct_homomorphism(
-                algebra_side=associativity.passed and unit.passed,
-                coalgebra_side=coassociativity.passed and counit.passed
-                and counit_homomorphism.passed)
-            object.__setattr__(self, "_bialgebra", (
-                associativity, unit, coassociativity, counit,
-                coproduct_homomorphism, counit_homomorphism))
+            object.__setattr__(self, "_bialgebra",
+                               tuple(map(self._axiom, _BIALGEBRA_CHECKS)))
         return self._bialgebra
 
     def validate(self) -> ValidationReport:
@@ -505,20 +554,75 @@ class HopfAlgebra:
             raise InvalidHopfAlgebraError(f"{self.name}: axiom failures: {bad}")
         return self
 
-    def _product_generators(self):
-        """_generators of the product and the unit, found once; None past
-        half the basis, where the search costs more than the rows it saves
-        (a function algebra needs all but one index)."""
+    def _axiom(self, check: str) -> CheckResult:
+        """The result of the bialgebra axiom check, decided once by its
+        _check_* method: a reduced scan asks for the axioms its chain needs
+        before bialgebra_checks reports them."""
         cache = self._axiom_cache
-        if "product" not in cache:
-            cache["product"] = _generators(self.mul_terms, self.unit, self.dim // 2)
-        return cache["product"]
+        if check not in cache:
+            cache[check] = getattr(self, "_check_" + check.replace("-", "_"))()
+        return cache[check]
+
+    def _generating_set(self):
+        """(side, rows, mt, ct) for the one generating set the reduced scans
+        use, found once; None when both searches give up.  Side "product"
+        is G, from _generators on mul_terms and the unit, scanned on
+        (mt, ct) = (mul_terms, comul_terms); side "coproduct" is P, from
+        the same search on the dual's product with the counit as unit,
+        scanned on the dual's tables.  The side whose unit has fewer
+        nonzero coordinates is searched first, the other only when the
+        first gives up; both give up past half the basis."""
+        cache = self._axiom_cache
+        if "generators" not in cache:
+            cache["generators"] = None
+            sides = ["product", "coproduct"]
+            if len(_sparse(self.unit)) > len(_sparse(self.counit)):
+                sides.reverse()
+            for side in sides:
+                if side == "product":
+                    mt, ct, unit = self.mul_terms, self.comul_terms, self.unit
+                else:
+                    mul_hat, comul_hat = _dual_terms(self)
+                    mt, ct, unit = (_product_table(self.dim, mul_hat.items()),
+                                    _coproduct_table(self.dim, comul_hat.items()), self.counit)
+                rows = _generators(mt, unit, self.dim // 2)
+                if rows is not None:
+                    cache["generators"] = side, rows, mt, ct
+                    break
+        return cache["generators"]
+
+    def _product_generators(self):
+        """G when validation found the generating set on the product side,
+        else None.  It never searches: an algebra whose validation was
+        handed over (build_dual) has none, and its scans stay full."""
+        found = self._axiom_cache.get("generators")
+        return found[1] if found is not None and found[0] == "product" else None
+
+    def _holds_on_generators(self, check: str) -> bool:
+        """Whether check holds on the rows of the generating set, which then
+        decides it.  False when there is no generating set, when an axiom
+        _NEEDS lists for check on its side failed, or when the reduced scan
+        fails; check then takes the full ordered scan."""
+        found = self._generating_set()
+        if found is None:
+            return False
+        side, rows, mt, ct = found
+        needs = _NEEDS[side].get(check)
+        if needs is None or not all(self._axiom(a).passed for a in needs):
+            return False
+        if check == "coproduct-homomorphism":
+            failure = _coproduct_homomorphism_failure(mt, ct, rows)
+        elif check == "counit-homomorphism":
+            failure = self._counit_homomorphism_failure(rows)
+        elif (check == "associativity") == (side == "product"):
+            failure = _associativity_failure(mt, rows)
+        else:  # P's tables are the dual's: (co)associativity trade places
+            failure = _coassociativity_failure(ct, rows)
+        return failure is None
 
     def _check_associativity(self) -> CheckResult:
-        # under the unit law, the rows of a generating set decide every row
-        gens = self._product_generators() if self._check_unit().passed else None
         failure = None
-        if gens is None or _associativity_failure(self.mul_terms, gens) is not None:
+        if not self._holds_on_generators("associativity"):
             failure = _associativity_failure(self.mul_terms, range(self.dim))
         if failure is None:
             return CheckResult("associativity", self.name, True)
@@ -527,13 +631,6 @@ class HopfAlgebra:
                            f"(e{i}*e{j})*e{l} != e{i}*(e{j}*e{l})")
 
     def _check_unit(self) -> CheckResult:
-        # cached: associativity asks for it before bialgebra_checks does
-        cache = self._axiom_cache
-        if "unit" not in cache:
-            cache["unit"] = self._unit_law()
-        return cache["unit"]
-
-    def _unit_law(self) -> CheckResult:
         mt = self.mul_terms
         unit = _sparse(self.unit)
         one = self.field.one()
@@ -544,13 +641,12 @@ class HopfAlgebra:
         return CheckResult("unit", self.name, True)
 
     def _check_coassociativity(self) -> CheckResult:
-        ct = self.comul_terms
-        for i, terms in enumerate(ct):
-            left = _summed(((p, q, k), c * d) for j, k, c in terms for p, q, d in ct[j])
-            right = _summed(((j, p, q), c * d) for j, k, c in terms for p, q, d in ct[k])
-            if left != right:
-                return CheckResult("coassociativity", self.name, False, f"fails on e{i}")
-        return CheckResult("coassociativity", self.name, True)
+        i = None
+        if not self._holds_on_generators("coassociativity"):
+            i = _coassociativity_failure(self.comul_terms, range(self.dim))
+        if i is None:
+            return CheckResult("coassociativity", self.name, True)
+        return CheckResult("coassociativity", self.name, False, f"fails on e{i}")
 
     def _check_counit(self) -> CheckResult:
         counit = self.counit
@@ -562,44 +658,34 @@ class HopfAlgebra:
                 return CheckResult("counit", self.name, False, f"counit law fails on e{i}")
         return CheckResult("counit", self.name, True)
 
-    def _check_coproduct_homomorphism(self, *, algebra_side,
-                                      coalgebra_side) -> CheckResult:
-        """algebra_side says that associativity and the unit law hold,
-        coalgebra_side that coassociativity, the counit law and the counit
-        homomorphism hold; each lets the check scan a generating set's rows
-        (see the module docstring).  Without either it scans every row."""
+    def _check_coproduct_homomorphism(self) -> CheckResult:
         one_tensor = self.tensor_product_columns(self.unit_column(), self.unit_column())
         if self.coproduct(self.unit_column()) != one_tensor:
             return CheckResult("coproduct-homomorphism", self.name, False,
                                "coproduct of 1 is not 1 (x) 1")
-        n, mt, ct = self.dim, self.mul_terms, self.comul_terms
-        tables = rows = None
-        if algebra_side:
-            tables, rows = (mt, ct), self._product_generators()
-        if coalgebra_side and rows is None:
-            # the same scalar equations, read as the dual's
-            mul_hat, comul_hat = _dual_terms(self)
-            dual_mt = _product_table(n, mul_hat.items())
-            dual_gens = _generators(dual_mt, self.counit)
-            if dual_gens is not None:
-                tables, rows = (dual_mt, _coproduct_table(n, comul_hat.items())), dual_gens
         failure = None
-        if rows is None or _coproduct_homomorphism_failure(*tables, rows) is not None:
-            failure = _coproduct_homomorphism_failure(mt, ct, range(n))
+        if not self._holds_on_generators("coproduct-homomorphism"):
+            failure = _coproduct_homomorphism_failure(self.mul_terms, self.comul_terms,
+                                                      range(self.dim))
         if failure is None:
             return CheckResult("coproduct-homomorphism", self.name, True)
         i, j = failure
         return CheckResult("coproduct-homomorphism", self.name, False,
                            f"coproduct(e{i}*e{j}) != coproduct(e{i})*coproduct(e{j})")
 
-    def _check_counit_homomorphism(self) -> CheckResult:
-        if not self.counit_of(self.unit_column()).is_one():
-            return CheckResult("counit-homomorphism", self.name, False, "counit(1) != 1")
+    def _counit_homomorphism_failure(self, rows):
         # the target k, as the one-dimensional algebra with e_0 e_0 = e_0
         k_table = ((((0, self.field.one()),),),)
         images = [{} if e.is_zero() else {0: e} for e in self.counit]
-        failure = _algebra_map_failure(self.mul_terms, images,
-                                       functools.partial(_product, k_table), range(self.dim))
+        return _algebra_map_failure(self.mul_terms, images,
+                                    functools.partial(_product, k_table), rows)
+
+    def _check_counit_homomorphism(self) -> CheckResult:
+        if not self.counit_of(self.unit_column()).is_one():
+            return CheckResult("counit-homomorphism", self.name, False, "counit(1) != 1")
+        failure = None
+        if not self._holds_on_generators("counit-homomorphism"):
+            failure = self._counit_homomorphism_failure(range(self.dim))
         if failure is None:
             return CheckResult("counit-homomorphism", self.name, True)
         i, j = failure
@@ -744,9 +830,12 @@ def galois_maps(h: HopfAlgebra) -> None:
     law, a (x) b = (a (x) 1)(1 (x) b).  So when both laws hold, T1 o R1 = id
     on every tensor exactly when it holds on each e_i (x) 1, and T2 o R2 = id
     exactly when it holds on each 1 (x) e_j, where 1 is the unit column: n
-    probes per map instead of n^2, and a T image is formed only for the
-    basis tensors an R image reaches.  An algebra that fails either law is
-    probed on every basis tensor.
+    probes per map instead of n^2.  By the unit law again, their R images
+    are formed directly, R1(e_i (x) 1) = e_i(1) (x) S(e_i(2)) and
+    R2(1 (x) e_j) = S(e_j(1)) (x) e_j(2), however many nonzero coordinates
+    the unit has (a function algebra's and a dual's unit are dense), and a
+    T image is formed only for the basis tensors an R image reaches.  An
+    algebra that fails either law is probed on every basis tensor.
     """
     n = h.dim
     mt, ct = h.mul_terms, h.comul_terms
@@ -771,7 +860,7 @@ def galois_maps(h: HopfAlgebra) -> None:
 
     s_cols = h.antipode.nonzero_columns()
 
-    # each basis tensor occurs in one probe, so only the T images are memoized
+    # each probe's R image is formed once, so only the T images are memoized
     def r1(i, j):
         return _summed(((p, k), c * x * d)
                        for p, q, c in ct[i] for m, x in s_cols[q] for k, d in mt[m][j])
@@ -780,16 +869,24 @@ def galois_maps(h: HopfAlgebra) -> None:
         return _summed(((k, q), c * x * d)
                        for p, q, c in ct[j] for m, x in s_cols[p] for k, d in mt[i][m])
 
+    def r1_unit(i):  # R1(e_i (x) 1) = e_i(1) (x) S(e_i(2))
+        return _summed(((p, m), c * x) for p, q, c in ct[i] for m, x in s_cols[q])
+
+    def r2_unit(j):  # R2(1 (x) e_j) = S(e_j(1)) (x) e_j(2)
+        return _summed(((m, q), c * x) for p, q, c in ct[j] for m, x in s_cols[p])
+
     associativity, unit_law = h.bialgebra_checks()[:2]
     if associativity.passed and unit_law.passed:
         unit = [(u, x) for u, x in enumerate(h.unit) if not x.is_zero()]
-        probes1 = [{(i, u): x for u, x in unit} for i in range(n)]
-        probes2 = [{(u, j): x for u, x in unit} for j in range(n)]
+        probes1 = (({(i, u): x for u, x in unit}, r1_unit(i)) for i in range(n))
+        probes2 = (({(u, j): x for u, x in unit}, r2_unit(j)) for j in range(n))
     else:
         one = h.field.one()
-        probes1 = probes2 = [{key: one} for key in basis]
-    for name, t, r, probes in (("T1", t1, r1, probes1), ("T2", t2, r2, probes2)):
-        for x in probes:
-            if _image_of(t, _image_of(r, x)) != x:
+        probes1 = (({key: one}, r1(*key)) for key in basis)
+        probes2 = (({key: one}, r2(*key)) for key in basis)
+    # each probe x with R(x), formed only once the probes before it passed
+    for name, t, probes in (("T1", t1, probes1), ("T2", t2, probes2)):
+        for x, r_image in probes:
+            if _image_of(t, r_image) != x:
                 raise NotRegularError(
                     f"{h.name}: {name} candidate inverse failed; map is not invertible")

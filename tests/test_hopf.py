@@ -162,9 +162,10 @@ def _reported_nonassociative(h):
 @pytest.mark.parametrize("name", ["functions-s3", "taft-3", "taft-5", "dual(taft-4)"])
 def test_galois_composes_n_probes_per_map_on_a_valid_algebra(monkeypatch, name):
     # with associativity and the unit law, T1 o R1 is checked on each e_i (x) 1
-    # and T2 o R2 on each 1 (x) e_j: n compositions per map, two _image_of
-    # calls each.  The same algebra reported nonassociative is scanned on all
-    # n^2 basis tensors per map and forms more images.  The unit of
+    # and T2 o R2 on each 1 (x) e_j: n compositions per map.  The R image of
+    # each probe is formed directly, so one _image_of call (the T image)
+    # per composition.  The same algebra reported nonassociative is scanned
+    # on all n^2 basis tensors per map and forms more images.  The unit of
     # functions-s3 and of the dual is not a basis vector.
     if name == "taft-5":
         h = build_taft(5)
@@ -190,9 +191,9 @@ def test_galois_composes_n_probes_per_map_on_a_valid_algebra(monkeypatch, name):
     reduced = dict(counts)
     counts.update(image_of=0, summed=0)
     galois_maps(_reported_nonassociative(h))
-    # two maps, two _image_of calls per composition
-    assert reduced["image_of"] == 2 * 2 * h.dim
-    assert counts["image_of"] == 2 * 2 * h.dim ** 2
+    # two maps, one _image_of call per composition
+    assert reduced["image_of"] == 2 * h.dim
+    assert counts["image_of"] == 2 * h.dim ** 2
     assert reduced["summed"] < counts["summed"]
 
 
@@ -683,7 +684,8 @@ def test_coproduct_homomorphism_without_associativity_takes_the_full_scan():
 
 def test_product_changed_between_two_non_generators_fails_with_the_full_scan_witness():
     source = builtin("taft-3")
-    gens = source._product_generators()
+    side, gens, _, _ = source._generating_set()
+    assert side == "product"
     unit_index = source.unit.index(source.field.one())
     keys = [(i, j, k) for i, j, k, _ in source.mul.nonzero()
             if not {i, j} & {*gens, unit_index}]
@@ -721,7 +723,8 @@ def test_failing_coalgebra_side_scan_falls_back_to_the_full_scan():
     # fixes the counit's point and the unit, so the counit stays
     # multiplicative): every bialgebra axiom but coproduct-homomorphism
     # holds, so the check scans the one row of the dual's generator, which
-    # fails, and reports the full scan's witness
+    # fails, and reports the full scan's witness.  The unit is dense and
+    # the counit is not, so P is the generating set searched first
     source = builtin("functions-z6")
     rows = [[int(i == j) for j in range(source.dim)] for i in range(source.dim)]
     rows[1][2], rows[1][3] = 1, -1
@@ -730,7 +733,8 @@ def test_failing_coalgebra_side_scan_falls_back_to_the_full_scan():
                     source.counit, None, name="twisted")
     checks = h.bialgebra_checks()
     assert [c.check for c in checks if not c.passed] == ["coproduct-homomorphism"]
-    assert h._product_generators() is None and len(_dual_product_generators(h)) == 1
+    assert h._generating_set()[:2] == ("coproduct", _dual_product_generators(h))
+    assert len(_dual_product_generators(h)) == 1 and h._product_generators() is None
     _assert_reduced_matches_full_scan(h)
 
 
@@ -753,47 +757,164 @@ def test_dense_basis_bialgebra_checks_match_full_scan(name):
     _assert_reduced_matches_full_scan(bad)
 
 
+def _fresh(h):
+    """h rebuilt from its structure constants, as a file read afresh would
+    be: nothing decided, nothing handed over."""
+    return HopfAlgebra(h.field, h.basis_names, h.mul, h.unit, h.comul, h.counit, h.antipode,
+                       name=h.name)
+
+
+def _full_scan_copy(h):
+    """A fresh copy of h that finds no generating set, so each of its checks
+    takes the full ordered scan."""
+    copy = _fresh(h)
+    copy._axiom_cache["generators"] = None
+    return copy
+
+
+def _assert_reduced_paths_match_full_scans(h):
+    # the six result lines, witnesses included, and the Galois verdict
+    # against the probes on all n^2 basis tensors
+    lines = [c.line() for c in h.bialgebra_checks()]
+    assert lines == [c.line() for c in _full_scan_copy(h).bialgebra_checks()], h.name
+    assert _sparse_galois(h) == _sparse_galois(_reported_nonassociative(h)), h.name
+
+
+def _path_cases():
+    cases = {name: lambda name=name: [builtin(name)] for name in BUILTIN_BUILDERS}
+    cases["taft-5"] = lambda: [build_taft(5)]
+    for name in BUILTIN_BUILDERS:
+        cases[f"dual({name})"] = lambda name=name: [_fresh(build_dual(builtin(name)))]
+    for name in ("sweedler", "taft-2", "group-s3", "functions-s3"):
+        def dense(name=name):
+            source = builtin(name)
+            p = _unitriangular(source.field, source.dim, random.Random(f"paths:{name}"))
+            return [_transported(source, p, f"{name}-dense")]
+        cases[f"dense({name})"] = dense
+    for name in BUILTIN_BUILDERS:
+        def corrupted(name=name):
+            rng, source = random.Random(f"paths:{name}"), builtin(name)
+            return [_corrupted(source, rng) for _ in range(6)]
+        cases[f"corrupted({name})"] = corrupted
+    return cases
+
+
+_PATH_CASES = _path_cases()
+
+
+@pytest.mark.parametrize("case", list(_PATH_CASES))
+def test_reduced_paths_match_the_full_scans(case):
+    # whichever side's generating set an algebra takes, and whatever its
+    # chain lets through, its lines are the full scans'
+    for h in _PATH_CASES[case]():
+        _assert_reduced_paths_match_full_scans(h)
+
+
+def test_coproduct_changed_on_non_generator_rows_fails_coassociativity():
+    # taft-3 takes G = {g, x}.  A coproduct constant changed on a row outside
+    # G and the unit is never read by the rows of G (the legs of their
+    # coproducts are 1, g and x), so coassociativity is caught only because
+    # the coproduct-homomorphism, which its G chain needs, fails first
+    source = builtin("taft-3")
+    side, gens, _, _ = source._generating_set()
+    assert side == "product" and gens == (1, 3)
+    keys = [(i, j, k) for i, j, k, _ in source.comul.nonzero() if i not in (0, *gens)]
+    caught = 0
+    for key in keys:
+        h = _with_constant(source, "comul", key, 1)
+        if _dense_coassociativity(h).passed:
+            continue
+        caught += 1
+        assert hopf._coassociativity_failure(h.comul_terms, gens) is None, h.name
+        checks = {c.check: c for c in h.bialgebra_checks()}
+        assert checks["coassociativity"] == _dense_coassociativity(h), h.name
+        _assert_reduced_paths_match_full_scans(h)
+    assert caught >= 4
+
+
+@pytest.mark.parametrize("name", ["functions-s3", "dual(taft-3)"])
+def test_product_changed_on_a_coproduct_side_algebra_fails_associativity(name):
+    # the algebra takes P; its associativity is decided as the dual's
+    # coassociativity on the rows of P.  A product constant whose output has
+    # counit 0 (so the counit stays multiplicative) and which the rows of P
+    # do not read is caught only because the coproduct-homomorphism, which
+    # P's chain needs before associativity, fails
+    source = builtin(name) if name != "dual(taft-3)" else _fresh(build_dual(builtin("taft-3")))
+    side, gens, _, _ = source._generating_set()
+    assert side == "coproduct"
+    n, caught = source.dim, 0
+    for key in ((i, j, k) for i in range(n) for j in range(n) for k in range(n)
+                if source.counit[k].is_zero()):
+        h = _with_constant(source, "mul", key, 1)
+        comul_hat = hopf._coproduct_table(n, hopf._dual_terms(h)[1].items())
+        if hopf._coassociativity_failure(comul_hat, gens) is not None:
+            continue  # the rows of P see it
+        expected = _dense_associativity(h)
+        if expected.passed:
+            continue
+        checks = {c.check: c for c in h.bialgebra_checks()}
+        assert checks["associativity"] == expected, h.name
+        assert checks["counit-homomorphism"].passed, h.name
+        _assert_reduced_paths_match_full_scans(h)
+        caught += 1
+        if caught == 4:
+            break
+    assert caught == 4
+
+
 def test_generating_sets_are_pinned(monkeypatch):
-    # the rows each reduced scan visits; a silent fallback to the full scan
-    # (rows of length dim) fails here
+    # the rows each reduced scan visits, and the tables it reads; a silent
+    # fallback to the full scan (rows of length dim) fails here
     scans = []
-    for check in ("associativity", "coproduct_homomorphism"):
-        real = getattr(hopf, f"_{check}_failure")
-        monkeypatch.setattr(hopf, f"_{check}_failure",
-                            lambda *args, real=real, check=check:
-                            scans.append((check, args[0], tuple(args[-1]))) or real(*args))
-    for name in ("taft-3", "taft-4"):
-        scans.clear()
-        h = builtin(name)
-        assert h.validate().ok
-        assert [(check, table is h.mul_terms, len(rows)) for check, table, rows in scans] == [
-            ("associativity", True, 2), ("coproduct_homomorphism", True, 2)]
-    # functions-s3's product needs 5 of its 6 indices, past the search's
-    # half-basis cap, so associativity takes the full scan; the dual's
-    # product (the group algebra of S3) needs 2.  The dual of taft-3, read
-    # afresh as a file would be, gives G up too, and its dual's product
-    # (taft-3's own) needs 2.
-    dual = build_dual(builtin("taft-3"))
-    fresh_dual = HopfAlgebra(dual.field, dual.basis_names, dual.mul, dual.unit, dual.comul,
-                             dual.counit, dual.antipode, name=dual.name)
-    for h in (builtin("functions-s3"), fresh_dual):
+    for scan in ("associativity", "coassociativity", "coproduct_homomorphism"):
+        real = getattr(hopf, f"_{scan}_failure")
+        monkeypatch.setattr(hopf, f"_{scan}_failure",
+                            lambda *args, real=real, scan=scan:
+                            scans.append((scan, args[0], tuple(args[-1]))) or real(*args))
+
+    def visited(h):
         scans.clear()
         assert h.validate().ok
-        (_, _, assoc_rows), (_, table, coproduct_rows) = scans
-        assert assoc_rows == tuple(range(h.dim)), h.name
-        assert table is not h.mul_terms and len(coproduct_rows) <= 2, h.name
+        mul_hat, comul_hat = hopf._dual_terms(h)
+        names = {hopf._product_table(h.dim, mul_hat.items()): "mul_hat",
+                 hopf._coproduct_table(h.dim, comul_hat.items()): "comul_hat",
+                 h.mul_terms: "mul_terms", h.comul_terms: "comul_terms"}
+        return [(scan, names[table], rows) for scan, table, rows in scans]
+
+    # G: the unit is a basis vector, the counit is not; associativity, then
+    # the coproduct-homomorphism, then coassociativity, on the own tables
+    for name, gens in (("taft-3", (1, 3)), ("taft-4", (1, 4)), ("group-s3", (3, 1))):
+        assert visited(builtin(name)) == [("associativity", "mul_terms", gens),
+                                          ("coproduct_homomorphism", "mul_terms", gens),
+                                          ("coassociativity", "comul_terms", gens)], name
+    # P: the unit is dense (a function algebra, a dual basis) and the counit
+    # a basis vector, so G is not searched.  Coassociativity is the dual's
+    # associativity, then the coproduct-homomorphism, then associativity as
+    # the dual's coassociativity, all on the transposed tables
+    for h, gens in ((builtin("functions-s3"), (3, 1)),
+                    (_fresh(build_dual(builtin("taft-3"))), (1, 3)),
+                    (_fresh(build_dual(builtin("taft-4"))), (1, 4))):
+        assert visited(h) == [("associativity", "mul_hat", gens),
+                              ("coproduct_homomorphism", "mul_hat", gens),
+                              ("coassociativity", "comul_hat", gens)], h.name
 
 
 def test_unit_law_is_checked_once_per_validation(monkeypatch):
-    # associativity reads the unit law's result before bialgebra_checks
-    # reports it; both get the one cached result
+    # a reduced scan reads the results of the axioms its chain needs before
+    # bialgebra_checks reports them; every axiom, the unit law among them,
+    # is decided once and shared
     calls = []
-    law = HopfAlgebra._unit_law
-    monkeypatch.setattr(HopfAlgebra, "_unit_law",
-                        lambda self: calls.append(self.name) or law(self))
-    h = build_taft(3)
-    assert h.validate().ok and calls == ["taft-3"]
-    assert h._check_unit() is h.bialgebra_checks()[1] and calls == ["taft-3"]
+    for check in hopf._BIALGEBRA_CHECKS:
+        method = "_check_" + check.replace("-", "_")
+        real = getattr(HopfAlgebra, method)
+        monkeypatch.setattr(HopfAlgebra, method,
+                            lambda self, real=real, check=check:
+                            calls.append(check) or real(self))
+    for h in (build_taft(3), builtin("functions-s3")):
+        calls.clear()
+        assert h.validate().ok and sorted(calls) == sorted(hopf._BIALGEBRA_CHECKS)
+        assert h._axiom("unit") is h.bialgebra_checks()[1]
+        assert sorted(calls) == sorted(hopf._BIALGEBRA_CHECKS), h.name
 
 
 @pytest.mark.parametrize("name", list(BUILTIN_BUILDERS))

@@ -8,7 +8,7 @@ import sympy
 from hopfcheck import modular
 from hopfcheck.catalog import build_sweedler, build_taft, builtin
 from hopfcheck.cli import full_report_text
-from hopfcheck.duality import pairing_value
+from hopfcheck.duality import build_dual, pairing_value
 from hopfcheck.hopf import CorruptedDataError, HopfAlgebra
 from hopfcheck.linalg import Matrix, invert
 from hopfcheck.modular import (gram_inverse, gram_matrix, left_integral, modular_automorphism,
@@ -392,3 +392,29 @@ def test_full_report_solves_each_integral_once(monkeypatch):
     assert sorted(set(calls)) == [("dual(taft-4)", "left"), ("dual(taft-4)", "right"),
                                   ("taft-4", "left"), ("taft-4", "right")]
     assert len(calls) == 4
+
+
+def test_modular_automorphisms_scan_the_product_generators(monkeypatch):
+    # sigma and sigma' are checked multiplicative on the rows of G when
+    # validation took G (taft-3); on P's side (functions-s3) and on a dual
+    # whose validation was handed over (build_dual) every row is scanned.
+    # A failing reduced scan reruns the full scan for its witness.
+    scans = []
+    real = modular._algebra_map_failure
+    monkeypatch.setattr(modular, "_algebra_map_failure",
+                        lambda *args: scans.append(tuple(args[-1])) or real(*args))
+    taft, functions = build_taft(3), builtin("functions-s3")
+    for h, rows in ((taft, (1, 3)), (functions, tuple(range(6))),
+                    (build_dual(taft), tuple(range(9)))):
+        scans.clear()
+        modular_data(h)
+        assert scans == [rows, rows], h.name
+    phi = left_integral(taft)
+    rows = [[1 if r == c else 0 for c in range(taft.dim)] for r in range(taft.dim)]
+    rows[2][1] = 1
+    scans.clear()
+    # the pair test_non_multiplicative_automorphism_names_the_first_failing_pair
+    # finds by a dense scan
+    with pytest.raises(CorruptedDataError, match=re.escape("not multiplicative at (1,3)")):
+        modular_automorphism(taft, phi, _tampered_gram_inverse(taft, phi, rows))
+    assert scans == [(1, 3), tuple(range(9))]
