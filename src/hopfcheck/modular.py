@@ -143,9 +143,9 @@ def modular_automorphism(h: HopfAlgebra, functional: tuple, gram_inv: Matrix) ->
     gram_inv = B^-1 from gram_inverse, then re-verified to be a unital
     algebra automorphism.  {a : rho(a x) = rho(a) rho(x) for all x} is
     closed under products by associativity and holds 1 once rho(1) = 1, so
-    when validation found the generating set G on the product side, its
-    rows decide multiplicativity; a failure there reruns the full scan for
-    its witness.
+    when validation decided the axioms on the rows of a generating set G
+    on the product side, those rows decide multiplicativity; a failure
+    there reruns the full scan for its witness.
     """
     h.require_valid()
     rho = gram_inv * gram_matrix(h, functional).transpose()
@@ -154,7 +154,7 @@ def modular_automorphism(h: HopfAlgebra, functional: tuple, gram_inv: Matrix) ->
     mt = h.mul_terms
     scan = functools.partial(_algebra_map_failure, mt, list(map(dict, rho.nonzero_columns())),
                              functools.partial(_product, mt))
-    gens = h._product_generators()
+    gens = h._generating_rows
     failure = None
     if gens is None or scan(gens) is not None:
         failure = scan(range(h.dim))

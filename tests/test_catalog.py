@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from hopfcheck import catalog
+from hopfcheck import catalog, hopf
 from hopfcheck.catalog import (GROUP_ORDER_LIMIT, AlgebraFileSemanticError, AlgebraFileSyntaxError,
                                GroupPresentation, GroupTableError, algebra_from_json,
                                algebra_to_json,
@@ -12,7 +12,6 @@ from hopfcheck.catalog import (GROUP_ORDER_LIMIT, AlgebraFileSemanticError, Alge
                                build_taft, builtin, cyclic_group, read_algebra,
                                read_group_table, symmetric_group, write_algebra)
 from hopfcheck.cli import matrix_order
-from hopfcheck.hopf import HopfAlgebra
 from hopfcheck.scalars import FieldSpec
 
 from conftest import BUILTIN_NAMES, is_cocommutative
@@ -147,18 +146,19 @@ def test_missing_antipode_is_synthesized(tmp_path):
 
 
 def test_synthesized_antipode_reuses_the_bialgebra_checks(monkeypatch):
-    # the file's bialgebra axioms are checked once; the algebra that gets
-    # the synthesized antipode checks only the antipode laws
+    # the file's bialgebra axioms are checked once, in one call on the rows
+    # of G; the algebra that gets the synthesized antipode takes over their
+    # results and G, and checks only the antipode laws
     calls = []
-    check = HopfAlgebra._check_associativity
-    monkeypatch.setattr(HopfAlgebra, "_check_associativity",
-                        lambda self: calls.append(self.name) or check(self))
+    real = hopf._bialgebra_failures
+    monkeypatch.setattr(hopf, "_bialgebra_failures",
+                        lambda *args: calls.append(tuple(args[-1])) or real(*args))
     doc = algebra_to_json(build_taft(3))
     del doc["antipode"]
     h = algebra_from_json(doc)
-    assert calls == ["taft-3"] and h._validation is None
+    assert calls == [(3, 1)] and h._validation is None and h._generating_rows == (3, 1)
     assert h.antipode == build_taft(3).antipode
-    assert h.validate().ok and calls == ["taft-3"]
+    assert h.validate().ok and calls == [(3, 1)]
     assert [c.check for c in h.validate().checks][-3:] == [
         "antipode-left", "antipode-right", "antipode-invertible"]
 

@@ -5,7 +5,7 @@ import pytest
 from hopfcheck import cli
 from hopfcheck.cli import matrix_order, order_text, run
 from hopfcheck.catalog import (CYCLOTOMIC_ORDER_LIMIT, GROUP_ORDER_LIMIT, GroupPresentation,
-                               build_taft, builtin, read_algebra)
+                               algebra_to_json, build_taft, builtin, read_algebra)
 from hopfcheck.identities import MAX_NESTING, parse_corpus
 from hopfcheck.hopf import ANTIPODE_DIM_LIMIT
 from hopfcheck.linalg import Matrix
@@ -87,6 +87,51 @@ def test_commands_on_an_invalid_algebra_print_exactly_its_axiom_report(tmp_path)
     assert run(["dual", bad, "-o", str(out)]) == (
         1, "FAIL corrupted: axiom failures: antipode-left, antipode-right, antipode-invertible\n")
     assert not out.exists()
+
+
+CHANGED_CONSTANT_REPORTS = {
+    # taft-3 takes G = {e1, e3}; its product e2*e6 changed at e8
+    "taft-3": """\
+axiom associativity taft-3 FAIL (e1*e1)*e6 != e1*(e1*e6)
+axiom unit taft-3 PASS
+axiom coassociativity taft-3 PASS
+axiom counit taft-3 PASS
+axiom coproduct-homomorphism taft-3 FAIL coproduct(e2*e2) != coproduct(e2)*coproduct(e2)
+axiom counit-homomorphism taft-3 PASS
+axiom antipode-left taft-3 PASS
+axiom antipode-right taft-3 PASS
+axiom antipode-invertible taft-3 PASS
+galois-regularity taft-3 SKIPPED (axioms failed)
+""",
+    # functions-s3 takes P = {e1, e3}; its coproduct of e0 changed at e2 (x) e2
+    "functions-s3": """\
+axiom associativity functions-s3 PASS
+axiom unit functions-s3 PASS
+axiom coassociativity functions-s3 FAIL fails on e0
+axiom counit functions-s3 PASS
+axiom coproduct-homomorphism functions-s3 FAIL coproduct of 1 is not 1 (x) 1
+axiom counit-homomorphism functions-s3 PASS
+axiom antipode-left functions-s3 FAIL antipode left law fails on e0
+axiom antipode-right functions-s3 FAIL antipode right law fails on e0
+axiom antipode-invertible functions-s3 PASS
+galois-regularity functions-s3 SKIPPED (axioms failed)
+""",
+}
+
+
+@pytest.mark.parametrize("name, table, legs", [("taft-3", "mul", slice(0, 2)),
+                                               ("functions-s3", "comul", slice(1, 3))])
+def test_verify_axioms_prints_the_witnesses_of_a_changed_constant(tmp_path, name, table, legs):
+    # one structure constant changed where the generating set's rows do not
+    # read it: a product of two elements outside G = {e1, e3} and the unit,
+    # or a coproduct term whose legs are outside P = {e1, e3} and the counit's
+    # point.  The report names the full scan's first failures
+    doc = algebra_to_json(builtin(name))
+    entry = next(e for e in doc[table] if not set(e[legs]) & {0, 1, 3})
+    entry[3] = "2" if entry[3] == "1" else "1"
+    path = tmp_path / f"{name}.alg"
+    path.write_text(json.dumps(doc))
+    assert run(["verify-axioms", str(path)]) == (1, CHANGED_CONSTANT_REPORTS[name])
 
 
 def test_parse_error_exit_code(tmp_path):

@@ -16,6 +16,7 @@ from hopfcheck.linalg import Matrix, Tensor3, determinant, invert
 from hopfcheck.scalars import RATIONAL
 
 from conftest import is_cocommutative, is_commutative
+from test_tooling import BENCH, _load
 
 F = RATIONAL
 
@@ -580,10 +581,10 @@ def test_sparse_checks_match_dense_reference_on_corrupted_constants(name):
 
 
 # ---------------------------------------------------------------------------
-# generating sets: associativity and coproduct-homomorphism scan only the
-# rows of a generating set, and rerun the full ordered scan when a
-# precondition or the reduced scan fails.  Whatever path a check takes, its
-# result must be the full scan's, witness included.
+# generating sets: validation decides the six bialgebra axioms on the rows
+# of a generating set when they all hold there, and reruns the full ordered
+# scan when one fails.  Whatever path an algebra takes, its results must be
+# the dense references', witnesses included.
 # ---------------------------------------------------------------------------
 
 def _assert_reduced_matches_full_scan(h):
@@ -675,7 +676,8 @@ def test_coproduct_homomorphism_without_associativity_takes_the_full_scan():
                     name="nonassociative")
     gens = hopf._generators(h.mul_terms, h.unit)
     assert gens == (1,)
-    assert hopf._coproduct_homomorphism_failure(h.mul_terms, h.comul_terms, gens) is None
+    failures = hopf._bialgebra_failures(h.mul_terms, h.comul_terms, h.unit, h.counit, gens)
+    assert failures[0] is not None and failures[4] is None
     checks = {c.check: c for c in h.bialgebra_checks()}
     assert checks["unit"].passed and not checks["associativity"].passed
     assert not checks["coproduct-homomorphism"].passed
@@ -684,8 +686,8 @@ def test_coproduct_homomorphism_without_associativity_takes_the_full_scan():
 
 def test_product_changed_between_two_non_generators_fails_with_the_full_scan_witness():
     source = builtin("taft-3")
-    side, gens, _, _ = source._generating_set()
-    assert side == "product"
+    assert _validation_rows(source) == [("own", (3, 1))]
+    gens = (3, 1)
     unit_index = source.unit.index(source.field.one())
     keys = [(i, j, k) for i, j, k, _ in source.mul.nonzero()
             if not {i, j} & {*gens, unit_index}]
@@ -733,8 +735,10 @@ def test_failing_coalgebra_side_scan_falls_back_to_the_full_scan():
                     source.counit, None, name="twisted")
     checks = h.bialgebra_checks()
     assert [c.check for c in checks if not c.passed] == ["coproduct-homomorphism"]
-    assert h._generating_set()[:2] == ("coproduct", _dual_product_generators(h))
-    assert len(_dual_product_generators(h)) == 1 and h._product_generators() is None
+    dual_gens = _dual_product_generators(h)
+    assert len(dual_gens) == 1
+    assert _validation_rows(h) == [("dual", dual_gens), ("own", tuple(range(h.dim)))]
+    assert h._generating_rows is None
     _assert_reduced_matches_full_scan(h)
 
 
@@ -764,19 +768,33 @@ def _fresh(h):
                        name=h.name)
 
 
-def _full_scan_copy(h):
-    """A fresh copy of h that finds no generating set, so each of its checks
-    takes the full ordered scan."""
-    copy = _fresh(h)
-    copy._axiom_cache["generators"] = None
-    return copy
+def _validation_rows(h):
+    """Decide the bialgebra checks of a fresh copy of h, and return, for each
+    _bialgebra_failures call this makes, which tables it read ("own", or
+    "dual" for the dual's with unit and counit swapped) and its rows."""
+    h = _fresh(h)
+    mul_hat, comul_hat = hopf._dual_terms(h)
+    names = {(h.mul_terms, h.comul_terms, h.unit, h.counit): "own",
+             (hopf._product_table(h.dim, mul_hat.items()),
+              hopf._coproduct_table(h.dim, comul_hat.items()), h.counit, h.unit): "dual"}
+    calls, real = [], hopf._bialgebra_failures
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hopf, "_bialgebra_failures",
+                  lambda *args: calls.append((names[args[:4]], tuple(args[4]))) or real(*args))
+        h.bialgebra_checks()
+    return calls
+
+
+def _dense_bialgebra_checks(h):
+    """The dense references of the six bialgebra axioms, in report order."""
+    return (_dense_associativity(h), _dense_unit(h), _dense_coassociativity(h),
+            _dense_counit(h), _dense_coproduct_homomorphism(h), _dense_counit_homomorphism(h))
 
 
 def _assert_reduced_paths_match_full_scans(h):
-    # the six result lines, witnesses included, and the Galois verdict
-    # against the probes on all n^2 basis tensors
-    lines = [c.line() for c in h.bialgebra_checks()]
-    assert lines == [c.line() for c in _full_scan_copy(h).bialgebra_checks()], h.name
+    # the six results, witnesses included, against the dense references, and
+    # the Galois verdict against the probes on all n^2 basis tensors
+    assert h.bialgebra_checks() == _dense_bialgebra_checks(h), h.name
     assert _sparse_galois(h) == _sparse_galois(_reported_nonassociative(h)), h.name
 
 
@@ -813,11 +831,12 @@ def test_reduced_paths_match_the_full_scans(case):
 def test_coproduct_changed_on_non_generator_rows_fails_coassociativity():
     # taft-3 takes G = {g, x}.  A coproduct constant changed on a row outside
     # G and the unit is never read by the rows of G (the legs of their
-    # coproducts are 1, g and x), so coassociativity is caught only because
-    # the coproduct-homomorphism, which its G chain needs, fails first
+    # coproducts are 1, g and x), so coassociativity holds on them; it is
+    # caught only because the coproduct-homomorphism fails on them, which
+    # sends validation to the full scan
     source = builtin("taft-3")
-    side, gens, _, _ = source._generating_set()
-    assert side == "product" and gens == (1, 3)
+    assert _validation_rows(source) == [("own", (3, 1))]
+    gens = (3, 1)
     keys = [(i, j, k) for i, j, k, _ in source.comul.nonzero() if i not in (0, *gens)]
     caught = 0
     for key in keys:
@@ -825,7 +844,9 @@ def test_coproduct_changed_on_non_generator_rows_fails_coassociativity():
         if _dense_coassociativity(h).passed:
             continue
         caught += 1
-        assert hopf._coassociativity_failure(h.comul_terms, gens) is None, h.name
+        failures = hopf._bialgebra_failures(h.mul_terms, h.comul_terms, h.unit, h.counit, gens)
+        assert failures[2] is None and failures[4] is not None, h.name
+        assert _validation_rows(h) == [("own", gens), ("own", tuple(range(h.dim)))], h.name
         checks = {c.check: c for c in h.bialgebra_checks()}
         assert checks["coassociativity"] == _dense_coassociativity(h), h.name
         _assert_reduced_paths_match_full_scans(h)
@@ -834,24 +855,28 @@ def test_coproduct_changed_on_non_generator_rows_fails_coassociativity():
 
 @pytest.mark.parametrize("name", ["functions-s3", "dual(taft-3)"])
 def test_product_changed_on_a_coproduct_side_algebra_fails_associativity(name):
-    # the algebra takes P; its associativity is decided as the dual's
-    # coassociativity on the rows of P.  A product constant whose output has
-    # counit 0 (so the counit stays multiplicative) and which the rows of P
-    # do not read is caught only because the coproduct-homomorphism, which
-    # P's chain needs before associativity, fails
+    # the algebra takes P; on the dual's tables its associativity is the
+    # dual's coassociativity on the rows of P.  A product constant whose
+    # output has counit 0 (so the counit stays multiplicative) and which the
+    # rows of P do not read is caught only because another axiom fails on
+    # the rows of P, which sends validation to the full scan
     source = builtin(name) if name != "dual(taft-3)" else _fresh(build_dual(builtin("taft-3")))
-    side, gens, _, _ = source._generating_set()
-    assert side == "coproduct"
+    [(side, gens)] = _validation_rows(source)
+    assert side == "dual" and gens == _dual_product_generators(source)
     n, caught = source.dim, 0
     for key in ((i, j, k) for i in range(n) for j in range(n) for k in range(n)
                 if source.counit[k].is_zero()):
         h = _with_constant(source, "mul", key, 1)
-        comul_hat = hopf._coproduct_table(n, hopf._dual_terms(h)[1].items())
-        if hopf._coassociativity_failure(comul_hat, gens) is not None:
+        mul_hat, comul_hat = hopf._dual_terms(h)
+        failures = hopf._bialgebra_failures(hopf._product_table(n, mul_hat.items()),
+                                            hopf._coproduct_table(n, comul_hat.items()),
+                                            h.counit, h.unit, gens)
+        if failures[2] is not None:
             continue  # the rows of P see it
         expected = _dense_associativity(h)
         if expected.passed:
             continue
+        assert any(f is not None for f in failures), h.name
         checks = {c.check: c for c in h.bialgebra_checks()}
         assert checks["associativity"] == expected, h.name
         assert checks["counit-homomorphism"].passed, h.name
@@ -862,59 +887,50 @@ def test_product_changed_on_a_coproduct_side_algebra_fails_associativity(name):
     assert caught == 4
 
 
-def test_generating_sets_are_pinned(monkeypatch):
-    # the rows each reduced scan visits, and the tables it reads; a silent
-    # fallback to the full scan (rows of length dim) fails here
-    scans = []
-    for scan in ("associativity", "coassociativity", "coproduct_homomorphism"):
-        real = getattr(hopf, f"_{scan}_failure")
-        monkeypatch.setattr(hopf, f"_{scan}_failure",
-                            lambda *args, real=real, scan=scan:
-                            scans.append((scan, args[0], tuple(args[-1]))) or real(*args))
-
-    def visited(h):
-        scans.clear()
-        assert h.validate().ok
-        mul_hat, comul_hat = hopf._dual_terms(h)
-        names = {hopf._product_table(h.dim, mul_hat.items()): "mul_hat",
-                 hopf._coproduct_table(h.dim, comul_hat.items()): "comul_hat",
-                 h.mul_terms: "mul_terms", h.comul_terms: "comul_terms"}
-        return [(scan, names[table], rows) for scan, table, rows in scans]
-
-    # G: the unit is a basis vector, the counit is not; associativity, then
-    # the coproduct-homomorphism, then coassociativity, on the own tables
-    for name, gens in (("taft-3", (1, 3)), ("taft-4", (1, 4)), ("group-s3", (3, 1))):
-        assert visited(builtin(name)) == [("associativity", "mul_terms", gens),
-                                          ("coproduct_homomorphism", "mul_terms", gens),
-                                          ("coassociativity", "comul_terms", gens)], name
+def test_generating_sets_are_pinned():
+    # the rows validation visits and the tables it reads; a silent fallback
+    # to the full scan (a second call, on range(dim)) fails here.  G: the
+    # unit is a basis vector and the counit is not, so the own tables
+    for name, gens in (("taft-3", (3, 1)), ("taft-4", (4, 1)), ("group-s3", (3, 1))):
+        assert _validation_rows(builtin(name)) == [("own", gens)], name
     # P: the unit is dense (a function algebra, a dual basis) and the counit
-    # a basis vector, so G is not searched.  Coassociativity is the dual's
-    # associativity, then the coproduct-homomorphism, then associativity as
-    # the dual's coassociativity, all on the transposed tables
+    # a basis vector, so G is not searched, and the dual's tables
     for h, gens in ((builtin("functions-s3"), (3, 1)),
-                    (_fresh(build_dual(builtin("taft-3"))), (1, 3)),
-                    (_fresh(build_dual(builtin("taft-4"))), (1, 4))):
-        assert visited(h) == [("associativity", "mul_hat", gens),
-                              ("coproduct_homomorphism", "mul_hat", gens),
-                              ("coassociativity", "comul_hat", gens)], h.name
+                    (_fresh(build_dual(builtin("taft-3"))), (3, 1)),
+                    (_fresh(build_dual(builtin("taft-4"))), (4, 1))):
+        assert _validation_rows(h) == [("dual", gens)], h.name
 
 
-def test_unit_law_is_checked_once_per_validation(monkeypatch):
-    # a reduced scan reads the results of the axioms its chain needs before
-    # bialgebra_checks reports them; every axiom, the unit law among them,
-    # is decided once and shared
-    calls = []
-    for check in hopf._BIALGEBRA_CHECKS:
-        method = "_check_" + check.replace("-", "_")
-        real = getattr(HopfAlgebra, method)
-        monkeypatch.setattr(HopfAlgebra, method,
-                            lambda self, real=real, check=check:
-                            calls.append(check) or real(self))
-    for h in (build_taft(3), builtin("functions-s3")):
-        calls.clear()
-        assert h.validate().ok and sorted(calls) == sorted(hopf._BIALGEBRA_CHECKS)
-        assert h._axiom("unit") is h.bialgebra_checks()[1]
-        assert sorted(calls) == sorted(hopf._BIALGEBRA_CHECKS), h.name
+@pytest.mark.parametrize("name", ["sweedler", "taft-2", "taft-3", "taft-4", "taft-5"])
+def test_seeded_relabellings_take_two_generators(name):
+    # the benchmark's signed relabellings of the algebras generated by a
+    # group-like g and a nilpotent x, and their duals: the search tries the
+    # non-nilpotent candidates among equal orbit dimensions first, so it
+    # finds a G or P of two elements whatever the labels
+    inputs = _load("hopfbench_inputs_under_test", BENCH / "inputs.py")
+    source = build_taft(5) if name == "taft-5" else builtin(name)
+    for seed in range(40):
+        h = inputs.relabel(source, inputs.choose_relabelling(seed, name, source.dim))
+        for k in (h, build_dual(h)):
+            [(_, gens)] = _validation_rows(k)
+            assert len(gens) <= 2, (seed, k.name, gens)
+
+
+def test_unit_law_is_checked_once_per_validation():
+    # a valid algebra decides its six axioms, the unit law among them, in
+    # one call on the rows of its generating set; an invalid one adds
+    # exactly one call, the full scan.  The results are cached
+    for h, side, gens in ((build_taft(3), "own", (3, 1)),
+                          (builtin("functions-s3"), "dual", (3, 1))):
+        assert _validation_rows(h) == [(side, gens)], h.name
+        bad = _with_constant(h, "mul", (h.dim - 1, h.dim - 1, h.dim - 1), 1)
+        assert _validation_rows(bad) == [(side, gens), ("own", tuple(range(h.dim)))], h.name
+    calls, real = [], hopf._bialgebra_failures
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hopf, "_bialgebra_failures", lambda *args: calls.append(args) or real(*args))
+        h = build_taft(3)
+        assert h.validate().ok and len(calls) == 1
+        assert h.bialgebra_checks() is h.bialgebra_checks() and len(calls) == 1
 
 
 @pytest.mark.parametrize("name", list(BUILTIN_BUILDERS))

@@ -1,10 +1,13 @@
 """The benchmark's tracer reaches into the package by name; these tests
 fail when a refactor moves or reshapes one of the names it rebinds, so
-`hopfbench/run.py --trace 1` cannot break unnoticed."""
+`hopfbench/run.py --trace 1` cannot break unnoticed.  One pass of each
+workload also runs, so a report that no longer matches its recorded digest
+fails here too."""
 
 import importlib
 import importlib.util
 import inspect
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -137,3 +140,20 @@ def test_benchmark_selftest_passes():
     result = subprocess.run([sys.executable, "hopfbench/selftest.py"], cwd=BENCH.parent,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+WORKLOADS = [w["name"] for w in
+             json.loads((BENCH.parent / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_workloads_run_correct(workload):
+    # one pass of each declared workload, run as the benchmark is run from
+    # the repo root: every job's report must match its recorded digest
+    result = subprocess.run([sys.executable, "hopfbench/run.py", "--workload", workload,
+                             "--seconds", "0", "--trace", "0"], cwd=BENCH.parent,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    last = json.loads(result.stdout.splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, last
+    assert last["metrics"]["ok_ratio"]["value"] == 1.0, last
