@@ -127,14 +127,17 @@ def symmetric_group(n: int) -> GroupPresentation:
 
 
 def _load_json(path):
-    """The JSON document in path.  A syntax error, or nesting deeper than
-    the decoder recurses, is an AlgebraFileSyntaxError naming the path."""
+    """The JSON document in path.  A syntax error, bytes that are not UTF-8,
+    or nesting deeper than the decoder recurses, is an
+    AlgebraFileSyntaxError naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise AlgebraFileSyntaxError(
             f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise AlgebraFileSyntaxError(f"{path}: {exc}") from exc
     except RecursionError as exc:
         raise AlgebraFileSyntaxError(f"{path}: JSON nested too deeply to read") from exc
 

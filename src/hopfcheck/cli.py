@@ -19,11 +19,12 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import math
 import os
 import sys
 from importlib import resources
 
-from .catalog import (CYCLOTOMIC_ORDER_LIMIT, AlgebraFileSemanticError,
+from .catalog import (GROUP_ORDER_LIMIT, AlgebraFileSemanticError,
                       AlgebraFileSyntaxError, GroupTableError, build_function_algebra,
                       build_group_algebra, build_sweedler, build_taft, cyclic_group,
                       algebra_text, read_algebra, read_group_table, symmetric_group,
@@ -194,10 +195,10 @@ def _example_algebra(args) -> HopfAlgebra:
     if kind == "taft":
         if args.n is None:
             raise GroupTableError("taft needs --n")
-        if args.n > CYCLOTOMIC_ORDER_LIMIT:
-            # no command reads a file over Q(zeta_n) past the limit
-            raise GroupTableError(
-                f"--n {args.n} exceeds the cyclotomic order limit of {CYCLOTOMIC_ORDER_LIMIT}")
+        if args.n > math.isqrt(GROUP_ORDER_LIMIT):
+            # taft-n has dimension n^2; no group example may be larger
+            raise GroupTableError(f"--n {args.n} gives dimension {args.n ** 2}, above the "
+                                  f"limit of {GROUP_ORDER_LIMIT}")
         return build_taft(args.n)
     if kind in ("group-algebra", "function-algebra"):
         given = [x for x in (args.table, args.cyclic, args.symmetric) if x is not None]

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 from .hopf import CorruptedDataError, HopfAlgebra, _dual_terms, _product_table
 from .linalg import Matrix, Tensor3, invert
-from .modular import (ModularData, _modular_tuple, left_integral, proportionality,
+from .modular import (ModularData, left_integral, modular_data, proportionality,
                       right_integral)
 from .scalars import Scalar
 
@@ -170,15 +170,13 @@ class PairedSystem:
         Built once; the two systems share their operators and action tables."""
         if self._swapped is None:
             swapped = PairedSystem(self.dual, self.primal, self.dual_modular,
-                                   dual_integrals(self.dual, self.primal, self.dual_modular,
-                                                  self.primal_modular))
+                                   dual_integrals(self.dual, self.primal, self.dual_modular))
             object.__setattr__(swapped, "_memo", self._memo)
             object.__setattr__(self, "_swapped", swapped)
         return self._swapped
 
 
-def dual_integrals(h: HopfAlgebra, dual: HopfAlgebra, md: ModularData,
-                   dual_md: ModularData | None = None) -> ModularData:
+def dual_integrals(h: HopfAlgebra, dual: HopfAlgebra, md: ModularData) -> ModularData:
     """Integrals and modular data of the dual, built from the defining
     normalizations and cross-checked against independent solves.
 
@@ -189,16 +187,14 @@ def dual_integrals(h: HopfAlgebra, dual: HopfAlgebra, md: ModularData,
     dual (up to a scalar), psi_hat must equal phi_hat o S exactly, and the
     modular element of the dual must agree with the pairing formula
     <a, delta_hat> = counit(sigma^-1(a)).  Any mismatch is a convention bug
-    and fails hard.  The rest of the tuple comes from phi_hat by the same
-    routine that modular_data runs on h.
+    and fails hard.
 
-    dual_md, when given, is modular data already computed for dual (on the
-    bidual side, dual is the primal).  Its phi is a left integral of dual
-    and its psi is phi o S, so phi_hat = lam * phi for a scalar lam and
-    psi_hat = phi_hat o S = lam * psi.  Scaling a functional by lam scales
-    its Gram matrix B by lam, which leaves the solved delta, B^-1 B^T and
-    tau unchanged: the tuple is dual_md's own, with the integrals replaced
-    and the Gram inverses scaled by lam^-1, and nothing is solved again.
+    The rest is modular_data(dual), solved once per algebra (on the bidual
+    side dual is the primal, already solved).  The left-integral check
+    gives phi_hat = lam * phi, so psi_hat = lam * psi and each Gram matrix
+    scales by lam, which leaves delta, sigma, sigma' and tau unchanged: the
+    tuple is dual's own with the integrals replaced and the Gram inverses
+    scaled by lam^-1.
     """
     counit_row = list(h.counit)
 
@@ -214,21 +210,16 @@ def dual_integrals(h: HopfAlgebra, dual: HopfAlgebra, md: ModularData,
     if proportionality(right_integral(dual), psi_hat) is None:
         raise CorruptedDataError(
             f"{dual.name}: formula right integral disagrees with the invariance solve")
-    if proportionality(left_integral(dual), phi_hat) is None:
+    lam = proportionality(left_integral(dual), phi_hat)
+    if lam is None:
         raise CorruptedDataError(
             f"{dual.name}: formula left integral disagrees with the invariance solve")
 
-    if dual_md is None:
-        out = _modular_tuple(dual, phi_hat)
-    else:
-        lam = proportionality(dual_md.phi, phi_hat)
-        if lam is None:
-            raise CorruptedDataError(
-                f"{dual.name}: formula left integral disagrees with its modular data")
-        lam_inv = lam.inv()
-        out = replace(dual_md, phi=phi_hat, psi=psi_hat,
-                      phi_gram_inv=dual_md.phi_gram_inv.scaled(lam_inv),
-                      psi_gram_inv=dual_md.psi_gram_inv.scaled(lam_inv))
+    own = modular_data(dual)
+    lam_inv = lam.inv()
+    out = replace(own, phi=phi_hat, psi=psi_hat,
+                  phi_gram_inv=own.phi_gram_inv.scaled(lam_inv),
+                  psi_gram_inv=own.psi_gram_inv.scaled(lam_inv))
 
     # <a, delta_hat> = counit(sigma^-1(a)) for all a, checked without the
     # inverse as <sigma(a), delta_hat> = counit(a)
@@ -242,7 +233,6 @@ def dual_integrals(h: HopfAlgebra, dual: HopfAlgebra, md: ModularData,
 def pair_system(h: HopfAlgebra) -> PairedSystem:
     """Validate, dualize, and compute modular data on both sides."""
     h.require_valid()
-    from .modular import modular_data
     dual = build_dual(h)
     md = modular_data(h)
     dual_md = dual_integrals(h, dual, md)

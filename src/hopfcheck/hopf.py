@@ -455,7 +455,8 @@ class HopfAlgebra:
         object.__setattr__(self, "_validation", None)
         object.__setattr__(self, "_antipode_inverse", None)
         object.__setattr__(self, "_coproduct_cache", {})
-        # side -> the integral modular._integral solved for; filled there
+        # side -> the integral modular._integral solved for, and "modular"
+        # -> the tuple of modular.modular_data; filled there
         object.__setattr__(self, "_integrals", {})
 
     def __setattr__(self, *a):

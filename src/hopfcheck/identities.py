@@ -263,7 +263,9 @@ class _Parser:
             self.next()
             if self.peek()[:2] == ("op", "/"):
                 self.next()
-                den = self.expect("int")[1]
+                _, den, den_pos = self.expect("int")
+                if int(den) == 0:
+                    raise DslSyntaxError(f"position {den_pos}: zero denominator")
                 return ScalarLit(Fraction(int(value), int(den)))
             return ScalarLit(Fraction(int(value)))
         if kind == "op" and value == "(":
@@ -447,8 +449,12 @@ def parse_corpus(text: str):
 
 
 def load_corpus(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_corpus(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DslSyntaxError(f"{path}: {exc}") from exc
+    return parse_corpus(text)
 
 
 # -- evaluation ---------------------------------------------------------------

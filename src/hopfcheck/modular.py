@@ -7,12 +7,11 @@ a map M as M.apply_row.  For a finite-dimensional Hopf algebra the space of
 left-invariant functionals is exactly one-dimensional; the left integral
 here is the basis vector of that nullspace normalized so its first nonzero
 coordinate is 1, and the right integral is its composite with the
-antipode.  The modular element, the two modular automorphisms, and the
-scaling constant are all produced by exact linear solves and re-verified
-against their defining relations before being returned; the modular
-element's inverse is S(delta), checked by one product.  One routine,
-_modular_tuple, builds them from a left integral, for an algebra and for
-its dual alike.
+antipode.  modular_data derives the rest once per algebra, beside the
+integrals: it forms and inverts the Gram matrices B of phi and C of
+psi = phi o S once each, and reads delta = B^-1 psi, sigma = B^-1 B^T and
+sigma' = C^-1 C^T off the inverses, each re-verified against its
+defining relations; delta's inverse is S(delta), checked by one product.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from itertools import chain
 
 from .hopf import (CorruptedDataError, HopfAlgebra, _algebra_map_failure, _product, _sparse,
                    _summed)
-from .linalg import (Matrix, NonUniqueSolutionError, InconsistentSystemError,
-                     SingularMatrixError, invert, nullspace, solve)
+from .linalg import Matrix, SingularMatrixError, invert, nullspace
 from .scalars import Scalar
 
 
@@ -98,33 +96,27 @@ def gram_matrix(h: HopfAlgebra, functional: tuple) -> Matrix:
     return Matrix._from_entries(h.field, h.dim, h.dim, entries)
 
 
-def gram_inverse(h: HopfAlgebra, functional: tuple, side: str) -> Matrix:
+def gram_inverse(h: HopfAlgebra, gram: Matrix, side: str) -> Matrix:
     """The inverse of the Gram matrix of a faithful functional; a singular
     Gram matrix means the (side) functional is not faithful, which is
     corrupted data."""
     try:
-        return invert(gram_matrix(h, functional))
+        return invert(gram)
     except SingularMatrixError as exc:
         raise CorruptedDataError(
             f"{h.name}: {side} functional is not faithful (singular Gram matrix)") from exc
 
 
-def modular_element(h: HopfAlgebra, phi: tuple):
+def modular_element(h: HopfAlgebra, psi: tuple, phi_gram_inv: Matrix):
     """The group-like delta with phi(S(a)) = phi(a * delta), plus its inverse.
 
-    delta comes from an n x n solve against the Gram matrix of phi
-    (uniqueness is faithfulness of the integral).  A group-like's inverse is
-    its antipode: S(delta) is checked by delta * S(delta) = 1, which in
-    finite dimension makes it the two-sided inverse.
+    On e_i the relation reads B delta = psi, with B the Gram matrix of phi
+    and psi = phi o S, so delta = B^-1 psi.  A group-like's inverse is its
+    antipode: S(delta) is checked by delta * S(delta) = 1, which in finite
+    dimension makes it the two-sided inverse.
     """
     h.require_valid()
-    b = gram_matrix(h, phi)
-    try:
-        delta = solve(b, h.antipode.apply_row(phi))
-    except NonUniqueSolutionError as exc:
-        raise CorruptedDataError(f"{h.name}: integral is not faithful") from exc
-    except InconsistentSystemError as exc:
-        raise CorruptedDataError(f"{h.name}: modular element system inconsistent") from exc
+    delta = phi_gram_inv.apply(psi)
     # group-likeness is a theorem; failure means the input data lied
     if h.coproduct(delta) != h.tensor_product_columns(delta, delta):
         raise CorruptedDataError(f"{h.name}: modular element is not group-like")
@@ -136,11 +128,11 @@ def modular_element(h: HopfAlgebra, phi: tuple):
     return tuple(delta), tuple(delta_inv)
 
 
-def modular_automorphism(h: HopfAlgebra, functional: tuple, gram_inv: Matrix) -> Matrix:
+def modular_automorphism(h: HopfAlgebra, gram: Matrix, gram_inv: Matrix) -> Matrix:
     """The automorphism rho with functional(a*b) = functional(b * rho(a)).
 
-    Computed in closed form from the Gram matrix B as B^-1 B^T, with
-    gram_inv = B^-1 from gram_inverse, then re-verified to be a unital
+    Computed in closed form from the Gram matrix B of the functional as
+    B^-1 B^T, with gram_inv = B^-1, then re-verified to be a unital
     algebra automorphism.  {a : rho(a x) = rho(a) rho(x) for all x} is
     closed under products by associativity and holds 1 once rho(1) = 1, so
     when validation decided the axioms on the rows of a generating set G
@@ -148,7 +140,7 @@ def modular_automorphism(h: HopfAlgebra, functional: tuple, gram_inv: Matrix) ->
     there reruns the full scan for its witness.
     """
     h.require_valid()
-    rho = gram_inv * gram_matrix(h, functional).transpose()
+    rho = gram_inv * gram.transpose()
     if rho.apply(h.unit_column()) != h.unit_column():
         raise CorruptedDataError(f"{h.name}: modular automorphism does not fix 1")
     mt = h.mul_terms
@@ -187,22 +179,23 @@ def scaling_constant(h: HopfAlgebra, phi: tuple) -> Scalar:
     return tau
 
 
-def _modular_tuple(h: HopfAlgebra, phi: tuple) -> ModularData:
-    """The modular tuple of h built from its left integral phi, with
-    psi = phi o S: the same sequence of solves on an algebra and on its
-    dual."""
-    psi = tuple(h.antipode.apply_row(phi))
-    delta, delta_inv = modular_element(h, phi)
-    phi_gram_inv = gram_inverse(h, phi, "left")
-    sigma = modular_automorphism(h, phi, phi_gram_inv)
-    psi_gram_inv = gram_inverse(h, psi, "right")
-    sigma_prime = modular_automorphism(h, psi, psi_gram_inv)
-    tau = scaling_constant(h, phi)
-    return ModularData(phi, psi, delta, delta_inv, sigma, sigma_prime, tau,
-                       phi_gram_inv, psi_gram_inv)
-
-
 def modular_data(h: HopfAlgebra) -> ModularData:
-    """Compute the full integral apparatus of a validated algebra."""
+    """The full integral apparatus of a validated algebra, solved once per
+    algebra: each Gram matrix, of phi and of psi = phi o S, is formed and
+    inverted once, and delta, sigma and sigma' are read off the inverses."""
+    cached = h._integrals.get("modular")
+    if cached is not None:
+        return cached
     h.require_valid()
-    return _modular_tuple(h, left_integral(h))
+    phi = left_integral(h)
+    psi = tuple(h.antipode.apply_row(phi))
+    phi_gram, psi_gram = gram_matrix(h, phi), gram_matrix(h, psi)
+    phi_gram_inv = gram_inverse(h, phi_gram, "left")
+    delta, delta_inv = modular_element(h, psi, phi_gram_inv)
+    sigma = modular_automorphism(h, phi_gram, phi_gram_inv)
+    psi_gram_inv = gram_inverse(h, psi_gram, "right")
+    sigma_prime = modular_automorphism(h, psi_gram, psi_gram_inv)
+    tau = scaling_constant(h, phi)
+    h._integrals["modular"] = md = ModularData(phi, psi, delta, delta_inv, sigma, sigma_prime,
+                                               tau, phi_gram_inv, psi_gram_inv)
+    return md

@@ -234,6 +234,8 @@ def test_example_usage_errors(tmp_path):
 
 
 def test_example_taft_order_past_the_limit_exits_2_before_building(tmp_path, monkeypatch):
+    # taft-n has dimension n^2, bounded like a group example's, so
+    # 16 is the largest n; the builder is stubbed, nothing large is built
     built = []
 
     def recorded(n):
@@ -242,13 +244,14 @@ def test_example_taft_order_past_the_limit_exits_2_before_building(tmp_path, mon
 
     monkeypatch.setattr(cli, "build_taft", recorded)
     path = tmp_path / "t.alg"
-    code, text = run(["example", "taft", "--n", str(CYCLOTOMIC_ORDER_LIMIT + 1), "-o", str(path)])
-    assert (code, built) == (2, [])
-    assert text == (f"error: --n {CYCLOTOMIC_ORDER_LIMIT + 1} exceeds the cyclotomic "
-                    f"order limit of {CYCLOTOMIC_ORDER_LIMIT}\n")
-    assert not path.exists()
-    assert run(["example", "taft", "--n", str(CYCLOTOMIC_ORDER_LIMIT), "-o", str(path)])[0] == 0
-    assert built == [CYCLOTOMIC_ORDER_LIMIT]
+    for n in (17, CYCLOTOMIC_ORDER_LIMIT, CYCLOTOMIC_ORDER_LIMIT + 1):
+        code, text = run(["example", "taft", "--n", str(n), "-o", str(path)])
+        assert (code, built) == (2, []), n
+        assert text == (f"error: --n {n} gives dimension {n * n}, above the limit of "
+                        f"{GROUP_ORDER_LIMIT}\n")
+        assert not path.exists()
+    assert run(["example", "taft", "--n", "16", "-o", str(path)])[0] == 0
+    assert built == [16]
 
 
 @pytest.mark.parametrize("kind", ["group-algebra", "function-algebra"])
@@ -412,6 +415,26 @@ def test_json_nested_past_the_decoder_exits_2(tmp_path, command):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200_000)
     assert run(command + [str(deep)]) == (2, f"error: {deep}: JSON nested too deeply to read\n")
+
+
+@pytest.mark.parametrize("command", [["verify-axioms"], ["example", "group-algebra", "--table"],
+                                     ["check", "h4.alg", "--corpus"]])
+def test_file_that_is_not_utf8_exits_2_naming_it(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    run(["example", "sweedler", "-o", "h4.alg"])
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff{}")
+    assert run(command + [str(bad)]) == (
+        2, f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: "
+           "invalid start byte\n")
+
+
+def test_zero_denominator_in_an_identity_exits_2(tmp_path):
+    src, ids = tmp_path / "h4.alg", tmp_path / "z.ids"
+    run(["example", "sweedler", "-o", str(src)])
+    ids.write_text("z: forall a in A . 1/0 * a = a\n")
+    assert run(["check", str(src), "--corpus", str(ids)]) == (
+        2, "error: position 21: zero denominator\n")
 
 
 @pytest.mark.parametrize("opening", ["(", "S("])

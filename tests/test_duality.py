@@ -308,27 +308,31 @@ def test_bidual_gram_inverses_are_the_primal_ones_rescaled(paired, name):
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ["taft-5"])
 def test_bidual_tuple_matches_a_fresh_derivation(paired, name):
-    # the bidual side takes the primal's modular tuple with the integrals
-    # replaced; every entry must be what the solves give on those integrals
+    # the dual and the bidual side take their algebra's own modular tuple
+    # with the integrals replaced; every entry must be what the solves give
+    # on those integrals
     base = pair_system(build_taft(5)) if name == "taft-5" else paired(name)
-    for system in (base.swapped(), base.swapped().swapped()):
+    for system in (base, base.swapped(), base.swapped().swapped()):
         h, md = system.dual, system.dual_modular
         assert md.psi == tuple(h.antipode.apply_row(md.phi)), name
-        phi_gram_inv = invert(gram_matrix(h, md.phi))
-        psi_gram_inv = invert(gram_matrix(h, md.psi))
+        phi_gram, psi_gram = gram_matrix(h, md.phi), gram_matrix(h, md.psi)
+        phi_gram_inv, psi_gram_inv = invert(phi_gram), invert(psi_gram)
         assert (md.phi_gram_inv, md.psi_gram_inv) == (phi_gram_inv, psi_gram_inv), name
-        assert (md.delta, md.delta_inv) == modular_element(h, md.phi), name
-        assert md.sigma == modular_automorphism(h, md.phi, phi_gram_inv), name
-        assert md.sigma_prime == modular_automorphism(h, md.psi, psi_gram_inv), name
+        assert (md.delta, md.delta_inv) == modular_element(h, md.psi, phi_gram_inv), name
+        assert md.sigma == modular_automorphism(h, phi_gram, phi_gram_inv), name
+        assert md.sigma_prime == modular_automorphism(h, psi_gram, psi_gram_inv), name
         assert md.tau == scaling_constant(h, md.phi), name
 
 
-def test_bidual_gram_inverse_needs_proportional_modular_data(paired):
+def test_bidual_gram_inverse_needs_proportional_modular_data(paired, monkeypatch):
+    # the bidual side rescales the primal's own tuple by the scalar lam of
+    # its left-integral check; a left integral the formula one is no
+    # multiple of stops it there
     sys = paired("sweedler")
-    wrong = dataclasses.replace(sys.primal_modular,
-                                phi=(sys.primal.field.one(),) * sys.primal.dim)
-    with pytest.raises(CorruptedDataError, match="disagrees with its modular data"):
-        dual_integrals(sys.dual, sys.primal, sys.dual_modular, wrong)
+    monkeypatch.setattr(duality, "left_integral", lambda alg: (alg.field.one(),) * alg.dim)
+    with pytest.raises(CorruptedDataError,
+                       match="sweedler: formula left integral disagrees with the invariance solve"):
+        dual_integrals(sys.dual, sys.primal, sys.dual_modular)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ["taft-5"])

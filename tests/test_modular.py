@@ -84,11 +84,18 @@ def test_right_integral_proportional_to_phi_after_antipode(algebras):
         assert list(psi_norm) == [ratio * c for c in psi_solved]
 
 
+def _modular_element_of(h, phi):
+    """modular_element on the functional phi, as modular_data calls it:
+    psi = phi o S and the inverse Gram matrix of phi."""
+    return modular_element(h, tuple(h.antipode.apply_row(phi)),
+                           gram_inverse(h, gram_matrix(h, phi), "left"))
+
+
 def test_modular_element_trivial_for_unimodular(algebras):
     for name in ("group-z2", "group-z6", "group-s3",
                  "functions-z2", "functions-z6", "functions-s3"):
         h = algebras[name]
-        delta, delta_inv = modular_element(h, left_integral(h))
+        delta, delta_inv = _modular_element_of(h, left_integral(h))
         assert list(delta) == h.unit_column()
         assert list(delta_inv) == h.unit_column()
 
@@ -96,7 +103,7 @@ def test_modular_element_trivial_for_unimodular(algebras):
 def test_sweedler_modular_element_is_group_like_generator():
     h = build_sweedler()
     phi = left_integral(h)
-    delta, delta_inv = modular_element(h, phi)
+    delta, delta_inv = _modular_element_of(h, phi)
     assert h.format_element(list(delta)) == "g"
     assert h.format_element(list(delta_inv)) == "g"
     # hand check of the defining relation on x: phi(S(x)) = phi(x*g)
@@ -107,7 +114,7 @@ def test_sweedler_modular_element_is_group_like_generator():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_taft_modular_element_is_group_generator(n):
     h = build_taft(n)
-    delta, _ = modular_element(h, left_integral(h))
+    delta, _ = _modular_element_of(h, left_integral(h))
     expected = h.zero_column()
     expected[n] = h.field.one()  # basis index of the group-like generator
     assert list(delta) == expected
@@ -117,10 +124,9 @@ def test_group_algebra_automorphism_is_identity(algebras):
     # the integral is a trace there, so the automorphism must be trivial
     for name in ("group-z2", "group-z6", "group-s3"):
         h = algebras[name]
-        phi = left_integral(h)
-        sigma = modular_automorphism(h, phi, gram_inverse(h, phi, "left"))
-        assert sigma.is_identity()
         b = gram_matrix(h, left_integral(h))
+        sigma = modular_automorphism(h, b, gram_inverse(h, b, "left"))
+        assert sigma.is_identity()
         assert b == b.transpose()
 
 
@@ -251,24 +257,23 @@ def test_non_faithful_functional_rejected():
     h = build_sweedler()
     bogus = tuple(F.scalar(x) for x in (1, 0, 0, 0))  # vanishes on the ideal generated by x
     with pytest.raises(CorruptedDataError, match="not faithful"):
-        gram_inverse(h, bogus, "left")
+        gram_inverse(h, gram_matrix(h, bogus), "left")
 
 
 def _expected_modular_failure(h, phi):
-    """The message modular_element must give for the functional phi over Q,
-    decided independently: the Gram system B delta = phi o S by sympy's
-    ranks and solve, group-likeness by dense loops over the stored terms."""
+    """The message the modular element of the functional phi over Q must
+    fail with, decided independently: invertibility of the Gram matrix B and
+    delta = B^-1 (phi o S) by sympy, group-likeness by dense loops over the
+    stored terms."""
     n = h.dim
     gram = sympy.Matrix(n, n, lambda i, j: sum(
         (sympy.Rational(str(c * phi[k])) for k, c in h.mul_terms[i][j]), sympy.Integer(0)))
     rhs = sympy.Matrix(n, 1, lambda j, _: sum(
         (sympy.Rational(str(phi[k] * h.antipode.data[k][j])) for k in range(n)),
         sympy.Integer(0)))
-    if gram.rank() < gram.row_join(rhs).rank():
-        return "modular element system inconsistent"
     if gram.rank() < n:
-        return "integral is not faithful"
-    delta = [h.field.scalar(Fraction(int(x.p), int(x.q))) for x in gram.solve(rhs)]
+        return "left functional is not faithful (singular Gram matrix)"
+    delta = [h.field.scalar(Fraction(int(x.p), int(x.q))) for x in gram.inv() * rhs]
     coproduct, square = {}, {}
     for (i, p, q), c in h.comul.terms.items():
         coproduct[(p, q)] = coproduct.get((p, q), h.field.zero()) + delta[i] * c
@@ -293,13 +298,24 @@ def test_random_functionals_reach_the_modular_element_failures(name):
             continue
         expected = _expected_modular_failure(h, phi)
         if expected is None:
-            modular_element(h, phi)
+            _modular_element_of(h, phi)
             continue
         with pytest.raises(CorruptedDataError, match=re.escape(f"{name}: {expected}")):
-            modular_element(h, phi)
+            _modular_element_of(h, phi)
         seen.add(expected)
-    assert seen == {"modular element system inconsistent", "integral is not faithful",
+    assert seen == {"left functional is not faithful (singular Gram matrix)",
                     "modular element is not group-like"}
+
+
+def test_zero_modular_element_candidate_fails_the_counit_check():
+    # 0 is group-like (its coproduct is 0 = 0 (x) 0) but has counit 0.  No
+    # functional gives it: psi = phi o S is nonzero with phi, and so is
+    # B^-1 psi; a zero psi does
+    h = build_sweedler()
+    gram_inv = gram_inverse(h, gram_matrix(h, left_integral(h)), "left")
+    with pytest.raises(CorruptedDataError,
+                       match=re.escape("sweedler: counit of the modular element is not 1")):
+        modular_element(h, (F.zero(),) * h.dim, gram_inv)
 
 
 def test_antipode_that_does_not_invert_the_modular_element_is_rejected():
@@ -314,10 +330,10 @@ def test_antipode_that_does_not_invert_the_modular_element_is_rejected():
     wrong = HopfAlgebra(h.field, h.basis_names, h.mul, h.unit, h.comul, h.counit,
                         Matrix._from_entries(F, h.dim, h.dim, entries), name=h.name)
     object.__setattr__(wrong, "_validation", h.validate())
-    assert modular_element(h, phi)[0] == tuple(h.unit)
+    assert _modular_element_of(h, phi)[0] == tuple(h.unit)
     with pytest.raises(CorruptedDataError,
                        match=re.escape("group-s3: S(delta) is not the inverse of the modular element")):
-        modular_element(wrong, phi)
+        _modular_element_of(wrong, phi)
 
 
 def test_requires_validated_algebra():
@@ -345,7 +361,7 @@ def test_scaling_constant_rejects_a_non_proportional_functional():
 def _tampered_gram_inverse(h, phi, rows):
     """The Gram inverse of phi premultiplied by the matrix with the given
     rows, so the closed form returns that matrix times sigma."""
-    return Matrix(h.field, rows) * gram_inverse(h, phi, "left")
+    return Matrix(h.field, rows) * gram_inverse(h, gram_matrix(h, phi), "left")
 
 
 def test_automorphism_that_moves_the_unit_is_rejected():
@@ -353,7 +369,8 @@ def test_automorphism_that_moves_the_unit_is_rejected():
     phi = left_integral(h)
     doubled = [[2 if r == c else 0 for c in range(h.dim)] for r in range(h.dim)]
     with pytest.raises(CorruptedDataError, match="modular automorphism does not fix 1"):
-        modular_automorphism(h, phi, _tampered_gram_inverse(h, phi, doubled))
+        modular_automorphism(h, gram_matrix(h, phi),
+                             _tampered_gram_inverse(h, phi, doubled))
 
 
 def test_non_multiplicative_automorphism_names_the_first_failing_pair():
@@ -372,7 +389,7 @@ def test_non_multiplicative_automorphism_names_the_first_failing_pair():
         != h.multiply(rho.column(i), rho.column(j)))
     with pytest.raises(CorruptedDataError,
                        match=re.escape(f"not multiplicative at ({expected[0]},{expected[1]})")):
-        modular_automorphism(h, phi, gram_inv)
+        modular_automorphism(h, gram_matrix(h, phi), gram_inv)
 
 
 def test_full_report_solves_each_integral_once(monkeypatch):
@@ -416,5 +433,6 @@ def test_modular_automorphisms_scan_the_product_generators(monkeypatch):
     # the pair test_non_multiplicative_automorphism_names_the_first_failing_pair
     # finds by a dense scan
     with pytest.raises(CorruptedDataError, match=re.escape("not multiplicative at (1,3)")):
-        modular_automorphism(taft, phi, _tampered_gram_inverse(taft, phi, rows))
+        modular_automorphism(taft, gram_matrix(taft, phi),
+                             _tampered_gram_inverse(taft, phi, rows))
     assert scans == [(3, 1), tuple(range(9))]

@@ -135,9 +135,11 @@ def test_full_report_builds_each_algebra_once(monkeypatch):
 
 def test_full_report_derives_each_modular_tuple_once(monkeypatch):
     # the primal's tuple and the dual's are solved, one modular_element,
-    # two modular_automorphism and one scaling_constant each; the bidual's
-    # is the primal's with rescaled integrals, so it solves nothing (the 7
-    # invert calls are pinned above)
+    # two modular_automorphism and one scaling_constant each, each Gram
+    # matrix formed once and inverted, not solved against; the bidual's is
+    # the primal's with rescaled integrals, so it solves nothing (the 7
+    # invert calls are pinned above).  gram_matrix: phi and psi on both
+    # sides, and the psi_hat one of verify's pairing check
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -146,14 +148,16 @@ def test_full_report_derives_each_modular_tuple_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name, fn in (("modular_element", modular.modular_element),
+    for name, fn in (("gram_matrix", modular.gram_matrix), ("solve", linalg.solve),
+                     ("modular_element", modular.modular_element),
                      ("modular_automorphism", modular.modular_automorphism),
                      ("scaling_constant", modular.scaling_constant)):
-        for module in (duality, hopf, identities, modular, verify):
+        for module in (duality, hopf, identities, linalg, modular, verify):
             if vars(module).get(name) is fn:
                 monkeypatch.setattr(module, name, counted(name, fn))
     assert full_report_text(builtin("taft-3"))[1]
-    assert calls == {"modular_element": 2, "modular_automorphism": 4, "scaling_constant": 2}
+    assert calls == collections.Counter(gram_matrix=5, solve=0, modular_element=2,
+                                        modular_automorphism=4, scaling_constant=2)
 
 
 def test_broken_transposition_fails_only_the_structure_iso(monkeypatch, paired, suite_reports):
