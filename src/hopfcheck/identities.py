@@ -429,32 +429,47 @@ def parse_identity(source: str) -> IdentityProgram:
     return _Parser(source).parse_identity()
 
 
+_DSL_ERRORS = (DslSyntaxError, DslSortError, DslLegError, DslLinearityError)
+
+
 def parse_corpus(text: str):
     """Identity files: '#' comments, one identity per blank-line block
-    (long identities may wrap onto continuation lines)."""
-    programs = []
+    (long identities may wrap onto continuation lines).  An error names
+    the line its identity starts on; a position in it counts within the
+    identity's lines joined into one."""
+    programs, first_line = [], {}
     block = []
-    for raw in text.splitlines() + [""]:
+    for number, raw in enumerate(text.splitlines() + [""], start=1):
         line = raw.split("#", 1)[0].rstrip()
         if line.strip():
+            if not block:
+                start = number
             block.append(line.strip())
         elif block:
-            programs.append(parse_identity(" ".join(block)))
+            try:
+                prog = parse_identity(" ".join(block))
+            except _DSL_ERRORS as exc:
+                raise type(exc)(f"line {start}: {exc}") from None
+            if prog.name in first_line:
+                raise DslSyntaxError(f"line {start}: identity {prog.name!r} is already "
+                                     f"defined at line {first_line[prog.name]}")
+            first_line[prog.name] = start
+            programs.append(prog)
             block = []
-    names = [p.name for p in programs]
-    dupes = {n for n in names if names.count(n) > 1}
-    if dupes:
-        raise DslSyntaxError(f"duplicate identity names: {sorted(dupes)}")
     return programs
 
 
 def load_corpus(path):
+    """The identities of the corpus file at path; an error names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise DslSyntaxError(f"{path}: {exc}") from exc
-    return parse_corpus(text)
+    try:
+        return parse_corpus(text)
+    except _DSL_ERRORS as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 # -- evaluation ---------------------------------------------------------------

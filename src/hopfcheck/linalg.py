@@ -3,7 +3,7 @@
 Everything here is pure and deterministic: one Gauss-Jordan reduction
 over sparse rows, taking pivot columns left to right, brings a matrix to
 its reduced row echelon form, which is unique, so nullspace bases,
-solutions, inverses, ranks and determinants are read off it reproducibly
+solutions, inverses and determinants are read off it reproducibly
 whichever row each pivot is taken from.  Matrices are immutable after
 construction and store only their shape and their nonzero entries, so a
 system of dim^2 equations costs memory in its nonzero count, never in
@@ -389,7 +389,7 @@ def solve(m: Matrix, rhs):
         if not v.is_zero():
             row[ncols] = v
     pivot_cols, _, _ = _row_reduce(rows, ncols)
-    # consistency: reduced rows below the rank must have zero rhs
+    # consistency: reduced rows below the pivot rows must have zero rhs
     for row in rows[len(pivot_cols):]:
         if ncols in row:
             raise InconsistentSystemError("system has no solution")
@@ -442,10 +442,6 @@ def determinant(m: Matrix) -> Scalar:
                 seen[k] = True
                 k = pivot_rows[k]
     return -det if n % 2 else det
-
-
-def rank(m: Matrix) -> int:
-    return len(_row_reduce(_row_dicts(m), m.cols)[0])
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -434,7 +434,36 @@ def test_zero_denominator_in_an_identity_exits_2(tmp_path):
     run(["example", "sweedler", "-o", str(src)])
     ids.write_text("z: forall a in A . 1/0 * a = a\n")
     assert run(["check", str(src), "--corpus", str(ids)]) == (
-        2, "error: position 21: zero denominator\n")
+        2, f"error: {ids}: line 1: position 21: zero denominator\n")
+
+
+@pytest.mark.parametrize("body, message", [
+    ("forall a in A .\n   1/0 * a = a", "position 21: zero denominator"),
+    ("forall a in A .\n   b = a", "undeclared variable 'b'"),
+    ("forall a in A .\n   a(1) * a(3) = a",
+     "z: legs of 'a' on the left side must be 1..k, got [1, 3]"),
+], ids=["syntax", "sort", "legs"])
+def test_corpus_errors_name_the_file_and_the_line_the_identity_starts_on(tmp_path, body, message):
+    # a wrapped identity inside a directory corpus: the error names its file
+    # and the line its block starts on; a position counts within the
+    # identity's lines joined into one
+    src, corpus_dir = tmp_path / "h4.alg", tmp_path / "ids"
+    run(["example", "sweedler", "-o", str(src)])
+    corpus_dir.mkdir()
+    (corpus_dir / "a.ids").write_text("idy: forall a in A . eps(a(1)) * a(2) = a\n")
+    bad = corpus_dir / "b.ids"
+    bad.write_text(f"# comment\n\nok: forall a in A .\n  a = a\n\nz: {body}\n")
+    for command in ("check", "full-report"):
+        assert run([command, str(src), "--corpus", str(corpus_dir)]) == (
+            2, f"error: {bad}: line 6: {message}\n"), command
+
+
+def test_identity_name_repeated_in_one_corpus_file_exits_2(tmp_path):
+    src, ids = tmp_path / "h4.alg", tmp_path / "d.ids"
+    run(["example", "sweedler", "-o", str(src)])
+    ids.write_text("x: forall a in A . a = a\n\n# again\nx: forall a in A . a = a\n")
+    assert run(["check", str(src), "--corpus", str(ids)]) == (
+        2, f"error: {ids}: line 4: identity 'x' is already defined at line 1\n")
 
 
 @pytest.mark.parametrize("opening", ["(", "S("])
@@ -445,7 +474,7 @@ def test_deeply_nested_identity_exits_2(tmp_path, opening):
     ids = tmp_path / "deep.ids"
     ids.write_text(f"deep: forall a in A . {opening * depth}a{')' * depth} = a\n")
     code, text = run(["check", str(src), "--corpus", str(ids)])
-    assert code == 2 and text.startswith("error: position "), text
+    assert code == 2 and text.startswith(f"error: {ids}: line 1: position "), text
     assert text.endswith(f": brackets nested deeper than {MAX_NESTING} levels\n"), text
 
 
@@ -472,7 +501,8 @@ def test_nonlinear_identity_exits_2(tmp_path):
     ids = tmp_path / "square.ids"
     ids.write_text("square: forall a in A, y in Ahat . <a(1) * a(1), y> = <a(2), y>\n")
     code, text = run(["check", str(src), "--corpus", str(ids)])
-    assert code == 2 and text.startswith("error: square: a(1) occurs more than once"), text
+    assert code == 2 and text.startswith(
+        f"error: {ids}: line 1: square: a(1) occurs more than once"), text
 
 
 def test_antipode_synthesis_past_the_dimension_limit_exits_2(tmp_path):
@@ -510,3 +540,40 @@ def test_consecutive_runs_share_no_parser_state(tmp_path):
     for usage_error in (["example"], ["full-report"], ["no-such-command"]):
         assert run(usage_error) == (2, "")
         assert run(["verify-axioms", path])[0] == 0
+
+
+def test_every_command_checks_regularity_only_on_a_valid_algebra(tmp_path, monkeypatch):
+    # galois_maps relies on validation having passed; every call the
+    # commands make sees a valid algebra, on a valid file, on a file
+    # without an antipode (synthesized on reading) and on a corrupted file
+    seen = []
+    real = cli.galois_maps
+
+    def recorded(h):
+        seen.append((h.name, h.validate().ok))
+        return real(h)
+
+    monkeypatch.setattr(cli, "galois_maps", recorded)
+    doc = algebra_to_json(builtin("taft-3"))
+    files = {"valid": doc, "no-antipode": {k: v for k, v in doc.items() if k != "antipode"}}
+    bad = json.loads(json.dumps(doc))
+    bad["mul"][1][3] = "2"
+    files["corrupted"] = bad
+    corpus_dir = tmp_path / "ids"
+    corpus_dir.mkdir()
+    (corpus_dir / "one.ids").write_text("idy: forall a in A . eps(a(1)) * a(2) = a\n")
+    codes = {label: set() for label in files}
+    for label, content in files.items():
+        path = str(tmp_path / f"{label}.alg")
+        with open(path, "w") as fh:
+            json.dump(content, fh)
+        for argv in (["verify-axioms"], ["modular"], ["radford"], ["check"],
+                     ["check", "--corpus", str(corpus_dir)], ["full-report"],
+                     ["full-report", "--corpus", str(corpus_dir)],
+                     ["dual", "-o", str(tmp_path / f"{label}-dual.alg")]):
+            codes[label].add(run([argv[0], path] + argv[1:])[0])
+    assert run(["example", "taft", "--n", "3"])[0] == 0
+    assert codes == {"valid": {0}, "no-antipode": {0}, "corrupted": {1}}
+    # verify-axioms and the two full-reports of each of the two valid files;
+    # the corrupted file never reaches the regularity check
+    assert seen == [("taft-3", True)] * 6

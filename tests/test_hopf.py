@@ -1,3 +1,4 @@
+import functools
 import random
 import tracemalloc
 
@@ -10,8 +11,9 @@ from hopfcheck.catalog import (BUILTIN_BUILDERS, build_function_algebra,
                                symmetric_group)
 from hopfcheck.duality import build_dual
 from hopfcheck.hopf import (ANTIPODE_DIM_LIMIT, AntipodeTooLargeError, CheckResult,
-                            HopfAlgebra, NoAntipodeError, NotRegularError, convolve,
-                            compute_antipode, galois_maps, unit_counit_map)
+                            HopfAlgebra, InvalidHopfAlgebraError, NoAntipodeError,
+                            NotRegularError, convolve, compute_antipode, galois_maps,
+                            unit_counit_map)
 from hopfcheck.linalg import Matrix, Tensor3, determinant, invert
 from hopfcheck.scalars import RATIONAL
 
@@ -135,24 +137,32 @@ def test_galois_maps_invertible_and_inverse_exact():
 
 
 def test_galois_determinant_nonzero_on_sweedler():
-    # both routes pass: composition with the inverses built from the
-    # antipode, and the rank test when no antipode is stored
+    # the maps are invertible, and galois_maps passes; the same structure
+    # without its antipode fails validation, so galois_maps refuses it
     h = build_sweedler()
     galois_maps(h)
-    galois_maps(without_antipode(h))
+    with pytest.raises(InvalidHopfAlgebraError):
+        galois_maps(without_antipode(h))
     t1, t2, _, _ = _dense_galois_matrices(h)
     assert not determinant(t1).is_zero()
     assert not determinant(t2).is_zero()
 
 
 def test_galois_singular_without_antipode():
-    with pytest.raises(NotRegularError):
-        galois_maps(build_nongroup_monoid_bialgebra())
+    # the idempotent monoid has no antipode, and its T1 and T2 are singular
+    # (Larson-Sweedler); galois_maps refuses it as invalid
+    h = build_nongroup_monoid_bialgebra()
+    for image in (_t1_image, _t2_image):
+        assert determinant(_tensor_map_matrix(h, functools.partial(image, h))).is_zero()
+    with pytest.raises(InvalidHopfAlgebraError) as exc:
+        galois_maps(h)
+    assert str(exc.value) == ("idempotent-monoid: axiom failures: "
+                              "antipode-left, antipode-right, antipode-invertible")
 
 
 def _reported_nonassociative(h):
     """A copy of h whose cached bialgebra checks report associativity as
-    failed, so that galois_maps cannot use the reduction to a (x) 1."""
+    failed, so that galois_maps refuses it."""
     copy = HopfAlgebra(h.field, h.basis_names, h.mul, h.unit, h.comul, h.counit,
                        h.antipode, name=h.name)
     failed = CheckResult("associativity", h.name, False, "reported")
@@ -165,9 +175,9 @@ def test_galois_composes_n_probes_per_map_on_a_valid_algebra(monkeypatch, name):
     # with associativity and the unit law, T1 o R1 is checked on each e_i (x) 1
     # and T2 o R2 on each 1 (x) e_j: n compositions per map.  The R image of
     # each probe is formed directly, so one _image_of call (the T image)
-    # per composition.  The same algebra reported nonassociative is scanned
-    # on all n^2 basis tensors per map and forms more images.  The unit of
-    # functions-s3 and of the dual is not a basis vector.
+    # per composition.  The same algebra reported nonassociative is refused
+    # before any image is formed.  The unit of functions-s3 and of the dual
+    # is not a basis vector.
     if name == "taft-5":
         h = build_taft(5)
     elif name == "dual(taft-4)":
@@ -175,38 +185,35 @@ def test_galois_composes_n_probes_per_map_on_a_valid_algebra(monkeypatch, name):
     else:
         h = builtin(name)
     assert h.validate().ok
-    counts = {"image_of": 0, "summed": 0}
-    image_of, summed = hopf._image_of, hopf._summed
+    calls = []
+    image_of = hopf._image_of
 
     def counted_image_of(image, x):
-        counts["image_of"] += 1
+        calls.append(x)
         return image_of(image, x)
 
-    def counted_summed(pairs):
-        counts["summed"] += 1
-        return summed(pairs)
-
     monkeypatch.setattr(hopf, "_image_of", counted_image_of)
-    monkeypatch.setattr(hopf, "_summed", counted_summed)
     galois_maps(h)
-    reduced = dict(counts)
-    counts.update(image_of=0, summed=0)
-    galois_maps(_reported_nonassociative(h))
     # two maps, one _image_of call per composition
-    assert reduced["image_of"] == 2 * h.dim
-    assert counts["image_of"] == 2 * h.dim ** 2
-    assert reduced["summed"] < counts["summed"]
+    assert len(calls) == 2 * h.dim
+    calls.clear()
+    with pytest.raises(InvalidHopfAlgebraError):
+        galois_maps(_reported_nonassociative(h))
+    assert calls == []
 
 
 def test_identity_antipode_on_taft3_still_fails_t1():
+    # the identity is no antipode of taft-3: the R1 it gives is no inverse
+    # of T1 in the dense reference, and validation, which galois_maps
+    # requires, fails the antipode laws
     h = builtin("taft-3")
     wrong = HopfAlgebra(h.field, h.basis_names, h.mul, h.unit, h.comul, h.counit,
                         Matrix.identity(h.field, h.dim), name=h.name)
-    assert all(c.passed for c in wrong.bialgebra_checks())  # the reduced path
-    message = "taft-3: T1 candidate inverse failed; map is not invertible"
-    with pytest.raises(NotRegularError) as exc:
+    assert all(c.passed for c in wrong.bialgebra_checks())
+    assert _dense_galois(wrong) == "taft-3: T1 candidate inverse failed; map is not invertible"
+    with pytest.raises(InvalidHopfAlgebraError) as exc:
         galois_maps(wrong)
-    assert str(exc.value) == message == _dense_galois(wrong)
+    assert str(exc.value) == "taft-3: axiom failures: antipode-left, antipode-right"
 
 
 def test_antipode_is_algebra_antihomomorphism(algebras):
@@ -446,24 +453,28 @@ def _tensor_map_matrix(h, image):
     return Matrix(h.field, rows)
 
 
+def _t1_image(h, i, j):
+    """T1(e_i (x) e_j) = coproduct(e_i)(1 (x) e_j)."""
+    out = {}
+    for p, q, c in h.comul_terms[i]:
+        for k, d in h.mul_terms[q][j]:
+            out[(p, k)] = out.get((p, k), h.field.zero()) + c * d
+    return out
+
+
+def _t2_image(h, i, j):
+    """T2(e_i (x) e_j) = (e_i (x) 1)coproduct(e_j)."""
+    out = {}
+    for p, q, c in h.comul_terms[j]:
+        for k, d in h.mul_terms[i][p]:
+            out[(k, q)] = out.get((k, q), h.field.zero()) + c * d
+    return out
+
+
 def _dense_galois_matrices(h):
     """T1, T2 and, from the antipode, their candidate inverses R1, R2."""
     zero = h.field.zero()
     s_cols = [h.antipode.column(j) for j in range(h.dim)]
-
-    def t1_image(i, j):
-        out = {}
-        for p, q, c in h.comul_terms[i]:
-            for k, d in h.mul_terms[q][j]:
-                out[(p, k)] = out.get((p, k), zero) + c * d
-        return out
-
-    def t2_image(i, j):
-        out = {}
-        for p, q, c in h.comul_terms[j]:
-            for k, d in h.mul_terms[i][p]:
-                out[(k, q)] = out.get((k, q), zero) + c * d
-        return out
 
     def r1_image(i, j):
         out = {}
@@ -481,8 +492,8 @@ def _dense_galois_matrices(h):
                     out[(k, q)] = out.get((k, q), zero) + c * x
         return out
 
-    return tuple(_tensor_map_matrix(h, image)
-                 for image in (t1_image, t2_image, r1_image, r2_image))
+    return tuple(_tensor_map_matrix(h, image) for image in (
+        functools.partial(_t1_image, h), functools.partial(_t2_image, h), r1_image, r2_image))
 
 
 def _dense_galois(h):
@@ -497,11 +508,22 @@ def _dense_galois(h):
 
 
 def _sparse_galois(h):
+    """The outcome of galois_maps: None, or the error it raised."""
     try:
         galois_maps(h)
-    except NotRegularError as exc:
-        return str(exc)
+    except (InvalidHopfAlgebraError, NotRegularError) as exc:
+        return f"{type(exc).__name__}: {exc}"
     return None
+
+
+def _expected_galois(h):
+    """galois_maps' outcome from the dense reference: refused when
+    validation fails, else the dense composition's verdict."""
+    failed = [c.check for c in h.validate().failures()]
+    if failed:
+        return f"InvalidHopfAlgebraError: {h.name}: axiom failures: {', '.join(failed)}"
+    message = _dense_galois(h)
+    return None if message is None else f"NotRegularError: {message}"
 
 
 def _corrupted_antipode(h, rng):
@@ -517,16 +539,18 @@ def _corrupted_antipode(h, rng):
 @pytest.mark.parametrize("name", ["group-s3", "functions-s3", "sweedler", "taft-3"])
 def test_galois_one_order_matches_two_orders_on_corrupted_constants(name):
     # galois_maps composes T o R only: T and R are square, so T o R = id forces
-    # R o T = id.  The dense reference composes both orders; on the seeded
+    # R o T = id.  The dense reference composes both orders.  On the seeded
     # corruptions of the test below (same seeds) and on one-entry antipode
-    # corruptions, both must fail, with the same message
+    # corruptions, the dense reference fails and validation fails, so
+    # galois_maps refuses the algebra before composing anything
     rng = random.Random(f"corrupt:{name}")
     source = builtin(name)
     assert _sparse_galois(source) is None and _dense_galois(source) is None
     for make in [_corrupted] * 12 + [_corrupted_antipode] * 6:
         h = make(source, rng)
-        expected = _dense_galois(h)
-        assert expected is not None and _sparse_galois(h) == expected, h.name
+        assert _dense_galois(h) is not None, h.name
+        outcome = _sparse_galois(h)
+        assert outcome is not None and outcome == _expected_galois(h), h.name
 
 
 def _assert_sparse_matches_dense(h):
@@ -536,7 +560,7 @@ def _assert_sparse_matches_dense(h):
              _dense_counit_homomorphism(h), *_dense_antipode_laws(h)]
     for reference in dense:
         assert sparse[reference.check] == reference, (h.name, reference.check)
-    assert _sparse_galois(h) == _dense_galois(h), h.name
+    assert _sparse_galois(h) == _expected_galois(h), h.name
     s = h.antipode
     ident = Matrix.identity(h.field, h.dim)
     for f, g in ((s, ident), (ident, s), (s, s)):
@@ -793,9 +817,10 @@ def _dense_bialgebra_checks(h):
 
 def _assert_reduced_paths_match_full_scans(h):
     # the six results, witnesses included, against the dense references, and
-    # the Galois verdict against the probes on all n^2 basis tensors
+    # the Galois outcome against the dense composition on all n^2 basis
+    # tensors, or the refusal when validation fails
     assert h.bialgebra_checks() == _dense_bialgebra_checks(h), h.name
-    assert _sparse_galois(h) == _sparse_galois(_reported_nonassociative(h)), h.name
+    assert _sparse_galois(h) == _expected_galois(h), h.name
 
 
 def _path_cases():
