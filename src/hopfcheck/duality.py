@@ -99,8 +99,9 @@ class PairedSystem:
     # rescaled integrals, so sigma on both sides is one object; any other
     # new system starts empty.
     _memo: dict = field(default_factory=dict, init=False, repr=False)
-    # (decls, lhs, rhs) of an identity -> (passed, witness), never shared:
-    # swapped().swapped() has this primal, but its integrals are scaled
+    # the plan of an identity, one per (decls, lhs, rhs) -> (passed,
+    # witness), never shared: swapped().swapped() has this primal, but its
+    # integrals are scaled
     _decided: dict = field(default_factory=dict, init=False, repr=False)
     _swapped: "PairedSystem | None" = field(default=None, init=False, repr=False)
 

@@ -26,7 +26,10 @@ entries, then its legs are contracted with the iterated coproduct.  The two
 tensors are compared entry by entry, and a failure names the least
 differing assignment, the first in cartesian order.  In "<sigma(a), y * z>"
 on the 16-dimensional taft-4, y * z has 40 entries, one per nonzero
-structure constant of the dual product, against 4096 assignments.
+structure constant of the dual product, against 4096 assignments.  What
+depends on the statement alone (sorts, slots, leg positions, output
+layout) is compiled into a plan once, the first time the statement is
+decided, so a system only runs the contractions.
 
 Grammar (informally):
     identity := name ":" "forall" decl ("," decl)* "." expr "=" expr
@@ -46,10 +49,10 @@ algebra, arguments in reading order of the harpoon expression.  onehat is
 the unit of the dual.
 
 decision decides each statement once per PairedSystem: the verdict and the
-witness are stored on the system under the statement's variables and
-sides, not its name, so the identity suites of verify.py and a corpus
-entry with the same text share one decision; evaluate reports it under
-the identity's name.
+witness are stored on the system under the statement's plan, one object
+per (variables, sides) whatever the name, so the identity suites of
+verify.py and a corpus entry with the same text share one decision;
+evaluate reports it under the identity's name.
 """
 
 from __future__ import annotations
@@ -57,11 +60,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import mul
 
 from .duality import PairedSystem
 from .hopf import CheckResult, _summed
+from .scalars import too_long_number
 
 
 class DslSyntaxError(ValueError):
@@ -86,6 +90,11 @@ ACTION_FNS = ("lact", "ract", "lacthat", "racthat")
 FN_NAMES = UNARY_FNS + SCALAR_FNS + ACTION_FNS
 CONST_NAMES = ("one", "delta", "deltainv", "onehat", "dhat", "dhatinv", "tau")
 KEYWORDS = ("forall", "in", "A", "Ahat") + FN_NAMES + CONST_NAMES
+_CONST_SORTS = {"one": "A", "delta": "A", "deltainv": "A", "onehat": "Ahat",
+                "dhat": "Ahat", "dhatinv": "Ahat", "tau": "scalar"}
+# the argument sorts, then the value sort, of each action
+_ACTION_SORTS = {"lact": ("A", "Ahat", "Ahat"), "ract": ("Ahat", "A", "Ahat"),
+                 "lacthat": ("Ahat", "A", "A"), "racthat": ("A", "Ahat", "A")}
 
 
 # -- AST --------------------------------------------------------------------
@@ -130,6 +139,12 @@ class IdentityProgram:
     lhs: object
     rhs: object
     sort: str             # common sort of both sides
+
+    @cached_property
+    def plan(self) -> "_Plan":
+        """The compiled statement, shared by every program of equal decls
+        and sides (see _plan)."""
+        return _plan(self.decls, self.lhs, self.rhs)
 
     def pretty(self) -> str:
         decls = ", ".join(f"{v} in {s}" for v, s in self.decls)
@@ -181,8 +196,8 @@ def _tokenize(src: str):
 
 
 # Deepest nesting of brackets (parentheses, pairings, function arguments)
-# an identity may use.  Parsing, sort checking and evaluation each recurse
-# once per level; the bundled corpora nest about 6 deep.
+# an identity may use.  Parsing, sort checking, compiling and evaluation each
+# recurse once per level; the bundled corpora nest about 6 deep.
 MAX_NESTING = 100
 
 
@@ -257,17 +272,27 @@ class _Parser:
         self.depth -= 1
         return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
+    def integer(self):
+        """The value of the next token, an integer; one past the limit on
+        converting digits to an int is a syntax error at its position."""
+        _, digits, pos = self.expect("int")
+        try:
+            return int(digits)
+        except ValueError:
+            raise DslSyntaxError(f"position {pos}: {too_long_number()}") from None
+
     def parse_factor(self):
         kind, value, pos = self.peek()
         if kind == "int":
-            self.next()
+            num = self.integer()
             if self.peek()[:2] == ("op", "/"):
                 self.next()
-                _, den, den_pos = self.expect("int")
-                if int(den) == 0:
+                den_pos = self.peek()[2]
+                den = self.integer()
+                if den == 0:
                     raise DslSyntaxError(f"position {den_pos}: zero denominator")
-                return ScalarLit(Fraction(int(value), int(den)))
-            return ScalarLit(Fraction(int(value)))
+                return ScalarLit(Fraction(num, den))
+            return ScalarLit(Fraction(num))
         if kind == "op" and value == "(":
             self.next()
             inner = self.parse_expr()
@@ -301,7 +326,7 @@ class _Parser:
                 save = self.i
                 self.next()
                 if self.peek()[0] == "int":
-                    leg = int(self.next()[1])
+                    leg = self.integer()
                     self.expect("op", ")")
                     return Var(value, leg)
                 self.i = save
@@ -319,8 +344,7 @@ def _infer_sort(node, env) -> str:
     if isinstance(node, ScalarLit):
         return "scalar"
     if isinstance(node, Const):
-        return {"one": "A", "delta": "A", "deltainv": "A", "onehat": "Ahat",
-                "dhat": "Ahat", "dhatinv": "Ahat", "tau": "scalar"}[node.kind]
+        return _CONST_SORTS[node.kind]
     if isinstance(node, Pairing):
         ls = _infer_sort(node.left, env)
         rs = _infer_sort(node.right, env)
@@ -338,8 +362,7 @@ def _infer_sort(node, env) -> str:
             if arg_sorts[0] == "scalar":
                 raise DslSortError(f"{node.fn} cannot act on a scalar in {pretty(node)}")
             return "scalar"
-        expected = {"lact": ("A", "Ahat", "Ahat"), "ract": ("Ahat", "A", "Ahat"),
-                    "lacthat": ("Ahat", "A", "A"), "racthat": ("A", "Ahat", "A")}[node.fn]
+        expected = _ACTION_SORTS[node.fn]
         if tuple(arg_sorts) != expected[:2]:
             raise DslSortError(
                 f"{node.fn} expects sorts {expected[:2]}, got {tuple(arg_sorts)} in {pretty(node)}")
@@ -474,16 +497,24 @@ def load_corpus(path):
 
 # -- evaluation ---------------------------------------------------------------
 #
-# A side is evaluated once, as a sparse tensor over the slots it reads (one
-# slot per variable and leg).  A tensor is a pair (slots, terms): terms maps
-# (one basis index per slot, in the order of slots, then an output index) to
-# the nonzero output coordinate the subterm takes when each slot holds that
-# basis element; a scalar subterm has the single output index 0.  Every node
-# contracts the stored entries of its operands only: a map through its
-# nonzero matrix columns, a product or an action through its table of
-# structure constants, the pairing by matching output indices (it is the
-# identity on the canonical basis).  Last, the legs of each variable contract
-# with its iterated coproduct, the implicit Sweedler summation.
+# A side is evaluated as a sparse tensor over the slots it reads (one slot
+# per variable and leg): terms maps (one basis index per slot, in reading
+# order, then an output index) to the nonzero output coordinate the subterm
+# takes when each slot holds that basis element; a scalar subterm has the
+# single output index 0.  Every node contracts the stored entries of its
+# operands only: a map through its nonzero matrix columns, a product or an
+# action through its table of structure constants, the pairing by matching
+# output indices (it is the identity on the canonical basis).  Last, the
+# legs of each variable contract with its iterated coproduct, the implicit
+# Sweedler summation.
+#
+# Everything but the terms depends on the statement alone, so it is
+# compiled once, the first time the statement is decided, into a plan: each
+# node's sort and slots, the operator, table, functional or constant it
+# reads, the positions of each leg contraction, and the output layout.
+# On a system the plan only runs the contractions.  A map or functional of
+# a bare variable reads the map's nonzero entries directly, with no
+# identity tensor to contract.
 
 def _constant(sys: PairedSystem, kind):
     if kind == "one":
@@ -503,9 +534,9 @@ def _constant(sys: PairedSystem, kind):
     raise AssertionError(kind)
 
 
-def _column_tensor(column):
-    """The tensor without slots whose value is column."""
-    return (), {(k,): x for k, x in enumerate(column) if not x.is_zero()}
+def _column_terms(column):
+    """The terms of the tensor without slots whose value is column."""
+    return {(k,): x for k, x in enumerate(column) if not x.is_zero()}
 
 
 def _by_output(terms):
@@ -516,101 +547,178 @@ def _by_output(terms):
     return groups
 
 
-def _apply(tensor, columns):
+def _apply(terms, columns):
     """A linear map applied to the output; columns[j] lists the nonzero
     (row, value) entries of the map's column j."""
-    slots, terms = tensor
-    return slots, _summed((key[:-1] + (i,), v * x)
-                          for key, x in terms.items() for i, v in columns[key[-1]])
+    return _summed((key[:-1] + (i,), v * x)
+                   for key, x in terms.items() for i, v in columns[key[-1]])
 
 
 def _outer(left, right):
     """The product with a scalar factor, whose output index is 0, so the
     other factor's output index is the sum of the two."""
-    return left[0] + right[0], {ka[:-1] + kb[:-1] + (ka[-1] + kb[-1],): a * b
-                                for ka, a in left[1].items() for kb, b in right[1].items()}
+    return {ka[:-1] + kb[:-1] + (ka[-1] + kb[-1],): a * b
+            for ka, a in left.items() for kb, b in right.items()}
 
 
 def _join(left, right, table):
     """A bilinear map applied to both outputs; table[i][j] lists the nonzero
     (k, c) of the map on basis elements i and j, like mul_terms."""
-    rights = _by_output(right[1])
-    return left[0] + right[0], _summed(
+    rights = _by_output(right)
+    return _summed(
         (ka + kb + (k,), a * b * c)
-        for i, lefts in _by_output(left[1]).items() for j, rs in rights.items()
+        for i, lefts in _by_output(left).items() for j, rs in rights.items()
         for k, c in table[i][j] for ka, a in lefts for kb, b in rs)
 
 
 def _pair(left, right):
     """The pairing of both outputs: the identity on the canonical basis."""
-    rights = _by_output(right[1])
-    return left[0] + right[0], _summed(
+    rights = _by_output(right)
+    return _summed(
         (ka + kb + (0,), a * b)
-        for i, lefts in _by_output(left[1]).items() for ka, a in lefts
+        for i, lefts in _by_output(left).items() for ka, a in lefts
         for kb, b in rights.get(i, ()))
 
 
-def _tensor(sys: PairedSystem, env, node):
-    """The operator dispatch: node's tensor over the slots it reads."""
-    if isinstance(node, Var):
-        one = sys.primal.field.one()
-        dim = sys.algebra(env[node.name]).dim
-        return ((node.name, node.leg),), {(i, i): one for i in range(dim)}
-    if isinstance(node, ScalarLit):
-        return _column_tensor([sys.primal.field.scalar(node.value)])
-    if isinstance(node, Const):
-        return _column_tensor(_constant(sys, node.kind))
-    children = _children(node)
-    args = [_tensor(sys, env, c) for c in children]
-    sorts = [_infer_sort(c, env) for c in children]
-    if isinstance(node, Product):
-        acc, acc_sort = args[0], sorts[0]
-        for arg, sort in zip(args[1:], sorts[1:]):
-            if acc_sort == "scalar" or sort == "scalar":
-                acc = _outer(acc, arg)
-                acc_sort = sort if acc_sort == "scalar" else acc_sort
-            else:
-                acc = _join(acc, arg, sys.algebra(sort).mul_terms)
-        return acc
-    if isinstance(node, Pairing):
-        return _pair(*args)
-    if node.fn in ACTION_FNS:
-        return _join(*args, sys.action_table(node.fn))
-    (arg,), (sort,) = args, sorts
-    if node.fn in UNARY_FNS:
-        return _apply(arg, sys.operator(node.fn, sort).nonzero_columns())
-    row = sys.algebra(sort).counit if node.fn == "eps" else getattr(sys.modular(sort), node.fn)
-    return _apply(arg, [((0, x),) if not x.is_zero() else () for x in row])
-
-
-def _contract_legs(tensor, var, legs, alg):
-    """Replace the slots of var's legs 1..legs by one slot for var, first,
-    summing over the iterated coproduct of each basis element."""
-    slots, terms = tensor
-    leg_pos = [slots.index((var, j)) for j in range(1, legs + 1)]
-    rest = [p for p in range(len(slots)) if p not in leg_pos]
+def _contract_legs(terms, legs, leg_pos, rest, alg):
+    """Replace the slots at leg_pos, a variable's legs 1..legs, by one slot
+    for the variable, first, followed by the slots at rest, summing over
+    the iterated coproduct of each basis element of alg."""
     groups = {}
     for key, x in terms.items():
         groups.setdefault(tuple(key[p] for p in leg_pos), []).append(
             (tuple(key[p] for p in rest) + key[-1:], x))
-    return ((var, None),) + tuple(slots[p] for p in rest), _summed(
+    return _summed(
         ((i,) + key, c * x)
         for i in range(alg.dim) for c, idxs in alg.iterated_coproduct(i, legs)
         for key, x in groups.get(idxs, ()))
 
 
-def _side(sys: PairedSystem, prog: IdentityProgram, node):
-    """The tensor of one side keyed by (one basis index per declared
-    variable, output index); a variable the side does not read has index 0."""
-    env = dict(prog.decls)
-    tensor = _tensor(sys, env, node)
-    for var, legs in _check_legs(prog.name, "side", node).items():
-        tensor = _contract_legs(tensor, var, legs, sys.algebra(env[var]))
-    slots, terms = tensor
-    where = [slots.index((var, None)) if (var, None) in slots else None
-             for var, _ in prog.decls]
-    return {tuple(0 if p is None else key[p] for p in where) + key[-1:]: x
-            for key, x in terms.items()}
+def _columns(fn, sort):
+    """columns(sys): per basis element of the algebra of sort, the nonzero
+    (row, value) entries of the map or functional fn on it."""
+    if fn in UNARY_FNS:
+        return lambda sys: sys.operator(fn, sort).nonzero_columns()
+
+    def columns(sys):
+        row = sys.algebra(sort).counit if fn == "eps" else getattr(sys.modular(sort), fn)
+        return [((0, x),) if not x.is_zero() else () for x in row]
+    return columns
+
+
+def _compile(node, env):
+    """(sort, slots, terms) of node: its sort, the (variable, leg) slots of
+    its tensor in reading order, and terms(sys), the tensor on sys."""
+    if isinstance(node, Var):
+        sort = env[node.name]
+
+        def identity(sys):
+            one = sys.primal.field.one()
+            return {(i, i): one for i in range(sys.algebra(sort).dim)}
+        return sort, ((node.name, node.leg),), identity
+    if isinstance(node, ScalarLit):
+        value = node.value
+        return "scalar", (), lambda sys: _column_terms([sys.primal.field.scalar(value)])
+    if isinstance(node, Const):
+        kind = node.kind
+        return _CONST_SORTS[kind], (), lambda sys: _column_terms(_constant(sys, kind))
+    if isinstance(node, Product):
+        return _compile_product([_compile(f, env) for f in node.factors])
+    if isinstance(node, Pairing) or node.fn in ACTION_FNS:
+        (_, left_slots, left), (_, right_slots, right) = (
+            _compile(c, env) for c in _children(node))
+        slots = left_slots + right_slots
+        if isinstance(node, Pairing):
+            return "scalar", slots, lambda sys: _pair(left(sys), right(sys))
+        fn = node.fn
+        return (_ACTION_SORTS[fn][2], slots,
+                lambda sys: _join(left(sys), right(sys), sys.action_table(fn)))
+    (arg,) = node.args
+    sort, slots, inner = _compile(arg, env)
+    columns = _columns(node.fn, sort)
+    if node.fn in SCALAR_FNS:
+        sort = "scalar"
+    if isinstance(arg, Var):
+        # on a bare variable the tensor is the map's own entries
+        return sort, slots, lambda sys: {(j, i): v for j, column in enumerate(columns(sys))
+                                         for i, v in column}
+    return sort, slots, lambda sys: _apply(inner(sys), columns(sys))
+
+
+def _compile_product(factors):
+    """(sort, slots, terms) of the product of compiled factors, folded left:
+    a scalar factor multiplies outright, two factors of one sort through
+    that sort's structure constants."""
+    (sort, slots, first), steps = factors[0], []
+    for factor_sort, factor_slots, factor in factors[1:]:
+        steps.append((None if "scalar" in (sort, factor_sort) else factor_sort, factor))
+        slots += factor_slots
+        if sort == "scalar":
+            sort = factor_sort
+
+    def terms(sys):
+        acc = first(sys)
+        for table_sort, factor in steps:
+            acc = (_outer(acc, factor(sys)) if table_sort is None
+                   else _join(acc, factor(sys), sys.algebra(table_sort).mul_terms))
+        return acc
+    return sort, slots, terms
+
+
+@dataclass(frozen=True, eq=False)
+class _Side:
+    reads: tuple      # positions in decls of the variables the side reads
+    tensor: object    # sys -> the side's tensor, keyed by (one basis index
+                      # per declared variable, output index)
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    lhs: _Side
+    rhs: _Side
+
+
+def _compile_side(decls, node) -> _Side:
+    """The plan of one side: its node tensors, then one contraction per
+    legged variable, in reading order, then the output layout, where a
+    variable the side does not read has index 0."""
+    env = dict(decls)
+    _, slots, terms = _compile(node, env)
+    contractions = []
+    for var in dict.fromkeys(var for var, leg in slots if leg is not None):
+        legs = sum(v == var for v, _ in slots)
+        leg_pos = tuple(slots.index((var, j)) for j in range(1, legs + 1))
+        rest = tuple(p for p in range(len(slots)) if p not in leg_pos)
+        contractions.append((env[var], legs, leg_pos, rest))
+        slots = ((var, None),) + tuple(slots[p] for p in rest)
+    where = tuple(slots.index((var, None)) if (var, None) in slots else None
+                  for var, _ in decls)
+    laid_out = where == tuple(range(len(slots)))
+
+    def tensor(sys):
+        out = terms(sys)
+        for sort, legs, leg_pos, rest in contractions:
+            out = _contract_legs(out, legs, leg_pos, rest, sys.algebra(sort))
+        if laid_out:
+            return out
+        return {tuple(0 if p is None else key[p] for p in where) + key[-1:]: x
+                for key, x in out.items()}
+    return _Side(tuple(d for d, p in enumerate(where) if p is not None), tensor)
+
+
+# (decls, lhs, rhs) -> _Plan: a statement is compiled the first time a
+# program stating it is decided, and its plan, one object per statement
+# text, is its decision key.  Kept for the life of the process, like the
+# parsed default corpus: a run decides a few dozen distinct statements.
+_PLANS: dict = {}
+
+
+def _plan(decls, lhs, rhs) -> _Plan:
+    key = (decls, lhs, rhs)
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _PLANS[key] = _Plan(_compile_side(decls, lhs), _compile_side(decls, rhs))
+    return plan
 
 
 def _value_at(sys: PairedSystem, sort, terms, combo):
@@ -625,10 +733,11 @@ def evaluate_side(sys: PairedSystem, prog: IdentityProgram, node, assignment):
     """Evaluate one side of prog on arbitrary coordinate columns, the
     assignment of each variable it reads, by contracting its tensor with
     them; returns (sort, value)."""
-    read = {var for var, _ in _slots(node, [])}
-    columns = [(d, assignment[var]) for d, (var, _) in enumerate(prog.decls) if var in read]
+    side = (prog.plan.lhs if node is prog.lhs else prog.plan.rhs if node is prog.rhs
+            else _compile_side(prog.decls, node))
+    columns = [(d, assignment[prog.decls[d][0]]) for d in side.reads]
     values = _summed((key[-1:], reduce(mul, (column[key[d]] for d, column in columns), x))
-                     for key, x in _side(sys, prog, node).items())
+                     for key, x in side.tensor(sys).items())
     return prog.sort, _value_at(sys, prog.sort, values, ())
 
 
@@ -648,18 +757,17 @@ def evaluate(prog: IdentityProgram, sys: PairedSystem) -> CheckResult:
 def decision(prog: IdentityProgram, sys: PairedSystem):
     """(passed, witness) of prog's statement on sys, decided once per system
     whatever the statement is called."""
-    key = (prog.decls, prog.lhs, prog.rhs)
-    decided = sys._decided.get(key)
+    decided = sys._decided.get(prog.plan)
     if decided is None:
-        decided = sys._decided[key] = _decide(prog, sys)
+        decided = sys._decided[prog.plan] = _decide(prog, sys)
     return decided
 
 
 def _decide(prog: IdentityProgram, sys: PairedSystem):
     """(passed, witness) from the tensors of both sides: the witness names
     the least key where they differ."""
-    lhs = _side(sys, prog, prog.lhs)
-    rhs = _side(sys, prog, prog.rhs)
+    lhs = prog.plan.lhs.tensor(sys)
+    rhs = prog.plan.rhs.tensor(sys)
     if lhs == rhs:
         return True, ""
     zero = sys.primal.field.zero()

@@ -21,6 +21,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import add, neg, sub
 import re
+import sys
 
 
 class FieldMismatchError(ValueError):
@@ -456,6 +457,12 @@ _TERM_RE = re.compile(
 )
 
 
+def too_long_number() -> str:
+    """The message for a numeral with more digits than the interpreter
+    converts to an int (sys.get_int_max_str_digits)."""
+    return f"number too long: more than {sys.get_int_max_str_digits()} digits"
+
+
 def _parse_scalar(field: FieldSpec, text: str) -> Scalar:
     if not isinstance(text, str):
         raise ScalarSyntaxError(f"scalar literal must be a string, got {text!r}")
@@ -493,15 +500,15 @@ def _parse_scalar(field: FieldSpec, text: str) -> Scalar:
         if m.group("star") and (m.group("coeff") is None or m.group("z") is None):
             raise ScalarSyntaxError(f"misplaced '*' in {term!r}")
         try:
-            coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+            coeff = Fraction(m.group("coeff") or 1)
+            power = int(m.group("power") or 1) if m.group("z") else 0
         except ZeroDivisionError:
             raise ScalarSyntaxError(f"zero denominator in {text!r}") from None
-        if m.group("z"):
-            power = int(m.group("power")) if m.group("power") else 1
-            if field.kind != "cyclotomic":
-                raise ScalarSyntaxError(f"{text!r} uses z but the field is {field}")
-        else:
-            power = 0
+        except ValueError:
+            # past the interpreter's limit on converting digits to an int
+            raise ScalarSyntaxError(too_long_number()) from None
+        if m.group("z") and field.kind != "cyclotomic":
+            raise ScalarSyntaxError(f"{text!r} uses z but the field is {field}")
         # z^N = 1, so z^power is the tabulated residue of z^(power mod N)
         for j, r in enumerate(powers[power % len(powers)]):
             coeffs[j] += sgn * coeff * r

@@ -437,6 +437,24 @@ def test_zero_denominator_in_an_identity_exits_2(tmp_path):
         2, f"error: {ids}: line 1: position 21: zero denominator\n")
 
 
+def test_number_too_long_in_an_identity_exits_2_naming_its_place(tmp_path):
+    # past the interpreter's limit on converting digits to an int
+    src, ids = tmp_path / "h4.alg", tmp_path / "big.ids"
+    run(["example", "sweedler", "-o", str(src)])
+    ids.write_text(f"# big\n\nz: forall a in A . {'1' * 5000} * a = a\n")
+    assert run(["check", str(src), "--corpus", str(ids)]) == (
+        2, f"error: {ids}: line 3: position 19: number too long: more than 4300 digits\n")
+
+
+def test_number_too_long_in_an_algebra_file_exits_2_naming_its_field(tmp_path):
+    doc = algebra_to_json(builtin("sweedler"))
+    doc["unit"][0] = "1" * 5000
+    path = tmp_path / "big.alg"
+    path.write_text(json.dumps(doc))
+    assert run(["verify-axioms", str(path)]) == (
+        2, "error: unit[0]: number too long: more than 4300 digits\n")
+
+
 @pytest.mark.parametrize("body, message", [
     ("forall a in A .\n   1/0 * a = a", "position 21: zero denominator"),
     ("forall a in A .\n   b = a", "undeclared variable 'b'"),

@@ -5,15 +5,19 @@ from itertools import product as cartesian
 
 import pytest
 
-from hopfcheck import identities
-from hopfcheck.duality import pairing_value
+from hopfcheck import cli, identities
+from hopfcheck.catalog import builtin
+from hopfcheck.duality import pair_system, pairing_value
 from hopfcheck.identities import (Apply, Const, DslLegError, DslLinearityError, DslSortError,
                                   DslSyntaxError, Pairing, Product, ScalarLit, Var, evaluate,
                                   evaluate_corpus, evaluate_side,
                                   parse_corpus, parse_identity, pretty)
 from hopfcheck.scalars import Scalar
+from hopfcheck.verify import run_all_checks
 
 from conftest import BUILTIN_NAMES, reference_action
+from test_gauge import _gauges
+from test_hopf import _transported
 
 
 def corpus(name="standard.ids"):
@@ -373,14 +377,27 @@ WRONG = [
 ]
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_evaluate_agrees_with_per_assignment_loop(paired, name):
+def _assert_agrees_with_per_assignment_loop(system):
     programs = corpus() + corpus("convention_traps.ids") + [parse_identity(w) for w in WRONG]
-    for sys in (paired(name), paired(name).swapped()):
+    for sys in (system, system.swapped()):
         for prog in programs:
             outcome = evaluate(prog, sys)
             assert (outcome.passed, outcome.witness) == _naive_evaluate(prog, sys), \
                 (sys.primal.name, prog.name)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_evaluate_agrees_with_per_assignment_loop(paired, name):
+    _assert_agrees_with_per_assignment_loop(paired(name))
+
+
+@pytest.mark.parametrize("name", ["sweedler", "taft-2"])
+def test_evaluate_agrees_with_per_assignment_loop_on_a_dense_basis(name):
+    # the U L gauge of test_gauge: unit, counit and structure constants dense
+    source = builtin(name)
+    gauge = _gauges(source)[-1]
+    _assert_agrees_with_per_assignment_loop(
+        pair_system(_transported(source, gauge, f"{name}-dense")))
 
 
 def test_evaluate_side_agrees_with_naive_sides_off_the_basis(paired):
@@ -412,3 +429,57 @@ def test_contraction_needs_a_tenth_of_the_per_assignment_products(paired, monkey
     assert identities._decide(prog, sys) == (True, "")
     # visiting all 16^3 basis assignments took 13,728 scalar products
     assert 0 < calls[0] <= 13728 // 10
+
+
+def _decisions(sys, monkeypatch):
+    """The (program, system) of every statement the suites and the default
+    corpus decide on sys, recorded while they run."""
+    decided, decide = [], identities._decide
+
+    def recorded(prog, on):
+        decided.append((prog, on))
+        return decide(prog, on)
+
+    monkeypatch.setattr(identities, "_decide", recorded)
+    run_all_checks(sys)
+    evaluate_corpus(cli._default_corpus(), sys)
+    monkeypatch.setattr(identities, "_decide", decide)
+    return decided
+
+
+def test_deciding_again_runs_no_per_statement_analysis(monkeypatch):
+    # sorts, slots and legs are fixed once per statement: a fresh system
+    # only runs the contractions
+    decided = _decisions(pair_system(builtin("taft-3")), monkeypatch)
+    calls = {}
+    for name in ("_infer_sort", "_check_legs", "_slots"):
+        original = getattr(identities, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(identities, name, counted)
+    fresh = pair_system(builtin("taft-3"))
+    for prog, on in decided:
+        identities.decision(prog, fresh if on.primal.name == "taft-3" else fresh.swapped())
+    assert len(fresh._decided) + len(fresh.swapped()._decided) == len(decided)
+    assert calls == {}
+
+
+def test_corpus_and_suites_on_taft4_keep_the_product_budget(monkeypatch):
+    sys = pair_system(builtin("taft-4"))
+    decided = _decisions(sys, monkeypatch)  # also the warm-up of operators and tables
+    assert len(decided) == 35
+    calls = [0]
+    original = Scalar.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    for prog, on in decided:
+        identities._decide(prog, on)
+    # the AST evaluator this replaced took 5,736 scalar products here
+    assert 0 < calls[0] <= 5736
