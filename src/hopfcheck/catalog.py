@@ -149,6 +149,8 @@ def read_group_table(path) -> GroupPresentation:
         return GroupPresentation.from_table(doc["table"], doc.get("identity"))
     except (KeyError, TypeError) as exc:
         raise AlgebraFileSyntaxError(f"{path}: not a group table file: {exc}") from exc
+    except GroupTableError as exc:
+        raise GroupTableError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -481,4 +483,10 @@ def algebra_from_json(doc) -> HopfAlgebra:
 
 
 def read_algebra(path) -> HopfAlgebra:
-    return algebra_from_json(_load_json(path))
+    """The algebra in the file at path; an error in its content names the
+    path before the place in the file."""
+    doc = _load_json(path)
+    try:
+        return algebra_from_json(doc)
+    except (AlgebraFileSyntaxError, AlgebraFileSemanticError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None

@@ -50,8 +50,9 @@ index hold:
     coproduct-homomorphism holds, the rows of G decide coassociativity.
 
 Whether a linear map respects products (the coproduct, the counit, and in
-modular the modular automorphisms, which take G's rows too) is decided by
-one scan, _algebra_map_failure.
+modular the modular automorphisms on G's rows) is decided by one scan,
+_algebra_map_failure; modular checks an automorphism without G one output
+coordinate at a time.
 
 Regularity is checked only on an algebra that passed validation, so
 through its antipode: the Galois maps are composed with their candidate
@@ -106,7 +107,12 @@ def _summed(pairs):
     for key, x in pairs:
         prev = out.get(key)
         out[key] = x if prev is None else prev + x
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return _nonzero(out)
+
+
+def _nonzero(sums) -> dict:
+    """The entries of {key: Scalar} whose value is not zero."""
+    return {k: v for k, v in sums.items() if not v.is_zero()}
 
 
 def _sparse(column) -> dict:
@@ -166,8 +172,14 @@ def _dual_terms(h):
 def _product(mt, x, y):
     """Product of two sparse elements {index: Scalar} for the product table
     mt, laid out like HopfAlgebra.mul_terms."""
-    return _summed((k, c * d * e) for i, c in x.items() for j, d in y.items()
-                   for k, e in mt[i][j])
+    out = {}
+    for i, c in x.items():
+        row = mt[i]
+        for j, d in y.items():
+            for k, e in row[j]:
+                prev = out.get(k)
+                out[k] = c * d * e if prev is None else prev + c * d * e
+    return _nonzero(out)
 
 
 def _tensor_square_product(mt, x, y):

@@ -61,10 +61,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import mul
+from operator import itemgetter, mul
 
 from .duality import PairedSystem
-from .hopf import CheckResult, _summed
+from .hopf import CheckResult, _nonzero, _summed
 from .scalars import too_long_number
 
 
@@ -550,8 +550,14 @@ def _by_output(terms):
 def _apply(terms, columns):
     """A linear map applied to the output; columns[j] lists the nonzero
     (row, value) entries of the map's column j."""
-    return _summed((key[:-1] + (i,), v * x)
-                   for key, x in terms.items() for i, v in columns[key[-1]])
+    out = {}
+    for key, x in terms.items():
+        head = key[:-1]
+        for i, v in columns[key[-1]]:
+            key_i = head + (i,)
+            prev = out.get(key_i)
+            out[key_i] = v * x if prev is None else prev + v * x
+    return _nonzero(out)
 
 
 def _outer(left, right):
@@ -565,33 +571,62 @@ def _join(left, right, table):
     """A bilinear map applied to both outputs; table[i][j] lists the nonzero
     (k, c) of the map on basis elements i and j, like mul_terms."""
     rights = _by_output(right)
-    return _summed(
-        (ka + kb + (k,), a * b * c)
-        for i, lefts in _by_output(left).items() for j, rs in rights.items()
-        for k, c in table[i][j] for ka, a in lefts for kb, b in rs)
+    out = {}
+    for i, lefts in _by_output(left).items():
+        row = table[i]
+        for j, rs in rights.items():
+            cell = row[j]
+            if not cell:
+                continue
+            for ka, a in lefts:
+                for kb, b in rs:
+                    ab, kab = a * b, ka + kb
+                    for k, c in cell:
+                        key = kab + (k,)
+                        prev = out.get(key)
+                        out[key] = ab * c if prev is None else prev + ab * c
+    return _nonzero(out)
 
 
 def _pair(left, right):
     """The pairing of both outputs: the identity on the canonical basis."""
-    rights = _by_output(right)
-    return _summed(
-        (ka + kb + (0,), a * b)
-        for i, lefts in _by_output(left).items() for ka, a in lefts
-        for kb, b in rights.get(i, ()))
+    rights = {i: [(kb + (0,), b) for kb, b in rs] for i, rs in _by_output(right).items()}
+    out = {}
+    for i, lefts in _by_output(left).items():
+        rs = rights.get(i, ())
+        for ka, a in lefts:
+            for kb, b in rs:
+                key = ka + kb
+                prev = out.get(key)
+                out[key] = a * b if prev is None else prev + a * b
+    return _nonzero(out)
+
+
+def _picker(positions):
+    """key -> the tuple of key's entries at positions."""
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda key: (key[p],)
+    return itemgetter(*positions)
 
 
 def _contract_legs(terms, legs, leg_pos, rest, alg):
     """Replace the slots at leg_pos, a variable's legs 1..legs, by one slot
     for the variable, first, followed by the slots at rest, summing over
     the iterated coproduct of each basis element of alg."""
+    legs_of, rest_of = _picker(leg_pos), _picker(rest + (-1,))
     groups = {}
     for key, x in terms.items():
-        groups.setdefault(tuple(key[p] for p in leg_pos), []).append(
-            (tuple(key[p] for p in rest) + key[-1:], x))
-    return _summed(
-        ((i,) + key, c * x)
-        for i in range(alg.dim) for c, idxs in alg.iterated_coproduct(i, legs)
-        for key, x in groups.get(idxs, ()))
+        groups.setdefault(legs_of(key), []).append((rest_of(key), x))
+    out = {}
+    for i in range(alg.dim):
+        head = (i,)
+        for c, idxs in alg.iterated_coproduct(i, legs):
+            for key, x in groups.get(idxs, ()):
+                key = head + key
+                prev = out.get(key)
+                out[key] = c * x if prev is None else prev + c * x
+    return _nonzero(out)
 
 
 def _columns(fn, sort):

@@ -1,3 +1,4 @@
+import functools
 import random
 import re
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hopfcheck import modular
 from hopfcheck.catalog import build_sweedler, build_taft, builtin
 from hopfcheck.cli import full_report_text
 from hopfcheck.duality import build_dual, pairing_value
-from hopfcheck.hopf import CorruptedDataError, HopfAlgebra
+from hopfcheck.hopf import CorruptedDataError, HopfAlgebra, _product
 from hopfcheck.linalg import Matrix, invert
 from hopfcheck.modular import (gram_inverse, gram_matrix, left_integral, modular_automorphism,
                                modular_data, modular_element, proportionality, right_integral,
@@ -414,25 +415,76 @@ def test_full_report_solves_each_integral_once(monkeypatch):
 def test_modular_automorphisms_scan_the_product_generators(monkeypatch):
     # sigma and sigma' are checked multiplicative on the rows of G when
     # validation took G (taft-3); on P's side (functions-s3) and on a dual
-    # whose validation was handed over (build_dual) every row is scanned.
-    # A failing reduced scan reruns the full scan for its witness.
-    scans = []
-    real = modular._algebra_map_failure
+    # whose validation was handed over (build_dual) no row is scanned and
+    # each automorphism is checked one output coordinate at a time.  A
+    # failing reduced scan runs the per-coordinate check for its witness.
+    scans, checks = [], []
+    real_scan, real_check = modular._algebra_map_failure, modular._multiplicativity_failure
     monkeypatch.setattr(modular, "_algebra_map_failure",
-                        lambda *args: scans.append(tuple(args[-1])) or real(*args))
+                        lambda *args: scans.append(tuple(args[-1])) or real_scan(*args))
+    monkeypatch.setattr(modular, "_multiplicativity_failure",
+                        lambda mt, rho: checks.append(rho.rows) or real_check(mt, rho))
     taft, functions = build_taft(3), builtin("functions-s3")
-    for h, rows in ((taft, (3, 1)), (functions, tuple(range(6))),
-                    (build_dual(taft), tuple(range(9)))):
+    for h, rows, dims in ((taft, [(3, 1), (3, 1)], []), (functions, [], [6, 6]),
+                          (build_dual(taft), [], [9, 9])):
         scans.clear()
+        checks.clear()
         modular_data(h)
-        assert scans == [rows, rows], h.name
+        assert (scans, checks) == (rows, dims), h.name
     phi = left_integral(taft)
     rows = [[1 if r == c else 0 for c in range(taft.dim)] for r in range(taft.dim)]
     rows[2][1] = 1
     scans.clear()
+    checks.clear()
     # the pair test_non_multiplicative_automorphism_names_the_first_failing_pair
     # finds by a dense scan
     with pytest.raises(CorruptedDataError, match=re.escape("not multiplicative at (1,3)")):
         modular_automorphism(taft, gram_matrix(taft, phi),
                              _tampered_gram_inverse(taft, phi, rows))
-    assert scans == [(3, 1), tuple(range(9))]
+    assert (scans, checks) == ([(3, 1)], [9])
+
+
+def _tampered(rho, rng):
+    """rho changed in one of four seeded ways: one entry shifted, two
+    columns swapped, one column scaled, or rho composed with itself (an
+    automorphism again when rho is one)."""
+    field, n = rho.field, rho.rows
+    rows = [list(row) for row in rho.data]
+    kind = rng.randrange(4)
+    if kind == 0:
+        r, c = rng.randrange(n), rng.randrange(n)
+        rows[r][c] = rows[r][c] + field.scalar(rng.choice((-1, 1, 2, Fraction(1, 2))))
+    elif kind == 1:
+        a, b = rng.sample(range(n), 2)
+        for row in rows:
+            row[a], row[b] = row[b], row[a]
+    elif kind == 2:
+        c, x = rng.randrange(n), field.scalar(rng.choice((-1, 2, Fraction(1, 3))))
+        for row in rows:
+            row[c] = row[c] * x
+    else:
+        return rho * rho
+    return Matrix(field, rows)
+
+
+def test_per_coordinate_check_names_the_full_scan_witness():
+    # differential: on seeded tamperings of sigma and sigma', the
+    # per-coordinate check and the ordered full scan over every row name
+    # the same least failing pair, or both find none
+    rng = random.Random(24)
+    outcomes = []
+    for name in ("sweedler", "taft-2", "taft-3", "group-s3", "functions-s3"):
+        primal = builtin(name)
+        for h in (primal, build_dual(primal)):
+            mt = h.mul_terms
+            md = modular_data(h)
+            for rho in (md.sigma, md.sigma_prime) * 20:
+                tampered = _tampered(rho, rng)
+                images = list(map(dict, tampered.nonzero_columns()))
+                expected = modular._algebra_map_failure(
+                    mt, images, functools.partial(_product, mt), range(h.dim))
+                assert modular._multiplicativity_failure(mt, tampered) == expected, h.name
+                outcomes.append(expected is None)
+    assert len(outcomes) == 400
+    # both outcomes are exercised
+    assert 0 < sum(outcomes) < len(outcomes)
