@@ -3,7 +3,9 @@
 Groups are given by explicit multiplication tables (no presentations, no
 word problem).  The algebra interchange format is a JSON document with
 sparse structure-constant triples and exact scalar strings, so files
-round-trip bit-exactly and diff cleanly.
+round-trip bit-exactly and diff cleanly.  Files are written in the layout
+of json.dumps(doc, indent=1), laid out here in one pass, and read with one
+scan over the entries.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ import functools
 import json
 from dataclasses import dataclass
 from itertools import accumulate, permutations
+from json.encoder import encode_basestring_ascii
 
-from .hopf import HopfAlgebra, _product, _product_table, _tensor_square_product, compute_antipode
+from .hopf import (AntipodeTooLargeError, HopfAlgebra, _product, _product_table,
+                   _tensor_square_product, compute_antipode)
 from .linalg import Matrix, Tensor3
 from .scalars import RATIONAL, FieldSpec, Scalar, ScalarSyntaxError, cyclotomic_field
 
@@ -343,30 +347,68 @@ def _field_from_json(doc) -> FieldSpec:
 
 
 def algebra_to_json(h: HopfAlgebra) -> dict:
-    mul = [[i, j, k, str(v)] for i, j, k, v in h.mul.nonzero()]
-    comul = [[i, j, k, str(v)] for i, j, k, v in h.comul.nonzero()]
+    """The algebra file document of h.  A structure repeats a handful of
+    scalar values, so each distinct value is formatted once."""
+    texts = {}
+
+    def text(x):
+        key = (x.num, x.den)
+        s = texts.get(key)
+        if s is None:
+            s = texts[key] = str(x)
+        return s
+
     doc = {
         "name": h.name,
         "field": _field_to_json(h.field),
         "dim": h.dim,
         "basis": list(h.basis_names),
-        "mul": mul,
-        "comul": comul,
-        "counit": [str(c) for c in h.counit],
-        "unit": [str(c) for c in h.unit],
+        "mul": [[i, j, k, text(v)] for (i, j, k), v in h.mul.terms.items()],
+        "comul": [[i, j, k, text(v)] for (i, j, k), v in h.comul.terms.items()],
+        "counit": [text(c) for c in h.counit],
+        "unit": [text(c) for c in h.unit],
     }
     if h.antipode is not None:
         doc["antipode"] = [
-            [i, j, str(x)]
+            [i, j, text(x)]
             for i, row in enumerate(h.antipode.nonzero_rows())
             for j, x in row
         ]
     return doc
 
 
+def _json_layout(value, pad="\n"):
+    """value, a JSON document of dicts, lists, strings and integers whose
+    lists hold only strings and integers or no strings or integers at all,
+    laid out byte for byte as json.dumps(value, indent=1) lays it out; pad
+    is a newline and the indent of the line value starts on.  Once indent
+    is set, json encodes in pure Python a token at a time; here each list
+    of scalars is one join."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = pad + " "
+    if kind is dict:
+        parts = [encode_basestring_ascii(k) + ": " + _json_layout(v, inner)
+                 for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
+    first = type(value[0])
+    if first is str or first is int:
+        parts = [encode_basestring_ascii(v) if type(v) is str else int.__repr__(v)
+                 for v in value]
+    else:
+        parts = [_json_layout(v, inner) for v in value]
+    return "[" + inner + ("," + inner).join(parts) + pad + "]"
+
+
 def algebra_text(h: HopfAlgebra) -> str:
-    """The algebra file text of h: algebra_to_json as indented JSON."""
-    return json.dumps(algebra_to_json(h), indent=1) + "\n"
+    """The algebra file text of h: algebra_to_json(h) in the bytes of
+    json.dumps(doc, indent=1) + "\n", laid out by _json_layout."""
+    return _json_layout(algebra_to_json(h)) + "\n"
 
 
 def write_algebra(h: HopfAlgebra, path) -> None:
@@ -384,6 +426,12 @@ def _checked_name(text, where):
 
 
 def algebra_from_json(doc) -> HopfAlgebra:
+    """The algebra of an algebra file document; a file without an antipode
+    gets one synthesized.  Each mul, comul and antipode entry is checked in
+    one scan (integer indices in range, a key not given before, a literal
+    already parsed), and the checked terms go to the tensors and the
+    antipode unchecked; the position text of an error is built only when it
+    is raised."""
     if not isinstance(doc, dict):
         raise AlgebraFileSyntaxError("algebra file must be a JSON object")
     try:
@@ -417,13 +465,13 @@ def algebra_from_json(doc) -> HopfAlgebra:
     # a bad literal is never stored, so each occurrence reports its own place
     parsed = {}
 
-    def parse_scalar(text, where):
+    def parse_scalar(text, label, pos):
         x = parsed.get(text) if type(text) is str else None
         if x is None:
             try:
                 x = parsed[text] = field.parse(text)
             except ScalarSyntaxError as exc:
-                raise AlgebraFileSyntaxError(f"{where}: {exc}") from None
+                raise AlgebraFileSyntaxError(f"{label}[{pos}]: {exc}") from None
         return x
 
     def check_index(i, where):
@@ -433,44 +481,63 @@ def algebra_from_json(doc) -> HopfAlgebra:
             raise AlgebraFileSemanticError(f"{where}: index {i!r} out of range for dim {dim}")
         return i
 
-    def check_new(key, seen, label, pos):
+    def checked(items, pos, label, width, seen):
+        """The index tuple and scalar of items[pos], an entry of the
+        section label that the scans below could not take as it stands:
+        its literal is new, or it is malformed, and then the checks run one
+        at a time in file order so the error names its first fault.  seen
+        holds the keys of the entries before it; width is the number of
+        indices in an entry."""
+        item = items[pos]
+        where = f"{label}[{pos}]"
+        if not isinstance(item, list) or len(item) != width + 1:
+            shape = "[i, j, k, scalar]" if width == 3 else "[i, j, scalar]"
+            raise AlgebraFileSyntaxError(f"{where}: expected {shape}")
+        key = tuple(check_index(t, where) for t in item[:width])
         if key in seen:
+            first = next(p for p, earlier in enumerate(items) if tuple(earlier[:width]) == key)
             raise AlgebraFileSemanticError(
-                f"{label}[{pos}]: duplicate entry {list(key)}, first given at {label}[{seen[key]}]")
-        seen[key] = pos
+                f"{where}: duplicate entry {list(key)}, first given at {label}[{first}]")
+        return key, parse_scalar(item[width], label, pos)
 
-    def tensor_from(triples, label):
+    def tensor_from(items, label):
+        # one pass: an entry with integer indices in range, a new key and a
+        # literal already parsed is taken as it stands
         out = {}
-        seen = {}
-        for pos, item in enumerate(triples):
-            where = f"{label}[{pos}]"
-            if not isinstance(item, list) or len(item) != 4:
-                raise AlgebraFileSyntaxError(f"{where}: expected [i, j, k, scalar]")
-            i, j, k = (check_index(item[t], where) for t in range(3))
-            check_new((i, j, k), seen, label, pos)
-            out[(i, j, k)] = parse_scalar(item[3], where)
-        return Tensor3.from_dict(field, dim, out)
+        for pos, item in enumerate(items):
+            if type(item) is list and len(item) == 4:
+                i, j, k, text = item
+                x = parsed.get(text) if type(text) is str else None
+                if (x is not None and type(i) is type(j) is type(k) is int
+                        and 0 <= i < dim and 0 <= j < dim and 0 <= k < dim
+                        and (i, j, k) not in out):
+                    out[i, j, k] = x
+                    continue
+            key, x = checked(items, pos, label, 3, out)
+            out[key] = x
+        return Tensor3._from_terms(field, dim, out)
 
     mul = tensor_from(mul_triples, "mul")
     comul = tensor_from(comul_triples, "comul")
-    counit_row = [parse_scalar(c, f"counit[{i}]") for i, c in enumerate(counit)]
-    unit_col = [parse_scalar(c, f"unit[{i}]") for i, c in enumerate(unit)]
+    counit_row = [parse_scalar(c, "counit", i) for i, c in enumerate(counit)]
+    unit_col = [parse_scalar(c, "unit", i) for i, c in enumerate(unit)]
 
     antipode = None
     if "antipode" in doc:
+        items = doc["antipode"]
         entries = {}
-        seen = {}
-        for pos, item in enumerate(doc["antipode"]):
-            where = f"antipode[{pos}]"
-            if not isinstance(item, list) or len(item) != 3:
-                raise AlgebraFileSyntaxError(f"{where}: expected [i, j, scalar]")
-            i = check_index(item[0], where)
-            j = check_index(item[1], where)
-            check_new((i, j), seen, "antipode", pos)
-            x = parse_scalar(item[2], where)
-            if not x.is_zero():
-                entries[(i, j)] = x
-        antipode = Matrix._from_entries(field, dim, dim, entries)
+        for pos, item in enumerate(items):
+            if type(item) is list and len(item) == 3:
+                i, j, text = item
+                x = parsed.get(text) if type(text) is str else None
+                if (x is not None and type(i) is type(j) is int
+                        and 0 <= i < dim and 0 <= j < dim and (i, j) not in entries):
+                    entries[i, j] = x
+                    continue
+            key, x = checked(items, pos, "antipode", 2, entries)
+            entries[key] = x
+        antipode = Matrix._from_entries(field, dim, dim, {
+            key: x for key, x in entries.items() if not x.is_zero()})
 
     h = HopfAlgebra(field, basis, mul, unit_col, comul, counit_row, antipode, name=name)
     if antipode is None:
@@ -483,10 +550,11 @@ def algebra_from_json(doc) -> HopfAlgebra:
 
 
 def read_algebra(path) -> HopfAlgebra:
-    """The algebra in the file at path; an error in its content names the
-    path before the place in the file."""
+    """The algebra in the file at path; an error in its content, or a file
+    without an antipode past the synthesis limit, names the path before the
+    place in the file."""
     doc = _load_json(path)
     try:
         return algebra_from_json(doc)
-    except (AlgebraFileSyntaxError, AlgebraFileSemanticError) as exc:
+    except (AlgebraFileSyntaxError, AlgebraFileSemanticError, AntipodeTooLargeError) as exc:
         raise type(exc)(f"{path}: {exc}") from None

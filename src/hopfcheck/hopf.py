@@ -462,6 +462,10 @@ class HopfAlgebra:
         # mul_terms[i][j] lists (k, x), comul_terms[i] lists (j, k, x)
         object.__setattr__(self, "mul_terms", _product_table(n, mul.terms.items()))
         object.__setattr__(self, "comul_terms", _coproduct_table(n, comul.terms.items()))
+        self._clear_results()
+
+    def _clear_results(self) -> None:
+        """Set every slot that caches a result to its empty state."""
         object.__setattr__(self, "_bialgebra", None)
         # G, when validation decided the bialgebra axioms on its rows
         object.__setattr__(self, "_generating_rows", None)
@@ -479,12 +483,19 @@ class HopfAlgebra:
         return f"HopfAlgebra({self.name!r}, dim={self.dim}, field={self.field})"
 
     def with_antipode(self, antipode: Matrix) -> "HopfAlgebra":
-        """This bialgebra with the given antipode.  The bialgebra axioms do
-        not involve the antipode, so the new algebra takes over their
+        """This bialgebra with the given antipode.  The new algebra shares
+        this one's structure and its terms grouped by input.  The bialgebra
+        axioms do not involve the antipode, so it also takes over their
         results, and G if they were decided on its rows, instead of
         checking them again."""
-        h = HopfAlgebra(self.field, self.basis_names, self.mul, self.unit, self.comul,
-                        self.counit, antipode, name=self.name)
+        if antipode.rows != self.dim or antipode.cols != self.dim:
+            raise ValueError("antipode matrix must be dim x dim")
+        h = object.__new__(HopfAlgebra)
+        for slot in ("name", "field", "dim", "basis_names", "mul", "unit", "comul", "counit",
+                     "mul_terms", "comul_terms"):
+            object.__setattr__(h, slot, getattr(self, slot))
+        object.__setattr__(h, "antipode", antipode)
+        h._clear_results()
         object.__setattr__(h, "_bialgebra", self.bialgebra_checks())
         object.__setattr__(h, "_generating_rows", self._generating_rows)
         return h

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -7,14 +8,18 @@ import pytest
 from hopfcheck import catalog, hopf
 from hopfcheck.catalog import (GROUP_ORDER_LIMIT, AlgebraFileSemanticError, AlgebraFileSyntaxError,
                                GroupPresentation, GroupTableError, algebra_from_json,
-                               algebra_to_json,
-                               build_function_algebra, build_group_algebra, build_sweedler,
+                               algebra_text, algebra_to_json,
+                               build_function_algebra, build_group_algebra,
+                               build_nongroup_monoid_bialgebra, build_sweedler,
                                build_taft, builtin, cyclic_group, read_algebra,
                                read_group_table, symmetric_group, write_algebra)
 from hopfcheck.cli import matrix_order
+from hopfcheck.duality import build_dual
+from hopfcheck.hopf import HopfAlgebra
 from hopfcheck.scalars import FieldSpec
 
-from conftest import BUILTIN_NAMES, is_cocommutative
+from conftest import BUILTIN_NAMES, is_cocommutative, reference_algebra_from_json
+from test_hopf import _signed_permutation, _transported
 
 
 def test_group_table_validation():
@@ -118,10 +123,10 @@ def test_sweedler_fourth_power_trivial():
     assert s.pow(4).is_identity() and not s.pow(2).is_identity()
 
 
-def test_file_round_trip(tmp_path):
-    for name in ("sweedler", "taft-3", "group-s3"):
-        h = builtin(name)
-        path = tmp_path / f"{name}.alg"
+def test_file_round_trip(tmp_path, algebras):
+    # every builtin and its dual: write, read, write again gives the same bytes
+    for h in [k for g in algebras.values() for k in (g, build_dual(g))]:
+        path = tmp_path / f"{h.name}.alg"
         write_algebra(h, path)
         back = read_algebra(path)
         assert back.name == h.name
@@ -135,6 +140,121 @@ def test_file_round_trip(tmp_path):
         assert path.read_bytes() == first
 
 
+def test_zero_entries_read_in_are_not_written_back(tmp_path):
+    h = build_sweedler()
+    doc = algebra_to_json(h)
+    doc["mul"].insert(1, [0, 0, 1, "0"])
+    doc["comul"].append([3, 3, 3, "0"])
+    doc["antipode"].insert(0, [0, 1, "0"])
+    path = tmp_path / "zeros.alg"
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    back = read_algebra(path)
+    assert back.mul == h.mul and back.comul == h.comul and back.antipode == h.antipode
+    write_algebra(back, path)
+    assert path.read_text() == algebra_text(h)
+
+
+def _writer_cases(algebras):
+    """Algebras whose files the writer lays out: every builtin and its dual,
+    seeded signed relabellings, a bialgebra without an antipode, and names
+    that need JSON escapes."""
+    cases = [k for h in algebras.values() for k in (h, build_dual(h))]
+    rng = random.Random("writer-oracle")
+    for name in ("sweedler", "taft-3", "group-s3", "functions-s3"):
+        h = algebras[name]
+        for seed in range(2):
+            cases.append(_transported(h, _signed_permutation(h.field, h.dim, rng),
+                                      f"{name}-relabelled{seed}"))
+    cases.append(build_nongroup_monoid_bialgebra())
+    h = algebras["sweedler"]
+    cases.append(HopfAlgebra(h.field, ['a"b', "c\\d", "\u00e9", "g\tx"], h.mul, h.unit,
+                             h.comul, h.counit, h.antipode, name='\u00e9"\\'))
+    return cases
+
+
+def test_algebra_text_is_the_indented_json_of_the_document(algebras):
+    # json.dumps stays the oracle for the layout the writer builds itself
+    for h in _writer_cases(algebras):
+        assert algebra_text(h) == json.dumps(algebra_to_json(h), indent=1) + "\n", h.name
+
+
+_MUTATIONS = ("bool index", "float index", "negative index", "index past dim", "short entry",
+              "long entry", "not a list", "repeated key", "bad literal", "literal too long",
+              "zero literal", "new literal", "moved entry", "another index")
+
+
+def _mutate(doc, rng):
+    """Apply one seeded mutation to a mul, comul or antipode entry of doc;
+    returns its name."""
+    label = rng.choice(("mul", "comul", "antipode"))
+    entries = doc[label]
+    width = 2 if label == "antipode" else 3
+    pos = rng.choice([p for p, item in enumerate(entries)
+                      if type(item) is list and len(item) == width + 1])
+    item = entries[pos]
+    slot = rng.randrange(width)
+    kind = rng.choice(_MUTATIONS)
+    if kind == "bool index":
+        item[slot] = rng.choice((True, False))
+    elif kind == "float index":
+        item[slot] = float(item[slot])
+    elif kind == "negative index":
+        item[slot] = -1 - item[slot] if type(item[slot]) is int else -1
+    elif kind == "index past dim":
+        item[slot] = doc["dim"] + rng.randrange(3)
+    elif kind == "short entry":
+        del item[rng.randrange(len(item))]
+    elif kind == "long entry":
+        item.insert(rng.randrange(len(item) + 1), rng.choice((0, "1")))
+    elif kind == "not a list":
+        entries[pos] = rng.choice((tuple(item), {"i": 0}, "1", 3, None))
+    elif kind == "repeated key":
+        entries.insert(rng.randrange(len(entries) + 1), item[:width] + [rng.choice(("1", "2"))])
+    elif kind == "bad literal":
+        item[width] = rng.choice(("z^", "1/0", "", "x", 1, None, ["1"]))
+    elif kind == "literal too long":
+        item[width] = "1" * 5000
+    elif kind == "zero literal":
+        item[width] = "0"
+    elif kind == "new literal":
+        item[width] = rng.choice(("2", "-1/3", "7"))
+    elif kind == "moved entry":
+        entries.insert(rng.randrange(len(entries)), entries.pop(pos))
+    else:
+        item[slot] = rng.randrange(doc["dim"])
+    return f"{label}[{pos}] {kind}"
+
+
+def _outcome(read, doc):
+    try:
+        return read(doc)
+    except (AlgebraFileSyntaxError, AlgebraFileSemanticError) as exc:
+        return exc
+
+
+@pytest.mark.parametrize("name", ["sweedler", "taft-3"])
+def test_one_pass_reader_matches_the_per_entry_reference(name):
+    # the reader's scan against the per-entry loop it replaced: the same
+    # error, type and message, or an equal algebra, on seeded mutations
+    base = json.dumps(algebra_to_json(builtin(name)))
+    rng = random.Random(f"reader:{name}")
+    raised = 0
+    for trial in range(300):
+        doc = json.loads(base)
+        what = [_mutate(doc, rng) for _ in range(rng.choice((1, 1, 2)))]
+        want = _outcome(reference_algebra_from_json, doc)
+        got = _outcome(algebra_from_json, doc)
+        if isinstance(want, Exception):
+            raised += 1
+            assert (type(got), str(got)) == (type(want), str(want)), what
+            continue
+        assert not isinstance(got, Exception), (what, got)
+        assert got.mul.terms == want.mul.terms and got.comul.terms == want.comul.terms, what
+        assert list(got.mul.terms) == list(want.mul.terms), what
+        assert got.unit == want.unit and got.counit == want.counit, what
+        assert got.antipode.nonzero_rows() == want.antipode.nonzero_rows(), what
+        assert (got.name, got.basis_names) == (want.name, want.basis_names), what
+    assert 100 < raised < 290
 def test_missing_antipode_is_synthesized(tmp_path):
     h = build_sweedler()
     doc = algebra_to_json(h)

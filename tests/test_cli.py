@@ -226,6 +226,17 @@ def test_example_group_algebras(tmp_path):
     assert read_algebra(path).dim == 2
 
 
+@pytest.mark.parametrize("argv", [["sweedler"], ["taft", "--n", "4"],
+                                  ["group-algebra", "--symmetric", "3"],
+                                  ["function-algebra", "--cyclic", "6"]])
+def test_example_on_stdout_is_the_file_it_writes(tmp_path, argv):
+    path = tmp_path / "out.alg"
+    code, text = run(["example", *argv])
+    assert code == 0
+    assert run(["example", *argv, "-o", str(path)])[0] == 0
+    assert path.read_text(encoding="utf-8") == text
+
+
 def test_example_usage_errors(tmp_path):
     assert run(["example", "taft", "-o", str(tmp_path / "x.alg")])[0] == 2
     assert run(["example", "group-algebra", "-o", str(tmp_path / "x.alg")])[0] == 2
@@ -532,7 +543,7 @@ def test_antipode_synthesis_past_the_dimension_limit_exits_2(tmp_path):
     path.write_text(json.dumps(doc))
     code, text = run(["verify-axioms", str(path)])
     assert code == 2
-    assert text == (f"error: group-z{n}: dim {n} exceeds the antipode synthesis limit of "
+    assert text == (f"error: {path}: group-z{n}: dim {n} exceeds the antipode synthesis limit of "
                     f"{ANTIPODE_DIM_LIMIT} (the system has dim^2 unknowns)\n")
 
 
