@@ -22,7 +22,6 @@ import io
 import math
 import os
 import sys
-from importlib import resources
 
 from .catalog import (GROUP_ORDER_LIMIT, AlgebraFileSemanticError,
                       AlgebraFileSyntaxError, GroupTableError, build_function_algebra,
@@ -32,7 +31,7 @@ from .catalog import (GROUP_ORDER_LIMIT, AlgebraFileSemanticError,
 from .duality import build_dual, pair_system
 from .hopf import HopfAlgebra, InvalidHopfAlgebraError, NotRegularError, galois_maps
 from .identities import (DslLegError, DslLinearityError, DslSortError, DslSyntaxError,
-                         evaluate_corpus, load_corpus, parse_corpus)
+                         evaluate_corpus, load_corpus, standard_corpus)
 from .linalg import Matrix
 from .modular import modular_data
 from .verify import run_all_checks
@@ -109,19 +108,12 @@ def modular_text(h: HopfAlgebra, md=None) -> str:
     return out.getvalue()
 
 
-@functools.cache
-def _default_corpus():
-    """The bundled corpus, read and parsed once per process."""
-    text = resources.files("hopfcheck").joinpath("corpus/standard.ids").read_text("utf-8")
-    return tuple(parse_corpus(text))
-
-
 def _load_corpus_arg(corpus_path):
     """The identities of one file, or of every .ids file of a directory in
     name order.  A file without identities, a directory without .ids files
     and one identity name in two files are input errors."""
     if corpus_path is None:
-        return _default_corpus()
+        return standard_corpus()
     paths = [corpus_path]
     if os.path.isdir(corpus_path):
         paths = [os.path.join(corpus_path, name) for name in sorted(os.listdir(corpus_path))
@@ -181,7 +173,7 @@ def full_report_text(h: HopfAlgebra, programs=None) -> tuple[str, bool]:
     ok = ok and rad_ok
     out.write(rad)
     out.write(f"== corpus {h.name} ==\n")
-    chk, chk_ok = check_text(h, programs if programs is not None else _default_corpus(), system)
+    chk, chk_ok = check_text(h, programs if programs is not None else standard_corpus(), system)
     ok = ok and chk_ok
     out.write(chk)
     out.write(f"== summary {h.name} {'PASS' if ok else 'FAIL'} ==\n")

@@ -33,10 +33,11 @@ from .scalars import Scalar
 
 def dual_structure(h: HopfAlgebra):
     """(mul, unit, comul, counit, antipode) of the dual on the canonical dual
-    basis; an involution, so applied to the dual it gives back h's own."""
+    basis; an involution, so applied to the dual it gives back h's own.
+    The terms are h's own, re-indexed: in range, and Scalars of h's field."""
     mul_hat, comul_hat = _dual_terms(h)
-    return (Tensor3(h.field, h.dim, mul_hat), h.counit, Tensor3(h.field, h.dim, comul_hat),
-            h.unit, h.antipode.transpose())
+    return (Tensor3._from_terms(h.field, h.dim, mul_hat), h.counit,
+            Tensor3._from_terms(h.field, h.dim, comul_hat), h.unit, h.antipode.transpose())
 
 
 def build_dual(h: HopfAlgebra) -> HopfAlgebra:
@@ -99,9 +100,8 @@ class PairedSystem:
     # rescaled integrals, so sigma on both sides is one object; any other
     # new system starts empty.
     _memo: dict = field(default_factory=dict, init=False, repr=False)
-    # the plan of an identity, one per (decls, lhs, rhs) -> (passed,
-    # witness), never shared: swapped().swapped() has this primal, but its
-    # integrals are scaled
+    # the plan of an identity program -> (passed, witness), never shared:
+    # swapped().swapped() has this primal, but its integrals are scaled
     _decided: dict = field(default_factory=dict, init=False, repr=False)
     _swapped: "PairedSystem | None" = field(default=None, init=False, repr=False)
 
@@ -113,7 +113,7 @@ class PairedSystem:
         return self.primal_modular if sort == "A" else self.dual_modular
 
     def operator(self, name: str, sort: str = "A") -> Matrix:
-        """The matrix of S, Sinv, S2, Sinv2, S4, sigma, sigmainv, sigmap or
+        """The matrix of S, Sinv, S2, Sinv2, sigma, sigmainv, sigmap or
         sigmapinv on the algebra of the given sort, memoized."""
         alg = self.algebra(sort)
         key = (name, alg)
@@ -129,8 +129,6 @@ class PairedSystem:
             m = self.operator("S", sort).pow(2)
         elif name == "Sinv2":
             m = self.operator("Sinv", sort).pow(2)
-        elif name == "S4":
-            m = self.operator("S2", sort).pow(2)
         elif name == "sigma":
             m = md.sigma
         elif name == "sigmainv":

@@ -28,8 +28,8 @@ differing assignment, the first in cartesian order.  In "<sigma(a), y * z>"
 on the 16-dimensional taft-4, y * z has 40 entries, one per nonzero
 structure constant of the dual product, against 4096 assignments.  What
 depends on the statement alone (sorts, slots, leg positions, output
-layout) is compiled into a plan once, the first time the statement is
-decided, so a system only runs the contractions.
+layout) is compiled into a plan when the statement is parsed, in the same
+walk that checks its sorts, so a system only runs the contractions.
 
 Grammar (informally):
     identity := name ":" "forall" decl ("," decl)* "." expr "=" expr
@@ -48,19 +48,20 @@ the algebra acting on its dual, lacthat/racthat the dual acting on the
 algebra, arguments in reading order of the harpoon expression.  onehat is
 the unit of the dual.
 
-decision decides each statement once per PairedSystem: the verdict and the
-witness are stored on the system under the statement's plan, one object
-per (variables, sides) whatever the name, so the identity suites of
-verify.py and a corpus entry with the same text share one decision;
-evaluate reports it under the identity's name.
+decision decides each program once per PairedSystem: the verdict and the
+witness are stored on the system under the program's plan.  The identity
+suites of verify.py report the programs of standard_corpus() themselves
+where the bundled corpus states their identity, so a suite and the corpus
+share one decision; evaluate reports it under the identity's name.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, reduce
+from importlib import resources
 from operator import itemgetter, mul
 
 from .duality import PairedSystem
@@ -139,12 +140,8 @@ class IdentityProgram:
     lhs: object
     rhs: object
     sort: str             # common sort of both sides
-
-    @cached_property
-    def plan(self) -> "_Plan":
-        """The compiled statement, shared by every program of equal decls
-        and sides (see _plan)."""
-        return _plan(self.decls, self.lhs, self.rhs)
+    # the statement compiled at parse time, and the key of its decisions
+    plan: "_Plan" = field(compare=False, repr=False)
 
     def pretty(self) -> str:
         decls = ", ".join(f"{v} in {s}" for v, s in self.decls)
@@ -196,8 +193,9 @@ def _tokenize(src: str):
 
 
 # Deepest nesting of brackets (parentheses, pairings, function arguments)
-# an identity may use.  Parsing, sort checking, compiling and evaluation each
-# recurse once per level; the bundled corpora nest about 6 deep.
+# an identity may use.  Parsing, compiling (which checks sorts) and
+# evaluation each recurse once per level; the bundled corpora nest about 6
+# deep.
 MAX_NESTING = 100
 
 
@@ -334,77 +332,12 @@ class _Parser:
         raise DslSyntaxError(f"position {pos}: unexpected {value!r}")
 
 
-# -- sort checking ------------------------------------------------------------
+# -- checking ------------------------------------------------------------------
 
-def _infer_sort(node, env) -> str:
-    if isinstance(node, Var):
-        if node.name not in env:
-            raise DslSortError(f"undeclared variable {node.name!r}")
-        return env[node.name]
-    if isinstance(node, ScalarLit):
-        return "scalar"
-    if isinstance(node, Const):
-        return _CONST_SORTS[node.kind]
-    if isinstance(node, Pairing):
-        ls = _infer_sort(node.left, env)
-        rs = _infer_sort(node.right, env)
-        if ls != "A" or rs != "Ahat":
-            raise DslSortError(
-                f"pairing needs an A term then an Ahat term, got <{ls}, {rs}> in {pretty(node)}")
-        return "scalar"
-    if isinstance(node, Apply):
-        arg_sorts = [_infer_sort(a, env) for a in node.args]
-        if node.fn in UNARY_FNS:
-            if arg_sorts[0] == "scalar":
-                raise DslSortError(f"{node.fn} cannot act on a scalar in {pretty(node)}")
-            return arg_sorts[0]
-        if node.fn in SCALAR_FNS:
-            if arg_sorts[0] == "scalar":
-                raise DslSortError(f"{node.fn} cannot act on a scalar in {pretty(node)}")
-            return "scalar"
-        expected = _ACTION_SORTS[node.fn]
-        if tuple(arg_sorts) != expected[:2]:
-            raise DslSortError(
-                f"{node.fn} expects sorts {expected[:2]}, got {tuple(arg_sorts)} in {pretty(node)}")
-        return expected[2]
-    if isinstance(node, Product):
-        sort = "scalar"
-        for f in node.factors:
-            s = _infer_sort(f, env)
-            if s == "scalar":
-                continue
-            if sort == "scalar":
-                sort = s
-            elif sort != s:
-                raise DslSortError(f"cannot multiply {sort} by {s} in {pretty(node)}")
-        return sort
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def _children(node):
-    if isinstance(node, Apply):
-        return node.args
-    if isinstance(node, Product):
-        return node.factors
-    if isinstance(node, Pairing):
-        return (node.left, node.right)
-    return ()
-
-
-def _slots(node, out):
-    """Append the (variable, leg) slots node reads, in reading order; a bare
-    use has leg None."""
-    if isinstance(node, Var):
-        out.append((node.name, node.leg))
-    for child in _children(node):
-        _slots(child, out)
-    return out
-
-
-def _check_legs(name, side_label, node):
-    """Leg count of every legged variable on one side, after checking that
-    the side reads each slot at most once and that legs run 1..k."""
-    slots = _slots(node, [])
+def _check_legs(name, side_label, slots):
+    """Leg count of every legged variable of one side, in reading order,
+    after checking that its slots, from _compile, hold each (variable, leg)
+    at most once and that legs run 1..k."""
     seen = set()
     for slot in slots:
         if slot in seen:
@@ -430,22 +363,24 @@ def _check_legs(name, side_label, node):
 
 
 def _sort_check(name, decls, lhs, rhs) -> IdentityProgram:
+    """The program of a parsed statement: each side compiled, which checks
+    its sorts, then the two sides' sorts, variables and legs checked
+    against each other."""
     env = dict(decls)
-    lhs_sort = _infer_sort(lhs, env)
-    rhs_sort = _infer_sort(rhs, env)
+    lhs_sort, lhs_slots, lhs_terms = _compile(lhs, env)
+    rhs_sort, rhs_slots, rhs_terms = _compile(rhs, env)
     if lhs_sort != rhs_sort:
         raise DslSortError(f"{name}: sides have sorts {lhs_sort} and {rhs_sort}")
-    lhs_vars = {var for var, _ in _slots(lhs, [])}
-    rhs_vars = {var for var, _ in _slots(rhs, [])}
-    declared = set(env)
-    if (lhs_vars | rhs_vars) - declared:
-        raise DslSortError(f"{name}: undeclared variables {sorted((lhs_vars | rhs_vars) - declared)}")
+    lhs_vars = {var for var, _ in lhs_slots}
+    rhs_vars = {var for var, _ in rhs_slots}
     if lhs_vars != rhs_vars:
         raise DslSortError(
             f"{name}: sides use different free variables {sorted(lhs_vars)} vs {sorted(rhs_vars)}")
-    _check_legs(name, "left side", lhs)
-    _check_legs(name, "right side", rhs)
-    return IdentityProgram(name, decls, lhs, rhs, lhs_sort)
+    lhs_legs = _check_legs(name, "left side", lhs_slots)
+    rhs_legs = _check_legs(name, "right side", rhs_slots)
+    plan = _Plan(_compile_side(decls, lhs_slots, lhs_terms, lhs_legs),
+                 _compile_side(decls, rhs_slots, rhs_terms, rhs_legs))
+    return IdentityProgram(name, decls, lhs, rhs, lhs_sort, plan)
 
 
 def parse_identity(source: str) -> IdentityProgram:
@@ -495,6 +430,14 @@ def load_corpus(path):
         raise type(exc)(f"{path}: {exc}") from None
 
 
+@cache
+def standard_corpus():
+    """The bundled corpus, standard.ids, read and parsed once per process.
+    The identity suites of verify.py report its programs."""
+    text = resources.files("hopfcheck").joinpath("corpus/standard.ids").read_text("utf-8")
+    return tuple(parse_corpus(text))
+
+
 # -- evaluation ---------------------------------------------------------------
 #
 # A side is evaluated as a sparse tensor over the slots it reads (one slot
@@ -509,9 +452,9 @@ def load_corpus(path):
 # Sweedler summation.
 #
 # Everything but the terms depends on the statement alone, so it is
-# compiled once, the first time the statement is decided, into a plan: each
-# node's sort and slots, the operator, table, functional or constant it
-# reads, the positions of each leg contraction, and the output layout.
+# compiled when the statement is parsed into a plan: each node's sort and
+# slots, the operator, table, functional or constant it reads, the
+# positions of each leg contraction, and the output layout.
 # On a system the plan only runs the contractions.  A map or functional of
 # a bare variable reads the map's nonzero entries directly, with no
 # identity tensor to contract.
@@ -643,8 +586,11 @@ def _columns(fn, sort):
 
 def _compile(node, env):
     """(sort, slots, terms) of node: its sort, the (variable, leg) slots of
-    its tensor in reading order, and terms(sys), the tensor on sys."""
+    its tensor in reading order, and terms(sys), the tensor on sys.  An
+    ill-sorted node raises DslSortError, after its operands are checked."""
     if isinstance(node, Var):
+        if node.name not in env:
+            raise DslSortError(f"undeclared variable {node.name!r}")
         sort = env[node.name]
 
         def identity(sys):
@@ -658,18 +604,28 @@ def _compile(node, env):
         kind = node.kind
         return _CONST_SORTS[kind], (), lambda sys: _column_terms(_constant(sys, kind))
     if isinstance(node, Product):
-        return _compile_product([_compile(f, env) for f in node.factors])
+        return _compile_product(node, env)
     if isinstance(node, Pairing) or node.fn in ACTION_FNS:
-        (_, left_slots, left), (_, right_slots, right) = (
-            _compile(c, env) for c in _children(node))
+        operands = (node.left, node.right) if isinstance(node, Pairing) else node.args
+        (left_sort, left_slots, left), (right_sort, right_slots, right) = (
+            _compile(c, env) for c in operands)
         slots = left_slots + right_slots
         if isinstance(node, Pairing):
+            if (left_sort, right_sort) != ("A", "Ahat"):
+                raise DslSortError(f"pairing needs an A term then an Ahat term, got "
+                                   f"<{left_sort}, {right_sort}> in {pretty(node)}")
             return "scalar", slots, lambda sys: _pair(left(sys), right(sys))
         fn = node.fn
-        return (_ACTION_SORTS[fn][2], slots,
+        expected = _ACTION_SORTS[fn]
+        if (left_sort, right_sort) != expected[:2]:
+            raise DslSortError(f"{fn} expects sorts {expected[:2]}, got "
+                               f"{(left_sort, right_sort)} in {pretty(node)}")
+        return (expected[2], slots,
                 lambda sys: _join(left(sys), right(sys), sys.action_table(fn)))
     (arg,) = node.args
     sort, slots, inner = _compile(arg, env)
+    if sort == "scalar":
+        raise DslSortError(f"{node.fn} cannot act on a scalar in {pretty(node)}")
     columns = _columns(node.fn, sort)
     if node.fn in SCALAR_FNS:
         sort = "scalar"
@@ -680,16 +636,23 @@ def _compile(node, env):
     return sort, slots, lambda sys: _apply(inner(sys), columns(sys))
 
 
-def _compile_product(factors):
-    """(sort, slots, terms) of the product of compiled factors, folded left:
-    a scalar factor multiplies outright, two factors of one sort through
-    that sort's structure constants."""
-    (sort, slots, first), steps = factors[0], []
-    for factor_sort, factor_slots, factor in factors[1:]:
-        steps.append((None if "scalar" in (sort, factor_sort) else factor_sort, factor))
+def _compile_product(node, env):
+    """(sort, slots, terms) of a product, folded left, each factor's sort
+    checked as it is folded in: a scalar factor multiplies outright, two
+    factors of one sort through that sort's structure constants."""
+    sort, slots, first = _compile(node.factors[0], env)
+    steps = []
+    for f in node.factors[1:]:
+        factor_sort, factor_slots, factor = _compile(f, env)
+        if "scalar" in (sort, factor_sort):
+            steps.append((None, factor))
+            if sort == "scalar":
+                sort = factor_sort
+        elif sort != factor_sort:
+            raise DslSortError(f"cannot multiply {sort} by {factor_sort} in {pretty(node)}")
+        else:
+            steps.append((sort, factor))
         slots += factor_slots
-        if sort == "scalar":
-            sort = factor_sort
 
     def terms(sys):
         acc = first(sys)
@@ -713,18 +676,17 @@ class _Plan:
     rhs: _Side
 
 
-def _compile_side(decls, node) -> _Side:
-    """The plan of one side: its node tensors, then one contraction per
-    legged variable, in reading order, then the output layout, where a
-    variable the side does not read has index 0."""
-    env = dict(decls)
-    _, slots, terms = _compile(node, env)
+def _compile_side(decls, slots, terms, legs) -> _Side:
+    """The plan of one side from its compiled slots and terms and the leg
+    count of each legged variable: one contraction per legged variable, in
+    reading order, then the output layout, where a variable the side does
+    not read has index 0."""
+    sorts = dict(decls)
     contractions = []
-    for var in dict.fromkeys(var for var, leg in slots if leg is not None):
-        legs = sum(v == var for v, _ in slots)
-        leg_pos = tuple(slots.index((var, j)) for j in range(1, legs + 1))
+    for var, count in legs.items():
+        leg_pos = tuple(slots.index((var, j)) for j in range(1, count + 1))
         rest = tuple(p for p in range(len(slots)) if p not in leg_pos)
-        contractions.append((env[var], legs, leg_pos, rest))
+        contractions.append((sorts[var], count, leg_pos, rest))
         slots = ((var, None),) + tuple(slots[p] for p in rest)
     where = tuple(slots.index((var, None)) if (var, None) in slots else None
                   for var, _ in decls)
@@ -732,28 +694,13 @@ def _compile_side(decls, node) -> _Side:
 
     def tensor(sys):
         out = terms(sys)
-        for sort, legs, leg_pos, rest in contractions:
-            out = _contract_legs(out, legs, leg_pos, rest, sys.algebra(sort))
+        for sort, count, leg_pos, rest in contractions:
+            out = _contract_legs(out, count, leg_pos, rest, sys.algebra(sort))
         if laid_out:
             return out
         return {tuple(0 if p is None else key[p] for p in where) + key[-1:]: x
                 for key, x in out.items()}
     return _Side(tuple(d for d, p in enumerate(where) if p is not None), tensor)
-
-
-# (decls, lhs, rhs) -> _Plan: a statement is compiled the first time a
-# program stating it is decided, and its plan, one object per statement
-# text, is its decision key.  Kept for the life of the process, like the
-# parsed default corpus: a run decides a few dozen distinct statements.
-_PLANS: dict = {}
-
-
-def _plan(decls, lhs, rhs) -> _Plan:
-    key = (decls, lhs, rhs)
-    plan = _PLANS.get(key)
-    if plan is None:
-        plan = _PLANS[key] = _Plan(_compile_side(decls, lhs), _compile_side(decls, rhs))
-    return plan
 
 
 def _value_at(sys: PairedSystem, sort, terms, combo):
@@ -765,11 +712,12 @@ def _value_at(sys: PairedSystem, sort, terms, combo):
 
 
 def evaluate_side(sys: PairedSystem, prog: IdentityProgram, node, assignment):
-    """Evaluate one side of prog on arbitrary coordinate columns, the
-    assignment of each variable it reads, by contracting its tensor with
-    them; returns (sort, value)."""
-    side = (prog.plan.lhs if node is prog.lhs else prog.plan.rhs if node is prog.rhs
-            else _compile_side(prog.decls, node))
+    """Evaluate one side of prog, node being prog.lhs or prog.rhs, on
+    arbitrary coordinate columns, the assignment of each variable it reads,
+    by contracting its tensor with them; returns (sort, value)."""
+    if node is not prog.lhs and node is not prog.rhs:
+        raise ValueError("evaluate_side evaluates prog.lhs or prog.rhs")
+    side = prog.plan.lhs if node is prog.lhs else prog.plan.rhs
     columns = [(d, assignment[prog.decls[d][0]]) for d in side.reads]
     values = _summed((key[-1:], reduce(mul, (column[key[d]] for d, column in columns), x))
                      for key, x in side.tensor(sys).items())
@@ -790,8 +738,7 @@ def evaluate(prog: IdentityProgram, sys: PairedSystem) -> CheckResult:
 
 
 def decision(prog: IdentityProgram, sys: PairedSystem):
-    """(passed, witness) of prog's statement on sys, decided once per system
-    whatever the statement is called."""
+    """(passed, witness) of prog on sys, decided once per system."""
     decided = sys._decided.get(prog.plan)
     if decided is None:
         decided = sys._decided[prog.plan] = _decide(prog, sys)

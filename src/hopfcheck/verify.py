@@ -1,11 +1,12 @@
 """The identity suites for the modular-duality identities.
 
-Each suite is a table of (id, statement) pairs in the identity language of
-identities.py, parsed once and decided by identities.decision on every
-basis assignment, with one machine-readable line per identity:
+Each suite is a table of (id, program) pairs in the identity language of
+identities.py, decided by identities.decision on every basis assignment,
+with one machine-readable line per identity:
 "<identity-id> <algebra-name> PASS|FAIL [witness]".  Where the bundled
-corpus states the same identity, the statement is its exact text, and
-decision decides it once per system for both.  The headline suite
+corpus states the identity, the program is the corpus's own, from
+identities.standard_corpus, so the suite and the corpus share its decision
+on each system; only two statements are written here.  The headline suite
 culminates in the fourth-power antipode formula
 
     S^4(a) = delta^-1 (delta_hat -> a <- delta_hat^-1) delta
@@ -22,44 +23,38 @@ from dataclasses import replace
 
 from .duality import PairedSystem, dual_structure, pair_system
 from .hopf import CheckResult, HopfAlgebra, ValidationReport
-from .identities import decision, parse_identity
+from .identities import decision, parse_identity, standard_corpus
 from .modular import gram_matrix
 
+_CORPUS = {prog.name: prog for prog in standard_corpus()}
 
-def _suite(*entries):
-    """(id, program) pairs from (id, statement) pairs; the id names the
-    line, so every program has the same placeholder name."""
-    return tuple((check, parse_identity(f"statement: {statement}"))
-                 for check, statement in entries)
-
-
-PAIRING = _suite(
-    ("pair-dhat-sigma-inv", "forall a in A . <a, dhat> = eps(sigmainv(a))"),
-    ("pair-dhat-sigmap-inv", "forall a in A . <a, dhat> = eps(sigmapinv(a))"),
-    ("pair-dhatinv-sigma", "forall a in A . <a, dhatinv> = eps(sigma(a))"),
-    ("pair-dhatinv-sigmap", "forall a in A . <a, dhatinv> = eps(sigmap(a))"),
+PAIRING = (
+    ("pair-dhat-sigma-inv", _CORPUS["dhat_pairing_sigmainv"]),
+    ("pair-dhat-sigmap-inv", _CORPUS["dhat_pairing_sigmapinv"]),
+    ("pair-dhatinv-sigma", _CORPUS["dhatinv_pairing_sigma"]),
+    ("pair-dhatinv-sigmap", _CORPUS["dhatinv_pairing_sigmap"]),
 )
 
-ADJOINTS = _suite(
-    ("sigma-adjoint", "forall a in A, b in Ahat . <sigma(a), b> = <a, S2(b) * dhatinv>"),
-    ("sigma-inv-adjoint", "forall a in A, b in Ahat . <sigmainv(a), b> = <a, Sinv2(b) * dhat>"),
-    ("sigmap-adjoint", "forall a in A, b in Ahat . <sigmap(a), b> = <a, dhatinv * Sinv2(b)>"),
-    ("sigmap-inv-adjoint", "forall a in A, b in Ahat . <sigmapinv(a), b> = <a, dhat * S2(b)>"),
-    ("adjoint-unit-reduction", "forall a in A . eps(sigma(a)) = <a, S2(onehat) * dhatinv>"),
+ADJOINTS = (
+    ("sigma-adjoint", _CORPUS["sigma_adjoint"]),
+    ("sigma-inv-adjoint", _CORPUS["sigmainv_adjoint"]),
+    ("sigmap-adjoint", _CORPUS["sigmap_adjoint"]),
+    ("sigmap-inv-adjoint", _CORPUS["sigmapinv_adjoint"]),
+    ("adjoint-unit-reduction", parse_identity(
+        "adjoint_unit_reduction: forall a in A . eps(sigma(a)) = <a, S2(onehat) * dhatinv>")),
 )
 
-RADFORD = _suite(
-    ("s4-sandwich", "forall a in A . "
-     "S(S(S(S(a)))) = deltainv * lacthat(dhat, racthat(a, dhatinv)) * delta"),
-    ("sigma-from-action", "forall a in A . sigma(a) = lacthat(dhatinv, S2(a))"),
-    ("sigmap-from-action", "forall a in A . sigmap(a) = racthat(Sinv2(a), dhatinv)"),
-    ("delta-action-scaling", "forall a in A . "
-     "lacthat(dhat, delta * a) = tau * delta * lacthat(dhat, a)"),
+RADFORD = (
+    ("s4-sandwich", _CORPUS["radford"]),
+    ("sigma-from-action", _CORPUS["sigma_action"]),
+    ("sigmap-from-action", _CORPUS["sigmap_action"]),
+    ("delta-action-scaling", _CORPUS["delta_action_scaling"]),
 )
 
-DUAL_RADFORD = _suite(
-    ("s4-dual-transported", "forall a in Ahat . "
-     "S(S(S(S(a)))) = dhatinv * lact(delta, ract(a, deltainv)) * dhat"),
+DUAL_RADFORD = (
+    ("s4-dual-transported", parse_identity(
+        "s4_dual_transported: forall a in Ahat . "
+        "S(S(S(S(a)))) = dhatinv * lact(delta, ract(a, deltainv)) * dhat")),
 )
 
 

@@ -166,3 +166,106 @@ def reference_algebra_from_json(doc):
     antipode = Matrix._from_entries(field, dim, dim, entries)
     return HopfAlgebra(field, doc["basis"], mul, unit_col, comul, counit_row, antipode,
                        name=doc["name"])
+
+
+def reference_sort_check(name, decls, lhs, rhs):
+    """(name, decls, lhs, rhs, sort) of a parsed statement, checked by the
+    separate walks the parser made before it compiled a statement in the
+    walk that checks its sorts: each side's sort inferred, then its slots
+    gathered, then its legs counted.  Raises the Dsl*Error that
+    identities.parse_identity raises, with the same message."""
+    from hopfcheck.identities import (_ACTION_SORTS, _CONST_SORTS, SCALAR_FNS, UNARY_FNS,
+                                      Apply, Const, DslLegError, DslLinearityError,
+                                      DslSortError, Pairing, Product, ScalarLit, Var, pretty)
+
+    def infer_sort(node, env):
+        if isinstance(node, Var):
+            if node.name not in env:
+                raise DslSortError(f"undeclared variable {node.name!r}")
+            return env[node.name]
+        if isinstance(node, ScalarLit):
+            return "scalar"
+        if isinstance(node, Const):
+            return _CONST_SORTS[node.kind]
+        if isinstance(node, Pairing):
+            ls = infer_sort(node.left, env)
+            rs = infer_sort(node.right, env)
+            if ls != "A" or rs != "Ahat":
+                raise DslSortError(f"pairing needs an A term then an Ahat term, got "
+                                   f"<{ls}, {rs}> in {pretty(node)}")
+            return "scalar"
+        if isinstance(node, Apply):
+            arg_sorts = [infer_sort(a, env) for a in node.args]
+            if node.fn in UNARY_FNS:
+                if arg_sorts[0] == "scalar":
+                    raise DslSortError(f"{node.fn} cannot act on a scalar in {pretty(node)}")
+                return arg_sorts[0]
+            if node.fn in SCALAR_FNS:
+                if arg_sorts[0] == "scalar":
+                    raise DslSortError(f"{node.fn} cannot act on a scalar in {pretty(node)}")
+                return "scalar"
+            expected = _ACTION_SORTS[node.fn]
+            if tuple(arg_sorts) != expected[:2]:
+                raise DslSortError(f"{node.fn} expects sorts {expected[:2]}, got "
+                                   f"{tuple(arg_sorts)} in {pretty(node)}")
+            return expected[2]
+        if isinstance(node, Product):
+            sort = "scalar"
+            for f in node.factors:
+                s = infer_sort(f, env)
+                if s == "scalar":
+                    continue
+                if sort == "scalar":
+                    sort = s
+                elif sort != s:
+                    raise DslSortError(f"cannot multiply {sort} by {s} in {pretty(node)}")
+            return sort
+        raise TypeError(f"not an AST node: {node!r}")
+
+    def slots(node, out):
+        if isinstance(node, Var):
+            out.append((node.name, node.leg))
+        children = (node.args if isinstance(node, Apply) else
+                    node.factors if isinstance(node, Product) else
+                    (node.left, node.right) if isinstance(node, Pairing) else ())
+        for child in children:
+            slots(child, out)
+        return out
+
+    def check_legs(side_label, node):
+        found = slots(node, [])
+        seen = set()
+        for slot in found:
+            if slot in seen:
+                raise DslLinearityError(
+                    f"{name}: {pretty(Var(*slot))} occurs more than once on the {side_label}; "
+                    f"basis-only checking needs each side linear in every variable and leg")
+            seen.add(slot)
+        usage = {}
+        for var, leg in found:
+            usage.setdefault(var, set()).add(leg)
+        for var, used in usage.items():
+            if None in used and len(used) > 1:
+                raise DslLegError(
+                    f"{name}: {var!r} is used both bare and with legs on the {side_label}")
+            numbered = sorted(u for u in used if u is not None)
+            if numbered and numbered != list(range(1, len(numbered) + 1)):
+                raise DslLegError(
+                    f"{name}: legs of {var!r} on the {side_label} must be 1..k, got {numbered}")
+
+    env = dict(decls)
+    lhs_sort = infer_sort(lhs, env)
+    rhs_sort = infer_sort(rhs, env)
+    if lhs_sort != rhs_sort:
+        raise DslSortError(f"{name}: sides have sorts {lhs_sort} and {rhs_sort}")
+    lhs_vars = {var for var, _ in slots(lhs, [])}
+    rhs_vars = {var for var, _ in slots(rhs, [])}
+    declared = set(env)
+    if (lhs_vars | rhs_vars) - declared:
+        raise DslSortError(f"{name}: undeclared variables {sorted((lhs_vars | rhs_vars) - declared)}")
+    if lhs_vars != rhs_vars:
+        raise DslSortError(
+            f"{name}: sides use different free variables {sorted(lhs_vars)} vs {sorted(rhs_vars)}")
+    check_legs("left side", lhs)
+    check_legs("right side", rhs)
+    return name, decls, lhs, rhs, lhs_sort

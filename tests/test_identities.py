@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 from importlib import resources
@@ -5,7 +6,7 @@ from itertools import product as cartesian
 
 import pytest
 
-from hopfcheck import cli, identities
+from hopfcheck import identities
 from hopfcheck.catalog import builtin
 from hopfcheck.duality import pair_system, pairing_value
 from hopfcheck.identities import (Apply, Const, DslLegError, DslLinearityError, DslSortError,
@@ -15,7 +16,7 @@ from hopfcheck.identities import (Apply, Const, DslLegError, DslLinearityError, 
 from hopfcheck.scalars import Scalar
 from hopfcheck.verify import run_all_checks
 
-from conftest import BUILTIN_NAMES, reference_action
+from conftest import BUILTIN_NAMES, reference_action, reference_sort_check
 from test_gauge import _gauges
 from test_hopf import _transported
 
@@ -233,6 +234,91 @@ def test_repeated_slot_is_rejected(src, slot):
     assert str(err.value).startswith(src.split(":")[0] + ": " + slot)
 
 
+SUITE_ONLY_STATEMENTS = [
+    "adjoint_unit_reduction: forall a in A . eps(sigma(a)) = <a, S2(onehat) * dhatinv>",
+    "s4_dual_transported: forall a in Ahat . "
+    "S(S(S(S(a)))) = dhatinv * lact(delta, ract(a, deltainv)) * dhat",
+]
+
+
+def _var_spans(toks, body):
+    """(start, end) of each variable use in toks[body:], a bare name or a
+    name with its leg in brackets."""
+    spans = []
+    for i in range(body, len(toks)):
+        if toks[i][0].isalpha() and toks[i] not in identities.KEYWORDS:
+            legged = toks[i + 1:i + 2] == ["("] and toks[i + 2:i + 3] != [] \
+                and toks[i + 2].isdigit()
+            spans.append((i, i + 4 if legged else i + 1))
+    return spans
+
+
+def _mutant(source, rng):
+    """source with one to three random edits: a declared sort swapped, a
+    function or constant renamed, a leg moved, added or dropped, a variable
+    use repeated or renamed (possibly to an undeclared name), a variable
+    use replaced by a scalar, or a factor inserted into a product."""
+    toks = [value for _, value, _ in identities._tokenize(source)[:-1]]
+    for _ in range(rng.randint(1, 3)):
+        body = toks.index(".") + 1
+        names = [i for i in range(body, len(toks)) if toks[i][0].isalpha()]
+        spans = _var_spans(toks, body)
+        decl_vars = [toks[i - 1] for i in range(body) if toks[i] in ("A", "Ahat")]
+        kind = rng.choice(("sort", "fn", "const", "leg", "repeat", "rename", "scalar",
+                           "insert"))
+        if kind == "sort":
+            i = rng.choice([i for i in range(body) if toks[i] in ("A", "Ahat")])
+            toks[i] = "Ahat" if toks[i] == "A" else "A"
+        elif kind in ("fn", "const"):
+            pool = identities.FN_NAMES if kind == "fn" else identities.CONST_NAMES
+            found = [i for i in names if toks[i] in pool]
+            if found:
+                toks[rng.choice(found)] = rng.choice(pool)
+        elif kind == "insert":
+            i = rng.choice(names)
+            toks[i:i] = [rng.choice(("dhat", "delta", "onehat", "one", "2", "tau",
+                                     *decl_vars)), "*"]
+        elif spans:
+            start, end = rng.choice(spans)
+            if kind == "leg":
+                leg = rng.choice((None, 1, 2, 3))
+                toks[start + 1:end] = [] if leg is None else ["(", str(leg), ")"]
+            elif kind == "repeat":
+                other_start, other_end = rng.choice(spans)
+                toks[start:end] = toks[other_start:other_end]
+            elif kind == "rename":
+                toks[start] = rng.choice((*decl_vars, "q"))
+            else:
+                toks[start:end] = [rng.choice(("2", "1/2", "tau"))]
+    return " ".join(toks)
+
+
+def _outcome(source):
+    try:
+        prog = parse_identity(source)
+    except (DslSyntaxError, DslSortError, DslLegError, DslLinearityError) as exc:
+        return type(exc), str(exc)
+    return prog if isinstance(prog, tuple) else (
+        prog.name, prog.decls, prog.lhs, prog.rhs, prog.sort)
+
+
+def test_parse_errors_match_the_separate_walk_reference(monkeypatch):
+    # the sort walk that compiles a statement raises what the separate
+    # sort, slot and leg walks raised, in the same order: operands before
+    # the node, product factors left to right as each is folded in
+    statements = [p.pretty() for name in ("standard.ids", "convention_traps.ids")
+                  for p in corpus(name)] + SUITE_ONLY_STATEMENTS
+    rng = random.Random(26)
+    mutants = [_mutant(source, rng) for source in statements for _ in range(120)]
+    compiled = [_outcome(m) for m in mutants]
+    monkeypatch.setattr(identities, "_sort_check", reference_sort_check)
+    for mutant, outcome in zip(mutants, compiled):
+        assert outcome == _outcome(mutant), mutant
+    kinds = collections.Counter(o[0] for o in compiled if isinstance(o[0], type))
+    assert set(kinds) == {DslSyntaxError, DslSortError, DslLegError, DslLinearityError}
+    assert len(compiled) - sum(kinds.values()) > len(statements)
+
+
 def _walk(node):
     yield node
     children = {Apply: lambda n: n.args, Product: lambda n: n.factors,
@@ -411,6 +497,9 @@ def test_evaluate_side_agrees_with_naive_sides_off_the_basis(paired):
         for node in (prog.lhs, prog.rhs):
             assert evaluate_side(sys, prog, node, assignment) == \
                 (prog.sort, _naive_side(sys, prog, node, assignment)), prog.name
+    # a node that is not one of prog's own sides has no compiled plan
+    with pytest.raises(ValueError):
+        evaluate_side(sys, prog, parse_identity(prog.pretty()).lhs, assignment)
 
 
 def test_contraction_needs_a_tenth_of_the_per_assignment_products(paired, monkeypatch):
@@ -442,17 +531,17 @@ def _decisions(sys, monkeypatch):
 
     monkeypatch.setattr(identities, "_decide", recorded)
     run_all_checks(sys)
-    evaluate_corpus(cli._default_corpus(), sys)
+    evaluate_corpus(identities.standard_corpus(), sys)
     monkeypatch.setattr(identities, "_decide", decide)
     return decided
 
 
 def test_deciding_again_runs_no_per_statement_analysis(monkeypatch):
-    # sorts, slots and legs are fixed once per statement: a fresh system
-    # only runs the contractions
+    # sorts, slots and legs are fixed when a statement is parsed: a fresh
+    # system only runs the contractions
     decided = _decisions(pair_system(builtin("taft-3")), monkeypatch)
     calls = {}
-    for name in ("_infer_sort", "_check_legs", "_slots"):
+    for name in ("_compile", "_check_legs", "parse_identity"):
         original = getattr(identities, name)
 
         def counted(*args, _name=name, _original=original):

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from hopfcheck import cli, duality, hopf, identities, linalg, modular, verify
+from hopfcheck import duality, hopf, identities, linalg, modular, verify
 from hopfcheck.catalog import build_taft, builtin
 from hopfcheck.duality import pair_system, pairing_value
 from hopfcheck.cli import full_report_text
@@ -256,7 +256,8 @@ def _reference_radford(sys):
     sandwich = [h.multiply(h.multiply(delta_inv, reference_action(
                     sys, "racthat", reference_action(sys, "lacthat", dhat, a), dhat_inv)), delta)
                 for a in basis]
-    s4 = _columns_mismatches(h, [sys.operator("S4").column(i) for i in range(h.dim)], sandwich)
+    s4_matrix = sys.operator("S2").pow(2)
+    s4 = _columns_mismatches(h, [s4_matrix.column(i) for i in range(h.dim)], sandwich)
     sigma = _columns_mismatches(
         h, [md.sigma.column(i) for i in range(h.dim)],
         [reference_action(sys, "lacthat", dhat_inv, s2.column(i)) for i in range(h.dim)])
@@ -282,7 +283,7 @@ def _reference_dual_radford(sys):
                     sys, "ract", reference_action(sys, "lact", delta, dual.basis_column(j)),
                     delta_inv)), dhat)
                 for j in range(dual.dim)]
-    s4 = sys.operator("S4", "Ahat")
+    s4 = sys.operator("S2", "Ahat").pow(2)
     transported = _columns_mismatches(dual, [s4.column(j) for j in range(dual.dim)], sandwich)
     return [("s4-dual-transported", dual.name, transported)] + _reference_radford(sys.swapped())
 
@@ -397,28 +398,34 @@ def test_tampered_biduality_matches_the_dense_reference(paired, name):
         assert not result.passed and result.witness == witness, (name, label)
 
 
-CORPUS_TO_SUITE = {
-    "dhat_pairing_sigmainv": "pair-dhat-sigma-inv",
-    "dhat_pairing_sigmapinv": "pair-dhat-sigmap-inv",
-    "dhatinv_pairing_sigma": "pair-dhatinv-sigma",
-    "dhatinv_pairing_sigmap": "pair-dhatinv-sigmap",
-    "sigma_adjoint": "sigma-adjoint",
-    "sigmainv_adjoint": "sigma-inv-adjoint",
-    "sigmap_adjoint": "sigmap-adjoint",
-    "sigmapinv_adjoint": "sigmap-inv-adjoint",
-    "sigma_action": "sigma-from-action",
-    "sigmap_action": "sigmap-from-action",
-    "delta_action_scaling": "delta-action-scaling",
-    "radford": "s4-sandwich",
+SUITE_TO_CORPUS = {
+    "pair-dhat-sigma-inv": "dhat_pairing_sigmainv",
+    "pair-dhat-sigmap-inv": "dhat_pairing_sigmapinv",
+    "pair-dhatinv-sigma": "dhatinv_pairing_sigma",
+    "pair-dhatinv-sigmap": "dhatinv_pairing_sigmap",
+    "sigma-adjoint": "sigma_adjoint",
+    "sigma-inv-adjoint": "sigmainv_adjoint",
+    "sigmap-adjoint": "sigmap_adjoint",
+    "sigmap-inv-adjoint": "sigmapinv_adjoint",
+    "sigma-from-action": "sigma_action",
+    "sigmap-from-action": "sigmap_action",
+    "delta-action-scaling": "delta_action_scaling",
+    "s4-sandwich": "radford",
 }
+SUITE_ONLY = ("adjoint-unit-reduction", "s4-dual-transported")
 
 
-def test_suite_statements_are_the_corpus_text():
-    corpus = {p.name: p for p in cli._default_corpus()}
-    suites = dict(verify.PAIRING + verify.ADJOINTS + verify.RADFORD)
-    for corpus_name, suite_id in CORPUS_TO_SUITE.items():
-        prog, stated = corpus[corpus_name], suites[suite_id]
-        assert (stated.decls, stated.lhs, stated.rhs) == (prog.decls, prog.lhs, prog.rhs)
+def test_suite_programs_are_the_corpus_programs():
+    corpus = {p.name: p for p in identities.standard_corpus()}
+    suites = dict(verify.PAIRING + verify.ADJOINTS + verify.RADFORD + verify.DUAL_RADFORD)
+    assert set(suites) == set(SUITE_TO_CORPUS) | set(SUITE_ONLY)
+    for suite_id, corpus_name in SUITE_TO_CORPUS.items():
+        assert suites[suite_id] is corpus[corpus_name], suite_id
+    # the two statements written out in verify.py are not stated in the corpus
+    stated = {(p.decls, p.lhs, p.rhs) for p in corpus.values()}
+    for suite_id in SUITE_ONLY:
+        prog = suites[suite_id]
+        assert (prog.decls, prog.lhs, prog.rhs) not in stated, suite_id
 
 
 def test_full_report_decides_each_statement_once(monkeypatch):
