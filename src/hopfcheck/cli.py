@@ -29,7 +29,7 @@ from .catalog import (GROUP_ORDER_LIMIT, AlgebraFileSemanticError,
                       algebra_text, read_algebra, read_group_table, symmetric_group,
                       write_algebra)
 from .duality import build_dual, pair_system
-from .hopf import HopfAlgebra, InvalidHopfAlgebraError, NotRegularError, galois_maps
+from .hopf import HopfAlgebra, InvalidHopfAlgebraError, NotRegularError, _summed, galois_maps
 from .identities import (DslLegError, DslLinearityError, DslSortError, DslSyntaxError,
                          evaluate_corpus, load_corpus, standard_corpus)
 from .linalg import Matrix
@@ -41,13 +41,23 @@ ORDER_CAP = 1000
 
 
 def matrix_order(m: Matrix):
-    """Smallest k >= 1 with m^k = 1, or None if not found within ORDER_CAP."""
-    acc = m
-    for k in range(1, ORDER_CAP + 1):
-        if acc.is_identity():
-            return k
-        acc = acc * m
-    return None
+    """Smallest k >= 1 with m^k = 1, or None if not found within ORDER_CAP:
+    the lcm over basis vectors e_j of the least k with m^k e_j = e_j, each
+    found by sparse steps e_j, m e_j, m^2 e_j, ...  A step c e_i on the way
+    skips e_i, whose k divides e_j's: m^k e_i = m^t m^k e_j / c = e_i."""
+    cols, order, skip = m.nonzero_columns(), 1, set()
+    for j in (j for j in range(m.cols) if j not in skip):
+        e_j = v = {j: m.field.one()}
+        for k in range(1, ORDER_CAP + 1):
+            v = _summed((i, y * x) for c, x in v.items() for i, y in cols[c])
+            if v == e_j:
+                break
+            if len(v) == 1:
+                skip.update(v)
+        else:
+            return None
+        order = math.lcm(order, k)
+    return order if order <= ORDER_CAP else None
 
 
 def order_text(m: Matrix) -> str:
@@ -59,8 +69,11 @@ def order_text(m: Matrix) -> str:
 
 def _print_matrix(out, label: str, m: Matrix):
     out.write(f"{label}:\n")
-    for row in m.data:
-        out.write("  [" + ", ".join(str(x) for x in row) + "]\n")
+    for row in m.nonzero_rows():
+        entries = ["0"] * m.cols
+        for j, x in row:
+            entries[j] = str(x)
+        out.write("  [" + ", ".join(entries) + "]\n")
 
 
 def _functional_str(coords) -> str:
@@ -73,26 +86,19 @@ def _axiom_lines(report) -> str:
 
 
 def axioms_text(h: HopfAlgebra) -> tuple[str, bool]:
-    out = io.StringIO()
     report = h.validate()
-    out.write(_axiom_lines(report))
-    regular = False
-    if report.ok:
-        try:
-            galois_maps(h)
-            regular = True
-            out.write(f"galois-regularity {h.name} PASS\n")
-        except NotRegularError as exc:
-            out.write(f"galois-regularity {h.name} FAIL {exc}\n")
-    else:
-        out.write(f"galois-regularity {h.name} SKIPPED (axioms failed)\n")
-    return out.getvalue(), report.ok and regular
+    text = _axiom_lines(report) + f"galois-regularity {h.name} "
+    if not report.ok:
+        return text + "SKIPPED (axioms failed)\n", False
+    try:
+        galois_maps(h)
+    except NotRegularError as exc:
+        return text + f"FAIL {exc}\n", False
+    return text + "PASS\n", True
 
 
 def modular_text(h: HopfAlgebra, md=None) -> str:
-    out = io.StringIO()
-    if md is None:
-        md = modular_data(h)
+    out, md = io.StringIO(), md or modular_data(h)
     out.write(f"algebra {h.name} dim {h.dim} field {h.field}\n")
     out.write(f"basis = [{', '.join(h.basis_names)}]\n")
     out.write(f"phi = {_functional_str(md.phi)}\n")
@@ -135,49 +141,29 @@ def _load_corpus_arg(corpus_path):
 
 
 def check_text(h: HopfAlgebra, programs, system=None) -> tuple[str, bool]:
-    out = io.StringIO()
-    if system is None:
-        system = pair_system(h)
-    outcomes = evaluate_corpus(programs, system)
-    for o in outcomes:
-        out.write(o.line() + "\n")
-    return out.getvalue(), all(o.passed for o in outcomes)
+    outcomes = evaluate_corpus(programs, system or pair_system(h))
+    return "".join(o.line() + "\n" for o in outcomes), all(o.passed for o in outcomes)
 
 
 def radford_text(h: HopfAlgebra, system=None) -> tuple[str, bool]:
-    out = io.StringIO()
-    if system is None:
-        system = pair_system(h)
-    report = run_all_checks(system)
-    for line in report.lines():
-        out.write(line + "\n")
-    return out.getvalue(), report.ok
+    report = run_all_checks(system or pair_system(h))
+    return "".join(line + "\n" for line in report.lines()), report.ok
 
 
 def full_report_text(h: HopfAlgebra, programs=None) -> tuple[str, bool]:
-    out = io.StringIO()
-    ok = True
-    axioms, ax_ok = axioms_text(h)
-    ok = ok and ax_ok
-    out.write(f"== axioms {h.name} ==\n")
-    out.write(axioms)
-    if not ax_ok:
-        return out.getvalue(), False
-    system = pair_system(h)
-    out.write(f"== modular data {h.name} ==\n")
-    out.write(modular_text(h, system.primal_modular))
-    out.write(f"== modular data {system.dual.name} ==\n")
-    out.write(modular_text(system.dual, system.dual_modular))
-    out.write(f"== identities {h.name} ==\n")
-    rad, rad_ok = radford_text(h, system)
-    ok = ok and rad_ok
-    out.write(rad)
-    out.write(f"== corpus {h.name} ==\n")
-    chk, chk_ok = check_text(h, programs if programs is not None else standard_corpus(), system)
-    ok = ok and chk_ok
-    out.write(chk)
-    out.write(f"== summary {h.name} {'PASS' if ok else 'FAIL'} ==\n")
-    return out.getvalue(), ok
+    axioms, ok = axioms_text(h)
+    out = [f"== axioms {h.name} ==\n", axioms]
+    if ok:
+        system = pair_system(h)
+        out += [f"== modular data {h.name} ==\n", modular_text(h, system.primal_modular),
+                f"== modular data {system.dual.name} ==\n",
+                modular_text(system.dual, system.dual_modular), f"== identities {h.name} ==\n"]
+        rad, rad_ok = radford_text(h, system)
+        chk, chk_ok = check_text(h, standard_corpus() if programs is None else programs, system)
+        ok = rad_ok and chk_ok
+        out += [rad, f"== corpus {h.name} ==\n", chk,
+                f"== summary {h.name} {'PASS' if ok else 'FAIL'} ==\n"]
+    return "".join(out), ok
 
 
 def _example_algebra(args) -> HopfAlgebra:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .hopf import CorruptedDataError, HopfAlgebra, _dual_terms, _product_table
+from .hopf import CorruptedDataError, HopfAlgebra, _dual_terms, _product_table, _summed
 from .linalg import Matrix, Tensor3, invert
 from .modular import (ModularData, left_integral, modular_data, proportionality,
                       right_integral)
@@ -84,7 +84,8 @@ class PairedSystem:
     pairing of the canonical dual basis.
 
     The system owns what is derived from the pair: operator() computes each
-    map and action_table() each action at most once per algebra,
+    map, action_table() each action and composed_table() each map of a
+    product at most once per algebra,
     identities.decision decides each statement once per system, and
     swapped() pairs the dual with the primal itself, once.  Every value is
     exact and deterministic, so sharing one is the same as recomputing it.
@@ -94,11 +95,13 @@ class PairedSystem:
     dual: HopfAlgebra
     primal_modular: ModularData
     dual_modular: ModularData
-    # (operator name, algebra) -> Matrix and (action side, algebra acted on)
-    # -> table.  Shared only along swapped(), where the primal is also the
-    # swapped dual and its bidual modular tuple is the primal's own with
-    # rescaled integrals, so sigma on both sides is one object; any other
-    # new system starts empty.
+    # (operator name, algebra) -> Matrix, (action side, algebra acted on)
+    # -> table, (id of a matrix or row, algebra) -> (it, composed table),
+    # and the split iterated coproducts of identities._coterms.
+    # Shared only along swapped(), where the primal is also the swapped
+    # dual and its bidual modular tuple is the primal's own with rescaled
+    # integrals, so sigma on both sides is one object; any other new
+    # system starts empty.
     _memo: dict = field(default_factory=dict, init=False, repr=False)
     # the plan of an identity program -> (passed, witness), never shared:
     # swapped().swapped() has this primal, but its integrals are scaled
@@ -121,25 +124,15 @@ class PairedSystem:
         if m is not None:
             return m
         md = self.modular(sort)
-        if name == "S":
-            m = alg.antipode
-        elif name == "Sinv":
-            m = alg.antipode_inverse()
-        elif name == "S2":
-            m = self.operator("S", sort).pow(2)
-        elif name == "Sinv2":
-            m = self.operator("Sinv", sort).pow(2)
-        elif name == "sigma":
-            m = md.sigma
-        elif name == "sigmainv":
-            m = invert(md.sigma)
-        elif name == "sigmap":
-            m = md.sigma_prime
-        elif name == "sigmapinv":
-            m = invert(md.sigma_prime)
-        else:
+        make = {"S": lambda: alg.antipode, "Sinv": alg.antipode_inverse,
+                "S2": lambda: self.operator("S", sort).pow(2),
+                "Sinv2": lambda: self.operator("Sinv", sort).pow(2),
+                "sigma": lambda: md.sigma, "sigmainv": lambda: invert(md.sigma),
+                "sigmap": lambda: md.sigma_prime,
+                "sigmapinv": lambda: invert(md.sigma_prime)}.get(name)
+        if make is None:
             raise KeyError(f"unknown operator {name!r}")
-        self._memo[key] = m
+        m = self._memo[key] = make()
         return m
 
     # -- the four actions ---------------------------------------------------
@@ -162,6 +155,19 @@ class PairedSystem:
                        for i, terms in enumerate(alg.comul_terms) for p, q, c in terms)
             table = self._memo[(side, alg)] = _product_table(alg.dim, triples)
         return table
+
+    def composed_table(self, sort: str, reads, columns):
+        """The product table of the algebra of sort followed by the map
+        whose column k lists the nonzero (r, v) columns[k], memoized under
+        reads, the matrix or row it comes from, not under the sort:
+        swapped() shares the memo but rescales its integrals."""
+        alg = self.algebra(sort)
+        hit = self._memo.get((id(reads), alg))
+        if hit is None:
+            triples = _summed(((i, j, r), c * v) for (i, j, k), c in alg.mul.terms.items()
+                              for r, v in columns[k])
+            hit = self._memo[(id(reads), alg)] = reads, _product_table(alg.dim, triples.items())
+        return hit[1]
 
     def swapped(self) -> "PairedSystem":
         """The system seen from the dual side: the dual becomes the primal

@@ -22,14 +22,15 @@ Evaluation is one exact contraction per side, not a loop over assignments.
 Linearity makes each side a multilinear map, fixed by a sparse tensor: its
 nonzero output coordinates for every basis value of its slots.  The tensor
 is built bottom up from the stored nonzero structure constants and operator
-entries, then its legs are contracted with the iterated coproduct.  The two
-tensors are compared entry by entry, and a failure names the least
-differing assignment, the first in cartesian order.  In "<sigma(a), y * z>"
-on the 16-dimensional taft-4, y * z has 40 entries, one per nonzero
-structure constant of the dual product, against 4096 assignments.  What
-depends on the statement alone (sorts, slots, leg positions, output
-layout) is compiled into a plan when the statement is parsed, in the same
-walk that checks its sorts, so a system only runs the contractions.
+entries, each variable's legs contracted with its iterated coproduct at
+the node where they meet.  The two tensors are compared entry by entry,
+and a failure names the least differing assignment, the first in
+cartesian order.  In "<sigma(a), y * z>" on the 16-dimensional taft-4,
+y * z has 40 entries, one per nonzero structure constant of the dual
+product, against 4096 assignments.  What depends on the statement alone
+(sorts, slots, where legs meet, output layout) is compiled into a plan
+when the statement is parsed, in the same walk that checks its sorts, so
+a system only runs the contractions.
 
 Grammar (informally):
     identity := name ":" "forall" decl ("," decl)* "." expr "=" expr
@@ -338,26 +339,24 @@ def _check_legs(name, side_label, slots):
     """Leg count of every legged variable of one side, in reading order,
     after checking that its slots, from _compile, hold each (variable, leg)
     at most once and that legs run 1..k."""
-    seen = set()
+    seen, usage = set(), {}
     for slot in slots:
         if slot in seen:
             raise DslLinearityError(
                 f"{name}: {pretty(Var(*slot))} occurs more than once on the {side_label}; "
                 f"basis-only checking needs each side linear in every variable and leg")
         seen.add(slot)
-    usage = {}
-    for var, leg in slots:
-        usage.setdefault(var, set()).add(leg)
+        usage.setdefault(slot[0], []).append(slot[1])
     legs = {}
     for var, used in usage.items():
-        if None in used and len(used) > 1:
+        numbered = sorted(u for u in used if u is not None)
+        if numbered and None in used:
             raise DslLegError(
                 f"{name}: {var!r} is used both bare and with legs on the {side_label}")
-        numbered = sorted(u for u in used if u is not None)
+        if numbered != list(range(1, len(numbered) + 1)):
+            raise DslLegError(
+                f"{name}: legs of {var!r} on the {side_label} must be 1..k, got {numbered}")
         if numbered:
-            if numbered != list(range(1, len(numbered) + 1)):
-                raise DslLegError(
-                    f"{name}: legs of {var!r} on the {side_label} must be 1..k, got {numbered}")
             legs[var] = len(numbered)
     return legs
 
@@ -367,8 +366,8 @@ def _sort_check(name, decls, lhs, rhs) -> IdentityProgram:
     its sorts, then the two sides' sorts, variables and legs checked
     against each other."""
     env = dict(decls)
-    lhs_sort, lhs_slots, lhs_terms = _compile(lhs, env)
-    rhs_sort, rhs_slots, rhs_terms = _compile(rhs, env)
+    lhs_sort, lhs_slots, lhs_build = _compile(lhs, env)
+    rhs_sort, rhs_slots, rhs_build = _compile(rhs, env)
     if lhs_sort != rhs_sort:
         raise DslSortError(f"{name}: sides have sorts {lhs_sort} and {rhs_sort}")
     lhs_vars = {var for var, _ in lhs_slots}
@@ -378,8 +377,8 @@ def _sort_check(name, decls, lhs, rhs) -> IdentityProgram:
             f"{name}: sides use different free variables {sorted(lhs_vars)} vs {sorted(rhs_vars)}")
     lhs_legs = _check_legs(name, "left side", lhs_slots)
     rhs_legs = _check_legs(name, "right side", rhs_slots)
-    plan = _Plan(_compile_side(decls, lhs_slots, lhs_terms, lhs_legs),
-                 _compile_side(decls, rhs_slots, rhs_terms, rhs_legs))
+    plan = _Plan(_compile_side(decls, lhs_build(lhs_legs)),
+                 _compile_side(decls, rhs_build(rhs_legs)))
     return IdentityProgram(name, decls, lhs, rhs, lhs_sort, plan)
 
 
@@ -441,40 +440,34 @@ def standard_corpus():
 # -- evaluation ---------------------------------------------------------------
 #
 # A side is evaluated as a sparse tensor over the slots it reads (one slot
-# per variable and leg): terms maps (one basis index per slot, in reading
-# order, then an output index) to the nonzero output coordinate the subterm
-# takes when each slot holds that basis element; a scalar subterm has the
-# single output index 0.  Every node contracts the stored entries of its
-# operands only: a map through its nonzero matrix columns, a product or an
-# action through its table of structure constants, the pairing by matching
-# output indices (it is the identity on the canonical basis).  Last, the
-# legs of each variable contract with its iterated coproduct, the implicit
-# Sweedler summation.
+# per variable and leg): terms maps (one basis index per slot, then an
+# output index) to the nonzero output coordinate the subterm takes when
+# each slot holds that basis element; a scalar subterm has the single
+# output index 0.  Every node contracts the stored entries of its operands
+# only: a map through its nonzero matrix columns (of a bare variable, its
+# entries are the tensor), a product or an action through its table of
+# structure constants, composed with the map or functional of the product
+# if there is one, the pairing by matching output indices (the identity
+# on the canonical basis).  The legs of a variable contract with its
+# iterated coproduct, the implicit Sweedler summation, at the binary node
+# where they meet: only leg indices that occur together in the coproduct
+# are joined, and the variable's slot leads the joined key.
 #
 # Everything but the terms depends on the statement alone, so it is
 # compiled when the statement is parsed into a plan: each node's sort and
-# slots, the operator, table, functional or constant it reads, the
-# positions of each leg contraction, and the output layout.
-# On a system the plan only runs the contractions.  A map or functional of
-# a bare variable reads the map's nonzero entries directly, with no
-# identity tensor to contract.
+# slots, the operator, table, functional or constant it reads, where each
+# variable's legs meet, and the output layout.  On a system the plan only
+# runs the contractions.
 
-def _constant(sys: PairedSystem, kind):
-    if kind == "one":
-        return sys.primal.unit_column()
-    if kind == "delta":
-        return list(sys.primal_modular.delta)
-    if kind == "deltainv":
-        return list(sys.primal_modular.delta_inv)
-    if kind == "onehat":
-        return sys.dual.unit_column()
-    if kind == "dhat":
-        return list(sys.dual_modular.delta)
-    if kind == "dhatinv":
-        return list(sys.dual_modular.delta_inv)
-    if kind == "tau":
-        return [sys.primal_modular.tau]
-    raise AssertionError(kind)
+_CONSTANTS = {
+    "one": lambda sys: sys.primal.unit_column(),
+    "delta": lambda sys: sys.primal_modular.delta,
+    "deltainv": lambda sys: sys.primal_modular.delta_inv,
+    "onehat": lambda sys: sys.dual.unit_column(),
+    "dhat": lambda sys: sys.dual_modular.delta,
+    "dhatinv": lambda sys: sys.dual_modular.delta_inv,
+    "tau": lambda sys: (sys.primal_modular.tau,),
+}
 
 
 def _column_terms(column):
@@ -482,185 +475,218 @@ def _column_terms(column):
     return {(k,): x for k, x in enumerate(column) if not x.is_zero()}
 
 
-def _by_output(terms):
-    """{output index: [(slot indices, value), ...]}."""
+# the tables of the pairing (output 0) and of a scalar factor (output i + j)
+_PAIR, _OUTER = "pair", "outer"
+_NO_LEGS = (((), None, (), ()),)  # the coterms of a node where no legs meet
+
+
+def _grouped(terms, split):
+    """{leg indices: {output: [(other slot indices, value)]}} by split(key)."""
     groups = {}
+    if split is None:  # no legs meet: one group
+        for key, x in terms.items():
+            groups.setdefault(key[-1], []).append((key[:-1], x))
+        return {(): groups}
     for key, x in terms.items():
-        groups.setdefault(key[-1], []).append((key[:-1], x))
+        legs, rest = split(key)
+        groups.setdefault(legs, {}).setdefault(key[-1], []).append((rest, x))
     return groups
 
 
-def _apply(terms, columns):
-    """A linear map applied to the output; columns[j] lists the nonzero
-    (row, value) entries of the map's column j."""
-    out = {}
-    for key, x in terms.items():
-        head = key[:-1]
-        for i, v in columns[key[-1]]:
-            key_i = head + (i,)
-            prev = out.get(key_i)
-            out[key_i] = v * x if prev is None else prev + v * x
-    return _nonzero(out)
-
-
-def _outer(left, right):
-    """The product with a scalar factor, whose output index is 0, so the
-    other factor's output index is the sum of the two."""
-    return {ka[:-1] + kb[:-1] + (ka[-1] + kb[-1],): a * b
-            for ka, a in left.items() for kb, b in right.items()}
-
-
-def _join(left, right, table):
-    """A bilinear map applied to both outputs; table[i][j] lists the nonzero
-    (k, c) of the map on basis elements i and j, like mul_terms."""
-    rights = _by_output(right)
-    out = {}
-    for i, lefts in _by_output(left).items():
-        row = table[i]
-        for j, rs in rights.items():
-            cell = row[j]
-            if not cell:
-                continue
-            for ka, a in lefts:
-                for kb, b in rs:
-                    ab, kab = a * b, ka + kb
-                    for k, c in cell:
-                        key = kab + (k,)
-                        prev = out.get(key)
-                        out[key] = ab * c if prev is None else prev + ab * c
-    return _nonzero(out)
-
-
-def _pair(left, right):
-    """The pairing of both outputs: the identity on the canonical basis."""
-    rights = {i: [(kb + (0,), b) for kb, b in rs] for i, rs in _by_output(right).items()}
-    out = {}
-    for i, lefts in _by_output(left).items():
-        rs = rights.get(i, ())
-        for ka, a in lefts:
-            for kb, b in rs:
-                key = ka + kb
-                prev = out.get(key)
-                out[key] = a * b if prev is None else prev + a * b
+def _join(left, right, table, coterms, lsplit, rsplit):
+    """A binary node on both operands' outputs, the legs that meet at it
+    contracted.  table[i][j] lists the nonzero (k, c) of a bilinear map on
+    basis elements i and j, like mul_terms, or is _PAIR or _OUTER (whose c
+    is None, for 1).  Each coterm (head, c, left legs, right legs) joins the
+    terms with those leg indices, scaled by c, under head, the basis
+    indices of the meeting variables."""
+    lefts, rights = _grouped(left, lsplit), _grouped(right, rsplit)
+    pair, outer, out = table is _PAIR, table is _OUTER, {}
+    for head, c, lk, rk in coterms:
+        lg, rg = lefts.get(lk), rights.get(rk)
+        for i, ls in (lg.items() if lg and rg else ()):
+            row = None if pair or outer else table[i]
+            for j, rs in ((((i, rg[i]),) if i in rg else ()) if pair else rg.items()):
+                cell = row[j] if row else ((0, None),) if pair else ((i + j, None),)
+                if not cell:
+                    continue
+                for ka, a in ls:
+                    if head:
+                        ka, a = head + ka, c * a
+                    for kb, b in rs:
+                        ab, kab = a * b, ka + kb
+                        for k, t in cell:
+                            key, x = kab + (k,), ab if t is None else ab * t
+                            prev = out.get(key)
+                            out[key] = x if prev is None else prev + x
     return _nonzero(out)
 
 
 def _picker(positions):
     """key -> the tuple of key's entries at positions."""
     if len(positions) == 1:
-        (p,) = positions
-        return lambda key: (key[p],)
-    return itemgetter(*positions)
+        return lambda key, p=positions[0]: (key[p],)
+    return itemgetter(*positions) if positions else lambda key: ()
 
 
-def _contract_legs(terms, legs, leg_pos, rest, alg):
-    """Replace the slots at leg_pos, a variable's legs 1..legs, by one slot
-    for the variable, first, followed by the slots at rest, summing over
-    the iterated coproduct of each basis element of alg."""
-    legs_of, rest_of = _picker(leg_pos), _picker(rest + (-1,))
-    groups = {}
-    for key, x in terms.items():
-        groups.setdefault(legs_of(key), []).append((rest_of(key), x))
-    out = {}
-    for i in range(alg.dim):
-        head = (i,)
-        for c, idxs in alg.iterated_coproduct(i, legs):
-            for key, x in groups.get(idxs, ()):
-                key = head + key
-                prev = out.get(key)
-                out[key] = c * x if prev is None else prev + c * x
-    return _nonzero(out)
+def _binary(legs, sorts, left, right, table):
+    """(slots, terms) of a binary node from its operands' (slots, terms);
+    legs has the leg count of each legged variable of the side, table(sys)
+    is what _join reads.  A variable with legs on both operands and none
+    elsewhere meets here: its slot (var, None) leads the node's keys."""
+    (ls, lt), (rs, rt) = left, right
+    meets, held = [], []
+    for var, count in legs.items():
+        lj = [j for j in range(1, count + 1) if (var, j) in ls]
+        rj = [j for j in range(1, count + 1) if (var, j) in rs]
+        if lj and rj and len(lj) + len(rj) == count:
+            meets.append((sorts[var], count, tuple(lj), tuple(rj)))
+            held += [(var, j) for j in range(1, count + 1)] + [(var, None)]
+    if not meets:
+        return ls + rs, lambda sys: _join(lt(sys), rt(sys), table(sys), _NO_LEGS, None, None)
+    splits = [(lambda key, a=_picker([slots.index(s) for s in held if s in slots]),
+               b=_picker([p for p, s in enumerate(slots) if s not in held]): (a(key), b(key)))
+              for slots in (ls, rs)]
+    return (tuple(s for s in held if s[1] is None) + tuple(s for s in ls + rs if s not in held),
+            lambda sys: _join(lt(sys), rt(sys), table(sys), _coterms(sys, meets), *splits))
 
 
-def _columns(fn, sort):
-    """columns(sys): per basis element of the algebra of sort, the nonzero
-    (row, value) entries of the map or functional fn on it."""
-    if fn in UNARY_FNS:
-        return lambda sys: sys.operator(fn, sort).nonzero_columns()
+def _coterms(sys, meets):
+    """_join's coterms: every combination of one iterated coproduct term
+    per meeting (sort, count, left legs, right legs), each kept on sys."""
+    out = _NO_LEGS
+    for sort, count, lj, rj in meets:
+        alg = sys.algebra(sort)
+        terms = sys._memo.get((alg, count, lj, rj))
+        if terms is None:
+            lsel, rsel = _picker([j - 1 for j in lj]), _picker([j - 1 for j in rj])
+            terms = sys._memo[alg, count, lj, rj] = [
+                ((i,), d, lsel(idxs), rsel(idxs))
+                for i in range(alg.dim) for d, idxs in alg.iterated_coproduct(i, count)]
+        out = terms if out is _NO_LEGS else [
+            (head + h, c * d, lk + lk2, rk + rk2)
+            for head, c, lk, rk in out for h, d, lk2, rk2 in terms]
+    return out
 
-    def columns(sys):
+
+def _reads(fn, sort):
+    """reads(sys): the matrix or row fn reads on the algebra of sort, and
+    per basis element the nonzero (row, value) entries of fn on it."""
+    def reads(sys):
+        if fn in UNARY_FNS:
+            m = sys.operator(fn, sort)
+            return m, m.nonzero_columns()
         row = sys.algebra(sort).counit if fn == "eps" else getattr(sys.modular(sort), fn)
-        return [((0, x),) if not x.is_zero() else () for x in row]
-    return columns
+        return row, [((0, x),) if not x.is_zero() else () for x in row]
+    return reads
+
+
+def _table(sort, fn):
+    """table(sys) of a product step of two factors of sort, composed with
+    the map or functional fn if given; of a scalar factor if sort is None."""
+    if sort is None:
+        return lambda sys: _OUTER
+    if not fn:
+        return lambda sys: sys.algebra(sort).mul_terms
+    reads = _reads(fn, sort)
+    return lambda sys: sys.composed_table(sort, *reads(sys))
+
+
+def _applied(built, reads):
+    """(slots, terms) of a map or functional applied to built's output,
+    through the nonzero (row, value) entries of its columns, reads(sys)[1]."""
+    slots, terms = built
+
+    def applied(sys):
+        columns, out = reads(sys)[1], {}
+        for key, x in terms(sys).items():
+            head = key[:-1]
+            for i, v in columns[key[-1]]:
+                key_i = head + (i,)
+                prev = out.get(key_i)
+                out[key_i] = v * x if prev is None else prev + v * x
+        return _nonzero(out)
+    return slots, applied
 
 
 def _compile(node, env):
-    """(sort, slots, terms) of node: its sort, the (variable, leg) slots of
-    its tensor in reading order, and terms(sys), the tensor on sys.  An
-    ill-sorted node raises DslSortError, after its operands are checked."""
+    """(sort, slots, build) of node: its sort, its (variable, leg) slots in
+    reading order, and build(legs), its (slots, terms(sys)) given the leg
+    count of each legged variable of its side, with one slot (var, None)
+    for a variable whose legs met in node or that has one.  An ill-sorted
+    node raises DslSortError, after its operands are checked."""
     if isinstance(node, Var):
         if node.name not in env:
             raise DslSortError(f"undeclared variable {node.name!r}")
-        sort = env[node.name]
+        name, leg, sort = node.name, node.leg, env[node.name]
 
         def identity(sys):
             one = sys.primal.field.one()
             return {(i, i): one for i in range(sys.algebra(sort).dim)}
-        return sort, ((node.name, node.leg),), identity
+        return sort, ((name, leg),), lambda legs: (
+            ((name, leg if legs.get(name, 1) > 1 else None),), identity)
     if isinstance(node, ScalarLit):
         value = node.value
-        return "scalar", (), lambda sys: _column_terms([sys.primal.field.scalar(value)])
+        return "scalar", (), lambda legs: (
+            (), lambda sys: _column_terms([sys.primal.field.scalar(value)]))
     if isinstance(node, Const):
-        kind = node.kind
-        return _CONST_SORTS[kind], (), lambda sys: _column_terms(_constant(sys, kind))
+        column = _CONSTANTS[node.kind]
+        return _CONST_SORTS[node.kind], (), lambda legs: (
+            (), lambda sys: _column_terms(column(sys)))
     if isinstance(node, Product):
         return _compile_product(node, env)
     if isinstance(node, Pairing) or node.fn in ACTION_FNS:
         operands = (node.left, node.right) if isinstance(node, Pairing) else node.args
         (left_sort, left_slots, left), (right_sort, right_slots, right) = (
             _compile(c, env) for c in operands)
-        slots = left_slots + right_slots
-        if isinstance(node, Pairing):
-            if (left_sort, right_sort) != ("A", "Ahat"):
-                raise DslSortError(f"pairing needs an A term then an Ahat term, got "
-                                   f"<{left_sort}, {right_sort}> in {pretty(node)}")
-            return "scalar", slots, lambda sys: _pair(left(sys), right(sys))
-        fn = node.fn
-        expected = _ACTION_SORTS[fn]
+        fn = None if isinstance(node, Pairing) else node.fn
+        expected = _ACTION_SORTS[fn] if fn else ("A", "Ahat", "scalar")
         if (left_sort, right_sort) != expected[:2]:
             raise DslSortError(f"{fn} expects sorts {expected[:2]}, got "
-                               f"{(left_sort, right_sort)} in {pretty(node)}")
-        return (expected[2], slots,
-                lambda sys: _join(left(sys), right(sys), sys.action_table(fn)))
-    (arg,) = node.args
+                               f"{(left_sort, right_sort)} in {pretty(node)}" if fn else
+                               f"pairing needs an A term then an Ahat term, got "
+                               f"<{left_sort}, {right_sort}> in {pretty(node)}")
+        table = (lambda sys: sys.action_table(fn)) if fn else (lambda sys: _PAIR)
+        return expected[2], left_slots + right_slots, lambda legs: _binary(
+            legs, env, left(legs), right(legs), table)
+    (arg,), fn = node.args, node.fn
     sort, slots, inner = _compile(arg, env)
     if sort == "scalar":
-        raise DslSortError(f"{node.fn} cannot act on a scalar in {pretty(node)}")
-    columns = _columns(node.fn, sort)
-    if node.fn in SCALAR_FNS:
-        sort = "scalar"
+        raise DslSortError(f"{fn} cannot act on a scalar in {pretty(node)}")
+    value_sort = "scalar" if fn in SCALAR_FNS else sort
+    if isinstance(arg, Product):
+        return value_sort, slots, lambda legs: inner(legs, fn)
+    reads = _reads(fn, sort)
     if isinstance(arg, Var):
         # on a bare variable the tensor is the map's own entries
-        return sort, slots, lambda sys: {(j, i): v for j, column in enumerate(columns(sys))
-                                         for i, v in column}
-    return sort, slots, lambda sys: _apply(inner(sys), columns(sys))
+        return value_sort, slots, lambda legs: (inner(legs)[0], lambda sys: {
+            (j, i): v for j, column in enumerate(reads(sys)[1]) for i, v in column})
+    return value_sort, slots, lambda legs: _applied(inner(legs), reads)
 
 
 def _compile_product(node, env):
-    """(sort, slots, terms) of a product, folded left, each factor's sort
+    """(sort, slots, build) of a product, folded left, each factor's sort
     checked as it is folded in: a scalar factor multiplies outright, two
-    factors of one sort through that sort's structure constants."""
+    factors of one sort through that sort's structure constants.  With fn,
+    build(legs, fn) builds fn of the product: a last step of two factors
+    reads their table composed with fn, a last scalar factor precedes it."""
     sort, slots, first = _compile(node.factors[0], env)
     steps = []
     for f in node.factors[1:]:
         factor_sort, factor_slots, factor = _compile(f, env)
-        if "scalar" in (sort, factor_sort):
-            steps.append((None, factor))
-            if sort == "scalar":
-                sort = factor_sort
-        elif sort != factor_sort:
+        scalar = "scalar" in (sort, factor_sort)
+        if not scalar and sort != factor_sort:
             raise DslSortError(f"cannot multiply {sort} by {factor_sort} in {pretty(node)}")
-        else:
-            steps.append((sort, factor))
+        steps.append((None if scalar else sort, factor))
+        sort = factor_sort if sort == "scalar" else sort
         slots += factor_slots
 
-    def terms(sys):
-        acc = first(sys)
-        for table_sort, factor in steps:
-            acc = (_outer(acc, factor(sys)) if table_sort is None
-                   else _join(acc, factor(sys), sys.algebra(table_sort).mul_terms))
-        return acc
-    return sort, slots, terms
+    def build(legs, fn=None):
+        acc = first(legs)
+        for n, (on, factor) in enumerate(steps, 1):  # on: a sort, or None for a scalar
+            acc = _binary(legs, env, acc, factor(legs), _table(on, n == len(steps) and fn))
+        return _applied(acc, _reads(fn, sort)) if fn and not on else acc
+    return sort, slots, build
 
 
 @dataclass(frozen=True, eq=False)
@@ -676,31 +702,18 @@ class _Plan:
     rhs: _Side
 
 
-def _compile_side(decls, slots, terms, legs) -> _Side:
-    """The plan of one side from its compiled slots and terms and the leg
-    count of each legged variable: one contraction per legged variable, in
-    reading order, then the output layout, where a variable the side does
-    not read has index 0."""
-    sorts = dict(decls)
-    contractions = []
-    for var, count in legs.items():
-        leg_pos = tuple(slots.index((var, j)) for j in range(1, count + 1))
-        rest = tuple(p for p in range(len(slots)) if p not in leg_pos)
-        contractions.append((sorts[var], count, leg_pos, rest))
-        slots = ((var, None),) + tuple(slots[p] for p in rest)
+def _compile_side(decls, built) -> _Side:
+    """The plan of one side from its (slots, terms), where each variable
+    has one slot: the output layout, where a variable the side does not
+    read has index 0."""
+    slots, terms = built
     where = tuple(slots.index((var, None)) if (var, None) in slots else None
                   for var, _ in decls)
-    laid_out = where == tuple(range(len(slots)))
-
-    def tensor(sys):
-        out = terms(sys)
-        for sort, count, leg_pos, rest in contractions:
-            out = _contract_legs(out, count, leg_pos, rest, sys.algebra(sort))
-        if laid_out:
-            return out
-        return {tuple(0 if p is None else key[p] for p in where) + key[-1:]: x
-                for key, x in out.items()}
-    return _Side(tuple(d for d, p in enumerate(where) if p is not None), tensor)
+    reads = tuple(d for d, p in enumerate(where) if p is not None)
+    if where == tuple(range(len(slots))):
+        return _Side(reads, terms)
+    return _Side(reads, lambda sys: {tuple(0 if p is None else key[p] for p in where)
+                                     + key[-1:]: x for key, x in terms(sys).items()})
 
 
 def _value_at(sys: PairedSystem, sort, terms, combo):
@@ -722,12 +735,6 @@ def evaluate_side(sys: PairedSystem, prog: IdentityProgram, node, assignment):
     values = _summed((key[-1:], reduce(mul, (column[key[d]] for d, column in columns), x))
                      for key, x in side.tensor(sys).items())
     return prog.sort, _value_at(sys, prog.sort, values, ())
-
-
-def _format_value(sys, sort, value):
-    if sort == "scalar":
-        return str(value)
-    return sys.algebra(sort).format_element(value)
 
 
 def evaluate(prog: IdentityProgram, sys: PairedSystem) -> CheckResult:
@@ -757,8 +764,9 @@ def _decide(prog: IdentityProgram, sys: PairedSystem):
                 if lhs.get(key, zero) != rhs.get(key, zero))[:-1]
     names = ", ".join(f"{var}={sys.algebra(sort).basis_names[idx]}"
                       for (var, sort), idx in zip(prog.decls, combo))
-    values = [_format_value(sys, prog.sort, _value_at(sys, prog.sort, side, combo))
-              for side in (lhs, rhs)]
+    values = [_value_at(sys, prog.sort, side, combo) for side in (lhs, rhs)]
+    if prog.sort != "scalar":
+        values = [sys.algebra(prog.sort).format_element(v) for v in values]
     return False, f"at {names}: lhs={values[0]} rhs={values[1]}"
 
 

@@ -1,5 +1,6 @@
 import functools
 import json
+import random
 
 import pytest
 
@@ -9,8 +10,8 @@ from hopfcheck.catalog import (CYCLOTOMIC_ORDER_LIMIT, GROUP_ORDER_LIMIT, GroupP
                                algebra_to_json, build_taft, builtin, read_algebra)
 from hopfcheck.identities import MAX_NESTING, parse_corpus
 from hopfcheck.hopf import ANTIPODE_DIM_LIMIT
-from hopfcheck.linalg import Matrix
-from hopfcheck.scalars import RATIONAL
+from hopfcheck.linalg import Matrix, invert
+from hopfcheck.scalars import RATIONAL, cyclotomic_field
 
 
 def test_example_then_verify_axioms(tmp_path):
@@ -556,6 +557,75 @@ def test_order_past_the_cap_prints_the_bound():
     assert matrix_order(two) is None
     assert order_text(two) == "> 1000"
     assert order_text(Matrix(RATIONAL, [[-1]])) == "2"
+
+
+def _power_loop_order(m):
+    """The order by the loop matrix_order ran before: the first of m, m^2,
+    ..., m^ORDER_CAP that is the identity, or None."""
+    acc = m
+    for k in range(1, cli.ORDER_CAP + 1):
+        if acc.is_identity():
+            return k
+        acc = acc * m
+    return None
+
+
+def _permutation(field, images, scales=None):
+    """The monomial matrix sending e_j to scales[j] e_images[j]."""
+    n = len(images)
+    rows = [[0] * n for _ in range(n)]
+    for j, i in enumerate(images):
+        rows[i][j] = scales[j] if scales else 1
+    return Matrix(field, rows)
+
+
+def _seeded_matrices(seed):
+    """Monomial matrices (permutations scaled by roots of unity, by 2 or
+    by 0), dense invertible ones (a monomial one conjugated by a unipotent
+    matrix, and unipotent ones of infinite order), and singular ones."""
+    rng = random.Random(seed)
+    out = []
+    for field in (RATIONAL, cyclotomic_field(3), cyclotomic_field(4)):
+        roots = [field.one(), -field.one()] + (
+            [] if field is RATIONAL else [field.generator(), -field.generator()])
+        for n in (1, 2, 3, 5, 6):
+            images = rng.sample(range(n), n)
+            monomial = _permutation(field, images, [rng.choice(roots) for _ in range(n)])
+            unipotent = Matrix(field, [[int(i == j) if i >= j else rng.randint(-2, 2)
+                                        for j in range(n)] for i in range(n)])
+            out.append(monomial)
+            out.append(unipotent * monomial * invert(unipotent))
+            out.append(unipotent)
+            out.append(_permutation(field, images, [rng.choice(roots + [field.scalar(2)])
+                                                   for _ in range(n)]))
+            out.append(_permutation(field, images, [rng.choice(roots + [field.zero()])
+                                                   for _ in range(n)]))
+            out.append(Matrix(field, [[rng.choice((0, 0, 1, -1)) for _ in range(n)]
+                                      for _ in range(n)]))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_matrix_order_agrees_with_the_power_loop(seed):
+    matrices = _seeded_matrices(seed)
+    orders = [matrix_order(m) for m in matrices]
+    assert orders == [_power_loop_order(m) for m in matrices]
+    assert None in orders and len(set(orders) - {None}) > 3
+
+
+def test_matrix_order_past_the_cap_by_the_lcm_of_its_cycles():
+    # cycles of 7, 11 and 13: each closes well within the cap, their lcm
+    # 1001 does not; cycles of 8 and 125 close at 1000, the cap itself
+    def cycles(*lengths):
+        images, start = [], 0
+        for n in lengths:
+            images += [start + (j + 1) % n for j in range(n)]
+            start += n
+        return _permutation(RATIONAL, images)
+
+    for lengths, order in (((7, 11, 13), None), ((8, 125), 1000), ((7, 11), 77)):
+        m = cycles(*lengths)
+        assert matrix_order(m) == _power_loop_order(m) == order, lengths
 
 
 def test_consecutive_runs_share_no_parser_state(tmp_path):

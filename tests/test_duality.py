@@ -310,6 +310,24 @@ def test_operator_lookup_is_memoized_and_exact(paired, name):
             assert system.operator(op, sort) is first, (op, sort)
 
 
+@pytest.mark.parametrize("name", ["sweedler", "taft-3"])
+def test_composed_tables_are_kept_per_functional_object(paired, name):
+    # swapped() shares the memo, reads the dual under sort "A" and the
+    # primal under rescaled integrals: a table is kept per object it reads,
+    # not per sort.  A functional of a product is its Gram matrix.
+    sys = paired(name)
+    for system in (sys, sys.swapped()):
+        for sort in ("A", "Ahat"):
+            phi = system.modular(sort).phi
+            columns = [((0, x),) if not x.is_zero() else () for x in phi]
+            table = system.composed_table(sort, phi, columns)
+            assert system.composed_table(sort, phi, columns) is table
+            assert system.composed_table(sort, list(phi), columns) is not table
+            gram = gram_matrix(system.algebra(sort), phi).data
+            assert table == tuple(tuple(((0, x),) if not x.is_zero() else () for x in row)
+                                  for row in gram), (system.primal.name, sort)
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_bidual_gram_inverses_are_the_primal_ones_rescaled(paired, name):
     # the bidual side scales the primal's Gram inverses instead of inverting
