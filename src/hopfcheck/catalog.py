@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from itertools import accumulate, permutations
 from json.encoder import encode_basestring_ascii
 
-from .hopf import (AntipodeTooLargeError, HopfAlgebra, _product, _product_table,
-                   _tensor_square_product, compute_antipode)
+from .hopf import (AntipodeTooLargeError, HopfAlgebra, _coproduct_table, _product,
+                   _product_table, _product_triples, _tensor_square_product,
+                   compute_antipode)
 from .linalg import Matrix, Tensor3
 from .scalars import RATIONAL, FieldSpec, Scalar, ScalarSyntaxError, cyclotomic_field
 
@@ -363,8 +364,8 @@ def algebra_to_json(h: HopfAlgebra) -> dict:
         "field": _field_to_json(h.field),
         "dim": h.dim,
         "basis": list(h.basis_names),
-        "mul": [[i, j, k, text(v)] for (i, j, k), v in h.mul.terms.items()],
-        "comul": [[i, j, k, text(v)] for (i, j, k), v in h.comul.terms.items()],
+        "mul": [[i, j, k, text(v)] for (i, j, k), v in _product_triples(h.mul_terms)],
+        "comul": [[i, j, k, text(v)] for i, terms in enumerate(h.comul_terms) for j, k, v in terms],
         "counit": [text(c) for c in h.counit],
         "unit": [text(c) for c in h.unit],
     }
@@ -429,7 +430,7 @@ def algebra_from_json(doc) -> HopfAlgebra:
     """The algebra of an algebra file document; a file without an antipode
     gets one synthesized.  Each mul, comul and antipode entry is checked in
     one scan (integer indices in range, a key not given before, a literal
-    already parsed), and the checked terms go to the tensors and the
+    already parsed), and the checked terms go to the tables and the
     antipode unchecked; the position text of an error is built only when it
     is raised."""
     if not isinstance(doc, dict):
@@ -500,46 +501,35 @@ def algebra_from_json(doc) -> HopfAlgebra:
                 f"{where}: duplicate entry {list(key)}, first given at {label}[{first}]")
         return key, parse_scalar(item[width], label, pos)
 
-    def tensor_from(items, label):
+    def scanned(items, label, width):
         # one pass: an entry with integer indices in range, a new key and a
-        # literal already parsed is taken as it stands
+        # literal already parsed is taken as it stands; an entry has two or
+        # three indices, so its first, second and last are all of them
         out = {}
         for pos, item in enumerate(items):
-            if type(item) is list and len(item) == 4:
-                i, j, k, text = item
+            if type(item) is list and len(item) == width + 1:
+                key, text = tuple(item[:width]), item[width]
+                i, j, k = key[0], key[1], key[-1]
                 x = parsed.get(text) if type(text) is str else None
-                if (x is not None and type(i) is type(j) is type(k) is int
-                        and 0 <= i < dim and 0 <= j < dim and 0 <= k < dim
-                        and (i, j, k) not in out):
-                    out[i, j, k] = x
+                if (x is not None and type(i) is type(j) is type(k) is int and 0 <= i < dim
+                        and 0 <= j < dim and 0 <= k < dim and key not in out):
+                    out[key] = x
                     continue
-            key, x = checked(items, pos, label, 3, out)
+            key, x = checked(items, pos, label, width, out)
             out[key] = x
-        return Tensor3._from_terms(field, dim, out)
+        # in index order, without zeros: as the tables and the matrix take them
+        return {key: out[key] for key in sorted(out) if not out[key].is_zero()}
 
-    mul = tensor_from(mul_triples, "mul")
-    comul = tensor_from(comul_triples, "comul")
-    counit_row = [parse_scalar(c, "counit", i) for i, c in enumerate(counit)]
-    unit_col = [parse_scalar(c, "unit", i) for i, c in enumerate(unit)]
-
+    mul = scanned(mul_triples, "mul", 3)
+    comul = scanned(comul_triples, "comul", 3)
+    counit_row = tuple(parse_scalar(c, "counit", i) for i, c in enumerate(counit))
+    unit_col = tuple(parse_scalar(c, "unit", i) for i, c in enumerate(unit))
     antipode = None
     if "antipode" in doc:
-        items = doc["antipode"]
-        entries = {}
-        for pos, item in enumerate(items):
-            if type(item) is list and len(item) == 3:
-                i, j, text = item
-                x = parsed.get(text) if type(text) is str else None
-                if (x is not None and type(i) is type(j) is int
-                        and 0 <= i < dim and 0 <= j < dim and (i, j) not in entries):
-                    entries[i, j] = x
-                    continue
-            key, x = checked(items, pos, "antipode", 2, entries)
-            entries[key] = x
-        antipode = Matrix._from_entries(field, dim, dim, {
-            key: x for key, x in entries.items() if not x.is_zero()})
+        antipode = Matrix._from_entries(field, dim, dim, scanned(doc["antipode"], "antipode", 2))
 
-    h = HopfAlgebra(field, basis, mul, unit_col, comul, counit_row, antipode, name=name)
+    h = HopfAlgebra._from_tables(field, tuple(basis), _product_table(dim, mul.items()), unit_col,
+                                 _coproduct_table(dim, comul.items()), counit_row, antipode, name)
     if antipode is None:
         bad = [c.check for c in h.bialgebra_checks() if not c.passed]
         if bad:

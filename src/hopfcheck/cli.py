@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import math
 import os
 import sys
@@ -67,13 +66,14 @@ def order_text(m: Matrix) -> str:
     return f"> {ORDER_CAP}" if k is None else str(k)
 
 
-def _print_matrix(out, label: str, m: Matrix):
-    out.write(f"{label}:\n")
+def _matrix_text(label: str, m: Matrix) -> str:
+    rows = []
     for row in m.nonzero_rows():
         entries = ["0"] * m.cols
         for j, x in row:
             entries[j] = str(x)
-        out.write("  [" + ", ".join(entries) + "]\n")
+        rows.append("  [" + ", ".join(entries) + "]\n")
+    return f"{label}:\n" + "".join(rows)
 
 
 def _functional_str(coords) -> str:
@@ -98,20 +98,20 @@ def axioms_text(h: HopfAlgebra) -> tuple[str, bool]:
 
 
 def modular_text(h: HopfAlgebra, md=None) -> str:
-    out, md = io.StringIO(), md or modular_data(h)
-    out.write(f"algebra {h.name} dim {h.dim} field {h.field}\n")
-    out.write(f"basis = [{', '.join(h.basis_names)}]\n")
-    out.write(f"phi = {_functional_str(md.phi)}\n")
-    out.write(f"psi = {_functional_str(md.psi)}\n")
-    out.write(f"delta = {h.format_element(list(md.delta))}\n")
-    out.write(f"delta_inv = {h.format_element(list(md.delta_inv))}\n")
-    _print_matrix(out, "sigma", md.sigma)
-    _print_matrix(out, "sigma_prime", md.sigma_prime)
-    out.write(f"tau = {md.tau}\n")
-    out.write(f"antipode order = {order_text(h.antipode)}\n")
-    out.write(f"sigma order = {order_text(md.sigma)}\n")
-    out.write(f"sigma_prime order = {order_text(md.sigma_prime)}\n")
-    return out.getvalue()
+    md = md or modular_data(h)
+    return "".join([
+        f"algebra {h.name} dim {h.dim} field {h.field}\n",
+        f"basis = [{', '.join(h.basis_names)}]\n",
+        f"phi = {_functional_str(md.phi)}\n",
+        f"psi = {_functional_str(md.psi)}\n",
+        f"delta = {h.format_element(list(md.delta))}\n",
+        f"delta_inv = {h.format_element(list(md.delta_inv))}\n",
+        _matrix_text("sigma", md.sigma),
+        _matrix_text("sigma_prime", md.sigma_prime),
+        f"tau = {md.tau}\n",
+        f"antipode order = {order_text(h.antipode)}\n",
+        f"sigma order = {order_text(md.sigma)}\n",
+        f"sigma_prime order = {order_text(md.sigma_prime)}\n"])
 
 
 def _load_corpus_arg(corpus_path):
@@ -261,13 +261,9 @@ def run(argv) -> tuple[int, str]:
         if args.command == "radford":
             text, ok = radford_text(h)
             return (0 if ok else 1), text
-        if args.command == "check":
-            programs = _load_corpus_arg(args.corpus)
-            text, ok = check_text(h, programs)
-            return (0 if ok else 1), text
-        if args.command == "full-report":
-            programs = _load_corpus_arg(args.corpus) if args.corpus else None
-            text, ok = full_report_text(h, programs)
+        if args.command in ("check", "full-report"):
+            report = check_text if args.command == "check" else full_report_text
+            text, ok = report(h, _load_corpus_arg(args.corpus))
             return (0 if ok else 1), text
         return 2, f"unknown command {args.command!r}\n"
     except InvalidHopfAlgebraError as exc:

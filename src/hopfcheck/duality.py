@@ -24,28 +24,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .hopf import CorruptedDataError, HopfAlgebra, _dual_terms, _product_table, _summed
-from .linalg import Matrix, Tensor3, invert
+from .hopf import (CheckResult, CorruptedDataError, HopfAlgebra, ValidationReport,
+                   _product_table, _product_triples, _summed, _transposed)
+from .linalg import Matrix, invert
 from .modular import (ModularData, left_integral, modular_data, proportionality,
                       right_integral)
 from .scalars import Scalar
 
 
 def dual_structure(h: HopfAlgebra):
-    """(mul, unit, comul, counit, antipode) of the dual on the canonical dual
-    basis; an involution, so applied to the dual it gives back h's own.
-    The terms are h's own, re-indexed: in range, and Scalars of h's field."""
-    mul_hat, comul_hat = _dual_terms(h)
-    return (Tensor3._from_terms(h.field, h.dim, mul_hat), h.counit,
-            Tensor3._from_terms(h.field, h.dim, comul_hat), h.unit, h.antipode.transpose())
+    """(mul_terms, unit, comul_terms, counit, antipode) of the dual on the
+    canonical dual basis, as HopfAlgebra keeps them: h's tables transposed
+    (hopf._transposed), unit and counit swapped, the antipode transposed.
+    An involution, so applied to the dual it gives back h's own."""
+    mul_hat, comul_hat = _transposed(h.mul_terms, h.comul_terms)
+    return mul_hat, h.counit, comul_hat, h.unit, h.antipode.transpose()
 
 
 def build_dual(h: HopfAlgebra) -> HopfAlgebra:
-    """The dual Hopf algebra on the canonical dual basis, for a valid h.
+    """The dual Hopf algebra on the canonical dual basis, for a valid h,
+    built from dual_structure(h) as it stands.
 
-    The dual is not validated again: under the transposition of
-    dual_structure each of its axioms is one of h's, with the indices
-    renamed, and h has just been validated (hats mark the dual's maps):
+    The dual is not validated again: under the transposition each of its
+    axioms is one of h's, with the indices renamed, and h has just been
+    validated (hats mark the dual's maps):
       associativity            <-> coassociativity
       unit                     <-> counit
       coproduct-homomorphism   <-> itself, where coproduct_hat(1_hat) =
@@ -54,15 +56,17 @@ def build_dual(h: HopfAlgebra) -> HopfAlgebra:
       counit-homomorphism      <-> coproduct(1) = 1 (x) 1 and counit(1) = 1
       antipode-left, -right    <-> each itself
       antipode-invertible      <-> itself: S_hat^-1 = (S^-1)^T
-    So the dual takes h's report under its own name, and the transpose of
-    h's antipode inverse.  A dual read back from a file is validated from
-    scratch.
+    So the dual is handed h's report under its own name, and the transpose
+    of h's antipode inverse.  A dual read back from a file is validated
+    from scratch.
     """
     h.require_valid()
-    dual = HopfAlgebra(h.field, [f"{b}*" for b in h.basis_names], *dual_structure(h),
-                       name=f"dual({h.name})")
-    dual._take_validation(h, h.antipode_inverse().transpose())
-    return dual
+    name = f"dual({h.name})"
+    report = ValidationReport(tuple(CheckResult(c.check, name, True) for c in h.validate().checks))
+    return HopfAlgebra._from_tables(
+        h.field, tuple(f"{b}*" for b in h.basis_names), *dual_structure(h), name,
+        bialgebra=report.checks[:len(h.bialgebra_checks())], validation=report,
+        antipode_inverse=h.antipode_inverse().transpose())
 
 
 def pairing_value(a, y) -> Scalar:
@@ -164,7 +168,7 @@ class PairedSystem:
         alg = self.algebra(sort)
         hit = self._memo.get((id(reads), alg))
         if hit is None:
-            triples = _summed(((i, j, r), c * v) for (i, j, k), c in alg.mul.terms.items()
+            triples = _summed(((i, j, r), c * v) for (i, j, k), c in _product_triples(alg.mul_terms)
                               for r, v in columns[k])
             hit = self._memo[(id(reads), alg)] = reads, _product_table(alg.dim, triples.items())
         return hit[1]

@@ -1,12 +1,14 @@
 """Finite-dimensional Hopf algebras presented by structure constants.
 
 A HopfAlgebra fixes a basis e_0..e_{n-1} and stores the nonzero structure
-constants of the product (mul, triples (i, j, k) for the coefficient of e_k
-in e_i * e_j) and of the coproduct (comul, triples (i, j, k) for the
-coefficient of e_j (x) e_k in the coproduct of e_i), the unit coordinates,
-the counit row, and the antipode matrix.  The unit is an arbitrary
-coordinate column: dual algebras have the counit as their unit, which is
-rarely a basis vector.
+constants once, grouped by input and in index order: mul_terms[i][j] lists
+the (k, x) with x the coefficient of e_k in e_i * e_j, and comul_terms[i]
+the (j, k, x) with x the coefficient of e_j (x) e_k in the coproduct of
+e_i.  It also stores the unit coordinates, the counit row, and the antipode
+matrix.  Tensor3 is only the input and export form: the constructor
+groups two, and mul and comul rebuild them.  _transposed gives the dual's
+tables.  The unit is an arbitrary coordinate column: dual algebras have
+the counit as their unit, which is rarely a basis vector.
 
 The six bialgebra axioms are decided by one routine, _bialgebra_failures,
 which checks the unit and counit laws, coproduct(1) = 1 (x) 1 and
@@ -58,11 +60,12 @@ Regularity is checked only on an algebra that passed validation, so
 through its antipode: the Galois maps are composed with their candidate
 inverses on the tensors a (x) 1 and 1 (x) b, which is enough by
 associativity and the unit law (Larson-Sweedler: the Galois maps are
-invertible exactly when an antipode exists).  The axiom results can also
-be handed over from algebras that decided the same equations:
-with_antipode keeps the bialgebra checks, and the dual takes the primal's
-results renamed (duality.build_dual).  The structure is frozen after
-construction, so instances can be shared freely.
+invertible exactly when an antipode exists).  Every algebra is built by
+one table constructor, HopfAlgebra._from_tables, which also takes results
+handed over from an algebra that decided the same equations: with_antipode
+passes on the bialgebra checks, and the dual is given the primal's results
+renamed (duality.build_dual).  No algebra changes after it is built, so
+instances can be shared freely.
 """
 
 from __future__ import annotations
@@ -160,13 +163,23 @@ def _coproduct_table(n, triples):
     return tuple(map(tuple, rows))
 
 
-def _dual_terms(h):
-    """The nonzero structure constants (mul_hat, comul_hat) of the dual of h
-    on the canonical dual basis, as {(i, j, k): Scalar}: the dual product is
-    the transposed coproduct and the dual coproduct the transposed product,
-    mul_hat[i, j, k] = comul[k, i, j] and comul_hat[i, j, k] = mul[j, k, i]."""
-    return ({(i, j, k): x for (k, i, j), x in h.comul.terms.items()},
-            {(i, j, k): x for (j, k, i), x in h.mul.terms.items()})
+def _product_triples(mul_terms):
+    """The ((i, j, k), x) terms of a product table, in the table's order."""
+    return (((i, j, k), x) for i, row in enumerate(mul_terms)
+            for j, cell in enumerate(row) for k, x in cell)
+
+
+def _transposed(mul_terms, comul_terms):
+    """The product and coproduct tables of the dual on the canonical dual
+    basis, for the grouped tables of an algebra, in index order again: the
+    dual product is the transposed coproduct, mul_hat[i][j] holds (k, x) for
+    each term (i, j, x) of comul_terms[k], and the dual coproduct the
+    transposed product, comul_hat[i] holds (j, k, x) for each (i, x) in
+    mul_terms[j][k].  An involution."""
+    n = len(mul_terms)
+    return (_product_table(n, (((i, j, k), x) for k, terms in enumerate(comul_terms)
+                               for i, j, x in terms)),
+            _coproduct_table(n, (((i, j, k), x) for (j, k, i), x in _product_triples(mul_terms))))
 
 
 def _product(mt, x, y):
@@ -431,50 +444,60 @@ class HopfAlgebra:
     """Structure-constant presentation of a Hopf algebra on a fixed basis."""
 
     __slots__ = (
-        "name", "field", "dim", "basis_names", "mul", "unit", "comul",
-        "counit", "antipode", "mul_terms", "comul_terms",
+        "name", "field", "dim", "basis_names", "unit", "counit", "antipode",
+        "mul_terms", "comul_terms",
         "_bialgebra", "_generating_rows", "_validation", "_antipode_inverse",
         "_coproduct_cache", "_integrals",
     )
 
-    def __init__(self, field: FieldSpec, basis_names, mul: Tensor3, unit,
-                 comul: Tensor3, counit, antipode: Matrix | None = None,
-                 name: str = "unnamed"):
+    # the public constructor checks and groups its Tensor3s; every algebra
+    # is then built by _from_tables
+    def __new__(cls, field: FieldSpec, basis_names, mul: Tensor3, unit, comul: Tensor3,
+                counit, antipode: Matrix | None = None, name: str = "unnamed"):
         n = len(basis_names)
         if mul.dim != n or comul.dim != n:
             raise ValueError("structure tensors do not match the basis size")
         if len(unit) != n or len(counit) != n:
             raise ValueError("unit/counit length does not match the basis size")
-        if antipode is not None and (antipode.rows != n or antipode.cols != n):
-            raise ValueError("antipode matrix must be dim x dim")
         if mul.field != field or comul.field != field:
             raise ValueError("structure tensors use a different field")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "basis_names", tuple(str(b) for b in basis_names))
-        object.__setattr__(self, "mul", mul)
-        object.__setattr__(self, "unit", tuple(field.scalar(c) for c in unit))
-        object.__setattr__(self, "comul", comul)
-        object.__setattr__(self, "counit", tuple(field.scalar(c) for c in counit))
-        object.__setattr__(self, "antipode", antipode)
-        # the stored terms grouped by input, read by every contraction:
-        # mul_terms[i][j] lists (k, x), comul_terms[i] lists (j, k, x)
-        object.__setattr__(self, "mul_terms", _product_table(n, mul.terms.items()))
-        object.__setattr__(self, "comul_terms", _coproduct_table(n, comul.terms.items()))
-        self._clear_results()
+        return cls._from_tables(field, tuple(str(b) for b in basis_names),
+                                _product_table(n, mul.terms.items()),
+                                tuple(field.scalar(c) for c in unit),
+                                _coproduct_table(n, comul.terms.items()),
+                                tuple(field.scalar(c) for c in counit), antipode, name)
 
-    def _clear_results(self) -> None:
-        """Set every slot that caches a result to its empty state."""
-        object.__setattr__(self, "_bialgebra", None)
-        # G, when validation decided the bialgebra axioms on its rows
-        object.__setattr__(self, "_generating_rows", None)
-        object.__setattr__(self, "_validation", None)
-        object.__setattr__(self, "_antipode_inverse", None)
-        object.__setattr__(self, "_coproduct_cache", {})
-        # side -> the integral modular._integral solved for, and "modular"
-        # -> the tuple of modular.modular_data; filled there
-        object.__setattr__(self, "_integrals", {})
+    @classmethod
+    def _from_tables(cls, field, basis_names, mul_terms, unit, comul_terms, counit, antipode,
+                     name, **results) -> "HopfAlgebra":
+        """The algebra with the given structure, taken as it stands: a tuple
+        of basis names, the unit and counit as tuples of Scalars of field,
+        and the product and coproduct grouped by input in index order
+        without zeros, mul_terms[i][j] listing (k, x) and comul_terms[i]
+        (j, k, x).  Only the antipode, a Matrix or None, is checked: dim x
+        dim, over field.  results hands over what an algebra deciding the
+        same equations found, by slot name without its underscore
+        (bialgebra, generating_rows, validation, antipode_inverse); every
+        other result starts empty."""
+        n = len(basis_names)
+        if antipode is not None and (antipode.rows != n or antipode.cols != n):
+            raise ValueError("antipode matrix must be dim x dim")
+        if antipode is not None and antipode.field != field:
+            raise ValueError("antipode matrix uses a different field")
+        h = object.__new__(cls)
+        slots = {"name": name, "field": field, "dim": n, "basis_names": basis_names,
+                 "unit": unit, "counit": counit, "antipode": antipode,
+                 "mul_terms": mul_terms, "comul_terms": comul_terms, "_bialgebra": None,
+                 # G, when validation decided the bialgebra axioms on its rows
+                 "_generating_rows": None,
+                 "_validation": None, "_antipode_inverse": None, "_coproduct_cache": {},
+                 # side -> the integral modular._integral solved for, and
+                 # "modular" -> the tuple of modular.modular_data; filled there
+                 "_integrals": {}}
+        slots.update(("_" + key, value) for key, value in results.items())
+        for slot, value in slots.items():
+            object.__setattr__(h, slot, value)
+        return h
 
     def __setattr__(self, *a):
         raise AttributeError("HopfAlgebra is immutable")
@@ -482,34 +505,26 @@ class HopfAlgebra:
     def __repr__(self):
         return f"HopfAlgebra({self.name!r}, dim={self.dim}, field={self.field})"
 
+    @property
+    def mul(self) -> Tensor3:
+        """The product as a Tensor3, rebuilt from mul_terms on each read."""
+        return Tensor3(self.field, self.dim, dict(_product_triples(self.mul_terms)))
+
+    @property
+    def comul(self) -> Tensor3:
+        """The coproduct as a Tensor3, rebuilt from comul_terms on each read."""
+        return Tensor3(self.field, self.dim, {(i, j, k): x for i, ts in enumerate(self.comul_terms)
+                                              for j, k, x in ts})
+
     def with_antipode(self, antipode: Matrix) -> "HopfAlgebra":
         """This bialgebra with the given antipode.  The new algebra shares
-        this one's structure and its terms grouped by input.  The bialgebra
-        axioms do not involve the antipode, so it also takes over their
-        results, and G if they were decided on its rows, instead of
-        checking them again."""
-        if antipode.rows != self.dim or antipode.cols != self.dim:
-            raise ValueError("antipode matrix must be dim x dim")
-        h = object.__new__(HopfAlgebra)
-        for slot in ("name", "field", "dim", "basis_names", "mul", "unit", "comul", "counit",
-                     "mul_terms", "comul_terms"):
-            object.__setattr__(h, slot, getattr(self, slot))
-        object.__setattr__(h, "antipode", antipode)
-        h._clear_results()
-        object.__setattr__(h, "_bialgebra", self.bialgebra_checks())
-        object.__setattr__(h, "_generating_rows", self._generating_rows)
-        return h
-
-    def _take_validation(self, valid: "HopfAlgebra", antipode_inverse: Matrix) -> None:
-        """Record that this algebra satisfies every axiom, decided on the valid
-        algebra valid, whose axioms are this algebra's equations with their
-        indices renamed: valid's check names in valid's order, under this
-        name, all PASS, with antipode_inverse as the antipode's inverse."""
-        report = ValidationReport(tuple(
-            CheckResult(c.check, self.name, True) for c in valid.require_valid().validate().checks))
-        object.__setattr__(self, "_bialgebra", report.checks[:len(valid.bialgebra_checks())])
-        object.__setattr__(self, "_validation", report)
-        object.__setattr__(self, "_antipode_inverse", antipode_inverse)
+        this one's structure and its tables.  The bialgebra axioms do not
+        involve the antipode, so it also takes over their results, and G if
+        they were decided on its rows, instead of checking them again."""
+        bialgebra = self.bialgebra_checks()
+        return self._from_tables(self.field, self.basis_names, self.mul_terms, self.unit,
+                                 self.comul_terms, self.counit, antipode, self.name,
+                                 bialgebra=bialgebra, generating_rows=self._generating_rows)
 
     # -- element arithmetic on coordinate columns ---------------------------
 
@@ -603,9 +618,7 @@ class HopfAlgebra:
             for side in sides:
                 tables = own
                 if side == "coproduct":  # P: the dual's tables, unit and counit swapped
-                    mul_hat, comul_hat = _dual_terms(self)
-                    tables = (_product_table(self.dim, mul_hat.items()),
-                              _coproduct_table(self.dim, comul_hat.items()),
+                    tables = (*_transposed(self.mul_terms, self.comul_terms),
                               self.counit, self.unit)
                 rows = _generators(tables[0], tables[2], self.dim // 2)
                 if rows is None:

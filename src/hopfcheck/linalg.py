@@ -242,18 +242,6 @@ class Tensor3:
         """The tensor with the given {(i, j, k): value} entries, zero elsewhere."""
         return cls(field, dim, triples)
 
-    @classmethod
-    def _from_terms(cls, field: FieldSpec, dim: int, triples) -> "Tensor3":
-        """The tensor with the given {(i, j, k): Scalar} entries, for triples
-        the caller has checked: in range for dim, with values Scalars of
-        field.  Only index order and dropping zeros remain to do."""
-        t = _new_object(cls)
-        object.__setattr__(t, "field", field)
-        object.__setattr__(t, "dim", dim)
-        object.__setattr__(t, "terms", {key: triples[key] for key in sorted(triples)
-                                        if not triples[key].is_zero()})
-        return t
-
     def __eq__(self, other):
         if not isinstance(other, Tensor3):
             return NotImplemented

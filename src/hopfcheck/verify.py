@@ -108,8 +108,9 @@ def biduality_check(sys: PairedSystem) -> ValidationReport:
     left side is entry (j, i) of the Gram matrix of psi_hat and the right
     side entry (j, i) of S^-1 times that inverse: the formula is an
     equality of two matrices, compared column by column.  Transposing the
-    dual's structure constants gives exactly the primal's under the
-    canonical basis matching, which is the evaluation map in coordinates."""
+    dual's tables (dual_structure) gives exactly the primal's tables under
+    the canonical basis matching, which is the evaluation map in
+    coordinates."""
     h = sys.primal
     dual = sys.dual
     lhs = gram_matrix(dual, sys.dual_modular.psi)
@@ -123,7 +124,7 @@ def biduality_check(sys: PairedSystem) -> ValidationReport:
                            f"lhs={x} rhs={y}")
 
     witness = next(mismatches(), "")
-    iso_ok = dual_structure(dual) == (h.mul, h.unit, h.comul, h.counit, h.antipode)
+    iso_ok = dual_structure(dual) == (h.mul_terms, h.unit, h.comul_terms, h.counit, h.antipode)
     return ValidationReport((
         CheckResult("bidual-pairing-formula", h.name, not witness, witness),
         CheckResult("bidual-structure-iso", h.name, iso_ok,

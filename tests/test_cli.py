@@ -203,6 +203,15 @@ def test_corpus_file_without_identities_exits_2(tmp_path):
     assert (code, text) == (2, f"error: {empty}: no identities found\n")
 
 
+@pytest.mark.parametrize("command", ["check", "full-report"])
+def test_empty_corpus_path_exits_2(tmp_path, command):
+    # an empty --corpus names no file; it is not the bundled corpus
+    path = str(tmp_path / "h4.alg")
+    run(["example", "sweedler", "-o", path])
+    code, text = run([command, path, "--corpus", ""])
+    assert code == 2 and text.startswith("error: ")
+
+
 def test_full_report_deterministic(tmp_path):
     path = str(tmp_path / "h4.alg")
     run(["example", "sweedler", "-o", path])

@@ -8,7 +8,7 @@ from hopfcheck.cli import full_report_text
 from hopfcheck.catalog import (build_function_algebra, build_group_algebra, build_sweedler,
                                build_taft, builtin, cyclic_group, symmetric_group)
 from hopfcheck.duality import build_dual, dual_integrals, pair_system, pairing_value
-from hopfcheck.hopf import CorruptedDataError, HopfAlgebra, _dual_terms, bilinear
+from hopfcheck.hopf import CorruptedDataError, HopfAlgebra, _transposed, bilinear
 from hopfcheck.modular import (gram_matrix, modular_automorphism, modular_data,
                                modular_element, scaling_constant)
 from hopfcheck.linalg import Tensor3, invert
@@ -56,18 +56,28 @@ def test_derived_dual_validation_equals_one_from_scratch(name):
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ["taft-5"])
 def test_dual_structure_equals_the_checked_construction(name):
-    # dual_structure builds its tensors from h's own terms without the range
-    # checks and coercion of the Tensor3 constructor; on the dual it is the
-    # bidual structure that bidual-structure-iso compares
+    # dual_structure transposes h's tables without the range checks and
+    # coercion of the Tensor3 constructor; on the dual it is the bidual
+    # structure that bidual-structure-iso compares
     h = build_taft(5) if name == "taft-5" else builtin(name)
     for alg in (h, build_dual(h)):
-        mul_hat, comul_hat = _dual_terms(alg)
-        checked = (Tensor3(alg.field, alg.dim, mul_hat), alg.counit,
-                   Tensor3(alg.field, alg.dim, comul_hat), alg.unit, alg.antipode.transpose())
+        mul_hat = Tensor3(alg.field, alg.dim,
+                          {(i, j, k): x for (k, i, j), x in alg.comul.terms.items()})
+        comul_hat = Tensor3(alg.field, alg.dim,
+                            {(i, j, k): x for (j, k, i), x in alg.mul.terms.items()})
+        checked = HopfAlgebra(alg.field, alg.basis_names, mul_hat, alg.counit, comul_hat,
+                              alg.unit, alg.antipode.transpose())
         structure = duality.dual_structure(alg)
-        assert structure == checked
-        for built, expected in ((structure[0], checked[0]), (structure[2], checked[2])):
-            assert list(built.terms) == list(expected.terms)  # index order
+        assert structure == (checked.mul_terms, checked.unit, checked.comul_terms,
+                             checked.counit, checked.antipode)
+        # index order: the tables read back in the order of the checked terms
+        assert [(i, j, k) for i, row in enumerate(structure[0]) for j, cell in enumerate(row)
+                for k, _ in cell] == list(mul_hat.terms)
+        assert [(i, j, k) for i, terms in enumerate(structure[2])
+                for j, k, _ in terms] == list(comul_hat.terms)
+        # transposing twice gives the tables back
+        assert _transposed(*_transposed(alg.mul_terms, alg.comul_terms)) == \
+            (alg.mul_terms, alg.comul_terms)
 
 
 def test_bidual_reproduces_structure_constants(algebras):

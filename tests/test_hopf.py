@@ -5,17 +5,17 @@ import tracemalloc
 import pytest
 
 from hopfcheck import hopf
-from hopfcheck.catalog import (BUILTIN_BUILDERS, build_function_algebra,
-                               build_group_algebra, build_nongroup_monoid_bialgebra,
-                               build_sweedler, build_taft, builtin, cyclic_group,
-                               symmetric_group)
+from hopfcheck.catalog import (BUILTIN_BUILDERS, algebra_from_json, algebra_to_json,
+                               build_function_algebra, build_group_algebra,
+                               build_nongroup_monoid_bialgebra, build_sweedler, build_taft,
+                               builtin, cyclic_group, symmetric_group)
 from hopfcheck.duality import build_dual
 from hopfcheck.hopf import (ANTIPODE_DIM_LIMIT, AntipodeTooLargeError, CheckResult,
                             HopfAlgebra, InvalidHopfAlgebraError, NoAntipodeError,
                             NotRegularError, convolve, compute_antipode, galois_maps,
                             unit_counit_map)
 from hopfcheck.linalg import Matrix, Tensor3, determinant, invert
-from hopfcheck.scalars import RATIONAL
+from hopfcheck.scalars import RATIONAL, cyclotomic_field
 
 from conftest import is_cocommutative, is_commutative
 from test_tooling import BENCH, _load
@@ -292,6 +292,31 @@ def test_shape_mismatch_is_construction_error():
     with pytest.raises(ValueError):
         HopfAlgebra(h.field, h.basis_names, h.mul, h.unit, h.comul, h.counit,
                     Matrix.identity(F, 3))
+
+
+def test_antipode_over_another_field_is_a_construction_error():
+    # caught when the algebra is built, not inside a kernel during validation
+    h = build_sweedler()
+    other = Matrix.identity(cyclotomic_field(3), h.dim)
+    with pytest.raises(ValueError, match="antipode matrix uses a different field"):
+        HopfAlgebra(h.field, h.basis_names, h.mul, h.unit, h.comul, h.counit, other)
+    with pytest.raises(ValueError, match="antipode matrix uses a different field"):
+        without_antipode(h).with_antipode(other)
+
+
+def test_no_algebra_slot_holds_a_tensor3():
+    # the structure constants are kept once, as the tables grouped by input;
+    # mul and comul are Tensor3s rebuilt from them on each read
+    sweedler = build_sweedler()
+    algebras = [builtin(name) for name in BUILTIN_BUILDERS] + [
+        build_dual(builtin("taft-3")), without_antipode(sweedler).with_antipode(sweedler.antipode),
+        algebra_from_json(algebra_to_json(builtin("functions-s3")))]
+    for h in algebras:
+        for slot in HopfAlgebra.__slots__:
+            assert not isinstance(getattr(h, slot), Tensor3), (h.name, slot)
+        assert isinstance(h.mul, Tensor3) and isinstance(h.comul, Tensor3)
+        assert HopfAlgebra(h.field, h.basis_names, h.mul, h.unit, h.comul, h.counit,
+                           h.antipode).mul_terms == h.mul_terms
 
 
 def test_compute_antipode_refuses_large_dimension_before_building():
@@ -797,10 +822,8 @@ def _validation_rows(h):
     _bialgebra_failures call this makes, which tables it read ("own", or
     "dual" for the dual's with unit and counit swapped) and its rows."""
     h = _fresh(h)
-    mul_hat, comul_hat = hopf._dual_terms(h)
     names = {(h.mul_terms, h.comul_terms, h.unit, h.counit): "own",
-             (hopf._product_table(h.dim, mul_hat.items()),
-              hopf._coproduct_table(h.dim, comul_hat.items()), h.counit, h.unit): "dual"}
+             (*hopf._transposed(h.mul_terms, h.comul_terms), h.counit, h.unit): "dual"}
     calls, real = [], hopf._bialgebra_failures
     with pytest.MonkeyPatch.context() as m:
         m.setattr(hopf, "_bialgebra_failures",
@@ -892,9 +915,7 @@ def test_product_changed_on_a_coproduct_side_algebra_fails_associativity(name):
     for key in ((i, j, k) for i in range(n) for j in range(n) for k in range(n)
                 if source.counit[k].is_zero()):
         h = _with_constant(source, "mul", key, 1)
-        mul_hat, comul_hat = hopf._dual_terms(h)
-        failures = hopf._bialgebra_failures(hopf._product_table(n, mul_hat.items()),
-                                            hopf._coproduct_table(n, comul_hat.items()),
+        failures = hopf._bialgebra_failures(*hopf._transposed(h.mul_terms, h.comul_terms),
                                             h.counit, h.unit, gens)
         if failures[2] is not None:
             continue  # the rows of P see it

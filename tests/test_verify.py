@@ -9,7 +9,7 @@ from hopfcheck.catalog import build_taft, builtin
 from hopfcheck.duality import pair_system, pairing_value
 from hopfcheck.cli import full_report_text
 from hopfcheck.hopf import HopfAlgebra
-from hopfcheck.linalg import Matrix, Tensor3, invert
+from hopfcheck.linalg import Matrix, invert
 from hopfcheck.verify import (biduality_check, check_dual_modular_pairing,
                               check_dual_radford, check_modular_adjoints, check_radford,
                               run_all_checks, verify_algebra)
@@ -165,11 +165,12 @@ def test_broken_transposition_fails_only_the_structure_iso(monkeypatch, paired, 
     sys.swapped()  # built before the transposition breaks
 
     def perturbed(h):
+        # one cell of the transposed product table, its first term moved by 1
         mul, unit, comul, counit, antipode = duality.dual_structure(h)
-        terms = dict(mul.terms)
-        key = next(iter(terms))
-        terms[key] = terms[key] + h.field.one()
-        return Tensor3(h.field, h.dim, terms), unit, comul, counit, antipode
+        i, j = next((i, j) for i, row in enumerate(mul) for j, cell in enumerate(row) if cell)
+        (k, x), *rest = mul[i][j]
+        row = mul[i][:j] + (((k, x + h.field.one()), *rest),) + mul[i][j + 1:]
+        return mul[:i] + (row,) + mul[i + 1:], unit, comul, counit, antipode
 
     monkeypatch.setattr(verify, "dual_structure", perturbed)
     lines = run_all_checks(sys).lines()
