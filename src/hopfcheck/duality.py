@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .hopf import (CheckResult, CorruptedDataError, HopfAlgebra, ValidationReport,
-                   _product_table, _product_triples, _summed, _transposed)
+                   _product_table, _product_triples, _summed)
 from .linalg import Matrix, invert
 from .modular import (ModularData, left_integral, modular_data, proportionality,
                       right_integral)
@@ -35,9 +35,10 @@ from .scalars import Scalar
 def dual_structure(h: HopfAlgebra):
     """(mul_terms, unit, comul_terms, counit, antipode) of the dual on the
     canonical dual basis, as HopfAlgebra keeps them: h's tables transposed
-    (hopf._transposed), unit and counit swapped, the antipode transposed.
-    An involution, so applied to the dual it gives back h's own."""
-    mul_hat, comul_hat = _transposed(h.mul_terms, h.comul_terms)
+    (h.dual_tables(), which validation's P side may have transposed
+    already), unit and counit swapped, the antipode transposed.  An
+    involution, so applied to the dual it gives back h's own."""
+    mul_hat, comul_hat = h.dual_tables()
     return mul_hat, h.counit, comul_hat, h.unit, h.antipode.transpose()
 
 
@@ -57,8 +58,11 @@ def build_dual(h: HopfAlgebra) -> HopfAlgebra:
       antipode-left, -right    <-> each itself
       antipode-invertible      <-> itself: S_hat^-1 = (S^-1)^T
     So the dual is handed h's report under its own name, and the transpose
-    of h's antipode inverse.  A dual read back from a file is validated
-    from scratch.
+    of h's antipode inverse.  The dual of the dual is h on the same
+    indices, so h's G, when validation took one, is the dual's P: a
+    generating set of the dual of the dual, whose rows decide the dual's
+    integrals (modular._invariance_nullspace).  A dual read back from a
+    file is validated from scratch.
     """
     h.require_valid()
     name = f"dual({h.name})"
@@ -66,7 +70,8 @@ def build_dual(h: HopfAlgebra) -> HopfAlgebra:
     return HopfAlgebra._from_tables(
         h.field, tuple(f"{b}*" for b in h.basis_names), *dual_structure(h), name,
         bialgebra=report.checks[:len(h.bialgebra_checks())], validation=report,
-        antipode_inverse=h.antipode_inverse().transpose())
+        antipode_inverse=h.antipode_inverse().transpose(),
+        dual_generating_rows=h._generating_rows)
 
 
 def pairing_value(a, y) -> Scalar:
@@ -101,7 +106,8 @@ class PairedSystem:
     dual_modular: ModularData
     # (operator name, algebra) -> Matrix, (action side, algebra acted on)
     # -> table, (id of a matrix or row, algebra) -> (it, composed table),
-    # and the split iterated coproducts of identities._coterms.
+    # the split iterated coproducts of identities._coterms, and the leaves
+    # of identities._leaf, (builder, id of what it reads) -> (that, leaf).
     # Shared only along swapped(), where the primal is also the swapped
     # dual and its bidual modular tuple is the primal's own with rescaled
     # integrals, so sigma on both sides is one object; any other new

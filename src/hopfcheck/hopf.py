@@ -7,8 +7,9 @@ the (j, k, x) with x the coefficient of e_j (x) e_k in the coproduct of
 e_i.  It also stores the unit coordinates, the counit row, and the antipode
 matrix.  Tensor3 is only the input and export form: the constructor
 groups two, and mul and comul rebuild them.  _transposed gives the dual's
-tables.  The unit is an arbitrary coordinate column: dual algebras have
-the counit as their unit, which is rarely a basis vector.
+tables, once per algebra through HopfAlgebra.dual_tables.  The unit is an
+arbitrary coordinate column: dual algebras have the counit as their unit,
+which is rarely a basis vector.
 
 The six bialgebra axioms are decided by one routine, _bialgebra_failures,
 which checks the unit and counit laws, coproduct(1) = 1 (x) 1 and
@@ -63,9 +64,11 @@ associativity and the unit law (Larson-Sweedler: the Galois maps are
 invertible exactly when an antipode exists).  Every algebra is built by
 one table constructor, HopfAlgebra._from_tables, which also takes results
 handed over from an algebra that decided the same equations: with_antipode
-passes on the bialgebra checks, and the dual is given the primal's results
-renamed (duality.build_dual).  No algebra changes after it is built, so
-instances can be shared freely.
+passes on the bialgebra checks, G or P, and the dual's tables if the P
+side transposed them (HopfAlgebra.dual_tables, which duality.build_dual
+reads); the dual is given the primal's results renamed, and the primal's G
+as its P (duality.build_dual).  P also decides the integrals (modular).
+No algebra changes after it is built, so instances can be shared freely.
 """
 
 from __future__ import annotations
@@ -446,8 +449,8 @@ class HopfAlgebra:
     __slots__ = (
         "name", "field", "dim", "basis_names", "unit", "counit", "antipode",
         "mul_terms", "comul_terms",
-        "_bialgebra", "_generating_rows", "_validation", "_antipode_inverse",
-        "_coproduct_cache", "_integrals",
+        "_bialgebra", "_generating_rows", "_dual_generating_rows", "_dual_tables",
+        "_validation", "_antipode_inverse", "_coproduct_cache", "_integrals",
     )
 
     # the public constructor checks and groups its Tensor3s; every algebra
@@ -477,8 +480,8 @@ class HopfAlgebra:
         (j, k, x).  Only the antipode, a Matrix or None, is checked: dim x
         dim, over field.  results hands over what an algebra deciding the
         same equations found, by slot name without its underscore
-        (bialgebra, generating_rows, validation, antipode_inverse); every
-        other result starts empty."""
+        (bialgebra, generating_rows, dual_generating_rows, dual_tables,
+        validation, antipode_inverse); every other result starts empty."""
         n = len(basis_names)
         if antipode is not None and (antipode.rows != n or antipode.cols != n):
             raise ValueError("antipode matrix must be dim x dim")
@@ -488,8 +491,9 @@ class HopfAlgebra:
         slots = {"name": name, "field": field, "dim": n, "basis_names": basis_names,
                  "unit": unit, "counit": counit, "antipode": antipode,
                  "mul_terms": mul_terms, "comul_terms": comul_terms, "_bialgebra": None,
-                 # G, when validation decided the bialgebra axioms on its rows
-                 "_generating_rows": None,
+                 # G, or P, when validation decided the bialgebra axioms on
+                 # its rows, and the dual's tables once transposed
+                 "_generating_rows": None, "_dual_generating_rows": None, "_dual_tables": None,
                  "_validation": None, "_antipode_inverse": None, "_coproduct_cache": {},
                  # side -> the integral modular._integral solved for, and
                  # "modular" -> the tuple of modular.modular_data; filled there
@@ -518,13 +522,23 @@ class HopfAlgebra:
 
     def with_antipode(self, antipode: Matrix) -> "HopfAlgebra":
         """This bialgebra with the given antipode.  The new algebra shares
-        this one's structure and its tables.  The bialgebra axioms do not
-        involve the antipode, so it also takes over their results, and G if
-        they were decided on its rows, instead of checking them again."""
+        this one's structure and its tables, and the dual's tables if they
+        were transposed.  The bialgebra axioms do not involve the antipode,
+        so it also takes over their results, and G or P if they were
+        decided on its rows, instead of checking them again."""
         bialgebra = self.bialgebra_checks()
         return self._from_tables(self.field, self.basis_names, self.mul_terms, self.unit,
                                  self.comul_terms, self.counit, antipode, self.name,
-                                 bialgebra=bialgebra, generating_rows=self._generating_rows)
+                                 bialgebra=bialgebra, generating_rows=self._generating_rows,
+                                 dual_generating_rows=self._dual_generating_rows,
+                                 dual_tables=self._dual_tables)
+
+    def dual_tables(self):
+        """The dual's (mul_terms, comul_terms) on the canonical dual basis,
+        transposed (_transposed) once per algebra."""
+        if self._dual_tables is None:
+            object.__setattr__(self, "_dual_tables", _transposed(self.mul_terms, self.comul_terms))
+        return self._dual_tables
 
     # -- element arithmetic on coordinate columns ---------------------------
 
@@ -618,16 +632,15 @@ class HopfAlgebra:
             for side in sides:
                 tables = own
                 if side == "coproduct":  # P: the dual's tables, unit and counit swapped
-                    tables = (*_transposed(self.mul_terms, self.comul_terms),
-                              self.counit, self.unit)
+                    tables = (*self.dual_tables(), self.counit, self.unit)
                 rows = _generators(tables[0], tables[2], self.dim // 2)
                 if rows is None:
                     continue
                 reduced = _bialgebra_failures(*tables, rows)
                 if all(f is None for f in reduced):
                     failures = reduced
-                    if side == "product":
-                        object.__setattr__(self, "_generating_rows", rows)
+                    object.__setattr__(self, "_generating_rows" if side == "product"
+                                       else "_dual_generating_rows", rows)
                 break
             if failures is None:
                 failures = _bialgebra_failures(*own, range(self.dim))

@@ -457,22 +457,62 @@ def standard_corpus():
 # compiled when the statement is parsed into a plan: each node's sort and
 # slots, the operator, table, functional or constant it reads, where each
 # variable's legs meet, and the output layout.  On a system the plan only
-# runs the contractions.
+# runs the contractions, whose leaves (a bare variable, a constant, the
+# rows of a functional, the entries of a map on a bare variable) each
+# system builds once.
 
-_CONSTANTS = {
-    "one": lambda sys: sys.primal.unit_column(),
-    "delta": lambda sys: sys.primal_modular.delta,
-    "deltainv": lambda sys: sys.primal_modular.delta_inv,
-    "onehat": lambda sys: sys.dual.unit_column(),
-    "dhat": lambda sys: sys.dual_modular.delta,
-    "dhatinv": lambda sys: sys.dual_modular.delta_inv,
-    "tau": lambda sys: (sys.primal_modular.tau,),
-}
+def _leaf(sys, build, source):
+    """build(source), made once for sys and every system sharing its memo
+    (swapped()), and kept there with source, under build and the identity
+    of source: an algebra, or the column, row or matrix columns the leaf
+    reads.  A key by a constant's or functional's name, or by sort, would
+    mix the two sides: on swapped(), which shares the memo, sort A is the
+    dual.  Every reader shares the leaf, so none may change it."""
+    key = (build, id(source))
+    hit = sys._memo.get(key)
+    if hit is None:
+        hit = sys._memo[key] = source, build(source)
+    return hit[1]
+
+
+def _identity_terms(alg):
+    """The tensor of a bare variable on alg: one slot, output its index."""
+    one = alg.field.one()
+    return {(i, i): one for i in range(alg.dim)}
 
 
 def _column_terms(column):
     """The terms of the tensor without slots whose value is column."""
     return {(k,): x for k, x in enumerate(column) if not x.is_zero()}
+
+
+def _scalar_terms(x):
+    """The terms of the scalar x, which is not zero."""
+    return {(0,): x}
+
+
+# each constant's leaf: how its terms are built, and from what
+_CONSTANTS = {
+    "one": (_column_terms, lambda sys: sys.primal.unit),
+    "delta": (_column_terms, lambda sys: sys.primal_modular.delta),
+    "deltainv": (_column_terms, lambda sys: sys.primal_modular.delta_inv),
+    "onehat": (_column_terms, lambda sys: sys.dual.unit),
+    "dhat": (_column_terms, lambda sys: sys.dual_modular.delta),
+    "dhatinv": (_column_terms, lambda sys: sys.dual_modular.delta_inv),
+    "tau": (_scalar_terms, lambda sys: sys.primal_modular.tau),
+}
+
+
+def _functional_rows(row):
+    """Per basis element, the nonzero (output, value) entries of the
+    functional with coordinates row, whose output index is 0."""
+    return [((0, x),) if not x.is_zero() else () for x in row]
+
+
+def _entry_terms(columns):
+    """The tensor of a map or functional on a bare variable, whose column k
+    lists the nonzero (r, v) columns[k]: its own entries."""
+    return {(k, r): v for k, column in enumerate(columns) for r, v in column}
 
 
 # the tables of the pairing (output 0) and of a scalar factor (output i + j)
@@ -500,8 +540,13 @@ def _join(left, right, table, coterms, lsplit, rsplit):
     is None, for 1).  Each coterm (head, c, left legs, right legs) joins the
     terms with those leg indices, scaled by c, under head, the basis
     indices of the meeting variables."""
+    if table is _OUTER and coterms is _NO_LEGS:
+        # a scalar factor where no legs meet: output i + j, no key repeats,
+        # and a product of nonzero scalars is nonzero
+        return {ka[:-1] + kb[:-1] + (ka[-1] + kb[-1],): a * b
+                for ka, a in left.items() for kb, b in right.items()}
     lefts, rights = _grouped(left, lsplit), _grouped(right, rsplit)
-    pair, outer, out = table is _PAIR, table is _OUTER, {}
+    pair, outer, out, summed = table is _PAIR, table is _OUTER, {}, False
     for head, c, lk, rk in coterms:
         lg, rg = lefts.get(lk), rights.get(rk)
         for i, ls in (lg.items() if lg and rg else ()):
@@ -518,8 +563,12 @@ def _join(left, right, table, coterms, lsplit, rsplit):
                         for k, t in cell:
                             key, x = kab + (k,), ab if t is None else ab * t
                             prev = out.get(key)
-                            out[key] = x if prev is None else prev + x
-    return _nonzero(out)
+                            if prev is None:
+                                out[key] = x
+                            else:
+                                out[key], summed = prev + x, True
+    # only a sum can be zero: every term is a product of nonzero scalars
+    return _nonzero(out) if summed else out
 
 
 def _picker(positions):
@@ -577,7 +626,7 @@ def _reads(fn, sort):
             m = sys.operator(fn, sort)
             return m, m.nonzero_columns()
         row = sys.algebra(sort).counit if fn == "eps" else getattr(sys.modular(sort), fn)
-        return row, [((0, x),) if not x.is_zero() else () for x in row]
+        return row, _leaf(sys, _functional_rows, row)
     return reads
 
 
@@ -598,14 +647,17 @@ def _applied(built, reads):
     slots, terms = built
 
     def applied(sys):
-        columns, out = reads(sys)[1], {}
+        columns, out, summed = reads(sys)[1], {}, False
         for key, x in terms(sys).items():
             head = key[:-1]
             for i, v in columns[key[-1]]:
                 key_i = head + (i,)
                 prev = out.get(key_i)
-                out[key_i] = v * x if prev is None else prev + v * x
-        return _nonzero(out)
+                if prev is None:
+                    out[key_i] = v * x
+                else:
+                    out[key_i], summed = prev + v * x, True
+        return _nonzero(out) if summed else out
     return slots, applied
 
 
@@ -619,20 +671,17 @@ def _compile(node, env):
         if node.name not in env:
             raise DslSortError(f"undeclared variable {node.name!r}")
         name, leg, sort = node.name, node.leg, env[node.name]
-
-        def identity(sys):
-            one = sys.primal.field.one()
-            return {(i, i): one for i in range(sys.algebra(sort).dim)}
         return sort, ((name, leg),), lambda legs: (
-            ((name, leg if legs.get(name, 1) > 1 else None),), identity)
+            ((name, leg if legs.get(name, 1) > 1 else None),),
+            lambda sys: _leaf(sys, _identity_terms, sys.algebra(sort)))
     if isinstance(node, ScalarLit):
         value = node.value
         return "scalar", (), lambda legs: (
             (), lambda sys: _column_terms([sys.primal.field.scalar(value)]))
     if isinstance(node, Const):
-        column = _CONSTANTS[node.kind]
+        build, source = _CONSTANTS[node.kind]
         return _CONST_SORTS[node.kind], (), lambda legs: (
-            (), lambda sys: _column_terms(column(sys)))
+            (), lambda sys: _leaf(sys, build, source(sys)))
     if isinstance(node, Product):
         return _compile_product(node, env)
     if isinstance(node, Pairing) or node.fn in ACTION_FNS:
@@ -659,8 +708,8 @@ def _compile(node, env):
     reads = _reads(fn, sort)
     if isinstance(arg, Var):
         # on a bare variable the tensor is the map's own entries
-        return value_sort, slots, lambda legs: (inner(legs)[0], lambda sys: {
-            (j, i): v for j, column in enumerate(reads(sys)[1]) for i, v in column})
+        return value_sort, slots, lambda legs: (
+            inner(legs)[0], lambda sys: _leaf(sys, _entry_terms, reads(sys)[1]))
     return value_sort, slots, lambda legs: _applied(inner(legs), reads)
 
 

@@ -7,7 +7,20 @@ a map M as M.apply_row.  For a finite-dimensional Hopf algebra the space of
 left-invariant functionals is exactly one-dimensional; the left integral
 here is the basis vector of that nullspace normalized so its first nonzero
 coordinate is 1, and the right integral is its composite with the
-antipode.  modular_data derives the rest once per algebra, beside the
+antipode.
+
+Left invariance of f reads x f = x(1) f for every x in the dual, one
+equation per basis functional x = e_j* and basis element e_i.  The x that
+satisfy it form a subalgebra of the dual that holds the counit: it is a
+subspace, and (x y) f = x (y f) = y(1) x f = (x y)(1) f, since evaluation
+at the group-like 1 is multiplicative.  So when validation decided the
+axioms on the rows of P, a generating set of the dual (hopf module
+docstring), the equations of the e_j* with j in P imply all the others:
+n |P| rows instead of n^2, with the same solution space, hence the same
+reduced echelon form and the same normalized integral.  Right invariance,
+f x = x(1) f, likewise.  Without P every row is written.
+
+modular_data derives the rest once per algebra, beside the
 integrals: it forms and inverts the Gram matrices B of phi and C of
 psi = phi o S once each, and reads delta = B^-1 psi, sigma = B^-1 B^T and
 sigma' = C^-1 C^T off the inverses, each re-verified against its
@@ -55,18 +68,24 @@ class ModularData:
 
 
 def _invariance_nullspace(h: HopfAlgebra, side: str):
-    """Solution space of the left (right) invariance conditions."""
+    """Solution space of the left (right) invariance conditions, on the
+    rows of the dual's generating set P when validation took one (module
+    docstring), else on all n^2 rows."""
     n = h.dim
-    unit = [(j, -u) for j, u in enumerate(h.unit) if not u.is_zero()]
-    # equation (i, j) reads row i * n + j
+    # equation (i, j) for j in P reads row i * m + at[j]
+    at = {j: r for r, j in enumerate(h._dual_generating_rows or range(n))}
+    m = len(at)
+    unit = [(at[j], -u) for j, u in enumerate(h.unit) if not u.is_zero() and j in at]
     if side == "left":
         # sum_k comul[i][j][k] f(e_k) = f(e_i) * unit_j
-        terms = (((i * n + j, k), c) for i, ts in enumerate(h.comul_terms) for j, k, c in ts)
+        terms = (((i * m + at[j], k), c) for i, ts in enumerate(h.comul_terms)
+                 for j, k, c in ts if j in at)
     else:
         # sum_j comul[i][j][k] f(e_j) = f(e_i) * unit_k
-        terms = (((i * n + k, j), c) for i, ts in enumerate(h.comul_terms) for j, k, c in ts)
-    entries = _summed(chain(terms, (((i * n + j, i), u) for i in range(n) for j, u in unit)))
-    return nullspace(Matrix._from_entries(h.field, n * n, n, entries))
+        terms = (((i * m + at[k], j), c) for i, ts in enumerate(h.comul_terms)
+                 for j, k, c in ts if k in at)
+    entries = _summed(chain(terms, (((i * m + r, i), u) for i in range(n) for r, u in unit)))
+    return nullspace(Matrix._from_entries(h.field, n * m, n, entries))
 
 
 def _integral(h: HopfAlgebra, side: str) -> tuple:

@@ -95,6 +95,26 @@ def integral_space_dimensions(h):
     return len(_invariance_nullspace(h, "left")), len(_invariance_nullspace(h, "right"))
 
 
+def reference_invariance_nullspace(h, side):
+    """The left (right) invariance solution space of h from all n^2
+    equations, as modular._invariance_nullspace wrote them before it took
+    the rows of the dual's generating set: equation (i, j) on row i * n + j
+    of a dense matrix, sum_k comul[i][j][k] f(e_k) - f(e_i) unit_j for the
+    left side, sum_j comul[i][j][k] f(e_j) - f(e_i) unit_k (on row i * n + k)
+    for the right."""
+    from hopfcheck.linalg import Matrix, nullspace
+
+    n = h.dim
+    rows = [[h.field.zero()] * n for _ in range(n * n)]
+    for i, terms in enumerate(h.comul_terms):
+        for j, k, c in terms:
+            r, col = (i * n + j, k) if side == "left" else (i * n + k, j)
+            rows[r][col] = rows[r][col] + c
+        for j, u in enumerate(h.unit):
+            rows[i * n + j][i] = rows[i * n + j][i] - u
+    return nullspace(Matrix(h.field, rows))
+
+
 def reference_algebra_from_json(doc):
     """The algebra of an algebra file document that has an antipode section,
     with its mul, comul and antipode entries read by the per-entry loop the

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from hopfcheck import modular
-from hopfcheck.catalog import build_sweedler, build_taft, builtin
+from hopfcheck.catalog import algebra_text, build_sweedler, build_taft, builtin, read_algebra
 from hopfcheck.cli import full_report_text
 from hopfcheck.duality import build_dual, pairing_value
 from hopfcheck.hopf import CorruptedDataError, HopfAlgebra, _product
@@ -17,7 +17,9 @@ from hopfcheck.modular import (gram_inverse, gram_matrix, left_integral, modular
                                scaling_constant)
 from hopfcheck.scalars import RATIONAL, cyclotomic_field
 
-from conftest import BUILTIN_NAMES, integral_space_dimensions
+from conftest import BUILTIN_NAMES, integral_space_dimensions, reference_invariance_nullspace
+from test_gauge import _gauges
+from test_hopf import _signed_permutation, _transported
 
 F = RATIONAL
 
@@ -410,6 +412,52 @@ def test_full_report_solves_each_integral_once(monkeypatch):
     assert sorted(set(calls)) == [("dual(taft-4)", "left"), ("dual(taft-4)", "right"),
                                   ("taft-4", "left"), ("taft-4", "right")]
     assert len(calls) == 4
+
+
+# rows of each invariance solve on a builtin and on its dual from
+# build_dual: n |P| where validation took P (on the dual, the builtin's G),
+# else n^2
+INVARIANCE_ROWS = {"group-z2": (4, 2), "group-z6": (36, 6), "group-s3": (36, 12),
+                   "functions-z2": (2, 4), "functions-z6": (6, 36), "functions-s3": (12, 36),
+                   "sweedler": (16, 8), "taft-2": (16, 8), "taft-3": (81, 18),
+                   "taft-4": (256, 32)}
+
+
+def _invariance_cases(name, tmp_path):
+    """The builtin, its dual from build_dual, that dual read back from a
+    file (validated from scratch), three seeded signed relabellings, and,
+    up to dim 6, an upper unitriangular and the U L gauge of test_gauge."""
+    source = builtin(name)
+    dual = build_dual(source)
+    path = tmp_path / "dual.alg"
+    path.write_text(algebra_text(dual), encoding="utf-8")
+    cases = [source, dual, read_algebra(str(path))]
+    rng = random.Random(f"integral-rows:{name}")
+    cases += [_transported(source, _signed_permutation(source.field, source.dim, rng),
+                           f"{name}-relabelled{seed}") for seed in range(3)]
+    if source.dim <= 6:
+        gauges = _gauges(source)
+        cases += [_transported(source, gauges[0], f"{name}-gauge0"),
+                  _transported(source, gauges[-1], f"{name}-gauge-lu")]
+    return cases
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_generating_row_integrals_match_the_full_system(name, tmp_path, monkeypatch):
+    rows = []
+    solve = modular.nullspace
+    monkeypatch.setattr(modular, "nullspace", lambda m: rows.append(m.rows) or solve(m))
+    counts = []
+    for h in _invariance_cases(name, tmp_path):
+        h.require_valid()
+        p = h._dual_generating_rows
+        for side in ("left", "right"):
+            rows.clear()
+            assert modular._invariance_nullspace(h, side) == \
+                reference_invariance_nullspace(h, side), (h.name, side)
+            assert rows == [h.dim * len(p) if p else h.dim ** 2], (h.name, side)
+        counts.append(rows[0])
+    assert tuple(counts[:2]) == INVARIANCE_ROWS[name]
 
 
 def test_modular_automorphisms_scan_the_product_generators(monkeypatch):
