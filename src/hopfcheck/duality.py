@@ -22,7 +22,7 @@ read off the dual's coproduct, which is the transposed product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .hopf import (CheckResult, CorruptedDataError, HopfAlgebra, ValidationReport,
                    _product_table, _product_triples, _summed)
@@ -96,8 +96,9 @@ class PairedSystem:
     map, action_table() each action and composed_table() each map of a
     product at most once per algebra,
     identities.decision decides each statement once per system, and
-    swapped() pairs the dual with the primal itself, once.  Every value is
-    exact and deterministic, so sharing one is the same as recomputing it.
+    swapped() is the same pair seen from the dual, built once and linked
+    back, so it is an involution.  Every value is exact and deterministic,
+    so sharing one is the same as recomputing it.
     """
 
     primal: HopfAlgebra
@@ -108,13 +109,12 @@ class PairedSystem:
     # -> table, (id of a matrix or row, algebra) -> (it, composed table),
     # the split iterated coproducts of identities._coterms, and the leaves
     # of identities._leaf, (builder, id of what it reads) -> (that, leaf).
-    # Shared only along swapped(), where the primal is also the swapped
-    # dual and its bidual modular tuple is the primal's own with rescaled
-    # integrals, so sigma on both sides is one object; any other new
-    # system starts empty.
+    # Shared only along swapped(), where each algebra keeps its own modular
+    # tuple, so sigma on both sides is one object; any other new system
+    # starts empty.
     _memo: dict = field(default_factory=dict, init=False, repr=False)
-    # the plan of an identity program -> (passed, witness), never shared:
-    # swapped().swapped() has this primal, but its integrals are scaled
+    # the plan of an identity program -> (passed, witness), kept per
+    # system: on swapped() the same plan reads the other algebra
     _decided: dict = field(default_factory=dict, init=False, repr=False)
     _swapped: "PairedSystem | None" = field(default=None, init=False, repr=False)
 
@@ -169,8 +169,8 @@ class PairedSystem:
     def composed_table(self, sort: str, reads, columns):
         """The product table of the algebra of sort followed by the map
         whose column k lists the nonzero (r, v) columns[k], memoized under
-        reads, the matrix or row it comes from, not under the sort:
-        swapped() shares the memo but rescales its integrals."""
+        reads, the matrix or row it comes from, and the algebra, not under
+        the sort: on swapped(), which shares the memo, sort A is the dual."""
         alg = self.algebra(sort)
         hit = self._memo.get((id(reads), alg))
         if hit is None:
@@ -181,12 +181,17 @@ class PairedSystem:
 
     def swapped(self) -> "PairedSystem":
         """The system seen from the dual side: the dual becomes the primal
-        and the primal itself (canonically the bidual) becomes its dual.
-        Built once; the two systems share their operators and action tables."""
+        and the primal itself (canonically the bidual) becomes its dual,
+        with its own modular tuple, once dual_integrals finds its phi on the
+        bidual side.  Built once and linked back: swapped().swapped() is self."""
         if self._swapped is None:
-            swapped = PairedSystem(self.dual, self.primal, self.dual_modular,
-                                   dual_integrals(self.dual, self.primal, self.dual_modular))
+            bidual = dual_integrals(self.dual, self.primal, self.dual_modular)
+            if bidual.phi != self.primal_modular.phi:
+                raise CorruptedDataError(
+                    f"{self.primal.name}: the bidual's left integral is not the primal's own")
+            swapped = PairedSystem(self.dual, self.primal, self.dual_modular, self.primal_modular)
             object.__setattr__(swapped, "_memo", self._memo)
+            object.__setattr__(swapped, "_swapped", self)
             object.__setattr__(self, "_swapped", swapped)
         return self._swapped
 
@@ -204,12 +209,10 @@ def dual_integrals(h: HopfAlgebra, dual: HopfAlgebra, md: ModularData) -> Modula
     <a, delta_hat> = counit(sigma^-1(a)).  Any mismatch is a convention bug
     and fails hard.
 
-    The rest is modular_data(dual), solved once per algebra (on the bidual
-    side dual is the primal, already solved).  The left-integral check
-    gives phi_hat = lam * phi, so psi_hat = lam * psi and each Gram matrix
-    scales by lam, which leaves delta, sigma, sigma' and tau unchanged: the
-    tuple is dual's own with the integrals replaced and the Gram inverses
-    scaled by lam^-1.
+    The rest is modular_data(dual, phi_hat), derived once per algebra and
+    integral.  On the bidual side dual is the primal and phi_hat its own
+    phi (swapped() checks that), so the tuple is the primal's, already
+    derived.
     """
     counit_row = list(h.counit)
 
@@ -225,16 +228,11 @@ def dual_integrals(h: HopfAlgebra, dual: HopfAlgebra, md: ModularData) -> Modula
     if proportionality(right_integral(dual), psi_hat) is None:
         raise CorruptedDataError(
             f"{dual.name}: formula right integral disagrees with the invariance solve")
-    lam = proportionality(left_integral(dual), phi_hat)
-    if lam is None:
+    if proportionality(left_integral(dual), phi_hat) is None:
         raise CorruptedDataError(
             f"{dual.name}: formula left integral disagrees with the invariance solve")
 
-    own = modular_data(dual)
-    lam_inv = lam.inv()
-    out = replace(own, phi=phi_hat, psi=psi_hat,
-                  phi_gram_inv=own.phi_gram_inv.scaled(lam_inv),
-                  psi_gram_inv=own.psi_gram_inv.scaled(lam_inv))
+    out = modular_data(dual, phi_hat)
 
     # <a, delta_hat> = counit(sigma^-1(a)) for all a, checked without the
     # inverse as <sigma(a), delta_hat> = counit(a)

@@ -495,8 +495,8 @@ class HopfAlgebra:
                  # its rows, and the dual's tables once transposed
                  "_generating_rows": None, "_dual_generating_rows": None, "_dual_tables": None,
                  "_validation": None, "_antipode_inverse": None, "_coproduct_cache": {},
-                 # side -> the integral modular._integral solved for, and
-                 # "modular" -> the tuple of modular.modular_data; filled there
+                 # side -> the integral modular._integral solved for, and a
+                 # left integral -> its modular.modular_data tuple; filled there
                  "_integrals": {}}
         slots.update(("_" + key, value) for key, value in results.items())
         for slot, value in slots.items():

@@ -90,11 +90,6 @@ class Matrix:
         _set_sparse_cols(t, self._sparse_rows)
         return t
 
-    def scaled(self, c: Scalar) -> "Matrix":
-        """c times this matrix, for a nonzero scalar c."""
-        return _store(_new_object(Matrix), self.field, self.rows, self.cols, tuple(
-            tuple((j, c * x) for j, x in row) for row in self._sparse_rows))
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented

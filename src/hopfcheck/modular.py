@@ -20,8 +20,8 @@ n |P| rows instead of n^2, with the same solution space, hence the same
 reduced echelon form and the same normalized integral.  Right invariance,
 f x = x(1) f, likewise.  Without P every row is written.
 
-modular_data derives the rest once per algebra, beside the
-integrals: it forms and inverts the Gram matrices B of phi and C of
+modular_data derives the rest once per algebra and left integral, beside
+the integrals: it forms and inverts the Gram matrices B of phi and C of
 psi = phi o S once each, and reads delta = B^-1 psi, sigma = B^-1 B^T and
 sigma' = C^-1 C^T off the inverses, each re-verified against its
 defining relations; delta's inverse is S(delta), checked by one product.
@@ -251,15 +251,17 @@ def scaling_constant(h: HopfAlgebra, phi: tuple) -> Scalar:
     return tau
 
 
-def modular_data(h: HopfAlgebra) -> ModularData:
-    """The full integral apparatus of a validated algebra, solved once per
-    algebra: each Gram matrix, of phi and of psi = phi o S, is formed and
-    inverted once, and delta, sigma and sigma' are read off the inverses."""
-    cached = h._integrals.get("modular")
+def modular_data(h: HopfAlgebra, phi: tuple | None = None) -> ModularData:
+    """The tuple of the left integral phi (the solved one by default) of a
+    validated algebra, once per algebra and integral: each Gram matrix, of
+    phi and of psi = phi o S, is formed and inverted once, and delta,
+    sigma and sigma' are read off the inverses."""
+    if phi is None:
+        phi = left_integral(h)
+    cached = h._integrals.get(phi)
     if cached is not None:
         return cached
     h.require_valid()
-    phi = left_integral(h)
     psi = tuple(h.antipode.apply_row(phi))
     phi_gram, psi_gram = gram_matrix(h, phi), gram_matrix(h, psi)
     phi_gram_inv = gram_inverse(h, phi_gram, "left")
@@ -268,6 +270,6 @@ def modular_data(h: HopfAlgebra) -> ModularData:
     psi_gram_inv = gram_inverse(h, psi_gram, "right")
     sigma_prime = modular_automorphism(h, psi_gram, psi_gram_inv)
     tau = scaling_constant(h, phi)
-    h._integrals["modular"] = md = ModularData(phi, psi, delta, delta_inv, sigma, sigma_prime,
-                                               tau, phi_gram_inv, psi_gram_inv)
+    h._integrals[phi] = md = ModularData(phi, psi, delta, delta_inv, sigma, sigma_prime,
+                                         tau, phi_gram_inv, psi_gram_inv)
     return md

@@ -11,7 +11,7 @@ from hopfcheck.duality import build_dual, dual_integrals, pair_system, pairing_v
 from hopfcheck.hopf import CorruptedDataError, HopfAlgebra, _transposed, bilinear
 from hopfcheck.modular import (gram_matrix, modular_automorphism, modular_data,
                                modular_element, scaling_constant)
-from hopfcheck.linalg import Tensor3, invert
+from hopfcheck.linalg import Matrix, Tensor3, invert
 from hopfcheck.scalars import Scalar
 
 from conftest import BUILTIN_NAMES, integral_space_dimensions, reference_action
@@ -298,9 +298,34 @@ def test_swapped_system_is_built_once(paired):
     assert sys.swapped() is sys.swapped()
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ["taft-5"])
+def test_swapped_is_an_involution_over_two_modular_tuples(paired, name):
+    # the bidual side is the primal with its own tuple: a pair has two
+    # tuples, and its two views reach no third
+    sys = pair_system(build_taft(5)) if name == "taft-5" else paired(name)
+    swapped = sys.swapped()
+    assert swapped.swapped() is sys
+    assert swapped.dual_modular is sys.primal_modular
+    views = (sys, swapped, swapped.swapped())
+    assert len({id(md) for v in views for md in (v.primal_modular, v.dual_modular)}) == 2
+
+
+def test_swapped_refuses_a_bidual_integral_that_is_not_the_primal_one():
+    # doubling both Gram inverses of the dual's tuple doubles the formula
+    # integrals of the bidual: consistent with each other, but not phi
+    sys = pair_system(builtin("taft-3"))
+    md, n = sys.dual_modular, sys.dual.dim
+    two = Matrix(sys.dual.field, [[2 if i == j else 0 for j in range(n)] for i in range(n)])
+    tampered = dataclasses.replace(sys, dual_modular=dataclasses.replace(
+        md, phi_gram_inv=two * md.phi_gram_inv, psi_gram_inv=two * md.psi_gram_inv))
+    with pytest.raises(CorruptedDataError,
+                       match="taft-3: the bidual's left integral is not the primal's own"):
+        tampered.swapped()
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_operator_lookup_is_memoized_and_exact(paired, name):
-    # the swapped system's dual is the primal under other integrals, and
+    # the swapped system's dual is the primal with its own tuple, and
     # shares the primal's operators: each must match its own modular tuple
     sys = paired(name)
     swapped = sys.swapped()
@@ -322,8 +347,8 @@ def test_operator_lookup_is_memoized_and_exact(paired, name):
 
 @pytest.mark.parametrize("name", ["sweedler", "taft-3"])
 def test_composed_tables_are_kept_per_functional_object(paired, name):
-    # swapped() shares the memo, reads the dual under sort "A" and the
-    # primal under rescaled integrals: a table is kept per object it reads,
+    # swapped() shares the memo and reads the dual under sort "A" and the
+    # primal under sort "Ahat": a table is kept per object it reads,
     # not per sort.  A functional of a product is its Gram matrix.
     sys = paired(name)
     for system in (sys, sys.swapped()):
@@ -340,7 +365,7 @@ def test_composed_tables_are_kept_per_functional_object(paired, name):
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_bidual_gram_inverses_are_the_primal_ones_rescaled(paired, name):
-    # the bidual side scales the primal's Gram inverses instead of inverting
+    # the bidual side takes the primal's Gram inverses instead of inverting
     # again; each must equal the fresh inverse of its own Gram matrix, on
     # this pairing and on the pairing swapped twice
     sys = paired(name)
@@ -352,12 +377,17 @@ def test_bidual_gram_inverses_are_the_primal_ones_rescaled(paired, name):
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ["taft-5"])
 def test_bidual_tuple_matches_a_fresh_derivation(paired, name):
-    # the dual and the bidual side take their algebra's own modular tuple
-    # with the integrals replaced; every entry must be what the solves give
-    # on those integrals
+    # the dual and the bidual side take their algebra's tuple for the
+    # formula integral, and the dual's default tuple is for its solved one
+    # (on taft-3 the two differ by a factor z); every entry must be what the
+    # solves give on those integrals
     base = pair_system(build_taft(5)) if name == "taft-5" else paired(name)
-    for system in (base, base.swapped(), base.swapped().swapped()):
-        h, md = system.dual, system.dual_modular
+    own = modular_data(base.dual)
+    assert modular_data(base.dual, base.dual_modular.phi) is base.dual_modular, name
+    if name == "taft-3":
+        assert own.phi != base.dual_modular.phi
+    for h, md in [(s.dual, s.dual_modular)
+                  for s in (base, base.swapped(), base.swapped().swapped())] + [(base.dual, own)]:
         assert md.psi == tuple(h.antipode.apply_row(md.phi)), name
         phi_gram, psi_gram = gram_matrix(h, md.phi), gram_matrix(h, md.psi)
         phi_gram_inv, psi_gram_inv = invert(phi_gram), invert(psi_gram)
@@ -369,9 +399,8 @@ def test_bidual_tuple_matches_a_fresh_derivation(paired, name):
 
 
 def test_bidual_gram_inverse_needs_proportional_modular_data(paired, monkeypatch):
-    # the bidual side rescales the primal's own tuple by the scalar lam of
-    # its left-integral check; a left integral the formula one is no
-    # multiple of stops it there
+    # the formula integral on the bidual side must be a multiple of the
+    # solved left integral; one that is not stops dual_integrals there
     sys = paired("sweedler")
     monkeypatch.setattr(duality, "left_integral", lambda alg: (alg.field.one(),) * alg.dim)
     with pytest.raises(CorruptedDataError,

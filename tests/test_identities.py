@@ -494,8 +494,8 @@ WRONG = [
 
 
 def _assert_agrees_with_per_assignment_loop(system):
-    # swapped().swapped() pairs the same two algebras and shares the memo of
-    # both, but its integrals phi and psi are rescaled
+    # swapped().swapped() is the system itself, so the third pass reads
+    # the verdicts the first one kept
     programs = corpus() + corpus("convention_traps.ids") + [parse_identity(w) for w in WRONG]
     for sys in (system, system.swapped(), system.swapped().swapped()):
         for prog in programs:

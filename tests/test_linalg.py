@@ -247,7 +247,6 @@ def test_kernel_built_matrices_know_their_nonzero_entries():
     assert t.nonzero_columns() == scanned.transpose().nonzero_columns()
     ident = Matrix.identity(C4, 3)
     assert ident == Matrix(C4, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) and ident.is_identity()
-    assert built.scaled(i) == Matrix(C4, [[0, i, 0], [1, 0, -1]])
 
 
 def test_product_reads_only_nonzero_entries(monkeypatch):

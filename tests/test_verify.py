@@ -127,9 +127,9 @@ def test_full_report_builds_each_algebra_once(monkeypatch):
     # primal is validated.  invert: the primal's antipode (the dual's S^-1 is
     # its transpose; the operator S^-1 on both sides reads them), the two Gram
     # matrices (of phi and psi) of the primal and of the dual, and 2 operator
-    # inverses (sigma, sigma'); the bidual side scales the primal's Gram
-    # inverses by its integral's scalar, and dual_integrals checks its
-    # pairing formula through sigma, not its inverse
+    # inverses (sigma, sigma'); the bidual side takes the primal's own
+    # tuple, and dual_integrals checks its pairing formula through sigma,
+    # not its inverse
     assert calls == {"build_dual": 1, "validations": 1, "invert": 7}
 
 
@@ -137,9 +137,9 @@ def test_full_report_derives_each_modular_tuple_once(monkeypatch):
     # the primal's tuple and the dual's are solved, one modular_element,
     # two modular_automorphism and one scaling_constant each, each Gram
     # matrix formed once and inverted, not solved against; the bidual's is
-    # the primal's with rescaled integrals, so it solves nothing (the 7
-    # invert calls are pinned above).  gram_matrix: phi and psi on both
-    # sides, and the psi_hat one of verify's pairing check
+    # the primal's own, so it solves nothing (the 7 invert calls are pinned
+    # above).  gram_matrix: phi and psi on both sides, and the psi_hat one
+    # of verify's pairing check
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -452,11 +452,11 @@ def test_full_report_decides_each_statement_once(monkeypatch):
 
 
 def test_decisions_are_kept_per_system(monkeypatch):
-    # the double dual has the primal of sys but integrals scaled by a
-    # scalar: it decides its statements itself
+    # swapped() is an involution: the double dual is sys itself, so it
+    # decides nothing again
     sys = pair_system(builtin("sweedler"))
     double = sys.swapped().swapped()
-    assert double is not sys and double.primal is sys.primal
+    assert double is sys
     check_radford(sys)
     decided = []
     decide = identities._decide
@@ -467,9 +467,8 @@ def test_decisions_are_kept_per_system(monkeypatch):
 
     monkeypatch.setattr(identities, "_decide", recorded)
     check_radford(sys)
-    assert decided == []
     check_radford(double)
-    assert decided == [double] * len(verify.RADFORD)
+    assert decided == []
     tampered = dataclasses.replace(sys, primal_modular=dataclasses.replace(
         sys.primal_modular, tau=-sys.primal_modular.tau))
     assert not check_radford(tampered).ok
