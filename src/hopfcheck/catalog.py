@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass
 from itertools import accumulate, permutations
 from json.encoder import encode_basestring_ascii
 
+from .duality import dual_structure
 from .hopf import (AntipodeTooLargeError, HopfAlgebra, _coproduct_table, _product,
                    _product_table, _product_triples, _tensor_square_product,
                    compute_antipode)
-from .linalg import Matrix, Tensor3
+from .linalg import Matrix
 from .scalars import RATIONAL, FieldSpec, Scalar, ScalarSyntaxError, cyclotomic_field
 
 
@@ -162,45 +164,29 @@ def read_group_table(path) -> GroupPresentation:
 # builders
 # ---------------------------------------------------------------------------
 
-def _inversion_matrix(group: GroupPresentation) -> Matrix:
-    """The permutation matrix of g -> g^-1 over Q, the antipode of the group
-    algebra and of the function algebra alike."""
-    return Matrix._from_entries(RATIONAL, group.order, group.order, {
-        (group.inverse(j), j): RATIONAL.one() for j in range(group.order)})
-
-
 def build_group_algebra(group: GroupPresentation, name: str = "group-algebra") -> HopfAlgebra:
     """The group algebra kG: basis e_g, product from the table, every basis
     element group-like, antipode from inversion."""
     n = group.order
-    field = RATIONAL
-    one = field.one()
-    mul = Tensor3.from_dict(field, n, {(i, j, group.mul(i, j)): one
-                                       for i in range(n) for j in range(n)})
-    comul = Tensor3.from_dict(field, n, {(i, i, i): one for i in range(n)})
-    unit = [one if i == group.identity else field.zero() for i in range(n)]
-    counit = [one] * n
-    return HopfAlgebra(field, [f"e{i}" for i in range(n)], mul, unit, comul, counit,
-                       _inversion_matrix(group), name=name)
+    one = RATIONAL.one()
+    mul_terms = tuple(tuple(((k, one),) for k in row) for row in group.table)
+    comul_terms = tuple(((i, i, one),) for i in range(n))
+    unit = tuple(one if i == group.identity else RATIONAL.zero() for i in range(n))
+    antipode = Matrix._from_entries(RATIONAL, n, n, {(group.inverse(j), j): one
+                                                     for j in range(n)})
+    return HopfAlgebra._from_tables(RATIONAL, tuple(f"e{i}" for i in range(n)), mul_terms, unit,
+                                    comul_terms, (one,) * n, antipode, name)
 
 
 def build_function_algebra(group: GroupPresentation, name: str = "function-algebra") -> HopfAlgebra:
-    """Functions on a finite group: pointwise product of delta functions,
-    coproduct dual to the group law.  Equals the dual of the group algebra
-    under the canonical basis matching."""
-    n = group.order
-    field = RATIONAL
-    one = field.one()
-    z = field.zero()
-    mul = Tensor3.from_dict(field, n, {(i, i, i): one for i in range(n)})
-    comul = Tensor3.from_dict(
-        field, n,
-        {(group.mul(q, r), q, r): one for q in range(n) for r in range(n)},
-    )
-    unit = [one] * n
-    counit = [one if i == group.identity else z for i in range(n)]
-    return HopfAlgebra(field, [f"d{i}" for i in range(n)], mul, unit, comul, counit,
-                       _inversion_matrix(group), name=name)
+    """Functions on a finite group, k^G: the dual of the group algebra kG on
+    the canonical dual basis d_g, built from kG's tables transposed
+    (duality.dual_structure).  So the product of delta functions is
+    pointwise, d_g d_h = [g = h] d_g, the coproduct is dual to the group
+    law, coproduct(d_k) = sum over gh = k of d_g (x) d_h, the unit is the
+    sum of all d_g, the counit d_e, and the antipode d_g -> d_(g^-1)."""
+    return HopfAlgebra._from_tables(RATIONAL, tuple(f"d{i}" for i in range(group.order)),
+                                    *dual_structure(build_group_algebra(group)), name)
 
 
 def _monomial_name(a: int, b: int) -> str:
@@ -216,8 +202,12 @@ def _build_skew_primitive(field: FieldSpec, q: Scalar, n: int, name: str) -> Hop
     """Common construction behind the Sweedler and Taft families.
 
     Generators: a group-like g with g^n = 1 and a skew-primitive x with
-    x^n = 0, x*g = q*g*x, coproduct(x) = x (x) 1 + g (x) x.  Basis is the
-    monomials g^a x^b with index a*n + b.
+    x^n = 0, x*g = q*g*x, coproduct(x) = x (x) 1 + g (x) x, for q of order
+    n.  Basis is the monomials g^a x^b with index a*n + b.  The product of
+    two monomials is one power of q, read from the table of its n powers:
+    g^a x^b g^c x^d = q^(b*c) g^(a+c) x^(b+d), zero when b + d >= n.  The
+    coproduct and the antipode are products of the generators' images,
+    taken in that product table, which is also the algebra's.
     """
     dim = n * n
     zero, one = field.zero(), field.one()
@@ -225,21 +215,14 @@ def _build_skew_primitive(field: FieldSpec, q: Scalar, n: int, name: str) -> Hop
     def idx(a, b):
         return a * n + b
 
-    mul_triples = {}
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    if b + d >= n:
-                        continue
-                    # x^b g^c = q^(b*c) g^c x^b
-                    mul_triples[(idx(a, b), idx(c, d), idx((a + c) % n, b + d))] = q ** (b * c)
-    mul = Tensor3.from_dict(field, dim, mul_triples)
-    mt = _product_table(dim, mul.terms.items())
-
     def powers(product, base, first):
         """first, first * base, ..., first * base^(n-1) under product."""
         return accumulate([base] * (n - 1), product, initial=first)
+
+    q_powers = tuple(powers(operator.mul, q, one))
+    mt = _product_table(dim, (
+        ((idx(a, b), idx(c, d), idx((a + c) % n, b + d)), q_powers[b * c % n])
+        for a in range(n) for b in range(n) for c in range(n) for d in range(n - b)))
 
     # coproduct(g^a x^b) = coproduct(g)^a coproduct(x)^b in A (x) A
     tensor_times = functools.partial(_tensor_square_product, mt)
@@ -249,10 +232,9 @@ def _build_skew_primitive(field: FieldSpec, q: Scalar, n: int, name: str) -> Hop
     for a, dga in enumerate(powers(tensor_times, dg, {(idx(0, 0), idx(0, 0)): one})):
         for b, term in enumerate(powers(tensor_times, dx, dga)):
             comul_triples.update(((idx(a, b), j, k), c) for (j, k), c in term.items())
-    comul = Tensor3.from_dict(field, dim, comul_triples)
 
-    unit = [one if i == idx(0, 0) else zero for i in range(dim)]
-    counit = [one if i % n == 0 else zero for i in range(dim)]
+    unit = tuple(one if i == idx(0, 0) else zero for i in range(dim))
+    counit = tuple(one if i % n == 0 else zero for i in range(dim))
 
     # antipode on generators, extended anti-multiplicatively:
     # S(g^a x^b) = S(x)^b * S(g)^a, with S(g) = g^(n-1) and S(x) = -g^(n-1) x
@@ -263,8 +245,10 @@ def _build_skew_primitive(field: FieldSpec, q: Scalar, n: int, name: str) -> Hop
             s_entries.update(((k, idx(a, b)), v) for k, v in col.items())
     antipode = Matrix._from_entries(field, dim, dim, s_entries)
 
-    names = [_monomial_name(a, b) for a in range(n) for b in range(n)]
-    return HopfAlgebra(field, names, mul, unit, comul, counit, antipode, name=name)
+    names = tuple(_monomial_name(a, b) for a in range(n) for b in range(n))
+    return HopfAlgebra._from_tables(field, names, mt, unit,
+                                    _coproduct_table(dim, sorted(comul_triples.items())),
+                                    counit, antipode, name)
 
 
 def build_sweedler() -> HopfAlgebra:
@@ -284,13 +268,11 @@ def build_nongroup_monoid_bialgebra() -> HopfAlgebra:
     """Bialgebra of the two-element monoid {1, z | z^2 = z}: a valid
     bialgebra with group-like basis that has no antipode.  Negative fixture
     for regularity and antipode-synthesis checks."""
-    field = RATIONAL
-    one = field.one()
-    mul = Tensor3.from_dict(field, 2, {(0, 0, 0): one, (0, 1, 1): one,
-                                       (1, 0, 1): one, (1, 1, 1): one})
-    comul = Tensor3.from_dict(field, 2, {(0, 0, 0): one, (1, 1, 1): one})
-    return HopfAlgebra(field, ["1", "z"], mul, [one, field.zero()], comul,
-                       [one, one], None, name="idempotent-monoid")
+    one = RATIONAL.one()
+    mul_terms = ((((0, one),), ((1, one),)), (((1, one),), ((1, one),)))
+    comul_terms = (((0, 0, one),), ((1, 1, one),))
+    return HopfAlgebra._from_tables(RATIONAL, ("1", "z"), mul_terms, (one, RATIONAL.zero()),
+                                    comul_terms, (one, one), None, "idempotent-monoid")
 
 
 BUILTIN_BUILDERS = {

@@ -16,7 +16,7 @@ from hopfcheck.catalog import (GROUP_ORDER_LIMIT, AlgebraFileSemanticError, Alge
 from hopfcheck.cli import matrix_order
 from hopfcheck.duality import build_dual
 from hopfcheck.hopf import HopfAlgebra
-from hopfcheck.scalars import FieldSpec
+from hopfcheck.scalars import RATIONAL, FieldSpec, Scalar, cyclotomic_field
 
 from conftest import BUILTIN_NAMES, is_cocommutative, reference_algebra_from_json
 from test_hopf import _signed_permutation, _transported
@@ -98,6 +98,69 @@ def test_taft2_matches_sweedler_over_q():
         assert taft.unit[i].as_rational() == sw.unit[i].as_rational()
         for j in range(n):
             assert taft.antipode.data[i][j].as_rational() == sw.antipode.data[i][j].as_rational()
+
+
+@pytest.mark.parametrize("n", ["sweedler", *range(2, 9)])
+def test_skew_primitive_product_is_the_power_formula(n):
+    # g^a x^b g^c x^d = q^(b*c) g^(a+c) x^(b+d), zero when b + d >= n, with
+    # each power taken by Scalar.__pow__; no other constant exists
+    if n == "sweedler":
+        h, q, n = build_sweedler(), RATIONAL.scalar(-1), 2
+    else:
+        h, q = build_taft(n), cyclotomic_field(n).generator()
+    assert h.mul.terms == {(a * n + b, c * n + d, (a + c) % n * n + b + d): q ** (b * c)
+                           for a in range(n) for b in range(n)
+                           for c in range(n) for d in range(n - b)}
+
+
+@pytest.mark.parametrize("group", [*(f"z{n}" for n in range(1, 13)), "s3", "s4"])
+def test_function_algebra_is_written_out_as_the_functions_on_the_group(group):
+    group = (cyclic_group if group[0] == "z" else symmetric_group)(int(group[1:]))
+    h = build_function_algebra(group, "k^G")
+    n, one, zero = group.order, RATIONAL.one(), RATIONAL.zero()
+    assert h.basis_names == tuple(f"d{g}" for g in range(n))
+    # d_g d_h = [g = h] d_g and coproduct(d_k) = sum over gh = k of d_g (x) d_h
+    assert h.mul.terms == {(g, g, g): one for g in range(n)}
+    assert h.comul.terms == {(group.mul(g, k), g, k): one for g in range(n) for k in range(n)}
+    assert h.unit == (one,) * n
+    assert h.counit == tuple(one if g == group.identity else zero for g in range(n))
+    # S(d_g) = d_(g^-1): row g of the matrix holds a one in column g^-1
+    assert h.antipode.nonzero_rows() == tuple(((group.inverse(g), one),) for g in range(n))
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "taft-7", "group-s4", "functions-s4",
+                                  "idempotent-monoid"])
+def test_builders_write_their_tables_as_the_public_constructor_groups_them(name):
+    # _from_tables takes its tables as they stand, so each builder must
+    # write them in index order and without zeros, as the public
+    # constructor regroups them from h.mul and h.comul
+    h = {"taft-7": lambda: build_taft(7),
+         "group-s4": lambda: build_group_algebra(symmetric_group(4), name),
+         "functions-s4": lambda: build_function_algebra(symmetric_group(4), name),
+         "idempotent-monoid": build_nongroup_monoid_bialgebra}.get(name, lambda: builtin(name))()
+    regrouped = HopfAlgebra(h.field, h.basis_names, h.mul, h.unit, h.comul, h.counit,
+                            h.antipode, h.name)
+    assert regrouped.mul_terms == h.mul_terms
+    assert regrouped.comul_terms == h.comul_terms
+    assert (regrouped.unit, regrouped.counit) == (h.unit, h.counit)
+
+
+def test_taft12_build_takes_no_scalar_power(monkeypatch):
+    # a count, not a timing: taking q^(b*c) per product term made 11,232
+    # Scalar.__pow__ calls at taft-12 (160 at taft-4); the builder reads a
+    # table of the n powers of q instead
+    calls = [0]
+    power = Scalar.__pow__
+
+    def counted(*args):
+        calls[0] += 1
+        return power(*args)
+
+    monkeypatch.setattr(Scalar, "__pow__", counted)
+    h = build_taft(12)
+    monkeypatch.undo()
+    assert calls[0] == 0
+    assert h.dim == 144
 
 
 @pytest.mark.parametrize("builder,order", [

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import random
 
@@ -246,6 +247,110 @@ def test_example_on_stdout_is_the_file_it_writes(tmp_path, argv):
     assert code == 0
     assert run(["example", *argv, "-o", str(path)])[0] == 0
     assert path.read_text(encoding="utf-8") == text
+
+
+# SHA-256 of example files: a change to a builder must keep their bytes
+EXAMPLE_FILE_DIGESTS = {
+    "sweedler":
+        "fb15c0305b88e000e61b716c54c0b8fdcea2f7859868975b55741a35e14efe45",
+    "taft --n 2":
+        "bc656066696b9ff62f3ba192e0879e059ed6dba2c10f6ad86152810c8b052c34",
+    "taft --n 3":
+        "e22cdea899fd6612defb95922f921617d6a592c36567c251241a75e9f7969c0b",
+    "taft --n 4":
+        "3f19c7a42c88f3f512bdec163026366e0e796c6313a4fd27c89f2cdd9af49b0c",
+    "taft --n 5":
+        "30bb9c610b880251346f1ddf71174d92978bf3f8fc8ce9a73aa01688a00274fb",
+    "taft --n 6":
+        "ba367c43189b261ac8fcc2853ff9032e6eb7272f783c3d37568db16e5c0884b6",
+    "taft --n 7":
+        "ccba95cfdaaa710e3237a6ab254b444c99e57ddb568509337a0953fd056f5645",
+    "taft --n 8":
+        "a0039006f5fca598e8746de86327a57d79f7f158aa1c138f7de8fbed29425dec",
+    "taft --n 9":
+        "b4f6d6a3b8576bd6355af1498ac1649cb5ea0f8afd53e90c53d6662a670c44a3",
+    "taft --n 10":
+        "4fb2d8840541a7a8d31991ffcc2db45f88d73cbf25fee51b2898144e21bd41e2",
+    "taft --n 11":
+        "866b4ff05370f87660c2a628750efef1dc941bd1f9be9703cd69ef4324647284",
+    "taft --n 12":
+        "8ce7f0b9330a7d0d9bcc4c636824da92cc878f32d2fd39dee9ce4ecfeb17164b",
+    "group-algebra --cyclic 1":
+        "5356930204f37244ecab41a92d146e0ecd7c477e846ebcc02d475afc8eb69c4b",
+    "group-algebra --cyclic 2":
+        "364cd74dce5f6496f79ee2767ac33cda3e830bf5b3e530f345564e27b5cf9714",
+    "group-algebra --cyclic 3":
+        "9474820be854768593ec31c2ff3332fa4e663b12d225a8da9e63d285eb3661c3",
+    "group-algebra --cyclic 4":
+        "8d724304f9efd12eec229384e8189f0ce47fc0588397a6266d434e4b8a092a59",
+    "group-algebra --cyclic 5":
+        "d2158ad0334261cc85ec69913ef65b1a31586662203234aa08e7777b23485e83",
+    "group-algebra --cyclic 6":
+        "505bf45ff8c2b3e46ffa7581c0487288dfa8d9a63dfbe04d775e8c643a2c672a",
+    "group-algebra --cyclic 7":
+        "a4bbae374e6946db46b323bb24605c5f1bb57d04bfb99b2ddc41bf90d751610c",
+    "group-algebra --cyclic 8":
+        "cb3151cb084c3823bed63f0faa1d0324902813b350bd48a00e0d0c1c59dfdc66",
+    "group-algebra --cyclic 9":
+        "a88087fa79af025596633dbdfcdd01e8864898af11f3790ba2ee04b5dd2948fc",
+    "group-algebra --cyclic 10":
+        "a419a1b9898f16bf03d653e1324fc22f518b9187220dd393ec0d6c66c20bcb59",
+    "group-algebra --cyclic 11":
+        "9e63f4243b5879cd0d6feebe4c97efd51cee2e8592bcb8bf4940f14901dca2dc",
+    "group-algebra --cyclic 12":
+        "cae9cc1db860e314bef025f6e7aa28bd708adae0e07c25b1536430b11ce55261",
+    "group-algebra --cyclic 64":
+        "a8b39399688ba20ffef3e210c4435acceee0d2f37d4e0e1b9640908ff753f661",
+    "group-algebra --symmetric 1":
+        "45326a7b5cb76b6dcbb354fcaf952d52bc3bae3ec0a50a12c704a7d765982c27",
+    "group-algebra --symmetric 2":
+        "de8fc8fb02c8499b62dc81df9309fb455239d2dc241a019465bae41888e0b7c3",
+    "group-algebra --symmetric 3":
+        "4a6d98303aa41e2776a031aba59ca984061e2a37d5fbdee8b38ff4a00613922a",
+    "group-algebra --symmetric 4":
+        "af8a7f80e04e31b931e2214f2ccfca92ea21c95f9194287be437bcb17cf3e0ae",
+    "function-algebra --cyclic 1":
+        "a26931bc150a954944b2fba3144269ea5441d2b8077c5f450574651b58f4d87d",
+    "function-algebra --cyclic 2":
+        "1eb4cb3b2cebb21bb0b96ceaa9a594b2edf6ccaf26498d6ad25f4e52401bd449",
+    "function-algebra --cyclic 3":
+        "71d097c5e05dfde078cc5d21c90f349e247451d761e537af198187b9654830d8",
+    "function-algebra --cyclic 4":
+        "cc3d435989d6c5b6044358d50fc8f365d567905332475b7dac794e859800124c",
+    "function-algebra --cyclic 5":
+        "5de3907c58ac4b1112bed1886ba8b91f361ace75c4c712f7c68401e03b81c130",
+    "function-algebra --cyclic 6":
+        "f6428ac191fb082e7049edac41773aaa8f60cbb854a1c7d5605ab7779ba1b786",
+    "function-algebra --cyclic 7":
+        "647a737e64c4fbc9135830374dee66db134f6880e0713825a7648ad5a9b7bea7",
+    "function-algebra --cyclic 8":
+        "ac7f5f347afc57d3ef665b1b8bae21fcf772a51dbb906ea1abcbcab574e93db3",
+    "function-algebra --cyclic 9":
+        "81705c67d60f89d92218dad5bf16f6b826a592fef91b0e103593e26800b8a650",
+    "function-algebra --cyclic 10":
+        "854025f2ec93a30988d1bc018a45ca37a745d668d11252b3eb294aefeb7b0c0f",
+    "function-algebra --cyclic 11":
+        "2105e9db2da8e07f41cb918575ce7b5e7a2e1d525fd6bf6985dde671f3a73cc1",
+    "function-algebra --cyclic 12":
+        "a44df9a25f9f1fb6ab7e9bb0bbcdd1aba6283109fd54d15db2e66154be1189c9",
+    "function-algebra --cyclic 64":
+        "1125f0be2f626ee77f90b8ad5c6c35bacf799325cd56b7a45c6674f378ad9567",
+    "function-algebra --symmetric 1":
+        "2ed17b9c771c65994d7841d7d43b57dceef6b77e352418661c8ee1551b61eb41",
+    "function-algebra --symmetric 2":
+        "7a11bb9b5b4028b361913fb403ac49f8c65ae3cb231ab2d28600e4e28f8da381",
+    "function-algebra --symmetric 3":
+        "f5d50be4ab79499e7af691e57e5d6120e873245f78ec51ac48bbae433b2285eb",
+    "function-algebra --symmetric 4":
+        "ec300dde26b0a826cf09540c97205cfe6ef67ee79a5958199657bf2dd0d19a2d",
+}
+
+
+def test_example_files_keep_their_bytes():
+    for argv, digest in EXAMPLE_FILE_DIGESTS.items():
+        code, text = run(["example", *argv.split()])
+        assert code == 0, argv
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, argv
 
 
 def test_example_usage_errors(tmp_path):
