@@ -8,20 +8,17 @@ further formulas.
 """
 
 from .scalars import FieldSpec, RATIONAL, Scalar, cyclotomic_field
-from .linalg import Matrix, Tensor3, invert, kron, nullspace, solve
-from .hopf import (CheckResult, HopfAlgebra, ValidationReport, compute_antipode, convolve,
-                   galois_maps, unit_counit_map)
+from .linalg import Matrix, Tensor3, invert, nullspace, solve
+from .hopf import CheckResult, HopfAlgebra, ValidationReport, compute_antipode, galois_maps
 from .modular import ModularData, gram_inverse, left_integral, modular_automorphism, \
     modular_data, modular_element, right_integral, scaling_constant
-from .duality import PairedSystem, build_dual, dual_integrals, pair_system, pairing_value
+from .duality import PairedSystem, build_dual, dual_integrals, pair_system
 from .verify import (biduality_check, check_dual_modular_pairing, check_dual_radford,
-                     check_modular_adjoints, check_radford, run_all_checks, verify_algebra)
+                     check_modular_adjoints, check_radford, run_all_checks)
 from .identities import IdentityProgram, evaluate, evaluate_corpus, load_corpus, parse_identity
 from .catalog import (GroupPresentation, build_function_algebra, build_group_algebra,
                       build_sweedler, build_taft, builtin, BUILTIN_BUILDERS,
                       cyclic_group, read_algebra, symmetric_group, write_algebra)
-
-IdentitySuiteReport = ValidationReport  # what the identity suites return
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

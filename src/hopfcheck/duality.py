@@ -29,7 +29,6 @@ from .hopf import (CheckResult, CorruptedDataError, HopfAlgebra, ValidationRepor
 from .linalg import Matrix, invert
 from .modular import (ModularData, left_integral, modular_data, proportionality,
                       right_integral)
-from .scalars import Scalar
 
 
 def dual_structure(h: HopfAlgebra):
@@ -72,19 +71,6 @@ def build_dual(h: HopfAlgebra) -> HopfAlgebra:
         bialgebra=report.checks[:len(h.bialgebra_checks())], validation=report,
         antipode_inverse=h.antipode_inverse().transpose(),
         dual_generating_rows=h._generating_rows)
-
-
-def pairing_value(a, y) -> Scalar:
-    """<a, y> for a primal column a and dual column y (identity pairing)."""
-    acc = None
-    for x, c in zip(a, y):
-        if x.is_zero() or c.is_zero():
-            continue
-        term = x * c
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return a[0].field.zero() if a else y[0].field.zero()
-    return acc
 
 
 @dataclass(frozen=True, eq=False)

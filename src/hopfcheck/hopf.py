@@ -126,25 +126,6 @@ def _sparse(column) -> dict:
     return {k: x for k, x in enumerate(column) if not x.is_zero()}
 
 
-def bilinear(table, a, b):
-    """The bilinear map with structure constants table on the coordinate
-    columns a and b: table[i][j] lists the nonzero (k, c) of the map on basis
-    elements i and j, laid out like HopfAlgebra.mul_terms."""
-    out = [a[0].field.zero()] * len(table)
-    b_support = [(j, y) for j, y in enumerate(b) if not y.is_zero()]
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        table_i = table[i]
-        for j, y in b_support:
-            cell = table_i[j]
-            if cell:
-                xy = x * y
-                for k, c in cell:
-                    out[k] = out[k] + xy * c
-    return out
-
-
 def _product_table(n, triples):
     """The ((i, j, k), x) triples of a product grouped by input, laid out
     like HopfAlgebra.mul_terms: table[i][j] lists (k, x).  Rows without
@@ -542,17 +523,6 @@ class HopfAlgebra:
 
     # -- element arithmetic on coordinate columns ---------------------------
 
-    def zero_column(self):
-        return [self.field.zero()] * self.dim
-
-    def basis_column(self, i: int):
-        col = self.zero_column()
-        col[i] = self.field.one()
-        return col
-
-    def multiply(self, a, b):
-        return bilinear(self.mul_terms, a, b)
-
     def unit_column(self):
         return list(self.unit)
 
@@ -697,13 +667,6 @@ class HopfAlgebra:
 # convolution algebra and antipode synthesis
 # ---------------------------------------------------------------------------
 
-def unit_counit_map(h: HopfAlgebra) -> Matrix:
-    """The convolution identity: x -> counit(x) * 1."""
-    return Matrix._from_entries(h.field, h.dim, h.dim, {
-        (t, i): e * u for i, e in enumerate(h.counit) if not e.is_zero()
-        for t, u in enumerate(h.unit) if not u.is_zero()})
-
-
 def _convolution_column(h: HopfAlgebra, f_cols, g_cols, i: int):
     """(f * g)(e_i) = sum f(e_i(1)) g(e_i(2)) as a sparse column, where
     f_cols and g_cols are the nonzero entries of each column of f and g."""
@@ -715,14 +678,6 @@ def _convolution_column(h: HopfAlgebra, f_cols, g_cols, i: int):
         for r, y in g_cols[k]
         for t, d in mt[m][r]
     )
-
-
-def convolve(f: Matrix, g: Matrix, h: HopfAlgebra) -> Matrix:
-    """Convolution product of two endomorphisms: mul o (f (x) g) o coproduct."""
-    f_cols, g_cols = f.nonzero_columns(), g.nonzero_columns()
-    return Matrix._from_entries(h.field, h.dim, h.dim, {
-        (t, i): x for i in range(h.dim)
-        for t, x in _convolution_column(h, f_cols, g_cols, i).items()})
 
 
 def _antipode_law_failure(h: HopfAlgebra, s_cols, side: str):
@@ -742,8 +697,8 @@ def _antipode_law_failure(h: HopfAlgebra, s_cols, side: str):
 def compute_antipode(h: HopfAlgebra) -> Matrix:
     """Solve the left antipode law for the antipode as a linear system.
 
-    The unknowns are the n^2 matrix entries; the equation is
-    convolve(S, id) = unit o counit.  The solution, when it exists, is the
+    The unknowns are the n^2 matrix entries; the equation is the
+    convolution S * id = unit o counit.  The solution, when it exists, is the
     two-sided convolution inverse of the identity, and the right law is
     re-checked afterwards.  Raises NoAntipodeError when the system is
     inconsistent; an underdetermined system cannot happen for honest

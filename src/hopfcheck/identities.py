@@ -170,7 +170,8 @@ def pretty(node) -> str:
 
 # -- tokenizer and parser ----------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<op>[:.,*()<>=/]))")
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<op>[:.,*()<>=/]))")
 
 
 def _tokenize(src: str):
@@ -195,8 +196,8 @@ def _tokenize(src: str):
 
 # Deepest nesting of brackets (parentheses, pairings, function arguments)
 # an identity may use.  Parsing, compiling (which checks sorts) and
-# evaluation each recurse once per level; the bundled corpora nest about 6
-# deep.
+# evaluation each recurse once per level, and fold a product's factors in a
+# loop; the bundled corpora nest about 6 deep.
 MAX_NESTING = 100
 
 
@@ -578,26 +579,35 @@ def _picker(positions):
     return itemgetter(*positions) if positions else lambda key: ()
 
 
-def _binary(legs, sorts, left, right, table):
-    """(slots, terms) of a binary node from its operands' (slots, terms);
-    legs has the leg count of each legged variable of the side, table(sys)
-    is what _join reads.  A variable with legs on both operands and none
-    elsewhere meets here: its slot (var, None) leads the node's keys."""
-    (ls, lt), (rs, rt) = left, right
-    meets, held = [], []
-    for var, count in legs.items():
-        lj = [j for j in range(1, count + 1) if (var, j) in ls]
-        rj = [j for j in range(1, count + 1) if (var, j) in rs]
-        if lj and rj and len(lj) + len(rj) == count:
-            meets.append((sorts[var], count, tuple(lj), tuple(rj)))
-            held += [(var, j) for j in range(1, count + 1)] + [(var, None)]
-    if not meets:
-        return ls + rs, lambda sys: _join(lt(sys), rt(sys), table(sys), _NO_LEGS, None, None)
-    splits = [(lambda key, a=_picker([slots.index(s) for s in held if s in slots]),
-               b=_picker([p for p, s in enumerate(slots) if s not in held]): (a(key), b(key)))
-              for slots in (ls, rs)]
-    return (tuple(s for s in held if s[1] is None) + tuple(s for s in ls + rs if s not in held),
-            lambda sys: _join(lt(sys), rt(sys), table(sys), _coterms(sys, meets), *splits))
+def _fold(legs, sorts, first, steps):
+    """(slots, terms) of first, an operand's (slots, terms), joined in turn
+    with the operand of each step (table, (slots, terms)), where table(sys)
+    is what _join reads; legs has the leg count of each legged variable of
+    the side.  A variable with legs on both operands of a join and none
+    elsewhere meets there: its slot (var, None) leads the join's keys.  The
+    joins run in one loop, so a long product costs no stack depth."""
+    slots, first_terms = first
+    joins = []
+    for table, (rs, rt) in steps:
+        ls, meets, held = slots, [], []
+        for var, count in legs.items():
+            lj = [j for j in range(1, count + 1) if (var, j) in ls]
+            rj = [j for j in range(1, count + 1) if (var, j) in rs]
+            if lj and rj and len(lj) + len(rj) == count:
+                meets.append((sorts[var], count, tuple(lj), tuple(rj)))
+                held += [(var, j) for j in range(1, count + 1)] + [(var, None)]
+        splits = [(lambda key, a=_picker([o.index(s) for s in held if s in o]),
+                   b=_picker([p for p, s in enumerate(o) if s not in held]): (a(key), b(key)))
+                  for o in (ls, rs)] if meets else (None, None)
+        slots = tuple(s for s in held if s[1] is None) + tuple(s for s in ls + rs if s not in held)
+        joins.append((table, meets, splits, rt))
+
+    def terms(sys):
+        acc = first_terms(sys)
+        for table, meets, splits, rt in joins:
+            acc = _join(acc, rt(sys), table(sys), _coterms(sys, meets), *splits)
+        return acc
+    return slots, terms
 
 
 def _coterms(sys, meets):
@@ -696,8 +706,8 @@ def _compile(node, env):
                                f"pairing needs an A term then an Ahat term, got "
                                f"<{left_sort}, {right_sort}> in {pretty(node)}")
         table = (lambda sys: sys.action_table(fn)) if fn else (lambda sys: _PAIR)
-        return expected[2], left_slots + right_slots, lambda legs: _binary(
-            legs, env, left(legs), right(legs), table)
+        return expected[2], left_slots + right_slots, lambda legs: _fold(
+            legs, env, left(legs), [(table, right(legs))])
     (arg,), fn = node.args, node.fn
     sort, slots, inner = _compile(arg, env)
     if sort == "scalar":
@@ -731,10 +741,10 @@ def _compile_product(node, env):
         slots += factor_slots
 
     def build(legs, fn=None):
-        acc = first(legs)
-        for n, (on, factor) in enumerate(steps, 1):  # on: a sort, or None for a scalar
-            acc = _binary(legs, env, acc, factor(legs), _table(on, n == len(steps) and fn))
-        return _applied(acc, _reads(fn, sort)) if fn and not on else acc
+        built = _fold(legs, env, first(legs), [  # on: a sort, or None for a scalar
+            (_table(on, n == len(steps) and fn), factor(legs))
+            for n, (on, factor) in enumerate(steps, 1)])
+        return _applied(built, _reads(fn, sort)) if fn and not steps[-1][0] else built
     return sort, slots, build
 
 

@@ -3,7 +3,7 @@
 Everything here is pure and deterministic: one Gauss-Jordan reduction
 over sparse rows, taking pivot columns left to right, brings a matrix to
 its reduced row echelon form, which is unique, so nullspace bases,
-solutions, inverses and determinants are read off it reproducibly
+solutions and inverses are read off it reproducibly
 whichever row each pivot is taken from.  Matrices are immutable after
 construction and store only their shape and their nonzero entries, so a
 system of dim^2 equations costs memory in its nonzero count, never in
@@ -12,7 +12,7 @@ dim^4.  Structure tensors are stored sparse, as their nonzero triples.
 
 from __future__ import annotations
 
-from .scalars import FieldSpec, Scalar
+from .scalars import FieldSpec
 
 
 class InconsistentSystemError(ValueError):
@@ -170,11 +170,6 @@ class Matrix:
                 out[j] = out[j] + c * x
         return out
 
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            len(row) == 1 and row[0][0] == i and row[0][1].is_one()
-            for i, row in enumerate(self._sparse_rows))
-
     def __str__(self):
         return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.data)
 
@@ -268,9 +263,8 @@ def _row_reduce(rows, limit_cols: int):
     every other row holding its column.
 
     On return rows[r] is the pivot row of pivot_cols[r], and the rows
-    without a pivot follow in their old order.  Returns (pivot_cols,
-    pivots, pivot_rows): per pivot, its column, its value before scaling
-    and the old index of its row.
+    without a pivot follow in their old order.  Returns pivot_cols, the
+    column of each pivot.
     """
     holders = [set() for _ in range(limit_cols)]
     for i, row in enumerate(rows):
@@ -278,7 +272,7 @@ def _row_reduce(rows, limit_cols: int):
             if j < limit_cols:
                 holders[j].add(i)
     free = [True] * len(rows)
-    pivot_cols, pivots, pivot_rows = [], [], []
+    pivot_cols, pivot_rows = [], []
     for c, held in enumerate(holders):
         p, size = -1, 0
         for i in held:
@@ -315,12 +309,11 @@ def _row_reduce(rows, limit_cols: int):
                     else:
                         row[j] = y
         pivot_cols.append(c)
-        pivots.append(pivot)
         pivot_rows.append(p)
         if len(pivot_rows) == len(rows):
             break
     rows[:] = [rows[i] for i in pivot_rows] + [row for i, row in enumerate(rows) if free[i]]
-    return pivot_cols, pivots, pivot_rows
+    return pivot_cols
 
 
 def _row_dicts(m: Matrix):
@@ -346,7 +339,7 @@ def nullspace(m: Matrix):
     """
     field = m.field
     rows = _row_dicts(m)
-    pivot_cols, _, _ = _row_reduce(rows, m.cols)
+    pivot_cols = _row_reduce(rows, m.cols)
     # free column f -> the (pivot column, -entry) pairs of its basis column
     coords = {}
     for pc, row in zip(pivot_cols, rows):
@@ -383,7 +376,7 @@ def solve(m: Matrix, rhs):
     for row, v in zip(rows, rhs):
         if not v.is_zero():
             row[ncols] = v
-    pivot_cols, _, _ = _row_reduce(rows, ncols)
+    pivot_cols = _row_reduce(rows, ncols)
     # consistency: reduced rows below the pivot rows must have zero rhs
     for row in rows[len(pivot_cols):]:
         if ncols in row:
@@ -409,45 +402,8 @@ def invert(m: Matrix) -> Matrix:
     rows = _row_dicts(m)
     for i, row in enumerate(rows):
         row[n + i] = one
-    pivot_cols, _, _ = _row_reduce(rows, n)
+    pivot_cols = _row_reduce(rows, n)
     if len(pivot_cols) < n:
         raise SingularMatrixError("matrix is singular")
     return Matrix._from_entries(field, n, n, {
         (i, j - n): x for i, row in enumerate(rows) for j, x in row.items() if j >= n})
-
-
-def determinant(m: Matrix) -> Scalar:
-    """Exact determinant: the signed product of the pivots."""
-    if m.rows != m.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    pivot_cols, pivots, pivot_rows = _row_reduce(_row_dicts(m), n)
-    if len(pivot_cols) < n:
-        return m.field.zero()
-    det = m.field.one()
-    for x in pivots:
-        det = det * x
-    # row pivot_rows[k] ended as unit row k; that permutation has sign
-    # (-1)^(n - number of its cycles)
-    seen = [False] * n
-    for k in range(n):
-        if not seen[k]:
-            det = -det
-            while not seen[k]:
-                seen[k] = True
-                k = pivot_rows[k]
-    return -det if n % 2 else det
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product: block (i,j) is a[i][j] * b.
-
-    Realizes maps on a tensor square when coordinates are indexed row-major
-    (index of e_i (x) e_j is i * dim + j).
-    """
-    if a.field != b.field:
-        raise ValueError("kron requires a shared field")
-    w = b.cols
-    rows = tuple(tuple((j * w + q, x * y) for j, x in arow for q, y in brow)
-                 for arow in a.nonzero_rows() for brow in b.nonzero_rows())
-    return _store(_new_object(Matrix), a.field, a.rows * b.rows, a.cols * w, rows)

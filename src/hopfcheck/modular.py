@@ -2,7 +2,7 @@
 
 A functional on the algebra is an element of the dual, so an integral is
 stored the way every dual element is: its coordinate tuple on the
-canonical dual basis, evaluated by duality.pairing_value and composed with
+canonical dual basis, evaluated by the identity pairing and composed with
 a map M as M.apply_row.  For a finite-dimensional Hopf algebra the space of
 left-invariant functionals is exactly one-dimensional; the left integral
 here is the basis vector of that nullspace normalized so its first nonzero

@@ -248,13 +248,6 @@ class Scalar:
     def is_one(self) -> bool:
         return self.den == 1 and self.num == self.field._one.num
 
-    def as_rational(self) -> Fraction:
-        """The value as a Fraction; only for elements that lie in Q
-        (constant residues, or anything in the degree-1 fields)."""
-        if any(self.num[1:]):
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
@@ -449,12 +442,13 @@ def format_scalar(s: Scalar) -> str:
 
 
 _TERM_RE = re.compile(
-    r"""(?P<coeff>\d+(?:/\d+)?)?          # optional rational coefficient
+    r"""(?P<coeff>[0-9]+(?:/[0-9]+)?)?    # optional rational coefficient
         (?P<star>\*)?
-        (?P<z>z(?:\^(?P<power>\d+))?)?    # optional power of z
+        (?P<z>z(?:\^(?P<power>[0-9]+))?)?  # optional power of z
         $""",
     re.VERBOSE,
 )
+_SPLIT_NUMERAL_RE = re.compile(r"[0-9]\s+[0-9]")  # spaces never split a number
 
 
 def too_long_number() -> str:
@@ -494,6 +488,8 @@ def _parse_scalar(field: FieldSpec, text: str) -> Scalar:
     powers, _, _ = field._tables
     coeffs = [Fraction(0)] * field.degree
     for sgn, term in chunks:
+        if _SPLIT_NUMERAL_RE.search(term):
+            raise ScalarSyntaxError(f"whitespace inside a number in {text!r}")
         m = _TERM_RE.match(term.replace(" ", ""))
         if not m or (m.group("coeff") is None and m.group("z") is None):
             raise ScalarSyntaxError(f"bad scalar term {term!r} in {text!r}")

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .duality import PairedSystem, dual_structure, pair_system
-from .hopf import CheckResult, HopfAlgebra, ValidationReport
+from .duality import PairedSystem, dual_structure
+from .hopf import CheckResult, ValidationReport
 from .identities import decision, parse_identity, standard_corpus
 from .modular import gram_matrix
 
@@ -136,7 +136,3 @@ def run_all_checks(sys: PairedSystem) -> ValidationReport:
     suites = (check_dual_modular_pairing, check_modular_adjoints, check_radford,
               check_dual_radford, biduality_check)
     return ValidationReport(tuple(r for suite in suites for r in suite(sys).checks))
-
-
-def verify_algebra(h: HopfAlgebra) -> ValidationReport:
-    return run_all_checks(pair_system(h))

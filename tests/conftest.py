@@ -75,6 +75,41 @@ def reference_action(sys, fn, left, right):
     return out
 
 
+def basis_column(h, i):
+    """The coordinate column of the basis element e_i of h."""
+    col = [h.field.zero()] * h.dim
+    col[i] = h.field.one()
+    return col
+
+
+def bilinear(table, a, b):
+    """The bilinear map whose structure constants table is laid out like
+    HopfAlgebra.mul_terms (table[i][j] lists the (k, c) of basis elements i
+    and j) on the coordinate columns a and b, by dense loops."""
+    out = [a[0].field.zero()] * len(table)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if x.is_zero() or y.is_zero():
+                continue
+            for k, c in table[i][j]:
+                out[k] = out[k] + x * y * c
+    return out
+
+
+def multiply(h, a, b):
+    """The product of the coordinate columns a and b in h."""
+    return bilinear(h.mul_terms, a, b)
+
+
+def pairing_value(a, y):
+    """<a, y> for a primal column a and a dual column y: the identity
+    pairing of the canonical dual basis."""
+    acc = a[0].field.zero()
+    for x, c in zip(a, y):
+        acc = acc + x * c
+    return acc
+
+
 def is_commutative(h):
     mt = h.mul_terms
     return all(mt[i][j] == mt[j][i] for i in range(h.dim) for j in range(i))

@@ -468,6 +468,19 @@ def test_wrongly_shaped_sections_exit_2(tmp_path, key, value, where):
     assert code == 2 and where in text, text
 
 
+def test_scalar_with_split_digits_exits_2(tmp_path):
+    # "1 2" is not read as 12: a file whose counit is off by that much
+    # would otherwise fail an axiom instead of being refused
+    src = tmp_path / "h4.alg"
+    run(["example", "sweedler", "-o", str(src)])
+    doc = json.loads(src.read_text())
+    doc["counit"][0] = "1 2"
+    path = tmp_path / "split.alg"
+    path.write_text(json.dumps(doc))
+    assert run(["verify-axioms", str(path)]) == (
+        2, f"error: {path}: counit[0]: whitespace inside a number in '1 2'\n")
+
+
 @pytest.mark.parametrize("section,item", [("mul", 5), ("comul", "0 0 0 1"), ("antipode", {"i": 0})])
 def test_non_list_items_exit_2(tmp_path, section, item):
     src = tmp_path / "h4.alg"
@@ -626,6 +639,21 @@ def test_deeply_nested_identity_exits_2(tmp_path, opening):
     assert text.endswith(f": brackets nested deeper than {MAX_NESTING} levels\n"), text
 
 
+@pytest.mark.parametrize("nested", [False, True], ids=["flat", "nested"])
+def test_long_product_is_checked_in_a_loop(tmp_path, nested):
+    # a product's factors fold in a loop, not one stack frame each: 1,200
+    # factors, alone or inside the brackets of another 1,200-factor
+    # product, are checked like a short product
+    src, ids = tmp_path / "h4.alg", tmp_path / "long.ids"
+    run(["example", "sweedler", "-o", str(src)])
+    ones = " * 1" * 1199
+    product = f"(a{ones}){ones}" if nested else f"a{ones}"
+    ids.write_text(f"long: forall a in A . {product} = a\n\n"
+                   f"scaled: forall a in A . 2 * {product} = a\n")
+    assert run(["check", str(src), "--corpus", str(ids)]) == (
+        1, "long sweedler PASS\nscaled sweedler FAIL at a=1: lhs=(2)*1 rhs=1\n")
+
+
 def test_verify_axioms_decides_a_changed_dual_file_from_scratch(tmp_path):
     # a dual built in memory takes the primal's validation; a dual read from a
     # file is checked like any other file
@@ -676,9 +704,9 @@ def test_order_past_the_cap_prints_the_bound():
 def _power_loop_order(m):
     """The order by the loop matrix_order ran before: the first of m, m^2,
     ..., m^ORDER_CAP that is the identity, or None."""
-    acc = m
+    acc, ident = m, Matrix.identity(m.field, m.rows)
     for k in range(1, cli.ORDER_CAP + 1):
-        if acc.is_identity():
+        if acc == ident:
             return k
         acc = acc * m
     return None

@@ -38,7 +38,7 @@ def _gauges(source):
     rng, gauges = random.Random(f"gauge:{source.name}"), []
     while len(gauges) < 2:
         p = _unitriangular(source.field, source.dim, rng)
-        if not p.is_identity() and p not in gauges:
+        if p != Matrix.identity(source.field, source.dim) and p not in gauges:
             gauges.append(p)
     rng = random.Random(f"gauge-lu:{source.name}")
     while True:

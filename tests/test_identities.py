@@ -8,7 +8,7 @@ import pytest
 
 from hopfcheck import identities
 from hopfcheck.catalog import builtin
-from hopfcheck.duality import pair_system, pairing_value
+from hopfcheck.duality import pair_system
 from hopfcheck.identities import (Apply, Const, DslLegError, DslLinearityError, DslSortError,
                                   DslSyntaxError, Pairing, Product, ScalarLit, Var, evaluate,
                                   evaluate_corpus, evaluate_side,
@@ -16,7 +16,8 @@ from hopfcheck.identities import (Apply, Const, DslLegError, DslLinearityError, 
 from hopfcheck.scalars import Scalar
 from hopfcheck.verify import run_all_checks
 
-from conftest import BUILTIN_NAMES, reference_action, reference_sort_check
+from conftest import (BUILTIN_NAMES, basis_column, multiply, pairing_value, reference_action,
+                      reference_sort_check)
 from test_gauge import _gauges
 from test_hopf import _transported
 
@@ -121,6 +122,12 @@ def test_syntax_errors_carry_position():
         parse_identity("res: forall sigma in A . sigma = sigma")
 
 
+@pytest.mark.parametrize("digit", ["\u0663", "\uff13"])
+def test_only_ascii_digits_are_numbers(digit):
+    with pytest.raises(DslSyntaxError, match=r"^position 18: cannot read"):
+        parse_identity(f"x: forall a in A . {digit} * a = 3 * a")
+
+
 def _nested(template, depth):
     """An identity whose left side nests depth brackets around a."""
     open_, close = template
@@ -207,7 +214,7 @@ def test_evaluation_is_multilinear(paired):
     h = sys.primal
     prog = parse_identity("lin: forall a in A . eps(a(1)) * a(2) = a")
     two, five = h.field.scalar(2), h.field.scalar(5)
-    e1, e3 = h.basis_column(1), h.basis_column(3)
+    e1, e3 = basis_column(h, 1), basis_column(h, 3)
     combo = [two * x + five * y for x, y in zip(e1, e3)]
     sort1, v1 = evaluate_side(sys, prog, prog.lhs, {"a": e1})
     sort3, v3 = evaluate_side(sys, prog, prog.lhs, {"a": e3})
@@ -358,7 +365,7 @@ def _naive_value(sys, env, node, cols):
             elif sort == "scalar":
                 acc = [x * value for x in acc]
             else:
-                acc = sys.algebra(sort).multiply(acc, value)
+                acc = multiply(sys.algebra(sort), acc, value)
             if sort != "scalar":
                 acc_sort = sort
         return acc
@@ -413,7 +420,7 @@ def _naive_side(sys, prog, node, assignment):
         for c, placed in terms:
             coeff = coeff * c
             for var, leg, i in placed:
-                cols[(var, leg)] = sys.algebra(env[var]).basis_column(i)
+                cols[(var, leg)] = basis_column(sys.algebra(env[var]), i)
         value = _naive_value(sys, env, node, cols)
         value = coeff * value if prog.sort == "scalar" else [coeff * x for x in value]
         total = value if total is None else (
@@ -433,7 +440,7 @@ def _naive_evaluate(prog, sys):
         return str(value) if prog.sort == "scalar" else sys.algebra(prog.sort).format_element(value)
 
     for combo in cartesian(*[range(alg.dim) for alg in algebras]):
-        assignment = {var: alg.basis_column(i)
+        assignment = {var: basis_column(alg, i)
                       for (var, _), alg, i in zip(prog.decls, algebras, combo)}
         lhs = _naive_side(sys, prog, prog.lhs, assignment)
         rhs = _naive_side(sys, prog, prog.rhs, assignment)

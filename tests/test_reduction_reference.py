@@ -3,7 +3,7 @@
 The dense reduction it replaced is kept here as the reference: pivots are
 the first nonzero entry scanning columns left to right and rows top to
 bottom, on dense rows.  Both must give the same pivot columns and reduced
-rows, and solve, nullspace, invert and determinant built on each must
+rows, and solve, nullspace and invert built on each must
 give the same values or raise the same exception type, on seeded matrices
 over four fields and on every system the pipeline builds for the builtins
 and taft-5.
@@ -19,8 +19,8 @@ from hopfcheck.catalog import BUILTIN_BUILDERS, build_taft, builtin
 from hopfcheck.duality import pair_system
 from hopfcheck.hopf import compute_antipode
 from hopfcheck.linalg import (InconsistentSystemError, Matrix, NonUniqueSolutionError,
-                              SingularMatrixError, _row_reduce, determinant, invert,
-                              normalize_vector, nullspace, solve)
+                              SingularMatrixError, _row_reduce, invert, normalize_vector,
+                              nullspace, solve)
 from hopfcheck.scalars import RATIONAL, Scalar, cyclotomic_field
 
 FIELDS = (RATIONAL, cyclotomic_field(3), cyclotomic_field(4), cyclotomic_field(12))
@@ -31,14 +31,12 @@ ERRORS = (InconsistentSystemError, NonUniqueSolutionError, SingularMatrixError)
 
 def dense_row_reduce(field, rows, limit_cols=None):
     """The dense reduction as it was before the sparse kernel: rows (lists
-    of Scalars) to reduced row echelon form in place; returns (pivot_cols,
-    det)."""
+    of Scalars) to reduced row echelon form in place; returns pivot_cols."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     if limit_cols is None:
         limit_cols = ncols
     one, zero = field.one(), field.zero()
-    det = one
     pivot_cols = []
     for c in range(limit_cols):
         r = len(pivot_cols)
@@ -49,10 +47,8 @@ def dense_row_reduce(field, rows, limit_cols=None):
             continue
         if pivot_row != r:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            det = -det
         top = rows[r]
         pivot = top[c]
-        det = det * pivot
         inv = None if pivot.is_one() else pivot.inv()
         support = []
         for j in range(c + 1, ncols):
@@ -70,7 +66,7 @@ def dense_row_reduce(field, rows, limit_cols=None):
                 row[j] = row[j] - head * x
             row[c] = zero
         pivot_cols.append(c)
-    return pivot_cols, det
+    return pivot_cols
 
 
 def dense_nullspace(m):
@@ -78,7 +74,7 @@ def dense_nullspace(m):
     rows = [list(r) for r in m.data]
     if not rows:
         return []
-    pivot_cols, _ = dense_row_reduce(field, rows)
+    pivot_cols = dense_row_reduce(field, rows)
     pivots = set(pivot_cols)
     one, zero = field.one(), field.zero()
     basis = []
@@ -103,7 +99,7 @@ def dense_solve(m, rhs):
         if ncols:
             raise NonUniqueSolutionError(f"solution space has dimension {ncols}")
         return []
-    pivot_cols, _ = dense_row_reduce(field, rows, ncols)
+    pivot_cols = dense_row_reduce(field, rows, ncols)
     for r in range(len(pivot_cols), len(rows)):
         if not rows[r][ncols].is_zero():
             raise InconsistentSystemError("system has no solution")
@@ -117,18 +113,10 @@ def dense_invert(m):
     n = m.rows
     one, zero = field.one(), field.zero()
     rows = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(m.data)]
-    pivot_cols, _ = dense_row_reduce(field, rows, n)
+    pivot_cols = dense_row_reduce(field, rows, n)
     if len(pivot_cols) < n:
         raise SingularMatrixError("matrix is singular")
     return Matrix(field, [row[n:] for row in rows])
-
-
-def dense_determinant(m):
-    field = m.field
-    if m.rows == 0:
-        return field.one()
-    pivot_cols, det = dense_row_reduce(field, [list(r) for r in m.data])
-    return det if len(pivot_cols) == m.rows else field.zero()
 
 
 # -- comparisons ---------------------------------------------------------------
@@ -147,8 +135,8 @@ def assert_same_reduction(m, augmented=()):
     zero = field.zero()
     dense = [list(row) + [col[i] for col in augmented] for i, row in enumerate(m.data)]
     sparse = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in dense]
-    ref_cols, _ = dense_row_reduce(field, dense, ncols)
-    pivot_cols, _, _ = _row_reduce(sparse, ncols)
+    ref_cols = dense_row_reduce(field, dense, ncols)
+    pivot_cols = _row_reduce(sparse, ncols)
     assert pivot_cols == ref_cols
     width = ncols + len(augmented)
     got = [[row.get(j, zero) for j in range(width)] for row in sparse]
@@ -177,7 +165,6 @@ def assert_same_results(m, rhs_list=()):
         got = _outcome(invert, m)
         assert got == _outcome(dense_invert, m)
         kinds.add(got[1] if got[0] == "raises" else "inverse")
-        assert determinant(m) == dense_determinant(m)
     for rhs in rhs_list:
         assert_same_reduction(m, [[m.field.scalar(v) for v in rhs]])
         got = _outcome(solve, m, rhs)
@@ -240,21 +227,6 @@ def test_sparse_kernel_matches_dense_reference_on_seeded_matrices(field):
     assert kinds == {"solution", "inverse", *ERRORS}
 
 
-def test_determinant_sign_follows_the_pivot_rows():
-    # the fewest-entries rule takes pivots from rows out of order; the sign
-    # of that permutation must come out as the dense row swaps did
-    rng = random.Random("determinant-sign")
-    for field in FIELDS:
-        for n in range(1, 8):
-            for _ in range(4):
-                perm = list(range(n))
-                rng.shuffle(perm)
-                rows = [[field.one() if j == perm[i] else _entry(rng, field) if j > perm[i]
-                         else field.zero() for j in range(n)] for i in range(n)]
-                m = Matrix(field, rows)
-                assert determinant(m) == dense_determinant(m)
-
-
 # -- every system the pipeline builds --------------------------------------------
 
 KERNEL = ("solve", "nullspace", "invert")
@@ -288,8 +260,6 @@ def test_pipeline_systems_match_dense_reference(monkeypatch, name):
         scanned = Matrix(m.field, m.data)
         assert m.nonzero_rows() == scanned.nonzero_rows()
         assert m.nonzero_columns() == scanned.nonzero_columns()
-        if m.rows == m.cols:
-            assert determinant(m) == dense_determinant(m)
         if fn == "solve":
             rhs = args[1]
             assert_same_reduction(m, [[m.field.scalar(v) for v in rhs]])

@@ -89,10 +89,23 @@ def test_textual_forms():
 
 
 @pytest.mark.parametrize("bad", ["", "1//2", "z", "* 3", "2 +", "1 + + 2", "--3", "- -3",
-                                 "1/0", "3 + 2/0", 1, None])
+                                 "1/0", "3 + 2/0", 1, None, "1 2", "1/2 3", "1 2/3",
+                                 "3 + 4\t5", "\uff11", "\u0663", "1\u0663"])
 def test_scalar_syntax_errors(bad):
     with pytest.raises(ScalarSyntaxError):
         RATIONAL.parse(bad)
+
+
+@pytest.mark.parametrize("bad", ["1 2/3*z", "z^1 2", "z^\u0661", "\uff12*z"])
+def test_cyclotomic_scalar_syntax_errors(bad):
+    with pytest.raises(ScalarSyntaxError):
+        C5.parse(bad)
+
+
+def test_spaces_between_the_parts_of_a_term():
+    assert RATIONAL.parse("1 / 2") == RATIONAL.parse("1/2")
+    assert C5.parse("2 z") == C5.parse("2 * z") == C5.parse("2*z")
+    assert C5.parse(" 1/2 * z ^ 2 - z + 3 ") == C5.parse("1/2*z^2 - z + 3")
 
 
 def test_z_rejected_in_rational_field():

@@ -2,7 +2,8 @@
 fail when a refactor moves or reshapes one of the names it rebinds, so
 `hopfbench/run.py --trace 1` cannot break unnoticed.  One pass of each
 workload also runs, so a report that no longer matches its recorded digest
-fails here too."""
+fails here too.  The package's public names are pinned as well, so a helper
+only the tests use cannot come back into the package unnoticed."""
 
 import importlib
 import importlib.util
@@ -14,10 +15,12 @@ from pathlib import Path
 
 import pytest
 
+import hopfcheck
 from hopfcheck.catalog import build_sweedler, builtin
 from hopfcheck.duality import PairedSystem
 from hopfcheck.hopf import HopfAlgebra
 from hopfcheck.linalg import Matrix, Tensor3, solve
+from hopfcheck.scalars import Scalar
 
 BENCH = Path(__file__).resolve().parents[1] / "hopfbench"
 
@@ -89,6 +92,37 @@ def test_names_the_tracer_relies_on():
     assert isinstance(Matrix.__dict__["data"], property)
     assert isinstance(Tensor3.__dict__["from_dict"], classmethod)
     assert inspect.isfunction(_resolve("hopfcheck.linalg:Tensor3", "nonzero"))
+
+
+def test_public_surface():
+    assert sorted(hopfcheck.__all__) == [
+        "BUILTIN_BUILDERS", "CheckResult", "FieldSpec", "GroupPresentation", "HopfAlgebra",
+        "IdentityProgram", "Matrix", "ModularData", "PairedSystem", "RATIONAL", "Scalar",
+        "Tensor3", "ValidationReport", "biduality_check", "build_dual",
+        "build_function_algebra", "build_group_algebra", "build_sweedler", "build_taft",
+        "builtin", "catalog", "check_dual_modular_pairing", "check_dual_radford",
+        "check_modular_adjoints", "check_radford", "compute_antipode", "cyclic_group",
+        "cyclotomic_field", "dual_integrals", "duality", "evaluate", "evaluate_corpus",
+        "galois_maps", "gram_inverse", "hopf", "identities", "invert", "left_integral",
+        "linalg", "load_corpus", "modular", "modular_automorphism", "modular_data",
+        "modular_element", "nullspace", "pair_system", "parse_identity", "read_algebra",
+        "right_integral", "run_all_checks", "scalars", "scaling_constant", "solve",
+        "symmetric_group", "verify", "write_algebra"]
+    expected = {
+        HopfAlgebra: [
+            "antipode", "antipode_inverse", "basis_names", "bialgebra_checks", "comul",
+            "comul_terms", "coproduct", "counit", "counit_of", "dim", "dual_tables", "field",
+            "format_element", "iterated_coproduct", "mul", "mul_terms", "name",
+            "require_valid", "tensor_product_columns", "unit", "unit_column", "validate",
+            "with_antipode"],
+        Matrix: ["apply", "apply_row", "cols", "column", "data", "field", "identity",
+                 "nonzero_columns", "nonzero_rows", "pow", "rows", "transpose", "zero"],
+        Scalar: ["coeffs", "den", "field", "inv", "is_one", "is_zero", "num"],
+        PairedSystem: ["action_table", "algebra", "composed_table", "modular", "operator",
+                       "swapped"],
+    }
+    for cls, names in expected.items():
+        assert sorted(n for n in dir(cls) if not n.startswith("_")) == names, cls.__name__
 
 
 def test_inputs_relabel_keeps_a_valid_algebra():
