@@ -60,8 +60,11 @@ def build_dual(h: HopfAlgebra) -> HopfAlgebra:
     of h's antipode inverse.  The dual of the dual is h on the same
     indices, so h's G, when validation took one, is the dual's P: a
     generating set of the dual of the dual, whose rows decide the dual's
-    integrals (modular._invariance_nullspace).  A dual read back from a
-    file is validated from scratch.
+    integrals (modular._invariance_nullspace).  Likewise h's P, a
+    generating set of the dual's product with the counit as its unit, is
+    the dual's G, whose rows decide whether its modular automorphisms are
+    multiplicative.  A dual read back from a file is validated from
+    scratch.
     """
     h.require_valid()
     name = f"dual({h.name})"
@@ -70,7 +73,96 @@ def build_dual(h: HopfAlgebra) -> HopfAlgebra:
         h.field, tuple(f"{b}*" for b in h.basis_names), *dual_structure(h), name,
         bialgebra=report.checks[:len(h.bialgebra_checks())], validation=report,
         antipode_inverse=h.antipode_inverse().transpose(),
-        dual_generating_rows=h._generating_rows)
+        generating_rows=h._dual_generating_rows, dual_generating_rows=h._generating_rows)
+
+
+@dataclass(frozen=True, eq=False)
+class Side:
+    """One algebra of a pair with its modular tuple, and every table read on
+    it, each made once through made() under a key that names what it
+    holds.  A pair and its swapped() hold the same two sides, so a table
+    is shared by both views of the algebra it was read from.  Every value
+    is exact and deterministic, so sharing one is the same as recomputing
+    it; every reader shares it, so none may change it."""
+
+    algebra: HopfAlgebra
+    modular: ModularData
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
+
+    def made(self, key, make):
+        """The table under key, made by make() on its first read."""
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = make()
+        return table
+
+    def operator(self, name: str) -> Matrix:
+        """The matrix of S, Sinv, S2, Sinv2, sigma, sigmainv, sigmap or
+        sigmapinv on this algebra."""
+        alg, md = self.algebra, self.modular
+        make = {"S": lambda: alg.antipode, "Sinv": alg.antipode_inverse,
+                "S2": lambda: self.operator("S").pow(2),
+                "Sinv2": lambda: self.operator("Sinv").pow(2),
+                "sigma": lambda: md.sigma, "sigmainv": lambda: invert(md.sigma),
+                "sigmap": lambda: md.sigma_prime,
+                "sigmapinv": lambda: invert(md.sigma_prime)}.get(name)
+        if make is None:
+            raise KeyError(f"unknown operator {name!r}")
+        return self.made(name, make)
+
+    def columns(self, fn: str):
+        """Per basis element, the nonzero (row, value) entries of the
+        operator fn on it, or of the functional eps, phi or psi, whose
+        output row is 0."""
+        def make():
+            if fn not in ("eps", "phi", "psi"):
+                return self.operator(fn).nonzero_columns()
+            row = self.algebra.counit if fn == "eps" else getattr(self.modular, fn)
+            return [((0, x),) if not x.is_zero() else () for x in row]
+        return self.made(("columns", fn), make)
+
+    def composed_table(self, fn: str):
+        """The product table of this algebra followed by the operator or
+        functional fn, laid out like HopfAlgebra.mul_terms."""
+        def make():
+            columns = self.columns(fn)
+            triples = _summed(((i, j, r), c * v)
+                              for (i, j, k), c in _product_triples(self.algebra.mul_terms)
+                              for r, v in columns[k])
+            return _product_table(self.algebra.dim, triples.items())
+        return self.made(("composed", fn), make)
+
+    def action_table(self, direction: str):
+        """The table of the other algebra acting on this one from the
+        direction "left" or "right", on basis elements: table[i][j] lists
+        the nonzero (k, c) of the action, in argument order, laid out like
+        HopfAlgebra.mul_terms.  It re-indexes this algebra's coproduct (see
+        the module docstring): on the primal it is lacthat or racthat, on
+        the dual lact or ract."""
+        def make():
+            # the coproduct term (i, p, q) is the cell (q, i) -> p of the left
+            # action and (i, p) -> q of the right one; the stored coproduct
+            # is in index order, so each cell comes out in index order
+            alg = self.algebra
+            triples = ((((q, i, p) if direction == "left" else (i, p, q)), c)
+                       for i, terms in enumerate(alg.comul_terms) for p, q, c in terms)
+            return _product_table(alg.dim, triples)
+        return self.made(("action", direction), make)
+
+    def iterated_coproduct(self, legs: int):
+        """Per basis element e_i, the (coefficient, index tuple) terms of its
+        (legs - 1)-fold coproduct, built from the (legs - 2)-fold one by
+        expanding the last leg; legs == 1 is e_i itself."""
+        def make():
+            alg = self.algebra
+            if legs == 1:
+                return tuple(((alg.field.one(), (i,)),) for i in range(alg.dim))
+            ct = alg.comul_terms
+            return tuple(tuple((c, idxs) for idxs, c in _summed(
+                (idxs[:-1] + (j, k), coeff * c) for coeff, idxs in terms
+                for j, k, c in ct[idxs[-1]]).items())
+                for terms in self.iterated_coproduct(legs - 1))
+        return self.made(("iterated coproduct", legs), make)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,105 +170,52 @@ class PairedSystem:
     """An algebra, its dual, and both modular tuples, under the identity
     pairing of the canonical dual basis.
 
-    The system owns what is derived from the pair: operator() computes each
-    map, action_table() each action and composed_table() each map of a
-    product at most once per algebra,
-    identities.decision decides each statement once per system, and
-    swapped() is the same pair seen from the dual, built once and linked
-    back, so it is an involution.  Every value is exact and deterministic,
-    so sharing one is the same as recomputing it.
+    The system holds two sides, the primal's and the dual's, which own the
+    tables read on each algebra; identities.decision decides each statement
+    once per system, and swapped() is the same pair seen from the dual,
+    built once and linked back, so it is an involution, holding the same
+    two sides in reverse order.
     """
 
     primal: HopfAlgebra
     dual: HopfAlgebra
     primal_modular: ModularData
     dual_modular: ModularData
-    # (operator name, algebra) -> Matrix, (action side, algebra acted on)
-    # -> table, (id of a matrix or row, algebra) -> (it, composed table),
-    # the split iterated coproducts of identities._coterms, and the leaves
-    # of identities._leaf, (builder, id of what it reads) -> (that, leaf).
-    # Shared only along swapped(), where each algebra keeps its own modular
-    # tuple, so sigma on both sides is one object; any other new system
-    # starts empty.
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    # the sides of sort A and Ahat
+    _sides: tuple = field(init=False, repr=False)
     # the plan of an identity program -> (passed, witness), kept per
     # system: on swapped() the same plan reads the other algebra
     _decided: dict = field(default_factory=dict, init=False, repr=False)
     _swapped: "PairedSystem | None" = field(default=None, init=False, repr=False)
 
+    def __post_init__(self):
+        object.__setattr__(self, "_sides", (Side(self.primal, self.primal_modular),
+                                            Side(self.dual, self.dual_modular)))
+
+    def side(self, sort: str) -> Side:
+        """The primal's side for sort "A", the dual's for "Ahat"."""
+        return self._sides[sort != "A"]
+
     def algebra(self, sort: str) -> HopfAlgebra:
         """The primal for sort "A", the dual for "Ahat"."""
-        return self.primal if sort == "A" else self.dual
+        return self.side(sort).algebra
 
     def modular(self, sort: str) -> ModularData:
-        return self.primal_modular if sort == "A" else self.dual_modular
-
-    def operator(self, name: str, sort: str = "A") -> Matrix:
-        """The matrix of S, Sinv, S2, Sinv2, sigma, sigmainv, sigmap or
-        sigmapinv on the algebra of the given sort, memoized."""
-        alg = self.algebra(sort)
-        key = (name, alg)
-        m = self._memo.get(key)
-        if m is not None:
-            return m
-        md = self.modular(sort)
-        make = {"S": lambda: alg.antipode, "Sinv": alg.antipode_inverse,
-                "S2": lambda: self.operator("S", sort).pow(2),
-                "Sinv2": lambda: self.operator("Sinv", sort).pow(2),
-                "sigma": lambda: md.sigma, "sigmainv": lambda: invert(md.sigma),
-                "sigmap": lambda: md.sigma_prime,
-                "sigmapinv": lambda: invert(md.sigma_prime)}.get(name)
-        if make is None:
-            raise KeyError(f"unknown operator {name!r}")
-        m = self._memo[key] = make()
-        return m
-
-    # -- the four actions ---------------------------------------------------
-
-    def action_table(self, name: str):
-        """The table of the action lact, ract, lacthat or racthat on basis
-        elements, memoized: table[i][j] lists the nonzero (k, c) of the
-        action on basis elements i and j, in argument order, laid out like
-        HopfAlgebra.mul_terms.  It re-indexes the coproduct of the algebra
-        acted on (see the module docstring), so lact and ract here are
-        lacthat and racthat of swapped()."""
-        alg = self.primal if name.endswith("hat") else self.dual
-        side = "left" if name.startswith("l") else "right"
-        table = self._memo.get((side, alg))
-        if table is None:
-            # the coproduct term (i, p, q) is the cell (q, i) -> p of the left
-            # action and (i, p) -> q of the right one; the stored coproduct
-            # is in index order, so each cell comes out in index order
-            triples = ((((q, i, p) if side == "left" else (i, p, q)), c)
-                       for i, terms in enumerate(alg.comul_terms) for p, q, c in terms)
-            table = self._memo[(side, alg)] = _product_table(alg.dim, triples)
-        return table
-
-    def composed_table(self, sort: str, reads, columns):
-        """The product table of the algebra of sort followed by the map
-        whose column k lists the nonzero (r, v) columns[k], memoized under
-        reads, the matrix or row it comes from, and the algebra, not under
-        the sort: on swapped(), which shares the memo, sort A is the dual."""
-        alg = self.algebra(sort)
-        hit = self._memo.get((id(reads), alg))
-        if hit is None:
-            triples = _summed(((i, j, r), c * v) for (i, j, k), c in _product_triples(alg.mul_terms)
-                              for r, v in columns[k])
-            hit = self._memo[(id(reads), alg)] = reads, _product_table(alg.dim, triples.items())
-        return hit[1]
+        return self.side(sort).modular
 
     def swapped(self) -> "PairedSystem":
         """The system seen from the dual side: the dual becomes the primal
         and the primal itself (canonically the bidual) becomes its dual,
         with its own modular tuple, once dual_integrals finds its phi on the
-        bidual side.  Built once and linked back: swapped().swapped() is self."""
+        bidual side.  It holds this system's two sides in reverse order.
+        Built once and linked back: swapped().swapped() is self."""
         if self._swapped is None:
             bidual = dual_integrals(self.dual, self.primal, self.dual_modular)
             if bidual.phi != self.primal_modular.phi:
                 raise CorruptedDataError(
                     f"{self.primal.name}: the bidual's left integral is not the primal's own")
             swapped = PairedSystem(self.dual, self.primal, self.dual_modular, self.primal_modular)
-            object.__setattr__(swapped, "_memo", self._memo)
+            object.__setattr__(swapped, "_sides", self._sides[::-1])
             object.__setattr__(swapped, "_swapped", self)
             object.__setattr__(self, "_swapped", swapped)
         return self._swapped

@@ -66,8 +66,9 @@ one table constructor, HopfAlgebra._from_tables, which also takes results
 handed over from an algebra that decided the same equations: with_antipode
 passes on the bialgebra checks, G or P, and the dual's tables if the P
 side transposed them (HopfAlgebra.dual_tables, which duality.build_dual
-reads); the dual is given the primal's results renamed, and the primal's G
-as its P (duality.build_dual).  P also decides the integrals (modular).
+reads); the dual is given the primal's results renamed, the primal's G as
+its P and the primal's P as its G (duality.build_dual).  P also decides the
+integrals, and G the modular automorphisms (modular).
 No algebra changes after it is built, so instances can be shared freely.
 """
 
@@ -78,7 +79,7 @@ from dataclasses import dataclass
 
 from .linalg import Matrix, Tensor3, invert, solve, SingularMatrixError, \
     InconsistentSystemError, NonUniqueSolutionError
-from .scalars import FieldSpec, Scalar
+from .scalars import FieldSpec
 
 # Largest dimension for which compute_antipode builds its system of dim^2
 # equations in dim^2 unknowns.  The system is stored and reduced as sparse
@@ -431,7 +432,7 @@ class HopfAlgebra:
         "name", "field", "dim", "basis_names", "unit", "counit", "antipode",
         "mul_terms", "comul_terms",
         "_bialgebra", "_generating_rows", "_dual_generating_rows", "_dual_tables",
-        "_validation", "_antipode_inverse", "_coproduct_cache", "_integrals",
+        "_validation", "_antipode_inverse", "_integrals",
     )
 
     # the public constructor checks and groups its Tensor3s; every algebra
@@ -475,7 +476,7 @@ class HopfAlgebra:
                  # G, or P, when validation decided the bialgebra axioms on
                  # its rows, and the dual's tables once transposed
                  "_generating_rows": None, "_dual_generating_rows": None, "_dual_tables": None,
-                 "_validation": None, "_antipode_inverse": None, "_coproduct_cache": {},
+                 "_validation": None, "_antipode_inverse": None,
                  # side -> the integral modular._integral solved for, and a
                  # left integral -> its modular.modular_data tuple; filled there
                  "_integrals": {}}
@@ -521,45 +522,6 @@ class HopfAlgebra:
             object.__setattr__(self, "_dual_tables", _transposed(self.mul_terms, self.comul_terms))
         return self._dual_tables
 
-    # -- element arithmetic on coordinate columns ---------------------------
-
-    def unit_column(self):
-        return list(self.unit)
-
-    def counit_of(self, a) -> Scalar:
-        acc = self.field.zero()
-        for x, e in zip(a, self.counit):
-            if not (x.is_zero() or e.is_zero()):
-                acc = acc + x * e
-        return acc
-
-    def coproduct(self, a):
-        """The coproduct of a coordinate column as a sparse tensor-square
-        dict {(j, k): Scalar}."""
-        return _summed(((j, k), x * c) for i, x in enumerate(a) if not x.is_zero()
-                       for j, k, c in self.comul_terms[i])
-
-    def iterated_coproduct(self, i: int, legs: int):
-        """Terms of the (legs-1)-fold coproduct of basis element i.
-
-        Returns a tuple of (coefficient, index_tuple) pairs; legs == 1 is
-        the element itself.  Cached per algebra.
-        """
-        key = (i, legs)
-        cached = self._coproduct_cache.get(key)
-        if cached is not None:
-            return cached
-        if legs == 1:
-            result = ((self.field.one(), (i,)),)
-        else:
-            # expand the last leg
-            merged = _summed((idxs[:-1] + (j, k), coeff * c)
-                             for coeff, idxs in self.iterated_coproduct(i, legs - 1)
-                             for j, k, c in self.comul_terms[idxs[-1]])
-            result = tuple((coeff, idxs) for idxs, coeff in merged.items())
-        self._coproduct_cache[key] = result
-        return result
-
     def format_element(self, column) -> str:
         """Human-readable combination of basis names, exact coefficients."""
         parts = []
@@ -571,18 +533,6 @@ class HopfAlgebra:
             else:
                 parts.append(f"({c})*{name}")
         return " + ".join(parts) if parts else "0"
-
-    # -- tensor-square helpers ----------------------------------------------
-
-    def tensor_product_columns(self, a, b):
-        out = {}
-        for i, x in enumerate(a):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(b):
-                if not y.is_zero():
-                    out[(i, j)] = x * y
-        return out
 
     # -- validation ----------------------------------------------------------
 

@@ -92,8 +92,12 @@ ACTION_FNS = ("lact", "ract", "lacthat", "racthat")
 FN_NAMES = UNARY_FNS + SCALAR_FNS + ACTION_FNS
 CONST_NAMES = ("one", "delta", "deltainv", "onehat", "dhat", "dhatinv", "tau")
 KEYWORDS = ("forall", "in", "A", "Ahat") + FN_NAMES + CONST_NAMES
-_CONST_SORTS = {"one": "A", "delta": "A", "deltainv": "A", "onehat": "Ahat",
-                "dhat": "Ahat", "dhatinv": "Ahat", "tau": "scalar"}
+# each constant: the sort of the side it is read on, and what it reads there
+_CONSTANTS = {"one": ("A", "unit"), "delta": ("A", "delta"), "deltainv": ("A", "delta_inv"),
+              "onehat": ("Ahat", "unit"), "dhat": ("Ahat", "delta"),
+              "dhatinv": ("Ahat", "delta_inv"), "tau": ("A", "tau")}
+_CONST_SORTS = {kind: "scalar" if read == "tau" else sort
+                for kind, (sort, read) in _CONSTANTS.items()}
 # the argument sorts, then the value sort, of each action
 _ACTION_SORTS = {"lact": ("A", "Ahat", "Ahat"), "ract": ("Ahat", "A", "Ahat"),
                  "lacthat": ("Ahat", "A", "A"), "racthat": ("A", "Ahat", "A")}
@@ -179,10 +183,11 @@ def _tokenize(src: str):
     pos = 0
     while pos < len(src):
         m = _TOKEN_RE.match(src, pos)
-        if not m or m.end() == pos:
-            if src[pos:].strip() == "":
+        if not m:
+            rest = src[pos:].lstrip()  # from the first character not read
+            if not rest:
                 break
-            raise DslSyntaxError(f"position {pos}: cannot read {src[pos:pos+10]!r}")
+            raise DslSyntaxError(f"position {len(src) - len(rest)}: cannot read {rest[:10]!r}")
         if m.group("name"):
             tokens.append(("name", m.group("name"), m.start("name")))
         elif m.group("int"):
@@ -378,8 +383,8 @@ def _sort_check(name, decls, lhs, rhs) -> IdentityProgram:
             f"{name}: sides use different free variables {sorted(lhs_vars)} vs {sorted(rhs_vars)}")
     lhs_legs = _check_legs(name, "left side", lhs_slots)
     rhs_legs = _check_legs(name, "right side", rhs_slots)
-    plan = _Plan(_compile_side(decls, lhs_build(lhs_legs)),
-                 _compile_side(decls, rhs_build(rhs_legs)))
+    plan = _Plan(_compile_half(decls, lhs_build(lhs_legs)),
+                 _compile_half(decls, rhs_build(rhs_legs)))
     return IdentityProgram(name, decls, lhs, rhs, lhs_sort, plan)
 
 
@@ -458,62 +463,39 @@ def standard_corpus():
 # compiled when the statement is parsed into a plan: each node's sort and
 # slots, the operator, table, functional or constant it reads, where each
 # variable's legs meet, and the output layout.  On a system the plan only
-# runs the contractions, whose leaves (a bare variable, a constant, the
-# rows of a functional, the entries of a map on a bare variable) each
-# system builds once.
-
-def _leaf(sys, build, source):
-    """build(source), made once for sys and every system sharing its memo
-    (swapped()), and kept there with source, under build and the identity
-    of source: an algebra, or the column, row or matrix columns the leaf
-    reads.  A key by a constant's or functional's name, or by sort, would
-    mix the two sides: on swapped(), which shares the memo, sort A is the
-    dual.  Every reader shares the leaf, so none may change it."""
-    key = (build, id(source))
-    hit = sys._memo.get(key)
-    if hit is None:
-        hit = sys._memo[key] = source, build(source)
-    return hit[1]
-
-
-def _identity_terms(alg):
-    """The tensor of a bare variable on alg: one slot, output its index."""
-    one = alg.field.one()
-    return {(i, i): one for i in range(alg.dim)}
-
+# runs the contractions.  Its leaves (a bare variable, a constant, the
+# entries of a map on a bare variable) and every table it reads are kept
+# on the side of the algebra they are read on (duality.Side), so a system
+# and its swapped() build each once.
 
 def _column_terms(column):
     """The terms of the tensor without slots whose value is column."""
     return {(k,): x for k, x in enumerate(column) if not x.is_zero()}
 
 
-def _scalar_terms(x):
-    """The terms of the scalar x, which is not zero."""
-    return {(0,): x}
+def _variable_terms(side):
+    """The tensor of a bare variable on side's algebra: one slot, output its
+    index."""
+    def make():
+        one = side.algebra.field.one()
+        return {(i, i): one for i in range(side.algebra.dim)}
+    return side.made("variable", make)
 
 
-# each constant's leaf: how its terms are built, and from what
-_CONSTANTS = {
-    "one": (_column_terms, lambda sys: sys.primal.unit),
-    "delta": (_column_terms, lambda sys: sys.primal_modular.delta),
-    "deltainv": (_column_terms, lambda sys: sys.primal_modular.delta_inv),
-    "onehat": (_column_terms, lambda sys: sys.dual.unit),
-    "dhat": (_column_terms, lambda sys: sys.dual_modular.delta),
-    "dhatinv": (_column_terms, lambda sys: sys.dual_modular.delta_inv),
-    "tau": (_scalar_terms, lambda sys: sys.primal_modular.tau),
-}
+def _constant_terms(side, read):
+    """The tensor of a constant: the unit, delta or delta_inv of side's
+    algebra, or its tau, which is not zero."""
+    def make():
+        value = side.algebra.unit if read == "unit" else getattr(side.modular, read)
+        return _column_terms((value,) if read == "tau" else value)
+    return side.made(("constant", read), make)
 
 
-def _functional_rows(row):
-    """Per basis element, the nonzero (output, value) entries of the
-    functional with coordinates row, whose output index is 0."""
-    return [((0, x),) if not x.is_zero() else () for x in row]
-
-
-def _entry_terms(columns):
-    """The tensor of a map or functional on a bare variable, whose column k
-    lists the nonzero (r, v) columns[k]: its own entries."""
-    return {(k, r): v for k, column in enumerate(columns) for r, v in column}
+def _entry_terms(side, fn):
+    """The tensor of the map or functional fn on a bare variable of side's
+    algebra: its own entries."""
+    return side.made(("entries", fn), lambda: {
+        (k, r): v for k, column in enumerate(side.columns(fn)) for r, v in column})
 
 
 # the tables of the pairing (output 0) and of a scalar factor (output i + j)
@@ -612,32 +594,26 @@ def _fold(legs, sorts, first, steps):
 
 def _coterms(sys, meets):
     """_join's coterms: every combination of one iterated coproduct term
-    per meeting (sort, count, left legs, right legs), each kept on sys."""
+    per meeting (sort, count, left legs, right legs)."""
     out = _NO_LEGS
     for sort, count, lj, rj in meets:
-        alg = sys.algebra(sort)
-        terms = sys._memo.get((alg, count, lj, rj))
-        if terms is None:
-            lsel, rsel = _picker([j - 1 for j in lj]), _picker([j - 1 for j in rj])
-            terms = sys._memo[alg, count, lj, rj] = [
-                ((i,), d, lsel(idxs), rsel(idxs))
-                for i in range(alg.dim) for d, idxs in alg.iterated_coproduct(i, count)]
+        terms = _meeting_terms(sys.side(sort), count, lj, rj)
         out = terms if out is _NO_LEGS else [
             (head + h, c * d, lk + lk2, rk + rk2)
             for head, c, lk, rk in out for h, d, lk2, rk2 in terms]
     return out
 
 
-def _reads(fn, sort):
-    """reads(sys): the matrix or row fn reads on the algebra of sort, and
-    per basis element the nonzero (row, value) entries of fn on it."""
-    def reads(sys):
-        if fn in UNARY_FNS:
-            m = sys.operator(fn, sort)
-            return m, m.nonzero_columns()
-        row = sys.algebra(sort).counit if fn == "eps" else getattr(sys.modular(sort), fn)
-        return row, _leaf(sys, _functional_rows, row)
-    return reads
+def _meeting_terms(side, count, lj, rj):
+    """The coterms of one variable of side's algebra whose count legs meet,
+    lj on the left and rj on the right: ((i,), c, left leg indices, right
+    leg indices) per basis element e_i and term c of its iterated
+    coproduct."""
+    def make():
+        lsel, rsel = _picker([j - 1 for j in lj]), _picker([j - 1 for j in rj])
+        return [((i,), d, lsel(idxs), rsel(idxs))
+                for i, terms in enumerate(side.iterated_coproduct(count)) for d, idxs in terms]
+    return side.made(("coterms", count, lj, rj), make)
 
 
 def _table(sort, fn):
@@ -647,17 +623,16 @@ def _table(sort, fn):
         return lambda sys: _OUTER
     if not fn:
         return lambda sys: sys.algebra(sort).mul_terms
-    reads = _reads(fn, sort)
-    return lambda sys: sys.composed_table(sort, *reads(sys))
+    return lambda sys: sys.side(sort).composed_table(fn)
 
 
-def _applied(built, reads):
-    """(slots, terms) of a map or functional applied to built's output,
-    through the nonzero (row, value) entries of its columns, reads(sys)[1]."""
+def _applied(built, fn, sort):
+    """(slots, terms) of the map or functional fn applied to built's output
+    of sort, through the nonzero (row, value) entries of its columns."""
     slots, terms = built
 
     def applied(sys):
-        columns, out, summed = reads(sys)[1], {}, False
+        columns, out, summed = sys.side(sort).columns(fn), {}, False
         for key, x in terms(sys).items():
             head = key[:-1]
             for i, v in columns[key[-1]]:
@@ -683,15 +658,15 @@ def _compile(node, env):
         name, leg, sort = node.name, node.leg, env[node.name]
         return sort, ((name, leg),), lambda legs: (
             ((name, leg if legs.get(name, 1) > 1 else None),),
-            lambda sys: _leaf(sys, _identity_terms, sys.algebra(sort)))
+            lambda sys: _variable_terms(sys.side(sort)))
     if isinstance(node, ScalarLit):
         value = node.value
         return "scalar", (), lambda legs: (
             (), lambda sys: _column_terms([sys.primal.field.scalar(value)]))
     if isinstance(node, Const):
-        build, source = _CONSTANTS[node.kind]
+        sort, read = _CONSTANTS[node.kind]
         return _CONST_SORTS[node.kind], (), lambda legs: (
-            (), lambda sys: _leaf(sys, build, source(sys)))
+            (), lambda sys: _constant_terms(sys.side(sort), read))
     if isinstance(node, Product):
         return _compile_product(node, env)
     if isinstance(node, Pairing) or node.fn in ACTION_FNS:
@@ -705,7 +680,10 @@ def _compile(node, env):
                                f"{(left_sort, right_sort)} in {pretty(node)}" if fn else
                                f"pairing needs an A term then an Ahat term, got "
                                f"<{left_sort}, {right_sort}> in {pretty(node)}")
-        table = (lambda sys: sys.action_table(fn)) if fn else (lambda sys: _PAIR)
+        # an action reads the coproduct of the algebra it acts on
+        action = "left" if fn and fn.startswith("l") else "right"
+        table = ((lambda sys: sys.side(expected[2]).action_table(action)) if fn
+                 else (lambda sys: _PAIR))
         return expected[2], left_slots + right_slots, lambda legs: _fold(
             legs, env, left(legs), [(table, right(legs))])
     (arg,), fn = node.args, node.fn
@@ -715,12 +693,11 @@ def _compile(node, env):
     value_sort = "scalar" if fn in SCALAR_FNS else sort
     if isinstance(arg, Product):
         return value_sort, slots, lambda legs: inner(legs, fn)
-    reads = _reads(fn, sort)
     if isinstance(arg, Var):
         # on a bare variable the tensor is the map's own entries
         return value_sort, slots, lambda legs: (
-            inner(legs)[0], lambda sys: _leaf(sys, _entry_terms, reads(sys)[1]))
-    return value_sort, slots, lambda legs: _applied(inner(legs), reads)
+            inner(legs)[0], lambda sys: _entry_terms(sys.side(sort), fn))
+    return value_sort, slots, lambda legs: _applied(inner(legs), fn, sort)
 
 
 def _compile_product(node, env):
@@ -744,12 +721,13 @@ def _compile_product(node, env):
         built = _fold(legs, env, first(legs), [  # on: a sort, or None for a scalar
             (_table(on, n == len(steps) and fn), factor(legs))
             for n, (on, factor) in enumerate(steps, 1)])
-        return _applied(built, _reads(fn, sort)) if fn and not steps[-1][0] else built
+        return _applied(built, fn, sort) if fn and not steps[-1][0] else built
     return sort, slots, build
 
 
 @dataclass(frozen=True, eq=False)
-class _Side:
+class _Half:
+    """The plan of one side of an equation."""
     reads: tuple      # positions in decls of the variables the side reads
     tensor: object    # sys -> the side's tensor, keyed by (one basis index
                       # per declared variable, output index)
@@ -757,11 +735,11 @@ class _Side:
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    lhs: _Side
-    rhs: _Side
+    lhs: _Half
+    rhs: _Half
 
 
-def _compile_side(decls, built) -> _Side:
+def _compile_half(decls, built) -> _Half:
     """The plan of one side from its (slots, terms), where each variable
     has one slot: the output layout, where a variable the side does not
     read has index 0."""
@@ -770,8 +748,8 @@ def _compile_side(decls, built) -> _Side:
                   for var, _ in decls)
     reads = tuple(d for d, p in enumerate(where) if p is not None)
     if where == tuple(range(len(slots))):
-        return _Side(reads, terms)
-    return _Side(reads, lambda sys: {tuple(0 if p is None else key[p] for p in where)
+        return _Half(reads, terms)
+    return _Half(reads, lambda sys: {tuple(0 if p is None else key[p] for p in where)
                                      + key[-1:]: x for key, x in terms(sys).items()})
 
 
@@ -789,10 +767,10 @@ def evaluate_side(sys: PairedSystem, prog: IdentityProgram, node, assignment):
     by contracting its tensor with them; returns (sort, value)."""
     if node is not prog.lhs and node is not prog.rhs:
         raise ValueError("evaluate_side evaluates prog.lhs or prog.rhs")
-    side = prog.plan.lhs if node is prog.lhs else prog.plan.rhs
-    columns = [(d, assignment[prog.decls[d][0]]) for d in side.reads]
+    half = prog.plan.lhs if node is prog.lhs else prog.plan.rhs
+    columns = [(d, assignment[prog.decls[d][0]]) for d in half.reads]
     values = _summed((key[-1:], reduce(mul, (column[key[d]] for d, column in columns), x))
-                     for key, x in side.tensor(sys).items())
+                     for key, x in half.tensor(sys).items())
     return prog.sort, _value_at(sys, prog.sort, values, ())
 
 

@@ -28,13 +28,14 @@ defining relations; delta's inverse is S(delta), checked by one product.
 
 Each automorphism rho is checked multiplicative on the rows of the
 generating set G when validation took one on the product side: those rows
-decide, and cost less than any check over the whole table.  Without G
-(function algebras, and every dual build_dual makes, whose product is the
-primal's transposed coproduct, generated by P rather than G), the check
-runs one output coordinate k at a time: rho(e_i e_j) and rho(e_i) rho(e_j)
-at e_k, as two sparse tensors over (i, j), n comparisons in place of the
-n^2 pair checks, with the same scalar products.  The least failing (i, j)
-over all k is the ordered full scan's witness.
+decide, and cost less than any check over the whole table.  A dual that
+build_dual makes has the primal's P as its G, since its product is the
+primal's transposed coproduct.  Without G (function algebras, and the
+duals of algebras that took G), the check runs one output coordinate k at
+a time: rho(e_i e_j) and rho(e_i) rho(e_j) at e_k, as two sparse tensors
+over (i, j), n comparisons in place of the n^2 pair checks, with the same
+scalar products.  The least failing (i, j) over all k is the ordered full
+scan's witness.
 """
 
 from __future__ import annotations
@@ -146,13 +147,16 @@ def modular_element(h: HopfAlgebra, psi: tuple, phi_gram_inv: Matrix):
     """
     h.require_valid()
     delta = phi_gram_inv.apply(psi)
+    d = _sparse(delta)
     # group-likeness is a theorem; failure means the input data lied
-    if h.coproduct(delta) != h.tensor_product_columns(delta, delta):
+    if (_summed(((j, k), x * c) for i, x in d.items() for j, k, c in h.comul_terms[i])
+            != {(i, j): x * y for i, x in d.items() for j, y in d.items()}):
         raise CorruptedDataError(f"{h.name}: modular element is not group-like")
-    if not h.counit_of(delta).is_one():
+    if _summed((0, x * h.counit[i]) for i, x in d.items()
+               if not h.counit[i].is_zero()) != {0: h.field.one()}:
         raise CorruptedDataError(f"{h.name}: counit of the modular element is not 1")
     delta_inv = h.antipode.apply(delta)
-    if _product(h.mul_terms, _sparse(delta), _sparse(delta_inv)) != _sparse(h.unit):
+    if _product(h.mul_terms, d, _sparse(delta_inv)) != _sparse(h.unit):
         raise CorruptedDataError(f"{h.name}: S(delta) is not the inverse of the modular element")
     return tuple(delta), tuple(delta_inv)
 
@@ -166,15 +170,16 @@ def modular_automorphism(h: HopfAlgebra, gram: Matrix, gram_inv: Matrix) -> Matr
     closed under products by associativity and holds 1 once rho(1) = 1, so
     when validation decided the axioms on the rows of a generating set G
     on the product side, those rows decide multiplicativity.  Without G
-    (function algebras, and duals, whose validation is handed over by
-    build_dual), or when G's rows find a failure, _multiplicativity_failure
-    compares both sides one output coordinate at a time and names the
-    failure the ordered full scan would.  G's rows stay where G exists:
-    they cost less than the n comparisons.
+    (function algebras, and the duals of algebras that took G: build_dual
+    hands a dual the primal's P as its G), or when G's rows find a
+    failure, _multiplicativity_failure compares both sides one output
+    coordinate at a time and names the failure the ordered full scan
+    would.  G's rows stay where G exists: they cost less than the n
+    comparisons.
     """
     h.require_valid()
     rho = gram_inv * gram.transpose()
-    if rho.apply(h.unit_column()) != h.unit_column():
+    if rho.apply(h.unit) != list(h.unit):
         raise CorruptedDataError(f"{h.name}: modular automorphism does not fix 1")
     mt = h.mul_terms
     gens = h._generating_rows

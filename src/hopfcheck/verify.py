@@ -114,7 +114,7 @@ def biduality_check(sys: PairedSystem) -> ValidationReport:
     h = sys.primal
     dual = sys.dual
     lhs = gram_matrix(dual, sys.dual_modular.psi)
-    rhs = sys.operator("Sinv") * sys.primal_modular.phi_gram_inv
+    rhs = sys.side("A").operator("Sinv") * sys.primal_modular.phi_gram_inv
 
     def mismatches():
         for i in range(dual.dim):

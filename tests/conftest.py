@@ -44,7 +44,7 @@ def suite_reports(paired):
 def reference_action(sys, fn, left, right):
     """The action fn (lact, ract, lacthat or racthat) of the paired system sys
     on coordinate columns, in argument order, by dense loops over the
-    primal's structure constants: independent of PairedSystem.action_table.
+    primal's structure constants: independent of duality.Side.action_table.
 
       lacthat(y, a) = sum a_(1) <a_(2), y>    racthat(a, y) = sum <a_(1), y> a_(2)
       lact(a, y)    = z -> y(z * a)           ract(y, a)    = z -> y(a * z)
@@ -73,6 +73,45 @@ def reference_action(sys, fn, left, right):
                 if not y[j].is_zero():
                     out[s] = out[s] + x * c * y[j]
     return out
+
+
+def action_table(sys, fn):
+    """The table of the action fn (lact, ract, lacthat or racthat) of the
+    paired system sys, kept on the side of the algebra acted on: the
+    dual's for lact and ract, the primal's for lacthat and racthat."""
+    side = sys.side("A" if fn.endswith("hat") else "Ahat")
+    return side.action_table("left" if fn.startswith("l") else "right")
+
+
+def coproduct(h, column):
+    """The coproduct of the coordinate column in h, by dense loops: its
+    nonzero entries {(j, k): Scalar}."""
+    out = {}
+    for i, x in enumerate(column):
+        for j, k, c in h.comul_terms[i]:
+            out[(j, k)] = out.get((j, k), h.field.zero()) + x * c
+    return {key: v for key, v in out.items() if not v.is_zero()}
+
+
+def tensor_product(a, b):
+    """a (x) b for the coordinate columns a and b: its nonzero entries
+    {(i, j): Scalar}."""
+    return {(i, j): x * y for i, x in enumerate(a) for j, y in enumerate(b)
+            if not (x * y).is_zero()}
+
+
+def iterated_coproduct(h, i, legs):
+    """The nonzero (coefficient, index tuple) terms of the (legs - 1)-fold
+    coproduct of e_i in h, by dense loops expanding the first leg at each
+    step (duality.Side.iterated_coproduct expands the last)."""
+    terms = {(i,): h.field.one()}
+    for _ in range(legs - 1):
+        out = {}
+        for idxs, x in terms.items():
+            for j, k, c in h.comul_terms[idxs[0]]:
+                out[(j, k) + idxs[1:]] = out.get((j, k) + idxs[1:], h.field.zero()) + x * c
+        terms = {key: v for key, v in out.items() if not v.is_zero()}
+    return [(x, idxs) for idxs, x in terms.items()]
 
 
 def basis_column(h, i):

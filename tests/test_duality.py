@@ -14,8 +14,9 @@ from hopfcheck.modular import (gram_matrix, modular_automorphism, modular_data,
 from hopfcheck.linalg import Matrix, Tensor3, invert
 from hopfcheck.scalars import Scalar
 
-from conftest import (BUILTIN_NAMES, basis_column, bilinear, integral_space_dimensions, multiply,
-                      pairing_value, reference_action)
+from conftest import (BUILTIN_NAMES, action_table, basis_column, bilinear, coproduct,
+                      integral_space_dimensions, multiply, pairing_value, reference_action,
+                      tensor_product)
 
 
 @pytest.mark.parametrize("make_group", [lambda: cyclic_group(2), lambda: cyclic_group(6),
@@ -99,18 +100,18 @@ def test_counit_acts_as_identity(paired):
         eps = list(h.counit)  # the dual's unit in dual coordinates
         for i in range(h.dim):
             e = basis_column(h, i)
-            assert bilinear(sys.action_table("lacthat"), eps, e) == e
-            assert bilinear(sys.action_table("racthat"), e, eps) == e
+            assert bilinear(action_table(sys, "lacthat"), eps, e) == e
+            assert bilinear(action_table(sys, "racthat"), e, eps) == e
 
 
 def test_unit_acts_as_identity_on_dual(paired):
     for name in BUILTIN_NAMES:
         sys = paired(name)
-        one = sys.primal.unit_column()
+        one = list(sys.primal.unit)
         for j in range(sys.dual.dim):
             fj = basis_column(sys.dual, j)
-            assert bilinear(sys.action_table("lact"), one, fj) == fj
-            assert bilinear(sys.action_table("ract"), fj, one) == fj
+            assert bilinear(action_table(sys, "lact"), one, fj) == fj
+            assert bilinear(action_table(sys, "ract"), fj, one) == fj
 
 
 def test_sweedler_character_action_witness(paired):
@@ -122,16 +123,16 @@ def test_sweedler_character_action_witness(paired):
     dhat = list(sys.dual_modular.delta)
     dhat_inv = list(sys.dual_modular.delta_inv)
     assert pairing_value(basis_column(h, 2), dhat) == h.field.scalar(-1)
-    assert bilinear(sys.action_table("lacthat"), dhat, x) == x
-    assert bilinear(sys.action_table("racthat"), x, dhat_inv) == [-c for c in x]
+    assert bilinear(action_table(sys, "lacthat"), dhat, x) == x
+    assert bilinear(action_table(sys, "racthat"), x, dhat_inv) == [-c for c in x]
 
 
 def test_action_module_laws(paired):
     for name in BUILTIN_NAMES:
         sys = paired(name)
         h, dual = sys.primal, sys.dual
-        lact, ract = sys.action_table("lact"), sys.action_table("ract")
-        lacthat, racthat = sys.action_table("lacthat"), sys.action_table("racthat")
+        lact, ract = action_table(sys, "lact"), action_table(sys, "ract")
+        lacthat, racthat = action_table(sys, "lacthat"), action_table(sys, "racthat")
         for i in range(h.dim):
             a = basis_column(h, i)
             for j in range(h.dim):
@@ -160,7 +161,7 @@ def test_left_and_right_actions_commute(paired):
     for name in ("group-s3", "sweedler", "taft-3"):
         sys = paired(name)
         h, dual = sys.primal, sys.dual
-        lacthat, racthat = sys.action_table("lacthat"), sys.action_table("racthat")
+        lacthat, racthat = action_table(sys, "lacthat"), action_table(sys, "racthat")
         for i in range(h.dim):
             a = basis_column(h, i)
             for k in range(dual.dim):
@@ -183,7 +184,7 @@ def test_extended_pairing_through_dual_modular_element(paired):
             for j in range(dual.dim):
                 b = basis_column(dual, j)
                 lhs = pairing_value(a, multiply(dual, dhat, b))
-                rhs = pairing_value(bilinear(sys.action_table("lacthat"), b, a), dhat)
+                rhs = pairing_value(bilinear(action_table(sys, "lacthat"), b, a), dhat)
                 assert lhs == rhs
 
 
@@ -230,7 +231,7 @@ def test_sweedler_dual_frozen_values(paired):
 def test_group_algebra_dual_modular_element_is_counit(paired):
     for name in ("group-z2", "group-z6", "group-s3"):
         sys = paired(name)
-        assert list(sys.dual_modular.delta) == sys.dual.unit_column()
+        assert list(sys.dual_modular.delta) == list(sys.dual.unit)
         assert list(sys.dual_modular.delta) == list(sys.primal.counit)
 
 
@@ -269,8 +270,8 @@ def test_dual_modular_data_satisfies_primal_invariants(paired):
         sys = paired(name)
         dual, dm = sys.dual, sys.dual_modular
         delta = list(dm.delta)
-        assert dual.coproduct(delta) == dual.tensor_product_columns(delta, delta)
-        assert dual.counit_of(delta).is_one()
+        assert coproduct(dual, delta) == tensor_product(delta, delta)
+        assert pairing_value(delta, dual.counit).is_one()
         assert dual.antipode.apply(delta) == list(dm.delta_inv)
         assert dual.antipode.pow(2).apply_row(dm.phi) == [dm.tau * x for x in dm.phi]
         for i in range(dual.dim):
@@ -341,27 +342,27 @@ def test_operator_lookup_is_memoized_and_exact(paired, name):
             "sigmap": sigmap, "sigmapinv": invert(sigmap),
         }
         for op, expected in direct.items():
-            first = system.operator(op, sort)
+            first = system.side(sort).operator(op)
             assert first == expected, (op, sort)
-            assert system.operator(op, sort) is first, (op, sort)
+            assert system.side(sort).operator(op) is first, (op, sort)
 
 
 @pytest.mark.parametrize("name", ["sweedler", "taft-3"])
-def test_composed_tables_are_kept_per_functional_object(paired, name):
-    # swapped() shares the memo and reads the dual under sort "A" and the
-    # primal under sort "Ahat": a table is kept per object it reads,
-    # not per sort.  A functional of a product is its Gram matrix.
+def test_composed_tables_are_kept_per_side_and_name(paired, name):
+    # swapped() reads the dual's side under sort "A" and the primal's under
+    # sort "Ahat": a table is kept on the side of the algebra it reads,
+    # under the name of the map or functional, so both views share it.  A
+    # functional of a product is its Gram matrix.
     sys = paired(name)
-    for system in (sys, sys.swapped()):
-        for sort in ("A", "Ahat"):
-            phi = system.modular(sort).phi
-            columns = [((0, x),) if not x.is_zero() else () for x in phi]
-            table = system.composed_table(sort, phi, columns)
-            assert system.composed_table(sort, phi, columns) is table
-            assert system.composed_table(sort, list(phi), columns) is not table
-            gram = gram_matrix(system.algebra(sort), phi).data
-            assert table == tuple(tuple(((0, x),) if not x.is_zero() else () for x in row)
-                                  for row in gram), (system.primal.name, sort)
+    for sort, swapped_sort in (("A", "Ahat"), ("Ahat", "A")):
+        side = sys.side(sort)
+        table = side.composed_table("phi")
+        assert side.composed_table("phi") is table
+        assert sys.swapped().side(swapped_sort).composed_table("phi") is table
+        assert side.composed_table("psi") is not table
+        gram = gram_matrix(side.algebra, side.modular.phi).data
+        assert table == tuple(tuple(((0, x),) if not x.is_zero() else () for x in row)
+                              for row in gram), (name, sort)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -416,7 +417,7 @@ def test_action_tables_match_the_dense_reference(paired, name):
         n = sys.primal.dim
         basis = [basis_column(sys.primal, i) for i in range(n)]  # the dual's too
         for fn in ("lact", "ract", "lacthat", "racthat"):
-            table = sys.action_table(fn)
+            table = action_table(sys, fn)
             for i in range(n):
                 for j in range(n):
                     expected = [(k, x) for k, x in
@@ -440,36 +441,55 @@ def test_action_tables_are_built_once_without_scalar_arithmetic(monkeypatch):
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "is_zero"):
         monkeypatch.setattr(Scalar, name, counted(name))
     for fn in ("lact", "ract", "lacthat", "racthat"):
-        sys.action_table(fn)
+        action_table(sys, fn)
     monkeypatch.undo()
     assert not calls, calls
-    assert sys.action_table("lact") is sys.swapped().action_table("lacthat")
-    assert sys.action_table("ract") is sys.swapped().action_table("racthat")
+    assert action_table(sys, "lact") is action_table(sys.swapped(), "lacthat")
+    assert action_table(sys, "ract") is action_table(sys.swapped(), "racthat")
 
     # a full report asks for the tables many times, on both sides; each
-    # (side, algebra acted on) gets one table
+    # (direction, algebra acted on) gets one table
     tables = {}
-    action_table = duality.PairedSystem.action_table
+    side_action_table = duality.Side.action_table
 
-    def recorded(self, name):
-        table = action_table(self, name)
-        acted_on = self.primal if name.endswith("hat") else self.dual
-        tables.setdefault((name[0], acted_on.name), []).append(table)
+    def recorded(self, direction):
+        table = side_action_table(self, direction)
+        tables.setdefault((direction, self.algebra.name), []).append(table)
         return table
 
-    monkeypatch.setattr(duality.PairedSystem, "action_table", recorded)
+    monkeypatch.setattr(duality.Side, "action_table", recorded)
     assert full_report_text(builtin("taft-3"))[1]
-    assert sorted(tables) == [("l", "dual(taft-3)"), ("l", "taft-3"),
-                              ("r", "dual(taft-3)"), ("r", "taft-3")]
+    assert sorted(tables) == [("left", "dual(taft-3)"), ("left", "taft-3"),
+                              ("right", "dual(taft-3)"), ("right", "taft-3")]
     for key, seen in tables.items():
         assert all(t is seen[0] for t in seen), key
 
 
+def test_each_side_makes_each_table_once_over_a_full_report(monkeypatch):
+    # every table of a report is made through Side.made; the pair and its
+    # swapped() hold the same two sides, so each (side, key) is made once
+    made = collections.Counter()
+    real_made = duality.Side.made
+
+    def counted(self, key, make):
+        return real_made(self, key, lambda: made.update([(self.algebra.name, key)]) or make())
+
+    monkeypatch.setattr(duality.Side, "made", counted)
+    assert full_report_text(builtin("taft-3"))[1]
+    assert {name for name, _ in made} == {"taft-3", "dual(taft-3)"}
+    assert {key for _, key in made} >= {"S", "sigma", ("action", "left"), ("columns", "phi"),
+                                        ("composed", "phi"), ("iterated coproduct", 2)}
+    assert set(made.values()) == {1}, [k for k, count in made.items() if count > 1]
+
+
 def test_swapped_system_shares_the_dual_side_operators(paired):
+    # swapped() holds the same two sides in reverse order
     sys = paired("taft-3")
     swapped = sys.swapped()
+    assert swapped.side("A") is sys.side("Ahat") and swapped.side("Ahat") is sys.side("A")
+    assert sys.side("A").algebra is sys.primal and sys.side("Ahat").modular is sys.dual_modular
     for op in ("S", "Sinv", "S2", "Sinv2", "sigma", "sigmainv", "sigmap", "sigmapinv"):
-        assert swapped.operator(op, "A") is sys.operator(op, "Ahat"), op
+        assert swapped.side("A").operator(op) is sys.side("Ahat").operator(op), op
 
 
 def test_replaced_system_recomputes_its_operators(paired):
@@ -477,8 +497,8 @@ def test_replaced_system_recomputes_its_operators(paired):
     # data for the same algebra, so it starts with no stored operators
     sys = paired("sweedler")
     other = dataclasses.replace(sys)
-    assert other.operator("sigmainv") == sys.operator("sigmainv")
-    assert other.operator("sigmainv") is not sys.operator("sigmainv")
+    assert other.side("A").operator("sigmainv") == sys.side("A").operator("sigmainv")
+    assert other.side("A").operator("sigmainv") is not sys.side("A").operator("sigmainv")
 
 
 @pytest.mark.parametrize("solve,side", [("right_integral", "right"),

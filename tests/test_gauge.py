@@ -44,7 +44,7 @@ def _gauges(source):
     while True:
         p = (_unitriangular(source.field, source.dim, rng)
              * _lower_unitriangular(source.field, source.dim, rng))
-        if (_nonzeros(invert(p).apply(source.unit_column())) > 1
+        if (_nonzeros(invert(p).apply(list(source.unit))) > 1
                 and _nonzeros(p.apply_row(list(source.counit))) > 1):
             return gauges + [p]
 

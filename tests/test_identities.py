@@ -16,8 +16,8 @@ from hopfcheck.identities import (Apply, Const, DslLegError, DslLinearityError, 
 from hopfcheck.scalars import Scalar
 from hopfcheck.verify import run_all_checks
 
-from conftest import (BUILTIN_NAMES, basis_column, multiply, pairing_value, reference_action,
-                      reference_sort_check)
+from conftest import (BUILTIN_NAMES, basis_column, iterated_coproduct, multiply, pairing_value,
+                      reference_action, reference_sort_check)
 from test_gauge import _gauges
 from test_hopf import _transported
 
@@ -116,6 +116,10 @@ def test_syntax_errors_carry_position():
     with pytest.raises(DslSyntaxError) as err:
         parse_identity("oops: forall a in A . a = ")
     assert "position" in str(err.value)
+    # an unreadable character is reported where it stands, not at the
+    # space before it
+    with pytest.raises(DslSyntaxError, match=r"^position 25: cannot read '\$'$"):
+        parse_identity("x: forall a in A . a = a $")
     with pytest.raises(DslSyntaxError):
         parse_identity("dup: forall a in A, a in A . a = a")
     with pytest.raises(DslSyntaxError):
@@ -124,7 +128,8 @@ def test_syntax_errors_carry_position():
 
 @pytest.mark.parametrize("digit", ["\u0663", "\uff13"])
 def test_only_ascii_digits_are_numbers(digit):
-    with pytest.raises(DslSyntaxError, match=r"^position 18: cannot read"):
+    # the position is the unread character's own, not the space before it
+    with pytest.raises(DslSyntaxError, match=rf"^position 19: cannot read '{digit} \* a = 3 '$"):
         parse_identity(f"x: forall a in A . {digit} * a = 3 * a")
 
 
@@ -344,8 +349,8 @@ def _naive_value(sys, env, node, cols):
         return sys.primal.field.scalar(node.value)
     if isinstance(node, Const):
         pm, dm = sys.primal_modular, sys.dual_modular
-        return {"one": sys.primal.unit_column(), "delta": list(pm.delta),
-                "deltainv": list(pm.delta_inv), "onehat": sys.dual.unit_column(),
+        return {"one": list(sys.primal.unit), "delta": list(pm.delta),
+                "deltainv": list(pm.delta_inv), "onehat": list(sys.dual.unit),
                 "dhat": list(dm.delta),
                 "dhatinv": list(dm.delta_inv), "tau": pm.tau}[node.kind]
     if isinstance(node, Pairing):
@@ -372,12 +377,12 @@ def _naive_value(sys, env, node, cols):
     args = [_naive_value(sys, env, a, cols) for a in node.args]
     sort = _naive_sort(env, node.args[0])
     if node.fn == "eps":
-        return sys.algebra(sort).counit_of(args[0])
+        return pairing_value(args[0], sys.algebra(sort).counit)
     if node.fn in ("phi", "psi"):
         return pairing_value(args[0], getattr(sys.modular(sort), node.fn))
     if node.fn in ("lact", "ract", "lacthat", "racthat"):
         return reference_action(sys, node.fn, *args)
-    return sys.operator(node.fn, sort).apply(args[0])
+    return sys.side(sort).operator(node.fn).apply(args[0])
 
 
 def _naive_sort(env, node):
@@ -411,7 +416,7 @@ def _naive_side(sys, prog, node, assignment):
             legs[var] = max(legs.get(var, 0), leg)
     expansions = [[(x * c, [(var, j + 1, i) for j, i in enumerate(idxs)])
                    for b, x in enumerate(assignment[var]) if not x.is_zero()
-                   for c, idxs in sys.algebra(env[var]).iterated_coproduct(b, k)]
+                   for c, idxs in iterated_coproduct(sys.algebra(env[var]), b, k)]
                   for var, k in legs.items()]
     total = None
     for terms in cartesian(*expansions):

@@ -17,8 +17,8 @@ from hopfcheck.modular import (gram_inverse, gram_matrix, left_integral, modular
                                scaling_constant)
 from hopfcheck.scalars import RATIONAL, cyclotomic_field
 
-from conftest import (BUILTIN_NAMES, basis_column, integral_space_dimensions, multiply,
-                      pairing_value, reference_invariance_nullspace)
+from conftest import (BUILTIN_NAMES, basis_column, coproduct, integral_space_dimensions,
+                      multiply, pairing_value, reference_invariance_nullspace)
 from test_gauge import _gauges
 from test_hopf import _signed_permutation, _transported
 
@@ -100,8 +100,8 @@ def test_modular_element_trivial_for_unimodular(algebras):
                  "functions-z2", "functions-z6", "functions-s3"):
         h = algebras[name]
         delta, delta_inv = _modular_element_of(h, left_integral(h))
-        assert list(delta) == h.unit_column()
-        assert list(delta_inv) == h.unit_column()
+        assert list(delta) == list(h.unit)
+        assert list(delta_inv) == list(h.unit)
 
 
 def test_sweedler_modular_element_is_group_like_generator():
@@ -176,7 +176,7 @@ def test_scaling_constant_equals_counit_of_sigma_inverse_of_delta(algebras):
     for name in BUILTIN_NAMES:
         h = algebras[name]
         md = modular_data(h)
-        assert h.counit_of(invert(md.sigma).apply(list(md.delta))) == md.tau
+        assert pairing_value(invert(md.sigma).apply(list(md.delta)), h.counit) == md.tau
 
 
 def test_weak_kms_property(algebras):
@@ -225,7 +225,7 @@ def test_modular_element_intertwines(algebras):
 
 def _twisted_coproduct(h, column, left: Matrix, right: Matrix):
     out = {}
-    for (j, k), c in h.coproduct(column).items():
+    for (j, k), c in coproduct(h, column).items():
         for a, ca in enumerate(left.column(j)):
             if ca.is_zero():
                 continue
@@ -245,9 +245,9 @@ def test_coproduct_twist_formulas(algebras):
         sp_inv = invert(md.sigma_prime)
         for i in range(h.dim):
             e = basis_column(h, i)
-            assert h.coproduct(md.sigma.apply(e)) == _twisted_coproduct(h, e, s2, md.sigma)
-            assert h.coproduct(md.sigma_prime.apply(e)) == _twisted_coproduct(h, e, md.sigma_prime, s2_inv)
-            assert h.coproduct(s2.apply(e)) == _twisted_coproduct(h, e, md.sigma, sp_inv)
+            assert coproduct(h, md.sigma.apply(e)) == _twisted_coproduct(h, e, s2, md.sigma)
+            assert coproduct(h, md.sigma_prime.apply(e)) == _twisted_coproduct(h, e, md.sigma_prime, s2_inv)
+            assert coproduct(h, s2.apply(e)) == _twisted_coproduct(h, e, md.sigma, sp_inv)
 
 
 def test_counit_agrees_on_both_automorphisms(algebras):
@@ -464,10 +464,11 @@ def test_generating_row_integrals_match_the_full_system(name, tmp_path, monkeypa
 
 def test_modular_automorphisms_scan_the_product_generators(monkeypatch):
     # sigma and sigma' are checked multiplicative on the rows of G when
-    # validation took G (taft-3); on P's side (functions-s3) and on a dual
-    # whose validation was handed over (build_dual) no row is scanned and
-    # each automorphism is checked one output coordinate at a time.  A
-    # failing reduced scan runs the per-coordinate check for its witness.
+    # validation took G (taft-3), and on the dual of an algebra that took P,
+    # whose G is that P (build_dual); on P's side (functions-s3) and on the
+    # dual of an algebra that took G no row is scanned and each
+    # automorphism is checked one output coordinate at a time.  A failing
+    # reduced scan runs the per-coordinate check for its witness.
     scans, checks = [], []
     real_scan, real_check = modular._algebra_map_failure, modular._multiplicativity_failure
     monkeypatch.setattr(modular, "_algebra_map_failure",
@@ -476,7 +477,8 @@ def test_modular_automorphisms_scan_the_product_generators(monkeypatch):
                         lambda mt, rho: checks.append(rho.rows) or real_check(mt, rho))
     taft, functions = build_taft(3), builtin("functions-s3")
     for h, rows, dims in ((taft, [(3, 1), (3, 1)], []), (functions, [], [6, 6]),
-                          (build_dual(taft), [], [9, 9])):
+                          (build_dual(taft), [], [9, 9]),
+                          (build_dual(functions), [(3, 1), (3, 1)], [])):
         scans.clear()
         checks.clear()
         modular_data(h)

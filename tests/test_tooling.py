@@ -17,7 +17,7 @@ import pytest
 
 import hopfcheck
 from hopfcheck.catalog import build_sweedler, builtin
-from hopfcheck.duality import PairedSystem
+from hopfcheck.duality import PairedSystem, Side
 from hopfcheck.hopf import HopfAlgebra
 from hopfcheck.linalg import Matrix, Tensor3, solve
 from hopfcheck.scalars import Scalar
@@ -111,15 +111,14 @@ def test_public_surface():
     expected = {
         HopfAlgebra: [
             "antipode", "antipode_inverse", "basis_names", "bialgebra_checks", "comul",
-            "comul_terms", "coproduct", "counit", "counit_of", "dim", "dual_tables", "field",
-            "format_element", "iterated_coproduct", "mul", "mul_terms", "name",
-            "require_valid", "tensor_product_columns", "unit", "unit_column", "validate",
-            "with_antipode"],
+            "comul_terms", "counit", "dim", "dual_tables", "field", "format_element", "mul",
+            "mul_terms", "name", "require_valid", "unit", "validate", "with_antipode"],
         Matrix: ["apply", "apply_row", "cols", "column", "data", "field", "identity",
                  "nonzero_columns", "nonzero_rows", "pow", "rows", "transpose", "zero"],
         Scalar: ["coeffs", "den", "field", "inv", "is_one", "is_zero", "num"],
-        PairedSystem: ["action_table", "algebra", "composed_table", "modular", "operator",
-                       "swapped"],
+        PairedSystem: ["algebra", "modular", "side", "swapped"],
+        Side: ["action_table", "columns", "composed_table", "iterated_coproduct", "made",
+               "operator"],
     }
     for cls, names in expected.items():
         assert sorted(n for n in dir(cls) if not n.startswith("_")) == names, cls.__name__

@@ -193,8 +193,8 @@ def _reference_pairing(sys):
     dhat_inv = list(sys.dual_modular.delta_inv)
     counit = list(h.counit)
     rows = (
-        ("pair-dhat-sigma-inv", dhat, sys.operator("sigmainv").apply_row(counit)),
-        ("pair-dhat-sigmap-inv", dhat, sys.operator("sigmapinv").apply_row(counit)),
+        ("pair-dhat-sigma-inv", dhat, sys.side("A").operator("sigmainv").apply_row(counit)),
+        ("pair-dhat-sigmap-inv", dhat, sys.side("A").operator("sigmapinv").apply_row(counit)),
         ("pair-dhatinv-sigma", dhat_inv, md.sigma.apply_row(counit)),
         ("pair-dhatinv-sigmap", dhat_inv, md.sigma_prime.apply_row(counit)),
     )
@@ -211,15 +211,15 @@ def _reference_adjoints(sys):
     h, dual, md = sys.primal, sys.dual, sys.primal_modular
     dhat = list(sys.dual_modular.delta)
     dhat_inv = list(sys.dual_modular.delta_inv)
-    s2 = sys.operator("S2", "Ahat")
-    s2_inv = sys.operator("Sinv2", "Ahat")
+    s2 = sys.side("Ahat").operator("S2")
+    s2_inv = sys.side("Ahat").operator("Sinv2")
     cases = (
         ("sigma-adjoint", md.sigma, lambda b: multiply(dual, s2.apply(b), dhat_inv)),
-        ("sigma-inv-adjoint", sys.operator("sigmainv"),
+        ("sigma-inv-adjoint", sys.side("A").operator("sigmainv"),
          lambda b: multiply(dual, s2_inv.apply(b), dhat)),
         ("sigmap-adjoint", md.sigma_prime,
          lambda b: multiply(dual, dhat_inv, s2_inv.apply(b))),
-        ("sigmap-inv-adjoint", sys.operator("sigmapinv"),
+        ("sigmap-inv-adjoint", sys.side("A").operator("sigmapinv"),
          lambda b: multiply(dual, dhat, s2.apply(b))),
     )
     out = []
@@ -233,7 +233,7 @@ def _reference_adjoints(sys):
                     mismatches.append((i, j, _mismatch(
                         f"a={h.basis_names[i]}, b={dual.basis_names[j]}", lhs, rhs_col[i])))
         out.append((identity, h.name, mismatches))
-    reduced = multiply(dual, s2.apply(dual.unit_column()), dhat_inv)
+    reduced = multiply(dual, s2.apply(list(dual.unit)), dhat_inv)
     counit_sigma = md.sigma.apply_row(list(h.counit))
     out.append(("adjoint-unit-reduction", h.name,
                 [_mismatch(f"a={h.basis_names[i]}", counit_sigma[i], reduced[i])
@@ -247,11 +247,11 @@ def _reference_radford(sys):
     dhat = list(sys.dual_modular.delta)
     dhat_inv = list(sys.dual_modular.delta_inv)
     basis = [basis_column(h, i) for i in range(h.dim)]
-    s2, s2_inv = sys.operator("S2"), sys.operator("Sinv2")
+    s2, s2_inv = sys.side("A").operator("S2"), sys.side("A").operator("Sinv2")
     sandwich = [multiply(h, multiply(h, delta_inv, reference_action(
                     sys, "racthat", reference_action(sys, "lacthat", dhat, a), dhat_inv)), delta)
                 for a in basis]
-    s4_matrix = sys.operator("S2").pow(2)
+    s4_matrix = sys.side("A").operator("S2").pow(2)
     s4 = _columns_mismatches(h, [s4_matrix.column(i) for i in range(h.dim)], sandwich)
     sigma = _columns_mismatches(
         h, [md.sigma.column(i) for i in range(h.dim)],
@@ -278,7 +278,7 @@ def _reference_dual_radford(sys):
                     sys, "ract", reference_action(sys, "lact", delta, basis_column(dual, j)),
                     delta_inv)), dhat)
                 for j in range(dual.dim)]
-    s4 = sys.operator("S2", "Ahat").pow(2)
+    s4 = sys.side("Ahat").operator("S2").pow(2)
     transported = _columns_mismatches(dual, [s4.column(j) for j in range(dual.dim)], sandwich)
     return [("s4-dual-transported", dual.name, transported)] + _reference_radford(sys.swapped())
 
